@@ -255,19 +255,28 @@ _WORKER: dict = {}
 
 
 def _init_worker(cfg_json: str) -> None:
+    """Build the instance and parse the config once per process; tasks
+    only index into ``_WORKER``."""
     cfg = json.loads(cfg_json)
     code, iid = build_instance(cfg)
-    _WORKER["cfg"] = cfg
-    _WORKER["code"] = code
-    _WORKER["iid"] = iid
+    _WORKER.update(
+        code=code,
+        iid=iid,
+        seed=int(cfg.get("seed", 0)),
+        record_timing=bool(cfg.get("record_timing", False)),
+        models=_models(cfg),
+        decoders=_decoders(cfg),
+        noise=noise.NoiseModel.from_json(cfg.get("noise", {})),
+        rounds=int(cfg.get("rounds", 1)),
+    )
 
 
 def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
     pi, ti = task
-    cfg, code, iid = _WORKER["cfg"], _WORKER["code"], _WORKER["iid"]
-    model = _models(cfg)[pi]
+    code = _WORKER["code"]
+    model = _WORKER["models"][pi]
     stream = noise.sweep_stream_id(pi, ti)
-    rng = noise.make_rng(int(cfg.get("seed", 0)), stream)
+    rng = noise.make_rng(_WORKER["seed"], stream)
     e, d = noise.sample_errors(code, model, rng)
     return [
         noise.run_single_shot_trial(
@@ -275,34 +284,34 @@ def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
             model,
             dc,
             rng,
-            instance_id=iid,
+            instance_id=_WORKER["iid"],
             seed=stream,
-            record_timing=bool(cfg.get("record_timing", False)),
+            record_timing=_WORKER["record_timing"],
             presampled=(e, d),
         )
-        for dc in _decoders(cfg)
+        for dc in _WORKER["decoders"]
     ]
 
 
 def _multiround_task(task: int) -> noise.MultiRoundRecord:
     ti = task
-    cfg, code, iid = _WORKER["cfg"], _WORKER["code"], _WORKER["iid"]
-    model = noise.NoiseModel.from_json(cfg.get("noise", {}))
-    rng = noise.make_rng(int(cfg.get("seed", 0)), ti)
+    rng = noise.make_rng(_WORKER["seed"], ti)
     return noise.run_multiround(
-        code,
-        model,
-        _decoders(cfg)[0],
-        int(cfg.get("rounds", 1)),
+        _WORKER["code"],
+        _WORKER["noise"],
+        _WORKER["decoders"][0],
+        _WORKER["rounds"],
         rng,
-        instance_id=iid,
+        instance_id=_WORKER["iid"],
         seed=ti,
     )
 
 
 def _run_pool(cfg: dict, tasks, task_fn, workers: int) -> list:
+    # initialising here first also reports config and build errors before
+    # any worker process starts
+    _init_worker(canonical_json(cfg))
     if workers <= 1:
-        _init_worker(canonical_json(cfg))
         return [task_fn(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(canonical_json(cfg),)

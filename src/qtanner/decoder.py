@@ -10,11 +10,17 @@ fixed 1/2 threshold, choosing a maximal-weight codeword per vertex.
 
 Candidate search is exhaustive over the cached nonzero codewords of
 C_A ⊞ C_B, sorted by weight descending (lexicographic within a weight
-class), vectorized with numpy popcounts.
+class).  A threshold policy θ asks for a reduction of at least ceil(θ|x|)
+(sequential: θ = 1-ε, parallel: θ = 1/2); the cache keeps one table per
+θ that memoizes the search result for every local Δ²-bit mismatch
+pattern seen so far, and only a pattern seen for the first time runs
+the numpy popcount scan.  Local patterns are gathered from the set bits
+of Ẑ inside a view, through a per-vertex bit table.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +32,7 @@ from . import codes as codes_mod
 from . import gf2
 from .cayley import V00, V01, V10, V11
 from .codes import DualTensorCode
-from .errors import BudgetError, DimensionMismatchError
+from .errors import BudgetError, DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
@@ -43,6 +49,9 @@ def _popcount_array(arr: np.ndarray) -> np.ndarray:
     return np.unpackbits(b, axis=-1).sum(axis=-1)
 
 
+_MISS = object()
+
+
 def as_fraction(x) -> Fraction:
     """Exact parameter parsing; floats are read as their decimal literal."""
     if isinstance(x, Fraction):
@@ -56,8 +65,9 @@ class LocalCodewordCache:
     """Per-code enumeration of the local correction code C_1^⊥ = C_A ⊞ C_B.
 
     Holds every nonzero codeword as a Δ² bit mask with its minimal
-    (c, r) split, the coset-leader table for the local checks, and the
-    per-vertex view/incidence tables the decomposition loops consume.
+    (c, r) split, the coset-leader table for the local checks, the
+    per-vertex view/incidence tables the decomposition loops consume,
+    and one ``ScanTable`` per threshold policy θ, built on first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -73,6 +83,7 @@ class LocalCodewordCache:
         self.coset_table = codes_mod.coset_leader_table(dt)
         self._build_codewords(dt)
         self._build_views(code)
+        self._scan_tables: dict[Fraction, ScanTable] = {}
 
     def _build_codewords(self, dt: DualTensorCode) -> None:
         na, nb = dt.na, dt.nb
@@ -118,29 +129,31 @@ class LocalCodewordCache:
         cs = _enumerate(c_basis, _count_cols)
         rs = _enumerate(r_basis, _count_rows)
 
-        # minimal decomposition per codeword: min cost, then lex-smallest c
-        best: dict[int, tuple[int, int, int]] = {}
+        # minimal decomposition per codeword: min cost, then lex-smallest c;
+        # lex_key is injective, so a strictly smaller key means another c
+        best: dict[int, tuple[int, int, int, int]] = {}
         n = dt.n
         for c, nc in cs:
+            c_key = gf2.lex_key(c, n)
             for r, nr in rs:
                 x = c ^ r
                 cost = nc + nr
                 cur = best.get(x)
-                if cur is None or cost < cur[0]:
-                    best[x] = (cost, c, r)
-                elif cost == cur[0] and c != cur[1]:
-                    if gf2.lex_key(c, n) < gf2.lex_key(cur[1], n):
-                        best[x] = (cost, c, r)
+                if cur is None or cost < cur[0] or (cost == cur[0] and c_key < cur[1]):
+                    best[x] = (cost, c_key, c, r)
         best.pop(0, None)
-        assert len(best) == (1 << dt.dim) - 1
+        if len(best) != (1 << dt.dim) - 1:
+            raise LocalCacheError(
+                f"(c, r) sums give {len(best)} nonzero codewords, "
+                f"expected 2^{dt.dim} - 1 for a dimension-{dt.dim} local code"
+            )
 
         order = sorted(best, key=lambda m: (-m.bit_count(), gf2.lex_key(m, n)))
         self.masks = np.array(order, dtype=np.uint64)
         self.weights = np.array([m.bit_count() for m in order], dtype=np.int64)
         self.neg_weights = -self.weights
-        self.par_thresholds = (self.weights + 1) // 2
-        self.c_parts = [best[m][1] for m in order]
-        self.r_parts = [best[m][2] for m in order]
+        self.c_parts = [best[m][2] for m in order]
+        self.r_parts = [best[m][3] for m in order]
         self.max_weight = int(self.weights[0]) if len(order) else 0
 
     def _build_views(self, code: QuantumTannerCode) -> None:
@@ -149,23 +162,50 @@ class LocalCodewordCache:
         self.view_masks = [
             sum(1 << q for q in view) for view in self.views
         ]
+        # face bit -> local position bit, for the sparse gather of Ẑ
+        self.gather = [
+            {1 << q: 1 << p for p, q in enumerate(view)} for view in self.views
+        ]
         self.face_vertices = [cx.face_vertices(q) for q in range(cx.num_faces)]
         # per-class disjointness of views makes parallel sweeps well defined
         for cls in (V00, V01, V10, V11):
             acc = 0
             for g in range(cx.group.order):
-                m = self.view_masks[cx.vertex(g, cls)]
-                assert acc & m == 0
+                v = cx.vertex(g, cls)
+                m = self.view_masks[v]
+                if acc & m:
+                    raise LocalCacheError(
+                        f"view of vertex {v} overlaps another view of class {cls}"
+                    )
                 acc |= m
 
-    def seq_thresholds(self, eps: Fraction) -> np.ndarray:
-        """ceil((1-eps)·w) per cached codeword, exact integer arithmetic."""
-        one_minus = 1 - eps
-        table = [
-            -((-(one_minus * w).numerator) // (one_minus * w).denominator)
-            for w in range(self.max_weight + 1)
-        ]
-        return np.array(table, dtype=np.int64)[self.weights]
+    def scan_table(self, theta: Fraction) -> "ScanTable":
+        """The memoized candidate search for threshold policy θ."""
+        theta = as_fraction(theta)
+        table = self._scan_tables.get(theta)
+        if table is None:
+            ceil_by_weight = np.array(
+                [math.ceil(theta * w) for w in range(self.max_weight + 1)], dtype=np.int64
+            )
+            table = ScanTable(ceil_by_weight[self.weights])
+            self._scan_tables[theta] = table
+        return table
+
+
+class ScanTable:
+    """Candidate search for one threshold policy θ on one cache.
+
+    ``thresholds[i]`` is ceil(θ·|x_i|) for cached codeword i, and ``memo``
+    maps each local pattern searched so far to its result (codeword
+    index or None).  Patterns have Δ² bits, so the memo holds at most
+    2^Δ² entries.
+    """
+
+    __slots__ = ("thresholds", "memo")
+
+    def __init__(self, thresholds: np.ndarray):
+        self.thresholds = thresholds
+        self.memo: dict[int, Optional[int]] = {}
 
 
 def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
@@ -238,9 +278,22 @@ def _lift(local_bits: int, view: list[int]) -> int:
 
 
 def _extract(global_bits: int, view: list[int]) -> int:
+    """Local pattern of ``global_bits`` on ``view``, one view bit at a time
+    (reference for ``_gather``)."""
     out = 0
     for p, q in enumerate(view):
         out |= ((global_bits >> q) & 1) << p
+    return out
+
+
+def _gather(bits_in_view: int, gather: dict[int, int]) -> int:
+    """Local pattern of global bits already masked to one view; the
+    loop runs once per set bit, not once per view bit."""
+    out = 0
+    while bits_in_view:
+        lsb = bits_in_view & -bits_in_view
+        out |= gather[lsb]
+        bits_in_view ^= lsb
     return out
 
 
@@ -277,7 +330,15 @@ def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> Mism
     return state
 
 
-def _scan(
+def _scan(cache: LocalCodewordCache, zloc: int, table: ScanTable) -> Optional[int]:
+    """``_scan_uncached`` through the memo of ``table``."""
+    idx = table.memo.get(zloc, _MISS)
+    if idx is _MISS:
+        idx = table.memo[zloc] = _scan_uncached(cache, zloc, table.thresholds)
+    return idx
+
+
+def _scan_uncached(
     cache: LocalCodewordCache, zloc: int, thresholds: np.ndarray
 ) -> Optional[int]:
     """Index of the first cached codeword meeting the reduction threshold.
@@ -308,13 +369,8 @@ def find_reducing_codeword(
     theta = as_fraction(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    thr_table = [
-        -((-(theta * w).numerator) // (theta * w).denominator)
-        for w in range(cache.max_weight + 1)
-    ]
-    thresholds = np.array(thr_table, dtype=np.int64)[cache.weights]
-    zloc = _extract(zhat_bits, cache.views[v])
-    idx = _scan(cache, zloc, thresholds)
+    zloc = _gather(zhat_bits & cache.view_masks[v], cache.gather[v])
+    idx = _scan(cache, zloc, cache.scan_table(theta))
     if idx is None:
         return None
     return int(cache.masks[idx]), cache.c_parts[idx], cache.r_parts[idx]
@@ -363,16 +419,15 @@ def sequential_mismatch_decomposition(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     code = state.code
     cache = get_cache(code)
-    thresholds = cache.seq_thresholds(eps)
+    table = cache.scan_table(1 - eps)
     work = state.worklist
     while state.zhat and work:
         v = work.popleft()
         state.in_queue[v] = 0
-        mask = cache.view_masks[v]
-        if mask & state.zhat == 0:
+        local = cache.view_masks[v] & state.zhat
+        if local == 0:
             continue
-        zloc = _extract(state.zhat, cache.views[v])
-        idx = _scan(cache, zloc, thresholds)
+        idx = _scan(cache, _gather(local, cache.gather[v]), table)
         if idx is None:
             continue
         changed = _apply(state, cache, v, idx)
@@ -402,6 +457,7 @@ def parallel_mismatch_decomposition(
         raise ValueError(f"iteration count must be >= 1, got {k}")
     code = state.code
     cache = get_cache(code)
+    table = cache.scan_table(Fraction(1, 2))
     cx = code.complex
     order = cx.group.order
     flip = 1 if code.flip_roles else 0
@@ -413,10 +469,10 @@ def parallel_mismatch_decomposition(
             raw = eff_cls ^ flip
             base = raw * order
             for v in range(base, base + order):
-                if cache.view_masks[v] & state.zhat == 0:
+                local = cache.view_masks[v] & state.zhat
+                if local == 0:
                     continue
-                zloc = _extract(state.zhat, cache.views[v])
-                idx = _scan(cache, zloc, cache.par_thresholds)
+                idx = _scan(cache, _gather(local, cache.gather[v]), table)
                 if idx is not None:
                     _apply(state, cache, v, idx)
                     changed_any = True

@@ -36,3 +36,8 @@ class CommutationError(QTannerError):
 
 class NotInCodeError(QTannerError):
     """A vector expected to be a codeword is not."""
+
+
+class LocalCacheError(QTannerError):
+    """The local codeword cache contradicts the code it was built from:
+    the (c, r) sums miss codewords, or same-class local views overlap."""

@@ -201,18 +201,9 @@ class BitMatrix:
                 r ^= lsb
         return BitMatrix(self.cols, self.rows, out)
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if other.cols != self.cols:
-            raise DimensionMismatchError(self.cols, other.cols, "column count")
-        return BitMatrix(self.rows + other.rows, self.cols, self.data + other.data)
-
-    def nonzero_rows(self) -> "BitMatrix":
-        kept = [r for r in self.data if r]
-        return BitMatrix(len(kept), self.cols, kept)
-
     def iter_rowspace(self) -> Iterator[int]:
         """Yield all 2^rank rowspace elements (Gray-code order, starts at 0)."""
-        basis = [r for r in _rref(list(self.data))[0] if r]
+        basis = Echelon(self).rows
         x = 0
         yield x
         for i in range(1, 1 << len(basis)):
@@ -248,6 +239,38 @@ def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
+class Echelon:
+    """Reduced row echelon form of a matrix: the nonzero RREF rows and
+    their pivot columns, built once and reused for rank and membership.
+
+    Every RREF row has its pivot as its lowest set bit and is the only
+    row with that bit set, so each nonzero rowspace element has a pivot
+    as its lowest set bit; ``contains`` relies on this to stop early.
+    """
+
+    __slots__ = ("rows", "pivots", "_row_of_pivot")
+
+    def __init__(self, m: BitMatrix):
+        rows, pivots = _rref(list(m.data))
+        self.rows = rows[: len(pivots)]
+        self.pivots = pivots
+        self._row_of_pivot = dict(zip(pivots, self.rows))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def contains(self, bits: int) -> bool:
+        """True iff ``bits`` is a GF(2) combination of the matrix rows."""
+        row_of_pivot = self._row_of_pivot
+        while bits:
+            row = row_of_pivot.get((bits & -bits).bit_length() - 1)
+            if row is None:
+                return False
+            bits ^= row
+        return True
+
+
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     """Return M·v over GF(2); result bit i is <row_i, v>."""
     if v.n != m.cols:
@@ -273,18 +296,18 @@ def mat_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_rref(list(m.data))[1])
+    return Echelon(m).rank
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Basis of {x : Mx = 0}, one row per free column, cols - rank rows."""
-    rows, pivots = _rref(list(m.data))
-    pivot_set = set(pivots)
+    ech = Echelon(m)
+    pivot_set = set(ech.pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
         vec = 1 << f
-        for r, p in zip(rows, pivots):
+        for r, p in zip(ech.rows, ech.pivots):
             if (r >> f) & 1:
                 vec |= 1 << p
         basis.append(vec)
@@ -311,30 +334,13 @@ def rowspace_contains(m: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of M."""
     if v.n != m.cols:
         raise DimensionMismatchError(m.cols, v.n)
-    rows, pivots = _rref(list(m.data))
-    residue = v.bits
-    for r, p in zip(rows, pivots):
-        if (residue >> p) & 1:
-            residue ^= r
-    return residue == 0
-
-
-def reduce_against(m: BitMatrix, v: BitVector) -> BitVector:
-    """Residue of v after eliminating with the rows of M (RREF pivots)."""
-    if v.n != m.cols:
-        raise DimensionMismatchError(m.cols, v.n)
-    rows, pivots = _rref(list(m.data))
-    residue = v.bits
-    for r, p in zip(rows, pivots):
-        if (residue >> p) & 1:
-            residue ^= r
-    return BitVector(v.n, residue)
+    return Echelon(m).contains(v.bits)
 
 
 def row_reduce_independent(m: BitMatrix) -> BitMatrix:
     """Drop dependent rows; keeps the RREF rows (deterministic basis)."""
-    rows, pivots = _rref(list(m.data))
-    return BitMatrix(len(pivots), m.cols, rows[: len(pivots)])
+    ech = Echelon(m)
+    return BitMatrix(ech.rank, m.cols, ech.rows)
 
 
 def kronecker(ma: BitMatrix, mb: BitMatrix) -> BitMatrix:

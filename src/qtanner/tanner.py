@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import codes as codes_mod
@@ -75,8 +76,6 @@ class QuantumTannerCode:
         # lazy caches
         self._z_col_syndromes: Optional[list[int]] = None
         self._decoder_cache = None
-        self._rank_hx: Optional[int] = None
-        self._rank_hz: Optional[int] = None
 
     def _embed(self, vertices: list[int], basis: BitMatrix) -> BitMatrix:
         rows = []
@@ -99,17 +98,23 @@ class QuantumTannerCode:
     def local_view(self, v: int) -> list[int]:
         return self._views[v]
 
+    @cached_property
+    def echelon_x(self) -> gf2.Echelon:
+        """RREF of H_X, built on first use; stabilizer membership tests."""
+        return gf2.Echelon(self.h_x)
+
+    @cached_property
+    def echelon_z(self) -> gf2.Echelon:
+        """RREF of H_Z, built on first use."""
+        return gf2.Echelon(self.h_z)
+
     @property
     def rank_hx(self) -> int:
-        if self._rank_hx is None:
-            self._rank_hx = gf2.rank(self.h_x)
-        return self._rank_hx
+        return self.echelon_x.rank
 
     @property
     def rank_hz(self) -> int:
-        if self._rank_hz is None:
-            self._rank_hz = gf2.rank(self.h_z)
-        return self._rank_hz
+        return self.echelon_z.rank
 
     @property
     def k(self) -> int:
@@ -235,7 +240,9 @@ def _greedy_reduce(code: QuantumTannerCode, bits: int) -> int:
 def classify_residual(code: QuantumTannerCode, residual: BitVector) -> str:
     """corrected if residual is a stabilizer, detected if its syndrome is
     nonzero, logical otherwise."""
-    if gf2.rowspace_contains(code.h_x, residual):
+    if residual.n != code.n:
+        raise DimensionMismatchError(code.n, residual.n)
+    if code.echelon_x.contains(residual.bits):
         return CORRECTED
     if syndrome_bits_z(code, residual.bits):
         return DETECTED
@@ -263,11 +270,10 @@ def random_logical_search(
         if bits == 0:
             continue
         bits = _greedy_reduce(code, bits)
-        v = BitVector(code.n, bits)
-        if bits and not gf2.rowspace_contains(code.h_x, v):
+        if bits and not code.echelon_x.contains(bits):
             if bits.bit_count() < best_w:
                 best_w = bits.bit_count()
-                best = v
+                best = BitVector(code.n, bits)
     return best_w, best
 
 

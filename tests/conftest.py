@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from qtanner import cayley, codes, tanner
 
@@ -36,3 +37,11 @@ def unique_code():
     g = cayley.build_group("cyclic", 8)
     cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
     return tanner.build_tanner_code(cx, codes.repetition_code(3), codes.repetition_code(3))
+
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# reproducible; example counts are kept small to bound its run time.
+settings.register_profile(
+    "qtanner", derandomize=True, max_examples=25, deadline=None, database=None
+)
+settings.load_profile("qtanner")

@@ -147,6 +147,12 @@ class TestSweep:
         assert cli.main(["sweep", "-c", cfg, "-o", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_bad_decoder_spec_exits_2_before_workers_start(self, tmp_path):
+        cfg = write_config(tmp_path, decoders=[{"kind": "bogus"}])
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "-c", cfg, "-o", str(out), "--workers", "2"]) == 2
+        assert not out.exists()
+
     def test_per_trial_rows_paired_on_seed(self, tmp_path):
         cfg = write_config(
             tmp_path,

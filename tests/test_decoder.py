@@ -1,9 +1,14 @@
 """Mismatch-decomposition decoders: local corrections, candidate search,
 sequential and parallel decomposition, and the full decode pipelines."""
 
+import dataclasses
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtanner import codes, decoder, tanner
 from qtanner.decoder import (
@@ -16,7 +21,7 @@ from qtanner.decoder import (
     sequential_decode,
     sequential_mismatch_decomposition,
 )
-from qtanner.errors import BudgetError
+from qtanner.errors import BudgetError, LocalCacheError
 from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
 from qtanner.tanner import syndrome_bits_z
@@ -81,6 +86,23 @@ class TestLocalCodewordCache:
         big = tanner.build_tanner_code(cx5, codes.repetition_code(5), codes.parity_code(5))
         with pytest.raises(BudgetError):
             get_cache(big)
+
+    def test_missing_codewords_raise(self, ref_code):
+        # a claimed dimension the (c, r) sums cannot reach
+        dt = get_cache(ref_code).dt
+        too_big = dataclasses.replace(dt, dim=dt.dim + 1)
+        cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
+        with pytest.raises(LocalCacheError, match="nonzero codewords"):
+            cache._build_codewords(too_big)
+
+    def test_overlapping_same_class_views_raise(self, ref_code):
+        # every vertex given the view of vertex 0
+        stub = types.SimpleNamespace(
+            complex=ref_code.complex, local_view=lambda v: ref_code.local_view(0)
+        )
+        cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
+        with pytest.raises(LocalCacheError, match="overlaps"):
+            cache._build_views(stub)
 
 
 class TestLocalMinCorrection:
@@ -408,3 +430,64 @@ class TestZSideDecoding:
             syn = BitVector(z_code.h_z.rows, syndrome_bits_z(z_code, 1 << q))
             f = sequential_decode(z_code, syn)
             assert decode_class(z_code, 1 << q, f) == "corrected"
+
+
+THETAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)]
+
+
+@pytest.fixture(scope="session", params=["ref_code", "unique_code"])
+def any_code(request):
+    return request.getfixturevalue(request.param)
+
+
+def fresh_copy(code):
+    """The same code with empty lazy caches (no local cache, no memos)."""
+    return tanner.build_tanner_code(code.complex, code.local_a, code.local_b)
+
+
+class TestMemoizedSearch:
+    @given(data=st.data())
+    def test_memoized_scan_matches_uncached(self, any_code, data):
+        cache = get_cache(any_code)
+        theta = data.draw(st.sampled_from(THETAS))
+        zloc = data.draw(st.integers(0, (1 << cache.dt.n) - 1))
+        thresholds = np.array(
+            [-((-theta.numerator * int(w)) // theta.denominator) for w in cache.weights],
+            dtype=np.int64,
+        )
+        want = decoder._scan_uncached(cache, zloc, thresholds)
+        table = cache.scan_table(theta)
+        assert decoder._scan(cache, zloc, table) == want
+        assert table.memo[zloc] == want
+        assert decoder._scan(cache, zloc, table) == want
+
+    @given(data=st.data())
+    def test_sparse_gather_matches_extract(self, any_code, data):
+        cache = get_cache(any_code)
+        n = any_code.n
+        zhat = data.draw(
+            st.one_of(
+                st.integers(0, (1 << n) - 1),
+                st.sets(st.integers(0, n - 1), max_size=12).map(
+                    lambda faces: sum(1 << q for q in faces)
+                ),
+            )
+        )
+        v = data.draw(st.integers(0, any_code.complex.num_vertices - 1))
+        got = decoder._gather(zhat & cache.view_masks[v], cache.gather[v])
+        assert got == decoder._extract(zhat, cache.views[v])
+
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_memos_isolated_across_thresholds(self, any_code, data):
+        n, rz = any_code.n, any_code.h_z.rows
+        e = sum(1 << q for q in data.draw(st.sets(st.integers(0, n - 1), max_size=8)))
+        flips = sum(1 << i for i in data.draw(st.sets(st.integers(0, rz - 1), max_size=4)))
+        syn = BitVector(rz, syndrome_bits_z(any_code, e) ^ flips)
+        runs = [
+            lambda c: sequential_decode(c, syn, Fraction(1, 3)),
+            lambda c: sequential_decode(c, syn, Fraction(1, 2)),
+            lambda c: parallel_decode(c, syn, 4),
+        ]
+        for run in runs:
+            assert run(any_code) == run(fresh_copy(any_code))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtanner import cayley, codes, gf2, tanner
 from qtanner.errors import BudgetError, DimensionMismatchError
@@ -181,6 +183,46 @@ class TestClassifyResidual:
         w, v = tanner.random_logical_search(ref_code, make_rng(8, 0), tries=100)
         assert v is not None and w == v.weight()
         assert tanner.classify_residual(ref_code, v) == "logical"
+
+
+@pytest.fixture(scope="session", params=["ref_code", "unique_code"])
+def code_with_logical(request):
+    """A code, rank(H_X) by the numpy oracle, and a logical operator."""
+    code = request.getfixturevalue(request.param)
+    _, logical = tanner.random_logical_search(code, make_rng(8, 0), tries=100)
+    assert logical is not None
+    return code, np_rank_gf2(code.h_x), logical.bits
+
+
+@given(data=st.data())
+def test_classify_matches_numpy_rank_oracle(code_with_logical, data):
+    code, rank_hx, logical = code_with_logical
+    n, rows = code.n, code.h_x.data
+    stabilizer = st.sets(st.integers(0, len(rows) - 1)).map(
+        lambda picks: _xor_rows(rows, picks)
+    )
+    bits = data.draw(
+        st.one_of(
+            st.integers(0, (1 << n) - 1),
+            st.sets(st.integers(0, n - 1), max_size=8).map(lambda s: sum(1 << q for q in s)),
+            stabilizer,
+            stabilizer.map(lambda s: s ^ logical),
+        )
+    )
+    v = BitVector(n, bits)
+    cls = tanner.classify_residual(code, v)
+    augmented = gf2.BitMatrix(len(rows) + 1, n, rows + [bits])
+    assert (cls == tanner.CORRECTED) == (np_rank_gf2(augmented) == rank_hx)
+    if cls != tanner.CORRECTED:
+        detected = tanner.syndrome(code, "Z", v).bits != 0
+        assert cls == (tanner.DETECTED if detected else tanner.LOGICAL)
+
+
+def _xor_rows(rows, picks):
+    out = 0
+    for i in picks:
+        out ^= rows[i]
+    return out
 
 
 class TestTheoryReport:
