@@ -273,24 +273,16 @@ def _init_worker(cfg_json: str) -> None:
 
 def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
     pi, ti = task
-    code = _WORKER["code"]
-    model = _WORKER["models"][pi]
-    stream = noise.sweep_stream_id(pi, ti)
-    rng = noise.make_rng(_WORKER["seed"], stream)
-    e, d = noise.sample_errors(code, model, rng)
-    return [
-        noise.run_single_shot_trial(
-            code,
-            model,
-            dc,
-            rng,
-            instance_id=_WORKER["iid"],
-            seed=stream,
-            record_timing=_WORKER["record_timing"],
-            presampled=(e, d),
-        )
-        for dc in _WORKER["decoders"]
-    ]
+    return noise.run_sweep_trial(
+        _WORKER["code"],
+        _WORKER["models"][pi],
+        _WORKER["decoders"],
+        pi,
+        ti,
+        _WORKER["seed"],
+        instance_id=_WORKER["iid"],
+        record_timing=_WORKER["record_timing"],
+    )
 
 
 def _multiround_task(task: int) -> noise.MultiRoundRecord:
@@ -305,6 +297,16 @@ def _multiround_task(task: int) -> noise.MultiRoundRecord:
         instance_id=_WORKER["iid"],
         seed=ti,
     )
+
+
+def _checked_trials(cfg: dict, limit: int) -> int:
+    """The config's trial count, checked with its seed before any trial
+    runs: every trial must get a stream of its own."""
+    noise.check_seed(int(cfg.get("seed", 0)))
+    trials = int(cfg.get("trials", 10))
+    if not 0 <= trials < limit:
+        raise ValueError(f"trials must be in [0, {limit}), got {trials}")
+    return trials
 
 
 def _run_pool(cfg: dict, tasks, task_fn, workers: int) -> list:
@@ -323,7 +325,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     models = _models(cfg)
-    trials = int(cfg.get("trials", 10))
+    trials = _checked_trials(cfg, noise.SWEEP_TRIAL_LIMIT)
     tasks = [(pi, ti) for pi in range(len(models)) for ti in range(trials)]
     results = _run_pool(cfg, tasks, _sweep_task, args.workers)
     records = [rec for group in results for rec in group]
@@ -347,51 +349,15 @@ def cmd_multiround(args) -> int:
     if rounds < 1:
         print(f"rounds must be >= 1, got {rounds}", file=sys.stderr)
         return EXIT_CONFIG
-    trials = int(cfg.get("trials", 10))
+    trials = _checked_trials(cfg, noise.STREAM_LIMIT)
     results = _run_pool(cfg, list(range(trials)), _multiround_task, args.workers)
-    rows = []
-    xs, ys = [], []
-    for rec in results:
-        for rr in rec.rounds:
-            rows.append(
-                {
-                    "instance_id": rec.instance_id,
-                    "decoder": rec.decoder,
-                    "param": rec.param,
-                    "p": rec.p,
-                    "q": rec.q,
-                    "trial": rec.seed,
-                    "round": rr.round,
-                    "e_weight": rr.e_weight,
-                    "d_weight": rr.d_weight,
-                    "d_vertex_support": rr.d_vertex_support,
-                    "residual_weight": rr.residual_weight,
-                    "failure_class": "",
-                    "seed": rec.seed,
-                }
-            )
-            xs.append(rr.round)
-            ys.append(rr.residual_weight)
-        rows.append(
-            {
-                "instance_id": rec.instance_id,
-                "decoder": rec.decoder,
-                "param": rec.param,
-                "p": rec.p,
-                "q": rec.q,
-                "trial": rec.seed,
-                "round": "final",
-                "e_weight": 0,
-                "d_weight": 0,
-                "d_vertex_support": 0,
-                "residual_weight": rec.final_residual_weight,
-                "failure_class": rec.final_class,
-                "seed": rec.seed,
-            }
-        )
+    rows = [row for rec in results for row in rec.csv_rows()]
     out = args.output or cfg.get("output", "multiround.csv")
     noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(cfg))
-    slope, lo, hi = noise.ols_slope_ci(xs, ys)
+    slope, lo, hi = noise.ols_slope_ci(
+        [rr.round for rec in results for rr in rec.rounds],
+        [rr.residual_weight for rec in results for rr in rec.rounds],
+    )
     n_corr = sum(1 for r in results if r.final_class == tanner.CORRECTED)
     print(
         f"wrote {out}: {trials} trials x {rounds} rounds; residual slope "

@@ -2,25 +2,29 @@
 exhaustive oracles the decoder relies on (coset leaders, minimal
 column/row decompositions, product-expansion constant).
 
-All exhaustive routines are gated by explicit budgets and raise
+The minimal (c, r) splits of C_A ⊞ C_B are enumerated in one place,
+``DualTensorCode.decomposition_table``; the decoder's local codeword
+cache, ``min_cr_decomposition`` and ``product_expansion_kappa`` all read
+it.  All exhaustive routines are gated by explicit budgets and raise
 ``BudgetError`` beyond them rather than degrading silently.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .errors import BudgetError, NotInCodeError
+from .errors import BudgetError, LocalCacheError, NotInCodeError
 from .gf2 import BitMatrix, BitVector
 
 # Enumeration budgets (bits of state each oracle may walk).
 MAX_DISTANCE_DIM = 22
-MAX_KAPPA_DIM = 16
-MAX_COLUMN_ASSIGNMENTS = 1 << 20
+MAX_TABLE_DIM = 16  # dim of C_A ⊞ C_B
+MAX_TABLE_PAIRS = 1 << 22  # (c, r) pairs walked by the decomposition table
 MAX_SYNDROME_SPACE = 1 << 16
 
 
@@ -170,9 +174,56 @@ class DualTensorCode:
         return LinearCode.from_parity_check(self.pchk) if self.pchk.rows else full_space(self.n)
 
     def codeword_bits(self) -> list[int]:
-        if self.dim > MAX_KAPPA_DIM:
-            raise BudgetError(f"dual tensor dimension {self.dim} > {MAX_KAPPA_DIM}")
+        if self.dim > MAX_TABLE_DIM:
+            raise BudgetError(f"dual tensor dimension {self.dim} > {MAX_TABLE_DIM}")
         return list(gf2.kernel_basis(self.pchk).iter_rowspace())
+
+    @functools.cached_property
+    def decomposition_table(self) -> dict[int, tuple[int, int, int]]:
+        """Every nonzero codeword x mapped to its cheapest split (cost, c, r).
+
+        x = c + r with every column of c in C_A and every row of r in C_B;
+        cost = ||c||·|B| + ||r||·|A| (nonzero columns of c, nonzero rows of
+        r) is the normalised ||c||/|A| + ||r||/|B| scaled by |A||B|.  Ties
+        break toward the lexicographically smallest c.  Built once per
+        code by walking every pair of the placed column and row spaces.
+        """
+        na, nb, n = self.na, self.nb, self.n
+        if self.dim > MAX_TABLE_DIM:
+            raise BudgetError(f"dual tensor dimension {self.dim} > {MAX_TABLE_DIM}")
+        pair_bits = self.code_a.dim * nb + self.code_b.dim * na
+        if 1 << pair_bits > MAX_TABLE_PAIRS:
+            raise BudgetError(
+                f"(c, r) pair enumeration 2^{pair_bits} exceeds budget {MAX_TABLE_PAIRS}"
+            )
+        col_masks = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
+        row_width = (1 << nb) - 1
+        # C_A ⊗ F_2^B and F_2^A ⊗ C_B, each element with its cost share
+        cs = [
+            (c, nb * sum(1 for m in col_masks if c & m))
+            for c in gf2.span(gf2.kronecker(self.code_a.gen, BitMatrix.identity(nb)).data)
+        ]
+        rs = [
+            (r, na * sum(1 for a in range(na) if (r >> (a * nb)) & row_width))
+            for r in gf2.span(gf2.kronecker(BitMatrix.identity(na), self.code_b.gen).data)
+        ]
+        # c in lex order, so only a strictly cheaper split replaces a kept one
+        cs.sort(key=lambda e: gf2.lex_key(e[0], n))
+        table: dict[int, tuple[int, int, int]] = {}
+        for c, c_cost in cs:
+            for r, r_cost in rs:
+                x = c ^ r
+                cost = c_cost + r_cost
+                cur = table.get(x)
+                if cur is None or cost < cur[0]:
+                    table[x] = (cost, c, r)
+        table.pop(0, None)
+        if len(table) != (1 << self.dim) - 1:
+            raise LocalCacheError(
+                f"(c, r) sums give {len(table)} nonzero codewords, "
+                f"expected 2^{self.dim} - 1 for a dimension-{self.dim} local code"
+            )
+        return table
 
 
 def dual_tensor_code(ca: LinearCode, cb: LinearCode) -> DualTensorCode:
@@ -200,149 +251,35 @@ def min_distance_bruteforce(code: LinearCode) -> int | float:
     return best
 
 
-def _column_placements(dt: DualTensorCode) -> tuple[list[int], list[list[int]]]:
-    """Per column b, each C_A codeword placed onto the grid bits {a*nb + b}."""
-    na, nb = dt.na, dt.nb
-    cws = dt.code_a.codeword_bits() if dt.code_a.dim <= MAX_DISTANCE_DIM else None
-    if cws is None:  # pragma: no cover - guarded by budget checks upstream
-        raise BudgetError("C_A too large to enumerate")
-    placed = []
-    for b in range(nb):
-        col = []
-        for u in cws:
-            mask = 0
-            uu = u
-            while uu:
-                lsb = uu & -uu
-                a = lsb.bit_length() - 1
-                mask |= 1 << (a * nb + b)
-                uu ^= lsb
-            col.append(mask)
-        placed.append(col)
-    return cws, placed
-
-
-def _check_assignment_budget(dt: DualTensorCode) -> None:
-    num = (1 << dt.code_a.dim) ** dt.nb
-    if num > MAX_COLUMN_ASSIGNMENTS:
-        raise BudgetError(
-            f"|C_A|^|B| = {num} column assignments exceed budget {MAX_COLUMN_ASSIGNMENTS}"
-        )
-
-
-def _iter_cr_decompositions(dt: DualTensorCode, x: int):
-    """Yield (c, r, n_cols, n_rows) over all valid decompositions x = c + r."""
-    na, nb = dt.na, dt.nb
-    cws_a, placed = _column_placements(dt)
-    in_b = frozenset(dt.code_b.codeword_bits())
-    row_mask = (1 << nb) - 1
-    for choice in itertools.product(range(len(cws_a)), repeat=nb):
-        c = 0
-        n_cols = 0
-        for b, ui in enumerate(choice):
-            if ui:
-                c |= placed[b][ui]
-                n_cols += 1
-        r = x ^ c
-        ok = True
-        n_rows = 0
-        for a in range(na):
-            row = (r >> (a * nb)) & row_mask
-            if row:
-                if row not in in_b:
-                    ok = False
-                    break
-                n_rows += 1
-        if ok:
-            yield c, r, n_cols, n_rows
-
-
 def min_cr_decomposition(x: BitVector | int, dt: DualTensorCode) -> tuple[BitVector, BitVector]:
-    """Split a dual-tensor codeword x into c + r minimizing ||c|| + ||r||.
+    """Split a dual-tensor codeword x into its cheapest c + r.
 
-    c has every column in C_A, r every row in C_B; cost is the count of
-    nonzero columns of c plus nonzero rows of r.  Ties break toward the
-    lexicographically smallest c (bit-index order).
+    c has every column in C_A, r every row in C_B.  The cost is the
+    normalised ||c||/|A| + ||r||/|B| of product expansion (nonzero columns
+    of c, nonzero rows of r); on the square grids of Tanner codes it ranks
+    splits exactly as ||c|| + ||r|| does.  Ties break toward the
+    lexicographically smallest c (bit-index order).  A lookup in
+    ``dt.decomposition_table``.
     """
     bits = x.bits if isinstance(x, BitVector) else x
     if not dt.contains_bits(bits):
         raise NotInCodeError("vector is not in the dual tensor code")
-    _check_assignment_budget(dt)
-    n = dt.n
-    best = None
-    for c, r, n_cols, n_rows in _iter_cr_decompositions(dt, bits):
-        key = (n_cols + n_rows, gf2.lex_key(c, n))
-        if best is None or key < best[0]:
-            best = (key, c, r)
-    assert best is not None, "dual tensor codeword must decompose"
-    return BitVector(n, best[1]), BitVector(n, best[2])
-
-
-def _placed_column_space(dt: DualTensorCode) -> list[tuple[int, int]]:
-    """All c with columns in C_A as (mask, nonzero column count)."""
-    na, nb = dt.na, dt.nb
-    basis = []
-    for gen in dt.code_a.gen.data:
-        for b in range(nb):
-            mask = 0
-            g = gen
-            while g:
-                lsb = g & -g
-                mask |= 1 << ((lsb.bit_length() - 1) * nb + b)
-                g ^= lsb
-            basis.append(mask)
-    col_masks = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
-    out = [(0, 0)]
-    c = 0
-    for i in range(1, 1 << len(basis)):
-        c ^= basis[(i & -i).bit_length() - 1]
-        out.append((c, sum(1 for m in col_masks if c & m)))
-    return out
-
-
-def _placed_row_space(dt: DualTensorCode) -> list[tuple[int, int]]:
-    """All r with rows in C_B as (mask, nonzero row count)."""
-    na, nb = dt.na, dt.nb
-    basis = [gen << (a * nb) for gen in dt.code_b.gen.data for a in range(na)]
-    width = (1 << nb) - 1
-    out = [(0, 0)]
-    r = 0
-    for i in range(1, 1 << len(basis)):
-        r ^= basis[(i & -i).bit_length() - 1]
-        out.append((r, sum(1 for a in range(na) if (r >> (a * nb)) & width)))
-    return out
+    table = dt.decomposition_table
+    _, c, r = table[bits] if bits else (0, 0, 0)
+    return BitVector(dt.n, c), BitVector(dt.n, r)
 
 
 def product_expansion_kappa(ca: LinearCode, cb: LinearCode) -> Fraction:
     """Largest κ with κ(||c||/|A| + ||r||/|B|) ≤ |x|/(|A||B|) for all
     nonzero x in C_A ⊞ C_B, minimizing the left side over decompositions.
 
-    Exhaustive over every (c, r) pair; exact rational result.  With the
-    common denominator |A||B| cleared, the per-codeword optimum is the
-    integer min of ||c||·|B| + ||r||·|A| over decompositions of x.
+    Exact rational result from the decomposition table, whose costs are
+    the per-codeword optimum with the common denominator |A||B| cleared.
     """
-    dt = dual_tensor_code(ca, cb)
-    if dt.dim > MAX_KAPPA_DIM:
-        raise BudgetError(f"dual tensor dimension {dt.dim} > {MAX_KAPPA_DIM}")
-    pair_bits = ca.dim * cb.n + cb.dim * ca.n
-    if 1 << pair_bits > MAX_COLUMN_ASSIGNMENTS * 4:
-        raise BudgetError(f"(c, r) pair enumeration 2^{pair_bits} exceeds budget")
-    if dt.dim == 0:
+    table = dual_tensor_code(ca, cb).decomposition_table
+    if not table:
         raise ValueError("kappa undefined for the zero dual tensor code")
-    na, nb = dt.na, dt.nb
-    rows = _placed_row_space(dt)
-    best: dict[int, int] = {}
-    for c, nc in _placed_column_space(dt):
-        base = nc * nb
-        for r, nr in rows:
-            cost = base + nr * na
-            x = c ^ r
-            cur = best.get(x)
-            if cur is None or cost < cur:
-                best[x] = cost
-    best.pop(0, None)
-    assert len(best) == (1 << dt.dim) - 1
-    return min(Fraction(x.bit_count(), cost) for x, cost in best.items())
+    return min(Fraction(x.bit_count(), cost) for x, (cost, _, _) in table.items())
 
 
 def coset_leader_table(dt: DualTensorCode) -> dict[int, int]:

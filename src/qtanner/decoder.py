@@ -9,13 +9,15 @@ weight; the parallel variant sweeps the four vertex classes with the
 fixed 1/2 threshold, choosing a maximal-weight codeword per vertex.
 
 Candidate search is exhaustive over the cached nonzero codewords of
-C_A ⊞ C_B, sorted by weight descending (lexicographic within a weight
-class).  A threshold policy θ asks for a reduction of at least ceil(θ|x|)
-(sequential: θ = 1-ε, parallel: θ = 1/2); the cache keeps one table per
-θ that memoizes the search result for every local Δ²-bit mismatch
-pattern seen so far, and only a pattern seen for the first time runs
-the numpy popcount scan.  Local patterns are gathered from the set bits
-of Ẑ inside a view, through a per-vertex bit table.
+C_A ⊞ C_B, read with their minimal (c, r) splits from
+``codes.DualTensorCode.decomposition_table`` and sorted by weight
+descending (lexicographic within a weight class).  A threshold policy θ
+asks for a reduction of at least ceil(θ|x|) (sequential: θ = 1-ε,
+parallel: θ = 1/2); the cache keeps one table per θ that memoizes the
+search result for every local Δ²-bit mismatch pattern seen so far, and
+only a pattern seen for the first time runs the numpy popcount scan.
+Local patterns are gathered from the set bits of Ẑ inside a view,
+through a per-vertex bit table.
 """
 
 from __future__ import annotations
@@ -31,13 +33,9 @@ import numpy as np
 from . import codes as codes_mod
 from . import gf2
 from .cayley import V00, V01, V10, V11
-from .codes import DualTensorCode
 from .errors import BudgetError, DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
-
-MAX_CACHE_DIM = 16
-MAX_PAIR_ENUMERATION = 1 << 22
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -62,99 +60,33 @@ def as_fraction(x) -> Fraction:
 
 
 class LocalCodewordCache:
-    """Per-code enumeration of the local correction code C_1^⊥ = C_A ⊞ C_B.
+    """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B.
 
     Holds every nonzero codeword as a Δ² bit mask with its minimal
-    (c, r) split, the coset-leader table for the local checks, the
-    per-vertex view/incidence tables the decomposition loops consume,
-    and one ``ScanTable`` per threshold policy θ, built on first use.
+    (c, r) split (both read from the code's decomposition table), the
+    coset-leader table for the local checks, the per-vertex
+    view/incidence tables the decomposition loops consume, and one
+    ``ScanTable`` per threshold policy θ, built on first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
         dt = code.x_correction_code()
-        if dt.dim > MAX_CACHE_DIM:
-            raise BudgetError(
-                f"local codeword cache needs 2^{dt.dim} codewords (budget 2^{MAX_CACHE_DIM})"
-            )
         if dt.n > 64:
             raise BudgetError(f"local views of {dt.n} > 64 bits exceed the mask width")
+        table = dt.decomposition_table
         self.dt = dt
         self.code = code
         self.coset_table = codes_mod.coset_leader_table(dt)
-        self._build_codewords(dt)
-        self._build_views(code)
-        self._scan_tables: dict[Fraction, ScanTable] = {}
-
-    def _build_codewords(self, dt: DualTensorCode) -> None:
-        na, nb = dt.na, dt.nb
-        ka, kb = dt.code_a.dim, dt.code_b.dim
-        if (1 << (ka * nb)) * (1 << (kb * na)) > MAX_PAIR_ENUMERATION:
-            raise BudgetError(
-                f"(c, r) pair enumeration 2^{ka * nb + kb * na} exceeds budget"
-            )
-        col_masks = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
-        row_width = (1 << nb) - 1
-
-        # span of C_A ⊗ F_2^B: each generator of C_A placed in one column
-        c_basis = []
-        for gen in dt.code_a.gen.data:
-            for b in range(nb):
-                mask = 0
-                g = gen
-                while g:
-                    lsb = g & -g
-                    mask |= 1 << ((lsb.bit_length() - 1) * nb + b)
-                    g ^= lsb
-                c_basis.append(mask)
-        # span of F_2^A ⊗ C_B: each generator of C_B placed in one row
-        r_basis = []
-        for gen in dt.code_b.gen.data:
-            for a in range(na):
-                r_basis.append(gen << (a * nb))
-
-        def _enumerate(basis, count_fn):
-            out = [(0, 0)]
-            x = 0
-            for i in range(1, 1 << len(basis)):
-                x ^= basis[(i & -i).bit_length() - 1]
-                out.append((x, count_fn(x)))
-            return out
-
-        def _count_cols(c: int) -> int:
-            return sum(1 for m in col_masks if c & m)
-
-        def _count_rows(r: int) -> int:
-            return sum(1 for a in range(na) if (r >> (a * nb)) & row_width)
-
-        cs = _enumerate(c_basis, _count_cols)
-        rs = _enumerate(r_basis, _count_rows)
-
-        # minimal decomposition per codeword: min cost, then lex-smallest c;
-        # lex_key is injective, so a strictly smaller key means another c
-        best: dict[int, tuple[int, int, int, int]] = {}
         n = dt.n
-        for c, nc in cs:
-            c_key = gf2.lex_key(c, n)
-            for r, nr in rs:
-                x = c ^ r
-                cost = nc + nr
-                cur = best.get(x)
-                if cur is None or cost < cur[0] or (cost == cur[0] and c_key < cur[1]):
-                    best[x] = (cost, c_key, c, r)
-        best.pop(0, None)
-        if len(best) != (1 << dt.dim) - 1:
-            raise LocalCacheError(
-                f"(c, r) sums give {len(best)} nonzero codewords, "
-                f"expected 2^{dt.dim} - 1 for a dimension-{dt.dim} local code"
-            )
-
-        order = sorted(best, key=lambda m: (-m.bit_count(), gf2.lex_key(m, n)))
+        order = sorted(table, key=lambda m: (-m.bit_count(), gf2.lex_key(m, n)))
         self.masks = np.array(order, dtype=np.uint64)
         self.weights = np.array([m.bit_count() for m in order], dtype=np.int64)
         self.neg_weights = -self.weights
-        self.c_parts = [best[m][2] for m in order]
-        self.r_parts = [best[m][3] for m in order]
+        self.c_parts = [table[m][1] for m in order]
+        self.r_parts = [table[m][2] for m in order]
         self.max_weight = int(self.weights[0]) if len(order) else 0
+        self._build_views(code)
+        self._scan_tables: dict[Fraction, ScanTable] = {}
 
     def _build_views(self, code: QuantumTannerCode) -> None:
         cx = code.complex

@@ -39,5 +39,6 @@ class NotInCodeError(QTannerError):
 
 
 class LocalCacheError(QTannerError):
-    """The local codeword cache contradicts the code it was built from:
-    the (c, r) sums miss codewords, or same-class local views overlap."""
+    """A local table contradicts the code it was built from: the (c, r)
+    sums of the decomposition table miss codewords, or same-class local
+    views of the decoder cache overlap."""

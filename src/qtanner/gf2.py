@@ -14,6 +14,16 @@ from typing import Iterable, Iterator, Optional
 from .errors import DimensionMismatchError
 
 
+def span(basis: list[int]) -> Iterator[int]:
+    """Yield all 2^len(basis) XOR combinations of independent rows
+    (Gray-code order, starts at 0)."""
+    x = 0
+    yield x
+    for i in range(1, 1 << len(basis)):
+        x ^= basis[(i & -i).bit_length() - 1]
+        yield x
+
+
 def lex_key(bits: int, length: int) -> int:
     """Order key for 'lexicographically smallest on bit index'.
 
@@ -21,10 +31,7 @@ def lex_key(bits: int, length: int) -> int:
     bit.  Implemented by reversing the bit string so ordinary integer
     comparison applies.
     """
-    key = 0
-    for i in range(length):
-        key = (key << 1) | ((bits >> i) & 1)
-    return key
+    return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
 
 
 class BitVector:
@@ -203,12 +210,7 @@ class BitMatrix:
 
     def iter_rowspace(self) -> Iterator[int]:
         """Yield all 2^rank rowspace elements (Gray-code order, starts at 0)."""
-        basis = Echelon(self).rows
-        x = 0
-        yield x
-        for i in range(1, 1 << len(basis)):
-            x ^= basis[(i & -i).bit_length() - 1]
-            yield x
+        yield from span(Echelon(self).rows)
 
 
 def _rref(rows: list[int]) -> tuple[list[int], list[int]]:

@@ -22,7 +22,8 @@ from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
 RNG_ALGORITHM = "philox4x64"
-_M64 = (1 << 64) - 1
+STREAM_LIMIT = 1 << 64  # master seeds and stream ids lie in [0, 2^64)
+SWEEP_TRIAL_LIMIT = 1 << 20  # trials per sweep point (low stream-id bits)
 
 TRIAL_CSV_FIELDS = [
     "instance_id",
@@ -72,10 +73,21 @@ MULTIROUND_CSV_FIELDS = [
 ]
 
 
+def check_seed(master_seed: int) -> None:
+    if not 0 <= master_seed < STREAM_LIMIT:
+        raise ValueError(f"seed {master_seed} outside [0, 2^64)")
+
+
 def make_rng(master_seed: int, stream: int) -> np.random.Generator:
-    """Counter-based stream RNG: Philox keyed by (master seed, stream id)."""
-    key = ((master_seed & _M64) << 64) | (stream & _M64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based stream RNG: Philox keyed by (master seed, stream id).
+
+    Both halves of the key must lie in [0, 2^64), so that distinct
+    (seed, stream) pairs never share a key.
+    """
+    check_seed(master_seed)
+    if not 0 <= stream < STREAM_LIMIT:
+        raise ValueError(f"stream id {stream} outside [0, 2^64)")
+    return np.random.Generator(np.random.Philox(key=(master_seed << 64) | stream))
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,13 @@ class NoiseModel:
     q: float = 0.0
     s: int = 0
     t: int = 0
+
+    def pq_labels(self) -> tuple[float, float]:
+        """The CSV (p, q) columns: a bernoulli rate, or else the adversarial
+        weight (data) and weight or vertex bound (syndrome) as a float."""
+        p = self.p if self.data_kind == "bernoulli" else float(self.w)
+        q = self.q if self.syn_kind == "bernoulli" else float(self.s or self.t)
+        return p, q
 
     def to_json(self) -> dict:
         return {
@@ -268,12 +287,13 @@ def run_single_shot_trial(
     f = cfg.decode(code, syn)
     ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
     residual = BitVector(code.n, e.bits ^ f.bits)
+    p, q = model.pq_labels()
     return TrialRecord(
         instance_id=instance_id,
         decoder=cfg.kind,
         param=cfg.param,
-        p=model.p if model.data_kind == "bernoulli" else float(model.w),
-        q=model.q if model.syn_kind == "bernoulli" else float(model.s or model.t),
+        p=p,
+        q=q,
         e_weight=e.weight(),
         d_weight=d.weight(),
         d_vertex_support=vertex_support_size(code, d),
@@ -313,6 +333,21 @@ class MultiRoundRecord:
     f_xor_all: int = 0
     residual_bits: int = 0
 
+    def csv_rows(self) -> list[dict]:
+        """MULTIROUND_CSV_FIELDS rows: one per round, then the final readout."""
+        head = dict(instance_id=self.instance_id, decoder=self.decoder, param=self.param,
+                    p=self.p, q=self.q, trial=self.seed, seed=self.seed)
+        rows = [
+            dict(head, round=rr.round, e_weight=rr.e_weight, d_weight=rr.d_weight,
+                 d_vertex_support=rr.d_vertex_support, residual_weight=rr.residual_weight,
+                 failure_class="")
+            for rr in self.rounds
+        ]
+        rows.append(dict(head, round="final", e_weight=0, d_weight=0, d_vertex_support=0,
+                         residual_weight=self.final_residual_weight,
+                         failure_class=self.final_class))
+        return rows
+
 
 def run_multiround(
     code: QuantumTannerCode,
@@ -328,13 +363,9 @@ def run_multiround(
     forward, then one noiseless sequential decode as the final readout."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    p, q = model.pq_labels()
     rec = MultiRoundRecord(
-        instance_id=instance_id,
-        decoder=cfg.kind,
-        param=cfg.param,
-        p=model.p if model.data_kind == "bernoulli" else float(model.w),
-        q=model.q if model.syn_kind == "bernoulli" else float(model.s or model.t),
-        seed=seed,
+        instance_id=instance_id, decoder=cfg.kind, param=cfg.param, p=p, q=q, seed=seed
     )
     residual = 0
     prev_data = 0
@@ -368,7 +399,43 @@ def run_multiround(
 
 
 def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
+    """Stream of one (grid point, trial): the point above 20 trial bits."""
+    if not 0 <= trial_idx < SWEEP_TRIAL_LIMIT:
+        raise ValueError(f"sweep trial index {trial_idx} outside [0, 2^20)")
+    if point_idx < 0:
+        raise ValueError(f"sweep point index {point_idx} is negative")
     return (point_idx << 20) | trial_idx
+
+
+def run_sweep_trial(
+    code: QuantumTannerCode,
+    model: NoiseModel,
+    cfgs: Sequence[DecoderConfig],
+    point_idx: int,
+    trial_idx: int,
+    master_seed: int,
+    instance_id: str = "",
+    record_timing: bool = False,
+) -> list[TrialRecord]:
+    """One (grid point, trial) of a sweep: errors are sampled once on the
+    trial's own stream and decoded by every config, so decoder
+    comparisons are paired on the seed column."""
+    stream = sweep_stream_id(point_idx, trial_idx)
+    rng = make_rng(master_seed, stream)
+    e, d = sample_errors(code, model, rng)
+    return [
+        run_single_shot_trial(
+            code,
+            model,
+            cfg,
+            rng,
+            instance_id=instance_id,
+            seed=stream,
+            record_timing=record_timing,
+            presampled=(e, d),
+        )
+        for cfg in cfgs
+    ]
 
 
 def run_sweep(
@@ -380,31 +447,16 @@ def run_sweep(
     instance_id: str = "",
     record_timing: bool = False,
 ) -> list[TrialRecord]:
-    """All (grid point, trial, decoder) records, single process.
-
-    Errors are sampled once per (point, trial) and decoded by every
-    config, so decoder comparisons are paired on the seed column.
-    """
-    records: list[TrialRecord] = []
-    for pi, model in enumerate(models):
-        for ti in range(trials):
-            stream = sweep_stream_id(pi, ti)
-            rng = make_rng(master_seed, stream)
-            e, d = sample_errors(code, model, rng)
-            for cfg in cfgs:
-                records.append(
-                    run_single_shot_trial(
-                        code,
-                        model,
-                        cfg,
-                        rng,
-                        instance_id=instance_id,
-                        seed=stream,
-                        record_timing=record_timing,
-                        presampled=(e, d),
-                    )
-                )
-    return records
+    """All (grid point, trial, decoder) records, single process, in
+    ``run_sweep_trial`` order."""
+    return [
+        rec
+        for pi, model in enumerate(models)
+        for ti in range(trials)
+        for rec in run_sweep_trial(
+            code, model, cfgs, pi, ti, master_seed, instance_id, record_timing
+        )
+    ]
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -475,7 +527,13 @@ def estimate_threshold(
     instance_id: str = "",
 ) -> float:
     """Bisect the bernoulli p = q level where the not-corrected frequency
-    crosses 1/2; a coarse, reproducible operating-point estimate."""
+    crosses 1/2; a coarse, reproducible operating-point estimate.
+
+    Iteration ``it``, trial ``ti`` draws stream (it << 24) | ti, so
+    ``trials`` must lie in [1, 2^24).
+    """
+    if not 1 <= trials < 1 << 24:
+        raise ValueError(f"threshold trials must be in [1, 2^24), got {trials}")
     for it in range(iters):
         mid = (lo + hi) / 2
         model = NoiseModel(data_kind="bernoulli", p=mid, syn_kind="bernoulli", q=mid)

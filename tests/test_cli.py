@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qtanner import cli
 
 Z8_INSTANCE = {
@@ -10,6 +12,10 @@ Z8_INSTANCE = {
     "b_gens": [1, 7, 4],
     "local_codes": {"kind": "named", "a": "rep", "b": "rep"},
 }
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("trials ran")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -153,6 +159,19 @@ class TestSweep:
         assert cli.main(["sweep", "-c", cfg, "-o", str(out), "--workers", "2"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--trials", str(1 << 20)], "trials must be in"), (["--seed", "-1"], "seed -1")],
+    )
+    def test_stream_overflow_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                      flags, message):
+        monkeypatch.setattr(cli, "_run_pool", _no_pool)
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path)
+        assert cli.main(["sweep", "-c", cfg, "-o", str(out), "--workers", "1", *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_per_trial_rows_paired_on_seed(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -209,6 +228,15 @@ class TestMultiround:
         cfg = write_config(tmp_path, rounds=0)
         assert cli.main(["multiround", "-c", cfg, "--workers", "1",
                          "-o", str(tmp_path / "x.csv")]) == 2
+
+    def test_negative_seed_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_run_pool", _no_pool)
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, rounds=2)
+        assert cli.main(["multiround", "-c", cfg, "-o", str(out), "--workers", "1",
+                         "--seed", "-1"]) == 2
+        assert "seed -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_slope_summary_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rounds=5, trials=2,

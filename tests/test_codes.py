@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtanner import codes, gf2
 from qtanner.codes import LinearCode
@@ -202,6 +204,13 @@ class TestProductExpansionKappa:
         assert k == Fraction(1, 3)  # frozen from the independent enumerator
         assert k == independent_kappa(codes.repetition_code(3), codes.parity_code(3))
 
+    def test_rep2_par3_rectangular_grid(self):
+        # |A| = 2, |B| = 3: the normalised cost weighs columns and rows
+        # differently, so the value checks the |B|, |A| cost scaling
+        k = codes.product_expansion_kappa(codes.repetition_code(2), codes.parity_code(3))
+        assert k == Fraction(2, 5)
+        assert k == independent_kappa(codes.repetition_code(2), codes.parity_code(3))
+
     def test_positive_for_proper_codes(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
@@ -243,6 +252,39 @@ class TestMinCrDecomposition:
         assert not dt.contains_bits(bad)
         with pytest.raises(NotInCodeError):
             codes.min_cr_decomposition(BitVector(9, bad), dt)
+
+
+class TestDecompositionTable:
+    def test_cached_per_code(self):
+        dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
+        assert dt.decomposition_table is dt.decomposition_table
+        assert len(dt.decomposition_table) == (1 << dt.dim) - 1
+
+    @settings(max_examples=8)
+    @given(
+        na=st.sampled_from([2, 3]),
+        nb=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    def test_matches_independent_oracles(self, na, nb, data):
+        # random proper local codes: every split against the column-
+        # assignment search on square grids (where the table's normalised
+        # cost ranks splits as ||c|| + ||r|| does), kappa on every grid
+        ka = data.draw(st.integers(1, na - 1), label="ka")
+        kb = data.draw(st.integers(1, nb - 1), label="kb")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ca = codes.sample_random_code(na, ka, rng)
+        cb = codes.sample_random_code(nb, kb, rng)
+        dt = codes.dual_tensor_code(ca, cb)
+        table = dt.decomposition_table
+        assert sorted(table) == sorted(x for x in dt.codeword_bits() if x)
+        for x, (cost, c, r) in table.items():
+            assert c ^ r == x
+            if na == nb:
+                (n_split, _), c0, r0 = exhaustive_min_cr(dt, x)
+                assert (c, r) == (c0, r0)
+                assert cost == n_split * na
+        assert codes.product_expansion_kappa(ca, cb) == independent_kappa(ca, cb)
 
 
 class TestCosetLeaderTable:

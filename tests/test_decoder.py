@@ -26,6 +26,8 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
 from qtanner.tanner import syndrome_bits_z
 
+from oracles import exhaustive_min_cr
+
 
 class TestAsFraction:
     def test_decimal_float_is_exact(self):
@@ -63,13 +65,15 @@ class TestLocalCodewordCache:
             assert dt.contains_bits(int(m))
 
     def test_cached_split_matches_min_cr_oracle(self, ref_code):
+        # the independent column-assignment search, not min_cr_decomposition,
+        # which reads the same decomposition table as the cache
         cache = get_cache(ref_code)
         rng = make_rng(21, 0)
         for i in rng.choice(len(cache.masks), size=25, replace=False):
             i = int(i)
             x = int(cache.masks[i])
-            c, r = codes.min_cr_decomposition(BitVector(16, x), cache.dt)
-            assert (cache.c_parts[i], cache.r_parts[i]) == (c.bits, r.bits)
+            _, c, r = exhaustive_min_cr(cache.dt, x)
+            assert (cache.c_parts[i], cache.r_parts[i]) == (c, r)
             assert cache.c_parts[i] ^ cache.r_parts[i] == x
 
     def test_budget_refusal(self):
@@ -88,12 +92,11 @@ class TestLocalCodewordCache:
             get_cache(big)
 
     def test_missing_codewords_raise(self, ref_code):
-        # a claimed dimension the (c, r) sums cannot reach
+        # a claimed dimension the (c, r) sums of the table cannot reach
         dt = get_cache(ref_code).dt
         too_big = dataclasses.replace(dt, dim=dt.dim + 1)
-        cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
         with pytest.raises(LocalCacheError, match="nonzero codewords"):
-            cache._build_codewords(too_big)
+            too_big.decomposition_table
 
     def test_overlapping_same_class_views_raise(self, ref_code):
         # every vertex given the view of vertex 0

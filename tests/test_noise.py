@@ -23,6 +23,28 @@ class TestRng:
             make_rng(6, 0).integers(0, 100, size=8)
         )
 
+    @pytest.mark.parametrize(
+        "seed, stream", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)]
+    )
+    def test_key_halves_outside_64_bits_rejected(self, seed, stream):
+        # -1 used to alias 2^64 - 1 (the halves were masked to 64 bits)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            make_rng(seed, stream)
+
+    def test_key_halves_at_the_limits_accepted(self):
+        top = (1 << 64) - 1
+        assert make_rng(top, top).integers(0, 2) in (0, 1)
+
+    def test_sweep_trial_index_outside_20_bits_rejected(self):
+        # (1, 0) and (0, 2^20) used to pack to the same stream
+        assert noise.sweep_stream_id(1, 0) == 1 << 20
+        assert noise.sweep_stream_id(0, (1 << 20) - 1) == (1 << 20) - 1
+        for ti in (-1, 1 << 20):
+            with pytest.raises(ValueError, match="trial index"):
+                noise.sweep_stream_id(0, ti)
+        with pytest.raises(ValueError, match="point index"):
+            noise.sweep_stream_id(-1, 0)
+
 
 class TestSampleErrors:
     def test_bernoulli_zero(self, ref_code):
@@ -257,6 +279,15 @@ class TestThresholdEstimate:
         b = noise.estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=5)
         assert a == b
         assert 0.0 < a < 0.5
+
+
+    def test_trials_at_or_above_stream_packing_limit_rejected(self, unique_code):
+        # streams (it << 24) | ti would collide across iterations; iters=0
+        # keeps a missing check from running 2^24 trials
+        cfg = DecoderConfig("parallel", k=2)
+        for trials in (1 << 24, 0):
+            with pytest.raises(ValueError, match="threshold trials"):
+                noise.estimate_threshold(unique_code, cfg, trials=trials, iters=0)
 
 
 class TestSerialization:
