@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import cayley, codes, decoder, noise, tanner
+from . import cayley, codes, noise, tanner
 from .errors import BudgetError, QTannerError
 from .gf2 import BitVector
 
@@ -233,10 +233,7 @@ def cmd_decode_one(args) -> int:
         syn = BitVector(
             code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits
         )
-        if dec_cfg.kind == "sequential":
-            _, state = decoder.sequential_decode(code, syn, dec_cfg.eps, return_state=True)
-        else:
-            _, state = decoder.parallel_decode(code, syn, dec_cfg.k, return_state=True)
+        _, state = dec_cfg.decode(code, syn, return_state=True)
         with open(args.step_log, "w") as fh:
             for step in state.steps:
                 fh.write(json.dumps(step.as_dict(), sort_keys=True) + "\n")

@@ -294,12 +294,7 @@ def coset_leader_table(dt: DualTensorCode) -> dict[int, int]:
     if 1 << r > MAX_SYNDROME_SPACE:
         raise BudgetError(f"syndrome space 2^{r} exceeds budget {MAX_SYNDROME_SPACE}")
     n = dt.n
-    col_syndrome = [0] * n
-    for i, row in enumerate(dt.pchk.data):
-        while row:
-            lsb = row & -row
-            col_syndrome[lsb.bit_length() - 1] |= 1 << i
-            row ^= lsb
+    col_syndrome = dt.pchk.transpose().data
     table: dict[int, int] = {}
     target = 1 << r
     for w in range(n + 1):

@@ -4,9 +4,15 @@ Both decoders share the same pipeline: per-vertex minimum-weight local
 corrections from a coset-leader table, a global mismatch vector that
 XORs the two candidate corrections of every face, and a greedy
 decomposition of that mismatch into local dual-tensor codewords.  The
-sequential variant removes any codeword clearing a (1-ε) fraction of its
-weight; the parallel variant sweeps the four vertex classes with the
-fixed 1/2 threshold, choosing a maximal-weight codeword per vertex.
+decomposition has one core: ``_search`` picks the codeword to remove at
+one vertex (mask Ẑ to the view, gather the local pattern, scan), and
+``_step`` applies it; ``find_reducing_codeword`` exposes the search.
+The two schedules differ only in which vertex they hand to ``_step``
+next and in θ: the sequential one drains a FIFO worklist of vertices
+whose views meet Ẑ and removes any codeword clearing a (1-ε) fraction
+of its weight; the parallel one sweeps the four (effective) vertex
+classes V00, V01, V10, V11, each in group order, with the fixed 1/2
+threshold, choosing a maximal-weight codeword per vertex.
 
 Candidate search is exhaustive over the cached nonzero codewords of
 C_A ⊞ C_B, read with their minimal (c, r) splits from
@@ -32,7 +38,6 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import gf2
-from .cayley import V00, V01, V10, V11
 from .errors import BudgetError, DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
@@ -65,8 +70,9 @@ class LocalCodewordCache:
     Holds every nonzero codeword as a Δ² bit mask with its minimal
     (c, r) split (both read from the code's decomposition table), the
     coset-leader table for the local checks, the per-vertex
-    view/incidence tables the decomposition loops consume, and one
-    ``ScanTable`` per threshold policy θ, built on first use.
+    view/incidence tables the decomposition loops consume, the parallel
+    sweep order, and one ``ScanTable`` per threshold policy θ, built on
+    first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -74,7 +80,6 @@ class LocalCodewordCache:
         if dt.n > 64:
             raise BudgetError(f"local views of {dt.n} > 64 bits exceed the mask width")
         table = dt.decomposition_table
-        self.dt = dt
         self.code = code
         self.coset_table = codes_mod.coset_leader_table(dt)
         n = dt.n
@@ -99,15 +104,18 @@ class LocalCodewordCache:
             {1 << q: 1 << p for p, q in enumerate(view)} for view in self.views
         ]
         self.face_vertices = [cx.face_vertices(q) for q in range(cx.num_faces)]
+        # parallel sweep order: classes V00, V01, V10, V11, each in group order
+        order = cx.group.order
+        v0, v1 = code.v0_vertices, code.v1_vertices
+        self.sweep_order = v0[:order] + v1[:order] + v1[order:] + v0[order:]
         # per-class disjointness of views makes parallel sweeps well defined
-        for cls in (V00, V01, V10, V11):
+        for start in range(0, len(self.sweep_order), order):
             acc = 0
-            for g in range(cx.group.order):
-                v = cx.vertex(g, cls)
+            for v in self.sweep_order[start:start + order]:
                 m = self.view_masks[v]
                 if acc & m:
                     raise LocalCacheError(
-                        f"view of vertex {v} overlaps another view of class {cls}"
+                        f"view of vertex {v} overlaps another view of class {start // order}"
                     )
                 acc |= m
 
@@ -183,6 +191,25 @@ class MismatchState:
     in_queue: bytearray = field(default_factory=bytearray)
     steps: list[Step] = field(default_factory=list)
 
+    @classmethod
+    def seeded(
+        cls, cache: LocalCodewordCache, zhat: int, eps01_sum: int = 0
+    ) -> "MismatchState":
+        """State for mismatch Ẑ with every vertex whose view meets Ẑ
+        queued, in vertex order."""
+        state = cls(
+            code=cache.code,
+            zhat=zhat,
+            initial_zhat=zhat,
+            eps01_sum=eps01_sum,
+            in_queue=bytearray(len(cache.view_masks)),
+        )
+        for v, mask in enumerate(cache.view_masks):
+            if mask & zhat:
+                state.worklist.append(v)
+                state.in_queue[v] = 1
+        return state
+
     def accumulators(self) -> tuple[BitVector, BitVector, BitVector, BitVector]:
         n = self.code.n
         return (
@@ -197,16 +224,7 @@ def local_min_correction(code: QuantumTannerCode, v: int, local_syndrome: int) -
     """Coset-leader correction for one V1 vertex, lifted to global faces."""
     cache = get_cache(code)
     leader = cache.coset_table.get(local_syndrome, 0)
-    return _lift(leader, cache.views[v])
-
-
-def _lift(local_bits: int, view: list[int]) -> int:
-    out = 0
-    while local_bits:
-        lsb = local_bits & -local_bits
-        out |= 1 << view[lsb.bit_length() - 1]
-        local_bits ^= lsb
-    return out
+    return gf2.scatter(leader, cache.views[v])
 
 
 def _extract(global_bits: int, view: list[int]) -> int:
@@ -244,22 +262,11 @@ def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> Mism
         s = (sig >> (pos * r1)) & block
         if s == 0:
             continue
-        lifted = _lift(cache.coset_table.get(s, 0), cache.views[v])
+        lifted = gf2.scatter(cache.coset_table.get(s, 0), cache.views[v])
         zhat ^= lifted
         if pos < order:  # first block is the effective V01 class
             eps01 ^= lifted
-    state = MismatchState(
-        code=code,
-        zhat=zhat,
-        initial_zhat=zhat,
-        eps01_sum=eps01,
-        in_queue=bytearray(code.complex.num_vertices),
-    )
-    for v in range(code.complex.num_vertices):
-        if cache.view_masks[v] & zhat:
-            state.worklist.append(v)
-            state.in_queue[v] = 1
-    return state
+    return MismatchState.seeded(cache, zhat, eps01)
 
 
 def _scan(cache: LocalCodewordCache, zloc: int, table: ScanTable) -> Optional[int]:
@@ -292,6 +299,25 @@ def _scan_uncached(
     return start + int(np.argmax(cond))
 
 
+def _search(
+    cache: LocalCodewordCache, table: ScanTable, zhat: int, v: int
+) -> Optional[int]:
+    """Index of the codeword to remove from Ẑ at vertex v, or None: Ẑ
+    masked to the view of v, gathered to a local pattern, then scanned."""
+    local = zhat & cache.view_masks[v]
+    if local == 0:
+        return None
+    return _scan(cache, _gather(local, cache.gather[v]), table)
+
+
+def _step(state: MismatchState, cache: LocalCodewordCache, table: ScanTable, v: int) -> int:
+    """One decomposition step at vertex v: the changed faces, 0 if none."""
+    idx = _search(cache, table, state.zhat, v)
+    if idx is None:
+        return 0
+    return _apply(state, cache, v, idx)
+
+
 def find_reducing_codeword(
     code: QuantumTannerCode, zhat_bits: int, v: int, theta: Fraction | float
 ) -> Optional[tuple[int, int, int]]:
@@ -301,8 +327,7 @@ def find_reducing_codeword(
     theta = as_fraction(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    zloc = _gather(zhat_bits & cache.view_masks[v], cache.gather[v])
-    idx = _scan(cache, zloc, cache.scan_table(theta))
+    idx = _search(cache, cache.scan_table(theta), zhat_bits, v)
     if idx is None:
         return None
     return int(cache.masks[idx]), cache.c_parts[idx], cache.r_parts[idx]
@@ -312,8 +337,8 @@ def _apply(state: MismatchState, cache: LocalCodewordCache, v: int, idx: int) ->
     """XOR codeword idx into the state at vertex v; returns changed faces."""
     code = state.code
     view = cache.views[v]
-    c_g = _lift(cache.c_parts[idx], view)
-    r_g = _lift(cache.r_parts[idx], view)
+    c_g = gf2.scatter(cache.c_parts[idx], view)
+    r_g = gf2.scatter(cache.r_parts[idx], view)
     changed = c_g ^ r_g
     eff = code.effective_class(v)
     i, j = eff >> 1, eff & 1
@@ -349,20 +374,15 @@ def sequential_mismatch_decomposition(
     eps = as_fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    code = state.code
-    cache = get_cache(code)
+    cache = get_cache(state.code)
     table = cache.scan_table(1 - eps)
     work = state.worklist
     while state.zhat and work:
         v = work.popleft()
         state.in_queue[v] = 0
-        local = cache.view_masks[v] & state.zhat
-        if local == 0:
+        changed = _step(state, cache, table, v)
+        if not changed:
             continue
-        idx = _scan(cache, _gather(local, cache.gather[v]), table)
-        if idx is None:
-            continue
-        changed = _apply(state, cache, v, idx)
         requeue = set()
         while changed:
             lsb = changed & -changed
@@ -387,27 +407,15 @@ def parallel_mismatch_decomposition(
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
-    code = state.code
-    cache = get_cache(code)
+    cache = get_cache(state.code)
     table = cache.scan_table(Fraction(1, 2))
-    cx = code.complex
-    order = cx.group.order
-    flip = 1 if code.flip_roles else 0
     for _ in range(k):
         if state.zhat == 0:
             break
         changed_any = False
-        for eff_cls in (V00, V01, V10, V11):
-            raw = eff_cls ^ flip
-            base = raw * order
-            for v in range(base, base + order):
-                local = cache.view_masks[v] & state.zhat
-                if local == 0:
-                    continue
-                idx = _scan(cache, _gather(local, cache.gather[v]), table)
-                if idx is not None:
-                    _apply(state, cache, v, idx)
-                    changed_any = True
+        for v in cache.sweep_order:
+            if _step(state, cache, table, v):
+                changed_any = True
         if not changed_any:
             break
     return state.accumulators()

@@ -24,6 +24,17 @@ def span(basis: list[int]) -> Iterator[int]:
         yield x
 
 
+def scatter(bits: int, positions: list[int]) -> int:
+    """Move bit p of ``bits`` to bit ``positions[p]``; the loop runs once
+    per set bit."""
+    out = 0
+    while bits:
+        lsb = bits & -bits
+        out |= 1 << positions[lsb.bit_length() - 1]
+        bits ^= lsb
+    return out
+
+
 def lex_key(bits: int, length: int) -> int:
     """Order key for 'lexicographically smallest on bit index'.
 

@@ -94,7 +94,12 @@ def make_rng(master_seed: int, stream: int) -> np.random.Generator:
 class NoiseModel:
     """Data noise: bernoulli(p) or adversarial exact weight w (optionally
     persistent across rounds).  Syndrome noise: bernoulli(q), adversarial
-    exact weight s, or vertex_bounded touching at most t V1 vertices."""
+    exact weight s, or vertex_bounded touching at most t V1 vertices.
+
+    A persistent adversarial error keeps ⌊persistence·w⌋ faces of the
+    previous round's error (drawn at random) and draws the rest afresh,
+    so any persistence below 1/w keeps none.
+    """
 
     data_kind: str = "bernoulli"
     p: float = 0.0
@@ -145,11 +150,13 @@ class DecoderConfig:
     def param(self) -> str:
         return f"eps={self.eps}" if self.kind == "sequential" else f"k={self.k}"
 
-    def decode(self, code: QuantumTannerCode, syn: BitVector) -> BitVector:
+    def decode(self, code: QuantumTannerCode, syn: BitVector, return_state: bool = False):
+        """f̂ for the syndrome, with the decoder's ``MismatchState`` as
+        (f̂, state) if ``return_state``."""
         if self.kind == "sequential":
-            return dec.sequential_decode(code, syn, self.eps)
+            return dec.sequential_decode(code, syn, self.eps, return_state)
         if self.kind == "parallel":
-            return dec.parallel_decode(code, syn, self.k)
+            return dec.parallel_decode(code, syn, self.k, return_state)
         raise ValueError(f"unknown decoder kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -194,7 +201,8 @@ def _sample_bits_exact_weight(n: int, w: int, rng, keep_from: Optional[int] = No
         if n_keep:
             kept = [int(x) for x in rng.choice(len(prev), size=n_keep, replace=False)]
             kept = [prev[i] for i in kept]
-    remaining = [i for i in range(n) if i not in set(kept)]
+    kept_set = set(kept)
+    remaining = [i for i in range(n) if i not in kept_set]
     fresh = rng.choice(len(remaining), size=w - len(kept), replace=False)
     bits = 0
     for i in kept:
@@ -259,7 +267,6 @@ class TrialRecord:
     e_weight: int
     d_weight: int
     d_vertex_support: int
-    f_weight: int
     residual_weight: int
     residual_reduced_proxy: int
     failure_class: str
@@ -297,7 +304,6 @@ def run_single_shot_trial(
         e_weight=e.weight(),
         d_weight=d.weight(),
         d_vertex_support=vertex_support_size(code, d),
-        f_weight=f.weight(),
         residual_weight=residual.weight(),
         residual_reduced_proxy=tanner.reduced_weight(code, residual, "greedy"),
         failure_class=tanner.classify_residual(code, residual),
@@ -328,7 +334,6 @@ class MultiRoundRecord:
     rounds: list[RoundRecord] = field(default_factory=list)
     final_class: str = ""
     final_residual_weight: int = 0
-    final_reduced_proxy: int = 0
     e_xor_all: int = 0
     f_xor_all: int = 0
     residual_bits: int = 0
@@ -394,7 +399,6 @@ def run_multiround(
     rec.residual_bits = final_residual.bits
     rec.final_class = tanner.classify_residual(code, final_residual)
     rec.final_residual_weight = final_residual.weight()
-    rec.final_reduced_proxy = tanner.reduced_weight(code, final_residual, "greedy")
     return rec
 
 

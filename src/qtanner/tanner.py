@@ -73,22 +73,10 @@ class QuantumTannerCode:
         if any(prod.data):
             raise CommutationError("H_X · H_Z^T != 0; local-view orientation is broken")
 
-        # lazy caches
-        self._z_col_syndromes: Optional[list[int]] = None
-        self._decoder_cache = None
+        self._decoder_cache = None  # built on first use by decoder.get_cache
 
     def _embed(self, vertices: list[int], basis: BitMatrix) -> BitMatrix:
-        rows = []
-        for v in vertices:
-            view = self._views[v]
-            for x in basis.data:
-                bits = 0
-                xx = x
-                while xx:
-                    lsb = xx & -xx
-                    bits |= 1 << view[lsb.bit_length() - 1]
-                    xx ^= lsb
-                rows.append(bits)
+        rows = [gf2.scatter(x, self._views[v]) for v in vertices for x in basis.data]
         return BitMatrix(len(rows), self.n, rows)
 
     def effective_class(self, v: int) -> int:
@@ -128,17 +116,10 @@ class QuantumTannerCode:
         """Local corrections for X decoding: C_1^⊥ = C_A ⊞ C_B."""
         return codes_mod.dual_tensor_code(self.local_a, self.local_b)
 
+    @cached_property
     def z_col_syndromes(self) -> list[int]:
         """Column q of H_Z as a packed int; syndrome(e) = XOR over supp(e)."""
-        if self._z_col_syndromes is None:
-            cols = [0] * self.n
-            for i, row in enumerate(self.h_z.data):
-                while row:
-                    lsb = row & -row
-                    cols[lsb.bit_length() - 1] |= 1 << i
-                    row ^= lsb
-            self._z_col_syndromes = cols
-        return self._z_col_syndromes
+        return self.h_z.transpose().data
 
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.
@@ -181,7 +162,7 @@ def syndrome(code: QuantumTannerCode, side: str, e: BitVector) -> BitVector:
 
 
 def syndrome_bits_z(code: QuantumTannerCode, e_bits: int) -> int:
-    cols = code.z_col_syndromes()
+    cols = code.z_col_syndromes
     s = 0
     while e_bits:
         lsb = e_bits & -e_bits

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtanner import codes, decoder, tanner
+from qtanner import codes, decoder, gf2, tanner
 from qtanner.decoder import (
     find_reducing_codeword,
     get_cache,
@@ -57,7 +57,7 @@ def decode_class(code, e_bits, f):
 class TestLocalCodewordCache:
     def test_masks_are_codewords_sorted_by_weight(self, ref_code):
         cache = get_cache(ref_code)
-        dt = cache.dt
+        dt = ref_code.x_correction_code()
         assert len(cache.masks) == (1 << dt.dim) - 1
         weights = list(cache.weights)
         assert weights == sorted(weights, reverse=True)
@@ -68,11 +68,12 @@ class TestLocalCodewordCache:
         # the independent column-assignment search, not min_cr_decomposition,
         # which reads the same decomposition table as the cache
         cache = get_cache(ref_code)
+        dt = ref_code.x_correction_code()
         rng = make_rng(21, 0)
         for i in rng.choice(len(cache.masks), size=25, replace=False):
             i = int(i)
             x = int(cache.masks[i])
-            _, c, r = exhaustive_min_cr(cache.dt, x)
+            _, c, r = exhaustive_min_cr(dt, x)
             assert (cache.c_parts[i], cache.r_parts[i]) == (c, r)
             assert cache.c_parts[i] ^ cache.r_parts[i] == x
 
@@ -93,7 +94,7 @@ class TestLocalCodewordCache:
 
     def test_missing_codewords_raise(self, ref_code):
         # a claimed dimension the (c, r) sums of the table cannot reach
-        dt = get_cache(ref_code).dt
+        dt = ref_code.x_correction_code()
         too_big = dataclasses.replace(dt, dim=dt.dim + 1)
         with pytest.raises(LocalCacheError, match="nonzero codewords"):
             too_big.decomposition_table
@@ -101,7 +102,10 @@ class TestLocalCodewordCache:
     def test_overlapping_same_class_views_raise(self, ref_code):
         # every vertex given the view of vertex 0
         stub = types.SimpleNamespace(
-            complex=ref_code.complex, local_view=lambda v: ref_code.local_view(0)
+            complex=ref_code.complex,
+            local_view=lambda v: ref_code.local_view(0),
+            v0_vertices=ref_code.v0_vertices,
+            v1_vertices=ref_code.v1_vertices,
         )
         cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
         with pytest.raises(LocalCacheError, match="overlaps"):
@@ -183,7 +187,7 @@ class TestFindReducingCodeword:
         cache = get_cache(ref_code)
         v = ref_code.v0_vertices[0]
         x_local = int(cache.masks[0])  # heaviest codeword
-        zhat = decoder._lift(x_local, cache.views[v])
+        zhat = gf2.scatter(x_local, cache.views[v])
         got = find_reducing_codeword(ref_code, zhat, v, Fraction(1, 1))
         assert got is not None
         x, c, r = got
@@ -221,18 +225,8 @@ class TestSequentialDecomposition:
         cache = get_cache(ref_code)
         v = 0  # first vertex in FIFO seed order, so it is scanned first
         x_local = int(cache.masks[0])  # heaviest, so the scan picks it first
-        zhat = decoder._lift(x_local, cache.views[v])
-        state = decoder.MismatchState(
-            code=ref_code,
-            zhat=zhat,
-            initial_zhat=zhat,
-            eps01_sum=0,
-            in_queue=bytearray(ref_code.complex.num_vertices),
-        )
-        for u in range(ref_code.complex.num_vertices):
-            if cache.view_masks[u] & zhat:
-                state.worklist.append(u)
-                state.in_queue[u] = 1
+        zhat = gf2.scatter(x_local, cache.views[v])
+        state = decoder.MismatchState.seeded(cache, zhat)
         sequential_mismatch_decomposition(state, Fraction(1, 2))
         assert state.zhat == 0
         assert len(state.steps) >= 1
@@ -268,14 +262,8 @@ class TestParallelDecomposition:
         cache = get_cache(ref_code)
         v = ref_code.v0_vertices[5]
         x_local = int(cache.masks[0])
-        zhat = decoder._lift(x_local, cache.views[v])
-        state = decoder.MismatchState(
-            code=ref_code,
-            zhat=zhat,
-            initial_zhat=zhat,
-            eps01_sum=0,
-            in_queue=bytearray(ref_code.complex.num_vertices),
-        )
+        zhat = gf2.scatter(x_local, cache.views[v])
+        state = decoder.MismatchState.seeded(cache, zhat)
         parallel_mismatch_decomposition(state, 1)
         assert state.zhat == 0
 
@@ -419,9 +407,10 @@ class TestDegenerateInstance:
 
 
 class TestZSideDecoding:
-    def test_z_errors_decode_via_swapped_code(self):
-        # par_3 locals put the favorable (unique-leader) side on the Z
-        # checks, so Z errors decode exactly through the swapped code
+    # par_3 locals put the favorable (unique-leader) side on the Z checks,
+    # so Z errors decode exactly through the swapped code
+    @pytest.fixture(scope="class")
+    def z_code(self):
         import qtanner.cayley as cayley
 
         g = cayley.build_group("cyclic", 8)
@@ -429,10 +418,30 @@ class TestZSideDecoding:
         code = tanner.build_tanner_code(cx, codes.parity_code(3), codes.parity_code(3))
         z_code = code.z_side()
         assert z_code.h_z == code.h_x and z_code.h_x == code.h_z
+        return z_code
+
+    def test_z_errors_decode_via_swapped_code(self, z_code):
         for q in range(z_code.n):
-            syn = BitVector(z_code.h_z.rows, syndrome_bits_z(z_code, 1 << q))
-            f = sequential_decode(z_code, syn)
+            f = sequential_decode(z_code, noiseless_syndrome(z_code, 1 << q))
             assert decode_class(z_code, 1 << q, f) == "corrected"
+
+    def test_parallel_decodes_every_single_face(self, z_code):
+        for q in range(z_code.n):
+            f = parallel_decode(z_code, noiseless_syndrome(z_code, 1 << q), 4)
+            assert decode_class(z_code, 1 << q, f) == "corrected"
+
+    def test_parallel_sweep_runs_effective_classes_in_order(self, z_code):
+        # one sweep visits V00, V01, V10, V11 (effective classes, which the
+        # role swap relabels), each class in group order
+        rng = make_rng(67, 0)
+        seen = set()
+        for _ in range(100):
+            e = random_error(z_code, 6, rng)
+            _, state = parallel_decode(z_code, noiseless_syndrome(z_code, e), 1, return_state=True)
+            visits = [(step.vertex_class, step.vertex) for step in state.steps]
+            assert visits == sorted(set(visits))
+            seen.update(cls for cls, _ in visits)
+        assert seen == {0, 1, 2, 3}
 
 
 THETAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)]
@@ -453,7 +462,7 @@ class TestMemoizedSearch:
     def test_memoized_scan_matches_uncached(self, any_code, data):
         cache = get_cache(any_code)
         theta = data.draw(st.sampled_from(THETAS))
-        zloc = data.draw(st.integers(0, (1 << cache.dt.n) - 1))
+        zloc = data.draw(st.integers(0, (1 << any_code.delta**2) - 1))
         thresholds = np.array(
             [-((-theta.numerator * int(w)) // theta.denominator) for w in cache.weights],
             dtype=np.int64,

@@ -79,6 +79,20 @@ class TestSampleErrors:
         assert carried >= 4  # floor(0.5 * 8) kept by construction
         assert e2.weight() == 8
 
+    @pytest.mark.parametrize("w, kept", [(1, 0), (4, 2)])
+    def test_persistence_keeps_floor_of_its_share(self, ref_code, w, kept):
+        # floor(persistence * w) old faces are kept, so persistence < 1/w
+        # keeps none; fresh faces can land on old ones by chance, so the
+        # least overlap over many rounds is the kept count
+        model = NoiseModel(data_kind="adversarial", w=w, persistence=0.5)
+        overlaps = []
+        for t in range(100):
+            rng = make_rng(8, t)
+            e1, _ = noise.sample_errors(ref_code, model, rng)
+            e2, _ = noise.sample_errors(ref_code, model, rng, prev_data=e1.bits)
+            overlaps.append((e1.bits & e2.bits).bit_count())
+        assert min(overlaps) == kept
+
     def test_bernoulli_rate(self, ref_code):
         model = NoiseModel(p=0.05)
         total = 0
