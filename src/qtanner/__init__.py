@@ -12,7 +12,6 @@ from .cayley import (
 from .codes import (
     DualTensorCode,
     LinearCode,
-    coset_leader_table,
     dual_tensor_code,
     full_space,
     min_cr_decomposition,

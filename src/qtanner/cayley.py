@@ -226,27 +226,6 @@ class LeftRightCayleyComplex:
                 out.append((g * self.delta + ai) * self.delta + bi)
         return out
 
-    def faces_of_a_edge(self, i: int, g: int, ai: int) -> list[int]:
-        """Faces incident to the A-edge {(g, i0), (ag, i1)}; Δ of them."""
-        if i == 0:
-            return [self.face_index(g, ai, bi) for bi in range(self.delta)]
-        # i = 1: vertices (g,10), (ag,11); faces (g b^{-1}, a, b)
-        inv, mul = self.group.inv, self.group.mul
-        return [
-            self.face_index(mul[g][inv[b]], ai, bi)
-            for bi, b in enumerate(self.gens_b.elements)
-        ]
-
-    def faces_of_b_edge(self, j: int, g: int, bi: int) -> list[int]:
-        """Faces incident to the B-edge {(g, 0j), (gb, 1j)}; Δ of them."""
-        if j == 0:
-            return [self.face_index(g, ai, bi) for ai in range(self.delta)]
-        inv, mul = self.group.inv, self.group.mul
-        return [
-            self.face_index(mul[inv[a]][g], ai, bi)
-            for ai, a in enumerate(self.gens_a.elements)
-        ]
-
     def adjacency(self, which: str) -> np.ndarray:
         """0/1 adjacency of Cay(A,G) (left action) or Cay(G,B) (right)."""
         n = self.group.order

@@ -214,26 +214,20 @@ def cmd_decode_one(args) -> int:
             if args.syndrome_error is not None
             else BitVector(code.h_z.rows, 0)
         )
-        presampled = (e, d)
     else:
-        presampled = noise.sample_errors(code, model, rng)
-    rec = noise.run_single_shot_trial(
+        e, d = noise.sample_errors(code, model, rng)
+    rec, state = noise.decode_trial(
         code,
         model,
         dec_cfg,
-        rng,
+        e,
+        d,
         instance_id=iid,
         seed=0,
         record_timing=bool(cfg.get("record_timing", False)),
-        presampled=presampled,
     )
     print(json.dumps(rec.csv_row(), sort_keys=True))
     if args.step_log:
-        e, d = presampled
-        syn = BitVector(
-            code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits
-        )
-        _, state = dec_cfg.decode(code, syn, return_state=True)
         with open(args.step_log, "w") as fh:
             for step in state.steps:
                 fh.write(json.dumps(step.as_dict(), sort_keys=True) + "\n")

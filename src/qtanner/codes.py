@@ -1,6 +1,6 @@
 """Classical linear codes, tensor / dual tensor constructions, and the
-exhaustive oracles the decoder relies on (coset leaders, minimal
-column/row decompositions, product-expansion constant).
+exhaustive oracles the decoder relies on (minimal column/row
+decompositions, product-expansion constant).
 
 The minimal (c, r) splits of C_A ⊞ C_B are enumerated in one place,
 ``DualTensorCode.decomposition_table``; the decoder's local codeword
@@ -12,7 +12,6 @@ it.  All exhaustive routines are gated by explicit budgets and raise
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,6 @@ from .gf2 import BitMatrix, BitVector
 MAX_DISTANCE_DIM = 22
 MAX_TABLE_DIM = 16  # dim of C_A ⊞ C_B
 MAX_TABLE_PAIRS = 1 << 22  # (c, r) pairs walked by the decomposition table
-MAX_SYNDROME_SPACE = 1 << 16
 
 
 class LinearCode:
@@ -72,14 +70,6 @@ class LinearCode:
     def codeword_bits(self) -> list[int]:
         """All 2^dim codewords as packed ints (Gray-code order from 0)."""
         return list(self.gen.iter_rowspace())
-
-    def same_subspace(self, other: "LinearCode") -> bool:
-        if self.n != other.n or self.dim != other.dim:
-            return False
-        return all(
-            gf2.rowspace_contains(self.gen, other.gen.row(i))
-            for i in range(other.gen.rows)
-        )
 
     def to_json(self) -> dict:
         return {"n": self.n, "gen": [self.gen.row(i).to01() for i in range(self.gen.rows)]}
@@ -169,9 +159,6 @@ class DualTensorCode:
 
     def contains_bits(self, bits: int) -> bool:
         return all((r & bits).bit_count() & 1 == 0 for r in self.pchk.data)
-
-    def as_linear_code(self) -> LinearCode:
-        return LinearCode.from_parity_check(self.pchk) if self.pchk.rows else full_space(self.n)
 
     def codeword_bits(self) -> list[int]:
         if self.dim > MAX_TABLE_DIM:
@@ -280,32 +267,3 @@ def product_expansion_kappa(ca: LinearCode, cb: LinearCode) -> Fraction:
     if not table:
         raise ValueError("kappa undefined for the zero dual tensor code")
     return min(Fraction(x.bit_count(), cost) for x, (cost, _, _) in table.items())
-
-
-def coset_leader_table(dt: DualTensorCode) -> dict[int, int]:
-    """Minimum-weight representative for every syndrome of H_A ⊗ H_B.
-
-    Enumerates vectors in nondecreasing weight (positions lexicographic
-    within a weight class) until each of the 2^r syndromes has a leader,
-    so entries are weight-minimal and the construction is deterministic.
-    Keys and values are packed bits.
-    """
-    r = dt.pchk.rows
-    if 1 << r > MAX_SYNDROME_SPACE:
-        raise BudgetError(f"syndrome space 2^{r} exceeds budget {MAX_SYNDROME_SPACE}")
-    n = dt.n
-    col_syndrome = dt.pchk.transpose().data
-    table: dict[int, int] = {}
-    target = 1 << r
-    for w in range(n + 1):
-        for positions in itertools.combinations(range(n), w):
-            s = 0
-            y = 0
-            for p in positions:
-                s ^= col_syndrome[p]
-                y |= 1 << p
-            if s not in table:
-                table[s] = y
-                if len(table) == target:
-                    return table
-    return table  # pragma: no cover - full-rank pchk always fills the table

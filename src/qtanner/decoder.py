@@ -1,7 +1,7 @@
 """Single-shot decoding of quantum Tanner codes by mismatch decomposition.
 
 Both decoders share the same pipeline: per-vertex minimum-weight local
-corrections from a coset-leader table, a global mismatch vector that
+corrections (coset leaders), a global mismatch vector that
 XORs the two candidate corrections of every face, and a greedy
 decomposition of that mismatch into local dual-tensor codewords.  The
 decomposition has one core: ``_search`` picks the codeword to remove at
@@ -24,6 +24,13 @@ search result for every local Δ²-bit mismatch pattern seen so far, and
 only a pattern seen for the first time runs the numpy popcount scan.
 Local patterns are gathered from the set bits of Ẑ inside a view,
 through a per-vertex bit table.
+
+The coset leader of a local syndrome s is found in the same cached
+codewords: y₀ = s times a right inverse of H_A ⊗ H_B is one member of
+the coset, and one popcount over y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the
+lightest; ties go to the largest ``gf2.lex_key`` (the first vector in
+``itertools.combinations`` order).  Leaders are memoized per syndrome,
+so no table over all 2^r syndromes is built and r needs no budget.
 """
 
 from __future__ import annotations
@@ -36,21 +43,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import codes as codes_mod
 from . import gf2
 from .errors import BudgetError, DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def _popcount_array(arr: np.ndarray) -> np.ndarray:
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(arr)
-    b = arr.view(np.uint8).reshape(arr.shape + (8,))
-    return np.unpackbits(b, axis=-1).sum(axis=-1)
-
 
 _MISS = object()
 
@@ -68,11 +64,12 @@ class LocalCodewordCache:
     """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B.
 
     Holds every nonzero codeword as a Δ² bit mask with its minimal
-    (c, r) split (both read from the code's decomposition table), the
-    coset-leader table for the local checks, the per-vertex
-    view/incidence tables the decomposition loops consume, the parallel
-    sweep order, and one ``ScanTable`` per threshold policy θ, built on
-    first use.
+    (c, r) split (both read from the code's decomposition table), a
+    right inverse of the local checks H_A ⊗ H_B with the memo of coset
+    leaders found so far (``leaders``: syndrome to leader, at most 2^r
+    entries), the per-vertex view/incidence tables the decomposition
+    loops consume, the parallel sweep order, and one ``ScanTable`` per
+    threshold policy θ, built on first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -81,8 +78,7 @@ class LocalCodewordCache:
             raise BudgetError(f"local views of {dt.n} > 64 bits exceed the mask width")
         table = dt.decomposition_table
         self.code = code
-        self.coset_table = codes_mod.coset_leader_table(dt)
-        n = dt.n
+        n = self.n = dt.n
         order = sorted(table, key=lambda m: (-m.bit_count(), gf2.lex_key(m, n)))
         self.masks = np.array(order, dtype=np.uint64)
         self.weights = np.array([m.bit_count() for m in order], dtype=np.int64)
@@ -90,6 +86,16 @@ class LocalCodewordCache:
         self.c_parts = [table[m][1] for m in order]
         self.r_parts = [table[m][2] for m in order]
         self.max_weight = int(self.weights[0]) if len(order) else 0
+        # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
+        # XOR of the entries at the set bits of s
+        r = dt.pchk.rows
+        self.right_inverse = []
+        for i in range(r):
+            y = gf2.solve_any(dt.pchk, BitVector(r, 1 << i))
+            if y is None:
+                raise LocalCacheError(f"local check {i} depends on the other local checks")
+            self.right_inverse.append(y.bits)
+        self.leaders: dict[int, int] = {}
         self._build_views(code)
         self._scan_tables: dict[Fraction, ScanTable] = {}
 
@@ -220,20 +226,27 @@ class MismatchState:
         )
 
 
-def local_min_correction(code: QuantumTannerCode, v: int, local_syndrome: int) -> int:
-    """Coset-leader correction for one V1 vertex, lifted to global faces."""
-    cache = get_cache(code)
-    leader = cache.coset_table.get(local_syndrome, 0)
-    return gf2.scatter(leader, cache.views[v])
+def coset_leader(cache: LocalCodewordCache, s: int) -> int:
+    """Minimum-weight local pattern with syndrome s under H_A ⊗ H_B:
+    ``_coset_leader_uncached`` through ``cache.leaders``."""
+    leader = cache.leaders.get(s)
+    if leader is None:
+        leader = cache.leaders[s] = _coset_leader_uncached(cache, s)
+    return leader
 
 
-def _extract(global_bits: int, view: list[int]) -> int:
-    """Local pattern of ``global_bits`` on ``view``, one view bit at a time
-    (reference for ``_gather``)."""
-    out = 0
-    for p, q in enumerate(view):
-        out |= ((global_bits >> q) & 1) << p
-    return out
+def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
+    """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ = s times the
+    right inverse; among equal weights the largest ``gf2.lex_key``,
+    which is the first vector in ``itertools.combinations`` order."""
+    y0 = 0
+    for i, row in enumerate(cache.right_inverse):
+        if (s >> i) & 1:
+            y0 ^= row
+    coset = np.append(cache.masks, np.uint64(0)) ^ np.uint64(y0)
+    weights = np.bitwise_count(coset)
+    ties = coset[weights == weights.min()].tolist()
+    return max(ties, key=lambda y: gf2.lex_key(y, cache.n))
 
 
 def _gather(bits_in_view: int, gather: dict[int, int]) -> int:
@@ -262,7 +275,7 @@ def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> Mism
         s = (sig >> (pos * r1)) & block
         if s == 0:
             continue
-        lifted = gf2.scatter(cache.coset_table.get(s, 0), cache.views[v])
+        lifted = gf2.scatter(coset_leader(cache, s), cache.views[v])
         zhat ^= lifted
         if pos < order:  # first block is the effective V01 class
             eps01 ^= lifted
@@ -292,7 +305,7 @@ def _scan_uncached(
     if start >= len(cache.weights):
         return None
     masks = cache.masks[start:]
-    hits = _popcount_array(masks & np.uint64(zloc)).astype(np.int64)
+    hits = np.bitwise_count(masks & np.uint64(zloc)).astype(np.int64)
     cond = 2 * hits - cache.weights[start:] >= thresholds[start:]
     if not cond.any():
         return None

@@ -289,13 +289,28 @@ def run_single_shot_trial(
 ) -> TrialRecord:
     """One sample-decode-classify cycle under a single noisy measurement."""
     e, d = presampled if presampled is not None else sample_errors(code, model, rng)
+    return decode_trial(code, model, cfg, e, d, instance_id, seed, record_timing)[0]
+
+
+def decode_trial(
+    code: QuantumTannerCode,
+    model: NoiseModel,
+    cfg: DecoderConfig,
+    e: BitVector,
+    d: BitVector,
+    instance_id: str = "",
+    seed: int = 0,
+    record_timing: bool = False,
+) -> tuple[TrialRecord, dec.MismatchState]:
+    """Decode and classify data error e under syndrome error d: the
+    trial's record and the decoder's final state."""
     syn = BitVector(code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
     t0 = time.perf_counter() if record_timing else 0.0
-    f = cfg.decode(code, syn)
+    f, state = cfg.decode(code, syn, return_state=True)
     ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
     residual = BitVector(code.n, e.bits ^ f.bits)
     p, q = model.pq_labels()
-    return TrialRecord(
+    record = TrialRecord(
         instance_id=instance_id,
         decoder=cfg.kind,
         param=cfg.param,
@@ -310,6 +325,7 @@ def run_single_shot_trial(
         seed=seed,
         ms=ms,
     )
+    return record, state
 
 
 @dataclass

@@ -31,6 +31,15 @@ def z5_code():
 
 
 @pytest.fixture(scope="session")
+def rep3_par3_code():
+    """Z8, delta 3, rep_3 and par_3 locals: the three faces of a local row
+    share one local syndrome, so coset leaders tie."""
+    g = cayley.build_group("cyclic", 8)
+    cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
+    return tanner.build_tanner_code(cx, codes.repetition_code(3), codes.parity_code(3))
+
+
+@pytest.fixture(scope="session")
 def unique_code():
     """Z8, delta 3, rep_3 locals: distinct local-check columns give unique
     weight-1 coset leaders, so isolated errors decode exactly."""

@@ -2,8 +2,9 @@
 
 Everything here re-derives results from first principles with code paths
 disjoint from the library: numpy-based elimination, ambient-space
-enumeration for product expansion, and direct column-assignment search
-for minimal decompositions.
+enumeration for product expansion, direct column-assignment search
+for minimal decompositions, and weight-ordered enumeration for coset
+leaders.
 """
 
 import itertools
@@ -24,20 +25,44 @@ def _dense(mat):
     return m
 
 
-def np_rank_gf2(mat):
-    """GF(2) rank by elimination on a dense numpy array."""
-    m = _dense(mat)
+def _rank_dense(m):
+    """GF(2) rank of a dense 0/1 array, eliminated in place."""
+    rows, cols = m.shape
     rank = 0
-    for col in range(mat.cols):
-        piv = next((r for r in range(rank, mat.rows) if m[r, col]), None)
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if m[r, col]), None)
         if piv is None:
             continue
         m[[rank, piv]] = m[[piv, rank]]
-        for r in range(mat.rows):
+        for r in range(rows):
             if r != rank and m[r, col]:
                 m[r] ^= m[rank]
         rank += 1
     return rank
+
+
+def np_rank_gf2(mat):
+    """GF(2) rank by elimination on a dense numpy array."""
+    return _rank_dense(_dense(mat))
+
+
+def same_subspace(code_a, code_b):
+    """True iff two linear codes have the same length and the same
+    generator row space: stacking the generators adds no numpy rank."""
+    if code_a.n != code_b.n:
+        return False
+    ga, gb = _dense(code_a.gen), _dense(code_b.gen)
+    stacked = _rank_dense(np.vstack([ga, gb]))
+    return _rank_dense(ga) == _rank_dense(gb) == stacked
+
+
+def extract(global_bits, view):
+    """Local pattern of ``global_bits`` on ``view``, one view bit at a
+    time (reference for the decoder's sparse gather)."""
+    out = 0
+    for p, q in enumerate(view):
+        out |= ((global_bits >> q) & 1) << p
+    return out
 
 
 def local_dual_tensor_distance(h_a, h_b):
@@ -142,3 +167,33 @@ def coset_leader_weights_by_scan(pchk_rows, n_bits, r):
             best[s] = w
     assert len(best) == 1 << r
     return best
+
+
+def coset_leader_table(pchk_rows, n_bits, syndromes=None):
+    """Minimum-weight vector per syndrome of the checks ``pchk_rows``.
+
+    Enumerates vectors in nondecreasing weight, positions in
+    ``itertools.combinations`` order within a weight, and keeps the
+    first vector reached for each syndrome, until every syndrome in
+    ``syndromes`` (default: all 2^r) has one.  Keys and values are
+    packed bits.
+    """
+    r = len(pchk_rows)
+    col_syndrome = [
+        sum(((row >> p) & 1) << i for i, row in enumerate(pchk_rows)) for p in range(n_bits)
+    ]
+    wanted = set(range(1 << r)) if syndromes is None else set(syndromes)
+    table = {}
+    for w in range(n_bits + 1):
+        for positions in itertools.combinations(range(n_bits), w):
+            s = 0
+            y = 0
+            for p in positions:
+                s ^= col_syndrome[p]
+                y |= 1 << p
+            if s not in table:
+                table[s] = y
+                wanted.discard(s)
+                if not wanted:
+                    return table
+    raise ValueError(f"syndromes {sorted(wanted)} are not reachable")

@@ -152,12 +152,13 @@ def test_criterion_3_oracle_equivalences(ref_code):
     t0 = time.perf_counter()
     mismatches = 0
 
-    # coset-leader table vs exhaustive 2^(delta^2) scan (delta = 4)
+    # coset leaders of the decoder cache vs exhaustive 2^(delta^2) scan
+    # (delta = 4), on every syndrome
     dt = ref_code.x_correction_code()
-    table = codes.coset_leader_table(dt)
+    cache = decoder.get_cache(ref_code)
     scan = coset_leader_weights_by_scan(dt.pchk.data, dt.n, dt.pchk.rows)
-    for s, y in table.items():
-        if y.bit_count() != scan[s]:
+    for s in range(1 << dt.pchk.rows):
+        if decoder.coset_leader(cache, s).bit_count() != scan[s]:
             mismatches += 1
 
     # min_cr_decomposition vs |C_A|^delta column-assignment enumeration

@@ -144,31 +144,6 @@ class TestLocalView:
             build_z13().local_view(10_000)
 
 
-class TestEdgeFaceIncidence:
-    def test_a_edges_have_delta_faces(self):
-        cx = build_z13()
-        for i in (0, 1):
-            for g in range(cx.group.order):
-                for ai in range(cx.delta):
-                    faces = cx.faces_of_a_edge(i, g, ai)
-                    assert len(set(faces)) == cx.delta
-                    # every face shares the defining vertex pair
-                    a = cx.gens_a.elements[ai]
-                    u = cx.vertex(g, V00 if i == 0 else V10)
-                    w = cx.vertex(cx.group.mul[a][g], V01 if i == 0 else V11)
-                    for q in faces:
-                        vs = cx.face_vertices(q)
-                        assert u in vs and w in vs
-
-    def test_b_edges_have_delta_faces(self):
-        cx = build_z13()
-        for j in (0, 1):
-            for g in range(cx.group.order):
-                for bi in range(cx.delta):
-                    faces = cx.faces_of_b_edge(j, g, bi)
-                    assert len(set(faces)) == cx.delta
-
-
 class TestSecondEigenvalue:
     def test_complete_graph_spectrum(self):
         # Z_5 with every non-identity generator is K_5: lambda2 = -1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qtanner import cli
+from qtanner import cli, decoder
 
 Z8_INSTANCE = {
     "group": {"kind": "cyclic", "m": 8},
@@ -123,6 +123,23 @@ class TestDecodeOne:
         for entry in lines:
             assert set(entry) == {"step", "vertex", "class", "|x|", "before", "after"}
             assert entry["after"] < entry["before"]
+
+    def test_step_log_decodes_once(self, tmp_path, monkeypatch):
+        # the printed record and the step log come from one decode
+        calls = []
+        real = decoder.initial_mismatch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "initial_mismatch", counting)
+        cfg = write_config(
+            tmp_path, noise={"data": {"kind": "adversarial", "w": 6}, "syndrome": {}}
+        )
+        log = tmp_path / "steps.jsonl"
+        assert cli.main(["decode-one", "-c", cfg, "--step-log", str(log)]) == 0
+        assert len(calls) == 1
 
 
 class TestSweep:

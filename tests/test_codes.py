@@ -1,6 +1,6 @@
 """Classical codes, dual tensor constructions and the exhaustive oracles.
 
-The kappa / decomposition / coset-leader oracles are cross-checked here
+The kappa / decomposition / coset-leader routines are cross-checked here
 against fully independent enumerations that never share code paths with
 the library routines.
 """
@@ -13,12 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtanner import codes, gf2
+from qtanner import codes, decoder, gf2
 from qtanner.codes import LinearCode
 from qtanner.errors import BudgetError, NotInCodeError
 from qtanner.gf2 import BitMatrix, BitVector
 
-from oracles import exhaustive_min_cr, independent_kappa
+from oracles import (
+    exhaustive_min_cr,
+    independent_kappa,
+    local_dual_tensor_distance,
+    same_subspace,
+)
 
 
 def enumerate_codewords(code):
@@ -66,20 +71,20 @@ class TestConstruction:
     def test_json_round_trip(self):
         c = codes.parity_code(5)
         c2 = LinearCode.from_json(c.to_json())
-        assert c2.same_subspace(c)
+        assert same_subspace(c2, c)
         z = codes.zero_code(4)
         assert LinearCode.from_json(z.to_json()).dim == 0
 
 
 class TestDual:
     def test_rep_par_duality(self):
-        assert codes.repetition_code(3).dual().same_subspace(codes.parity_code(3))
+        assert same_subspace(codes.repetition_code(3).dual(), codes.parity_code(3))
 
     def test_involution(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             c = codes.sample_random_code(5, 2, rng)
-            assert c.dual().dual().same_subspace(c)
+            assert same_subspace(c.dual().dual(), c)
 
     def test_full_inner_product_check(self):
         rng = np.random.default_rng(8)
@@ -141,9 +146,9 @@ class TestDualTensorCode:
 
     def test_equals_dual_of_tensor_of_duals(self):
         ca, cb = codes.repetition_code(3), codes.parity_code(3)
-        dt = codes.dual_tensor_code(ca, cb).as_linear_code()
+        dt = codes.dual_tensor_code(ca, cb)
         alt = codes.tensor_code(ca.dual(), cb.dual()).dual()
-        assert dt.same_subspace(alt)
+        assert sorted(dt.codeword_bits()) == sorted(alt.codeword_bits())
 
 
 class TestMinDistance:
@@ -288,13 +293,15 @@ class TestDecompositionTable:
 
 
 class TestCosetLeaderTable:
-    def test_zero_syndrome_maps_to_zero(self):
-        dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
-        assert codes.coset_leader_table(dt)[0] == 0
+    """The syndrome -> leader map of the decoder cache (``decoder.coset_leader``)."""
 
-    def test_weight_minimality_by_full_scan(self):
-        dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
-        table = codes.coset_leader_table(dt)
+    def test_zero_syndrome_maps_to_zero(self, rep3_par3_code):
+        assert decoder.coset_leader(decoder.get_cache(rep3_par3_code), 0) == 0
+
+    def test_weight_minimality_by_full_scan(self, rep3_par3_code):
+        dt = rep3_par3_code.x_correction_code()
+        cache = decoder.get_cache(rep3_par3_code)
+        table = {s: decoder.coset_leader(cache, s) for s in range(1 << dt.pchk.rows)}
         assert len(table) == 4
         # independent scan over all 2^9 vectors
         best = {}
@@ -311,20 +318,15 @@ class TestCosetLeaderTable:
                 syn |= ((row & y).bit_count() & 1) << i
             assert syn == s
 
-    def test_weight1_leaders_unique_when_distance_3(self):
+    def test_weight1_leaders_unique_when_distance_3(self, unique_code):
         # rep_3 boxplus rep_3 has distance 3, so every unit vector is the
-        # unique minimum-weight element of its coset and the table returns
+        # unique minimum-weight element of its coset and the lookup returns
         # it exactly
-        dt = codes.dual_tensor_code(codes.repetition_code(3), codes.repetition_code(3))
-        assert codes.min_distance_bruteforce(dt.as_linear_code()) == 3
-        table = codes.coset_leader_table(dt)
+        dt = unique_code.x_correction_code()
+        assert local_dual_tensor_distance(dt.code_a.pchk, dt.code_b.pchk) == 3
+        cache = decoder.get_cache(unique_code)
         for p in range(9):
             s = 0
             for i, row in enumerate(dt.pchk.data):
                 s |= ((row >> p) & 1) << i
-            assert table[s] == 1 << p
-
-    def test_budget_refusal(self):
-        dt = codes.dual_tensor_code(codes.zero_code(5), codes.zero_code(5))
-        with pytest.raises(BudgetError):
-            codes.coset_leader_table(dt)
+            assert decoder.coset_leader(cache, s) == 1 << p

@@ -2,6 +2,7 @@
 sequential and parallel decomposition, and the full decode pipelines."""
 
 import dataclasses
+import itertools
 import types
 from fractions import Fraction
 
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtanner import codes, decoder, gf2, tanner
+from qtanner import cayley, codes, decoder, gf2, tanner
 from qtanner.decoder import (
+    coset_leader,
     find_reducing_codeword,
     get_cache,
     initial_mismatch,
-    local_min_correction,
     parallel_decode,
     parallel_mismatch_decomposition,
     sequential_decode,
@@ -26,7 +27,7 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
 from qtanner.tanner import syndrome_bits_z
 
-from oracles import exhaustive_min_cr
+from oracles import coset_leader_table, exhaustive_min_cr, extract
 
 
 class TestAsFraction:
@@ -78,8 +79,6 @@ class TestLocalCodewordCache:
             assert cache.c_parts[i] ^ cache.r_parts[i] == x
 
     def test_budget_refusal(self):
-        import qtanner.cayley as cayley
-
         g = cayley.build_group("cyclic", 5)
         cx = cayley.build_complex(g, [1, 2, 3, 4], [1, 2, 3, 4])
         # full-space locals make C_A boxplus C_B the whole 16-bit space
@@ -112,10 +111,40 @@ class TestLocalCodewordCache:
             cache._build_views(stub)
 
 
+def rep_code(m, gens):
+    """Cyclic group Z_m with generators gens on both sides, rep_Δ locals."""
+    cx = cayley.build_complex(cayley.build_group("cyclic", m), gens, gens)
+    delta = len(gens)
+    return tanner.build_tanner_code(
+        cx, codes.repetition_code(delta), codes.repetition_code(delta)
+    )
+
+
+def local_syndrome_of(dt, y):
+    """Syndrome of local pattern y under H_A ⊗ H_B, one check at a time."""
+    return sum(((row & y).bit_count() & 1) << i for i, row in enumerate(dt.pchk.data))
+
+
+@pytest.fixture(scope="module")
+def rep5_code():
+    """Z12, delta 5, rep_5 locals: r = 16, so the enumeration oracle
+    still fills all 2^16 syndromes (in about half a second)."""
+    return rep_code(12, [1, 11, 2, 10, 6])
+
+
+@pytest.fixture(scope="module")
+def rep5_oracle(rep5_code):
+    dt = rep5_code.x_correction_code()
+    return coset_leader_table(dt.pchk.data, dt.n)
+
+
 class TestLocalMinCorrection:
+    """Coset leaders of local syndromes (``decoder.coset_leader``), lifted
+    to global faces as ``initial_mismatch`` does."""
+
     def test_zero_syndrome(self, ref_code):
         v = ref_code.v1_vertices[0]
-        assert local_min_correction(ref_code, v, 0) == 0
+        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), ref_code.local_view(v)) == 0
 
     def test_weight1_unique_when_columns_distinct(self, unique_code):
         # local checks have distinct columns: each single-face error is
@@ -127,14 +156,14 @@ class TestLocalMinCorrection:
                 s = 0
                 for i, row in enumerate(unique_code.z_check_basis.data):
                     s |= ((row >> p) & 1) << i
-                assert local_min_correction(unique_code, v, s) == 1 << view[p]
+                assert gf2.scatter(coset_leader(cache, s), view) == 1 << view[p]
 
     def test_matches_exhaustive_local_scan(self, ref_code):
         cache = get_cache(ref_code)
         v = ref_code.v1_vertices[3]
         rows = ref_code.z_check_basis.data
         for s in range(1 << ref_code.r1):
-            got = local_min_correction(ref_code, v, s)
+            got = gf2.scatter(coset_leader(cache, s), cache.views[v])
             # exhaustive 2^(delta^2) scan for the minimum achievable weight
             best = min(
                 y.bit_count()
@@ -143,6 +172,49 @@ class TestLocalMinCorrection:
             )
             got_local = sum(1 for q in cache.views[v] if (got >> q) & 1)
             assert got_local == got.bit_count() == best
+
+    @pytest.mark.parametrize("fixture", ["rep3_par3_code", "unique_code", "ref_code"])
+    def test_every_syndrome_matches_enumeration_oracle(self, fixture, request):
+        # rep_3/par_3, rep_3/rep_3 and rep_4/par_4: equal leaders, so equal
+        # tie-breaks, on every syndrome
+        code = request.getfixturevalue(fixture)
+        dt = code.x_correction_code()
+        cache = get_cache(code)
+        oracle = coset_leader_table(dt.pchk.data, dt.n)
+        assert len(oracle) == 1 << dt.pchk.rows
+        for s, y in oracle.items():
+            assert coset_leader(cache, s) == y
+            assert cache.leaders[s] == y
+
+    @given(s=st.integers(0, (1 << 16) - 1))
+    def test_rep5_syndromes_match_enumeration_oracle(self, rep5_code, rep5_oracle, s):
+        assert coset_leader(get_cache(rep5_code), s) == rep5_oracle[s]
+
+    def test_rep6_errors_within_radius_are_their_own_leaders(self):
+        # r = 25 local checks: 2^25 syndromes, found one at a time
+        code = rep_code(7, [1, 6, 2, 5, 3, 4])
+        dt = code.x_correction_code()
+        cache = get_cache(code)
+        assert dt.pchk.rows == 25
+        d = int(cache.weights.min())
+        t_loc = (d - 1) // 2
+        assert (d, t_loc) == (6, 2)  # d(rep_6 ⊞ rep_6) = d(rep_6)
+        for w in range(t_loc + 1):
+            for positions in itertools.combinations(range(dt.n), w):
+                e = sum(1 << p for p in positions)
+                assert coset_leader(cache, local_syndrome_of(dt, e)) == e
+        # weight 3 = d/2 inside one local row or column ties with the rest
+        # of that row or column; the leader is the oracle's
+        lines = [list(range(6)), list(range(0, 36, 6))]
+        errors = [
+            sum(1 << p for p in positions)
+            for line in lines
+            for positions in itertools.combinations(line, 3)
+        ]
+        syndromes = [local_syndrome_of(dt, e) for e in errors]
+        oracle = coset_leader_table(dt.pchk.data, dt.n, syndromes)
+        for s in syndromes:
+            assert coset_leader(cache, s) == oracle[s]
 
 
 class TestInitialMismatch:
@@ -202,7 +274,7 @@ class TestFindReducingCodeword:
             zhat = random_error(ref_code, 6, rng)
             v = int(rng.integers(0, ref_code.complex.num_vertices))
             got = find_reducing_codeword(ref_code, zhat, v, theta)
-            zloc = decoder._extract(zhat, cache.views[v])
+            zloc = extract(zhat, cache.views[v])
             best = None
             for i in range(len(cache.masks)):
                 x = int(cache.masks[i])
@@ -487,7 +559,7 @@ class TestMemoizedSearch:
         )
         v = data.draw(st.integers(0, any_code.complex.num_vertices - 1))
         got = decoder._gather(zhat & cache.view_masks[v], cache.gather[v])
-        assert got == decoder._extract(zhat, cache.views[v])
+        assert got == extract(zhat, cache.views[v])
 
     @settings(max_examples=6)
     @given(data=st.data())
