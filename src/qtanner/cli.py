@@ -45,11 +45,24 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
+CONFIG_KEYS = (
+    "instance", "decoders", "noise", "grid", "trials", "rounds", "seed",
+    "record_timing", "output", "eps", "delta", "k_iters",
+)
+GRID_KEYS = ("p", "q", "w", "s")
+
+
 def load_config(path: Optional[str]) -> dict:
+    """The config at ``path`` ({} for none), rejected with ValueError if
+    it has an unknown key or its noise models or decoders do not parse."""
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    noise.check_keys(cfg, CONFIG_KEYS, "config")
+    _models(cfg)
+    _decoders(cfg)
+    return cfg
 
 
 _NAMED_CODES = {
@@ -107,6 +120,7 @@ def _models(cfg: dict) -> list[noise.NoiseModel]:
         return [base]
     out = []
     for pt in grid:
+        noise.check_keys(pt, GRID_KEYS, "grid point")
         obj = base.to_json()
         if "p" in pt:
             obj["data"]["p"] = pt["p"]
@@ -226,7 +240,7 @@ def cmd_decode_one(args) -> int:
         seed=0,
         record_timing=bool(cfg.get("record_timing", False)),
     )
-    print(json.dumps(rec.csv_row(), sort_keys=True))
+    print(json.dumps(rec.as_dict(), sort_keys=True))
     if args.step_log:
         with open(args.step_log, "w") as fh:
             for step in state.steps:
@@ -276,18 +290,26 @@ def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
     )
 
 
-def _multiround_task(task: int) -> noise.MultiRoundRecord:
-    ti = task
-    rng = noise.make_rng(_WORKER["seed"], ti)
+def _multiround_task(task: tuple[int, int]) -> list[noise.MultiRoundRecord]:
+    """Trials [lo, hi) as one lockstep batch."""
+    trial_ids = range(*task)
     return noise.run_multiround(
         _WORKER["code"],
         _WORKER["noise"],
         _WORKER["decoders"][0],
         _WORKER["rounds"],
-        rng,
+        [noise.make_rng(_WORKER["seed"], ti) for ti in trial_ids],
         instance_id=_WORKER["iid"],
-        seed=ti,
+        seeds=trial_ids,
     )
+
+
+def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """[0, trials) cut into min(workers, trials) contiguous chunks whose
+    sizes differ by at most one (one empty chunk for no trials)."""
+    parts = max(1, min(workers, trials))
+    bounds = [trials * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _checked_trials(cfg: dict, limit: int) -> int:
@@ -341,7 +363,8 @@ def cmd_multiround(args) -> int:
         print(f"rounds must be >= 1, got {rounds}", file=sys.stderr)
         return EXIT_CONFIG
     trials = _checked_trials(cfg, noise.STREAM_LIMIT)
-    results = _run_pool(cfg, list(range(trials)), _multiround_task, args.workers)
+    chunks = _run_pool(cfg, _trial_chunks(trials, args.workers), _multiround_task, args.workers)
+    results = [rec for chunk in chunks for rec in chunk]
     rows = [row for rec in results for row in rec.csv_rows()]
     out = args.output or cfg.get("output", "multiround.csv")
     noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(cfg))

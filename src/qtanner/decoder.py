@@ -31,6 +31,17 @@ the coset, and one popcount over y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the
 lightest; ties go to the largest ``gf2.lex_key`` (the first vector in
 ``itertools.combinations`` order).  Leaders are memoized per syndrome,
 so no table over all 2^r syndromes is built and r needs no budget.
+
+The lockstep decoders (``parallel_decode_lockstep``,
+``sequential_decode_lockstep``) decode many syndromes at once, one numpy
+row per trial, as the multi-round runs do.  The initial mismatch reads
+the local syndromes as words and lifts the leaders of the distinct ones
+by a permutation gather per class.  A parallel class step packs every
+view of the class into a Δ²-bit word, scans only the distinct nonzero
+words through the same θ = 1/2 memo, and XORs the removed codewords and
+their share of f̂ back; same-class views are disjoint, so this is the
+scalar sweep.  The sequential schedule runs the scalar FIFO per row.
+Each row decodes to exactly what the scalar decoder gives its syndrome.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +70,14 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
+
+
+def checked_eps(eps) -> Fraction:
+    """The sequential decoder's ε as a Fraction, which must lie in (0, 1)."""
+    eps = as_fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    return eps
 
 
 class LocalCodewordCache:
@@ -125,6 +145,12 @@ class LocalCodewordCache:
                     )
                 acc |= m
 
+    @cached_property
+    def lockstep(self) -> "LockstepTables":
+        """The lockstep decoders' tables, built on first use (not with the
+        cache, so single-shot runs never pay for them)."""
+        return LockstepTables(self)
+
     def scan_table(self, theta: Fraction) -> "ScanTable":
         """The memoized candidate search for threshold policy θ."""
         theta = as_fraction(theta)
@@ -136,6 +162,38 @@ class LocalCodewordCache:
             table = ScanTable(ceil_by_weight[self.weights])
             self._scan_tables[theta] = table
         return table
+
+
+class LockstepTables:
+    """Per-code tables of the lockstep decoders.
+
+    For each sweep class (V00, V01, V10, V11): a ``gf2.WordPacker`` that
+    reads every class vertex's local pattern out of (trials, n) face
+    rows as one Δ²-bit word, and the face permutation ``scatter`` that
+    puts words unpacked in vertex order (Δ² columns per vertex) back on
+    their faces.  The views of one class partition the faces, so the
+    gather is a permutation.  ``syndrome_words`` reads the r₁-bit local
+    syndrome of every V1 vertex out of (trials, H_Z rows) rows.
+    """
+
+    def __init__(self, cache: "LocalCodewordCache"):
+        code = cache.code
+        n, d2 = code.n, cache.n
+        order = len(cache.sweep_order) // 4
+        self.packers, self.scatters = [], []
+        for start in range(0, len(cache.sweep_order), order):
+            gather = np.array(
+                [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]],
+                dtype=np.intp,
+            )
+            if not np.array_equal(np.sort(gather), np.arange(n)):
+                raise LocalCacheError(
+                    f"views of class {start // order} do not partition the {n} faces"
+                )
+            self.packers.append(gf2.WordPacker(gather, d2, n))
+            self.scatters.append(np.argsort(gather))
+        rz, r1 = code.h_z.rows, code.r1
+        self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
 
 
 class ScanTable:
@@ -384,9 +442,7 @@ def sequential_mismatch_decomposition(
 ) -> tuple[BitVector, BitVector, BitVector, BitVector]:
     """Greedy decomposition: FIFO over vertices whose views intersect Ẑ,
     removing any local codeword that clears ≥ ceil((1-ε)|x|) weight."""
-    eps = as_fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    eps = checked_eps(eps)
     cache = get_cache(state.code)
     table = cache.scan_table(1 - eps)
     work = state.worklist
@@ -464,3 +520,115 @@ def parallel_decode(
     parallel_mismatch_decomposition(state, k)
     f = _finish(state)
     return (f, state) if return_state else f
+
+
+# Lockstep decoding: one numpy array row per trial.  Each array step does
+# for every row what the scalar core does for one Ẑ, so every row decodes
+# to the same f̂ as ``parallel_decode`` / ``sequential_decode`` of its
+# syndrome; tests/test_lockstep.py checks this against the scalar loop.
+
+
+def lockstep_initial_mismatch(
+    cache: LocalCodewordCache, syndromes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Ẑ, ε₀₁) bit rows for a (trials, H_Z rows) array of noisy
+    syndromes: ``initial_mismatch`` row by row.
+
+    The local syndromes are read as one word per V1 vertex, the leader
+    of each distinct nonzero word comes from ``coset_leader``, and each
+    class lift is one gather through that class's scatter permutation.
+    """
+    tables = cache.lockstep
+    trials, n = len(syndromes), cache.code.n
+    if tables.syndrome_words is None:  # r₁ = 0: no local checks
+        zero = np.zeros((trials, n), dtype=np.uint8)
+        return zero, zero.copy()
+    words, inverse = np.unique(tables.syndrome_words(syndromes), return_inverse=True)
+    leaders = np.array(
+        [coset_leader(cache, s) if s else 0 for s in words.tolist()], dtype=np.uint64
+    )
+    lifted = gf2.unpack_words(leaders, cache.n)[inverse.ravel()].reshape(trials, 2, n)
+    eps01 = lifted[:, 0][:, tables.scatters[1]]  # the first V1 block is class V01
+    return eps01 ^ lifted[:, 1][:, tables.scatters[2]], eps01
+
+
+# which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
+# sweep class V00, V01, V10, V11 (see ``_apply``): (c part?, r part?)
+_F_SHARE = ((False, True), (True, True), (False, False), (True, False))
+
+
+def lockstep_parallel_decomposition(
+    cache: LocalCodewordCache, zhat: np.ndarray, f: np.ndarray, k: int
+) -> None:
+    """``parallel_mismatch_decomposition`` on every row of ``zhat`` in
+    place, XORing each removed codeword's share of f̂ into ``f``.
+
+    A class step packs each view of the class into one Δ²-bit word per
+    row, scans only the distinct nonzero words (through the θ = 1/2
+    memo) and XORs the results back.  A row leaves the active set after
+    a sweep that clears its Ẑ or removes nothing: the next sweep would
+    be a fixed point, which is where the scalar loop stops too.
+    """
+    if k < 1:
+        raise ValueError(f"iteration count must be >= 1, got {k}")
+    table = cache.scan_table(Fraction(1, 2))
+    tables = cache.lockstep
+    d2 = cache.n
+    active = np.flatnonzero(zhat.any(axis=1))
+    for _ in range(k):
+        if active.size == 0:
+            break
+        z, acc = zhat[active], f[active]
+        changed = np.zeros(active.size, dtype=bool)
+        for packer, scatter, (c_share, r_share) in zip(
+            tables.packers, tables.scatters, _F_SHARE
+        ):
+            patterns = packer(z)
+            words, inverse = np.unique(patterns, return_inverse=True)
+            inverse = inverse.reshape(patterns.shape)
+            removed = np.zeros(len(words), dtype=np.uint64)
+            shares = np.zeros(len(words), dtype=np.uint64)
+            for i, word in enumerate(words.tolist()):
+                idx = _scan(cache, word, table) if word else None
+                if idx is not None:
+                    c, r = cache.c_parts[idx], cache.r_parts[idx]
+                    removed[i] = c ^ r
+                    shares[i] = (c if c_share else 0) ^ (r if r_share else 0)
+            if not removed.any():
+                continue
+            changed |= (removed[inverse] != 0).any(axis=1)
+            z ^= gf2.unpack_words(removed, d2)[inverse].reshape(active.size, -1)[:, scatter]
+            if c_share or r_share:
+                acc ^= gf2.unpack_words(shares, d2)[inverse].reshape(active.size, -1)[:, scatter]
+        zhat[active], f[active] = z, acc
+        active = active[changed & z.any(axis=1)]
+
+
+def parallel_decode_lockstep(
+    code: QuantumTannerCode, syndromes: np.ndarray, k: int
+) -> np.ndarray:
+    """f̂ bit rows of ``parallel_decode`` for each row of ``syndromes``."""
+    cache = get_cache(code)
+    zhat, f = lockstep_initial_mismatch(cache, syndromes)
+    lockstep_parallel_decomposition(cache, zhat, f, k)
+    return f
+
+
+def sequential_decode_lockstep(
+    code: QuantumTannerCode, syndromes: np.ndarray, eps: Fraction | float = Fraction(1, 2)
+) -> np.ndarray:
+    """f̂ bit rows of ``sequential_decode`` for each row of ``syndromes``:
+    the initial mismatch in lockstep, then the scalar FIFO per row whose
+    Ẑ is nonzero (on the others the FIFO does nothing and f̂ = ε₀₁)."""
+    eps = checked_eps(eps)
+    cache = get_cache(code)
+    zhat, f = lockstep_initial_mismatch(cache, syndromes)
+    rows = np.flatnonzero(zhat.any(axis=1))
+    if rows.size:
+        fs = []
+        for z, e01 in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows])):
+            state = MismatchState.seeded(cache, z, e01)
+            sequential_mismatch_decomposition(state, eps)
+            fs.append(_finish(state).bits)
+        f[rows] = gf2.to_bit_rows(fs, code.n)
+    return f

@@ -5,11 +5,19 @@ so XOR/AND give word-parallel row operations and ``int.bit_count`` gives
 the Hamming weight.  Elimination always pivots on the leftmost nonzero
 column (lowest bit index) and swaps rows to the lowest free index, so
 every routine here is deterministic.
+
+Batches of vectors, as the lockstep decoder handles them, are numpy
+``uint8`` arrays with one 0/1 entry per coordinate and one row per
+vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
+forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
+bits as one ``uint64`` each.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError
 
@@ -43,6 +51,56 @@ def lex_key(bits: int, length: int) -> int:
     comparison applies.
     """
     return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
+
+
+def to_bit_rows(values: Sequence[int], n: int) -> np.ndarray:
+    """(len(values), n) 0/1 array; row i holds the bits of ``values[i]``."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def from_bit_rows(rows: np.ndarray) -> list[int]:
+    """The packed int of each row of a 0/1 array (inverse of ``to_bit_rows``)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class WordPacker:
+    """Packs chosen columns of 0/1 rows into words of ``width`` ≤ 64 bits:
+    word j of a row has bit p = column ``cols[j·width + p]``.
+
+    A call is one float64 product per 32-bit slice of the words with a
+    matrix of powers of two; every partial sum is an integer below 2^32,
+    so the products are exact.
+    """
+
+    def __init__(self, cols: Sequence[int], width: int, n: int):
+        if not 0 < width <= 64:
+            raise ValueError(f"word width {width} outside [1, 64]")
+        cols = np.asarray(cols, dtype=np.intp)
+        word, bit = np.divmod(np.arange(len(cols)), width)
+        self.slices = []
+        for lo in range(0, width, 32):
+            mat = np.zeros((n, len(cols) // width))
+            sel = (bit >= lo) & (bit < lo + 32)
+            mat[cols[sel], word[sel]] = np.exp2(bit[sel] - lo)
+            self.slices.append((np.uint64(lo), mat))
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """(trials, words) uint64 for a (trials, n) 0/1 array."""
+        x = rows.astype(np.float64)
+        out = np.zeros((len(rows), self.slices[0][1].shape[1]), dtype=np.uint64)
+        for shift, mat in self.slices:
+            out |= (x @ mat).astype(np.uint64) << shift
+        return out
+
+
+def unpack_words(words: np.ndarray, m: int) -> np.ndarray:
+    """Bits 0..m-1 of each uint64 as a new last axis."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8")[..., None].view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=m, bitorder="little")
 
 
 class BitVector:

@@ -4,6 +4,14 @@ Every trial derives its own counter-based RNG stream from
 (master seed, stream id), so results are reproducible bit for bit no
 matter how trials are scheduled.  Wall-clock timing is only recorded
 when explicitly requested, because timing breaks byte-identical output.
+
+A multi-round run takes its trials as one batch and advances them in
+lockstep, one round at a time: each trial still draws from its own
+stream in the order a lone trial would, and the batch is decoded as
+numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's record
+does not depend on the batch it ran in.  Configs are checked when
+parsed: rates and persistence lie in [0, 1], weights are non-negative
+and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -12,12 +20,12 @@ import csv
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import decoder as dec
-from . import tanner
+from . import gf2, tanner
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
@@ -41,20 +49,25 @@ TRIAL_CSV_FIELDS = [
     "ms",
 ]
 
-POINT_CSV_FIELDS = [
-    "instance_id",
-    "decoder",
-    "param",
-    "p",
-    "q",
-    "trials",
-    "failures",
-    "failure_freq",
-    "wilson_lo",
-    "wilson_hi",
-    "mean_residual",
-    "mean_ms",
-]
+
+class PointRow(NamedTuple):
+    """One aggregate CSV row; its fields are POINT_CSV_FIELDS."""
+
+    instance_id: str
+    decoder: str
+    param: str
+    p: float
+    q: float
+    trials: int
+    failures: int
+    failure_freq: float
+    wilson_lo: float
+    wilson_hi: float
+    mean_residual: float
+    mean_ms: float
+
+
+POINT_CSV_FIELDS = list(PointRow._fields)
 
 MULTIROUND_CSV_FIELDS = [
     "instance_id",
@@ -71,6 +84,25 @@ MULTIROUND_CSV_FIELDS = [
     "failure_class",
     "seed",
 ]
+
+DATA_KINDS = ("bernoulli", "adversarial")
+SYNDROME_KINDS = ("bernoulli", "adversarial", "vertex_bounded")
+
+
+def check_keys(obj: dict, known: Sequence[str], where: str) -> None:
+    """Reject a config object with keys outside ``known``."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}; known: {sorted(known)}")
+
+
+def _whole(obj: dict, key: str) -> int:
+    """obj[key] (default 0) as an int; a fractional count is an error,
+    not truncated."""
+    value = float(obj.get(key, 0))
+    if not value.is_integer():
+        raise ValueError(f"noise {key} = {value} is not a whole number")
+    return int(value)
 
 
 def check_seed(master_seed: int) -> None:
@@ -110,6 +142,22 @@ class NoiseModel:
     s: int = 0
     t: int = 0
 
+    def __post_init__(self):
+        if self.data_kind not in DATA_KINDS:
+            raise ValueError(f"unknown data noise {self.data_kind!r}; have {list(DATA_KINDS)}")
+        if self.syn_kind not in SYNDROME_KINDS:
+            raise ValueError(
+                f"unknown syndrome noise {self.syn_kind!r}; have {list(SYNDROME_KINDS)}"
+            )
+        for name in ("p", "q", "persistence"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"noise {name} = {value} outside [0, 1]")
+        for name in ("w", "s", "t"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"noise {name} = {value} is negative")
+
     def pq_labels(self) -> tuple[float, float]:
         """The CSV (p, q) columns: a bernoulli rate, or else the adversarial
         weight (data) and weight or vertex bound (syndrome) as a float."""
@@ -126,17 +174,20 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
+        check_keys(obj, ("data", "syndrome"), "noise")
         d = obj.get("data", {})
         s = obj.get("syndrome", {})
+        check_keys(d, ("kind", "p", "w", "persistence"), "noise.data")
+        check_keys(s, ("kind", "q", "s", "t"), "noise.syndrome")
         return cls(
             data_kind=d.get("kind", "bernoulli"),
             p=float(d.get("p", 0.0)),
-            w=int(d.get("w", 0)),
+            w=_whole(d, "w"),
             persistence=float(d.get("persistence", 0.0)),
             syn_kind=s.get("kind", "bernoulli"),
             q=float(s.get("q", 0.0)),
-            s=int(s.get("s", 0)),
-            t=int(s.get("t", 0)),
+            s=_whole(s, "s"),
+            t=_whole(s, "t"),
         )
 
 
@@ -145,6 +196,15 @@ class DecoderConfig:
     kind: str  # "sequential" | "parallel"
     eps: Fraction = Fraction(1, 2)
     k: int = 1
+
+    def __post_init__(self):
+        if self.kind == "sequential":
+            dec.checked_eps(self.eps)
+        elif self.kind == "parallel":
+            if self.k < 1:
+                raise ValueError(f"iteration count must be >= 1, got {self.k}")
+        else:
+            raise ValueError(f"unknown decoder kind {self.kind!r}")
 
     @property
     def param(self) -> str:
@@ -155,9 +215,14 @@ class DecoderConfig:
         (f̂, state) if ``return_state``."""
         if self.kind == "sequential":
             return dec.sequential_decode(code, syn, self.eps, return_state)
-        if self.kind == "parallel":
-            return dec.parallel_decode(code, syn, self.k, return_state)
-        raise ValueError(f"unknown decoder kind {self.kind!r}")
+        return dec.parallel_decode(code, syn, self.k, return_state)
+
+    def decode_lockstep(self, code: QuantumTannerCode, syndromes: np.ndarray) -> np.ndarray:
+        """f̂ bit rows for a (trials, H_Z rows) array of syndromes, row by
+        row equal to ``decode``."""
+        if self.kind == "sequential":
+            return dec.sequential_decode_lockstep(code, syndromes, self.eps)
+        return dec.parallel_decode_lockstep(code, syndromes, self.k)
 
     def to_json(self) -> dict:
         if self.kind == "sequential":
@@ -219,19 +284,17 @@ def sample_errors(
     contracts hold by construction."""
     if model.data_kind == "bernoulli":
         e = _sample_bits_bernoulli(code.n, model.p, rng)
-    elif model.data_kind == "adversarial":
+    else:  # adversarial
         e = _sample_bits_exact_weight(
             code.n, model.w, rng, keep_from=prev_data, persistence=model.persistence
         )
-    else:
-        raise ValueError(f"unknown data noise {model.data_kind!r}")
 
     rz = code.h_z.rows
     if model.syn_kind == "bernoulli":
         d = _sample_bits_bernoulli(rz, model.q, rng)
     elif model.syn_kind == "adversarial":
         d = _sample_bits_exact_weight(rz, model.s, rng)
-    elif model.syn_kind == "vertex_bounded":
+    else:  # vertex_bounded
         d = 0
         if rz and code.r1 and model.t:
             n_v = len(code.v1_vertices)
@@ -239,8 +302,6 @@ def sample_errors(
             for pos in sorted(int(x) for x in hit):
                 pattern = int(rng.integers(1, 1 << code.r1))
                 d |= pattern << (pos * code.r1)
-    else:
-        raise ValueError(f"unknown syndrome noise {model.syn_kind!r}")
     return BitVector(code.n, e), BitVector(rz, d)
 
 
@@ -273,8 +334,12 @@ class TrialRecord:
     seed: int
     ms: float
 
-    def csv_row(self) -> dict:
-        return {k: getattr(self, k) for k in TRIAL_CSV_FIELDS}
+    def csv_row(self) -> tuple:
+        """The TRIAL_CSV_FIELDS values, in field order."""
+        return tuple(getattr(self, k) for k in TRIAL_CSV_FIELDS)
+
+    def as_dict(self) -> dict:
+        return dict(zip(TRIAL_CSV_FIELDS, self.csv_row()))
 
 
 def run_single_shot_trial(
@@ -354,20 +419,74 @@ class MultiRoundRecord:
     f_xor_all: int = 0
     residual_bits: int = 0
 
-    def csv_rows(self) -> list[dict]:
+    def csv_rows(self) -> list[tuple]:
         """MULTIROUND_CSV_FIELDS rows: one per round, then the final readout."""
-        head = dict(instance_id=self.instance_id, decoder=self.decoder, param=self.param,
-                    p=self.p, q=self.q, trial=self.seed, seed=self.seed)
+        iid, dec_name, param, p, q, seed = (
+            self.instance_id, self.decoder, self.param, self.p, self.q, self.seed
+        )
         rows = [
-            dict(head, round=rr.round, e_weight=rr.e_weight, d_weight=rr.d_weight,
-                 d_vertex_support=rr.d_vertex_support, residual_weight=rr.residual_weight,
-                 failure_class="")
+            (iid, dec_name, param, p, q, seed, rr.round, rr.e_weight, rr.d_weight,
+             rr.d_vertex_support, rr.residual_weight, "", seed)
             for rr in self.rounds
         ]
-        rows.append(dict(head, round="final", e_weight=0, d_weight=0, d_vertex_support=0,
-                         residual_weight=self.final_residual_weight,
-                         failure_class=self.final_class))
+        rows.append((iid, dec_name, param, p, q, seed, "final", 0, 0, 0,
+                     self.final_residual_weight, self.final_class, seed))
         return rows
+
+
+# Bernoulli draws held per call of ``rng.random``; longer runs are drawn
+# in several calls, which give the same numbers as one.
+_DRAW_CHUNK = 1 << 16
+
+
+def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel, rng, rounds: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's (e, D) of one trial under Bernoulli data and syndrome
+    noise, as packed little-endian bit rows (rounds, bytes): the numbers
+    ``sample_errors`` would draw round after round, data before syndrome,
+    with a rate of 0 drawing nothing."""
+    n, rz = code.n, code.h_z.rows
+    width_e = n if model.p > 0.0 and n else 0
+    width_d = rz if model.q > 0.0 and rz else 0
+    e = np.zeros((rounds, (n + 7) // 8), dtype=np.uint8)
+    d = np.zeros((rounds, (rz + 7) // 8), dtype=np.uint8)
+    width = width_e + width_d
+    if width == 0:
+        return e, d
+    step = max(1, _DRAW_CHUNK // width)
+    for lo in range(0, rounds, step):
+        hi = min(rounds, lo + step)
+        u = rng.random((hi - lo, width))
+        if width_e:
+            e[lo:hi] = np.packbits(u[:, :width_e] < model.p, axis=1, bitorder="little")
+        if width_d:
+            d[lo:hi] = np.packbits(u[:, width_e:] < model.q, axis=1, bitorder="little")
+    return e, d
+
+
+def _round_errors(code: QuantumTannerCode, model: NoiseModel,
+                  rngs: Sequence[np.random.Generator], rounds: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(e, D) of every trial as (trials, n) and (trials, H_Z rows) bit
+    rows, round after round, each trial drawing from its own stream as
+    ``sample_errors`` does.  Bernoulli noise is drawn for all rounds up
+    front; the other models call ``sample_errors`` once per round."""
+    n, rz = code.n, code.h_z.rows
+    if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
+        draws = [_bernoulli_rounds(code, model, rng, rounds) for rng in rngs]
+        e_packed = np.stack([e for e, _ in draws], axis=1)  # (rounds, trials, bytes)
+        d_packed = np.stack([d for _, d in draws], axis=1)
+        del draws
+        for i in range(rounds):
+            yield (np.unpackbits(e_packed[i], axis=1, count=n, bitorder="little"),
+                   np.unpackbits(d_packed[i], axis=1, count=rz, bitorder="little"))
+        return
+    prev_data = [0] * len(rngs)
+    for _ in range(rounds):
+        pairs = [sample_errors(code, model, rng, prev_data=prev)
+                 for rng, prev in zip(rngs, prev_data)]
+        prev_data = [e.bits for e, _ in pairs]
+        yield gf2.to_bit_rows(prev_data, n), gf2.to_bit_rows([d.bits for _, d in pairs], rz)
 
 
 def run_multiround(
@@ -375,47 +494,66 @@ def run_multiround(
     model: NoiseModel,
     cfg: DecoderConfig,
     rounds: int,
-    rng,
+    rngs: Sequence[np.random.Generator],
     instance_id: str = "",
-    seed: int = 0,
+    seeds: Optional[Sequence[int]] = None,
     final_eps: Fraction = Fraction(1, 2),
-) -> MultiRoundRecord:
-    """rounds cycles of (new error, noisy syndrome, decode), residual fed
-    forward, then one noiseless sequential decode as the final readout."""
+) -> list[MultiRoundRecord]:
+    """The multi-round protocol for a batch of trials run in lockstep:
+    rounds cycles of (new error, noisy syndrome, decode) with the
+    residual fed forward, then one noiseless sequential decode as the
+    final readout.  Trial i draws from ``rngs[i]`` and is recorded with
+    seed ``seeds[i]`` (default i); its record does not depend on the
+    other trials of the batch.
+
+    Each round is one array step over all trials: the errors come from
+    ``_round_errors``, the syndromes are one product with H_Zᵀ, and
+    ``DecoderConfig.decode_lockstep`` decodes them all.  The readout is
+    scalar, once per trial.
+    """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    seeds = list(range(len(rngs)) if seeds is None else seeds)
+    if len(seeds) != len(rngs):
+        raise ValueError(f"{len(seeds)} seeds for {len(rngs)} trials")
+    trials, n, rz = len(rngs), code.n, code.h_z.rows
+    if trials == 0:
+        return []
+    nv1, r1 = len(code.v1_vertices), code.r1
+    residual = np.zeros((trials, n), dtype=np.uint8)
+    e_xor_all = np.zeros_like(residual)
+    f_xor_all = np.zeros_like(residual)
+    stats = np.zeros((rounds, 4, trials), dtype=np.int64)
+    for i, (e, d) in enumerate(_round_errors(code, model, rngs, rounds)):
+        syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
+        f = cfg.decode_lockstep(code, syn)
+        residual ^= e ^ f
+        e_xor_all ^= e
+        f_xor_all ^= f
+        stats[i, 0] = e.sum(axis=1)
+        stats[i, 1] = d.sum(axis=1)
+        stats[i, 2] = d.reshape(trials, nv1, r1).any(axis=2).sum(axis=1)
+        stats[i, 3] = residual.sum(axis=1)
     p, q = model.pq_labels()
-    rec = MultiRoundRecord(
-        instance_id=instance_id, decoder=cfg.kind, param=cfg.param, p=p, q=q, seed=seed
-    )
-    residual = 0
-    prev_data = 0
-    rz = code.h_z.rows
-    for i in range(1, rounds + 1):
-        e, d = sample_errors(code, model, rng, prev_data=prev_data)
-        prev_data = e.bits
-        syn = BitVector(rz, tanner.syndrome_bits_z(code, residual ^ e.bits) ^ d.bits)
-        f = cfg.decode(code, syn)
-        residual ^= e.bits ^ f.bits
-        rec.e_xor_all ^= e.bits
-        rec.f_xor_all ^= f.bits
-        rec.rounds.append(
-            RoundRecord(
-                round=i,
-                e_weight=e.weight(),
-                d_weight=d.weight(),
-                d_vertex_support=vertex_support_size(code, d),
-                residual_weight=residual.bit_count(),
-            )
-        )
-    ideal = BitVector(rz, tanner.syndrome_bits_z(code, residual))
-    f_final = dec.sequential_decode(code, ideal, final_eps)
-    final_residual = BitVector(code.n, residual ^ f_final.bits)
-    rec.f_xor_all ^= f_final.bits
-    rec.residual_bits = final_residual.bits
-    rec.final_class = tanner.classify_residual(code, final_residual)
-    rec.final_residual_weight = final_residual.weight()
-    return rec
+    per_trial = stats.transpose(2, 0, 1).tolist()  # [trial][round][stat]
+    records = []
+    for seed, res, e_all, f_all, trial_stats in zip(
+        seeds, gf2.from_bit_rows(residual), gf2.from_bit_rows(e_xor_all),
+        gf2.from_bit_rows(f_xor_all), per_trial,
+    ):
+        ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
+        f_final = dec.sequential_decode(code, ideal, final_eps)
+        final_residual = BitVector(n, res ^ f_final.bits)
+        records.append(MultiRoundRecord(
+            instance_id=instance_id, decoder=cfg.kind, param=cfg.param, p=p, q=q, seed=seed,
+            rounds=[RoundRecord(i, *row) for i, row in enumerate(trial_stats, start=1)],
+            final_class=tanner.classify_residual(code, final_residual),
+            final_residual_weight=final_residual.weight(),
+            e_xor_all=e_all,
+            f_xor_all=f_all ^ f_final.bits,
+            residual_bits=final_residual.bits,
+        ))
+    return records
 
 
 def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
@@ -489,7 +627,7 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[fl
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def aggregate_records(records: Iterable[TrialRecord]) -> list[dict]:
+def aggregate_records(records: Iterable[TrialRecord]) -> list[PointRow]:
     """Per (instance, point, decoder) summary with Wilson 95% interval on
     the logical-failure frequency."""
     groups: dict[tuple, list[TrialRecord]] = {}
@@ -500,22 +638,10 @@ def aggregate_records(records: Iterable[TrialRecord]) -> list[dict]:
         n = len(rs)
         fails = sum(1 for r in rs if r.failure_class == tanner.LOGICAL)
         lo, hi = wilson_interval(fails, n)
-        rows.append(
-            {
-                "instance_id": iid,
-                "decoder": dec_name,
-                "param": param,
-                "p": p,
-                "q": q,
-                "trials": n,
-                "failures": fails,
-                "failure_freq": fails / n,
-                "wilson_lo": lo,
-                "wilson_hi": hi,
-                "mean_residual": sum(r.residual_weight for r in rs) / n,
-                "mean_ms": sum(r.ms for r in rs) / n,
-            }
-        )
+        rows.append(PointRow(
+            iid, dec_name, param, p, q, n, fails, fails / n, lo, hi,
+            sum(r.residual_weight for r in rs) / n, sum(r.ms for r in rs) / n,
+        ))
     return rows
 
 
@@ -570,14 +696,14 @@ def estimate_threshold(
     return (lo + hi) / 2
 
 
-def write_csv(path, fieldnames: Sequence[str], rows: Iterable[dict],
+def write_csv(path, fieldnames: Sequence[str], rows: Iterable[Sequence],
               header_comments: Sequence[str] = ()) -> None:
     """CSV with '\\n' line endings and optional '#' comment header lines,
-    byte-stable for fixed inputs."""
+    byte-stable for fixed inputs; each row holds its values in
+    ``fieldnames`` order."""
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fieldnames})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(rows)

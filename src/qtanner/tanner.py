@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import codes as codes_mod
 from . import gf2
 from .cayley import LeftRightCayleyComplex, V00, V01, V10, V11
@@ -112,6 +114,14 @@ class QuantumTannerCode:
     def rho(self) -> Fraction:
         return Fraction(self.local_a.dim, self.delta)
 
+    @cached_property
+    def kappa(self) -> Fraction:
+        """``instance_kappa``: each side's decomposition table is walked
+        once and dropped; only the minimum is cached."""
+        k1 = codes_mod.product_expansion_kappa(self.local_a, self.local_b)
+        k2 = codes_mod.product_expansion_kappa(self.local_a.dual(), self.local_b.dual())
+        return min(k1, k2)
+
     def x_correction_code(self) -> DualTensorCode:
         """Local corrections for X decoding: C_1^⊥ = C_A ⊞ C_B."""
         return codes_mod.dual_tensor_code(self.local_a, self.local_b)
@@ -120,6 +130,13 @@ class QuantumTannerCode:
     def z_col_syndromes(self) -> list[int]:
         """Column q of H_Z as a packed int; syndrome(e) = XOR over supp(e)."""
         return self.h_z.transpose().data
+
+    @cached_property
+    def h_z_t_dense(self) -> np.ndarray:
+        """H_Zᵀ as an (n, H_Z rows) float32 array, built on first use;
+        batched syndromes are one BLAS product with it (sums of at most n
+        ones are exact in float32)."""
+        return np.ascontiguousarray(gf2.to_bit_rows(self.h_z.data, self.n).T, dtype=np.float32)
 
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.
@@ -169,6 +186,12 @@ def syndrome_bits_z(code: QuantumTannerCode, e_bits: int) -> int:
         s ^= cols[lsb.bit_length() - 1]
         e_bits ^= lsb
     return s
+
+
+def syndrome_rows_z(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
+    """H_Z e for every row e of a (trials, n) 0/1 array, as 0/1 rows."""
+    counts = rows.astype(np.float32) @ code.h_z_t_dense
+    return (counts.astype(np.uint32) & 1).astype(np.uint8)
 
 
 def local_syndrome(code: QuantumTannerCode, sigma: BitVector | int, v1_pos: int) -> int:
@@ -313,10 +336,9 @@ def local_relative_distance(code: QuantumTannerCode) -> float:
 
 def instance_kappa(code: QuantumTannerCode) -> Fraction:
     """min of the product-expansion constants of C_A ⊞ C_B and
-    C_A^⊥ ⊞ C_B^⊥ (both sides are used, one per error type)."""
-    k1 = codes_mod.product_expansion_kappa(code.local_a, code.local_b)
-    k2 = codes_mod.product_expansion_kappa(code.local_a.dual(), code.local_b.dual())
-    return min(k1, k2)
+    C_A^⊥ ⊞ C_B^⊥ (both sides are used, one per error type); computed
+    once per code, and only the value is kept."""
+    return code.kappa
 
 
 def theory_report(

@@ -48,6 +48,17 @@ def unique_code():
     return tanner.build_tanner_code(cx, codes.repetition_code(3), codes.repetition_code(3))
 
 
+@pytest.fixture(scope="session")
+def rep5_code():
+    """Z12, delta 5, rep_5 locals (n = 300, t_loc = 2): r = 16, so the
+    enumeration oracle still fills all 2^16 syndromes (in about half a
+    second), and the 25-bit local views exceed 16 bits."""
+    g = cayley.build_group("cyclic", 12)
+    gens = [1, 11, 2, 10, 6]
+    cx = cayley.build_complex(g, gens, gens)
+    return tanner.build_tanner_code(cx, codes.repetition_code(5), codes.repetition_code(5))
+
+
 # Property tests draw the same examples on every run, so tier-1 stays
 # reproducible; example counts are kept small to bound its run time.
 settings.register_profile(

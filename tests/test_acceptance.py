@@ -355,8 +355,10 @@ def _multiround_summary(code, model, cfg):
     """200 trials x 100 rounds: (slope, lo, hi, max residual, corrected)."""
     corrected = 0
     xs, ys = [], []
-    for t in range(200):
-        rec = noise.run_multiround(code, model, cfg, 100, make_rng(109, t), seed=t)
+    trials = range(200)
+    for rec in noise.run_multiround(
+        code, model, cfg, 100, [make_rng(109, t) for t in trials], seeds=trials
+    ):
         corrected += rec.final_class == tanner.CORRECTED
         for rr in rec.rounds:
             xs.append(rr.round)

@@ -255,6 +255,19 @@ class TestMultiround:
         assert "seed -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_worker_count_division_invariant(self, tmp_path):
+        # 7 trials over 2 workers: two lockstep batches of 3 and 4 trials
+        cfg = write_config(tmp_path, rounds=6, trials=7,
+                           noise={"data": {"kind": "bernoulli", "p": 0.02},
+                                  "syndrome": {"kind": "bernoulli", "q": 0.01}},
+                           decoders=[{"kind": "parallel", "k": 3}])
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert cli.main(["multiround", "-c", cfg, "-o", str(out1), "--workers", "1"]) == 0
+        assert cli.main(["multiround", "-c", cfg, "-o", str(out2), "--workers", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        trials = {l.split(",")[5] for l in out1.read_text().splitlines()[4:]}
+        assert trials == {str(t) for t in range(7)}
+
     def test_slope_summary_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rounds=5, trials=2,
                            noise={"data": {"kind": "bernoulli", "p": 0.01},
@@ -263,6 +276,44 @@ class TestMultiround:
         assert cli.main(["multiround", "-c", cfg, "-o", str(out), "--workers", "1"]) == 0
         err = capsys.readouterr().err
         assert "residual slope" in err and "final corrected" in err
+
+
+def test_trial_chunks_are_contiguous_and_balanced():
+    assert cli._trial_chunks(7, 2) == [(0, 3), (3, 7)]
+    assert cli._trial_chunks(2, 4) == [(0, 1), (1, 2)]
+    assert cli._trial_chunks(5, 1) == [(0, 5)]
+    assert cli._trial_chunks(0, 3) == [(0, 0)]
+
+
+BAD_CONFIGS = [
+    ({"noise": {"data": {"kind": "bernoulli", "p": 1.5}, "syndrome": {}}}, "noise p = 1.5"),
+    ({"noise": {"data": {}, "syndrome": {"kind": "bernoulli", "q": -0.2}}}, "noise q = -0.2"),
+    ({"trails": 50}, "'trails'"),
+    ({"noise": {"data": {"kind": "bernoulli", "pp": 0.1}}}, "'pp'"),
+    ({"noise": {"syndrome": {"kind": "bernoulli", "qq": 0.1}}}, "'qq'"),
+    ({"noise": {"data": {"kind": "adversarial", "w": 2, "persistence": 1.5}}},
+     "persistence = 1.5"),
+    ({"noise": {"data": {"kind": "adversarial", "w": -1}}}, "noise w = -1"),
+    ({"noise": {"data": {"kind": "adversarial", "w": 2.5}}}, "noise w = 2.5 is not a whole"),
+    ({"noise": {"syndrome": {"kind": "adversarial", "s": -2}}}, "noise s = -2"),
+    ({"noise": {"syndrome": {"kind": "vertex_bounded", "t": -1}}}, "noise t = -1"),
+    ({"grid": [{"p": 0.01, "q": 1.01}]}, "noise q = 1.01"),
+    ({"grid": [{"p": 0.01, "qq": 0.1}]}, "'qq'"),
+    ({"decoders": [{"kind": "parallel", "k": 0}]}, "iteration count must be >= 1"),
+    ({"decoders": [{"kind": "sequential", "eps": "3/2"}]}, "eps must be in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "multiround"])
+@pytest.mark.parametrize("overrides, message", BAD_CONFIGS)
+def test_invalid_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, command,
+                                                 overrides, message):
+    monkeypatch.setattr(cli, "_run_pool", _no_pool)
+    cfg = write_config(tmp_path, rounds=2, **overrides)
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "-c", cfg, "-o", str(out), "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_hash_is_canonical(tmp_path):

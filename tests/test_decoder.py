@@ -126,13 +126,6 @@ def local_syndrome_of(dt, y):
 
 
 @pytest.fixture(scope="module")
-def rep5_code():
-    """Z12, delta 5, rep_5 locals: r = 16, so the enumeration oracle
-    still fills all 2^16 syndromes (in about half a second)."""
-    return rep_code(12, [1, 11, 2, 10, 6])
-
-
-@pytest.fixture(scope="module")
 def rep5_oracle(rep5_code):
     dt = rep5_code.x_correction_code()
     return coset_leader_table(dt.pchk.data, dt.n)

@@ -244,3 +244,37 @@ def test_lex_key_orders_by_bit_index():
     b = BitVector.from_string("010").bits
     assert gf2.lex_key(b, 3) < gf2.lex_key(a, 3)
     assert gf2.lex_key(0, 3) < gf2.lex_key(b, 3)
+
+
+class TestBitRows:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 208])
+    def test_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        values = [int(rng.integers(0, 2, size=n) @ (1 << np.arange(n, dtype=object)))
+                  if n else 0 for _ in range(5)]
+        rows = gf2.to_bit_rows(values, n)
+        assert rows.shape == (5, n)
+        assert [[int(b) for b in row] for row in rows] == [
+            [(v >> i) & 1 for i in range(n)] for v in values
+        ]
+        assert gf2.from_bit_rows(rows) == values
+
+    @pytest.mark.parametrize("width", [1, 9, 16, 25, 33, 64])
+    def test_word_packer_matches_loop(self, width):
+        rng = np.random.default_rng(width)
+        words = 3
+        n = words * width + 5
+        cols = rng.permutation(n)[: words * width]
+        rows = rng.integers(0, 2, size=(4, n)).astype(np.uint8)
+        got = gf2.WordPacker(cols, width, n)(rows)
+        assert got.dtype == np.uint64
+        for t in range(4):
+            for j in range(words):
+                want = sum(int(rows[t, cols[j * width + p]]) << p for p in range(width))
+                assert int(got[t, j]) == want
+        assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, cols]).all()
+
+    def test_word_width_bounds(self):
+        for width in (0, 65):
+            with pytest.raises(ValueError, match="word width"):
+                gf2.WordPacker(range(65), width, 65)

@@ -179,44 +179,43 @@ class TestSingleShotTrial:
 
 class TestMultiround:
     def test_zero_noise_all_rounds_clean(self, ref_code):
-        rec = noise.run_multiround(
-            ref_code, NoiseModel(), DecoderConfig("parallel", k=2), 10, make_rng(11, 0)
+        [rec] = noise.run_multiround(
+            ref_code, NoiseModel(), DecoderConfig("parallel", k=2), 10, [make_rng(11, 0)]
         )
         assert all(r.residual_weight == 0 for r in rec.rounds)
         assert rec.final_class == "corrected"
         assert rec.final_residual_weight == 0
 
     def test_round_count_and_validation(self, ref_code):
-        rec = noise.run_multiround(
-            ref_code, NoiseModel(), DecoderConfig("sequential"), 5, make_rng(12, 0)
+        [rec] = noise.run_multiround(
+            ref_code, NoiseModel(), DecoderConfig("sequential"), 5, [make_rng(12, 0)]
         )
         assert [r.round for r in rec.rounds] == [1, 2, 3, 4, 5]
         with pytest.raises(ValueError):
             noise.run_multiround(
-                ref_code, NoiseModel(), DecoderConfig("sequential"), 0, make_rng(12, 1)
+                ref_code, NoiseModel(), DecoderConfig("sequential"), 0, [make_rng(12, 1)]
             )
 
     def test_telescoping_xor_identity(self, unique_code):
         # final residual = sum of all errors + sum of all corrections
         model = NoiseModel(p=0.01, q=0.01)
-        for t in range(10):
-            rec = noise.run_multiround(
-                unique_code,
-                model,
-                DecoderConfig("parallel", k=2),
-                20,
-                make_rng(13, t),
-            )
+        records = noise.run_multiround(
+            unique_code,
+            model,
+            DecoderConfig("parallel", k=2),
+            20,
+            [make_rng(13, t) for t in range(10)],
+        )
+        for rec in records:
             assert rec.residual_bits == rec.e_xor_all ^ rec.f_xor_all
 
     def test_stable_on_unique_instance(self, unique_code):
         model = NoiseModel(p=0.002, q=0.002)
-        ok = 0
-        for t in range(30):
-            rec = noise.run_multiround(
-                unique_code, model, DecoderConfig("parallel", k=4), 50, make_rng(14, t)
-            )
-            ok += rec.final_class == "corrected"
+        records = noise.run_multiround(
+            unique_code, model, DecoderConfig("parallel", k=4), 50,
+            [make_rng(14, t) for t in range(30)],
+        )
+        ok = sum(rec.final_class == "corrected" for rec in records)
         assert ok >= 27
 
 
@@ -228,7 +227,7 @@ class TestSweep:
         assert len(records) == 10
         rows = noise.aggregate_records(records)
         assert len(rows) == 1
-        assert rows[0]["failures"] == 0 and rows[0]["failure_freq"] == 0.0
+        assert rows[0].failures == 0 and rows[0].failure_freq == 0.0
 
     def test_paired_decoders_share_seeds(self, ref_code):
         cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=4)]
@@ -246,7 +245,7 @@ class TestSweep:
             unique_code, models, [DecoderConfig("sequential")], 60, master_seed=5
         )
         rows = noise.aggregate_records(records)
-        rows.sort(key=lambda r: r["p"])
+        rows.sort(key=lambda r: r.p)
         not_corrected = []
         by_p = {}
         for r in records:
@@ -316,7 +315,7 @@ class TestSerialization:
             assert DecoderConfig.from_json(cfg.to_json()) == cfg
 
     def test_csv_writer_stable_bytes(self, tmp_path):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
+        rows = [(1, "x"), (2, "y")]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         noise.write_csv(p1, ["a", "b"], rows, ["h=1"])
         noise.write_csv(p2, ["a", "b"], rows, ["h=1"])

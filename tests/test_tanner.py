@@ -1,5 +1,6 @@
 """Quantum Tanner code assembly, parameters, syndromes, classification."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,26 @@ class TestTheoryReport:
     def test_reference_kappa_value(self, ref_code):
         # both dual tensor sides of rep_4/par_4 brute-force to 1/4
         assert tanner.instance_kappa(ref_code) == Fraction(1, 4)
+
+    def test_kappa_tables_built_once_per_code(self, monkeypatch):
+        # one decomposition table per side on the first call, none after
+        builds = []
+        build = codes.DualTensorCode.decomposition_table.func
+
+        def counted(dt):
+            builds.append(dt.dim)
+            return build(dt)
+
+        monkeypatch.setattr(codes.DualTensorCode, "decomposition_table",
+                            functools.cached_property(counted), raising=True)
+        codes.DualTensorCode.decomposition_table.__set_name__(
+            codes.DualTensorCode, "decomposition_table")
+        cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
+        code = tanner.build_tanner_code(cx, codes.repetition_code(3), codes.parity_code(3))
+        first = tanner.instance_kappa(code)
+        second = tanner.instance_kappa(code)
+        assert first == second
+        assert len(builds) == 2
 
 
 def test_dihedral_instance_builds():
