@@ -223,7 +223,7 @@ class LeftRightCayleyComplex:
             ha = h if cls in (V00, V10) else mul[inv[a]][h]
             for bi, b in enumerate(self.gens_b.elements):
                 g = ha if cls in (V00, V01) else mul[ha][inv[b]]
-                out.append((g * self.delta + ai) * self.delta + bi)
+                out.append(self.face_index(g, ai, bi))
         return out
 
     def adjacency(self, which: str) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Experiments are described by JSON configs (archivable, ~15 knobs); a few
-flags override the common ones.  Every CSV embeds the config hash, the
-RNG algorithm name and the master seed as '#' comment lines, so output
-is reproducible byte for byte regardless of worker count.
+flags override the common ones.  ``load_config`` parses and checks a
+config once into an ``Experiment``, which every command and worker
+reads.  Every CSV embeds the config hash, the RNG algorithm name and the
+master seed as '#' comment lines, so output is reproducible byte for
+byte regardless of worker count.
 
 Exit codes: 0 success, 2 config/validation error, 3 oracle budget refusal.
 """
@@ -17,10 +19,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import cayley, codes, noise, tanner
+from . import cayley, codes, decoder, noise, tanner
 from .errors import BudgetError, QTannerError
 from .gf2 import BitVector
 
@@ -45,24 +48,145 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
-CONFIG_KEYS = (
-    "instance", "decoders", "noise", "grid", "trials", "rounds", "seed",
-    "record_timing", "output", "eps", "delta", "k_iters",
-)
-GRID_KEYS = ("p", "q", "w", "s")
+CONFIG_DEFAULTS = {
+    "instance": REFERENCE_INSTANCE,
+    "decoders": [{"kind": "sequential"}],
+    "noise": {},
+    "grid": [],
+    "trials": 10,
+    "rounds": 1,
+    "seed": 0,
+    "record_timing": False,
+    "output": None,  # each command names its own file
+    "eps": "1/2",
+    "delta": "1/20",
+    "k_iters": None,  # ceil(log2 n) of the built code
+}
+INSTANCE_KEYS = ("group", "a_gens", "b_gens", "local_codes", "side")
+GROUP_KEYS = {"cyclic": ("kind", "m"), "dihedral": ("kind", "m"), "table": ("kind", "mul")}
+LOCAL_CODE_KEYS = {
+    "named": ("kind", "a", "b"),
+    "random": ("kind", "dim_a", "dim_b", "seed"),
+    "explicit": ("kind", "a", "b"),
+}
+SIDES = ("X", "Z")
 
 
-def load_config(path: Optional[str]) -> dict:
-    """The config at ``path`` ({} for none), rejected with ValueError if
-    it has an unknown key or its noise models or decoders do not parse."""
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    noise.check_keys(cfg, CONFIG_KEYS, "config")
-    _models(cfg)
-    _decoders(cfg)
-    return cfg
+def _check_instance(inst) -> None:
+    """Reject an instance spec with an unknown key or kind at any level,
+    a count or group element that is not a whole number, or a side other
+    than X or Z."""
+    noise.check_keys(inst, INSTANCE_KEYS, "instance")
+    for key in ("a_gens", "b_gens"):
+        gens = inst.get(key)
+        if not isinstance(gens, list):
+            raise ValueError(f"instance {key} must be a list of group elements, got {gens!r}")
+        for g in gens:
+            noise.whole(g, f"instance {key} element")
+    group = inst.get("group")
+    if noise.check_kind(group, GROUP_KEYS, "instance.group") != "table":
+        noise.whole(group.get("m"), "instance.group.m")
+    lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
+    if not isinstance(lc, str):
+        kind = noise.check_kind(lc, LOCAL_CODE_KEYS, "instance.local_codes", default="named")
+        for which in ("a", "b"):
+            if kind == "random":
+                noise.whole(lc.get(f"dim_{which}"), f"instance.local_codes.dim_{which}")
+            if kind == "explicit":
+                where = f"instance.local_codes.{which}"
+                noise.check_keys(lc.get(which), ("n", "gen"), where)
+                noise.whole(lc[which].get("n"), f"{where}.n")
+        if "seed" in lc:
+            noise.whole(lc["seed"], "instance.local_codes.seed")
+    side = inst.get("side", REFERENCE_INSTANCE["side"])
+    if side not in SIDES:
+        raise ValueError(f"instance side must be one of {list(SIDES)}, got {side!r}")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A config parsed and checked once; every command and worker reads
+    these fields instead of the JSON.
+
+    ``raw`` is the config as loaded with the ``--seed``/``--trials``
+    overrides applied: ``config_hash`` hashes it into CSV headers and
+    ``build_instance`` builds the instance from it.  ``models`` are the
+    base ``noise`` model at each grid point (just ``noise`` without a
+    grid); ``eps``, ``delta`` and ``k_iters`` feed only ``inspect``.
+    ``load_config`` builds it.
+    """
+
+    raw: dict
+    decoders: tuple[noise.DecoderConfig, ...]
+    noise: noise.NoiseModel
+    models: tuple[noise.NoiseModel, ...]
+    trials: int
+    rounds: int
+    seed: int
+    record_timing: bool
+    output: Optional[str]
+    eps: Fraction
+    delta: Fraction
+    k_iters: Optional[int]
+
+
+def load_config(
+    path: Optional[str],
+    seed: Optional[int] = None,
+    trials: Optional[int] = None,
+    trial_limit: int = noise.STREAM_LIMIT,
+) -> Experiment:
+    """The experiment of the config at ``path`` (all defaults for none).
+
+    ``seed`` and ``trials``, when given, replace the config's before it
+    is checked and hashed.  Every key and value is checked (ValueError on
+    the first bad one) and ``CONFIG_DEFAULTS`` fill in the rest.  The
+    seed and trial count must give every trial an RNG stream of its own:
+    seeds lie in [0, 2^64), trial counts in [0, ``trial_limit``).
+    """
+    raw = {}
+    if path is not None:
+        with open(path) as fh:
+            raw = json.load(fh)
+    noise.check_keys(raw, CONFIG_DEFAULTS, "config")
+    for key, value in (("seed", seed), ("trials", trials)):
+        if value is not None:
+            raw[key] = value
+    cfg = {**CONFIG_DEFAULTS, **raw}
+    _check_instance(cfg["instance"])
+    if not isinstance(cfg["decoders"], list) or not cfg["decoders"]:
+        raise ValueError(f"decoders must be a non-empty list, got {cfg['decoders']!r}")
+    grid = cfg["grid"] or []
+    if not isinstance(grid, list):
+        raise ValueError(f"grid must be a list of points, got {grid!r}")
+    trials = noise.whole(cfg["trials"], "trials")
+    if not 0 <= trials < trial_limit:
+        raise ValueError(f"trials must be in [0, {trial_limit}), got {trials}")
+    rounds = noise.whole(cfg["rounds"], "rounds")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    seed = noise.whole(cfg["seed"], "seed")
+    noise.check_seed(seed)
+    if not isinstance(cfg["record_timing"], bool):
+        raise ValueError(f"record_timing must be true or false, got {cfg['record_timing']!r}")
+    if cfg["output"] is not None and not isinstance(cfg["output"], str):
+        raise ValueError(f"output must be a file name, got {cfg['output']!r}")
+    base = noise.NoiseModel.from_json(cfg["noise"])
+    k_iters = cfg["k_iters"]
+    return Experiment(
+        raw=raw,
+        decoders=tuple(noise.DecoderConfig.from_json(d) for d in cfg["decoders"]),
+        noise=base,
+        models=tuple(base.at_grid_point(pt) for pt in grid) or (base,),
+        trials=trials,
+        rounds=rounds,
+        seed=seed,
+        record_timing=cfg["record_timing"],
+        output=cfg["output"],
+        eps=decoder.checked_eps(noise.fraction(cfg["eps"], "eps")),
+        delta=noise.fraction(cfg["delta"], "delta"),
+        k_iters=None if k_iters is None else noise.whole(k_iters, "k_iters"),
+    )
 
 
 _NAMED_CODES = {
@@ -86,52 +210,26 @@ def _local_code(spec, delta: int, rng_seed: int, which: str) -> codes.LinearCode
         dim = int(spec[f"dim_{which}"])
         rng = noise.make_rng(int(spec.get("seed", rng_seed)), 0 if which == "a" else 1)
         return codes.sample_random_code(delta, dim, rng)
-    if kind == "explicit":
-        return codes.LinearCode.from_json(spec[which])
-    raise ValueError(f"unknown local code kind {kind!r}")
+    return codes.LinearCode.from_json(spec[which])
 
 
 def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
-    inst = cfg.get("instance", REFERENCE_INSTANCE)
+    """The code of a config's instance (checked by ``load_config``) and
+    its id, the head of the instance spec's hash."""
+    inst = cfg.get("instance", CONFIG_DEFAULTS["instance"])
     gspec = inst["group"]
     group = cayley.build_group(
         gspec["kind"], m=int(gspec.get("m", 0)), table=gspec.get("mul")
     )
     cx = cayley.build_complex(group, inst["a_gens"], inst["b_gens"])
-    lc = inst.get("local_codes", {"kind": "named", "a": "rep", "b": "par"})
-    seed = int(cfg.get("seed", 0))
+    lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
+    seed = cfg.get("seed", CONFIG_DEFAULTS["seed"])
     ca = _local_code(lc, cx.delta, seed, "a")
     cb = _local_code(lc, cx.delta, seed, "b")
     code = tanner.build_tanner_code(cx, ca, cb)
-    if inst.get("side", "X") == "Z":
+    if inst.get("side", REFERENCE_INSTANCE["side"]) == "Z":
         code = code.z_side()
     return code, config_hash(inst)[:12]
-
-
-def _decoders(cfg: dict) -> list[noise.DecoderConfig]:
-    specs = cfg.get("decoders", [{"kind": "sequential", "eps": "1/2"}])
-    return [noise.DecoderConfig.from_json(s) for s in specs]
-
-
-def _models(cfg: dict) -> list[noise.NoiseModel]:
-    base = noise.NoiseModel.from_json(cfg.get("noise", {}))
-    grid = cfg.get("grid")
-    if not grid:
-        return [base]
-    out = []
-    for pt in grid:
-        noise.check_keys(pt, GRID_KEYS, "grid point")
-        obj = base.to_json()
-        if "p" in pt:
-            obj["data"]["p"] = pt["p"]
-        if "w" in pt:
-            obj["data"].update(kind="adversarial", w=pt["w"])
-        if "q" in pt:
-            obj["syndrome"]["q"] = pt["q"]
-        if "s" in pt:
-            obj["syndrome"].update(kind="adversarial", s=pt["s"])
-        out.append(noise.NoiseModel.from_json(obj))
-    return out
 
 
 def _print_summary(code: tanner.QuantumTannerCode, iid: str, with_kappa: bool) -> None:
@@ -160,33 +258,29 @@ def _print_summary(code: tanner.QuantumTannerCode, iid: str, with_kappa: bool) -
 
 
 def cmd_build(args) -> int:
-    cfg = load_config(args.config)
-    code, iid = build_instance(cfg)
+    exp = load_config(args.config)
+    code, iid = build_instance(exp.raw)
     _print_summary(code, iid, with_kappa=not args.skip_kappa)
     return EXIT_OK
 
 
 def cmd_inspect(args) -> int:
-    cfg = load_config(args.config)
-    code, iid = build_instance(cfg)
+    exp = load_config(args.config)
+    code, iid = build_instance(exp.raw)
     _print_summary(code, iid, with_kappa=False)
-    eps = float(Fraction(str(cfg.get("eps", "1/2"))))
-    delta = float(Fraction(str(cfg.get("delta", "1/20"))))
-    k_iters = int(cfg.get("k_iters", math.ceil(math.log2(max(code.n, 2)))))
-    report = tanner.theory_report(code, eps, delta, k_iters)
+    k_iters = exp.k_iters if exp.k_iters is not None else math.ceil(math.log2(max(code.n, 2)))
+    report = tanner.theory_report(code, float(exp.eps), float(exp.delta), k_iters)
     print("theory report:")
     for key, val in report.as_dict().items():
         print(f"  {key} = {val}")
-    w, _ = tanner.random_logical_search(
-        code, noise.make_rng(int(cfg.get("seed", 0)), 0), tries=200
-    )
+    w, _ = tanner.random_logical_search(code, noise.make_rng(exp.seed, 0), tries=200)
     print(f"  distance upper bound (randomized logical search) = {w}")
     return EXIT_OK
 
 
 def cmd_expansion(args) -> int:
-    cfg = load_config(args.config)
-    code, iid = build_instance(cfg)
+    exp = load_config(args.config)
+    code, iid = build_instance(exp.raw)
     k1 = codes.product_expansion_kappa(code.local_a, code.local_b)
     k2 = codes.product_expansion_kappa(code.local_a.dual(), code.local_b.dual())
     print(f"instance {iid}")
@@ -196,12 +290,8 @@ def cmd_expansion(args) -> int:
 
 
 def cmd_decode_one(args) -> int:
-    cfg = load_config(args.config)
-    code, iid = build_instance(cfg)
-    model = noise.NoiseModel.from_json(cfg.get("noise", {}))
-    dec_cfg = _decoders(cfg)[0]
-    master = int(cfg.get("seed", 0))
-    rng = noise.make_rng(master, 0)
+    exp = load_config(args.config)
+    code, iid = build_instance(exp.raw)
     explicit = args.error is not None or args.syndrome_error is not None
     if explicit:
         # explicit inputs zero out whatever is not given
@@ -229,16 +319,16 @@ def cmd_decode_one(args) -> int:
             else BitVector(code.h_z.rows, 0)
         )
     else:
-        e, d = noise.sample_errors(code, model, rng)
+        e, d = noise.sample_errors(code, exp.noise, noise.make_rng(exp.seed, 0))
     rec, state = noise.decode_trial(
         code,
-        model,
-        dec_cfg,
+        exp.noise,
+        exp.decoders[0],
         e,
         d,
         instance_id=iid,
         seed=0,
-        record_timing=bool(cfg.get("record_timing", False)),
+        record_timing=exp.record_timing,
     )
     print(json.dumps(rec.as_dict(), sort_keys=True))
     if args.step_log:
@@ -248,57 +338,49 @@ def cmd_decode_one(args) -> int:
     return EXIT_OK
 
 
-def _csv_header(cfg: dict) -> list[str]:
+def _csv_header(exp: Experiment) -> list[str]:
     return [
-        f"config_hash={config_hash(cfg)}",
+        f"config_hash={config_hash(exp.raw)}",
         f"rng={noise.RNG_ALGORITHM}",
-        f"seed={int(cfg.get('seed', 0))}",
+        f"seed={exp.seed}",
     ]
 
 
 _WORKER: dict = {}
 
 
-def _init_worker(cfg_json: str) -> None:
-    """Build the instance and parse the config once per process; tasks
-    only index into ``_WORKER``."""
-    cfg = json.loads(cfg_json)
-    code, iid = build_instance(cfg)
-    _WORKER.update(
-        code=code,
-        iid=iid,
-        seed=int(cfg.get("seed", 0)),
-        record_timing=bool(cfg.get("record_timing", False)),
-        models=_models(cfg),
-        decoders=_decoders(cfg),
-        noise=noise.NoiseModel.from_json(cfg.get("noise", {})),
-        rounds=int(cfg.get("rounds", 1)),
-    )
+def _init_worker(exp: Experiment) -> None:
+    """Build the instance once per process; tasks only index into
+    ``_WORKER``."""
+    code, iid = build_instance(exp.raw)
+    _WORKER.update(exp=exp, code=code, iid=iid)
 
 
 def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
     pi, ti = task
+    exp = _WORKER["exp"]
     return noise.run_sweep_trial(
         _WORKER["code"],
-        _WORKER["models"][pi],
-        _WORKER["decoders"],
+        exp.models[pi],
+        exp.decoders,
         pi,
         ti,
-        _WORKER["seed"],
+        exp.seed,
         instance_id=_WORKER["iid"],
-        record_timing=_WORKER["record_timing"],
+        record_timing=exp.record_timing,
     )
 
 
 def _multiround_task(task: tuple[int, int]) -> list[noise.MultiRoundRecord]:
     """Trials [lo, hi) as one lockstep batch."""
     trial_ids = range(*task)
+    exp = _WORKER["exp"]
     return noise.run_multiround(
         _WORKER["code"],
-        _WORKER["noise"],
-        _WORKER["decoders"][0],
-        _WORKER["rounds"],
-        [noise.make_rng(_WORKER["seed"], ti) for ti in trial_ids],
+        exp.noise,
+        exp.decoders[0],
+        exp.rounds,
+        [noise.make_rng(exp.seed, ti) for ti in trial_ids],
         instance_id=_WORKER["iid"],
         seeds=trial_ids,
     )
@@ -312,80 +394,58 @@ def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _checked_trials(cfg: dict, limit: int) -> int:
-    """The config's trial count, checked with its seed before any trial
-    runs: every trial must get a stream of its own."""
-    noise.check_seed(int(cfg.get("seed", 0)))
-    trials = int(cfg.get("trials", 10))
-    if not 0 <= trials < limit:
-        raise ValueError(f"trials must be in [0, {limit}), got {trials}")
-    return trials
-
-
-def _run_pool(cfg: dict, tasks, task_fn, workers: int) -> list:
-    # initialising here first also reports config and build errors before
-    # any worker process starts
-    _init_worker(canonical_json(cfg))
+def _run_pool(exp: Experiment, tasks, task_fn, workers: int) -> list:
+    # initialising here first also reports build errors before any worker
+    # process starts
+    _init_worker(exp)
     if workers <= 1:
         return [task_fn(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(canonical_json(cfg),)
+        max_workers=workers, initializer=_init_worker, initargs=(exp,)
     ) as pool:
         return list(pool.map(task_fn, tasks))
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    models = _models(cfg)
-    trials = _checked_trials(cfg, noise.SWEEP_TRIAL_LIMIT)
-    tasks = [(pi, ti) for pi in range(len(models)) for ti in range(trials)]
-    results = _run_pool(cfg, tasks, _sweep_task, args.workers)
+    exp = load_config(args.config, args.seed, args.trials, noise.SWEEP_TRIAL_LIMIT)
+    tasks = [(pi, ti) for pi in range(len(exp.models)) for ti in range(exp.trials)]
+    results = _run_pool(exp, tasks, _sweep_task, args.workers)
     records = [rec for group in results for rec in group]
-    out = args.output or cfg.get("output", "sweep.csv")
+    out = args.output or exp.output or "sweep.csv"
     if args.per_trial:
         noise.write_csv(
-            out, noise.TRIAL_CSV_FIELDS, (r.csv_row() for r in records), _csv_header(cfg)
+            out, noise.TRIAL_CSV_FIELDS, (r.csv_row() for r in records), _csv_header(exp)
         )
     else:
         noise.write_csv(
-            out, noise.POINT_CSV_FIELDS, noise.aggregate_records(records), _csv_header(cfg)
+            out, noise.POINT_CSV_FIELDS, noise.aggregate_records(records), _csv_header(exp)
         )
-    print(f"wrote {out}: {len(records)} trial records, {len(models)} points", file=sys.stderr)
+    print(
+        f"wrote {out}: {len(records)} trial records, {len(exp.models)} points", file=sys.stderr
+    )
     return EXIT_OK
 
 
 def cmd_multiround(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    rounds = int(cfg.get("rounds", 1))
-    if rounds < 1:
-        print(f"rounds must be >= 1, got {rounds}", file=sys.stderr)
-        return EXIT_CONFIG
-    trials = _checked_trials(cfg, noise.STREAM_LIMIT)
-    chunks = _run_pool(cfg, _trial_chunks(trials, args.workers), _multiround_task, args.workers)
+    exp = load_config(args.config, args.seed, args.trials)
+    chunks = _run_pool(
+        exp, _trial_chunks(exp.trials, args.workers), _multiround_task, args.workers
+    )
     results = [rec for chunk in chunks for rec in chunk]
     rows = [row for rec in results for row in rec.csv_rows()]
-    out = args.output or cfg.get("output", "multiround.csv")
-    noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(cfg))
+    out = args.output or exp.output or "multiround.csv"
+    noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(exp))
     slope, lo, hi = noise.ols_slope_ci(
         [rr.round for rec in results for rr in rec.rounds],
         [rr.residual_weight for rec in results for rr in rec.rounds],
     )
     n_corr = sum(1 for r in results if r.final_class == tanner.CORRECTED)
     print(
-        f"wrote {out}: {trials} trials x {rounds} rounds; residual slope "
-        f"{slope:.6g} [{lo:.6g}, {hi:.6g}]; final corrected {n_corr}/{trials}",
+        f"wrote {out}: {exp.trials} trials x {exp.rounds} rounds; residual slope "
+        f"{slope:.6g} [{lo:.6g}, {hi:.6g}]; final corrected {n_corr}/{exp.trials}",
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _apply_overrides(cfg: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg["trials"] = args.trials
 
 
 def main(argv: Optional[list[str]] = None) -> int:

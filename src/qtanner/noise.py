@@ -11,7 +11,7 @@ stream in the order a lone trial would, and the batch is decoded as
 numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's record
 does not depend on the batch it ran in.  Configs are checked when
 parsed: rates and persistence lie in [0, 1], weights are non-negative
-and unknown keys are rejected.
+whole numbers and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -87,22 +87,56 @@ MULTIROUND_CSV_FIELDS = [
 
 DATA_KINDS = ("bernoulli", "adversarial")
 SYNDROME_KINDS = ("bernoulli", "adversarial", "vertex_bounded")
+GRID_KEYS = ("p", "q", "w", "s")
+DECODER_KEYS = {"sequential": ("kind", "eps"), "parallel": ("kind", "k")}
 
 
 def check_keys(obj: dict, known: Sequence[str], where: str) -> None:
-    """Reject a config object with keys outside ``known``."""
+    """Reject a config object that is not a JSON object or has keys
+    outside ``known``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {where}; known: {sorted(known)}")
 
 
-def _whole(obj: dict, key: str) -> int:
-    """obj[key] (default 0) as an int; a fractional count is an error,
-    not truncated."""
-    value = float(obj.get(key, 0))
-    if not value.is_integer():
-        raise ValueError(f"noise {key} = {value} is not a whole number")
-    return int(value)
+def check_kind(obj: dict, keys_by_kind: dict, where: str, default: Optional[str] = None) -> str:
+    """The kind of a config object (``default`` when it names none),
+    after checking that it is known and that the object has only that
+    kind's keys."""
+    kind = obj.get("kind", default) if isinstance(obj, dict) else None
+    if kind not in keys_by_kind:
+        raise ValueError(f"{where} {obj!r} has no kind in {sorted(keys_by_kind)}")
+    check_keys(obj, keys_by_kind[kind], where)
+    return kind
+
+
+def whole(value, name: str) -> int:
+    """A config count as an int; a fractional, boolean or non-numeric
+    value is an error, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} is not a whole number")
+    return value
+
+
+def real(value, name: str) -> float:
+    """A config rate as a float; a boolean or non-numeric value is an
+    error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} = {value!r} is not a number")
+    return float(value)
+
+
+def fraction(value, name: str) -> Fraction:
+    """A config parameter as an exact Fraction: a "p/q" string, an int,
+    or a float read as its decimal literal (0.3 is 3/10)."""
+    try:
+        return dec.as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} = {value!r} is not a number") from None
 
 
 def check_seed(master_seed: int) -> None:
@@ -172,6 +206,21 @@ class NoiseModel:
             "syndrome": {"kind": self.syn_kind, "q": self.q, "s": self.s, "t": self.t},
         }
 
+    def at_grid_point(self, point: dict) -> "NoiseModel":
+        """This model with a sweep grid point's rates p/q or adversarial
+        weights w/s in place."""
+        check_keys(point, GRID_KEYS, "grid point")
+        obj = self.to_json()
+        if "p" in point:
+            obj["data"]["p"] = point["p"]
+        if "w" in point:
+            obj["data"].update(kind="adversarial", w=point["w"])
+        if "q" in point:
+            obj["syndrome"]["q"] = point["q"]
+        if "s" in point:
+            obj["syndrome"].update(kind="adversarial", s=point["s"])
+        return NoiseModel.from_json(obj)
+
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
         check_keys(obj, ("data", "syndrome"), "noise")
@@ -181,13 +230,13 @@ class NoiseModel:
         check_keys(s, ("kind", "q", "s", "t"), "noise.syndrome")
         return cls(
             data_kind=d.get("kind", "bernoulli"),
-            p=float(d.get("p", 0.0)),
-            w=_whole(d, "w"),
-            persistence=float(d.get("persistence", 0.0)),
+            p=real(d.get("p", 0.0), "noise p"),
+            w=whole(d.get("w", 0), "noise w"),
+            persistence=real(d.get("persistence", 0.0), "noise persistence"),
             syn_kind=s.get("kind", "bernoulli"),
-            q=float(s.get("q", 0.0)),
-            s=_whole(s, "s"),
-            t=_whole(s, "t"),
+            q=real(s.get("q", 0.0), "noise q"),
+            s=whole(s.get("s", 0), "noise s"),
+            t=whole(s.get("t", 0), "noise t"),
         )
 
 
@@ -231,11 +280,13 @@ class DecoderConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoderConfig":
-        if obj["kind"] == "sequential":
-            return cls("sequential", eps=Fraction(obj.get("eps", "1/2")))
-        if obj["kind"] == "parallel":
-            return cls("parallel", k=int(obj.get("k", 1)))
-        raise ValueError(f"unknown decoder kind {obj['kind']!r}")
+        """A decoder spec: {"kind": "sequential", "eps": ...} or
+        {"kind": "parallel", "k": ...}; a missing parameter takes the
+        field default."""
+        kind = check_kind(obj, DECODER_KEYS, "decoder")
+        if kind == "sequential":
+            return cls(kind, eps=fraction(obj.get("eps", cls.eps), "decoder eps"))
+        return cls(kind, k=whole(obj.get("k", cls.k), "decoder k"))
 
 
 def _sample_bits_bernoulli(n: int, prob: float, rng) -> int:

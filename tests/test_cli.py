@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: configs, exit codes, CSV determinism."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qtanner import cli, decoder
+from qtanner import cli, decoder, noise
+
+ROOT = Path(__file__).resolve().parents[1]
 
 Z8_INSTANCE = {
     "group": {"kind": "cyclic", "m": 8},
@@ -301,6 +305,45 @@ BAD_CONFIGS = [
     ({"grid": [{"p": 0.01, "qq": 0.1}]}, "'qq'"),
     ({"decoders": [{"kind": "parallel", "k": 0}]}, "iteration count must be >= 1"),
     ({"decoders": [{"kind": "sequential", "eps": "3/2"}]}, "eps must be in (0, 1)"),
+    # counts are whole numbers, not truncated; flags are booleans
+    ({"trials": 2.7}, "trials = 2.7 is not a whole number"),
+    ({"rounds": -0.5}, "rounds = -0.5 is not a whole number"),
+    ({"seed": 2.5}, "seed = 2.5 is not a whole number"),
+    ({"decoders": [{"kind": "parallel", "k": 2.9}]}, "decoder k = 2.9 is not a whole number"),
+    ({"k_iters": 2.5}, "k_iters = 2.5 is not a whole number"),
+    ({"record_timing": "no"}, "record_timing must be true or false"),
+    ({"noise": {"data": {"kind": "bernoulli", "p": None}}}, "noise p = None is not a number"),
+    # every nested object is checked against its kind's keys
+    ({"decoders": [{"kind": "sequential", "epsilon": 0.3}]}, "'epsilon'"),
+    ({"decoders": [{"kind": "parallel", "eps": "1/2"}]}, "'eps'"),
+    ({"decoders": []}, "decoders must be a non-empty list"),
+    ({"instance": dict(Z8_INSTANCE, side="z")}, "side must be one of"),
+    ({"instance": dict(Z8_INSTANCE, a_gens=[1, 7, 4.7])}, "a_gens element = 4.7"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "cyclic", "m": 8.5})},
+     "instance.group.m = 8.5"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "random", "dim_a": 1.5, "dim_b": 1})},
+     "dim_a = 1.5"),
+    ({"instance": dict(Z8_INSTANCE, b_gens=4)}, "b_gens must be a list"),
+    ({"instance": dict(Z8_INSTANCE, sides="Z")}, "'sides'"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "cyclic", "m": 8, "order": 8})},
+     "'order'"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "cyclc", "m": 8})}, "no kind in"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "named", "a": "rep", "b": "rep",
+                                                 "c": "par"})}, "'c'"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "random", "dim_a": 1, "dim_b": 1,
+                                                 "seeds": 3})}, "'seeds'"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "explicit",
+                                                 "a": {"n": 3, "gen": ["111"], "k": 1},
+                                                 "b": {"n": 3, "gen": ["111"]}})}, "'k'"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "explicit",
+                                                 "a": {"n": 3.9, "gen": ["111"]},
+                                                 "b": {"n": 3, "gen": ["111"]}})},
+     "local_codes.a.n = 3.9"),
+    # inspect's parameters are checked by every command
+    ({"eps": "3/2"}, "eps must be in (0, 1)"),
+    ({"delta": "1/0"}, "delta = '1/0' is not a number"),
+    ({"output": 3}, "output must be a file name"),
+    ({"grid": {"p": 0.01}}, "grid must be a list"),
 ]
 
 
@@ -309,7 +352,7 @@ BAD_CONFIGS = [
 def test_invalid_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, command,
                                                  overrides, message):
     monkeypatch.setattr(cli, "_run_pool", _no_pool)
-    cfg = write_config(tmp_path, rounds=2, **overrides)
+    cfg = write_config(tmp_path, **{"rounds": 2, **overrides})
     out = tmp_path / "x.csv"
     assert cli.main([command, "-c", cfg, "-o", str(out), "--workers", "1"]) == 2
     assert message in capsys.readouterr().err
@@ -365,5 +408,68 @@ def test_explicit_local_codes_config(tmp_path, capsys):
         },
     )
     cfg = write_config(tmp_path, instance=inst)
+    assert cli.main(["build", "-c", cfg, "--skip-kappa"]) == 0
+    assert "n = 72" in capsys.readouterr().out
+
+
+SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(
+    ROOT.glob("benchmarks/configs/*.json")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    raw = json.loads(path.read_text())
+    exp = cli.load_config(str(path))
+    assert exp.raw == raw
+    assert [d.to_json() for d in exp.decoders] == raw["decoders"]
+    assert exp.noise == noise.NoiseModel.from_json(raw["noise"])
+    assert len(exp.models) == len(raw.get("grid", [None]))
+    assert (exp.trials, exp.rounds, exp.seed) == (raw["trials"], raw["rounds"], raw["seed"])
+    assert exp.record_timing is False and exp.output == raw["output"]
+
+
+def test_missing_config_takes_the_defaults():
+    exp = cli.load_config(None)
+    assert exp.raw == {}
+    assert exp.decoders == (noise.DecoderConfig("sequential"),)
+    assert exp.models == (exp.noise,) and exp.noise == noise.NoiseModel()
+    assert (exp.trials, exp.rounds, exp.seed, exp.record_timing, exp.output) == (
+        10, 1, 0, False, None)
+    assert (exp.eps, exp.delta, exp.k_iters) == (Fraction(1, 2), Fraction(1, 20), None)
+
+
+def test_overrides_hash_like_the_overridden_config():
+    # CSV headers hash the config with --seed/--trials written into it;
+    # the pinned digest is the header of `sweep -c configs/reference.json
+    # --seed 5 --trials 12`
+    path = ROOT / "configs" / "reference.json"
+    exp = cli.load_config(str(path), seed=5, trials=12)
+    want = dict(json.loads(path.read_text()), seed=5, trials=12)
+    assert cli.config_hash(exp.raw) == cli.config_hash(want)
+    assert cli.config_hash(exp.raw) == (
+        "9366e9466a66d09f6a960d52f3782447fef28ce4b596770d35c08456ef07b855"
+    )
+    assert (exp.seed, exp.trials) == (5, 12)
+
+
+D4_REFLECTIONS = [4, 5, 6]  # r^i s is encoded i + 4 in dihedral(4)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"group": {"kind": "dihedral", "m": 4}, "a_gens": D4_REFLECTIONS,
+         "b_gens": D4_REFLECTIONS, "local_codes": {"kind": "named", "a": "rep", "b": "par"}},
+        {"group": {"kind": "table", "mul": [[(i + j) % 8 for j in range(8)] for i in range(8)]},
+         "a_gens": [1, 7, 4], "b_gens": [1, 7, 4], "local_codes": "rep"},
+        dict(Z8_INSTANCE, local_codes="par", side="Z"),
+        {"group": {"kind": "cyclic", "m": 8}, "a_gens": [1, 7, 4], "b_gens": [1, 7, 4]},
+    ],
+    ids=["dihedral", "table-shorthand", "shorthand-z-side", "default-local-codes"],
+)
+def test_readme_schema_variants_parse_and_build(tmp_path, capsys, instance):
+    # every variant has 8 group elements and delta 3: n = 8 * 9
+    cfg = write_config(tmp_path, instance=instance)
     assert cli.main(["build", "-c", cfg, "--skip-kappa"]) == 0
     assert "n = 72" in capsys.readouterr().out

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtanner import noise
+from qtanner import decoder, noise
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
@@ -313,6 +313,16 @@ class TestSerialization:
         for cfg in (DecoderConfig("sequential", eps=Fraction(1, 3)),
                     DecoderConfig("parallel", k=6)):
             assert DecoderConfig.from_json(cfg.to_json()) == cfg
+
+    def test_float_eps_read_as_its_decimal_literal(self, ref_code):
+        # Fraction(0.3) is the binary double 5404319552844595/2^54, whose
+        # theta = 1 - eps lifts ceil(theta * 10) from 7 to 8 faces
+        cfg = DecoderConfig.from_json({"kind": "sequential", "eps": 0.3})
+        assert cfg.eps == Fraction(3, 10)
+        assert cfg.param == "eps=3/10"
+        cache = decoder.get_cache(ref_code)
+        thresholds = cache.scan_table(1 - cfg.eps).thresholds
+        assert set(thresholds[cache.weights == 10].tolist()) == {7}
 
     def test_csv_writer_stable_bytes(self, tmp_path):
         rows = [(1, "x"), (2, "y")]
