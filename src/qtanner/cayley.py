@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, GeneratingSetError, GroupAxiomError
+from .errors import BudgetError, GeneratingSetError, GroupAxiomError, whole
 
 MAX_EIGENSOLVE_ORDER = 4096
 ASSOC_EXHAUSTIVE_ORDER = 64
@@ -116,7 +116,7 @@ class GeneratingSet:
 
 
 def validate_generating_set(group: FiniteGroup, elements: Sequence[int]) -> GeneratingSet:
-    elems = tuple(int(e) for e in elements)
+    elems = tuple(whole(e, "generator") for e in elements)
     if len(set(elems)) != len(elems):
         raise GeneratingSetError(f"generators contain duplicates: {elems}")
     for e in elems:

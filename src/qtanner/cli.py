@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cayley, codes, decoder, noise, tanner
-from .errors import BudgetError, QTannerError
+from .errors import BudgetError, QTannerError, whole
 from .gf2 import BitVector
 
 EXIT_OK = 0
@@ -82,22 +82,22 @@ def _check_instance(inst) -> None:
         if not isinstance(gens, list):
             raise ValueError(f"instance {key} must be a list of group elements, got {gens!r}")
         for g in gens:
-            noise.whole(g, f"instance {key} element")
+            whole(g, f"instance {key} element")
     group = inst.get("group")
     if noise.check_kind(group, GROUP_KEYS, "instance.group") != "table":
-        noise.whole(group.get("m"), "instance.group.m")
+        whole(group.get("m"), "instance.group.m")
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
     if not isinstance(lc, str):
         kind = noise.check_kind(lc, LOCAL_CODE_KEYS, "instance.local_codes", default="named")
         for which in ("a", "b"):
             if kind == "random":
-                noise.whole(lc.get(f"dim_{which}"), f"instance.local_codes.dim_{which}")
+                whole(lc.get(f"dim_{which}"), f"instance.local_codes.dim_{which}")
             if kind == "explicit":
                 where = f"instance.local_codes.{which}"
                 noise.check_keys(lc.get(which), ("n", "gen"), where)
-                noise.whole(lc[which].get("n"), f"{where}.n")
+                whole(lc[which].get("n"), f"{where}.n")
         if "seed" in lc:
-            noise.whole(lc["seed"], "instance.local_codes.seed")
+            whole(lc["seed"], "instance.local_codes.seed")
     side = inst.get("side", REFERENCE_INSTANCE["side"])
     if side not in SIDES:
         raise ValueError(f"instance side must be one of {list(SIDES)}, got {side!r}")
@@ -159,13 +159,13 @@ def load_config(
     grid = cfg["grid"] or []
     if not isinstance(grid, list):
         raise ValueError(f"grid must be a list of points, got {grid!r}")
-    trials = noise.whole(cfg["trials"], "trials")
+    trials = whole(cfg["trials"], "trials")
     if not 0 <= trials < trial_limit:
         raise ValueError(f"trials must be in [0, {trial_limit}), got {trials}")
-    rounds = noise.whole(cfg["rounds"], "rounds")
+    rounds = whole(cfg["rounds"], "rounds")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    seed = noise.whole(cfg["seed"], "seed")
+    seed = whole(cfg["seed"], "seed")
     noise.check_seed(seed)
     if not isinstance(cfg["record_timing"], bool):
         raise ValueError(f"record_timing must be true or false, got {cfg['record_timing']!r}")
@@ -185,7 +185,7 @@ def load_config(
         output=cfg["output"],
         eps=decoder.checked_eps(noise.fraction(cfg["eps"], "eps")),
         delta=noise.fraction(cfg["delta"], "delta"),
-        k_iters=None if k_iters is None else noise.whole(k_iters, "k_iters"),
+        k_iters=None if k_iters is None else whole(k_iters, "k_iters"),
     )
 
 
@@ -207,8 +207,9 @@ def _local_code(spec, delta: int, rng_seed: int, which: str) -> codes.LinearCode
             raise ValueError(f"unknown named code {name!r}; have {sorted(_NAMED_CODES)}")
         return _NAMED_CODES[name](delta)
     if kind == "random":
-        dim = int(spec[f"dim_{which}"])
-        rng = noise.make_rng(int(spec.get("seed", rng_seed)), 0 if which == "a" else 1)
+        dim = whole(spec[f"dim_{which}"], f"instance.local_codes.dim_{which}")
+        seed = whole(spec.get("seed", rng_seed), "instance.local_codes.seed")
+        rng = noise.make_rng(seed, 0 if which == "a" else 1)
         return codes.sample_random_code(delta, dim, rng)
     return codes.LinearCode.from_json(spec[which])
 
@@ -219,7 +220,7 @@ def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
     inst = cfg.get("instance", CONFIG_DEFAULTS["instance"])
     gspec = inst["group"]
     group = cayley.build_group(
-        gspec["kind"], m=int(gspec.get("m", 0)), table=gspec.get("mul")
+        gspec["kind"], m=whole(gspec.get("m", 0), "instance.group.m"), table=gspec.get("mul")
     )
     cx = cayley.build_complex(group, inst["a_gens"], inst["b_gens"])
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
@@ -320,17 +321,17 @@ def cmd_decode_one(args) -> int:
         )
     else:
         e, d = noise.sample_errors(code, exp.noise, noise.make_rng(exp.seed, 0))
-    rec, state = noise.decode_trial(
+    [(rec, state)] = noise.decode_trial(
         code,
         exp.noise,
-        exp.decoders[0],
+        exp.decoders[:1],
         e,
         d,
         instance_id=iid,
         seed=0,
         record_timing=exp.record_timing,
     )
-    print(json.dumps(rec.as_dict(), sort_keys=True))
+    print(json.dumps(rec._asdict(), sort_keys=True))
     if args.step_log:
         with open(args.step_log, "w") as fh:
             for step in state.steps:
@@ -356,15 +357,16 @@ def _init_worker(exp: Experiment) -> None:
     _WORKER.update(exp=exp, code=code, iid=iid)
 
 
-def _sweep_task(task: tuple[int, int]) -> list[noise.TrialRecord]:
-    pi, ti = task
+def _sweep_task(task: tuple[int, int, int]) -> list[noise.TrialRecord]:
+    """Trials [lo, hi) of grid point ``pi``, each decoded by every decoder."""
+    pi, lo, hi = task
     exp = _WORKER["exp"]
-    return noise.run_sweep_trial(
+    return noise.run_sweep(
         _WORKER["code"],
         exp.models[pi],
         exp.decoders,
         pi,
-        ti,
+        range(lo, hi),
         exp.seed,
         instance_id=_WORKER["iid"],
         record_timing=exp.record_timing,
@@ -408,14 +410,16 @@ def _run_pool(exp: Experiment, tasks, task_fn, workers: int) -> list:
 
 def cmd_sweep(args) -> int:
     exp = load_config(args.config, args.seed, args.trials, noise.SWEEP_TRIAL_LIMIT)
-    tasks = [(pi, ti) for pi in range(len(exp.models)) for ti in range(exp.trials)]
+    tasks = [
+        (pi, lo, hi)
+        for pi in range(len(exp.models))
+        for lo, hi in _trial_chunks(exp.trials, args.workers)
+    ]
     results = _run_pool(exp, tasks, _sweep_task, args.workers)
     records = [rec for group in results for rec in group]
     out = args.output or exp.output or "sweep.csv"
     if args.per_trial:
-        noise.write_csv(
-            out, noise.TRIAL_CSV_FIELDS, (r.csv_row() for r in records), _csv_header(exp)
-        )
+        noise.write_csv(out, noise.TRIAL_CSV_FIELDS, records, _csv_header(exp))
     else:
         noise.write_csv(
             out, noise.POINT_CSV_FIELDS, noise.aggregate_records(records), _csv_header(exp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .errors import BudgetError, LocalCacheError, NotInCodeError
+from .errors import BudgetError, LocalCacheError, NotInCodeError, whole
 from .gf2 import BitMatrix, BitVector
 
 # Enumeration budgets (bits of state each oracle may walk).
@@ -76,7 +76,7 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearCode":
-        n = int(obj["n"])
+        n = whole(obj["n"], "code length n")
         rows = obj["gen"]
         if not rows:
             return zero_code(n)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+reading a count."""
+
+import numbers
 
 
 class QTannerError(Exception):
@@ -42,3 +45,15 @@ class LocalCacheError(QTannerError):
     """A local table contradicts the code it was built from: the (c, r)
     sums of the decomposition table miss codewords, or same-class local
     views of the decoder cache overlap."""
+
+
+def whole(value, name: str) -> int:
+    """A count as an int: ints, numpy integers and integral floats (2.0
+    is 2) pass; a fractional, boolean or non-numeric value is a
+    ValueError, never truncated."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"{name} = {value!r} is not a whole number")

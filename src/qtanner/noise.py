@@ -5,7 +5,10 @@ Every trial derives its own counter-based RNG stream from
 matter how trials are scheduled.  Wall-clock timing is only recorded
 when explicitly requested, because timing breaks byte-identical output.
 
-A multi-round run takes its trials as one batch and advances them in
+A single-shot trial draws its (e, D) once and decodes that sample with
+every decoder of the experiment, so decoder comparisons are paired;
+``run_sweep`` runs a block of trials of one grid point that way.  A
+multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial still draws from its own
 stream in the order a lone trial would, and the batch is decoded as
 numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's record
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import gf2, tanner
+from .errors import whole
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
@@ -33,21 +37,27 @@ RNG_ALGORITHM = "philox4x64"
 STREAM_LIMIT = 1 << 64  # master seeds and stream ids lie in [0, 2^64)
 SWEEP_TRIAL_LIMIT = 1 << 20  # trials per sweep point (low stream-id bits)
 
-TRIAL_CSV_FIELDS = [
-    "instance_id",
-    "decoder",
-    "param",
-    "p",
-    "q",
-    "e_weight",
-    "d_weight",
-    "d_vertex_support",
-    "residual_weight",
-    "residual_reduced_proxy",
-    "failure_class",
-    "seed",
-    "ms",
-]
+
+class TrialRecord(NamedTuple):
+    """One decoder's record of a single-shot trial; one per-trial CSV
+    row, whose fields are TRIAL_CSV_FIELDS."""
+
+    instance_id: str
+    decoder: str
+    param: str
+    p: float
+    q: float
+    e_weight: int
+    d_weight: int
+    d_vertex_support: int
+    residual_weight: int
+    residual_reduced_proxy: int
+    failure_class: str
+    seed: int
+    ms: float
+
+
+TRIAL_CSV_FIELDS = list(TrialRecord._fields)
 
 
 class PointRow(NamedTuple):
@@ -110,16 +120,6 @@ def check_kind(obj: dict, keys_by_kind: dict, where: str, default: Optional[str]
         raise ValueError(f"{where} {obj!r} has no kind in {sorted(keys_by_kind)}")
     check_keys(obj, keys_by_kind[kind], where)
     return kind
-
-
-def whole(value, name: str) -> int:
-    """A config count as an int; a fractional, boolean or non-numeric
-    value is an error, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} = {value!r} is not a whole number")
-    return value
 
 
 def real(value, name: str) -> float:
@@ -369,79 +369,58 @@ def vertex_support_size(code: QuantumTannerCode, d: BitVector) -> int:
     return count
 
 
-@dataclass
-class TrialRecord:
-    instance_id: str
-    decoder: str
-    param: str
-    p: float
-    q: float
-    e_weight: int
-    d_weight: int
-    d_vertex_support: int
-    residual_weight: int
-    residual_reduced_proxy: int
-    failure_class: str
-    seed: int
-    ms: float
-
-    def csv_row(self) -> tuple:
-        """The TRIAL_CSV_FIELDS values, in field order."""
-        return tuple(getattr(self, k) for k in TRIAL_CSV_FIELDS)
-
-    def as_dict(self) -> dict:
-        return dict(zip(TRIAL_CSV_FIELDS, self.csv_row()))
-
-
 def run_single_shot_trial(
     code: QuantumTannerCode,
     model: NoiseModel,
-    cfg: DecoderConfig,
+    cfgs: Sequence[DecoderConfig],
     rng,
     instance_id: str = "",
     seed: int = 0,
     record_timing: bool = False,
-    presampled: Optional[tuple[BitVector, BitVector]] = None,
-) -> TrialRecord:
-    """One sample-decode-classify cycle under a single noisy measurement."""
-    e, d = presampled if presampled is not None else sample_errors(code, model, rng)
-    return decode_trial(code, model, cfg, e, d, instance_id, seed, record_timing)[0]
+) -> list[TrialRecord]:
+    """One single-shot trial: (e, D) drawn once from ``rng``, then
+    decoded and classified by every config, one record per config in
+    ``cfgs`` order."""
+    e, d = sample_errors(code, model, rng)
+    return [rec for rec, _ in decode_trial(code, model, cfgs, e, d, instance_id, seed,
+                                           record_timing)]
 
 
 def decode_trial(
     code: QuantumTannerCode,
     model: NoiseModel,
-    cfg: DecoderConfig,
+    cfgs: Sequence[DecoderConfig],
     e: BitVector,
     d: BitVector,
     instance_id: str = "",
     seed: int = 0,
     record_timing: bool = False,
-) -> tuple[TrialRecord, dec.MismatchState]:
-    """Decode and classify data error e under syndrome error d: the
-    trial's record and the decoder's final state."""
+) -> list[tuple[TrialRecord, dec.MismatchState]]:
+    """Decode and classify data error e under syndrome error d with every
+    config: one (record, final decoder state) pair per config.  The
+    syndrome and the sample's columns are computed once; ``ms`` times
+    only that config's decode."""
     syn = BitVector(code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
-    t0 = time.perf_counter() if record_timing else 0.0
-    f, state = cfg.decode(code, syn, return_state=True)
-    ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
-    residual = BitVector(code.n, e.bits ^ f.bits)
     p, q = model.pq_labels()
-    record = TrialRecord(
-        instance_id=instance_id,
-        decoder=cfg.kind,
-        param=cfg.param,
-        p=p,
-        q=q,
-        e_weight=e.weight(),
-        d_weight=d.weight(),
-        d_vertex_support=vertex_support_size(code, d),
-        residual_weight=residual.weight(),
-        residual_reduced_proxy=tanner.reduced_weight(code, residual, "greedy"),
-        failure_class=tanner.classify_residual(code, residual),
-        seed=seed,
-        ms=ms,
-    )
-    return record, state
+    sample = dict(instance_id=instance_id, p=p, q=q, e_weight=e.weight(), d_weight=d.weight(),
+                  d_vertex_support=vertex_support_size(code, d), seed=seed)
+    pairs = []
+    for cfg in cfgs:
+        t0 = time.perf_counter() if record_timing else 0.0
+        f, state = cfg.decode(code, syn, return_state=True)
+        ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
+        residual = BitVector(code.n, e.bits ^ f.bits)
+        record = TrialRecord(
+            decoder=cfg.kind,
+            param=cfg.param,
+            residual_weight=residual.weight(),
+            residual_reduced_proxy=tanner.reduced_weight(code, residual, "greedy"),
+            failure_class=tanner.classify_residual(code, residual),
+            ms=ms,
+            **sample,
+        )
+        pairs.append((record, state))
+    return pairs
 
 
 @dataclass
@@ -548,14 +527,13 @@ def run_multiround(
     rngs: Sequence[np.random.Generator],
     instance_id: str = "",
     seeds: Optional[Sequence[int]] = None,
-    final_eps: Fraction = Fraction(1, 2),
 ) -> list[MultiRoundRecord]:
     """The multi-round protocol for a batch of trials run in lockstep:
     rounds cycles of (new error, noisy syndrome, decode) with the
-    residual fed forward, then one noiseless sequential decode as the
-    final readout.  Trial i draws from ``rngs[i]`` and is recorded with
-    seed ``seeds[i]`` (default i); its record does not depend on the
-    other trials of the batch.
+    residual fed forward, then one noiseless sequential decode (ε = 1/2)
+    as the final readout.  Trial i draws from ``rngs[i]`` and is
+    recorded with seed ``seeds[i]`` (default i); its record does not
+    depend on the other trials of the batch.
 
     Each round is one array step over all trials: the errors come from
     ``_round_errors``, the syndromes are one product with H_Zᵀ, and
@@ -593,7 +571,7 @@ def run_multiround(
         gf2.from_bit_rows(f_xor_all), per_trial,
     ):
         ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
-        f_final = dec.sequential_decode(code, ideal, final_eps)
+        f_final = dec.sequential_decode(code, ideal, Fraction(1, 2))
         final_residual = BitVector(n, res ^ f_final.bits)
         records.append(MultiRoundRecord(
             instance_id=instance_id, decoder=cfg.kind, param=cfg.param, p=p, q=q, seed=seed,
@@ -616,56 +594,27 @@ def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
     return (point_idx << 20) | trial_idx
 
 
-def run_sweep_trial(
+def run_sweep(
     code: QuantumTannerCode,
     model: NoiseModel,
     cfgs: Sequence[DecoderConfig],
     point_idx: int,
-    trial_idx: int,
+    trial_ids: Iterable[int],
     master_seed: int,
     instance_id: str = "",
     record_timing: bool = False,
 ) -> list[TrialRecord]:
-    """One (grid point, trial) of a sweep: errors are sampled once on the
-    trial's own stream and decoded by every config, so decoder
+    """The (trial, decoder) records of trials ``trial_ids`` at sweep grid
+    point ``point_idx``, whose noise is ``model``.  Each trial draws once
+    from its own stream ``sweep_stream_id(point_idx, trial)``, recorded
+    as its seed, and every config decodes that sample, so decoder
     comparisons are paired on the seed column."""
-    stream = sweep_stream_id(point_idx, trial_idx)
-    rng = make_rng(master_seed, stream)
-    e, d = sample_errors(code, model, rng)
-    return [
-        run_single_shot_trial(
-            code,
-            model,
-            cfg,
-            rng,
-            instance_id=instance_id,
-            seed=stream,
-            record_timing=record_timing,
-            presampled=(e, d),
-        )
-        for cfg in cfgs
-    ]
-
-
-def run_sweep(
-    code: QuantumTannerCode,
-    models: Sequence[NoiseModel],
-    cfgs: Sequence[DecoderConfig],
-    trials: int,
-    master_seed: int,
-    instance_id: str = "",
-    record_timing: bool = False,
-) -> list[TrialRecord]:
-    """All (grid point, trial, decoder) records, single process, in
-    ``run_sweep_trial`` order."""
-    return [
-        rec
-        for pi, model in enumerate(models)
-        for ti in range(trials)
-        for rec in run_sweep_trial(
-            code, model, cfgs, pi, ti, master_seed, instance_id, record_timing
-        )
-    ]
+    records = []
+    for ti in trial_ids:
+        stream = sweep_stream_id(point_idx, ti)
+        records += run_single_shot_trial(code, model, cfgs, make_rng(master_seed, stream),
+                                         instance_id, stream, record_timing)
+    return records
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -737,7 +686,7 @@ def estimate_threshold(
         fails = 0
         for ti in range(trials):
             rng = make_rng(master_seed, (it << 24) | ti)
-            rec = run_single_shot_trial(code, model, cfg, rng, instance_id=instance_id)
+            [rec] = run_single_shot_trial(code, model, [cfg], rng, instance_id=instance_id)
             if rec.failure_class != tanner.CORRECTED:
                 fails += 1
         if fails / trials < 0.5:

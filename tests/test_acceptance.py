@@ -323,8 +323,8 @@ def test_criterion_6_single_shot_shape(ref_code):
 
     over_1 = 0
     for t in range(1000):
-        rec = noise.run_single_shot_trial(
-            ref_code, NoiseModel(syn_kind="vertex_bounded", t=1), cfg, make_rng(107, t)
+        [rec] = noise.run_single_shot_trial(
+            ref_code, NoiseModel(syn_kind="vertex_bounded", t=1), [cfg], make_rng(107, t)
         )
         if rec.e_weight != 0 or rec.d_vertex_support > 1:
             over_1 += 1000  # sampling contract broken
@@ -333,8 +333,8 @@ def test_criterion_6_single_shot_shape(ref_code):
 
     over_3 = 0
     for t in range(1000):
-        rec = noise.run_single_shot_trial(
-            ref_code, NoiseModel(syn_kind="vertex_bounded", t=3), cfg, make_rng(108, t)
+        [rec] = noise.run_single_shot_trial(
+            ref_code, NoiseModel(syn_kind="vertex_bounded", t=3), [cfg], make_rng(108, t)
         )
         if rec.residual_weight > 3 * d2:
             over_3 += 1

@@ -72,6 +72,14 @@ class TestValidateGeneratingSet:
         with pytest.raises(GeneratingSetError, match="inverse of 1"):
             cayley.validate_generating_set(g, [1, 2, 3])
 
+    def test_whole_number_elements_only(self):
+        g = cayley.build_group("cyclic", 8)
+        s = cayley.validate_generating_set(g, [1.0, np.int64(7), 4])
+        assert s.elements == (1, 7, 4) and all(type(e) is int for e in s.elements)
+        for bad in (4.7, True, "4", None):
+            with pytest.raises(ValueError, match="is not a whole number"):
+                cayley.validate_generating_set(g, [1, 7, bad])
+
 
 def build_z13():
     g = cayley.build_group("cyclic", 13)

@@ -173,6 +173,20 @@ class TestSweep:
         assert cli.main(["sweep", "-c", cfg, "-o", str(out1), "--workers", "1"]) == 0
         assert cli.main(["sweep", "-c", cfg, "-o", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # per-trial rows: 7 trials in uneven chunks (2, 2, 3) at each of 2 points
+        cfg = write_config(
+            tmp_path,
+            name="pt.json",
+            trials=7,
+            grid=[{"p": 0.01, "q": 0.005}, {"p": 0.03, "q": 0.01}],
+            decoders=[{"kind": "sequential", "eps": "1/2"}, {"kind": "parallel", "k": 2}],
+        )
+        out1, out3 = tmp_path / "pt1.csv", tmp_path / "pt3.csv"
+        for out, workers in ((out1, "1"), (out3, "3")):
+            assert cli.main(["sweep", "-c", cfg, "-o", str(out), "--workers", workers,
+                             "--per-trial"]) == 0
+        assert out1.read_bytes() == out3.read_bytes()
+        assert len(out1.read_text().splitlines()) == 4 + 2 * 7 * 2
 
     def test_bad_decoder_spec_exits_2_before_workers_start(self, tmp_path):
         cfg = write_config(tmp_path, decoders=[{"kind": "bogus"}])
@@ -211,6 +225,27 @@ class TestSweep:
         seq = [r[seed_col] for r in data if r[dec_col] == "sequential"]
         par = [r[seed_col] for r in data if r[dec_col] == "parallel"]
         assert seq == par and len(seq) == 3
+
+    def test_record_timing_fills_only_the_ms_column(self, tmp_path):
+        spec = dict(
+            trials=4,
+            grid=[{"p": 0.01, "q": 0.01}, {"p": 0.03, "q": 0.01}],
+            decoders=[{"kind": "sequential", "eps": "1/2"}, {"kind": "parallel", "k": 2}],
+        )
+        tables = {}
+        for timing in (False, True):
+            cfg = write_config(tmp_path, name=f"t{timing}.json", record_timing=timing, **spec)
+            out = tmp_path / f"t{timing}.csv"
+            assert cli.main(["sweep", "-c", cfg, "-o", str(out), "--workers", "1",
+                             "--per-trial"]) == 0
+            lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            tables[timing] = [l.split(",") for l in lines[1:]]
+        ms = lines[0].split(",").index("ms")
+        timed, untimed = tables[True], tables[False]
+        assert len(timed) == len(untimed) == 2 * 4 * 2
+        assert all(float(r[ms]) > 0 for r in timed)
+        assert all(float(r[ms]) == 0 for r in untimed)
+        assert [r[:ms] + r[ms + 1:] for r in timed] == [r[:ms] + r[ms + 1:] for r in untimed]
 
     def test_grid_points(self, tmp_path):
         cfg = write_config(
@@ -410,6 +445,28 @@ def test_explicit_local_codes_config(tmp_path, capsys):
     cfg = write_config(tmp_path, instance=inst)
     assert cli.main(["build", "-c", cfg, "--skip-kappa"]) == 0
     assert "n = 72" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("instance, message", [
+    (dict(Z8_INSTANCE, group={"kind": "cyclic", "m": 8.5}), "instance.group.m = 8.5"),
+    (dict(Z8_INSTANCE, a_gens=[1, 7, 4.7]), "generator = 4.7"),
+    (dict(Z8_INSTANCE, local_codes={"kind": "random", "dim_a": 1.5, "dim_b": 1}),
+     "instance.local_codes.dim_a = 1.5"),
+    (dict(Z8_INSTANCE, local_codes={"kind": "random", "dim_a": 1, "dim_b": 1, "seed": 2.5}),
+     "instance.local_codes.seed = 2.5"),
+    (dict(Z8_INSTANCE, local_codes={"kind": "explicit", "a": {"n": 3.9, "gen": ["111"]},
+                                    "b": {"n": 3, "gen": ["111"]}}), "code length n = 3.9"),
+])
+def test_build_instance_refuses_fractional_counts(instance, message):
+    # build_instance is also called on configs that load_config never saw
+    with pytest.raises(ValueError, match=message):
+        cli.build_instance({"instance": instance})
+
+
+def test_build_instance_reads_integral_floats_as_counts():
+    inst = dict(Z8_INSTANCE, group={"kind": "cyclic", "m": 8.0}, a_gens=[1.0, 7.0, 4.0])
+    code, _ = cli.build_instance({"instance": inst})
+    assert code.n == 72
 
 
 SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(

@@ -75,6 +75,16 @@ class TestConstruction:
         z = codes.zero_code(4)
         assert LinearCode.from_json(z.to_json()).dim == 0
 
+    def test_json_length_is_a_whole_number(self):
+        for n in (3, 3.0, np.int64(3)):
+            c = LinearCode.from_json({"n": n, "gen": ["111"]})
+            assert c.n == 3 and type(c.n) is int and c.dim == 1
+        for n in (3.9, True, "3"):
+            with pytest.raises(ValueError, match="is not a whole number"):
+                LinearCode.from_json({"n": n, "gen": ["111"]})
+        with pytest.raises(ValueError, match="is not a whole number"):
+            LinearCode.from_json({"n": 3.9, "gen": []})
+
 
 class TestDual:
     def test_rep_par_duality(self):

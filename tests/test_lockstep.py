@@ -18,7 +18,7 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
 
-def scalar_multiround(code, model, cfg, rounds, rng, final_eps=Fraction(1, 2)):
+def scalar_multiround(code, model, cfg, rounds, rng):
     """One trial of the multi-round protocol, decoded one round at a time."""
     rz = code.h_z.rows
     residual = prev = e_all = f_all = 0
@@ -34,7 +34,7 @@ def scalar_multiround(code, model, cfg, rounds, rng, final_eps=Fraction(1, 2)):
         rows.append((i, e.weight(), d.weight(), noise.vertex_support_size(code, d),
                      residual.bit_count()))
     ideal = BitVector(rz, tanner.syndrome_bits_z(code, residual))
-    f_final = decoder.sequential_decode(code, ideal, final_eps)
+    f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
     final = BitVector(code.n, residual ^ f_final.bits)
     return (rows, tanner.classify_residual(code, final), final.weight(), e_all,
             f_all ^ f_final.bits, final.bits)

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qtanner import decoder, noise
+from qtanner.errors import whole
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
@@ -121,8 +123,8 @@ class TestVertexSupport:
 
 class TestSingleShotTrial:
     def test_zero_noise_record(self, ref_code):
-        rec = noise.run_single_shot_trial(
-            ref_code, NoiseModel(), DecoderConfig("sequential"), make_rng(8, 0)
+        [rec] = noise.run_single_shot_trial(
+            ref_code, NoiseModel(), [DecoderConfig("sequential")], make_rng(8, 0)
         )
         assert rec.e_weight == rec.d_weight == rec.residual_weight == 0
         assert rec.failure_class == "corrected"
@@ -131,15 +133,9 @@ class TestSingleShotTrial:
     def test_record_consistency(self, ref_code):
         model = NoiseModel(p=0.01, q=0.01)
         for t in range(20):
-            rng = make_rng(9, t)
-            e, d = noise.sample_errors(ref_code, model, rng)
-            rec = noise.run_single_shot_trial(
-                ref_code,
-                model,
-                DecoderConfig("parallel", k=3),
-                rng,
-                seed=t,
-                presampled=(e, d),
+            e, d = noise.sample_errors(ref_code, model, make_rng(9, t))
+            [rec] = noise.run_single_shot_trial(
+                ref_code, model, [DecoderConfig("parallel", k=3)], make_rng(9, t), seed=t
             )
             assert rec.e_weight == e.weight()
             assert rec.d_weight == d.weight()
@@ -147,10 +143,21 @@ class TestSingleShotTrial:
             assert rec.residual_reduced_proxy <= rec.residual_weight
             assert rec.failure_class in ("corrected", "detected", "logical")
 
+    def test_one_sample_decoded_by_every_decoder(self, ref_code):
+        # the paired records equal one-decoder trials on the same stream
+        model = NoiseModel(p=0.01, q=0.01)
+        cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=3)]
+        for t in range(10):
+            paired = noise.run_single_shot_trial(ref_code, model, cfgs, make_rng(16, t), seed=t)
+            alone = [rec for cfg in cfgs for rec in
+                     noise.run_single_shot_trial(ref_code, model, [cfg], make_rng(16, t), seed=t)]
+            assert paired == alone
+            assert [r.decoder for r in paired] == ["sequential", "parallel"]
+
     def test_no_logical_without_noise_support(self, ref_code):
         # |e| = 0 and |D|_V = 0 forces the all-zero record
-        rec = noise.run_single_shot_trial(
-            ref_code, NoiseModel(), DecoderConfig("sequential"), make_rng(10, 0)
+        [rec] = noise.run_single_shot_trial(
+            ref_code, NoiseModel(), [DecoderConfig("sequential")], make_rng(10, 0)
         )
         assert rec.failure_class != "logical"
 
@@ -163,7 +170,7 @@ class TestSingleShotTrial:
         by_support: dict[int, list[int]] = {}
         beta_hat = 0.0
         for t in range(400):
-            rec = noise.run_single_shot_trial(ref_code, model, cfg, make_rng(15, t))
+            [rec] = noise.run_single_shot_trial(ref_code, model, [cfg], make_rng(15, t))
             assert rec.e_weight == 0
             if rec.d_vertex_support == 0:
                 assert rec.residual_weight == 0
@@ -219,9 +226,15 @@ class TestMultiround:
         assert ok >= 27
 
 
+def sweep_points(code, models, cfgs, trials, master_seed):
+    """Every (grid point, trial, decoder) record, point by point."""
+    return [rec for pi, model in enumerate(models)
+            for rec in noise.run_sweep(code, model, cfgs, pi, range(trials), master_seed)]
+
+
 class TestSweep:
     def test_zero_point_failure_free(self, ref_code):
-        records = noise.run_sweep(
+        records = sweep_points(
             ref_code, [NoiseModel()], [DecoderConfig("sequential")], 10, master_seed=3
         )
         assert len(records) == 10
@@ -231,7 +244,7 @@ class TestSweep:
 
     def test_paired_decoders_share_seeds(self, ref_code):
         cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=4)]
-        records = noise.run_sweep(
+        records = sweep_points(
             ref_code, [NoiseModel(p=0.01, q=0.0)], cfgs, 8, master_seed=4
         )
         seq = [r for r in records if r.decoder == "sequential"]
@@ -241,7 +254,7 @@ class TestSweep:
 
     def test_monotone_failure_in_p(self, unique_code):
         models = [NoiseModel(p=p, q=0.0) for p in (0.0, 0.03, 0.15)]
-        records = noise.run_sweep(
+        records = sweep_points(
             unique_code, models, [DecoderConfig("sequential")], 60, master_seed=5
         )
         rows = noise.aggregate_records(records)
@@ -257,9 +270,24 @@ class TestSweep:
 
     def test_reproducible_records(self, ref_code):
         kw = dict(models=[NoiseModel(p=0.02, q=0.01)], trials=6, master_seed=9)
-        a = noise.run_sweep(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
-        b = noise.run_sweep(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
-        assert [r.csv_row() for r in a] == [r.csv_row() for r in b]
+        a = sweep_points(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
+        b = sweep_points(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
+        assert a == b
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (3.0, 3), (np.int64(3), 3), (np.uint8(3), 3), (np.float32(3.0), 3), (-2.0, -2),
+])
+def test_whole_accepts_integral_values(value, expected):
+    got = whole(value, "count")
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [2.7, -0.5, True, np.True_, "3", None, float("inf"),
+                                   float("nan")])
+def test_whole_refuses_other_values(value):
+    with pytest.raises(ValueError, match=r"count = .* is not a whole number"):
+        whole(value, "count")
 
 
 class TestStatistics:
