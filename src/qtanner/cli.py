@@ -373,8 +373,8 @@ def _sweep_task(task: tuple[int, int, int]) -> list[noise.TrialRecord]:
     )
 
 
-def _multiround_task(task: tuple[int, int]) -> list[noise.MultiRoundRecord]:
-    """Trials [lo, hi) as one lockstep batch."""
+def _multiround_task(task: tuple[int, int]) -> list[noise.RoundRow]:
+    """The CSV rows of trials [lo, hi), run as one lockstep batch."""
     trial_ids = range(*task)
     exp = _WORKER["exp"]
     return noise.run_multiround(
@@ -435,15 +435,15 @@ def cmd_multiround(args) -> int:
     chunks = _run_pool(
         exp, _trial_chunks(exp.trials, args.workers), _multiround_task, args.workers
     )
-    results = [rec for chunk in chunks for rec in chunk]
-    rows = [row for rec in results for row in rec.csv_rows()]
+    rows = [row for chunk in chunks for row in chunk]
     out = args.output or exp.output or "multiround.csv"
     noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(exp))
+    rounds = [row for row in rows if row.round != "final"]
     slope, lo, hi = noise.ols_slope_ci(
-        [rr.round for rec in results for rr in rec.rounds],
-        [rr.residual_weight for rec in results for rr in rec.rounds],
+        [row.round for row in rounds], [row.residual_weight for row in rounds]
     )
-    n_corr = sum(1 for r in results if r.final_class == tanner.CORRECTED)
+    n_corr = sum(1 for row in rows
+                 if row.round == "final" and row.failure_class == tanner.CORRECTED)
     print(
         f"wrote {out}: {exp.trials} trials x {exp.rounds} rounds; residual slope "
         f"{slope:.6g} [{lo:.6g}, {hi:.6g}]; final corrected {n_corr}/{exp.trials}",

@@ -11,17 +11,18 @@ every decoder of the experiment, so decoder comparisons are paired;
 multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial still draws from its own
 stream in the order a lone trial would, and the batch is decoded as
-numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's record
-does not depend on the batch it ran in.  Configs are checked when
+numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's rows do
+not depend on the batch it ran in.  Both return their CSV rows, as
+``TrialRecord`` and ``RoundRow`` NamedTuples.  Configs are checked when
 parsed: rates and persistence lie in [0, 1], weights are non-negative
-whole numbers and unknown keys are rejected.
+whole numbers, and each noise object has only its kind's keys.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -79,24 +80,31 @@ class PointRow(NamedTuple):
 
 POINT_CSV_FIELDS = list(PointRow._fields)
 
-MULTIROUND_CSV_FIELDS = [
-    "instance_id",
-    "decoder",
-    "param",
-    "p",
-    "q",
-    "trial",
-    "round",
-    "e_weight",
-    "d_weight",
-    "d_vertex_support",
-    "residual_weight",
-    "failure_class",
-    "seed",
-]
+class RoundRow(NamedTuple):
+    """One multi-round CSV row (fields MULTIROUND_CSV_FIELDS): a (trial,
+    round), or the trial's readout, round "final" and the only row with
+    a failure_class.  trial and seed both hold the trial's stream id."""
 
-DATA_KINDS = ("bernoulli", "adversarial")
-SYNDROME_KINDS = ("bernoulli", "adversarial", "vertex_bounded")
+    instance_id: str
+    decoder: str
+    param: str
+    p: float
+    q: float
+    trial: int
+    round: int | str
+    e_weight: int
+    d_weight: int
+    d_vertex_support: int
+    residual_weight: int
+    failure_class: str
+    seed: int
+
+
+MULTIROUND_CSV_FIELDS = list(RoundRow._fields)
+
+DATA_KEYS = {"bernoulli": ("kind", "p"), "adversarial": ("kind", "w", "persistence")}
+SYNDROME_KEYS = {"bernoulli": ("kind", "q"), "adversarial": ("kind", "s"),
+                 "vertex_bounded": ("kind", "t")}
 GRID_KEYS = ("p", "q", "w", "s")
 DECODER_KEYS = {"sequential": ("kind", "eps"), "parallel": ("kind", "k")}
 
@@ -164,7 +172,9 @@ class NoiseModel:
 
     A persistent adversarial error keeps ⌊persistence·w⌋ faces of the
     previous round's error (drawn at random) and draws the rest afresh,
-    so any persistence below 1/w keeps none.
+    so any persistence below 1/w keeps none; persistence is read as its
+    decimal literal, so 0.29 of 100 faces keeps 29.  A parameter of
+    another kind (``p`` of adversarial data noise, say) must stay 0.
     """
 
     data_kind: str = "bernoulli"
@@ -176,13 +186,18 @@ class NoiseModel:
     s: int = 0
     t: int = 0
 
+    def _sides(self):
+        """(side, kind, keys by kind, parameters) of data and syndrome."""
+        return (("data", self.data_kind, DATA_KEYS, ("p", "w", "persistence")),
+                ("syndrome", self.syn_kind, SYNDROME_KEYS, ("q", "s", "t")))
+
     def __post_init__(self):
-        if self.data_kind not in DATA_KINDS:
-            raise ValueError(f"unknown data noise {self.data_kind!r}; have {list(DATA_KINDS)}")
-        if self.syn_kind not in SYNDROME_KINDS:
-            raise ValueError(
-                f"unknown syndrome noise {self.syn_kind!r}; have {list(SYNDROME_KINDS)}"
-            )
+        for side, kind, keys, params in self._sides():
+            if kind not in keys:
+                raise ValueError(f"unknown {side} noise {kind!r}; have {list(keys)}")
+            for name in params:
+                if getattr(self, name) and name not in keys[kind]:
+                    raise ValueError(f"noise {name} does not apply to {kind} {side} noise")
         for name in ("p", "q", "persistence"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -195,45 +210,49 @@ class NoiseModel:
     def pq_labels(self) -> tuple[float, float]:
         """The CSV (p, q) columns: a bernoulli rate, or else the adversarial
         weight (data) and weight or vertex bound (syndrome) as a float."""
-        p = self.p if self.data_kind == "bernoulli" else float(self.w)
-        q = self.q if self.syn_kind == "bernoulli" else float(self.s or self.t)
-        return p, q
+        p = self.p if self.data_kind == "bernoulli" else self.w
+        q = {"bernoulli": self.q, "adversarial": self.s, "vertex_bounded": self.t}[self.syn_kind]
+        return float(p), float(q)
 
     def to_json(self) -> dict:
-        return {
-            "data": {"kind": self.data_kind, "p": self.p, "w": self.w,
-                     "persistence": self.persistence},
-            "syndrome": {"kind": self.syn_kind, "q": self.q, "s": self.s, "t": self.t},
-        }
+        """The config's noise object, each side with its kind's keys only."""
+        return {side: {key: kind if key == "kind" else getattr(self, key) for key in keys[kind]}
+                for side, kind, keys, _ in self._sides()}
 
     def at_grid_point(self, point: dict) -> "NoiseModel":
         """This model with a sweep grid point's rates p/q or adversarial
-        weights w/s in place."""
+        weights w/s in place.  A weight makes its side adversarial (data
+        noise keeps its persistence); a rate needs a bernoulli side, and
+        one side takes a rate or a weight, not both."""
         check_keys(point, GRID_KEYS, "grid point")
         obj = self.to_json()
-        if "p" in point:
-            obj["data"]["p"] = point["p"]
-        if "w" in point:
-            obj["data"].update(kind="adversarial", w=point["w"])
-        if "q" in point:
-            obj["syndrome"]["q"] = point["q"]
-        if "s" in point:
-            obj["syndrome"].update(kind="adversarial", s=point["s"])
+        for side, rate, weight in (("data", "p", "w"), ("syndrome", "q", "s")):
+            if rate in point and weight in point:
+                raise ValueError(f"grid point {point!r} sets both {rate} and {weight}")
+            if weight in point:
+                if obj[side]["kind"] != "adversarial":
+                    obj[side] = {"kind": "adversarial"}
+                obj[side][weight] = point[weight]
+            elif rate in point:
+                if obj[side]["kind"] != "bernoulli":
+                    raise ValueError(f"grid point {point!r} sets rate {rate} on "
+                                     f"{obj[side]['kind']} {side} noise")
+                obj[side][rate] = point[rate]
         return NoiseModel.from_json(obj)
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
+        """A noise object: ``data`` and ``syndrome``, each checked against
+        its kind's keys (bernoulli by default); a missing parameter is 0."""
         check_keys(obj, ("data", "syndrome"), "noise")
         d = obj.get("data", {})
         s = obj.get("syndrome", {})
-        check_keys(d, ("kind", "p", "w", "persistence"), "noise.data")
-        check_keys(s, ("kind", "q", "s", "t"), "noise.syndrome")
         return cls(
-            data_kind=d.get("kind", "bernoulli"),
+            data_kind=check_kind(d, DATA_KEYS, "noise.data", default="bernoulli"),
             p=real(d.get("p", 0.0), "noise p"),
             w=whole(d.get("w", 0), "noise w"),
             persistence=real(d.get("persistence", 0.0), "noise persistence"),
-            syn_kind=s.get("kind", "bernoulli"),
+            syn_kind=check_kind(s, SYNDROME_KEYS, "noise.syndrome", default="bernoulli"),
             q=real(s.get("q", 0.0), "noise q"),
             s=whole(s.get("s", 0), "noise s"),
             t=whole(s.get("t", 0), "noise t"),
@@ -313,7 +332,7 @@ def _sample_bits_exact_weight(n: int, w: int, rng, keep_from: Optional[int] = No
             lsb = b & -b
             prev.append(lsb.bit_length() - 1)
             b ^= lsb
-        n_keep = min(int(persistence * w), len(prev), w)
+        n_keep = min(int(dec.as_fraction(persistence) * w), len(prev), w)
         if n_keep:
             kept = [int(x) for x in rng.choice(len(prev), size=n_keep, replace=False)]
             kept = [prev[i] for i in kept]
@@ -423,47 +442,6 @@ def decode_trial(
     return pairs
 
 
-@dataclass
-class RoundRecord:
-    round: int
-    e_weight: int
-    d_weight: int
-    d_vertex_support: int
-    residual_weight: int
-
-
-@dataclass
-class MultiRoundRecord:
-    """Residuals carried across rounds; the final row is an ideal decode."""
-
-    instance_id: str
-    decoder: str
-    param: str
-    p: float
-    q: float
-    seed: int
-    rounds: list[RoundRecord] = field(default_factory=list)
-    final_class: str = ""
-    final_residual_weight: int = 0
-    e_xor_all: int = 0
-    f_xor_all: int = 0
-    residual_bits: int = 0
-
-    def csv_rows(self) -> list[tuple]:
-        """MULTIROUND_CSV_FIELDS rows: one per round, then the final readout."""
-        iid, dec_name, param, p, q, seed = (
-            self.instance_id, self.decoder, self.param, self.p, self.q, self.seed
-        )
-        rows = [
-            (iid, dec_name, param, p, q, seed, rr.round, rr.e_weight, rr.d_weight,
-             rr.d_vertex_support, rr.residual_weight, "", seed)
-            for rr in self.rounds
-        ]
-        rows.append((iid, dec_name, param, p, q, seed, "final", 0, 0, 0,
-                     self.final_residual_weight, self.final_class, seed))
-        return rows
-
-
 # Bernoulli draws held per call of ``rng.random``; longer runs are drawn
 # in several calls, which give the same numbers as one.
 _DRAW_CHUNK = 1 << 16
@@ -527,13 +505,17 @@ def run_multiround(
     rngs: Sequence[np.random.Generator],
     instance_id: str = "",
     seeds: Optional[Sequence[int]] = None,
-) -> list[MultiRoundRecord]:
+) -> list[RoundRow]:
     """The multi-round protocol for a batch of trials run in lockstep:
     rounds cycles of (new error, noisy syndrome, decode) with the
     residual fed forward, then one noiseless sequential decode (ε = 1/2)
     as the final readout.  Trial i draws from ``rngs[i]`` and is
-    recorded with seed ``seeds[i]`` (default i); its record does not
-    depend on the other trials of the batch.
+    recorded with seed ``seeds[i]`` (default i); its rows do not depend
+    on the other trials of the batch.
+
+    Returns the batch's CSV rows, trial-major: per trial one ``RoundRow``
+    per round (|e|, |D|, |D|_V and the residual weight), then the
+    ``final`` row with the readout's residual weight and class.
 
     Each round is one array step over all trials: the errors come from
     ``_round_errors``, the syndromes are one product with H_Zᵀ, and
@@ -550,39 +532,25 @@ def run_multiround(
         return []
     nv1, r1 = len(code.v1_vertices), code.r1
     residual = np.zeros((trials, n), dtype=np.uint8)
-    e_xor_all = np.zeros_like(residual)
-    f_xor_all = np.zeros_like(residual)
     stats = np.zeros((rounds, 4, trials), dtype=np.int64)
     for i, (e, d) in enumerate(_round_errors(code, model, rngs, rounds)):
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
-        f = cfg.decode_lockstep(code, syn)
-        residual ^= e ^ f
-        e_xor_all ^= e
-        f_xor_all ^= f
+        residual ^= e ^ cfg.decode_lockstep(code, syn)
         stats[i, 0] = e.sum(axis=1)
         stats[i, 1] = d.sum(axis=1)
         stats[i, 2] = d.reshape(trials, nv1, r1).any(axis=2).sum(axis=1)
         stats[i, 3] = residual.sum(axis=1)
-    p, q = model.pq_labels()
-    per_trial = stats.transpose(2, 0, 1).tolist()  # [trial][round][stat]
-    records = []
-    for seed, res, e_all, f_all, trial_stats in zip(
-        seeds, gf2.from_bit_rows(residual), gf2.from_bit_rows(e_xor_all),
-        gf2.from_bit_rows(f_xor_all), per_trial,
-    ):
+    head = (instance_id, cfg.kind, cfg.param, *model.pq_labels())
+    rows = []
+    for seed, res, trial_stats in zip(seeds, gf2.from_bit_rows(residual),
+                                      stats.transpose(2, 0, 1).tolist()):
+        rows += [RoundRow(*head, seed, i, *st, "", seed)
+                 for i, st in enumerate(trial_stats, start=1)]
         ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
-        f_final = dec.sequential_decode(code, ideal, Fraction(1, 2))
-        final_residual = BitVector(n, res ^ f_final.bits)
-        records.append(MultiRoundRecord(
-            instance_id=instance_id, decoder=cfg.kind, param=cfg.param, p=p, q=q, seed=seed,
-            rounds=[RoundRecord(i, *row) for i, row in enumerate(trial_stats, start=1)],
-            final_class=tanner.classify_residual(code, final_residual),
-            final_residual_weight=final_residual.weight(),
-            e_xor_all=e_all,
-            f_xor_all=f_all ^ f_final.bits,
-            residual_bits=final_residual.bits,
-        ))
-    return records
+        final = BitVector(n, res ^ dec.sequential_decode(code, ideal, Fraction(1, 2)).bits)
+        rows.append(RoundRow(*head, seed, "final", 0, 0, 0, final.weight(),
+                             tanner.classify_residual(code, final), seed))
+    return rows
 
 
 def sweep_stream_id(point_idx: int, trial_idx: int) -> int:

@@ -356,13 +356,14 @@ def _multiround_summary(code, model, cfg):
     corrected = 0
     xs, ys = [], []
     trials = range(200)
-    for rec in noise.run_multiround(
+    for row in noise.run_multiround(
         code, model, cfg, 100, [make_rng(109, t) for t in trials], seeds=trials
     ):
-        corrected += rec.final_class == tanner.CORRECTED
-        for rr in rec.rounds:
-            xs.append(rr.round)
-            ys.append(rr.residual_weight)
+        if row.round == "final":
+            corrected += row.failure_class == tanner.CORRECTED
+        else:
+            xs.append(row.round)
+            ys.append(row.residual_weight)
     slope, lo, hi = noise.ols_slope_ci(xs, ys)
     return slope, lo, hi, max(ys), corrected
 

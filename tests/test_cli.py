@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, exit codes, CSV determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +261,20 @@ class TestSweep:
         assert len(data) == 2  # one aggregate row per grid point
 
 
+# seed-1 multiround CSV digests and stderr summaries on the shipped
+# configs: a refactor of the multi-round path must keep them byte for byte
+MULTIROUND_PINS = [
+    ("configs/z8_rep3.json", 8,
+     "7d371d58d164d74f65d21ec16f7adbd574f6e8ffe5908d0c90eb024c9aa498a6",
+     "8 trials x 100 rounds; residual slope 0.000405041 [-0.000581474, 0.00139156]; "
+     "final corrected 8/8"),
+    ("benchmarks/configs/ref_multiround.json", 4,
+     "ac01bd14c8fc4d44c9ace689c23d6db3831f2237edf4edd732ed3371d514ff0f",
+     "4 trials x 50 rounds; residual slope 0.742017 [0.672747, 0.811286]; "
+     "final corrected 0/4"),
+]
+
+
 class TestMultiround:
     def test_m1_reduces_to_single_shot_plus_final(self, tmp_path):
         cfg = write_config(tmp_path, rounds=1, trials=2)
@@ -315,6 +330,16 @@ class TestMultiround:
         assert cli.main(["multiround", "-c", cfg, "-o", str(out), "--workers", "1"]) == 0
         err = capsys.readouterr().err
         assert "residual slope" in err and "final corrected" in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config, trials, digest, summary", MULTIROUND_PINS)
+    def test_csv_and_summary_pinned(self, tmp_path, capsys, workers, config, trials, digest,
+                                    summary):
+        out = tmp_path / "m.csv"
+        assert cli.main(["multiround", "-c", str(ROOT / config), "-o", str(out), "--seed", "1",
+                         "--trials", str(trials), "--workers", str(workers)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
 
 
 def test_trial_chunks_are_contiguous_and_balanced():
@@ -379,6 +404,18 @@ BAD_CONFIGS = [
     ({"delta": "1/0"}, "delta = '1/0' is not a number"),
     ({"output": 3}, "output must be a file name"),
     ({"grid": {"p": 0.01}}, "grid must be a list"),
+    # each noise object takes only its kind's keys, and a grid point sets a
+    # side's rate (bernoulli only) or its weight, not both
+    ({"noise": {"syndrome": {"kind": "vertex_bounded", "t": 1, "s": 4}}}, "'s'"),
+    ({"noise": {"data": {"kind": "bernoulli", "p": 0.01, "w": 2}}}, "'w'"),
+    ({"noise": {"data": {"kind": "adversarial", "w": 2, "p": 0.01}}}, "'p'"),
+    ({"noise": {"syndrome": {"kind": "adversarial", "s": 1, "q": 0.01}}}, "'q'"),
+    ({"grid": [{"p": 0.01, "w": 2}]}, "sets both p and w"),
+    ({"grid": [{"q": 0.01, "s": 2}]}, "sets both q and s"),
+    ({"noise": {"data": {"kind": "adversarial", "w": 2}}, "grid": [{"p": 0.01}]},
+     "sets rate p on adversarial data noise"),
+    ({"noise": {"syndrome": {"kind": "vertex_bounded", "t": 1}}, "grid": [{"q": 0.01}]},
+     "sets rate q on vertex_bounded syndrome noise"),
 ]
 
 

@@ -4,8 +4,8 @@
 numpy arrays.  Its reference here is the per-trial loop it replaced:
 ``sample_errors`` -> ``syndrome_bits_z`` -> ``DecoderConfig.decode``,
 the residual fed forward, then one ideal sequential readout.  Every
-round record, the XOR accumulators, the final residual and its class
-must match trial by trial.
+CSV row, round by round and the final readout's residual weight and
+class, must match trial by trial.
 """
 
 from fractions import Fraction
@@ -18,33 +18,27 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
 
-def scalar_multiround(code, model, cfg, rounds, rng):
-    """One trial of the multi-round protocol, decoded one round at a time."""
+def scalar_multiround(code, model, cfg, rounds, rng, instance_id, seed):
+    """The ``RoundRow`` list of one trial of the multi-round protocol,
+    decoded one round at a time."""
     rz = code.h_z.rows
-    residual = prev = e_all = f_all = 0
+    head = (instance_id, cfg.kind, cfg.param, *model.pq_labels(), seed)
+    residual = prev = 0
     rows = []
     for i in range(1, rounds + 1):
         e, d = noise.sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
         syn = BitVector(rz, tanner.syndrome_bits_z(code, residual ^ e.bits) ^ d.bits)
-        f = cfg.decode(code, syn)
-        residual ^= e.bits ^ f.bits
-        e_all ^= e.bits
-        f_all ^= f.bits
-        rows.append((i, e.weight(), d.weight(), noise.vertex_support_size(code, d),
-                     residual.bit_count()))
+        residual ^= e.bits ^ cfg.decode(code, syn).bits
+        rows.append(noise.RoundRow(*head, i, e.weight(), d.weight(),
+                                   noise.vertex_support_size(code, d), residual.bit_count(),
+                                   "", seed))
     ideal = BitVector(rz, tanner.syndrome_bits_z(code, residual))
     f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
     final = BitVector(code.n, residual ^ f_final.bits)
-    return (rows, tanner.classify_residual(code, final), final.weight(), e_all,
-            f_all ^ f_final.bits, final.bits)
-
-
-def lockstep_view(rec):
-    rows = [(r.round, r.e_weight, r.d_weight, r.d_vertex_support, r.residual_weight)
-            for r in rec.rounds]
-    return (rows, rec.final_class, rec.final_residual_weight, rec.e_xor_all,
-            rec.f_xor_all, rec.residual_bits)
+    rows.append(noise.RoundRow(*head, "final", 0, 0, 0, final.weight(),
+                               tanner.classify_residual(code, final), seed))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -83,16 +77,18 @@ CASES = [
 def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, request):
     code = request.getfixturevalue(fixture)
     seed = 500 + CASES.index((fixture, cfg, model, trials, rounds))
-    records = noise.run_multiround(
+    rows = noise.run_multiround(
         code, model, cfg, rounds, [make_rng(seed, t) for t in range(trials)],
         instance_id="x", seeds=range(100, 100 + trials),
     )
-    assert [r.seed for r in records] == list(range(100, 100 + trials))
+    assert len(rows) == trials * (rounds + 1)
+    assert [r.trial for r in rows if r.round == "final"] == list(range(100, 100 + trials))
     moved = 0
-    for t, rec in enumerate(records):
-        want = scalar_multiround(code, model, cfg, rounds, make_rng(seed, t))
-        assert lockstep_view(rec) == want, f"trial {t}"
-        moved += any(r.e_weight or r.d_weight for r in rec.rounds)
+    for t in range(trials):
+        got = rows[t * (rounds + 1):(t + 1) * (rounds + 1)]
+        want = scalar_multiround(code, model, cfg, rounds, make_rng(seed, t), "x", 100 + t)
+        assert got == want, f"trial {t}"
+        moved += any(r.e_weight or r.d_weight for r in got)
     assert moved > 0  # the noise is not vacuous
 
 
