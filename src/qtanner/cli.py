@@ -242,7 +242,7 @@ def _print_summary(code: tanner.QuantumTannerCode, iid: str, with_kappa: bool) -
         f"|E_A| = {cx.num_a_edges}, |E_B| = {cx.num_b_edges}"
     )
     print(f"  checks: {code.h_x.rows} X rows, {code.h_z.rows} Z rows")
-    print(f"  k = {k} (counting lower bound {bound:g})")
+    print(f"  k = {k} (counting lower bound {bound})")
     for which in ("A", "B"):
         lam2, flag = cx.second_eigenvalue(which)
         print(f"  lambda2[{which}] = {lam2:.6f} (ramanujan: {flag})")
@@ -252,7 +252,7 @@ def _print_summary(code: tanner.QuantumTannerCode, iid: str, with_kappa: bool) -
         print(f"  {side}-check weights: {pretty or 'none'}")
     if with_kappa:
         try:
-            kap = tanner.instance_kappa(code)
+            kap = code.kappa
             print(f"  kappa = {kap} ({float(kap):.6f})")
         except BudgetError as exc:
             print(f"  kappa: refused ({exc})")

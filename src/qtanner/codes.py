@@ -3,10 +3,12 @@ exhaustive oracles the decoder relies on (minimal column/row
 decompositions, product-expansion constant).
 
 The minimal (c, r) splits of C_A ⊞ C_B are enumerated in one place,
-``DualTensorCode.decomposition_table``; the decoder's local codeword
-cache, ``min_cr_decomposition`` and ``product_expansion_kappa`` all read
-it.  All exhaustive routines are gated by explicit budgets and raise
-``BudgetError`` beyond them rather than degrading silently.
+``DualTensorCode.split``, which reads the candidates of each codeword
+it is given from C_A ⊗ F_2^B, prepared once per code; the decoder's
+local codeword cache splits a codeword the first time it needs it, and
+``min_cr_decomposition`` and ``product_expansion_kappa`` call the same
+routine.  All exhaustive routines are gated by explicit budgets and
+raise ``BudgetError`` beyond them rather than degrading silently.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from . import gf2
 from .errors import BudgetError, LocalCacheError, NotInCodeError, whole
@@ -23,7 +28,8 @@ from .gf2 import BitMatrix, BitVector
 # Enumeration budgets (bits of state each oracle may walk).
 MAX_DISTANCE_DIM = 22
 MAX_TABLE_DIM = 16  # dim of C_A ⊞ C_B
-MAX_TABLE_PAIRS = 1 << 22  # (c, r) pairs walked by the decomposition table
+MAX_SPLIT_PAIRS = 1 << 24  # (codeword, candidate) pairs one split call compares
+SPLIT_PASS = 1 << 16  # (codeword, candidate) pairs one split pass holds in memory
 
 
 class LinearCode:
@@ -133,6 +139,37 @@ def tensor_code(ca: LinearCode, cb: LinearCode) -> LinearCode:
     return LinearCode(ca.n * cb.n, gen, gf2.kernel_basis(gen))
 
 
+class _ColumnSpace(NamedTuple):
+    """C_A ⊗ F_2^B (every column in C_A), as ``DualTensorCode.split``
+    reads it.
+
+    ``words`` are sorted by their syndrome under I_A ⊗ H_B (``checks``),
+    and in lex order within a syndrome, each with its cost share
+    ``costs`` = |B|·(nonzero columns).  A codeword x splits as c + r with
+    exactly the ``block`` words c whose syndrome equals its own, a coset
+    of C_A ⊗ C_B; ``rows`` masks the rows of the grid that price r.
+    """
+
+    words: np.ndarray
+    costs: np.ndarray
+    syndromes: np.ndarray
+    checks: np.ndarray
+    rows: np.ndarray
+    block: int
+
+
+def _syndromes(words: np.ndarray, checks: np.ndarray) -> np.ndarray:
+    """Syndrome of each uint64 word under the check rows ``checks``,
+    packed with check i at bit i."""
+    bits = (np.bitwise_count(words[..., None] & checks) & 1).astype(np.uint64)
+    return np.bitwise_or.reduce(bits << np.arange(len(checks), dtype=np.uint64), axis=-1)
+
+
+def _nonzero_parts(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """How many of the disjoint ``masks`` (rows or columns) meet each word."""
+    return ((words[..., None] & masks) != 0).sum(axis=-1, dtype=np.int64)
+
+
 @dataclass
 class DualTensorCode:
     """C_A ⊞ C_B: sums of column codewords and row codewords.
@@ -160,57 +197,88 @@ class DualTensorCode:
     def contains_bits(self, bits: int) -> bool:
         return all((r & bits).bit_count() & 1 == 0 for r in self.pchk.data)
 
-    def codeword_bits(self) -> list[int]:
+    def _check_budget(self) -> None:
         if self.dim > MAX_TABLE_DIM:
             raise BudgetError(f"dual tensor dimension {self.dim} > {MAX_TABLE_DIM}")
-        return list(gf2.kernel_basis(self.pchk).iter_rowspace())
+        if self.n > 64:
+            raise BudgetError(f"local grid of {self.n} > 64 bits exceeds the word width")
 
-    @functools.cached_property
-    def decomposition_table(self) -> dict[int, tuple[int, int, int]]:
-        """Every nonzero codeword x mapped to its cheapest split (cost, c, r).
-
-        x = c + r with every column of c in C_A and every row of r in C_B;
-        cost = ||c||·|B| + ||r||·|A| (nonzero columns of c, nonzero rows of
-        r) is the normalised ||c||/|A| + ||r||/|B| scaled by |A||B|.  Ties
-        break toward the lexicographically smallest c.  Built once per
-        code by walking every pair of the placed column and row spaces.
-        """
-        na, nb, n = self.na, self.nb, self.n
-        if self.dim > MAX_TABLE_DIM:
-            raise BudgetError(f"dual tensor dimension {self.dim} > {MAX_TABLE_DIM}")
-        pair_bits = self.code_a.dim * nb + self.code_b.dim * na
-        if 1 << pair_bits > MAX_TABLE_PAIRS:
-            raise BudgetError(
-                f"(c, r) pair enumeration 2^{pair_bits} exceeds budget {MAX_TABLE_PAIRS}"
-            )
-        col_masks = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
-        row_width = (1 << nb) - 1
-        # C_A ⊗ F_2^B and F_2^A ⊗ C_B, each element with its cost share
-        cs = [
-            (c, nb * sum(1 for m in col_masks if c & m))
-            for c in gf2.span(gf2.kronecker(self.code_a.gen, BitMatrix.identity(nb)).data)
-        ]
-        rs = [
-            (r, na * sum(1 for a in range(na) if (r >> (a * nb)) & row_width))
-            for r in gf2.span(gf2.kronecker(BitMatrix.identity(na), self.code_b.gen).data)
-        ]
-        # c in lex order, so only a strictly cheaper split replaces a kept one
-        cs.sort(key=lambda e: gf2.lex_key(e[0], n))
-        table: dict[int, tuple[int, int, int]] = {}
-        for c, c_cost in cs:
-            for r, r_cost in rs:
-                x = c ^ r
-                cost = c_cost + r_cost
-                cur = table.get(x)
-                if cur is None or cost < cur[0]:
-                    table[x] = (cost, c, r)
-        table.pop(0, None)
-        if len(table) != (1 << self.dim) - 1:
+    def codewords(self) -> np.ndarray:
+        """The 2^dim − 1 nonzero codewords as uint64, in the span order
+        of the kernel basis of H_A ⊗ H_B."""
+        self._check_budget()
+        basis = gf2.kernel_basis(self.pchk).data
+        if len(basis) != self.dim:
             raise LocalCacheError(
-                f"(c, r) sums give {len(table)} nonzero codewords, "
+                f"kernel of the local checks holds 2^{len(basis)} - 1 nonzero codewords, "
                 f"expected 2^{self.dim} - 1 for a dimension-{self.dim} local code"
             )
-        return table
+        return gf2.span_words(basis)[1:]
+
+    @functools.cached_property
+    def _column_space(self) -> _ColumnSpace:
+        """C_A ⊗ F_2^B, prepared once per code.  Its dimension
+        dim C_A·|B| is at most ``dim``, so ``MAX_TABLE_DIM`` bounds it."""
+        self._check_budget()
+        na, nb = self.na, self.nb
+        words = gf2.span_words(gf2.kronecker(self.code_a.gen, BitMatrix.identity(nb)).data)
+        checks = gf2.kronecker(BitMatrix.identity(na), self.code_b.pchk)
+        checks = np.array(checks.data, dtype=np.uint64)
+        syndromes = _syndromes(words, checks)
+        # stable sort by lex key, then by syndrome: lex order within a syndrome
+        order = np.argsort(gf2.lex_keys(words, self.n), kind="stable")
+        order = order[np.argsort(syndromes[order], kind="stable")]
+        cols = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
+        return _ColumnSpace(
+            words=words[order],
+            costs=nb * _nonzero_parts(words[order], np.array(cols, dtype=np.uint64)),
+            syndromes=syndromes[order],
+            checks=checks,
+            rows=np.array([((1 << nb) - 1) << (a * nb) for a in range(na)], dtype=np.uint64),
+            block=1 << (self.code_a.dim * self.code_b.dim),
+        )
+
+    def split(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cost, c, r) arrays: the cheapest split x = c + r of each
+        codeword x of the uint64 array ``xs``.
+
+        Every column of c is in C_A and every row of r in C_B; cost =
+        ||c||·|B| + ||r||·|A| (nonzero columns of c, nonzero rows of r)
+        is the normalised ||c||/|A| + ||r||/|B| scaled by |A||B|.  Ties
+        break toward the lexicographically smallest c.  The candidates
+        c of x are the words of C_A ⊗ F_2^B whose syndrome under the
+        checks of F_2^A ⊗ C_B equals that of x, 2^(dim C_A·dim C_B) of
+        them; the scan runs in passes of at most ``SPLIT_PASS``
+        candidates, and a call may compare at most ``MAX_SPLIT_PAIRS``.
+        """
+        space = self._column_space
+        xs = np.asarray(xs, dtype=np.uint64)
+        if len(xs) * space.block > MAX_SPLIT_PAIRS:
+            raise BudgetError(
+                f"splitting {len(xs)} codewords compares {len(xs)} x {space.block} "
+                f"(codeword, candidate) pairs, over the budget {MAX_SPLIT_PAIRS}"
+            )
+        step = max(1, SPLIT_PASS // space.block)
+        if len(xs) <= step:
+            return self._split_pass(space, xs)
+        parts = [self._split_pass(space, xs[i:i + step]) for i in range(0, len(xs), step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _split_pass(
+        self, space: _ColumnSpace, xs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        syn = _syndromes(xs, space.checks)
+        start = np.searchsorted(space.syndromes, syn)
+        if (np.take(space.syndromes, start, mode="clip") != syn).any():
+            raise NotInCodeError("vector is not in the dual tensor code")
+        idx = start[:, None] + np.arange(space.block)
+        c = space.words[idx]
+        r = xs[:, None] ^ c
+        cost = space.costs[idx] + self.na * _nonzero_parts(r, space.rows)
+        # each block is in lex order of c, so the first minimum is the lex-smallest tie
+        best = np.argmin(cost, axis=1)
+        picked = np.arange(len(xs))
+        return cost[picked, best], c[picked, best], r[picked, best]
 
 
 def dual_tensor_code(ca: LinearCode, cb: LinearCode) -> DualTensorCode:
@@ -245,25 +313,28 @@ def min_cr_decomposition(x: BitVector | int, dt: DualTensorCode) -> tuple[BitVec
     normalised ||c||/|A| + ||r||/|B| of product expansion (nonzero columns
     of c, nonzero rows of r); on the square grids of Tanner codes it ranks
     splits exactly as ||c|| + ||r|| does.  Ties break toward the
-    lexicographically smallest c (bit-index order).  A lookup in
-    ``dt.decomposition_table``.
+    lexicographically smallest c (bit-index order).  One ``dt.split``.
     """
     bits = x.bits if isinstance(x, BitVector) else x
-    if not dt.contains_bits(bits):
-        raise NotInCodeError("vector is not in the dual tensor code")
-    table = dt.decomposition_table
-    _, c, r = table[bits] if bits else (0, 0, 0)
-    return BitVector(dt.n, c), BitVector(dt.n, r)
+    _, c, r = dt.split(np.array([bits], dtype=np.uint64))
+    return BitVector(dt.n, int(c[0])), BitVector(dt.n, int(r[0]))
 
 
 def product_expansion_kappa(ca: LinearCode, cb: LinearCode) -> Fraction:
     """Largest κ with κ(||c||/|A| + ||r||/|B|) ≤ |x|/(|A||B|) for all
     nonzero x in C_A ⊞ C_B, minimizing the left side over decompositions.
 
-    Exact rational result from the decomposition table, whose costs are
-    the per-codeword optimum with the common denominator |A||B| cleared.
+    Exact rational result from one ``split`` of every nonzero codeword,
+    whose costs are the per-codeword optimum with the common denominator
+    |A||B| cleared.  Weights are at most |A||B| ≤ 64 and costs at most
+    twice that, so distinct ratios differ by far more than float rounding
+    and the float argmin picks an exact minimizer.
     """
-    table = dual_tensor_code(ca, cb).decomposition_table
-    if not table:
+    dt = dual_tensor_code(ca, cb)
+    xs = dt.codewords()
+    if not len(xs):
         raise ValueError("kappa undefined for the zero dual tensor code")
-    return min(Fraction(x.bit_count(), cost) for x, (cost, _, _) in table.items())
+    cost, _, _ = dt.split(xs)
+    weights = np.bitwise_count(xs).astype(np.int64)
+    i = int(np.argmin(weights / cost))
+    return Fraction(int(weights[i]), int(cost[i]))

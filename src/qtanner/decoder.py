@@ -15,13 +15,15 @@ classes V00, V01, V10, V11, each in group order, with the fixed 1/2
 threshold, choosing a maximal-weight codeword per vertex.
 
 Candidate search is exhaustive over the cached nonzero codewords of
-C_A ⊞ C_B, read with their minimal (c, r) splits from
-``codes.DualTensorCode.decomposition_table`` and sorted by weight
-descending (lexicographic within a weight class).  A threshold policy θ
-asks for a reduction of at least ceil(θ|x|) (sequential: θ = 1-ε,
-parallel: θ = 1/2); the cache keeps one table per θ that memoizes the
-search result for every local Δ²-bit mismatch pattern seen so far, and
-only a pattern seen for the first time runs the numpy popcount scan.
+C_A ⊞ C_B, the span of the kernel basis of H_A ⊗ H_B sorted by weight
+descending (lexicographic within a weight class) in numpy.  The
+minimal (c, r) split of a codeword is computed by
+``codes.DualTensorCode.split`` only when the decoder needs it, and
+memoized per codeword.  A threshold policy θ asks for a reduction of at
+least ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache
+keeps one table per θ that memoizes the search result for every local
+Δ²-bit mismatch pattern seen so far, and only a pattern seen for the
+first time runs the numpy popcount scan.
 Local patterns are gathered from the set bits of Ẑ inside a view,
 through a per-vertex bit table.
 
@@ -39,8 +41,9 @@ the local syndromes as words and lifts the leaders of the distinct ones
 by a permutation gather per class.  A parallel class step packs every
 view of the class into a Δ²-bit word, scans only the distinct nonzero
 words through the same θ = 1/2 memo, and XORs the removed codewords and
-their share of f̂ back; same-class views are disjoint, so this is the
-scalar sweep.  The sequential schedule runs the scalar FIFO per row.
+their share of f̂ back (splitting a codeword only where f̂ takes one of
+its parts); same-class views are disjoint, so this is the scalar
+sweep.  The sequential schedule runs the scalar FIFO per row.
 Each row decodes to exactly what the scalar decoder gives its syndrome.
 """
 
@@ -56,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from . import gf2
-from .errors import BudgetError, DimensionMismatchError, LocalCacheError
+from .errors import DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
@@ -83,28 +86,29 @@ def checked_eps(eps) -> Fraction:
 class LocalCodewordCache:
     """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B.
 
-    Holds every nonzero codeword as a Δ² bit mask with its minimal
-    (c, r) split (both read from the code's decomposition table), a
-    right inverse of the local checks H_A ⊗ H_B with the memo of coset
-    leaders found so far (``leaders``: syndrome to leader, at most 2^r
-    entries), the per-vertex view/incidence tables the decomposition
-    loops consume, the parallel sweep order, and one ``ScanTable`` per
-    threshold policy θ, built on first use.
+    Holds every nonzero codeword as a Δ² bit mask with its weight, the
+    memo ``splits`` of the minimal (c, r) splits computed so far (see
+    ``split``; set-up computes none), a right inverse of the local
+    checks H_A ⊗ H_B with the memo of coset leaders found so far
+    (``leaders``: syndrome to leader, at most 2^r entries), the
+    per-vertex view/incidence tables the decomposition loops consume,
+    the parallel sweep order, and one ``ScanTable`` per threshold policy
+    θ, built on first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
-        dt = code.x_correction_code()
-        if dt.n > 64:
-            raise BudgetError(f"local views of {dt.n} > 64 bits exceed the mask width")
-        table = dt.decomposition_table
+        dt = self.dt = code.x_correction_code()
         self.code = code
         n = self.n = dt.n
-        order = sorted(table, key=lambda m: (-m.bit_count(), gf2.lex_key(m, n)))
-        self.masks = np.array(order, dtype=np.uint64)
-        self.weights = np.array([m.bit_count() for m in order], dtype=np.int64)
+        masks = dt.codewords()
+        weights = np.bitwise_count(masks).astype(np.int64)
+        # stable sort by lex key, then by weight: weight descending, lex within it
+        order = np.argsort(gf2.lex_keys(masks, n), kind="stable")
+        order = order[np.argsort(-weights[order], kind="stable")]
+        self.masks = masks[order]
+        self.weights = weights[order]
         self.neg_weights = -self.weights
-        self.c_parts = [table[m][1] for m in order]
-        self.r_parts = [table[m][2] for m in order]
+        self.splits: dict[int, tuple[int, int]] = {}
         self.max_weight = int(self.weights[0]) if len(order) else 0
         # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
         # XOR of the entries at the set bits of s
@@ -118,6 +122,22 @@ class LocalCodewordCache:
         self.leaders: dict[int, int] = {}
         self._build_views(code)
         self._scan_tables: dict[Fraction, ScanTable] = {}
+
+    def split(self, idx: int) -> tuple[int, int]:
+        """The minimal (c, r) split of cached codeword idx, computed on
+        first use."""
+        cr = self.splits.get(idx)
+        return cr if cr is not None else self.split_many([idx])[0]
+
+    def split_many(self, indices: list[int]) -> list[tuple[int, int]]:
+        """The minimal (c, r) splits of the cached codewords ``indices``:
+        those not split before go through one ``dt.split``, and every
+        split is memoized in ``splits``."""
+        new = [i for i in dict.fromkeys(indices) if i not in self.splits]
+        if new:
+            _, c, r = self.dt.split(self.masks[new])
+            self.splits.update(zip(new, zip(c.tolist(), r.tolist())))
+        return [self.splits[i] for i in indices]
 
     def _build_views(self, code: QuantumTannerCode) -> None:
         cx = code.complex
@@ -401,15 +421,16 @@ def find_reducing_codeword(
     idx = _search(cache, cache.scan_table(theta), zhat_bits, v)
     if idx is None:
         return None
-    return int(cache.masks[idx]), cache.c_parts[idx], cache.r_parts[idx]
+    return (int(cache.masks[idx]),) + cache.split(idx)
 
 
 def _apply(state: MismatchState, cache: LocalCodewordCache, v: int, idx: int) -> int:
     """XOR codeword idx into the state at vertex v; returns changed faces."""
     code = state.code
     view = cache.views[v]
-    c_g = gf2.scatter(cache.c_parts[idx], view)
-    r_g = gf2.scatter(cache.r_parts[idx], view)
+    c, r = cache.split(idx)
+    c_g = gf2.scatter(c, view)
+    r_g = gf2.scatter(r, view)
     changed = c_g ^ r_g
     eff = code.effective_class(v)
     i, j = eff >> 1, eff & 1
@@ -565,7 +586,9 @@ def lockstep_parallel_decomposition(
 
     A class step packs each view of the class into one Δ²-bit word per
     row, scans only the distinct nonzero words (through the θ = 1/2
-    memo) and XORs the results back.  A row leaves the active set after
+    memo) and XORs the results back.  Only the V00 and V11 steps need
+    (c, r) splits, for the r and c parts of f̂; they split their new
+    codewords in one pass.  A row leaves the active set after
     a sweep that clears its Ẑ or removes nothing: the next sweep would
     be a fixed point, which is where the scalar loop stops too.
     """
@@ -586,20 +609,26 @@ def lockstep_parallel_decomposition(
             patterns = packer(z)
             words, inverse = np.unique(patterns, return_inverse=True)
             inverse = inverse.reshape(patterns.shape)
-            removed = np.zeros(len(words), dtype=np.uint64)
-            shares = np.zeros(len(words), dtype=np.uint64)
+            hits = {}  # word position -> codeword index
             for i, word in enumerate(words.tolist()):
                 idx = _scan(cache, word, table) if word else None
                 if idx is not None:
-                    c, r = cache.c_parts[idx], cache.r_parts[idx]
-                    removed[i] = c ^ r
-                    shares[i] = (c if c_share else 0) ^ (r if r_share else 0)
-            if not removed.any():
+                    hits[i] = idx
+            if not hits:
                 continue
+            at, removed_idx = list(hits), list(hits.values())
+            removed = np.zeros(len(words), dtype=np.uint64)
+            removed[at] = cache.masks[removed_idx]
             changed |= (removed[inverse] != 0).any(axis=1)
             z ^= gf2.unpack_words(removed, d2)[inverse].reshape(active.size, -1)[:, scatter]
-            if c_share or r_share:
-                acc ^= gf2.unpack_words(shares, d2)[inverse].reshape(active.size, -1)[:, scatter]
+            if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
+                shares = np.zeros(len(words), dtype=np.uint64)
+                shares[at] = [cr[0] if c_share else cr[1] for cr in cache.split_many(removed_idx)]
+            elif c_share:  # V01 keeps c + r, the whole codeword
+                shares = removed
+            else:  # V10 keeps neither
+                continue
+            acc ^= gf2.unpack_words(shares, d2)[inverse].reshape(active.size, -1)[:, scatter]
         zhat[active], f[active] = z, acc
         active = active[changed & z.any(axis=1)]
 

@@ -10,7 +10,8 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 ``uint8`` arrays with one 0/1 entry per coordinate and one row per
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
-bits as one ``uint64`` each.
+bits as one ``uint64`` each; ``span_words`` and ``lex_keys`` are the
+``span`` and ``lex_key`` of such words.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def span(basis: list[int]) -> Iterator[int]:
         yield x
 
 
+def span_words(basis: Sequence[int]) -> np.ndarray:
+    """All 2^len(basis) XOR combinations of independent rows of at most
+    64 bits, as uint64: element i combines the rows at the set bits of i
+    (element 0 is 0)."""
+    out = np.zeros(1, dtype=np.uint64)
+    for row in basis:
+        out = np.concatenate([out, out ^ np.uint64(row)])
+    return out
+
+
 def scatter(bits: int, positions: list[int]) -> int:
     """Move bit p of ``bits`` to bit ``positions[p]``; the loop runs once
     per set bit."""
@@ -51,6 +62,18 @@ def lex_key(bits: int, length: int) -> int:
     comparison applies.
     """
     return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
+
+
+_BYTE_REVERSED = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+
+
+def lex_keys(words: np.ndarray, length: int) -> np.ndarray:
+    """``lex_key`` of every uint64 word, for 1 ≤ length ≤ 64: each word's
+    bits reversed (bytes in reverse order, each byte bit-reversed), then
+    shifted down to ``length`` bits."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8")[..., None].view(np.uint8)
+    reversed_words = np.ascontiguousarray(_BYTE_REVERSED[as_bytes[..., ::-1]]).view("<u8")
+    return reversed_words[..., 0] >> np.uint64(64 - length)
 
 
 def to_bit_rows(values: Sequence[int], n: int) -> np.ndarray:

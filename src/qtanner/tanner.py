@@ -116,8 +116,10 @@ class QuantumTannerCode:
 
     @cached_property
     def kappa(self) -> Fraction:
-        """``instance_kappa``: each side's decomposition table is walked
-        once and dropped; only the minimum is cached."""
+        """min of the product-expansion constants of C_A ⊞ C_B and
+        C_A^⊥ ⊞ C_B^⊥ (both sides are used, one per error type).  Each
+        side is one ``DualTensorCode.split`` of all its codewords,
+        computed on first read; only the minimum is cached."""
         k1 = codes_mod.product_expansion_kappa(self.local_a, self.local_b)
         k2 = codes_mod.product_expansion_kappa(self.local_a.dual(), self.local_b.dual())
         return min(k1, k2)
@@ -163,10 +165,14 @@ def build_tanner_code(
     return QuantumTannerCode(complex, local_a, local_b, flip_roles)
 
 
-def code_dimension(code: QuantumTannerCode) -> tuple[int, float]:
-    """(k, counting lower bound (1-2ρ)² n)."""
-    bound = float((1 - 2 * code.rho) ** 2 * code.n)
-    return code.k, bound
+def code_dimension(code: QuantumTannerCode) -> tuple[int, int]:
+    """(k, counting lower bound n − rows(H_X) − rows(H_Z)).
+
+    The bound holds for any local codes, because rank ≤ rows, and can be
+    negative.  For rate-paired locals, dim C_B = Δ − dim C_A, it equals
+    the (1 − 2ρ)²·n of Leverrier–Zémor.
+    """
+    return code.k, code.n - code.h_x.rows - code.h_z.rows
 
 
 def syndrome(code: QuantumTannerCode, side: str, e: BitVector) -> BitVector:
@@ -303,7 +309,7 @@ class TheoryReport:
     eps: float
     delta: float
     k: int
-    k_lower_bound: float
+    k_lower_bound: int
     d_lower_bound: float
     a_eps: float
     b_eps: float
@@ -334,13 +340,6 @@ def local_relative_distance(code: QuantumTannerCode) -> float:
     return min(d / code.delta for d in dists)
 
 
-def instance_kappa(code: QuantumTannerCode) -> Fraction:
-    """min of the product-expansion constants of C_A ⊞ C_B and
-    C_A^⊥ ⊞ C_B^⊥ (both sides are used, one per error type); computed
-    once per code, and only the value is kept."""
-    return code.kappa
-
-
 def theory_report(
     code: QuantumTannerCode,
     eps: float,
@@ -353,13 +352,14 @@ def theory_report(
     if not 0 < delta < 1 / 18:
         raise ValueError(f"delta must be in (0, 1/18), got {delta}")
     if kappa is None:
-        kappa = float(instance_kappa(code))
+        kappa = float(code.kappa)
     d = code.delta
     d_r = local_relative_distance(code)
     rho = float(code.rho)
     gamma = (1 - 18 * delta) / 16
     c1 = (eps - 2 * delta) / (eps * (1 - delta))
     c2 = 2 / eps
+    k, k_bound = code_dimension(code)
     return TheoryReport(
         n=code.n,
         degree=d,
@@ -368,8 +368,8 @@ def theory_report(
         kappa=kappa,
         eps=eps,
         delta=delta,
-        k=code.k,
-        k_lower_bound=(1 - 2 * rho) ** 2 * code.n,
+        k=k,
+        k_lower_bound=k_bound,
         d_lower_bound=d_r**2 * kappa**2 * code.n / (256 * d),
         a_eps=24 / (kappa * d * (1 - eps)),
         b_eps=3 * d / (kappa * (1 - eps)),

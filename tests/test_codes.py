@@ -158,7 +158,7 @@ class TestDualTensorCode:
         ca, cb = codes.repetition_code(3), codes.parity_code(3)
         dt = codes.dual_tensor_code(ca, cb)
         alt = codes.tensor_code(ca.dual(), cb.dual()).dual()
-        assert sorted(dt.codeword_bits()) == sorted(alt.codeword_bits())
+        assert sorted([0] + dt.codewords().tolist()) == sorted(alt.codeword_bits())
 
 
 class TestMinDistance:
@@ -236,6 +236,22 @@ class TestProductExpansionKappa:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             codes.product_expansion_kappa(codes.full_space(5), codes.full_space(5))
+        # dimension 16 is within MAX_TABLE_DIM, but every one of the 2^16 - 1
+        # codewords has 2^16 candidates: 2^32 pairs, over MAX_SPLIT_PAIRS
+        with pytest.raises(BudgetError, match="pairs"):
+            codes.product_expansion_kappa(codes.full_space(4), codes.full_space(4))
+
+    @pytest.mark.parametrize(
+        "delta, b_code, kappa",
+        [
+            (4, codes.parity_code, Fraction(1, 4)),  # the reference's rep_4 ⊞ par_4
+            (5, codes.repetition_code, Fraction(13, 25)),
+            (7, codes.repetition_code, Fraction(25, 49)),
+        ],
+    )
+    def test_pinned_values(self, delta, b_code, kappa):
+        # recorded from the table-walk implementation the split replaced
+        assert codes.product_expansion_kappa(codes.repetition_code(delta), b_code(delta)) == kappa
 
 
 class TestMinCrDecomposition:
@@ -253,7 +269,7 @@ class TestMinCrDecomposition:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(18)
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
-        words = [x for x in dt.codeword_bits() if x]
+        words = dt.codewords().tolist()
         for x in rng.choice(len(words), size=20, replace=False):
             x = words[int(x)]
             c, r = codes.min_cr_decomposition(BitVector(9, x), dt)
@@ -267,13 +283,31 @@ class TestMinCrDecomposition:
         assert not dt.contains_bits(bad)
         with pytest.raises(NotInCodeError):
             codes.min_cr_decomposition(BitVector(9, bad), dt)
+        # and with the roles of rep_3 and par_3 exchanged
+        dt_t = codes.dual_tensor_code(codes.parity_code(3), codes.repetition_code(3))
+        assert not dt_t.contains_bits(bad)
+        with pytest.raises(NotInCodeError):
+            codes.min_cr_decomposition(BitVector(9, bad), dt_t)
+
+    def test_budget_refusal(self):
+        # rep_5 ⊞ par_5 has dimension 21 > MAX_TABLE_DIM
+        dt = codes.dual_tensor_code(codes.repetition_code(5), codes.parity_code(5))
+        assert dt.dim > codes.MAX_TABLE_DIM
+        with pytest.raises(BudgetError):
+            codes.min_cr_decomposition(BitVector(25, 0), dt)
+        with pytest.raises(BudgetError):
+            dt.codewords()
 
 
-class TestDecompositionTable:
-    def test_cached_per_code(self):
+class TestSplit:
+    def test_column_space_prepared_once_per_code(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
-        assert dt.decomposition_table is dt.decomposition_table
-        assert len(dt.decomposition_table) == (1 << dt.dim) - 1
+        assert len(dt.codewords()) == (1 << dt.dim) - 1
+        space = dt._column_space
+        dt.split(dt.codewords())
+        assert dt._column_space is space
+        assert len(space.words) == 1 << 3  # C_A ⊗ F_2^3: a rep_3 word per column
+        assert space.block == 1 << 2  # C_A ⊗ C_B = rep_3 ⊗ par_3
 
     @settings(max_examples=8)
     @given(
@@ -283,23 +317,37 @@ class TestDecompositionTable:
     )
     def test_matches_independent_oracles(self, na, nb, data):
         # random proper local codes: every split against the column-
-        # assignment search on square grids (where the table's normalised
-        # cost ranks splits as ||c|| + ||r|| does), kappa on every grid
+        # assignment search on square grids (where the normalised cost
+        # ranks splits as ||c|| + ||r|| does), kappa on every grid
         ka = data.draw(st.integers(1, na - 1), label="ka")
         kb = data.draw(st.integers(1, nb - 1), label="kb")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         ca = codes.sample_random_code(na, ka, rng)
         cb = codes.sample_random_code(nb, kb, rng)
         dt = codes.dual_tensor_code(ca, cb)
-        table = dt.decomposition_table
-        assert sorted(table) == sorted(x for x in dt.codeword_bits() if x)
-        for x, (cost, c, r) in table.items():
+        xs = dt.codewords()
+        ambient = [x for x in range(1, 1 << dt.n) if dt.contains_bits(x)]
+        assert sorted(xs.tolist()) == ambient
+        costs, cs, rs = dt.split(xs)
+        for x, cost, c, r in zip(xs.tolist(), costs.tolist(), cs.tolist(), rs.tolist()):
             assert c ^ r == x
             if na == nb:
                 (n_split, _), c0, r0 = exhaustive_min_cr(dt, x)
                 assert (c, r) == (c0, r0)
                 assert cost == n_split * na
+                assert codes.min_cr_decomposition(x, dt) == (
+                    BitVector(dt.n, c0), BitVector(dt.n, r0))
         assert codes.product_expansion_kappa(ca, cb) == independent_kappa(ca, cb)
+
+    def test_passes_split_large_inputs(self, monkeypatch):
+        # a pass holds at most SPLIT_PASS candidates; several passes give
+        # the one-pass result
+        dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
+        xs = dt.codewords()
+        whole = dt.split(xs)
+        monkeypatch.setattr(codes, "SPLIT_PASS", 5)
+        parts = dt.split(xs)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
 
 
 class TestCosetLeaderTable:

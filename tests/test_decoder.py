@@ -2,6 +2,7 @@
 sequential and parallel decomposition, and the full decode pipelines."""
 
 import dataclasses
+import hashlib
 import itertools
 import types
 from fractions import Fraction
@@ -67,16 +68,78 @@ class TestLocalCodewordCache:
 
     def test_cached_split_matches_min_cr_oracle(self, ref_code):
         # the independent column-assignment search, not min_cr_decomposition,
-        # which reads the same decomposition table as the cache
-        cache = get_cache(ref_code)
+        # which calls the same split routine as the cache
+        cache = decoder.LocalCodewordCache(ref_code)
         dt = ref_code.x_correction_code()
         rng = make_rng(21, 0)
         for i in rng.choice(len(cache.masks), size=25, replace=False):
             i = int(i)
             x = int(cache.masks[i])
             _, c, r = exhaustive_min_cr(dt, x)
-            assert (cache.c_parts[i], cache.r_parts[i]) == (c, r)
-            assert cache.c_parts[i] ^ cache.r_parts[i] == x
+            assert cache.split(i) == (c, r)
+            assert c ^ r == x
+        assert cache.split(i) is cache.splits[i]
+
+    # sha256 over (mask, weight, c, r) of every cached codeword in cache
+    # order, recorded from the table-walk implementation this replaced
+    PINNED_SPLITS = {
+        "rep4_par4": (8191, "5d6b8f546228222deb9b388a307c3d681933459bd1a19f98e0e7985f3360489a"),
+        "rep3_rep3": (31, "951bfd32b25b12cff55008f4dbecb166120f406eca37effafd9ccabd6ff7f49a"),
+        "rep5_rep5": (511, "29f61379e3ec1ba6523feca53afb24430d7c088d15b4d473f42d074b6dea95f4"),
+        "rep6_rep6": (2047, "892213531f03557d28074e1850503f4f654a05fc5b0e9372c80d95a75617225e"),
+        "rep7_rep7": (8191, "5f4a52ff6ea98ac2440a25339596dad9c559517935b99928b6d312aa0e5bdad0"),
+        "par4_rep4": (8191, "7cd89653160c4c2faf467c4404816afa878bd554219e8a44ac6d2a7fbe15c53a"),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PINNED_SPLITS))
+    def test_masks_weights_and_splits_pinned(self, pair, ref_code, unique_code, rep5_code):
+        codes_by_pair = {
+            "rep4_par4": lambda: ref_code,
+            "rep3_rep3": lambda: unique_code,
+            "rep5_rep5": lambda: rep5_code,
+            "rep6_rep6": lambda: rep_code(12, [1, 11, 2, 10, 3, 9]),
+            "rep7_rep7": lambda: rep_code(14, [1, 13, 2, 12, 3, 11, 7]),
+            "par4_rep4": ref_code.z_side,
+        }
+        cache = decoder.LocalCodewordCache(codes_by_pair[pair]())
+        _, c, r = cache.dt.split(cache.masks)
+        digest = hashlib.sha256()
+        for row in zip(cache.masks.tolist(), cache.weights.tolist(), c.tolist(), r.tolist()):
+            digest.update("{} {} {} {}\n".format(*row).encode())
+        assert (len(cache.masks), digest.hexdigest()) == self.PINNED_SPLITS[pair]
+
+    def test_set_up_splits_nothing_and_decodes_split_what_they_apply(self, monkeypatch):
+        calls = []
+        split = codes.DualTensorCode.split
+
+        def counted(dt, xs):
+            calls.append(len(xs))
+            return split(dt, xs)
+
+        monkeypatch.setattr(codes.DualTensorCode, "split", counted)
+        # a fresh copy of the reference instance, so no memo is shared
+        cx = cayley.build_complex(cayley.build_group("cyclic", 13), [1, 12, 5, 8], [1, 12, 5, 8])
+        code = tanner.build_tanner_code(cx, codes.repetition_code(4), codes.parity_code(4))
+        cache = get_cache(code)
+        assert calls == [] and cache.splits == {}
+        rng = make_rng(23, 0)
+        syndromes = [noiseless_syndrome(code, random_error(code, 12, rng)) for _ in range(6)]
+        rows = gf2.to_bit_rows([s.bits for s in syndromes], code.h_z.rows)
+        decoder.parallel_decode_lockstep(code, rows, 4)
+        split_in_lockstep = set(cache.splits)
+        applied = set()
+        for s in syndromes:
+            _, state = parallel_decode(code, s, 4, return_state=True)
+            applied.update(step.codeword for step in state.steps)
+        # lockstep splits only what it removes at V00 and V11, where f̂
+        # takes a single part of the codeword
+        assert split_in_lockstep and split_in_lockstep <= applied
+        for s in syndromes:
+            _, state = sequential_decode(code, s, return_state=True)
+            applied.update(step.codeword for step in state.steps)
+        # the scalar steps split every codeword they apply
+        assert set(cache.splits) == applied
+        assert sum(calls) == len(applied)  # each codeword split once
 
     def test_budget_refusal(self):
         g = cayley.build_group("cyclic", 5)
@@ -91,12 +154,13 @@ class TestLocalCodewordCache:
         with pytest.raises(BudgetError):
             get_cache(big)
 
-    def test_missing_codewords_raise(self, ref_code):
-        # a claimed dimension the (c, r) sums of the table cannot reach
+    def test_missing_codewords_raise(self, ref_code, monkeypatch):
+        # a claimed dimension the kernel of the local checks cannot reach
         dt = ref_code.x_correction_code()
         too_big = dataclasses.replace(dt, dim=dt.dim + 1)
+        monkeypatch.setattr(ref_code, "x_correction_code", lambda: too_big)
         with pytest.raises(LocalCacheError, match="nonzero codewords"):
-            too_big.decomposition_table
+            decoder.LocalCodewordCache(ref_code)
 
     def test_overlapping_same_class_views_raise(self, ref_code):
         # every vertex given the view of vertex 0
@@ -274,7 +338,7 @@ class TestFindReducingCodeword:
                 w = int(cache.weights[i])
                 red = 2 * (x & zloc).bit_count() - w
                 if red >= -((-theta.numerator * w) // theta.denominator):
-                    best = (x, cache.c_parts[i], cache.r_parts[i])
+                    best = (x, *exhaustive_min_cr(ref_code.x_correction_code(), x)[1:])
                     break
             assert got == best
 

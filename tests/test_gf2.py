@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtanner import gf2
 from qtanner.errors import DimensionMismatchError
@@ -244,6 +246,23 @@ def test_lex_key_orders_by_bit_index():
     b = BitVector.from_string("010").bits
     assert gf2.lex_key(b, 3) < gf2.lex_key(a, 3)
     assert gf2.lex_key(0, 3) < gf2.lex_key(b, 3)
+
+
+@given(length=st.integers(1, 64), data=st.data())
+def test_lex_keys_match_lex_key(length, data):
+    words = data.draw(st.lists(st.integers(0, (1 << length) - 1), min_size=1, max_size=6))
+    keys = gf2.lex_keys(np.array(words, dtype=np.uint64).reshape(-1, 1), length)
+    assert keys.shape == (len(words), 1)
+    assert keys.ravel().tolist() == [gf2.lex_key(w, length) for w in words]
+
+
+def test_span_words_matches_span():
+    basis = [0b1001, 0b0110, 0b1100]
+    words = gf2.span_words(basis).tolist()
+    assert words[0] == 0 and len(words) == 8
+    assert sorted(words) == sorted(gf2.span(basis))
+    # element i combines the rows at the set bits of i
+    assert words[0b101] == basis[0] ^ basis[2]
 
 
 class TestBitRows:

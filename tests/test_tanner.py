@@ -1,6 +1,5 @@
 """Quantum Tanner code assembly, parameters, syndromes, classification."""
 
-import functools
 from fractions import Fraction
 
 import pytest
@@ -78,6 +77,22 @@ class TestDimension:
         assert k == tiny_code.n - np_rank_gf2(tiny_code.h_x) - np_rank_gf2(
             tiny_code.h_z
         )
+
+    @pytest.mark.parametrize(
+        "m, gens, delta",
+        [(8, [1, 7, 4], 3), (12, [1, 11, 2, 10, 6], 5)],
+        ids=["z8_rep3", "z12_rep5"],
+    )
+    def test_bound_holds_without_rate_paired_locals(self, m, gens, delta):
+        # rep_Δ on both sides is not rate-paired, so (1 - 2ρ)²·n (8 on Z8,
+        # 108 on Z12) would exceed k; the check count gives a true bound
+        cx = cayley.build_complex(cayley.build_group("cyclic", m), gens, gens)
+        rep = codes.repetition_code(delta)
+        code = tanner.build_tanner_code(cx, rep, rep)
+        k, bound = tanner.code_dimension(code)
+        assert bound == code.n - code.h_x.rows - code.h_z.rows
+        assert bound <= k
+        assert k < (1 - 2 * code.rho) ** 2 * code.n
 
     def test_rho_half_bound_degenerates(self, tiny_code):
         # rep_2 locals give rho = 1/2
@@ -247,7 +262,7 @@ class TestTheoryReport:
     def test_independent_formula_evaluation(self, ref_code):
         eps, delta, k = 0.5, 0.04, 6
         rep = tanner.theory_report(ref_code, eps, delta, k)
-        kappa = float(tanner.instance_kappa(ref_code))
+        kappa = float(ref_code.kappa)
         d_r = 2 / 4  # min distance of the four local codes is par_4's 2
         assert rep.kappa == pytest.approx(kappa)
         assert rep.d_r == pytest.approx(d_r)
@@ -255,7 +270,7 @@ class TestTheoryReport:
         assert rep.a_eps == pytest.approx(24 / (kappa * 4 * (1 - eps)))
         assert rep.b_eps == pytest.approx(3 * 4 / (kappa * (1 - eps)))
         assert rep.c_delta == pytest.approx(d_r**2 * delta**3 * kappa / (2**12 * 16))
-        assert rep.k_lower_bound == pytest.approx((1 - 2 * 0.25) ** 2 * 208)
+        assert rep.k_lower_bound == 208 - 78 - 78  # n minus the X and Z check rows
         assert rep.d_lower_bound == pytest.approx(d_r**2 * kappa**2 * 208 / (256 * 4))
         c1 = (eps - 2 * delta) / (eps * (1 - delta))
         c2 = 2 / eps
@@ -268,27 +283,25 @@ class TestTheoryReport:
 
     def test_reference_kappa_value(self, ref_code):
         # both dual tensor sides of rep_4/par_4 brute-force to 1/4
-        assert tanner.instance_kappa(ref_code) == Fraction(1, 4)
+        assert ref_code.kappa == Fraction(1, 4)
 
     def test_kappa_tables_built_once_per_code(self, monkeypatch):
-        # one decomposition table per side on the first call, none after
-        builds = []
-        build = codes.DualTensorCode.decomposition_table.func
+        # one split of all codewords per side on the first read, none after
+        splits = []
+        split = codes.DualTensorCode.split
 
-        def counted(dt):
-            builds.append(dt.dim)
-            return build(dt)
+        def counted(dt, xs):
+            splits.append((dt.dim, len(xs)))
+            return split(dt, xs)
 
-        monkeypatch.setattr(codes.DualTensorCode, "decomposition_table",
-                            functools.cached_property(counted), raising=True)
-        codes.DualTensorCode.decomposition_table.__set_name__(
-            codes.DualTensorCode, "decomposition_table")
+        monkeypatch.setattr(codes.DualTensorCode, "split", counted)
         cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
         code = tanner.build_tanner_code(cx, codes.repetition_code(3), codes.parity_code(3))
-        first = tanner.instance_kappa(code)
-        second = tanner.instance_kappa(code)
+        first = code.kappa
+        second = code.kappa
         assert first == second
-        assert len(builds) == 2
+        # rep_3 ⊞ par_3 and par_3 ⊞ rep_3 both have dimension 7
+        assert splits == [(7, 127), (7, 127)]
 
 
 def test_dihedral_instance_builds():
