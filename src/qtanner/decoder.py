@@ -34,17 +34,21 @@ lightest; ties go to the largest ``gf2.lex_key`` (the first vector in
 ``itertools.combinations`` order).  Leaders are memoized per syndrome,
 so no table over all 2^r syndromes is built and r needs no budget.
 
-The lockstep decoders (``parallel_decode_lockstep``,
-``sequential_decode_lockstep``) decode many syndromes at once, one numpy
-row per trial, as the multi-round runs do.  The initial mismatch reads
-the local syndromes as words and lifts the leaders of the distinct ones
-by a permutation gather per class.  A parallel class step packs every
-view of the class into a Δ²-bit word, scans only the distinct nonzero
-words through the same θ = 1/2 memo, and XORs the removed codewords and
-their share of f̂ back (splitting a codeword only where f̂ takes one of
-its parts); same-class views are disjoint, so this is the scalar
-sweep.  The sequential schedule runs the scalar FIFO per row.
-Each row decodes to exactly what the scalar decoder gives its syndrome.
+The lockstep decoders decode many syndromes at once, one numpy row per
+trial, as multi-round runs and sweep blocks do: the initial mismatch,
+then one decomposition in place.  The initial mismatch
+(``lockstep_initial_mismatch``, which a sweep block computes once and
+shares by all its decoders) reads the local syndromes as words and
+lifts the leaders of the distinct ones by a permutation gather per
+class.  A parallel class step packs every view of the class
+into a Δ²-bit word, scans only the distinct nonzero words through the
+same θ = 1/2 memo, and XORs the removed codewords and their share of f̂
+back (splitting a codeword only where f̂ takes one of its parts);
+same-class views are disjoint, so this is the scalar sweep.  The
+sequential schedule checks ε and looks up its θ table once per call,
+seeds every row's worklist from one product of the rows with the view
+incidence matrix, and then runs the scalar FIFO per row.  Each row
+decodes to exactly what the scalar decoder gives its syndrome.
 """
 
 from __future__ import annotations
@@ -193,7 +197,8 @@ class LockstepTables:
     puts words unpacked in vertex order (Δ² columns per vertex) back on
     their faces.  The views of one class partition the faces, so the
     gather is a permutation.  ``syndrome_words`` reads the r₁-bit local
-    syndrome of every V1 vertex out of (trials, H_Z rows) rows.
+    syndrome of every V1 vertex out of (trials, H_Z rows) rows, and
+    ``incidence`` is the (n, vertices) float32 face-in-view matrix.
     """
 
     def __init__(self, cache: "LocalCodewordCache"):
@@ -202,18 +207,20 @@ class LockstepTables:
         order = len(cache.sweep_order) // 4
         self.packers, self.scatters = [], []
         for start in range(0, len(cache.sweep_order), order):
-            gather = np.array(
-                [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]],
-                dtype=np.intp,
-            )
-            if not np.array_equal(np.sort(gather), np.arange(n)):
+            gather = [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]]
+            if sorted(gather) != list(range(n)):
                 raise LocalCacheError(
                     f"views of class {start // order} do not partition the {n} faces"
                 )
             self.packers.append(gf2.WordPacker(gather, d2, n))
-            self.scatters.append(np.argsort(gather))
+            scatter = np.empty(n, dtype=np.intp)  # the inverse permutation of gather
+            scatter[gather] = np.arange(n)
+            self.scatters.append(scatter)
         rz, r1 = code.h_z.rows, code.r1
         self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
+        self.incidence = np.zeros((n, len(cache.views)), dtype=np.float32)
+        for v, view in enumerate(cache.views):
+            self.incidence[view, v] = 1.0
 
 
 class ScanTable:
@@ -465,7 +472,13 @@ def sequential_mismatch_decomposition(
     removing any local codeword that clears ≥ ceil((1-ε)|x|) weight."""
     eps = checked_eps(eps)
     cache = get_cache(state.code)
-    table = cache.scan_table(1 - eps)
+    _drain(state, cache, cache.scan_table(1 - eps))
+    return state.accumulators()
+
+
+def _drain(state: MismatchState, cache: LocalCodewordCache, table: ScanTable) -> None:
+    """The sequential FIFO: step at the next queued vertex and queue the
+    vertices of every face a step changed, until Ẑ or the queue is empty."""
     work = state.worklist
     while state.zhat and work:
         v = work.popleft()
@@ -482,7 +495,6 @@ def sequential_mismatch_decomposition(
             if not state.in_queue[u]:
                 work.append(u)
                 state.in_queue[u] = 1
-    return state.accumulators()
 
 
 def parallel_mismatch_decomposition(
@@ -564,7 +576,7 @@ def lockstep_initial_mismatch(
     if tables.syndrome_words is None:  # r₁ = 0: no local checks
         zero = np.zeros((trials, n), dtype=np.uint8)
         return zero, zero.copy()
-    words, inverse = np.unique(tables.syndrome_words(syndromes), return_inverse=True)
+    words, inverse = gf2.unique_words(tables.syndrome_words(syndromes))
     leaders = np.array(
         [coset_leader(cache, s) if s else 0 for s in words.tolist()], dtype=np.uint64
     )
@@ -606,9 +618,7 @@ def lockstep_parallel_decomposition(
         for packer, scatter, (c_share, r_share) in zip(
             tables.packers, tables.scatters, _F_SHARE
         ):
-            patterns = packer(z)
-            words, inverse = np.unique(patterns, return_inverse=True)
-            inverse = inverse.reshape(patterns.shape)
+            words, inverse = gf2.unique_words(packer(z))
             hits = {}  # word position -> codeword index
             for i, word in enumerate(words.tolist()):
                 idx = _scan(cache, word, table) if word else None
@@ -633,31 +643,30 @@ def lockstep_parallel_decomposition(
         active = active[changed & z.any(axis=1)]
 
 
-def parallel_decode_lockstep(
-    code: QuantumTannerCode, syndromes: np.ndarray, k: int
-) -> np.ndarray:
-    """f̂ bit rows of ``parallel_decode`` for each row of ``syndromes``."""
-    cache = get_cache(code)
-    zhat, f = lockstep_initial_mismatch(cache, syndromes)
-    lockstep_parallel_decomposition(cache, zhat, f, k)
-    return f
+def lockstep_sequential_decomposition(
+    cache: LocalCodewordCache, zhat: np.ndarray, f: np.ndarray,
+    eps: Fraction | float = Fraction(1, 2),
+) -> None:
+    """``sequential_mismatch_decomposition`` on every row of ``zhat`` in
+    place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
 
-
-def sequential_decode_lockstep(
-    code: QuantumTannerCode, syndromes: np.ndarray, eps: Fraction | float = Fraction(1, 2)
-) -> np.ndarray:
-    """f̂ bit rows of ``sequential_decode`` for each row of ``syndromes``:
-    the initial mismatch in lockstep, then the scalar FIFO per row whose
-    Ẑ is nonzero (on the others the FIFO does nothing and f̂ = ε₀₁)."""
-    eps = checked_eps(eps)
-    cache = get_cache(code)
-    zhat, f = lockstep_initial_mismatch(cache, syndromes)
+    ε is checked and the θ = 1 - ε table looked up once per call.  Each
+    row whose Ẑ is nonzero is queued with the vertices whose views meet
+    its Ẑ, in vertex order, all read from one product of the rows with
+    the view incidence matrix, and then drained by the scalar FIFO
+    (``_drain``); on the other rows the FIFO does nothing.
+    """
+    table = cache.scan_table(1 - checked_eps(eps))
     rows = np.flatnonzero(zhat.any(axis=1))
-    if rows.size:
-        fs = []
-        for z, e01 in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows])):
-            state = MismatchState.seeded(cache, z, e01)
-            sequential_mismatch_decomposition(state, eps)
-            fs.append(_finish(state).bits)
-        f[rows] = gf2.to_bit_rows(fs, code.n)
-    return f
+    if rows.size == 0:
+        return
+    code, n = cache.code, cache.code.n
+    meets = (zhat[rows].astype(np.float32) @ cache.lockstep.incidence) > 0
+    zs, fs = [], []
+    for z, f0, queued in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows]), meets):
+        state = MismatchState(code, z, z, f0, worklist=deque(np.flatnonzero(queued).tolist()),
+                              in_queue=bytearray(queued.tobytes()))
+        _drain(state, cache, table)
+        zs.append(state.zhat)
+        fs.append(_finish(state).bits)
+    zhat[rows], f[rows] = gf2.to_bit_rows(zs, n), gf2.to_bit_rows(fs, n)

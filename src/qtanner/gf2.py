@@ -10,8 +10,9 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 ``uint8`` arrays with one 0/1 entry per coordinate and one row per
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
-bits as one ``uint64`` each; ``span_words`` and ``lex_keys`` are the
-``span`` and ``lex_key`` of such words.
+bits as one ``uint64`` each; ``span_words``, ``lex_keys`` and
+``unique_words`` are the ``span``, ``lex_key`` and distinct values of
+such words.
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ class WordPacker:
     """Packs chosen columns of 0/1 rows into words of ``width`` ≤ 64 bits:
     word j of a row has bit p = column ``cols[j·width + p]``.
 
-    A call is one float64 product per 32-bit slice of the words with a
-    matrix of powers of two; every partial sum is an integer below 2^32,
-    so the products are exact.
+    A call is one float32 product per 16-bit slice of the words with a
+    matrix of powers of two; every partial sum is an integer below 2^16,
+    so the products are exact.  float32 like the other bit-row products,
+    so a process pages in one BLAS kernel, not two.
     """
 
     def __init__(self, cols: Sequence[int], width: int, n: int):
@@ -105,19 +107,36 @@ class WordPacker:
         cols = np.asarray(cols, dtype=np.intp)
         word, bit = np.divmod(np.arange(len(cols)), width)
         self.slices = []
-        for lo in range(0, width, 32):
-            mat = np.zeros((n, len(cols) // width))
-            sel = (bit >= lo) & (bit < lo + 32)
+        for lo in range(0, width, 16):
+            mat = np.zeros((n, len(cols) // width), dtype=np.float32)
+            sel = (bit >= lo) & (bit < lo + 16)
             mat[cols[sel], word[sel]] = np.exp2(bit[sel] - lo)
             self.slices.append((np.uint64(lo), mat))
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """(trials, words) uint64 for a (trials, n) 0/1 array."""
-        x = rows.astype(np.float64)
+        x = rows.astype(np.float32)
         out = np.zeros((len(rows), self.slices[0][1].shape[1]), dtype=np.uint64)
         for shift, mat in self.slices:
             out |= (x @ mat).astype(np.uint64) << shift
         return out
+
+
+def unique_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(words, return_inverse=True)`` with the inverse in the
+    shape of ``words``, by one stable argsort: lockstep words repeat a
+    lot (most are 0), which the stable sort exploits, and it is the sort
+    the codeword cache already uses, so no second sort kernel is paged
+    in."""
+    flat = words.ravel()
+    perm = np.argsort(flat, kind="stable")
+    ordered = flat[perm]
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(ordered.shape, dtype=np.intp)
+    inverse[perm] = np.cumsum(first) - 1
+    return ordered[first], inverse.reshape(words.shape)
 
 
 def unpack_words(words: np.ndarray, m: int) -> np.ndarray:

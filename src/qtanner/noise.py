@@ -6,13 +6,19 @@ matter how trials are scheduled.  Wall-clock timing is only recorded
 when explicitly requested, because timing breaks byte-identical output.
 
 A single-shot trial draws its (e, D) once and decodes that sample with
-every decoder of the experiment, so decoder comparisons are paired;
-``run_sweep`` runs a block of trials of one grid point that way.  A
-multi-round run takes its trials as one batch and advances them in
-lockstep, one round at a time: each trial still draws from its own
-stream in the order a lone trial would, and the batch is decoded as
-numpy rows by ``DecoderConfig.decode_lockstep``, so a trial's rows do
-not depend on the batch it ran in.  Both return their CSV rows, as
+every decoder of the experiment, so decoder comparisons are paired.
+``run_trial_block`` runs many such trials in lockstep, one numpy row
+per trial: each trial draws on its own stream from one re-keyed
+per-process generator (``rekeyed_rng``), the initial mismatch is
+computed once for the block and shared by every decoder, and the
+record columns are arrays; ``run_sweep`` (one block of one grid point)
+and ``estimate_threshold`` run on it, and ``run_single_shot_trial``
+stays as the one-trial reference.  A multi-round run takes its trials
+as one batch and advances them in lockstep, one round at a time: each
+trial still draws from its own stream in the order a lone trial would,
+and the batch is decoded as numpy rows by
+``DecoderConfig.decode_lockstep``.  In both, a trial's rows do not
+depend on the block or batch it ran in.  They return their CSV rows, as
 ``TrialRecord`` and ``RoundRow`` NamedTuples.  Configs are checked when
 parsed: rates and persistence lie in [0, 1], weights are non-negative
 whole numbers, and each noise object has only its kind's keys.
@@ -152,16 +158,39 @@ def check_seed(master_seed: int) -> None:
         raise ValueError(f"seed {master_seed} outside [0, 2^64)")
 
 
-def make_rng(master_seed: int, stream: int) -> np.random.Generator:
-    """Counter-based stream RNG: Philox keyed by (master seed, stream id).
+def stream_key(master_seed: int, stream: int) -> np.ndarray:
+    """The Philox key of (master seed, stream id): the 64-bit words
+    [stream, seed], i.e. the 128-bit integer (seed << 64) | stream.
 
-    Both halves of the key must lie in [0, 2^64), so that distinct
-    (seed, stream) pairs never share a key.
+    Both halves must lie in [0, 2^64), so that distinct (seed, stream)
+    pairs never share a key.
     """
     check_seed(master_seed)
     if not 0 <= stream < STREAM_LIMIT:
         raise ValueError(f"stream id {stream} outside [0, 2^64)")
-    return np.random.Generator(np.random.Philox(key=(master_seed << 64) | stream))
+    return np.array([stream, master_seed], dtype=np.uint64)
+
+
+def make_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """Counter-based stream RNG: Philox keyed by (master seed, stream id)."""
+    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, stream)))
+
+
+_REKEYED = np.random.Generator(np.random.Philox(0))
+_NO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def rekeyed_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """This process's one shared generator, re-keyed to (master seed,
+    stream id): counter 0, empty buffers, so it draws what
+    ``make_rng(master_seed, stream)`` would, without building a Philox.
+    The next call re-keys it, so finish drawing from it first."""
+    _REKEYED.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _NO_WORDS, "key": stream_key(master_seed, stream)},
+        "buffer": _NO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _REKEYED
 
 
 @dataclass(frozen=True)
@@ -288,9 +317,20 @@ class DecoderConfig:
     def decode_lockstep(self, code: QuantumTannerCode, syndromes: np.ndarray) -> np.ndarray:
         """f̂ bit rows for a (trials, H_Z rows) array of syndromes, row by
         row equal to ``decode``."""
+        cache = dec.get_cache(code)
+        zhat, f = dec.lockstep_initial_mismatch(cache, syndromes)
+        self.decompose_lockstep(cache, zhat, f)
+        return f
+
+    def decompose_lockstep(self, cache: dec.LocalCodewordCache, zhat: np.ndarray,
+                           f: np.ndarray) -> None:
+        """This decoder's mismatch decomposition on every row of ``zhat``
+        in place, its share of f̂ XORed into ``f`` (which holds ε₀₁ of the
+        initial mismatch)."""
         if self.kind == "sequential":
-            return dec.sequential_decode_lockstep(code, syndromes, self.eps)
-        return dec.parallel_decode_lockstep(code, syndromes, self.k)
+            dec.lockstep_sequential_decomposition(cache, zhat, f, self.eps)
+        else:
+            dec.lockstep_parallel_decomposition(cache, zhat, f, self.k)
 
     def to_json(self) -> dict:
         if self.kind == "sequential":
@@ -442,9 +482,20 @@ def decode_trial(
     return pairs
 
 
-# Bernoulli draws held per call of ``rng.random``; longer runs are drawn
-# in several calls, which give the same numbers as one.
-_DRAW_CHUNK = 1 << 16
+# Bernoulli draws held at once (64 KiB of float64); longer runs are drawn
+# in several calls of ``rng.random``, which give the same numbers as one.
+_DRAW_CHUNK = 1 << 13
+
+
+def _bernoulli_widths(code: QuantumTannerCode, model: NoiseModel) -> tuple[int, int]:
+    """Uniform draws per sample of Bernoulli (data, syndrome) noise: n
+    and H_Z rows, or 0 for a side whose rate is 0, which draws nothing."""
+    return (code.n if model.p > 0.0 else 0), (code.h_z.rows if model.q > 0.0 else 0)
+
+
+def _vertex_support_rows(code: QuantumTannerCode, d: np.ndarray) -> np.ndarray:
+    """``vertex_support_size`` of every row of (trials, H_Z rows) bits."""
+    return d.reshape(len(d), len(code.v1_vertices), code.r1).any(axis=2).sum(axis=1)
 
 
 def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel, rng, rounds: int
@@ -454,8 +505,7 @@ def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel, rng, rounds: i
     ``sample_errors`` would draw round after round, data before syndrome,
     with a rate of 0 drawing nothing."""
     n, rz = code.n, code.h_z.rows
-    width_e = n if model.p > 0.0 and n else 0
-    width_d = rz if model.q > 0.0 and rz else 0
+    width_e, width_d = _bernoulli_widths(code, model)
     e = np.zeros((rounds, (n + 7) // 8), dtype=np.uint8)
     d = np.zeros((rounds, (rz + 7) // 8), dtype=np.uint8)
     width = width_e + width_d
@@ -530,7 +580,6 @@ def run_multiround(
     trials, n, rz = len(rngs), code.n, code.h_z.rows
     if trials == 0:
         return []
-    nv1, r1 = len(code.v1_vertices), code.r1
     residual = np.zeros((trials, n), dtype=np.uint8)
     stats = np.zeros((rounds, 4, trials), dtype=np.int64)
     for i, (e, d) in enumerate(_round_errors(code, model, rngs, rounds)):
@@ -538,7 +587,7 @@ def run_multiround(
         residual ^= e ^ cfg.decode_lockstep(code, syn)
         stats[i, 0] = e.sum(axis=1)
         stats[i, 1] = d.sum(axis=1)
-        stats[i, 2] = d.reshape(trials, nv1, r1).any(axis=2).sum(axis=1)
+        stats[i, 2] = _vertex_support_rows(code, d)
         stats[i, 3] = residual.sum(axis=1)
     head = (instance_id, cfg.kind, cfg.param, *model.pq_labels())
     rows = []
@@ -577,12 +626,98 @@ def run_sweep(
     from its own stream ``sweep_stream_id(point_idx, trial)``, recorded
     as its seed, and every config decodes that sample, so decoder
     comparisons are paired on the seed column."""
-    records = []
-    for ti in trial_ids:
-        stream = sweep_stream_id(point_idx, ti)
-        records += run_single_shot_trial(code, model, cfgs, make_rng(master_seed, stream),
-                                         instance_id, stream, record_timing)
+    streams = [sweep_stream_id(point_idx, ti) for ti in trial_ids]
+    return run_trial_block(code, model, cfgs, master_seed, streams, instance_id, record_timing)
+
+
+# Trials per array step of ``run_trial_block``: bounds the memory of a
+# block of any size; the records do not depend on it.
+_SLICE_TRIALS = 1 << 10
+
+
+def run_trial_block(
+    code: QuantumTannerCode,
+    model: NoiseModel,
+    cfgs: Sequence[DecoderConfig],
+    master_seed: int,
+    streams: Sequence[int],
+    instance_id: str = "",
+    record_timing: bool = False,
+) -> list[TrialRecord]:
+    """Single-shot trials decoded in lockstep: trial i draws (e, D) once
+    from stream ``streams[i]``, recorded as its seed, and every config
+    decodes that sample.  The records come trial by trial, in ``cfgs``
+    order within a trial, and equal ``run_single_shot_trial`` with
+    ``make_rng(master_seed, stream)`` and ``seed=stream`` field for
+    field (except ``ms``).
+
+    The block runs in slices of at most ``_SLICE_TRIALS`` trials.  A
+    slice is one array step: the draws of ``_draw_block``, one syndrome
+    product, one ``lockstep_initial_mismatch`` that every config shares,
+    each config's ``decompose_lockstep``, and the sample and residual
+    columns as arrays; only ``classify_residual`` runs per row.  With
+    ``record_timing``, ``ms`` is a config's decode time over the whole
+    block (the shared initial mismatch included) divided by its trials.
+    """
+    streams = list(streams)
+    cache = dec.get_cache(code)
+    p, q = model.pq_labels()
+    labels = [(cfg.kind, cfg.param) for cfg in cfgs]
+    records: list[TrialRecord] = []
+    spent = [0.0] * len(cfgs)
+    for lo in range(0, len(streams), _SLICE_TRIALS):
+        part = streams[lo:lo + _SLICE_TRIALS]
+        e, d = _draw_block(code, model, master_seed, part)
+        t0 = time.perf_counter()
+        zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
+        shared = time.perf_counter() - t0
+        columns = []
+        for j, cfg in enumerate(cfgs):
+            t0 = time.perf_counter()
+            f = eps01.copy()
+            cfg.decompose_lockstep(cache, zhat.copy(), f)
+            spent[j] += shared + time.perf_counter() - t0
+            residual = e ^ f
+            classes = [tanner.classify_residual(code, BitVector(code.n, bits))
+                       for bits in gf2.from_bit_rows(residual)]
+            columns.append(list(zip(residual.sum(axis=1).tolist(),
+                                    tanner.greedy_reduced_weights(code, residual).tolist(),
+                                    classes)))
+        sample = zip(part, e.sum(axis=1).tolist(), d.sum(axis=1).tolist(),
+                     _vertex_support_rows(code, d).tolist())
+        for i, (stream, e_w, d_w, d_v) in enumerate(sample):
+            records += [TrialRecord(instance_id, kind, param, p, q, e_w, d_w, d_v, *cols[i],
+                                    stream, 0.0)
+                        for (kind, param), cols in zip(labels, columns)]
+    if record_timing and streams:
+        ms = [s * 1000.0 / len(streams) for s in spent]
+        records = [rec._replace(ms=ms[i % len(cfgs)]) for i, rec in enumerate(records)]
     return records
+
+
+def _draw_block(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
+                streams: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(e, D) of one single-shot trial per stream, as (trials, n) and
+    (trials, H_Z rows) bit rows: the draws of ``sample_errors`` from
+    ``rekeyed_rng(master_seed, stream)``.  Bernoulli noise is one
+    ``random`` call per trial, data before syndrome, thresholded for
+    ``_DRAW_CHUNK`` draws at a time."""
+    if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
+        width_e, width_d = _bernoulli_widths(code, model)
+        e = np.zeros((len(streams), code.n), dtype=np.uint8)
+        d = np.zeros((len(streams), code.h_z.rows), dtype=np.uint8)
+        step = max(1, _DRAW_CHUNK // max(1, width_e + width_d))
+        for lo in range(0, len(streams), step):
+            part = streams[lo:lo + step]
+            u = np.empty((len(part), width_e + width_d))
+            for row, stream in zip(u, part):
+                rekeyed_rng(master_seed, stream).random(out=row)
+            e[lo:lo + step, :width_e] = u[:, :width_e] < model.p
+            d[lo:lo + step, :width_d] = u[:, width_e:] < model.q
+        return e, d
+    pairs = [sample_errors(code, model, rekeyed_rng(master_seed, stream)) for stream in streams]
+    return (gf2.to_bit_rows([e.bits for e, _ in pairs], code.n),
+            gf2.to_bit_rows([d.bits for _, d in pairs], code.h_z.rows))
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -651,12 +786,9 @@ def estimate_threshold(
     for it in range(iters):
         mid = (lo + hi) / 2
         model = NoiseModel(data_kind="bernoulli", p=mid, syn_kind="bernoulli", q=mid)
-        fails = 0
-        for ti in range(trials):
-            rng = make_rng(master_seed, (it << 24) | ti)
-            [rec] = run_single_shot_trial(code, model, [cfg], rng, instance_id=instance_id)
-            if rec.failure_class != tanner.CORRECTED:
-                fails += 1
+        records = run_trial_block(code, model, [cfg], master_seed,
+                                  [(it << 24) | ti for ti in range(trials)], instance_id)
+        fails = sum(rec.failure_class != tanner.CORRECTED for rec in records)
         if fails / trials < 0.5:
             lo = mid
         else:

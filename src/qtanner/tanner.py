@@ -71,8 +71,8 @@ class QuantumTannerCode:
         self.h_x = self._embed(self.v0_vertices, self.x_check_basis)
         self.h_z = self._embed(self.v1_vertices, self.z_check_basis)
 
-        prod = gf2.mat_mat_mul(self.h_x, self.h_z.transpose())
-        if any(prod.data):
+        # H_Z x for every row x of H_X: the rows of H_X · H_Zᵀ
+        if syndrome_rows_z(self, self.h_x_t_dense.T).any():
             raise CommutationError("H_X · H_Z^T != 0; local-view orientation is broken")
 
         self._decoder_cache = None  # built on first use by decoder.get_cache
@@ -131,7 +131,7 @@ class QuantumTannerCode:
     @cached_property
     def z_col_syndromes(self) -> list[int]:
         """Column q of H_Z as a packed int; syndrome(e) = XOR over supp(e)."""
-        return self.h_z.transpose().data
+        return gf2.from_bit_rows(self.h_z_t_dense.astype(np.uint8))
 
     @cached_property
     def h_z_t_dense(self) -> np.ndarray:
@@ -139,6 +139,11 @@ class QuantumTannerCode:
         batched syndromes are one BLAS product with it (sums of at most n
         ones are exact in float32)."""
         return np.ascontiguousarray(gf2.to_bit_rows(self.h_z.data, self.n).T, dtype=np.float32)
+
+    @cached_property
+    def h_x_t_dense(self) -> np.ndarray:
+        """H_Xᵀ as an (n, H_X rows) float32 array, like ``h_z_t_dense``."""
+        return np.ascontiguousarray(gf2.to_bit_rows(self.h_x.data, self.n).T, dtype=np.float32)
 
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.
@@ -245,6 +250,33 @@ def _greedy_reduce(code: QuantumTannerCode, bits: int) -> int:
             w -= best_drop
             improved = True
     return bits
+
+
+def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
+    """``reduced_weight(code, e, "greedy")`` of every row e of a (trials,
+    n) 0/1 array: ``_greedy_reduce`` in lockstep.
+
+    A pass takes one product of the rows still reducing with H_Xᵀ; the
+    drop of generator h on e is |e| − |e + h| = 2|e ∧ h| − |h|, and each
+    row applies its first generator of largest positive drop, as the
+    scalar loop does.  A row leaves once no drop is positive.
+    """
+    rows = rows.copy()
+    weights = rows.sum(axis=1, dtype=np.int64)
+    h_x_t = code.h_x_t_dense
+    if h_x_t.shape[1] == 0:
+        return weights
+    h_x, h_weights = h_x_t.T.astype(np.uint8), h_x_t.sum(axis=0).astype(np.int64)
+    active = np.flatnonzero(weights)
+    while active.size:
+        drops = 2 * (rows[active].astype(np.float32) @ h_x_t).astype(np.int64) - h_weights
+        best = drops.argmax(axis=1)
+        gain = drops[np.arange(active.size), best]
+        keep = gain > 0
+        active, best = active[keep], best[keep]
+        rows[active] ^= h_x[best]
+        weights[active] -= gain[keep]
+    return weights
 
 
 def classify_residual(code: QuantumTannerCode, residual: BitVector) -> str:

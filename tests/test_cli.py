@@ -342,6 +342,40 @@ class TestMultiround:
         assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
 
 
+# seed-1 `sweep --per-trial` CSV digests and stderr summaries: the
+# reference config at full size (the benchmark's ref-sweep digest) and a
+# Z8 config with adversarial and vertex-bounded noise; sweeping trial
+# blocks in lockstep must keep them byte for byte
+Z8_ADVERSARIAL_SWEEP = dict(
+    trials=60,
+    decoders=[{"kind": "sequential", "eps": "1/2"}, {"kind": "sequential", "eps": "1/3"},
+              {"kind": "parallel", "k": 4}],
+    noise={"data": {"kind": "adversarial", "w": 2, "persistence": 0.5},
+           "syndrome": {"kind": "vertex_bounded", "t": 2}},
+    grid=[{"w": 1}, {"w": 3}, {"w": 2, "s": 2}],
+)
+SWEEP_PINS = [
+    ("reference", "a7353b1f42bb0c50e150f0427f81717d44a93c0d621e53157b8f078275a0543f",
+     "1600 trial records, 4 points"),
+    ("z8_adversarial", "dd5b14b1e242e743b366a83655be3e36ed963c2dd5c45c80150a656e2d3c2acd",
+     "540 trial records, 3 points"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("config, digest, summary", SWEEP_PINS)
+def test_sweep_csv_and_summary_pinned(tmp_path, capsys, workers, config, digest, summary):
+    if config == "reference":
+        path = str(ROOT / "configs" / "reference.json")
+    else:
+        path = write_config(tmp_path, **Z8_ADVERSARIAL_SWEEP)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "-c", path, "--per-trial", "-o", str(out), "--seed", "1",
+                     "--workers", str(workers)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
+
+
 def test_trial_chunks_are_contiguous_and_balanced():
     assert cli._trial_chunks(7, 2) == [(0, 3), (3, 7)]
     assert cli._trial_chunks(2, 4) == [(0, 1), (1, 2)]

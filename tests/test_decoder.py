@@ -25,7 +25,7 @@ from qtanner.decoder import (
 )
 from qtanner.errors import BudgetError, LocalCacheError
 from qtanner.gf2 import BitVector
-from qtanner.noise import make_rng
+from qtanner.noise import DecoderConfig, make_rng
 from qtanner.tanner import syndrome_bits_z
 
 from oracles import coset_leader_table, exhaustive_min_cr, extract
@@ -125,7 +125,7 @@ class TestLocalCodewordCache:
         rng = make_rng(23, 0)
         syndromes = [noiseless_syndrome(code, random_error(code, 12, rng)) for _ in range(6)]
         rows = gf2.to_bit_rows([s.bits for s in syndromes], code.h_z.rows)
-        decoder.parallel_decode_lockstep(code, rows, 4)
+        DecoderConfig("parallel", k=4).decode_lockstep(code, rows)
         split_in_lockstep = set(cache.splits)
         applied = set()
         for s in syndromes:

@@ -285,6 +285,7 @@ class TestBitRows:
         n = words * width + 5
         cols = rng.permutation(n)[: words * width]
         rows = rng.integers(0, 2, size=(4, n)).astype(np.uint8)
+        rows[0] = 1  # every partial sum at its largest
         got = gf2.WordPacker(cols, width, n)(rows)
         assert got.dtype == np.uint64
         for t in range(4):
@@ -292,6 +293,17 @@ class TestBitRows:
                 want = sum(int(rows[t, cols[j * width + p]]) << p for p in range(width))
                 assert int(got[t, j]) == want
         assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, cols]).all()
+
+    @pytest.mark.parametrize("shape, high", [((40, 7), 4), ((3, 5), 1 << 64), ((0, 3), 2)])
+    def test_unique_words_match_numpy(self, shape, high):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        words = rng.integers(0, high, size=shape, dtype=np.uint64)
+        got, inverse = gf2.unique_words(words)
+        want, want_inverse = np.unique(words, return_inverse=True)
+        assert got.tolist() == want.tolist()
+        assert inverse.shape == shape
+        assert inverse.ravel().tolist() == want_inverse.ravel().tolist()
+        assert (got[inverse] == words).all()
 
     def test_word_width_bounds(self):
         for width in (0, 65):

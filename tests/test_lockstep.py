@@ -1,13 +1,16 @@
-"""Lockstep multi-round decoding against the scalar decoders.
+"""Lockstep multi-round runs and sweep blocks against the scalar path.
 
 ``noise.run_multiround`` runs a batch of trials one round at a time as
 numpy arrays.  Its reference here is the per-trial loop it replaced:
 ``sample_errors`` -> ``syndrome_bits_z`` -> ``DecoderConfig.decode``,
 the residual fed forward, then one ideal sequential readout.  Every
 CSV row, round by round and the final readout's residual weight and
-class, must match trial by trial.
+class, must match trial by trial.  ``noise.run_sweep`` decodes a block
+of single-shot trials in lockstep; its records must equal
+``run_single_shot_trial`` on each trial's own ``make_rng`` stream.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -114,16 +117,16 @@ class TestLockstepDecoders:
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_parallel(self, ref_code, syndromes, k):
-        got = decoder.parallel_decode_lockstep(
-            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows), k
+        got = DecoderConfig("parallel", k=k).decode_lockstep(
+            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows)
         )
         want = [decoder.parallel_decode(ref_code, BitVector(ref_code.h_z.rows, s), k).bits
                 for s in syndromes]
         assert gf2.from_bit_rows(got) == want
 
     def test_sequential(self, ref_code, syndromes):
-        got = decoder.sequential_decode_lockstep(
-            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows), Fraction(1, 2)
+        got = DecoderConfig("sequential").decode_lockstep(
+            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows)
         )
         want = [decoder.sequential_decode(ref_code, BitVector(ref_code.h_z.rows, s)).bits
                 for s in syndromes]
@@ -146,7 +149,126 @@ class TestLockstepDecoders:
         assert got == [tanner.syndrome_bits_z(ref_code, e) for e in gf2.from_bit_rows(rows)]
 
     def test_iteration_count_validated(self, ref_code, syndromes):
+        cache = decoder.get_cache(ref_code)
+        zhat, f = decoder.lockstep_initial_mismatch(
+            cache, gf2.to_bit_rows(syndromes[:2], ref_code.h_z.rows)
+        )
         with pytest.raises(ValueError, match="iteration count"):
-            decoder.parallel_decode_lockstep(
-                ref_code, gf2.to_bit_rows(syndromes[:2], ref_code.h_z.rows), 0
-            )
+            decoder.lockstep_parallel_decomposition(cache, zhat, f, 0)
+
+    def test_eps_validated(self, ref_code, syndromes):
+        cache = decoder.get_cache(ref_code)
+        zhat, f = decoder.lockstep_initial_mismatch(
+            cache, gf2.to_bit_rows(syndromes[:2], ref_code.h_z.rows)
+        )
+        with pytest.raises(ValueError, match="eps must be in"):
+            decoder.lockstep_sequential_decomposition(cache, zhat, f, Fraction(1))
+
+
+# Sweep blocks: ``run_sweep`` draws every trial of a block on its own
+# stream, decodes the block in lockstep with one shared initial mismatch
+# and computes the columns as arrays.  Its reference is the per-trial
+# scalar path, ``run_single_shot_trial`` on ``make_rng``.
+
+SWEEP_DECODERS = [DecoderConfig("sequential"), DecoderConfig("sequential", eps=Fraction(1, 3)),
+                  DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=8)]
+
+SWEEP_NOISE = {
+    "bernoulli": NoiseModel(p=0.02, q=0.01),
+    "zero": NoiseModel(),
+    "adversarial": NoiseModel(data_kind="adversarial", w=3, persistence=0.5,
+                              syn_kind="adversarial", s=2),
+    "vertex_bounded": NoiseModel(p=0.01, syn_kind="vertex_bounded", t=2),
+}
+
+
+def scalar_sweep(code, model, point_idx, trial_ids, seed):
+    records = []
+    for t in trial_ids:
+        stream = noise.sweep_stream_id(point_idx, t)
+        records += noise.run_single_shot_trial(code, model, SWEEP_DECODERS,
+                                               make_rng(seed, stream), seed=stream)
+    return records
+
+
+@pytest.mark.parametrize("kind", list(SWEEP_NOISE))
+@pytest.mark.parametrize("fixture", ["ref_code", "unique_code", "rep5_code", "z8_z_side",
+                                     "z5_code"])
+def test_sweep_blocks_equal_scalar_trials(fixture, kind, request, monkeypatch):
+    code = request.getfixturevalue(fixture)
+    model = replace(SWEEP_NOISE[kind], s=min(SWEEP_NOISE[kind].s, code.h_z.rows))  # z5: no H_Z
+    seed, point_idx, trials = 40 + len(kind), 3, 11
+    want = scalar_sweep(code, model, point_idx, range(trials), seed)
+
+    def sweep(blocks):
+        return [rec for block in blocks
+                for rec in noise.run_sweep(code, model, SWEEP_DECODERS, point_idx, block, seed)]
+
+    assert sweep([range(trials)]) == want
+    assert sweep([range(0, 1), range(1, 5), range(5, trials)]) == want
+    assert sweep([[t] for t in range(trials)]) == want
+    monkeypatch.setattr(noise, "_SLICE_TRIALS", 3)  # blocks of 11 and 7 span several slices
+    assert sweep([range(0, 4), range(4, trials)]) == want
+    assert sweep([range(trials)]) == want
+    if kind != "zero":  # the noise is not vacuous
+        assert any(r.e_weight or r.d_weight for r in want)
+    assert {r.decoder + r.param for r in want} == {c.kind + c.param for c in SWEEP_DECODERS}
+
+
+def test_sweep_block_timing_fills_only_ms(unique_code):
+    model = SWEEP_NOISE["bernoulli"]
+    plain = noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, range(6), 3)
+    timed = noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, range(6), 3,
+                            record_timing=True)
+    assert [r._replace(ms=0.0) for r in timed] == plain
+    assert all(r.ms > 0 for r in timed)
+    # one block: each decoder's block time over its trials, the same on every trial
+    for i in range(len(SWEEP_DECODERS)):
+        assert len({r.ms for r in timed[i::len(SWEEP_DECODERS)]}) == 1
+    assert noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, [], 3,
+                           record_timing=True) == []
+
+
+def test_greedy_reduced_weights_equal_scalar(ref_code, unique_code, z5_code):
+    rng = np.random.default_rng(5)
+    for code in (ref_code, unique_code, z5_code):
+        rows = (rng.random((60, code.n)) < rng.random((60, 1)) * 0.3).astype(np.uint8)
+        got = tanner.greedy_reduced_weights(code, rows)
+        assert got.tolist() == [tanner.reduced_weight(code, BitVector(code.n, bits), "greedy")
+                                for bits in gf2.from_bit_rows(rows)]
+
+
+class TestRekeyedRng:
+    """The shared re-keyed generator draws what a fresh ``make_rng``
+    draws, whatever the previous stream left in its buffers."""
+
+    KEYS = [(0, 0), (1, 5), (7, 1 << 20), ((1 << 64) - 1, (1 << 64) - 1), (123, (1 << 63) + 9)]
+
+    @staticmethod
+    def draws(rng):
+        return (rng.integers(0, 10, size=3).tolist(), rng.random(5).tolist(),
+                rng.choice(40, size=6, replace=False).tolist(),
+                rng.integers(1, 1 << 12), rng.random(3).tolist())
+
+    @pytest.mark.parametrize("seed, stream", KEYS)
+    def test_same_draws_as_make_rng(self, seed, stream):
+        # leave a half-used 32-bit buffer and a partly used Philox buffer
+        prev = noise.rekeyed_rng(3, 4)
+        prev.integers(0, 10)
+        prev.random(1)
+        assert prev.bit_generator.state["has_uint32"] == 1
+        assert self.draws(noise.rekeyed_rng(seed, stream)) == self.draws(make_rng(seed, stream))
+
+    def test_key_layout(self):
+        seed, stream = 5, 7
+        philox = np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
+        assert philox.random(4).tolist() == noise.rekeyed_rng(seed, stream).random(4).tolist()
+
+    @pytest.mark.parametrize("seed, stream, message", [
+        (-1, 0, "seed -1"), (1 << 64, 0, "seed"), (0, -1, "stream id -1"),
+        (0, 1 << 64, "stream id"),
+    ])
+    def test_out_of_range_keys_raise(self, seed, stream, message):
+        for make in (make_rng, noise.rekeyed_rng):
+            with pytest.raises(ValueError, match=message):
+                make(seed, stream)

@@ -323,6 +323,13 @@ class TestThresholdEstimate:
         assert a == b
         assert 0.0 < a < 0.5
 
+    @pytest.mark.parametrize("cfg", [DecoderConfig("sequential"), DecoderConfig("parallel", k=2)])
+    @pytest.mark.parametrize("iters, value", [(5, 0.0234375), (12, 0.02020263671875)])
+    def test_pinned_values(self, unique_code, cfg, iters, value):
+        # the per-trial scalar loop gave these before trials ran in blocks
+        assert noise.estimate_threshold(unique_code, cfg, trials=40, master_seed=7,
+                                        iters=iters) == value
+
 
     def test_trials_at_or_above_stream_packing_limit_rejected(self, unique_code):
         # streams (it << 24) | ti would collide across iterations; iters=0

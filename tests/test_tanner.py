@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtanner import cayley, codes, gf2, tanner
-from qtanner.errors import BudgetError, DimensionMismatchError
+from qtanner.errors import BudgetError, CommutationError, DimensionMismatchError
 from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
 
@@ -38,6 +38,20 @@ class TestBuild:
         cx = cayley.build_complex(g, [1, 4], [1, 4])
         with pytest.raises(DimensionMismatchError):
             tanner.build_tanner_code(cx, codes.repetition_code(3), codes.parity_code(3))
+
+    def test_broken_orientation_raises_commutation_error(self):
+        # transposing the V00 views places C_B ⊗ C_A there instead of
+        # C_A ⊗ C_B, which no longer commutes with the V1 checks
+        cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
+        view, d = cx.local_view, cx.delta
+        cx.local_view = lambda v: (
+            [view(v)[b * d + a] for a in range(d) for b in range(d)]
+            if cx.vertex_class(v) == cayley.V00 else view(v)
+        )
+        code = object.__new__(tanner.QuantumTannerCode)
+        with pytest.raises(CommutationError, match="local-view orientation is broken"):
+            code.__init__(cx, codes.repetition_code(3), codes.parity_code(3))
+        assert any(gf2.mat_mat_mul(code.h_x, code.h_z.transpose()).data)
 
     def test_z5_degenerate_hz(self, z5_code):
         assert z5_code.h_z.rows == 0
