@@ -95,10 +95,10 @@ class WordPacker:
     """Packs chosen columns of 0/1 rows into words of ``width`` ≤ 64 bits:
     word j of a row has bit p = column ``cols[j·width + p]``.
 
-    A call is one float32 product per 16-bit slice of the words with a
-    matrix of powers of two; every partial sum is an integer below 2^16,
-    so the products are exact.  float32 like the other bit-row products,
-    so a process pages in one BLAS kernel, not two.
+    A call is one float32 product per 24-bit slice of the words with a
+    matrix of powers of two; every partial sum is an integer below 2^24,
+    which float32 holds exactly, so the products are exact.  float32 like
+    the syndrome products, so a process pages in one BLAS kernel, not two.
     """
 
     def __init__(self, cols: Sequence[int], width: int, n: int):
@@ -107,9 +107,9 @@ class WordPacker:
         cols = np.asarray(cols, dtype=np.intp)
         word, bit = np.divmod(np.arange(len(cols)), width)
         self.slices = []
-        for lo in range(0, width, 16):
+        for lo in range(0, width, 24):
             mat = np.zeros((n, len(cols) // width), dtype=np.float32)
-            sel = (bit >= lo) & (bit < lo + 16)
+            sel = (bit >= lo) & (bit < lo + 24)
             mat[cols[sel], word[sel]] = np.exp2(bit[sel] - lo)
             self.slices.append((np.uint64(lo), mat))
 

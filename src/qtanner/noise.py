@@ -27,6 +27,7 @@ whole numbers, and each noise object has only its kind's keys.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -482,15 +483,10 @@ def decode_trial(
     return pairs
 
 
-# Bernoulli draws held at once (64 KiB of float64); longer runs are drawn
-# in several calls of ``rng.random``, which give the same numbers as one.
+# Bernoulli draws held at once (64 KiB of float64); a trial's run of
+# draws split over several calls of ``rng.random`` gives the same numbers
+# as one call.
 _DRAW_CHUNK = 1 << 13
-
-
-def _bernoulli_widths(code: QuantumTannerCode, model: NoiseModel) -> tuple[int, int]:
-    """Uniform draws per sample of Bernoulli (data, syndrome) noise: n
-    and H_Z rows, or 0 for a side whose rate is 0, which draws nothing."""
-    return (code.n if model.p > 0.0 else 0), (code.h_z.rows if model.q > 0.0 else 0)
 
 
 def _vertex_support_rows(code: QuantumTannerCode, d: np.ndarray) -> np.ndarray:
@@ -498,48 +494,70 @@ def _vertex_support_rows(code: QuantumTannerCode, d: np.ndarray) -> np.ndarray:
     return d.reshape(len(d), len(code.v1_vertices), code.r1).any(axis=2).sum(axis=1)
 
 
-def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel, rng, rounds: int
+def _uniform_rows(rngs: Iterable[np.random.Generator], rounds: int, width: int
+                  ) -> Iterator[np.ndarray]:
+    """``rounds`` rows of ``width`` uniforms from each generator in turn,
+    all of one generator's before the next is taken, in blocks of at
+    most ``_DRAW_CHUNK`` numbers.  Every block is the same buffer,
+    refilled for the next, so use it before taking the next."""
+    buf = np.empty((max(1, _DRAW_CHUNK // max(1, width)), width))
+    k = 0
+    for rng in rngs:
+        left = rounds
+        while left:
+            m = min(left, len(buf) - k)
+            rng.random(out=buf[k:k + m])
+            k, left = k + m, left - m
+            if k == len(buf):
+                yield buf
+                k = 0
+    if k:
+        yield buf[:k]
+
+
+def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel,
+                      rngs: Iterable[np.random.Generator], rounds: int
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's (e, D) of one trial under Bernoulli data and syndrome
-    noise, as packed little-endian bit rows (rounds, bytes): the numbers
-    ``sample_errors`` would draw round after round, data before syndrome,
-    with a rate of 0 drawing nothing."""
+    """Every round's (e, D) of every trial under Bernoulli data and
+    syndrome noise, as packed little-endian bit rows (trials, rounds,
+    bytes): trial after trial, the numbers ``sample_errors`` would draw
+    round after round, data before syndrome, with a rate of 0 drawing
+    nothing."""
     n, rz = code.n, code.h_z.rows
-    width_e, width_d = _bernoulli_widths(code, model)
-    e = np.zeros((rounds, (n + 7) // 8), dtype=np.uint8)
-    d = np.zeros((rounds, (rz + 7) // 8), dtype=np.uint8)
-    width = width_e + width_d
-    if width == 0:
-        return e, d
-    step = max(1, _DRAW_CHUNK // width)
-    for lo in range(0, rounds, step):
-        hi = min(rounds, lo + step)
-        u = rng.random((hi - lo, width))
-        if width_e:
-            e[lo:hi] = np.packbits(u[:, :width_e] < model.p, axis=1, bitorder="little")
-        if width_d:
-            d[lo:hi] = np.packbits(u[:, width_e:] < model.q, axis=1, bitorder="little")
-    return e, d
+    width_e = n if model.p > 0.0 and n else 0
+    width_d = rz if model.q > 0.0 and rz else 0
+    e, d = [], []
+    for u in _uniform_rows(rngs, rounds, width_e + width_d):
+        e.append(np.zeros((len(u), (n + 7) // 8), dtype=np.uint8))
+        d.append(np.zeros((len(u), (rz + 7) // 8), dtype=np.uint8))
+        e[-1][:, :(width_e + 7) // 8] = np.packbits(u[:, :width_e] < model.p, axis=1,
+                                                    bitorder="little")
+        d[-1][:, :(width_d + 7) // 8] = np.packbits(u[:, width_e:] < model.q, axis=1,
+                                                    bitorder="little")
+    trials = sum(map(len, e)) // rounds
+    return (np.concatenate(e).reshape(trials, rounds, (n + 7) // 8),
+            np.concatenate(d).reshape(trials, rounds, (rz + 7) // 8))
 
 
 def _round_errors(code: QuantumTannerCode, model: NoiseModel,
-                  rngs: Sequence[np.random.Generator], rounds: int
+                  rngs: Iterable[np.random.Generator], rounds: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(e, D) of every trial as (trials, n) and (trials, H_Z rows) bit
     rows, round after round, each trial drawing from its own stream as
     ``sample_errors`` does.  Bernoulli noise is drawn for all rounds up
-    front; the other models call ``sample_errors`` once per round."""
+    front, one trial after another; the other models call
+    ``sample_errors`` once per round.  ``rngs`` is read once per round,
+    so it must be a sequence when ``rounds`` > 1; a one-round call may
+    pass an iterator, and each trial's draws end before the next
+    generator is taken."""
     n, rz = code.n, code.h_z.rows
     if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
-        draws = [_bernoulli_rounds(code, model, rng, rounds) for rng in rngs]
-        e_packed = np.stack([e for e, _ in draws], axis=1)  # (rounds, trials, bytes)
-        d_packed = np.stack([d for _, d in draws], axis=1)
-        del draws
+        e_packed, d_packed = _bernoulli_rounds(code, model, rngs, rounds)
         for i in range(rounds):
-            yield (np.unpackbits(e_packed[i], axis=1, count=n, bitorder="little"),
-                   np.unpackbits(d_packed[i], axis=1, count=rz, bitorder="little"))
+            yield (np.unpackbits(e_packed[:, i], axis=1, count=n, bitorder="little"),
+                   np.unpackbits(d_packed[:, i], axis=1, count=rz, bitorder="little"))
         return
-    prev_data = [0] * len(rngs)
+    prev_data = itertools.repeat(0)
     for _ in range(rounds):
         pairs = [sample_errors(code, model, rng, prev_data=prev)
                  for rng, prev in zip(rngs, prev_data)]
@@ -652,7 +670,8 @@ def run_trial_block(
     field (except ``ms``).
 
     The block runs in slices of at most ``_SLICE_TRIALS`` trials.  A
-    slice is one array step: the draws of ``_draw_block``, one syndrome
+    slice is one array step: the draws of ``_round_errors`` (one round,
+    each trial's generator re-keyed as it is reached), one syndrome
     product, one ``lockstep_initial_mismatch`` that every config shares,
     each config's ``decompose_lockstep``, and the sample and residual
     columns as arrays; only ``classify_residual`` runs per row.  With
@@ -667,7 +686,8 @@ def run_trial_block(
     spent = [0.0] * len(cfgs)
     for lo in range(0, len(streams), _SLICE_TRIALS):
         part = streams[lo:lo + _SLICE_TRIALS]
-        e, d = _draw_block(code, model, master_seed, part)
+        e, d = next(_round_errors(code, model,
+                                  (rekeyed_rng(master_seed, s) for s in part), 1))
         t0 = time.perf_counter()
         zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
         shared = time.perf_counter() - t0
@@ -693,31 +713,6 @@ def run_trial_block(
         ms = [s * 1000.0 / len(streams) for s in spent]
         records = [rec._replace(ms=ms[i % len(cfgs)]) for i, rec in enumerate(records)]
     return records
-
-
-def _draw_block(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
-                streams: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(e, D) of one single-shot trial per stream, as (trials, n) and
-    (trials, H_Z rows) bit rows: the draws of ``sample_errors`` from
-    ``rekeyed_rng(master_seed, stream)``.  Bernoulli noise is one
-    ``random`` call per trial, data before syndrome, thresholded for
-    ``_DRAW_CHUNK`` draws at a time."""
-    if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
-        width_e, width_d = _bernoulli_widths(code, model)
-        e = np.zeros((len(streams), code.n), dtype=np.uint8)
-        d = np.zeros((len(streams), code.h_z.rows), dtype=np.uint8)
-        step = max(1, _DRAW_CHUNK // max(1, width_e + width_d))
-        for lo in range(0, len(streams), step):
-            part = streams[lo:lo + step]
-            u = np.empty((len(part), width_e + width_d))
-            for row, stream in zip(u, part):
-                rekeyed_rng(master_seed, stream).random(out=row)
-            e[lo:lo + step, :width_e] = u[:, :width_e] < model.p
-            d[lo:lo + step, :width_d] = u[:, width_e:] < model.q
-        return e, d
-    pairs = [sample_errors(code, model, rekeyed_rng(master_seed, stream)) for stream in streams]
-    return (gf2.to_bit_rows([e.bits for e, _ in pairs], code.n),
-            gf2.to_bit_rows([d.bits for _, d in pairs], code.h_z.rows))
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:

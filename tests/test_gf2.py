@@ -278,7 +278,7 @@ class TestBitRows:
         ]
         assert gf2.from_bit_rows(rows) == values
 
-    @pytest.mark.parametrize("width", [1, 9, 16, 25, 33, 64])
+    @pytest.mark.parametrize("width", [1, 9, 16, 24, 25, 33, 48, 49, 64])
     def test_word_packer_matches_loop(self, width):
         rng = np.random.default_rng(width)
         words = 3
