@@ -46,9 +46,12 @@ same θ = 1/2 memo, and XORs the removed codewords and their share of f̂
 back (splitting a codeword only where f̂ takes one of its parts);
 same-class views are disjoint, so this is the scalar sweep.  The
 sequential schedule checks ε and looks up its θ table once per call,
-seeds every row's worklist from one product of the rows with the view
-incidence matrix, and then runs the scalar FIFO per row.  Each row
-decodes to exactly what the scalar decoder gives its syndrome.
+packs every view of every row into one word and scans the distinct
+nonzero words once: a row where no queued vertex finds a codeword is a
+fixed point and is left alone, and the scalar FIFO drains only the
+other rows, from their first vertex that finds one (Ẑ cannot change
+before it).  Each row decodes to exactly what the scalar decoder gives
+its syndrome.
 """
 
 from __future__ import annotations
@@ -198,7 +201,8 @@ class LockstepTables:
     their faces.  The views of one class partition the faces, so the
     gather is a permutation.  ``syndrome_words`` reads the r₁-bit local
     syndrome of every V1 vertex out of (trials, H_Z rows) rows, and
-    ``incidence`` is the (n, vertices) float32 face-in-view matrix.
+    ``views`` (built on first use, by the sequential schedule only) reads
+    every vertex's local pattern, in vertex order, as one Δ²-bit word.
     """
 
     def __init__(self, cache: "LocalCodewordCache"):
@@ -218,9 +222,12 @@ class LockstepTables:
             self.scatters.append(scatter)
         rz, r1 = code.h_z.rows, code.r1
         self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
-        self.incidence = np.zeros((n, len(cache.views)), dtype=np.float32)
-        for v, view in enumerate(cache.views):
-            self.incidence[view, v] = 1.0
+        self._cache = cache
+
+    @cached_property
+    def views(self) -> gf2.WordPacker:
+        cache = self._cache
+        return gf2.WordPacker([q for view in cache.views for q in view], cache.n, cache.code.n)
 
 
 class ScanTable:
@@ -650,22 +657,35 @@ def lockstep_sequential_decomposition(
     """``sequential_mismatch_decomposition`` on every row of ``zhat`` in
     place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
 
-    ε is checked and the θ = 1 - ε table looked up once per call.  Each
-    row whose Ẑ is nonzero is queued with the vertices whose views meet
-    its Ẑ, in vertex order, all read from one product of the rows with
-    the view incidence matrix, and then drained by the scalar FIFO
-    (``_drain``); on the other rows the FIFO does nothing.
+    ε is checked and the θ = 1 - ε table looked up once per call.  Every
+    vertex's view of every row is packed into one Δ²-bit word, and each
+    distinct nonzero word is scanned once: the nonzero words of a row are
+    its FIFO's initial queue, in vertex order, and a found codeword is a
+    hit.  Ẑ cannot change before the first hit, so every queued vertex
+    before it pops as a no-op: a row without a hit is a fixed point and
+    is left as it is, and a row with one is drained by the scalar FIFO
+    (``_drain``) from its first hit on, the vertices before it popped
+    (not marked queued, so a later step can queue them again).
     """
     table = cache.scan_table(1 - checked_eps(eps))
     rows = np.flatnonzero(zhat.any(axis=1))
     if rows.size == 0:
         return
+    words, inverse = gf2.unique_words(cache.lockstep.views(zhat[rows]))
+    found = np.array([word != 0 and _scan(cache, word, table) is not None
+                      for word in words.tolist()])
+    hits = found[inverse]
+    moving = hits.any(axis=1)
+    rows, hits = rows[moving], hits[moving]
+    if rows.size == 0:
+        return
+    first = hits.argmax(axis=1)
+    queued = (words != 0)[inverse[moving]] & (np.arange(hits.shape[1]) >= first[:, None])
     code, n = cache.code, cache.code.n
-    meets = (zhat[rows].astype(np.float32) @ cache.lockstep.incidence) > 0
     zs, fs = [], []
-    for z, f0, queued in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows]), meets):
-        state = MismatchState(code, z, z, f0, worklist=deque(np.flatnonzero(queued).tolist()),
-                              in_queue=bytearray(queued.tobytes()))
+    for z, f0, q in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows]), queued):
+        state = MismatchState(code, z, z, f0, worklist=deque(np.flatnonzero(q).tolist()),
+                              in_queue=bytearray(q.tobytes()))
         _drain(state, cache, table)
         zs.append(state.zhat)
         fs.append(_finish(state).bits)

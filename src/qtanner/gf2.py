@@ -395,19 +395,6 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, out)
 
 
-def mat_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.cols != b.rows:
-        raise DimensionMismatchError(a.cols, b.rows, "inner dimension")
-    bt = b.transpose()
-    out = []
-    for ra in a.data:
-        bits = 0
-        for j, rb in enumerate(bt.data):
-            bits |= ((ra & rb).bit_count() & 1) << j
-        out.append(bits)
-    return BitMatrix(a.rows, b.cols, out)
-
-
 def rank(m: BitMatrix) -> int:
     return Echelon(m).rank
 

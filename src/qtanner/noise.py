@@ -611,7 +611,9 @@ def run_multiround(
     rows = []
     for seed, res, trial_stats in zip(seeds, gf2.from_bit_rows(residual),
                                       stats.transpose(2, 0, 1).tolist()):
-        rows += [RoundRow(*head, seed, i, *st, "", seed)
+        # tuple.__new__ skips the generated __new__'s argument parsing;
+        # the rows are RoundRows all the same
+        rows += [tuple.__new__(RoundRow, (*head, seed, i, *st, "", seed))
                  for i, st in enumerate(trial_stats, start=1)]
         ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
         final = BitVector(n, res ^ dec.sequential_decode(code, ideal, Fraction(1, 2)).bits)

@@ -41,6 +41,13 @@ def _rank_dense(m):
     return rank
 
 
+def np_commutator_gf2(a, b):
+    """a·bᵀ over GF(2) as a dense 0/1 array, by one integer product of
+    the dense matrices: the commutation oracle (H_X·H_Zᵀ = 0 for a CSS
+    code, G·Hᵀ = 0 for a classical one)."""
+    return (_dense(a).astype(np.int64) @ _dense(b).T.astype(np.int64)) % 2
+
+
 def np_rank_gf2(mat):
     """GF(2) rank by elimination on a dense numpy array."""
     return _rank_dense(_dense(mat))

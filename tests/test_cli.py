@@ -262,8 +262,13 @@ class TestSweep:
 
 
 # seed-1 multiround CSV digests and stderr summaries on the shipped
-# configs: a refactor of the multi-round path must keep them byte for byte
+# configs: a refactor of the multi-round path must keep them byte for byte.
+# The full-size Z8 run (200 trials) is the benchmark's z8-multiround digest.
 MULTIROUND_PINS = [
+    ("configs/z8_rep3.json", 200,
+     "b74cb22ef47e53fe67c658f7c289d0cabf2f9efaeaf2e06bd78b9a3a074980f6",
+     "200 trials x 100 rounds; residual slope 0.00721728 [0.00629265, 0.00814191]; "
+     "final corrected 187/200"),
     ("configs/z8_rep3.json", 8,
      "7d371d58d164d74f65d21ec16f7adbd574f6e8ffe5908d0c90eb024c9aa498a6",
      "8 trials x 100 rounds; residual slope 0.000405041 [-0.000581474, 0.00139156]; "

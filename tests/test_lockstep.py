@@ -102,18 +102,28 @@ def test_empty_batch_and_seed_count(unique_code):
         noise.run_multiround(unique_code, BERNOULLI, cfg, 3, [make_rng(1, 0)], seeds=[0, 1])
 
 
+def sampled_syndromes(code, trials=120):
+    """Noisy syndromes at data rates 0, 0.01, 0.02 and 0.03 in turn."""
+    rng = make_rng(77, 0)
+    rows = []
+    for t in range(trials):
+        e, d = noise.sample_errors(code, NoiseModel(p=0.01 * (t % 4), q=0.01), rng)
+        rows.append(tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
+    return rows
+
+
+def crafted_syndrome(code, faces, flips):
+    """The syndrome of the error on ``faces`` with the bits ``flips`` flipped."""
+    return tanner.syndrome_bits_z(code, sum(1 << q for q in faces)) ^ sum(1 << i for i in flips)
+
+
 class TestLockstepDecoders:
     """One lockstep decode of many syndromes equals the scalar decoder
     on each, for every iteration count and both schedules."""
 
     @pytest.fixture(scope="class")
     def syndromes(self, ref_code):
-        rng = make_rng(77, 0)
-        rows = []
-        for t in range(120):
-            e, d = noise.sample_errors(ref_code, NoiseModel(p=0.01 * (t % 4), q=0.01), rng)
-            rows.append(tanner.syndrome_bits_z(ref_code, e.bits) ^ d.bits)
-        return rows
+        return sampled_syndromes(ref_code)
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_parallel(self, ref_code, syndromes, k):
@@ -124,13 +134,77 @@ class TestLockstepDecoders:
                 for s in syndromes]
         assert gf2.from_bit_rows(got) == want
 
-    def test_sequential(self, ref_code, syndromes):
-        got = DecoderConfig("sequential").decode_lockstep(
-            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows)
+    # z5_code has no local checks (every Ẑ is 0); the 25-bit views of
+    # rep5_code take two packer slices
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize("fixture", ["ref_code", "unique_code", "z8_z_side", "z5_code",
+                                         "rep5_code"])
+    def test_sequential(self, fixture, eps, request):
+        code = request.getfixturevalue(fixture)
+        rz = code.h_z.rows
+        syndromes = sampled_syndromes(code)
+        got = DecoderConfig("sequential", eps=eps).decode_lockstep(
+            code, gf2.to_bit_rows(syndromes, rz)
         )
-        want = [decoder.sequential_decode(ref_code, BitVector(ref_code.h_z.rows, s)).bits
-                for s in syndromes]
-        assert gf2.from_bit_rows(got) == want
+        scalar = [decoder.sequential_decode(code, BitVector(rz, s), eps, return_state=True)
+                  for s in syndromes]
+        assert gf2.from_bit_rows(got) == [f.bits for f, _ in scalar]
+        if rz:  # the FIFO removed codewords somewhere: the comparison is not vacuous
+            assert any(state.steps for _, state in scalar)
+
+    @staticmethod
+    def drained_sequential(code, syndromes, eps, monkeypatch):
+        """(Ẑ rows, initial Ẑ of every row handed to ``_drain``) of one
+        lockstep sequential decode; checks f̂ against the scalar decoder
+        row by row."""
+        drained = []
+        drain = decoder._drain
+
+        def counted(state, cache, table):
+            drained.append(state.initial_zhat)
+            drain(state, cache, table)
+
+        monkeypatch.setattr(decoder, "_drain", counted)
+        rz = code.h_z.rows
+        cache = decoder.get_cache(code)
+        zhat, f = decoder.lockstep_initial_mismatch(cache, gf2.to_bit_rows(syndromes, rz))
+        decoder.lockstep_sequential_decomposition(cache, zhat, f, eps)
+        monkeypatch.undo()
+        want = [decoder.sequential_decode(code, BitVector(rz, s), eps).bits for s in syndromes]
+        assert gf2.from_bit_rows(f) == want
+        return gf2.from_bit_rows(zhat), drained
+
+    @staticmethod
+    def first_hit(code, zhat, theta):
+        """(queued vertices, position of the first that finds a codeword)."""
+        queued = [v for v, m in enumerate(decoder.get_cache(code).view_masks) if m & zhat]
+        hits = [i for i, v in enumerate(queued)
+                if decoder.find_reducing_codeword(code, zhat, v, theta) is not None]
+        return queued, hits[0] if hits else None
+
+    def test_row_without_hit_is_not_drained(self, unique_code, monkeypatch):
+        eps = Fraction(1, 3)
+        stuck = crafted_syndrome(unique_code, [1], [61])
+        # decodes right only if a vertex popped before its first hit is queued again
+        moving = crafted_syndrome(unique_code, [6, 11, 17, 42, 54, 55], [])
+        z0 = [decoder.initial_mismatch(unique_code, BitVector(unique_code.h_z.rows, s)).zhat
+              for s in (stuck, moving)]
+        queued, hit = self.first_hit(unique_code, z0[0], 1 - eps)
+        assert queued and hit is None  # Ẑ meets views, but no codeword passes θ = 2/3
+        assert self.first_hit(unique_code, z0[0], Fraction(1, 2))[1] is not None  # one passes 1/2
+        zhat, drained = self.drained_sequential(unique_code, [stuck, moving], eps, monkeypatch)
+        assert zhat[0] == z0[0]
+        assert drained == [z0[1]]
+
+    def test_late_first_hit_decodes_as_scalar(self, unique_code, monkeypatch):
+        eps = Fraction(2, 3)
+        syndrome = crafted_syndrome(unique_code, [3, 22], [28])
+        z0 = decoder.initial_mismatch(unique_code, BitVector(unique_code.h_z.rows, syndrome)).zhat
+        _, hit = self.first_hit(unique_code, z0, 1 - eps)
+        assert hit is not None and hit > 0  # the first queued vertex finds nothing
+        assert self.first_hit(unique_code, z0, Fraction(1, 2))[1] != hit  # θ matters here
+        zhat, drained = self.drained_sequential(unique_code, [syndrome], eps, monkeypatch)
+        assert drained == [z0]
 
     def test_initial_mismatch(self, ref_code, syndromes):
         cache = decoder.get_cache(ref_code)
