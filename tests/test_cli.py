@@ -262,8 +262,16 @@ class TestSweep:
 
 
 # seed-1 multiround CSV digests and stderr summaries on the shipped
-# configs: a refactor of the multi-round path must keep them byte for byte.
-# The full-size Z8 run (200 trials) is the benchmark's z8-multiround digest.
+# configs and on a Z8 config with adversarial data and vertex-bounded
+# syndrome noise (its p and q columns read 2.0): a refactor of the
+# multi-round path must keep them byte for byte.  The full-size Z8 run
+# (200 trials) is the benchmark's z8-multiround digest.
+Z8_ADVERSARIAL_MULTIROUND = dict(
+    rounds=30,
+    decoders=[{"kind": "parallel", "k": 4}],
+    noise={"data": {"kind": "adversarial", "w": 2, "persistence": 0.5},
+           "syndrome": {"kind": "vertex_bounded", "t": 2}},
+)
 MULTIROUND_PINS = [
     ("configs/z8_rep3.json", 200,
      "b74cb22ef47e53fe67c658f7c289d0cabf2f9efaeaf2e06bd78b9a3a074980f6",
@@ -277,6 +285,10 @@ MULTIROUND_PINS = [
      "ac01bd14c8fc4d44c9ace689c23d6db3831f2237edf4edd732ed3371d514ff0f",
      "4 trials x 50 rounds; residual slope 0.742017 [0.672747, 0.811286]; "
      "final corrected 0/4"),
+    ("z8_adversarial", 40,
+     "83d8515e67f8c1c6f6cd57fface424631b9f832c009288bab648c0cd7a5d2ac0",
+     "40 trials x 30 rounds; residual slope 0.596657 [0.543761, 0.649554]; "
+     "final corrected 8/40"),
 ]
 
 
@@ -336,12 +348,16 @@ class TestMultiround:
         err = capsys.readouterr().err
         assert "residual slope" in err and "final corrected" in err
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("config, trials, digest, summary", MULTIROUND_PINS)
     def test_csv_and_summary_pinned(self, tmp_path, capsys, workers, config, trials, digest,
                                     summary):
+        if config == "z8_adversarial":
+            path = write_config(tmp_path, **Z8_ADVERSARIAL_MULTIROUND)
+        else:
+            path = str(ROOT / config)
         out = tmp_path / "m.csv"
-        assert cli.main(["multiround", "-c", str(ROOT / config), "-o", str(out), "--seed", "1",
+        assert cli.main(["multiround", "-c", path, "-o", str(out), "--seed", "1",
                          "--trials", str(trials), "--workers", str(workers)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
