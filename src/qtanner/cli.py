@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import cayley, codes, decoder, noise, tanner
 from .errors import BudgetError, QTannerError, whole
 from .gf2 import BitVector
@@ -373,8 +375,8 @@ def _sweep_task(task: tuple[int, int, int]) -> list[noise.TrialRecord]:
     )
 
 
-def _multiround_task(task: tuple[int, int]) -> list[noise.RoundRow]:
-    """The CSV rows of trials [lo, hi), run as one lockstep batch."""
+def _multiround_task(task: tuple[int, int]) -> noise.RoundBatch:
+    """Trials [lo, hi), run as one lockstep batch."""
     trial_ids = range(*task)
     exp = _WORKER["exp"]
     return noise.run_multiround(
@@ -419,11 +421,10 @@ def cmd_sweep(args) -> int:
     records = [rec for group in results for rec in group]
     out = args.output or exp.output or "sweep.csv"
     if args.per_trial:
-        noise.write_csv(out, noise.TRIAL_CSV_FIELDS, records, _csv_header(exp))
+        fields, rows = noise.TRIAL_CSV_FIELDS, records
     else:
-        noise.write_csv(
-            out, noise.POINT_CSV_FIELDS, noise.aggregate_records(records), _csv_header(exp)
-        )
+        fields, rows = noise.POINT_CSV_FIELDS, noise.aggregate_records(records)
+    noise.write_csv(out, fields, noise.csv_chunks(rows), _csv_header(exp))
     print(
         f"wrote {out}: {len(records)} trial records, {len(exp.models)} points", file=sys.stderr
     )
@@ -432,18 +433,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_multiround(args) -> int:
     exp = load_config(args.config, args.seed, args.trials)
-    chunks = _run_pool(
+    batches = _run_pool(
         exp, _trial_chunks(exp.trials, args.workers), _multiround_task, args.workers
     )
-    rows = [row for chunk in chunks for row in chunk]
     out = args.output or exp.output or "multiround.csv"
-    noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS, rows, _csv_header(exp))
-    rounds = [row for row in rows if row.round != "final"]
+    noise.write_csv(out, noise.MULTIROUND_CSV_FIELDS,
+                    (text for batch in batches for text in batch.csv_chunks()),
+                    _csv_header(exp))
+    # residual weight (stats column 3) against the round index, over
+    # every (trial, round), trial-major as in the CSV
+    residuals = np.concatenate([batch.stats[..., 3].ravel() for batch in batches])
     slope, lo, hi = noise.ols_slope_ci(
-        [row.round for row in rounds], [row.residual_weight for row in rounds]
+        np.tile(np.arange(1, exp.rounds + 1), exp.trials), residuals
     )
-    n_corr = sum(1 for row in rows
-                 if row.round == "final" and row.failure_class == tanner.CORRECTED)
+    n_corr = sum(cls == tanner.CORRECTED for batch in batches for cls in batch.final_classes)
     print(
         f"wrote {out}: {exp.trials} trials x {exp.rounds} rounds; residual slope "
         f"{slope:.6g} [{lo:.6g}, {hi:.6g}]; final corrected {n_corr}/{exp.trials}",

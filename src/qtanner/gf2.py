@@ -299,17 +299,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def to_ascii(self) -> str:
-        """Debug serialization: one '0'/'1' row per line."""
-        return "\n".join(
-            "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))
-            for r in self.data
-        )
-
-    @classmethod
-    def from_ascii(cls, text: str) -> "BitMatrix":
-        return cls.from_strings(text.strip().splitlines())
-
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):

@@ -17,16 +17,21 @@ stays as the one-trial reference.  A multi-round run takes its trials
 as one batch and advances them in lockstep, one round at a time: each
 trial still draws from its own stream in the order a lone trial would,
 and the batch is decoded as numpy rows by
-``DecoderConfig.decode_lockstep``.  In both, a trial's rows do not
-depend on the block or batch it ran in.  They return their CSV rows, as
-``TrialRecord`` and ``RoundRow`` NamedTuples.  Configs are checked when
-parsed: rates and persistence lie in [0, 1], weights are non-negative
-whole numbers, and each noise object has only its kind's keys.
+``DecoderConfig.decode_lockstep``.  In both, a trial's results do not
+depend on the block or batch it ran in.  A block returns one
+``TrialRecord`` per (trial, decoder); a batch returns one
+``RoundBatch``, its per-round weights as one (trials, rounds, 4) array
+and its readouts as lists, and formats its own CSV lines from them.
+Every CSV line goes through ``csv_text``, and ``write_csv`` writes the
+text.  Configs are checked when parsed: rates and persistence lie in
+[0, 1], weights are non-negative whole numbers, and each noise object
+has only its kind's keys.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import time
 from dataclasses import dataclass
@@ -87,27 +92,38 @@ class PointRow(NamedTuple):
 
 POINT_CSV_FIELDS = list(PointRow._fields)
 
-class RoundRow(NamedTuple):
-    """One multi-round CSV row (fields MULTIROUND_CSV_FIELDS): a (trial,
-    round), or the trial's readout, round "final" and the only row with
-    a failure_class.  trial and seed both hold the trial's stream id."""
-
-    instance_id: str
-    decoder: str
-    param: str
-    p: float
-    q: float
-    trial: int
-    round: int | str
-    e_weight: int
-    d_weight: int
-    d_vertex_support: int
-    residual_weight: int
-    failure_class: str
-    seed: int
+ROUND_STATS = ("e_weight", "d_weight", "d_vertex_support", "residual_weight")
+MULTIROUND_CSV_FIELDS = ["instance_id", "decoder", "param", "p", "q", "trial", "round",
+                         *ROUND_STATS, "failure_class", "seed"]
 
 
-MULTIROUND_CSV_FIELDS = list(RoundRow._fields)
+class RoundBatch(NamedTuple):
+    """A multi-round batch as columns.  Its CSV rows (fields
+    MULTIROUND_CSV_FIELDS) are, per trial, one row per round, then the
+    readout row, round "final" and the only row with a failure_class;
+    trial and seed both hold the trial's stream id."""
+
+    head: tuple  # (instance_id, decoder, param, p, q), the same on every row
+    seeds: list[int]  # one stream id per trial
+    stats: np.ndarray  # (trials, rounds, 4) ints, the ROUND_STATS of every round
+    final_weights: list[int]  # the readout's residual weight per trial
+    final_classes: list[str]  # the readout's failure class per trial
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The batch's CSV lines, one chunk per trial.  The head goes
+        through ``csv_text`` once (a % in it escaped for the template);
+        the round lines are one ``%d`` template per trial, and the final
+        row is ``csv_text`` again."""
+        head = csv_text([self.head])[:-1].replace("%", "%%")
+        trials, rounds, _ = self.stats.shape
+        index = np.broadcast_to(np.arange(1, rounds + 1)[:, None], (trials, rounds, 1))
+        lines = np.concatenate([index, self.stats], axis=2)
+        for seed, values, weight, cls in zip(self.seeds, lines, self.final_weights,
+                                             self.final_classes):
+            yield (f"{head},{seed},%d,%d,%d,%d,%d,,{seed}\n" * rounds
+                   % tuple(values.ravel().tolist())
+                   + csv_text([(*self.head, seed, "final", 0, 0, 0, weight, cls, seed)]))
+
 
 DATA_KEYS = {"bernoulli": ("kind", "p"), "adversarial": ("kind", "w", "persistence")}
 SYNDROME_KEYS = {"bernoulli": ("kind", "q"), "adversarial": ("kind", "s"),
@@ -573,17 +589,17 @@ def run_multiround(
     rngs: Sequence[np.random.Generator],
     instance_id: str = "",
     seeds: Optional[Sequence[int]] = None,
-) -> list[RoundRow]:
+) -> RoundBatch:
     """The multi-round protocol for a batch of trials run in lockstep:
     rounds cycles of (new error, noisy syndrome, decode) with the
     residual fed forward, then one noiseless sequential decode (ε = 1/2)
     as the final readout.  Trial i draws from ``rngs[i]`` and is
-    recorded with seed ``seeds[i]`` (default i); its rows do not depend
-    on the other trials of the batch.
+    recorded with seed ``seeds[i]`` (default i); its columns do not
+    depend on the other trials of the batch.
 
-    Returns the batch's CSV rows, trial-major: per trial one ``RoundRow``
-    per round (|e|, |D|, |D|_V and the residual weight), then the
-    ``final`` row with the readout's residual weight and class.
+    Returns the batch as columns: per trial and round |e|, |D|, |D|_V
+    and the residual weight, and per trial the readout's residual weight
+    and class.
 
     Each round is one array step over all trials: the errors come from
     ``_round_errors``, the syndromes are one product with H_Zᵀ, and
@@ -596,30 +612,25 @@ def run_multiround(
     if len(seeds) != len(rngs):
         raise ValueError(f"{len(seeds)} seeds for {len(rngs)} trials")
     trials, n, rz = len(rngs), code.n, code.h_z.rows
-    if trials == 0:
-        return []
     residual = np.zeros((trials, n), dtype=np.uint8)
-    stats = np.zeros((rounds, 4, trials), dtype=np.int64)
-    for i, (e, d) in enumerate(_round_errors(code, model, rngs, rounds)):
+    stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
+    # an empty batch draws nothing (the Bernoulli sampler needs a trial)
+    drawn = _round_errors(code, model, rngs, rounds) if trials else ()
+    for i, (e, d) in enumerate(drawn):
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
         residual ^= e ^ cfg.decode_lockstep(code, syn)
-        stats[i, 0] = e.sum(axis=1)
-        stats[i, 1] = d.sum(axis=1)
-        stats[i, 2] = _vertex_support_rows(code, d)
-        stats[i, 3] = residual.sum(axis=1)
-    head = (instance_id, cfg.kind, cfg.param, *model.pq_labels())
-    rows = []
-    for seed, res, trial_stats in zip(seeds, gf2.from_bit_rows(residual),
-                                      stats.transpose(2, 0, 1).tolist()):
-        # tuple.__new__ skips the generated __new__'s argument parsing;
-        # the rows are RoundRows all the same
-        rows += [tuple.__new__(RoundRow, (*head, seed, i, *st, "", seed))
-                 for i, st in enumerate(trial_stats, start=1)]
+        stats[:, i, 0] = e.sum(axis=1)
+        stats[:, i, 1] = d.sum(axis=1)
+        stats[:, i, 2] = _vertex_support_rows(code, d)
+        stats[:, i, 3] = residual.sum(axis=1)
+    weights, classes = [], []
+    for res in gf2.from_bit_rows(residual):
         ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
         final = BitVector(n, res ^ dec.sequential_decode(code, ideal, Fraction(1, 2)).bits)
-        rows.append(RoundRow(*head, seed, "final", 0, 0, 0, final.weight(),
-                             tanner.classify_residual(code, final), seed))
-    return rows
+        weights.append(final.weight())
+        classes.append(tanner.classify_residual(code, final))
+    return RoundBatch((instance_id, cfg.kind, cfg.param, *model.pq_labels()), seeds, stats,
+                      weights, classes)
 
 
 def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
@@ -793,14 +804,34 @@ def estimate_threshold(
     return (lo + hi) / 2
 
 
-def write_csv(path, fieldnames: Sequence[str], rows: Iterable[Sequence],
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as CSV lines: '\\n' endings, fields quoted only where
+    needed, floats by repr.  Every CSV line of this package is written
+    by this rule, so equal values give equal bytes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+# Rows formatted per chunk by ``csv_chunks``: bounds the text held at
+# once (1,024-row chunks raised the reference sweep's peak RSS by ~0.2 MB).
+_CSV_CHUNK_ROWS = 1 << 6
+
+
+def csv_chunks(rows: Iterable[Sequence]) -> Iterator[str]:
+    """``csv_text`` of ``rows``, ``_CSV_CHUNK_ROWS`` rows at a time."""
+    it = iter(rows)
+    while chunk := list(itertools.islice(it, _CSV_CHUNK_ROWS)):
+        yield csv_text(chunk)
+
+
+def write_csv(path, fieldnames: Sequence[str], chunks: Iterable[str],
               header_comments: Sequence[str] = ()) -> None:
-    """CSV with '\\n' line endings and optional '#' comment header lines,
-    byte-stable for fixed inputs; each row holds its values in
-    ``fieldnames`` order."""
+    """A CSV file: optional '#' comment header lines, the ``fieldnames``
+    line, then the text ``chunks`` (formatted CSV lines, as
+    ``csv_chunks`` and ``RoundBatch.csv_chunks`` give) as they come."""
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
+        fh.write(csv_text([fieldnames]))
+        fh.writelines(chunks)

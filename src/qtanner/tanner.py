@@ -205,13 +205,6 @@ def syndrome_rows_z(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
     return (counts.astype(np.uint32) & 1).astype(np.uint8)
 
 
-def local_syndrome(code: QuantumTannerCode, sigma: BitVector | int, v1_pos: int) -> int:
-    """Restriction of a Z-check syndrome to the block of the v1_pos-th
-    V1 vertex (r1 bits)."""
-    bits = sigma.bits if isinstance(sigma, BitVector) else sigma
-    return (bits >> (v1_pos * code.r1)) & ((1 << code.r1) - 1)
-
-
 def reduced_weight(code: QuantumTannerCode, e: BitVector, mode: str = "greedy") -> int:
     """min over stabilizers s of |e + s|, exactly or as a greedy upper bound.
 

@@ -72,6 +72,26 @@ def extract(global_bits, view):
     return out
 
 
+def local_syndrome(code, sigma, v1_pos):
+    """The block of a Z-check syndrome (``BitVector`` or int) on the
+    v1_pos-th V1 vertex: its r1 bits."""
+    bits = sigma if isinstance(sigma, int) else sigma.bits
+    return (bits >> (v1_pos * code.r1)) & ((1 << code.r1) - 1)
+
+
+def multiround_rows(batch):
+    """The CSV rows a multi-round batch stands for, one tuple of
+    MULTIROUND_CSV_FIELDS values per (trial, round) and per readout,
+    built field by field from the batch's columns."""
+    rows = []
+    for t, seed in enumerate(batch.seeds):
+        for i, stats in enumerate(batch.stats[t].tolist(), start=1):
+            rows.append((*batch.head, seed, i, *stats, "", seed))
+        rows.append((*batch.head, seed, "final", 0, 0, 0, batch.final_weights[t],
+                     batch.final_classes[t], seed))
+    return rows
+
+
 def local_dual_tensor_distance(h_a, h_b):
     """Minimum weight of a nonzero vector of ker(H_A ⊗ H_B), the local
     code C_A ⊞ C_B, by scanning all 2^(n_A·n_B) vectors with numpy

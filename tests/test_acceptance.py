@@ -22,6 +22,7 @@ import statistics
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qtanner import cayley, cli, codes, decoder, noise, tanner
@@ -353,19 +354,13 @@ def test_criterion_6_single_shot_shape(ref_code):
 
 def _multiround_summary(code, model, cfg):
     """200 trials x 100 rounds: (slope, lo, hi, max residual, corrected)."""
-    corrected = 0
-    xs, ys = [], []
     trials = range(200)
-    for row in noise.run_multiround(
+    batch = noise.run_multiround(
         code, model, cfg, 100, [make_rng(109, t) for t in trials], seeds=trials
-    ):
-        if row.round == "final":
-            corrected += row.failure_class == tanner.CORRECTED
-        else:
-            xs.append(row.round)
-            ys.append(row.residual_weight)
-    slope, lo, hi = noise.ols_slope_ci(xs, ys)
-    return slope, lo, hi, max(ys), corrected
+    )
+    ys = batch.stats[..., 3].ravel()
+    slope, lo, hi = noise.ols_slope_ci(np.tile(np.arange(1, 101), len(trials)), ys)
+    return slope, lo, hi, int(ys.max()), batch.final_classes.count(tanner.CORRECTED)
 
 
 def test_criterion_7_multiround_boundedness(unique_code, ref_code):

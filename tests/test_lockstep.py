@@ -4,7 +4,7 @@
 numpy arrays.  Its reference here is the per-trial loop it replaced:
 ``sample_errors`` -> ``syndrome_bits_z`` -> ``DecoderConfig.decode``,
 the residual fed forward, then one ideal sequential readout.  Every
-CSV row, round by round and the final readout's residual weight and
+column, round by round and the final readout's residual weight and
 class, must match trial by trial.  ``noise.run_sweep`` decodes a block
 of single-shot trials in lockstep; its records must equal
 ``run_single_shot_trial`` on each trial's own ``make_rng`` stream.
@@ -21,27 +21,24 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
 
-def scalar_multiround(code, model, cfg, rounds, rng, instance_id, seed):
-    """The ``RoundRow`` list of one trial of the multi-round protocol,
-    decoded one round at a time."""
+def scalar_multiround(code, model, cfg, rounds, rng):
+    """One trial of the multi-round protocol, decoded one round at a
+    time: its (|e|, |D|, |D|_V, residual weight) per round, and the
+    readout's residual weight and class."""
     rz = code.h_z.rows
-    head = (instance_id, cfg.kind, cfg.param, *model.pq_labels(), seed)
     residual = prev = 0
-    rows = []
-    for i in range(1, rounds + 1):
+    stats = []
+    for _ in range(rounds):
         e, d = noise.sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
         syn = BitVector(rz, tanner.syndrome_bits_z(code, residual ^ e.bits) ^ d.bits)
         residual ^= e.bits ^ cfg.decode(code, syn).bits
-        rows.append(noise.RoundRow(*head, i, e.weight(), d.weight(),
-                                   noise.vertex_support_size(code, d), residual.bit_count(),
-                                   "", seed))
+        stats.append([e.weight(), d.weight(), noise.vertex_support_size(code, d),
+                      residual.bit_count()])
     ideal = BitVector(rz, tanner.syndrome_bits_z(code, residual))
     f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
     final = BitVector(code.n, residual ^ f_final.bits)
-    rows.append(noise.RoundRow(*head, "final", 0, 0, 0, final.weight(),
-                               tanner.classify_residual(code, final), seed))
-    return rows
+    return stats, final.weight(), tanner.classify_residual(code, final)
 
 
 @pytest.fixture(scope="module")
@@ -80,24 +77,29 @@ CASES = [
 def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, request):
     code = request.getfixturevalue(fixture)
     seed = 500 + CASES.index((fixture, cfg, model, trials, rounds))
-    rows = noise.run_multiround(
+    batch = noise.run_multiround(
         code, model, cfg, rounds, [make_rng(seed, t) for t in range(trials)],
         instance_id="x", seeds=range(100, 100 + trials),
     )
-    assert len(rows) == trials * (rounds + 1)
-    assert [r.trial for r in rows if r.round == "final"] == list(range(100, 100 + trials))
+    assert batch.head == ("x", cfg.kind, cfg.param, *model.pq_labels())
+    assert batch.stats.shape == (trials, rounds, 4)
+    assert batch.seeds == list(range(100, 100 + trials))
     moved = 0
     for t in range(trials):
-        got = rows[t * (rounds + 1):(t + 1) * (rounds + 1)]
-        want = scalar_multiround(code, model, cfg, rounds, make_rng(seed, t), "x", 100 + t)
-        assert got == want, f"trial {t}"
-        moved += any(r.e_weight or r.d_weight for r in got)
+        stats, weight, cls = scalar_multiround(code, model, cfg, rounds, make_rng(seed, t))
+        got = batch.stats[t].tolist()
+        assert (got, batch.final_weights[t], batch.final_classes[t]) == (stats, weight, cls), \
+            f"trial {t}"
+        moved += any(e_w or d_w for e_w, d_w, _, _ in got)
     assert moved > 0  # the noise is not vacuous
 
 
 def test_empty_batch_and_seed_count(unique_code):
     cfg = DecoderConfig("parallel", k=1)
-    assert noise.run_multiround(unique_code, BERNOULLI, cfg, 3, []) == []
+    batch = noise.run_multiround(unique_code, BERNOULLI, cfg, 3, [])
+    assert batch.stats.shape == (0, 3, 4)
+    assert batch.seeds == batch.final_weights == batch.final_classes == []
+    assert list(batch.csv_chunks()) == []
     with pytest.raises(ValueError, match="seeds"):
         noise.run_multiround(unique_code, BERNOULLI, cfg, 3, [make_rng(1, 0)], seeds=[0, 1])
 

@@ -1,5 +1,7 @@
 """Noise models, trial records, multi-round protocol, sweeps, statistics."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from qtanner import decoder, noise
 from qtanner.errors import whole
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
+
+from oracles import multiround_rows
 
 
 class TestRng:
@@ -200,19 +204,20 @@ class TestSingleShotTrial:
 
 class TestMultiround:
     def test_zero_noise_all_rounds_clean(self, ref_code):
-        *rounds, final = noise.run_multiround(
+        batch = noise.run_multiround(
             ref_code, NoiseModel(), DecoderConfig("parallel", k=2), 10, [make_rng(11, 0)]
         )
-        assert all(r.residual_weight == 0 for r in rounds)
-        assert final.failure_class == "corrected"
-        assert final.residual_weight == 0
+        assert not batch.stats[..., 3].any()
+        assert batch.final_classes == ["corrected"]
+        assert batch.final_weights == [0]
 
     def test_round_count_and_validation(self, ref_code):
-        rows = noise.run_multiround(
+        batch = noise.run_multiround(
             ref_code, NoiseModel(), DecoderConfig("sequential"), 5, [make_rng(12, 0)]
         )
-        assert [r.round for r in rows] == [1, 2, 3, 4, 5, "final"]
-        assert noise.MULTIROUND_CSV_FIELDS == list(noise.RoundRow._fields)
+        assert [row[6] for row in multiround_rows(batch)] == [1, 2, 3, 4, 5, "final"]
+        assert noise.MULTIROUND_CSV_FIELDS[5:7] == ["trial", "round"]
+        assert noise.MULTIROUND_CSV_FIELDS[7:11] == list(noise.ROUND_STATS)
         with pytest.raises(ValueError):
             noise.run_multiround(
                 ref_code, NoiseModel(), DecoderConfig("sequential"), 0, [make_rng(12, 1)]
@@ -220,12 +225,27 @@ class TestMultiround:
 
     def test_stable_on_unique_instance(self, unique_code):
         model = NoiseModel(p=0.002, q=0.002)
-        rows = noise.run_multiround(
+        batch = noise.run_multiround(
             unique_code, model, DecoderConfig("parallel", k=4), 50,
             [make_rng(14, t) for t in range(30)],
         )
-        ok = sum(r.round == "final" and r.failure_class == "corrected" for r in rows)
-        assert ok >= 27
+        assert batch.final_classes.count("corrected") >= 27
+
+    @pytest.mark.parametrize("instance_id", ['a,"b', "x%dy"])
+    def test_csv_equals_csv_writer_of_the_rows(self, unique_code, tmp_path, instance_id):
+        # the head needs quoting (or holds a % the round template must
+        # not read), and p = 1e-05 is written by repr
+        batch = noise.run_multiround(
+            unique_code, NoiseModel(p=1e-05, q=0.02), DecoderConfig("parallel", k=2), 4,
+            [make_rng(16, t) for t in range(3)], instance_id=instance_id, seeds=[5, 7, 9],
+        )
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [noise.MULTIROUND_CSV_FIELDS, *multiround_rows(batch)])
+        path = tmp_path / "m.csv"
+        noise.write_csv(path, noise.MULTIROUND_CSV_FIELDS, batch.csv_chunks(), ["h=1"])
+        assert path.read_text() == "# h=1\n" + want.getvalue()
+        assert len(path.read_text().splitlines()) == 2 + 3 * 5
 
 
 def sweep_points(code, models, cfgs, trials, master_seed):
@@ -383,7 +403,15 @@ class TestSerialization:
     def test_csv_writer_stable_bytes(self, tmp_path):
         rows = [(1, "x"), (2, "y")]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        noise.write_csv(p1, ["a", "b"], rows, ["h=1"])
-        noise.write_csv(p2, ["a", "b"], rows, ["h=1"])
+        noise.write_csv(p1, ["a", "b"], noise.csv_chunks(rows), ["h=1"])
+        noise.write_csv(p2, ["a", "b"], noise.csv_chunks(rows), ["h=1"])
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text() == "# h=1\na,b\n1,x\n2,y\n"
+
+    def test_csv_chunks_split_rows_without_changing_text(self, monkeypatch):
+        rows = [(i, "a,b", 0.1 * i) for i in range(5)]
+        monkeypatch.setattr(noise, "_CSV_CHUNK_ROWS", 2)
+        chunks = list(noise.csv_chunks(rows))
+        assert [c.count("\n") for c in chunks] == [2, 2, 1]
+        assert "".join(chunks) == noise.csv_text(rows)
+        assert chunks[0] == '0,"a,b",0.0\n1,"a,b",0.1\n'

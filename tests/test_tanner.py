@@ -11,7 +11,7 @@ from qtanner.errors import BudgetError, CommutationError, DimensionMismatchError
 from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
 
-from oracles import np_commutator_gf2, np_rank_gf2
+from oracles import local_syndrome, np_commutator_gf2, np_rank_gf2
 
 
 class TestBuild:
@@ -130,7 +130,7 @@ class TestSyndrome:
         touched = {
             pos
             for pos in range(len(ref_code.v1_vertices))
-            if tanner.local_syndrome(ref_code, s, pos)
+            if local_syndrome(ref_code, s, pos)
         }
         face_vs = set(ref_code.complex.face_vertices(q))
         v1_positions = {
