@@ -20,7 +20,6 @@ from .codes import (
     product_expansion_kappa,
     repetition_code,
     sample_random_code,
-    tensor_code,
     zero_code,
 )
 from .decoder import (
@@ -44,11 +43,9 @@ from .noise import (
 )
 from .tanner import (
     QuantumTannerCode,
-    build_tanner_code,
     classify_residual,
     code_dimension,
     reduced_weight,
-    syndrome,
     theory_report,
 )
 

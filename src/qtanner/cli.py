@@ -229,7 +229,7 @@ def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
     seed = cfg.get("seed", CONFIG_DEFAULTS["seed"])
     ca = _local_code(lc, cx.delta, seed, "a")
     cb = _local_code(lc, cx.delta, seed, "b")
-    code = tanner.build_tanner_code(cx, ca, cb)
+    code = tanner.QuantumTannerCode(cx, ca, cb)
     if inst.get("side", REFERENCE_INSTANCE["side"]) == "Z":
         code = code.z_side()
     return code, config_hash(inst)[:12]
@@ -376,17 +376,16 @@ def _sweep_task(task: tuple[int, int, int]) -> list[noise.TrialRecord]:
 
 
 def _multiround_task(task: tuple[int, int]) -> noise.RoundBatch:
-    """Trials [lo, hi), run as one lockstep batch."""
-    trial_ids = range(*task)
+    """Trials [lo, hi), run as one lockstep batch on streams lo..hi-1."""
     exp = _WORKER["exp"]
     return noise.run_multiround(
         _WORKER["code"],
         exp.noise,
         exp.decoders[0],
         exp.rounds,
-        [noise.make_rng(exp.seed, ti) for ti in trial_ids],
+        exp.seed,
+        range(*task),
         instance_id=_WORKER["iid"],
-        seeds=trial_ids,
     )
 
 

@@ -47,11 +47,6 @@ class LinearCode:
         self.pchk = pchk
 
     @classmethod
-    def from_parity_check(cls, h: BitMatrix) -> "LinearCode":
-        h = gf2.row_reduce_independent(h)
-        return cls(h.cols, gf2.kernel_basis(h), h)
-
-    @classmethod
     def from_generator(cls, g: BitMatrix) -> "LinearCode":
         g = gf2.row_reduce_independent(g)
         return cls(g.cols, g, gf2.kernel_basis(g))
@@ -60,25 +55,8 @@ class LinearCode:
     def dim(self) -> int:
         return self.gen.rows
 
-    @property
-    def rate(self) -> float:
-        return self.dim / self.n
-
     def dual(self) -> "LinearCode":
         return LinearCode(self.n, self.pchk, self.gen)
-
-    def contains(self, v: BitVector) -> bool:
-        return gf2.mat_vec_mul(self.pchk, v).bits == 0
-
-    def contains_bits(self, bits: int) -> bool:
-        return all((r & bits).bit_count() & 1 == 0 for r in self.pchk.data)
-
-    def codeword_bits(self) -> list[int]:
-        """All 2^dim codewords as packed ints (Gray-code order from 0)."""
-        return list(self.gen.iter_rowspace())
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "gen": [self.gen.row(i).to01() for i in range(self.gen.rows)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearCode":
@@ -127,16 +105,6 @@ def sample_random_code(n: int, k: int, rng) -> LinearCode:
         g = BitMatrix.from_rows(bits.tolist(), cols=n)
         if gf2.rank(g) == k:
             return LinearCode.from_generator(g)
-
-
-def tensor_code(ca: LinearCode, cb: LinearCode) -> LinearCode:
-    """C_A x C_B: grid codewords with every column in C_A, every row in C_B.
-
-    Position (a, b) of the grid is bit a*n_B + b (A-major), matching the
-    project-wide Kronecker convention.
-    """
-    gen = gf2.kronecker(ca.gen, cb.gen)
-    return LinearCode(ca.n * cb.n, gen, gf2.kernel_basis(gen))
 
 
 class _ColumnSpace(NamedTuple):
@@ -193,9 +161,6 @@ class DualTensorCode:
     @property
     def n(self) -> int:
         return self.na * self.nb
-
-    def contains_bits(self, bits: int) -> bool:
-        return all((r & bits).bit_count() & 1 == 0 for r in self.pchk.data)
 
     def _check_budget(self) -> None:
         if self.dim > MAX_TABLE_DIM:

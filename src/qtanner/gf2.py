@@ -11,27 +11,17 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
 bits as one ``uint64`` each; ``span_words``, ``lex_keys`` and
-``unique_words`` are the ``span``, ``lex_key`` and distinct values of
-such words.
+``unique_words`` are the span, ``lex_key`` and distinct values of such
+words.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-
-
-def span(basis: list[int]) -> Iterator[int]:
-    """Yield all 2^len(basis) XOR combinations of independent rows
-    (Gray-code order, starts at 0)."""
-    x = 0
-    yield x
-    for i in range(1, 1 << len(basis)):
-        x ^= basis[(i & -i).bit_length() - 1]
-        yield x
 
 
 def span_words(basis: Sequence[int]) -> np.ndarray:
@@ -157,15 +147,6 @@ class BitVector:
         self.bits = bits
 
     @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < n:
-                raise IndexError(f"bit index {i} out of range for length {n}")
-            bits |= 1 << i
-        return cls(n, bits)
-
-    @classmethod
     def from_string(cls, s: str) -> "BitVector":
         """Parse '0101...' where character i is coordinate i."""
         bits = 0
@@ -179,15 +160,6 @@ class BitVector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def support(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            lsb = b & -b
-            out.append(lsb.bit_length() - 1)
-            b ^= lsb
-        return out
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
@@ -197,11 +169,6 @@ class BitVector:
         if other.n != self.n:
             raise DimensionMismatchError(self.n, other.n)
         return BitVector(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if other.n != self.n:
-            raise DimensionMismatchError(self.n, other.n)
-        return BitVector(self.n, self.bits & other.bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -272,16 +239,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.data))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -295,22 +252,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                lsb = r & -r
-                out[lsb.bit_length() - 1] |= 1 << i
-                r ^= lsb
-        return BitMatrix(self.cols, self.rows, out)
-
-    def iter_rowspace(self) -> Iterator[int]:
-        """Yield all 2^rank rowspace elements (Gray-code order, starts at 0)."""
-        yield from span(Echelon(self).rows)
 
 
 def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -371,17 +312,6 @@ class Echelon:
                 return False
             bits ^= row
         return True
-
-
-def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
-    """Return M·v over GF(2); result bit i is <row_i, v>."""
-    if v.n != m.cols:
-        raise DimensionMismatchError(m.cols, v.n)
-    out = 0
-    vb = v.bits
-    for i, r in enumerate(m.data):
-        out |= ((r & vb).bit_count() & 1) << i
-    return BitVector(m.rows, out)
 
 
 def rank(m: BitMatrix) -> int:

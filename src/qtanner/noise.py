@@ -1,25 +1,27 @@
 """Noise models, single-shot trials, multi-round protocols and sweeps.
 
-Every trial derives its own counter-based RNG stream from
-(master seed, stream id), so results are reproducible bit for bit no
-matter how trials are scheduled.  Wall-clock timing is only recorded
-when explicitly requested, because timing breaks byte-identical output.
+Every trial runner takes (master seed, stream ids), and each trial
+draws from its own counter-based RNG stream, keyed by (master seed,
+stream id) and recorded as its CSV seed column, so results are
+reproducible bit for bit no matter how trials are scheduled.  Only
+``_round_errors`` turns stream ids into generators: the shared
+``rekeyed_rng`` for one round, one ``make_rng`` per trial for more.
+Wall-clock timing is only recorded when explicitly requested, because
+timing breaks byte-identical output.
 
 A single-shot trial draws its (e, D) once and decodes that sample with
 every decoder of the experiment, so decoder comparisons are paired.
 ``run_trial_block`` runs many such trials in lockstep, one numpy row
-per trial: each trial draws on its own stream from one re-keyed
-per-process generator (``rekeyed_rng``), the initial mismatch is
-computed once for the block and shared by every decoder, and the
-record columns are arrays; ``run_sweep`` (one block of one grid point)
-and ``estimate_threshold`` run on it, and ``run_single_shot_trial``
-stays as the one-trial reference.  A multi-round run takes its trials
-as one batch and advances them in lockstep, one round at a time: each
-trial still draws from its own stream in the order a lone trial would,
-and the batch is decoded as numpy rows by
-``DecoderConfig.decode_lockstep``.  In both, a trial's results do not
-depend on the block or batch it ran in.  A block returns one
-``TrialRecord`` per (trial, decoder); a batch returns one
+per trial: the initial mismatch is computed once for the block and
+shared by every decoder, and the record columns are arrays;
+``run_sweep`` (one block of one grid point) and ``estimate_threshold``
+run on it, and ``run_single_shot_trial`` stays as the one-trial
+reference.  A multi-round run takes its trials as one batch and
+advances them in lockstep, one round at a time: each trial still draws
+from its own stream in the order a lone trial would, and the batch is
+decoded as numpy rows by ``DecoderConfig.decode_lockstep``.  In both, a
+trial's results do not depend on the block or batch it ran in.  A block
+returns one ``TrialRecord`` per (trial, decoder); a batch returns one
 ``RoundBatch``, its per-round weights as one (trials, rounds, 4) array
 and its readouts as lists, and formats its own CSV lines from them.
 Every CSV line goes through ``csv_text``, and ``write_csv`` writes the
@@ -349,11 +351,6 @@ class DecoderConfig:
         else:
             dec.lockstep_parallel_decomposition(cache, zhat, f, self.k)
 
-    def to_json(self) -> dict:
-        if self.kind == "sequential":
-            return {"kind": "sequential", "eps": str(self.eps)}
-        return {"kind": "parallel", "k": self.k}
-
     @classmethod
     def from_json(cls, obj: dict) -> "DecoderConfig":
         """A decoder spec: {"kind": "sequential", "eps": ...} or
@@ -449,16 +446,18 @@ def run_single_shot_trial(
     code: QuantumTannerCode,
     model: NoiseModel,
     cfgs: Sequence[DecoderConfig],
-    rng,
+    master_seed: int,
+    stream: int,
     instance_id: str = "",
-    seed: int = 0,
     record_timing: bool = False,
 ) -> list[TrialRecord]:
-    """One single-shot trial: (e, D) drawn once from ``rng``, then
-    decoded and classified by every config, one record per config in
-    ``cfgs`` order."""
-    e, d = sample_errors(code, model, rng)
-    return [rec for rec, _ in decode_trial(code, model, cfgs, e, d, instance_id, seed,
+    """One single-shot trial: (e, D) drawn once from stream ``stream``
+    by ``_round_errors``, then decoded and classified by every config,
+    one record per config in ``cfgs`` order, each with seed ``stream``."""
+    e, d = (gf2.from_bit_rows(rows)[0]
+            for rows in next(_round_errors(code, model, master_seed, [stream], 1)))
+    return [rec for rec, _ in decode_trial(code, model, cfgs, BitVector(code.n, e),
+                                           BitVector(code.h_z.rows, d), instance_id, stream,
                                            record_timing)]
 
 
@@ -490,7 +489,7 @@ def decode_trial(
             decoder=cfg.kind,
             param=cfg.param,
             residual_weight=residual.weight(),
-            residual_reduced_proxy=tanner.reduced_weight(code, residual, "greedy"),
+            residual_reduced_proxy=tanner.reduced_weight(code, residual),
             failure_class=tanner.classify_residual(code, residual),
             ms=ms,
             **sample,
@@ -555,17 +554,21 @@ def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel,
             np.concatenate(d).reshape(trials, rounds, (rz + 7) // 8))
 
 
-def _round_errors(code: QuantumTannerCode, model: NoiseModel,
-                  rngs: Iterable[np.random.Generator], rounds: int
+def _round_errors(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
+                  streams: Sequence[int], rounds: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(e, D) of every trial as (trials, n) and (trials, H_Z rows) bit
-    rows, round after round, each trial drawing from its own stream as
-    ``sample_errors`` does.  Bernoulli noise is drawn for all rounds up
-    front, one trial after another; the other models call
-    ``sample_errors`` once per round.  ``rngs`` is read once per round,
-    so it must be a sequence when ``rounds`` > 1; a one-round call may
-    pass an iterator, and each trial's draws end before the next
-    generator is taken."""
+    rows, round after round; trial i draws from stream ``streams[i]`` of
+    ``master_seed`` what ``sample_errors`` would.  This is where stream
+    ids become generators: a one-round call re-keys ``rekeyed_rng`` as it
+    reaches each trial, whose draws end before the next is keyed; a call
+    with more rounds holds one ``make_rng`` per trial.  Bernoulli noise
+    is drawn for all rounds up front, one trial after another; the other
+    models call ``sample_errors`` once per round."""
+    if rounds == 1:
+        rngs = (rekeyed_rng(master_seed, s) for s in streams)
+    else:
+        rngs = [make_rng(master_seed, s) for s in streams]
     n, rz = code.n, code.h_z.rows
     if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
         e_packed, d_packed = _bernoulli_rounds(code, model, rngs, rounds)
@@ -586,16 +589,16 @@ def run_multiround(
     model: NoiseModel,
     cfg: DecoderConfig,
     rounds: int,
-    rngs: Sequence[np.random.Generator],
+    master_seed: int,
+    streams: Sequence[int],
     instance_id: str = "",
-    seeds: Optional[Sequence[int]] = None,
 ) -> RoundBatch:
     """The multi-round protocol for a batch of trials run in lockstep:
     rounds cycles of (new error, noisy syndrome, decode) with the
     residual fed forward, then one noiseless sequential decode (ε = 1/2)
-    as the final readout.  Trial i draws from ``rngs[i]`` and is
-    recorded with seed ``seeds[i]`` (default i); its columns do not
-    depend on the other trials of the batch.
+    as the final readout.  Trial i draws from stream ``streams[i]`` of
+    ``master_seed`` and is recorded with that stream id as its trial and
+    seed; its columns do not depend on the other trials of the batch.
 
     Returns the batch as columns: per trial and round |e|, |D|, |D|_V
     and the residual weight, and per trial the readout's residual weight
@@ -608,14 +611,12 @@ def run_multiround(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    seeds = list(range(len(rngs)) if seeds is None else seeds)
-    if len(seeds) != len(rngs):
-        raise ValueError(f"{len(seeds)} seeds for {len(rngs)} trials")
-    trials, n, rz = len(rngs), code.n, code.h_z.rows
+    seeds = list(streams)
+    trials, n, rz = len(seeds), code.n, code.h_z.rows
     residual = np.zeros((trials, n), dtype=np.uint8)
     stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
     # an empty batch draws nothing (the Bernoulli sampler needs a trial)
-    drawn = _round_errors(code, model, rngs, rounds) if trials else ()
+    drawn = _round_errors(code, model, master_seed, seeds, rounds) if trials else ()
     for i, (e, d) in enumerate(drawn):
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
         residual ^= e ^ cfg.decode_lockstep(code, syn)
@@ -676,18 +677,18 @@ def run_trial_block(
     record_timing: bool = False,
 ) -> list[TrialRecord]:
     """Single-shot trials decoded in lockstep: trial i draws (e, D) once
-    from stream ``streams[i]``, recorded as its seed, and every config
-    decodes that sample.  The records come trial by trial, in ``cfgs``
-    order within a trial, and equal ``run_single_shot_trial`` with
-    ``make_rng(master_seed, stream)`` and ``seed=stream`` field for
-    field (except ``ms``).
+    from stream ``streams[i]`` of ``master_seed``, recorded as its seed,
+    and every config decodes that sample.  The records come trial by
+    trial, in ``cfgs`` order within a trial, and equal
+    ``run_single_shot_trial(..., master_seed, stream)`` field for field
+    (except ``ms``).
 
     The block runs in slices of at most ``_SLICE_TRIALS`` trials.  A
-    slice is one array step: the draws of ``_round_errors`` (one round,
-    each trial's generator re-keyed as it is reached), one syndrome
-    product, one ``lockstep_initial_mismatch`` that every config shares,
-    each config's ``decompose_lockstep``, and the sample and residual
-    columns as arrays; only ``classify_residual`` runs per row.  With
+    slice is one array step: the one-round draws of ``_round_errors`` on
+    the slice's streams, one syndrome product, one
+    ``lockstep_initial_mismatch`` that every config shares, each config's
+    ``decompose_lockstep``, and the sample and residual columns as
+    arrays; only ``classify_residual`` runs per row.  With
     ``record_timing``, ``ms`` is a config's decode time over the whole
     block (the shared initial mismatch included) divided by its trials.
     """
@@ -699,8 +700,7 @@ def run_trial_block(
     spent = [0.0] * len(cfgs)
     for lo in range(0, len(streams), _SLICE_TRIALS):
         part = streams[lo:lo + _SLICE_TRIALS]
-        e, d = next(_round_errors(code, model,
-                                  (rekeyed_rng(master_seed, s) for s in part), 1))
+        e, d = next(_round_errors(code, model, master_seed, part, 1))
         t0 = time.perf_counter()
         zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
         shared = time.perf_counter() - t0
@@ -781,7 +781,6 @@ def estimate_threshold(
     lo: float = 0.0,
     hi: float = 0.5,
     iters: int = 8,
-    instance_id: str = "",
 ) -> float:
     """Bisect the bernoulli p = q level where the not-corrected frequency
     crosses 1/2; a coarse, reproducible operating-point estimate.
@@ -795,7 +794,7 @@ def estimate_threshold(
         mid = (lo + hi) / 2
         model = NoiseModel(data_kind="bernoulli", p=mid, syn_kind="bernoulli", q=mid)
         records = run_trial_block(code, model, [cfg], master_seed,
-                                  [(it << 24) | ti for ti in range(trials)], instance_id)
+                                  [(it << 24) | ti for ti in range(trials)])
         fails = sum(rec.failure_class != tanner.CORRECTED for rec in records)
         if fails / trials < 0.5:
             lo = mid

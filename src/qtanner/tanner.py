@@ -22,10 +22,8 @@ from . import codes as codes_mod
 from . import gf2
 from .cayley import LeftRightCayleyComplex, V00, V01, V10, V11
 from .codes import DualTensorCode, LinearCode
-from .errors import BudgetError, CommutationError, DimensionMismatchError
+from .errors import CommutationError, DimensionMismatchError
 from .gf2 import BitMatrix, BitVector
-
-MAX_EXACT_REDUCED_RANK = 24
 
 CORRECTED = "corrected"
 DETECTED = "detected"
@@ -161,15 +159,6 @@ class QuantumTannerCode:
         return f"QuantumTannerCode(n={self.n}, delta={self.delta}, flip={self.flip_roles})"
 
 
-def build_tanner_code(
-    complex: LeftRightCayleyComplex,
-    local_a: LinearCode,
-    local_b: LinearCode,
-    flip_roles: bool = False,
-) -> QuantumTannerCode:
-    return QuantumTannerCode(complex, local_a, local_b, flip_roles)
-
-
 def code_dimension(code: QuantumTannerCode) -> tuple[int, int]:
     """(k, counting lower bound n − rows(H_X) − rows(H_Z)).
 
@@ -178,15 +167,6 @@ def code_dimension(code: QuantumTannerCode) -> tuple[int, int]:
     the (1 − 2ρ)²·n of Leverrier–Zémor.
     """
     return code.k, code.n - code.h_x.rows - code.h_z.rows
-
-
-def syndrome(code: QuantumTannerCode, side: str, e: BitVector) -> BitVector:
-    """Apply the requested check matrix: side 'Z' gives H_Z e (detects X
-    errors), side 'X' gives H_X e."""
-    if side not in ("X", "Z"):
-        raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
-    h = code.h_z if side == "Z" else code.h_x
-    return gf2.mat_vec_mul(h, e)
 
 
 def syndrome_bits_z(code: QuantumTannerCode, e_bits: int) -> int:
@@ -205,24 +185,11 @@ def syndrome_rows_z(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
     return (counts.astype(np.uint32) & 1).astype(np.uint8)
 
 
-def reduced_weight(code: QuantumTannerCode, e: BitVector, mode: str = "greedy") -> int:
-    """min over stabilizers s of |e + s|, exactly or as a greedy upper bound.
-
-    Exact mode walks the full rowspace of H_X (gated at rank 24); greedy
-    repeatedly applies the single generator row with the largest weight
-    drop and is an upper bound on the true reduced weight.
-    """
+def reduced_weight(code: QuantumTannerCode, e: BitVector) -> int:
+    """A greedy upper bound on min over stabilizers s of |e + s|: it
+    repeatedly applies the single H_X row with the largest weight drop."""
     if e.n != code.n:
         raise DimensionMismatchError(code.n, e.n)
-    if mode == "exact":
-        r = code.rank_hx
-        if r > MAX_EXACT_REDUCED_RANK:
-            raise BudgetError(
-                f"rank(H_X) = {r} > {MAX_EXACT_REDUCED_RANK}; exact reduced weight refused"
-            )
-        return min((e.bits ^ s).bit_count() for s in code.h_x.iter_rowspace())
-    if mode != "greedy":
-        raise ValueError(f"unknown mode {mode!r}")
     return _greedy_reduce(code, e.bits).bit_count()
 
 
@@ -246,7 +213,7 @@ def _greedy_reduce(code: QuantumTannerCode, bits: int) -> int:
 
 
 def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
-    """``reduced_weight(code, e, "greedy")`` of every row e of a (trials,
+    """``reduced_weight(code, e)`` of every row e of a (trials,
     n) 0/1 array: ``_greedy_reduce`` in lockstep.
 
     A pass takes one product of the rows still reducing with H_Xᵀ; the

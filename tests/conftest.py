@@ -11,7 +11,7 @@ def ref_code():
     """Z13, delta 4, rho 1/4: the n = 208 instance used throughout."""
     g = cayley.build_group("cyclic", 13)
     cx = cayley.build_complex(g, A13, A13)
-    return tanner.build_tanner_code(cx, codes.repetition_code(4), codes.parity_code(4))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(4), codes.parity_code(4))
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def tiny_code():
     """Z3, delta 2, rep_2 locals: small enough for exact reduced weights."""
     g = cayley.build_group("cyclic", 3)
     cx = cayley.build_complex(g, [1, 2], [1, 2])
-    return tanner.build_tanner_code(cx, codes.repetition_code(2), codes.repetition_code(2))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(2), codes.repetition_code(2))
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def z5_code():
     """Z5, delta 2, C_B the full space: H_Z is empty (degenerate but legal)."""
     g = cayley.build_group("cyclic", 5)
     cx = cayley.build_complex(g, [1, 4], [1, 4])
-    return tanner.build_tanner_code(cx, codes.repetition_code(2), codes.full_space(2))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(2), codes.full_space(2))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def rep3_par3_code():
     share one local syndrome, so coset leaders tie."""
     g = cayley.build_group("cyclic", 8)
     cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
-    return tanner.build_tanner_code(cx, codes.repetition_code(3), codes.parity_code(3))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(3), codes.parity_code(3))
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def unique_code():
     weight-1 coset leaders, so isolated errors decode exactly."""
     g = cayley.build_group("cyclic", 8)
     cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
-    return tanner.build_tanner_code(cx, codes.repetition_code(3), codes.repetition_code(3))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(3), codes.repetition_code(3))
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def rep5_code():
     g = cayley.build_group("cyclic", 12)
     gens = [1, 11, 2, 10, 6]
     cx = cayley.build_complex(g, gens, gens)
-    return tanner.build_tanner_code(cx, codes.repetition_code(5), codes.repetition_code(5))
+    return tanner.QuantumTannerCode(cx, codes.repetition_code(5), codes.repetition_code(5))
 
 
 # Property tests draw the same examples on every run, so tier-1 stays

@@ -1,10 +1,10 @@
 """Independent test oracles.
 
 Everything here re-derives results from first principles with code paths
-disjoint from the library: numpy-based elimination, ambient-space
-enumeration for product expansion, direct column-assignment search
-for minimal decompositions, and weight-ordered enumeration for coset
-leaders.
+disjoint from the library: numpy-based elimination, dense integer
+products for syndromes and commutation, ambient-space enumeration for
+product expansion, direct column-assignment search for minimal
+decompositions, and weight-ordered enumeration for coset leaders.
 """
 
 import itertools
@@ -19,9 +19,9 @@ from qtanner import gf2
 def _dense(mat):
     """A packed-row matrix as a dense (rows, cols) uint8 array."""
     m = np.zeros((mat.rows, mat.cols), dtype=np.uint8)
-    for i in range(mat.rows):
+    for i, row in enumerate(mat.data):
         for j in range(mat.cols):
-            m[i, j] = mat.entry(i, j)
+            m[i, j] = (row >> j) & 1
     return m
 
 
@@ -48,6 +48,16 @@ def np_commutator_gf2(a, b):
     return (_dense(a).astype(np.int64) @ _dense(b).T.astype(np.int64)) % 2
 
 
+def np_mat_vec_gf2(mat, v):
+    """M·v over GF(2) as a packed int (bit i is <row i, v>), by one
+    integer product of the dense matrix with the 0/1 column of ``v`` (a
+    ``BitVector`` or a packed int): the syndrome oracle."""
+    bits = v if isinstance(v, int) else v.bits
+    col = np.array([(bits >> j) & 1 for j in range(mat.cols)], dtype=np.int64)
+    out = (_dense(mat).astype(np.int64) @ col) % 2
+    return sum(int(b) << i for i, b in enumerate(out))
+
+
 def np_rank_gf2(mat):
     """GF(2) rank by elimination on a dense numpy array."""
     return _rank_dense(_dense(mat))
@@ -61,6 +71,22 @@ def same_subspace(code_a, code_b):
     ga, gb = _dense(code_a.gen), _dense(code_b.gen)
     stacked = _rank_dense(np.vstack([ga, gb]))
     return _rank_dense(ga) == _rank_dense(gb) == stacked
+
+
+def span(basis):
+    """Yield all 2^len(basis) XOR combinations of independent rows
+    (Gray-code order, starts at 0)."""
+    x = 0
+    yield x
+    for i in range(1, 1 << len(basis)):
+        x ^= basis[(i & -i).bit_length() - 1]
+        yield x
+
+
+def codeword_bits(code):
+    """All 2^dim codewords of a linear code as packed ints, the span of
+    its (independent) generator rows."""
+    return list(span(code.gen.data))
 
 
 def extract(global_bits, view):
@@ -115,8 +141,8 @@ def independent_kappa(ca, cb):
     """
     na, nb = ca.n, cb.n
     n = na * nb
-    ca_words = set(ca.codeword_bits())
-    cb_words = set(cb.codeword_bits())
+    ca_words = set(codeword_bits(ca))
+    cb_words = set(codeword_bits(cb))
 
     def column(x, b):
         return sum(((x >> (a * nb + b)) & 1) << a for a in range(na))
@@ -125,8 +151,8 @@ def independent_kappa(ca, cb):
         return (x >> (a * nb)) & ((1 << nb) - 1)
 
     def in_code(x):
-        for u in ca.dual().codeword_bits():
-            for w in cb.dual().codeword_bits():
+        for u in codeword_bits(ca.dual()):
+            for w in codeword_bits(cb.dual()):
                 uw = 0
                 for a in range(na):
                     if (u >> a) & 1:
@@ -162,8 +188,8 @@ def independent_kappa(ca, cb):
 def exhaustive_min_cr(dt, x):
     """Minimum (c, r) split by iterating all |C_A|^|B| column assignments."""
     na, nb = dt.na, dt.nb
-    ca_words = sorted(dt.code_a.codeword_bits())
-    cb_words = set(dt.code_b.codeword_bits())
+    ca_words = sorted(codeword_bits(dt.code_a))
+    cb_words = set(codeword_bits(dt.code_b))
     best = None
     for assignment in itertools.product(ca_words, repeat=nb):
         c = 0

@@ -89,7 +89,7 @@ def test_criterion_1_css_validity():
     instances = [
         (
             "Z5/delta2",
-            tanner.build_tanner_code(
+            tanner.QuantumTannerCode(
                 cayley.build_complex(cayley.build_group("cyclic", 5), [1, 4], [1, 4]),
                 codes.repetition_code(2),
                 codes.full_space(2),
@@ -97,11 +97,11 @@ def test_criterion_1_css_validity():
         ),
         (
             "Z13/delta4 rho=1/4",
-            tanner.build_tanner_code(cx13, codes.repetition_code(4), codes.parity_code(4)),
+            tanner.QuantumTannerCode(cx13, codes.repetition_code(4), codes.parity_code(4)),
         ),
         (
             "dihedral(6)/delta4",
-            tanner.build_tanner_code(
+            tanner.QuantumTannerCode(
                 cayley.build_complex(cayley.build_group("dihedral", 6), D6_GENS, D6_GENS),
                 codes.repetition_code(4),
                 codes.parity_code(4),
@@ -109,7 +109,7 @@ def test_criterion_1_css_validity():
         ),
         (
             "Z13 random (1,3)",
-            tanner.build_tanner_code(
+            tanner.QuantumTannerCode(
                 cx13,
                 codes.sample_random_code(4, 1, rng),
                 codes.sample_random_code(4, 3, rng),
@@ -117,7 +117,7 @@ def test_criterion_1_css_validity():
         ),
         (
             "Z13 random (2,2)",
-            tanner.build_tanner_code(
+            tanner.QuantumTannerCode(
                 cx13,
                 codes.sample_random_code(4, 2, rng),
                 codes.sample_random_code(4, 2, rng),
@@ -325,7 +325,7 @@ def test_criterion_6_single_shot_shape(ref_code):
     over_1 = 0
     for t in range(1000):
         [rec] = noise.run_single_shot_trial(
-            ref_code, NoiseModel(syn_kind="vertex_bounded", t=1), [cfg], make_rng(107, t)
+            ref_code, NoiseModel(syn_kind="vertex_bounded", t=1), [cfg], 107, t
         )
         if rec.e_weight != 0 or rec.d_vertex_support > 1:
             over_1 += 1000  # sampling contract broken
@@ -335,7 +335,7 @@ def test_criterion_6_single_shot_shape(ref_code):
     over_3 = 0
     for t in range(1000):
         [rec] = noise.run_single_shot_trial(
-            ref_code, NoiseModel(syn_kind="vertex_bounded", t=3), [cfg], make_rng(108, t)
+            ref_code, NoiseModel(syn_kind="vertex_bounded", t=3), [cfg], 108, t
         )
         if rec.residual_weight > 3 * d2:
             over_3 += 1
@@ -355,9 +355,7 @@ def test_criterion_6_single_shot_shape(ref_code):
 def _multiround_summary(code, model, cfg):
     """200 trials x 100 rounds: (slope, lo, hi, max residual, corrected)."""
     trials = range(200)
-    batch = noise.run_multiround(
-        code, model, cfg, 100, [make_rng(109, t) for t in trials], seeds=trials
-    )
+    batch = noise.run_multiround(code, model, cfg, 100, 109, trials)
     ys = batch.stats[..., 3].ravel()
     slope, lo, hi = noise.ols_slope_ci(np.tile(np.arange(1, 101), len(trials)), ys)
     return slope, lo, hi, int(ys.max()), batch.final_classes.count(tanner.CORRECTED)

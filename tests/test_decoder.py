@@ -28,7 +28,7 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, make_rng
 from qtanner.tanner import syndrome_bits_z
 
-from oracles import coset_leader_table, exhaustive_min_cr, extract
+from oracles import coset_leader_table, exhaustive_min_cr, extract, np_mat_vec_gf2
 
 
 class TestAsFraction:
@@ -64,7 +64,7 @@ class TestLocalCodewordCache:
         weights = list(cache.weights)
         assert weights == sorted(weights, reverse=True)
         for m in cache.masks[:50]:
-            assert dt.contains_bits(int(m))
+            assert not np_mat_vec_gf2(dt.pchk, int(m))
 
     def test_cached_split_matches_min_cr_oracle(self, ref_code):
         # the independent column-assignment search, not min_cr_decomposition,
@@ -119,7 +119,7 @@ class TestLocalCodewordCache:
         monkeypatch.setattr(codes.DualTensorCode, "split", counted)
         # a fresh copy of the reference instance, so no memo is shared
         cx = cayley.build_complex(cayley.build_group("cyclic", 13), [1, 12, 5, 8], [1, 12, 5, 8])
-        code = tanner.build_tanner_code(cx, codes.repetition_code(4), codes.parity_code(4))
+        code = tanner.QuantumTannerCode(cx, codes.repetition_code(4), codes.parity_code(4))
         cache = get_cache(code)
         assert calls == [] and cache.splits == {}
         rng = make_rng(23, 0)
@@ -145,12 +145,12 @@ class TestLocalCodewordCache:
         g = cayley.build_group("cyclic", 5)
         cx = cayley.build_complex(g, [1, 2, 3, 4], [1, 2, 3, 4])
         # full-space locals make C_A boxplus C_B the whole 16-bit space
-        code = tanner.build_tanner_code(cx, codes.full_space(4), codes.full_space(4))
+        code = tanner.QuantumTannerCode(cx, codes.full_space(4), codes.full_space(4))
         assert code.h_z.rows == 0
         # dim 16 is within budget; push over it with a 5x5 grid (dim 21)
         g5 = cayley.build_group("cyclic", 12)
         cx5 = cayley.build_complex(g5, [1, 11, 2, 10, 6], [1, 11, 2, 10, 6])
-        big = tanner.build_tanner_code(cx5, codes.repetition_code(5), codes.parity_code(5))
+        big = tanner.QuantumTannerCode(cx5, codes.repetition_code(5), codes.parity_code(5))
         with pytest.raises(BudgetError):
             get_cache(big)
 
@@ -179,7 +179,7 @@ def rep_code(m, gens):
     """Cyclic group Z_m with generators gens on both sides, rep_Δ locals."""
     cx = cayley.build_complex(cayley.build_group("cyclic", m), gens, gens)
     delta = len(gens)
-    return tanner.build_tanner_code(
+    return tanner.QuantumTannerCode(
         cx, codes.repetition_code(delta), codes.repetition_code(delta)
     )
 
@@ -544,7 +544,7 @@ class TestZSideDecoding:
 
         g = cayley.build_group("cyclic", 8)
         cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
-        code = tanner.build_tanner_code(cx, codes.parity_code(3), codes.parity_code(3))
+        code = tanner.QuantumTannerCode(cx, codes.parity_code(3), codes.parity_code(3))
         z_code = code.z_side()
         assert z_code.h_z == code.h_x and z_code.h_x == code.h_z
         return z_code
@@ -583,7 +583,7 @@ def any_code(request):
 
 def fresh_copy(code):
     """The same code with empty lazy caches (no local cache, no memos)."""
-    return tanner.build_tanner_code(code.complex, code.local_a, code.local_b)
+    return tanner.QuantumTannerCode(code.complex, code.local_a, code.local_b)
 
 
 class TestMemoizedSearch:

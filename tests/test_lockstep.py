@@ -6,8 +6,9 @@ numpy arrays.  Its reference here is the per-trial loop it replaced:
 the residual fed forward, then one ideal sequential readout.  Every
 column, round by round and the final readout's residual weight and
 class, must match trial by trial.  ``noise.run_sweep`` decodes a block
-of single-shot trials in lockstep; its records must equal
-``run_single_shot_trial`` on each trial's own ``make_rng`` stream.
+of single-shot trials in lockstep; its records must equal the scalar
+``sample_errors`` -> ``decode_trial`` path on each trial's own
+``make_rng`` stream.
 """
 
 from dataclasses import replace
@@ -45,7 +46,7 @@ def scalar_multiround(code, model, cfg, rounds, rng):
 def z8_z_side():
     """The Z side of Z8 with par_3 locals (rep_3 on the decoded side)."""
     cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
-    return tanner.build_tanner_code(cx, codes.parity_code(3), codes.parity_code(3)).z_side()
+    return tanner.QuantumTannerCode(cx, codes.parity_code(3), codes.parity_code(3)).z_side()
 
 
 BERNOULLI = NoiseModel(p=0.01, q=0.01)
@@ -77,16 +78,14 @@ CASES = [
 def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, request):
     code = request.getfixturevalue(fixture)
     seed = 500 + CASES.index((fixture, cfg, model, trials, rounds))
-    batch = noise.run_multiround(
-        code, model, cfg, rounds, [make_rng(seed, t) for t in range(trials)],
-        instance_id="x", seeds=range(100, 100 + trials),
-    )
+    batch = noise.run_multiround(code, model, cfg, rounds, seed, range(100, 100 + trials),
+                                 instance_id="x")
     assert batch.head == ("x", cfg.kind, cfg.param, *model.pq_labels())
     assert batch.stats.shape == (trials, rounds, 4)
     assert batch.seeds == list(range(100, 100 + trials))
     moved = 0
     for t in range(trials):
-        stats, weight, cls = scalar_multiround(code, model, cfg, rounds, make_rng(seed, t))
+        stats, weight, cls = scalar_multiround(code, model, cfg, rounds, make_rng(seed, 100 + t))
         got = batch.stats[t].tolist()
         assert (got, batch.final_weights[t], batch.final_classes[t]) == (stats, weight, cls), \
             f"trial {t}"
@@ -94,14 +93,11 @@ def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, reques
     assert moved > 0  # the noise is not vacuous
 
 
-def test_empty_batch_and_seed_count(unique_code):
-    cfg = DecoderConfig("parallel", k=1)
-    batch = noise.run_multiround(unique_code, BERNOULLI, cfg, 3, [])
+def test_empty_batch(unique_code):
+    batch = noise.run_multiround(unique_code, BERNOULLI, DecoderConfig("parallel", k=1), 3, 1, [])
     assert batch.stats.shape == (0, 3, 4)
     assert batch.seeds == batch.final_weights == batch.final_classes == []
     assert list(batch.csv_chunks()) == []
-    with pytest.raises(ValueError, match="seeds"):
-        noise.run_multiround(unique_code, BERNOULLI, cfg, 3, [make_rng(1, 0)], seeds=[0, 1])
 
 
 def sampled_syndromes(code, trials=120):
@@ -244,7 +240,7 @@ class TestLockstepDecoders:
 # Sweep blocks: ``run_sweep`` draws every trial of a block on its own
 # stream, decodes the block in lockstep with one shared initial mismatch
 # and computes the columns as arrays.  Its reference is the per-trial
-# scalar path, ``run_single_shot_trial`` on ``make_rng``.
+# scalar path: ``sample_errors`` on ``make_rng``, then ``decode_trial``.
 
 SWEEP_DECODERS = [DecoderConfig("sequential"), DecoderConfig("sequential", eps=Fraction(1, 3)),
                   DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=8)]
@@ -262,8 +258,9 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
     records = []
     for t in trial_ids:
         stream = noise.sweep_stream_id(point_idx, t)
-        records += noise.run_single_shot_trial(code, model, SWEEP_DECODERS,
-                                               make_rng(seed, stream), seed=stream)
+        e, d = noise.sample_errors(code, model, make_rng(seed, stream))
+        records += [rec for rec, _ in noise.decode_trial(code, model, SWEEP_DECODERS, e, d,
+                                                         seed=stream)]
     return records
 
 
@@ -310,7 +307,7 @@ def test_greedy_reduced_weights_equal_scalar(ref_code, unique_code, z5_code):
     for code in (ref_code, unique_code, z5_code):
         rows = (rng.random((60, code.n)) < rng.random((60, 1)) * 0.3).astype(np.uint8)
         got = tanner.greedy_reduced_weights(code, rows)
-        assert got.tolist() == [tanner.reduced_weight(code, BitVector(code.n, bits), "greedy")
+        assert got.tolist() == [tanner.reduced_weight(code, BitVector(code.n, bits))
                                 for bits in gf2.from_bit_rows(rows)]
 
 

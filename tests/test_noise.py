@@ -142,7 +142,7 @@ class TestVertexSupport:
 class TestSingleShotTrial:
     def test_zero_noise_record(self, ref_code):
         [rec] = noise.run_single_shot_trial(
-            ref_code, NoiseModel(), [DecoderConfig("sequential")], make_rng(8, 0)
+            ref_code, NoiseModel(), [DecoderConfig("sequential")], 8, 0
         )
         assert rec.e_weight == rec.d_weight == rec.residual_weight == 0
         assert rec.failure_class == "corrected"
@@ -153,7 +153,7 @@ class TestSingleShotTrial:
         for t in range(20):
             e, d = noise.sample_errors(ref_code, model, make_rng(9, t))
             [rec] = noise.run_single_shot_trial(
-                ref_code, model, [DecoderConfig("parallel", k=3)], make_rng(9, t), seed=t
+                ref_code, model, [DecoderConfig("parallel", k=3)], 9, t
             )
             assert rec.e_weight == e.weight()
             assert rec.d_weight == d.weight()
@@ -166,16 +166,31 @@ class TestSingleShotTrial:
         model = NoiseModel(p=0.01, q=0.01)
         cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=3)]
         for t in range(10):
-            paired = noise.run_single_shot_trial(ref_code, model, cfgs, make_rng(16, t), seed=t)
+            paired = noise.run_single_shot_trial(ref_code, model, cfgs, 16, t)
             alone = [rec for cfg in cfgs for rec in
-                     noise.run_single_shot_trial(ref_code, model, [cfg], make_rng(16, t), seed=t)]
+                     noise.run_single_shot_trial(ref_code, model, [cfg], 16, t)]
             assert paired == alone
             assert [r.decoder for r in paired] == ["sequential", "parallel"]
+
+    def test_seed_column_is_the_stream_drawn(self, ref_code):
+        # a record's seed names the stream its sample came from: the
+        # scalar path on make_rng(107, t) gives the same records
+        model = NoiseModel(p=0.01, q=0.01)
+        cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=3)]
+        weights = set()
+        for t in (0, 1, 2, 3, 1 << 40):
+            records = noise.run_single_shot_trial(ref_code, model, cfgs, 107, t)
+            e, d = noise.sample_errors(ref_code, model, make_rng(107, t))
+            assert records == [rec for rec, _ in noise.decode_trial(ref_code, model, cfgs, e, d,
+                                                                    seed=t)]
+            assert [rec.seed for rec in records] == [t, t]
+            weights.add((e.weight(), d.weight()))
+        assert len(weights) > 1  # the streams draw different samples
 
     def test_no_logical_without_noise_support(self, ref_code):
         # |e| = 0 and |D|_V = 0 forces the all-zero record
         [rec] = noise.run_single_shot_trial(
-            ref_code, NoiseModel(), [DecoderConfig("sequential")], make_rng(10, 0)
+            ref_code, NoiseModel(), [DecoderConfig("sequential")], 10, 0
         )
         assert rec.failure_class != "logical"
 
@@ -188,7 +203,7 @@ class TestSingleShotTrial:
         by_support: dict[int, list[int]] = {}
         beta_hat = 0.0
         for t in range(400):
-            [rec] = noise.run_single_shot_trial(ref_code, model, [cfg], make_rng(15, t))
+            [rec] = noise.run_single_shot_trial(ref_code, model, [cfg], 15, t)
             assert rec.e_weight == 0
             if rec.d_vertex_support == 0:
                 assert rec.residual_weight == 0
@@ -205,7 +220,7 @@ class TestSingleShotTrial:
 class TestMultiround:
     def test_zero_noise_all_rounds_clean(self, ref_code):
         batch = noise.run_multiround(
-            ref_code, NoiseModel(), DecoderConfig("parallel", k=2), 10, [make_rng(11, 0)]
+            ref_code, NoiseModel(), DecoderConfig("parallel", k=2), 10, 11, [0]
         )
         assert not batch.stats[..., 3].any()
         assert batch.final_classes == ["corrected"]
@@ -213,23 +228,37 @@ class TestMultiround:
 
     def test_round_count_and_validation(self, ref_code):
         batch = noise.run_multiround(
-            ref_code, NoiseModel(), DecoderConfig("sequential"), 5, [make_rng(12, 0)]
+            ref_code, NoiseModel(), DecoderConfig("sequential"), 5, 12, [0]
         )
         assert [row[6] for row in multiround_rows(batch)] == [1, 2, 3, 4, 5, "final"]
         assert noise.MULTIROUND_CSV_FIELDS[5:7] == ["trial", "round"]
         assert noise.MULTIROUND_CSV_FIELDS[7:11] == list(noise.ROUND_STATS)
         with pytest.raises(ValueError):
             noise.run_multiround(
-                ref_code, NoiseModel(), DecoderConfig("sequential"), 0, [make_rng(12, 1)]
+                ref_code, NoiseModel(), DecoderConfig("sequential"), 0, 12, [1]
             )
 
     def test_stable_on_unique_instance(self, unique_code):
         model = NoiseModel(p=0.002, q=0.002)
         batch = noise.run_multiround(
-            unique_code, model, DecoderConfig("parallel", k=4), 50,
-            [make_rng(14, t) for t in range(30)],
+            unique_code, model, DecoderConfig("parallel", k=4), 50, 14, range(30),
         )
         assert batch.final_classes.count("corrected") >= 27
+
+    def test_seed_column_is_the_stream_drawn(self, unique_code):
+        # each trial of a batch gives exactly the rows of its stream run
+        # alone, its trial and seed columns holding that stream id
+        model, cfg = NoiseModel(p=0.02, q=0.02), DecoderConfig("parallel", k=2)
+        streams = [5, 7, 9]
+        rows = multiround_rows(noise.run_multiround(unique_code, model, cfg, 16, 16, streams))
+        alone = {s: multiround_rows(noise.run_multiround(unique_code, model, cfg, 16, 16, [s]))
+                 for s in streams}
+        for s in streams:
+            assert [row for row in rows if row[5] == s] == alone[s]
+            assert {(row[5], row[-1]) for row in alone[s]} == {(s, s)}
+        assert len(rows) == 3 * 17
+        # the streams draw different noise
+        assert len({tuple(row[7:9] for row in alone[s]) for s in streams}) == 3
 
     @pytest.mark.parametrize("instance_id", ['a,"b', "x%dy"])
     def test_csv_equals_csv_writer_of_the_rows(self, unique_code, tmp_path, instance_id):
@@ -237,7 +266,7 @@ class TestMultiround:
         # not read), and p = 1e-05 is written by repr
         batch = noise.run_multiround(
             unique_code, NoiseModel(p=1e-05, q=0.02), DecoderConfig("parallel", k=2), 4,
-            [make_rng(16, t) for t in range(3)], instance_id=instance_id, seeds=[5, 7, 9],
+            16, [5, 7, 9], instance_id=instance_id,
         )
         want = io.StringIO()
         csv.writer(want, lineterminator="\n").writerows(
@@ -385,10 +414,10 @@ class TestSerialization:
         assert NoiseModel(p=0.01, q=0.02).at_grid_point({"w": 3, "q": 0.03}) == NoiseModel(
             data_kind="adversarial", w=3, q=0.03)
 
-    def test_decoder_config_round_trip(self):
-        for cfg in (DecoderConfig("sequential", eps=Fraction(1, 3)),
-                    DecoderConfig("parallel", k=6)):
-            assert DecoderConfig.from_json(cfg.to_json()) == cfg
+    def test_decoder_config_from_json(self):
+        assert (DecoderConfig.from_json({"kind": "sequential", "eps": "1/3"})
+                == DecoderConfig("sequential", eps=Fraction(1, 3)))
+        assert DecoderConfig.from_json({"kind": "parallel", "k": 6}) == DecoderConfig("parallel", k=6)
 
     def test_float_eps_read_as_its_decimal_literal(self, ref_code):
         # Fraction(0.3) is the binary double 5404319552844595/2^54, whose

@@ -6,7 +6,29 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import qtanner
+
+# module-level definitions nothing in the package calls, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    "codes.min_cr_decomposition":
+        "the (c, r) split of one codeword, which criterion 3 checks against the oracle",
+    "noise.estimate_threshold": "criterion 7 runs its context rates at a quarter of it",
+    "decoder.find_reducing_codeword":
+        "the decoder's one-vertex search as a call, the reference of the lockstep drain",
+}
+
+
+@pytest.fixture
+def traced_names(monkeypatch):
+    """Every function the benchmark's tracer wraps, as "module.attr"."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("qtanner_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    return tracer.SPAN_NAMES + (tracer.TRACE_ID_SOURCE,)
 
 
 def test_package_has_no_assert_statements():
@@ -21,18 +43,39 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_traced_span_names_resolve_to_package_functions(monkeypatch):
+def test_traced_span_names_resolve_to_package_functions(traced_names):
     # the benchmark's traced run wraps these by module attribute; a rename
     # must fail here, not only in that run
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("qtanner_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
-    spec.loader.exec_module(tracer)
     missing = []
-    for name in tracer.SPAN_NAMES + (tracer.TRACE_ID_SOURCE,):
+    for name in traced_names:
         mod_name, attr = name.split(".", 1)
         module = importlib.import_module(f"qtanner.{mod_name}")
         if not callable(getattr(module, attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_every_definition_is_reached_from_the_package(traced_names):
+    # a module-level function or class that only tests call belongs in
+    # tests/: it must be named (as a name or an attribute, not in a
+    # docstring) by another top-level statement of the package, be a
+    # tracer target, or be allowed above
+    root = Path(qtanner.__file__).parent
+    definitions, users = [], {}
+    for path in sorted(root.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text(), str(path)).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, i, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add((path.stem, i))
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add((path.stem, i))
+    unreached = [
+        f"{module}.{name}"
+        for module, i, name in definitions
+        if not users.get(name, set()) - {(module, i)}
+        and f"{module}.{name}" not in traced_names
+        and f"{module}.{name}" not in UNREFERENCED_ALLOWED
+    ]
+    assert unreached == []
