@@ -29,10 +29,6 @@ from oracles import (
 )
 
 
-def enumerate_codewords(code):
-    return set(codeword_bits(code))
-
-
 def tensor_code(ca, cb):
     """C_A ⊗ C_B: grid codewords with every column in C_A, every row in
     C_B; position (a, b) of the grid is bit a*n_B + b (A-major), the
@@ -50,7 +46,7 @@ class TestConstruction:
     def test_repetition_from_generator(self):
         c = LinearCode.from_generator(BitMatrix.from_strings(["111"]))
         assert c.dim == 1
-        assert enumerate_codewords(c) == {0, 0b111}
+        assert set(codeword_bits(c)) == {0, 0b111}
 
     def test_dim_matches_kernel_enumeration(self):
         rng = np.random.default_rng(2)
