@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from qtanner import gf2
+from qtanner.errors import DimensionMismatchError
 
 
 def _dense(mat):
@@ -51,8 +52,14 @@ def np_commutator_gf2(a, b):
 def np_mat_vec_gf2(mat, v):
     """M·v over GF(2) as a packed int (bit i is <row i, v>), by one
     integer product of the dense matrix with the 0/1 column of ``v`` (a
-    ``BitVector`` or a packed int): the syndrome oracle."""
-    bits = v if isinstance(v, int) else v.bits
+    ``BitVector`` or a packed int): the syndrome oracle. A ``BitVector``
+    of the wrong length is refused rather than truncated."""
+    if isinstance(v, int):
+        bits = v
+    elif v.n != mat.cols:
+        raise DimensionMismatchError(mat.cols, v.n)
+    else:
+        bits = v.bits
     col = np.array([(bits >> j) & 1 for j in range(mat.cols)], dtype=np.int64)
     out = (_dense(mat).astype(np.int64) @ col) % 2
     return sum(int(b) << i for i, b in enumerate(out))

@@ -110,6 +110,30 @@ class TestDual:
                 assert (x & y).bit_count() % 2 == 0
 
 
+class TestTensorCode:
+    """The tensor-code reference of ``test_equals_dual_of_tensor_of_duals``."""
+
+    def test_rep2_tensor_rep2(self):
+        t = tensor_code(codes.repetition_code(2), codes.repetition_code(2))
+        assert set(codeword_bits(t)) == {0, 0b1111}
+
+    def test_dimension_product(self):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            ca = codes.sample_random_code(4, 2, rng)
+            cb = codes.sample_random_code(3, 1, rng)
+            assert tensor_code(ca, cb).dim == ca.dim * cb.dim
+
+    def test_rep3_tensor_par3_columns(self):
+        t = tensor_code(codes.repetition_code(3), codes.parity_code(3))
+        words = set(codeword_bits(t))
+        assert len(words) == 1 << (1 * 2)  # dim = dim(rep_3) * dim(par_3)
+        for x in words:
+            for b in range(3):
+                col = tuple((x >> (a * 3 + b)) & 1 for a in range(3))
+                assert col in {(0, 0, 0), (1, 1, 1)}
+
+
 class TestDualTensorCode:
     def test_rep3_par3_dimension(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))

@@ -76,6 +76,40 @@ class TestBitVector:
             BitVector(3, 0b1000)
 
 
+class TestMatVecMul:
+    """The dense syndrome oracle that the kernel and solve checks use."""
+
+    def test_identity(self):
+        v = BitVector.from_string("101")
+        assert np_mat_vec_gf2(BitMatrix.identity(3), v) == v.bits
+
+    def test_even_parity(self):
+        m = BitMatrix.from_strings(["111"])
+        assert np_mat_vec_gf2(m, BitVector.from_string("110")) == 0
+
+    def test_repetition_check_matrix(self):
+        # H for the length-3 repetition code, direct inner-product oracle
+        h = BitMatrix.from_strings(["110", "101"])
+        v = BitVector.from_string("100")
+        expect = 0
+        for i in range(h.rows):
+            dot = sum(entry(h, i, j) * v[j] for j in range(3)) % 2
+            expect |= dot << i
+        assert np_mat_vec_gf2(h, v) == expect == 0b11
+
+    def test_dimension_error_names_lengths(self):
+        with pytest.raises(DimensionMismatchError, match="expected 3, got 2"):
+            np_mat_vec_gf2(BitMatrix.identity(3), BitVector.from_string("10"))
+
+    def test_linearity(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            m = random_matrix(rng, 5, 9)
+            v = int(rng.integers(0, 1 << 9))
+            w = int(rng.integers(0, 1 << 9))
+            assert np_mat_vec_gf2(m, v ^ w) == np_mat_vec_gf2(m, v) ^ np_mat_vec_gf2(m, w)
+
+
 class TestRank:
     def test_identity_and_zero(self):
         assert gf2.rank(BitMatrix.identity(4)) == 4
