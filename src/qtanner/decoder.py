@@ -36,22 +36,23 @@ so no table over all 2^r syndromes is built and r needs no budget.
 
 The lockstep decoders decode many syndromes at once, one numpy row per
 trial, as multi-round runs and sweep blocks do: the initial mismatch,
-then one decomposition in place.  The initial mismatch
+then one decomposition in place.  Every lockstep step packs views (or
+local syndromes) into one word per (row, vertex), scans only the
+distinct nonzero words (``gf2.nonzero_words``) and writes back only
+what they find, bit by bit at (row, face).  The initial mismatch
 (``lockstep_initial_mismatch``, which a sweep block computes once and
-shares by all its decoders) reads the local syndromes as words and
-lifts the leaders of the distinct ones by a permutation gather per
-class.  A parallel class step packs every view of the class
-into a Δ²-bit word, scans only the distinct nonzero words through the
-same θ = 1/2 memo, and XORs the removed codewords and their share of f̂
-back (splitting a codeword only where f̂ takes one of its parts);
-same-class views are disjoint, so this is the scalar sweep.  The
-sequential schedule checks ε and looks up its θ table once per call,
-packs every view of every row into one word and scans the distinct
-nonzero words once: a row where no queued vertex finds a codeword is a
-fixed point and is left alone, and the scalar FIFO drains only the
-other rows, from their first vertex that finds one (Ẑ cannot change
-before it).  Each row decodes to exactly what the scalar decoder gives
-its syndrome.
+shares by all its decoders) lifts the leaders of the local syndromes
+one class at a time, V01 then V10.  A parallel class step scans
+through the same θ = 1/2 memo and XORs only the removed codewords and
+their share of f̂ back (splitting a codeword only where f̂ takes one
+of its parts); same-class views are disjoint, so this is the scalar
+sweep.  The sequential schedule checks ε and looks up its θ table once
+per call, packs every view of every row into one word and scans the
+distinct nonzero words once: a row where no queued vertex finds a
+codeword is a fixed point and is left alone, and the scalar FIFO
+drains only the other rows, from their first vertex that finds one (Ẑ
+cannot change before it).  Each row decodes to exactly what the scalar
+decoder gives its syndrome.
 """
 
 from __future__ import annotations
@@ -194,32 +195,32 @@ class LocalCodewordCache:
 class LockstepTables:
     """Per-code tables of the lockstep decoders.
 
-    For each sweep class (V00, V01, V10, V11): a ``gf2.WordPacker`` that
-    reads every class vertex's local pattern out of (trials, n) face
-    rows as one Δ²-bit word, and the face permutation ``scatter`` that
-    puts words unpacked in vertex order (Δ² columns per vertex) back on
-    their faces.  The views of one class partition the faces, so the
-    gather is a permutation.  ``syndrome_words`` reads the r₁-bit local
-    syndrome of every V1 vertex out of (trials, H_Z rows) rows, and
-    ``views`` (built on first use, by the sequential schedule only) reads
-    every vertex's local pattern, in vertex order, as one Δ²-bit word.
+    For each sweep class c (V00, V01, V10, V11): ``faces[c]``, the faces
+    of the class's views in sweep order, so bit p of the word of the
+    class's j-th vertex is face ``faces[c][j·Δ² + p]``, and the
+    ``gf2.WordPacker`` built from it, which reads every view of the class
+    out of (trials, n) face rows as one Δ²-bit word.  The views of one
+    class partition the faces, so a class step never writes a face of a
+    row twice.  ``syndrome_words`` reads the r₁-bit local syndrome of
+    every V1 vertex out of (trials, H_Z rows) rows, ``order`` V01 words
+    then ``order`` V10 words (sweep classes 1 and 2), and ``views``
+    (built on first use, by the sequential schedule only) reads every
+    vertex's local pattern, in vertex order, as one Δ²-bit word.
     """
 
     def __init__(self, cache: "LocalCodewordCache"):
         code = cache.code
         n, d2 = code.n, cache.n
-        order = len(cache.sweep_order) // 4
-        self.packers, self.scatters = [], []
+        order = self.order = len(cache.sweep_order) // 4
+        self.faces, self.packers = [], []
         for start in range(0, len(cache.sweep_order), order):
-            gather = [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]]
-            if sorted(gather) != list(range(n)):
+            faces = [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]]
+            if sorted(faces) != list(range(n)):
                 raise LocalCacheError(
                     f"views of class {start // order} do not partition the {n} faces"
                 )
-            self.packers.append(gf2.WordPacker(gather, d2, n))
-            scatter = np.empty(n, dtype=np.intp)  # the inverse permutation of gather
-            scatter[gather] = np.arange(n)
-            self.scatters.append(scatter)
+            self.faces.append(np.array(faces, dtype=np.intp))
+            self.packers.append(gf2.WordPacker(faces, d2, n))
         rz, r1 = code.h_z.rows, code.r1
         self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
         self._cache = cache
@@ -568,28 +569,43 @@ def parallel_decode(
 # syndrome; tests/test_lockstep.py checks this against the scalar loop.
 
 
+def _word_bits(
+    row: np.ndarray, slot: np.ndarray, words: np.ndarray, faces: np.ndarray, d2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, faces) index of every set bit of the Δ²-bit ``words``,
+    word i lying on the view of slot ``slot[i]`` of the class with
+    face table ``faces``, in row ``row[i]``."""
+    hit, bit = np.nonzero(gf2.unpack_words(words, d2))
+    return row[hit], faces[slot[hit] * d2 + bit]
+
+
 def lockstep_initial_mismatch(
     cache: LocalCodewordCache, syndromes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Ẑ, ε₀₁) bit rows for a (trials, H_Z rows) array of noisy
     syndromes: ``initial_mismatch`` row by row.
 
-    The local syndromes are read as one word per V1 vertex, the leader
-    of each distinct nonzero word comes from ``coset_leader``, and each
-    class lift is one gather through that class's scatter permutation.
+    The local syndromes are read as one word per V1 vertex, and the
+    leader of each distinct nonzero word comes from ``coset_leader``.
+    The leaders are lifted one class at a time: the V01 lift is ε₀₁, and
+    Ẑ is ε₀₁ with the V10 lift XORed in.  A face has one vertex of each
+    class, so the two lifts overlap, and one fancy-index XOR over both
+    would apply a shared face once instead of twice.
     """
     tables = cache.lockstep
-    trials, n = len(syndromes), cache.code.n
+    trials, n, d2, order = len(syndromes), cache.code.n, cache.n, tables.order
+    eps01 = np.zeros((trials, n), dtype=np.uint8)
     if tables.syndrome_words is None:  # r₁ = 0: no local checks
-        zero = np.zeros((trials, n), dtype=np.uint8)
-        return zero, zero.copy()
-    words, inverse = gf2.unique_words(tables.syndrome_words(syndromes))
-    leaders = np.array(
-        [coset_leader(cache, s) if s else 0 for s in words.tolist()], dtype=np.uint64
-    )
-    lifted = gf2.unpack_words(leaders, cache.n)[inverse.ravel()].reshape(trials, 2, n)
-    eps01 = lifted[:, 0][:, tables.scatters[1]]  # the first V1 block is class V01
-    return eps01 ^ lifted[:, 1][:, tables.scatters[2]], eps01
+        return eps01.copy(), eps01
+    pos, words, inverse = gf2.nonzero_words(tables.syndrome_words(syndromes))
+    leaders = np.array([coset_leader(cache, s) for s in words.tolist()], dtype=np.uint64)
+    leaders = leaders[inverse]
+    row, slot = np.divmod(pos, 2 * order)
+    v01, v10 = slot < order, slot >= order
+    eps01[_word_bits(row[v01], slot[v01], leaders[v01], tables.faces[1], d2)] = 1
+    zhat = eps01.copy()
+    zhat[_word_bits(row[v10], slot[v10] - order, leaders[v10], tables.faces[2], d2)] ^= 1
+    return zhat, eps01
 
 
 # which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
@@ -605,47 +621,45 @@ def lockstep_parallel_decomposition(
 
     A class step packs each view of the class into one Δ²-bit word per
     row, scans only the distinct nonzero words (through the θ = 1/2
-    memo) and XORs the results back.  Only the V00 and V11 steps need
-    (c, r) splits, for the r and c parts of f̂; they split their new
-    codewords in one pass.  A row leaves the active set after
-    a sweep that clears its Ẑ or removes nothing: the next sweep would
-    be a fixed point, which is where the scalar loop stops too.
+    memo) and XORs back only the removed codewords, at the (row, face)
+    of each of their bits.  Only the V00 and V11 steps need (c, r)
+    splits, for the r and c parts of f̂; they split their new codewords
+    in one pass.  A row leaves the active set after a sweep that clears
+    its Ẑ or removes nothing: the next sweep would be a fixed point,
+    which is where the scalar loop stops too.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table = cache.scan_table(Fraction(1, 2))
     tables = cache.lockstep
-    d2 = cache.n
+    d2, order = cache.n, tables.order
     active = np.flatnonzero(zhat.any(axis=1))
     for _ in range(k):
         if active.size == 0:
             break
         z, acc = zhat[active], f[active]
         changed = np.zeros(active.size, dtype=bool)
-        for packer, scatter, (c_share, r_share) in zip(
-            tables.packers, tables.scatters, _F_SHARE
-        ):
-            words, inverse = gf2.unique_words(packer(z))
-            hits = {}  # word position -> codeword index
-            for i, word in enumerate(words.tolist()):
-                idx = _scan(cache, word, table) if word else None
-                if idx is not None:
-                    hits[i] = idx
-            if not hits:
+        for packer, faces, (c_share, r_share) in zip(tables.packers, tables.faces, _F_SHARE):
+            pos, words, inverse = gf2.nonzero_words(packer(z))
+            found = [_scan(cache, word, table) for word in words.tolist()]
+            at = [i for i, idx in enumerate(found) if idx is not None]
+            if not at:
                 continue
-            at, removed_idx = list(hits), list(hits.values())
+            removed_idx = [found[i] for i in at]
             removed = np.zeros(len(words), dtype=np.uint64)
             removed[at] = cache.masks[removed_idx]
-            changed |= (removed[inverse] != 0).any(axis=1)
-            z ^= gf2.unpack_words(removed, d2)[inverse].reshape(active.size, -1)[:, scatter]
+            hit = np.flatnonzero(removed[inverse])
+            inverse = inverse[hit]
+            row, slot = np.divmod(pos[hit], order)
+            changed[row] = True
+            bits = _word_bits(row, slot, removed[inverse], faces, d2)
+            z[bits] ^= 1
             if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
                 shares = np.zeros(len(words), dtype=np.uint64)
                 shares[at] = [cr[0] if c_share else cr[1] for cr in cache.split_many(removed_idx)]
+                acc[_word_bits(row, slot, shares[inverse], faces, d2)] ^= 1
             elif c_share:  # V01 keeps c + r, the whole codeword
-                shares = removed
-            else:  # V10 keeps neither
-                continue
-            acc ^= gf2.unpack_words(shares, d2)[inverse].reshape(active.size, -1)[:, scatter]
+                acc[bits] ^= 1
         zhat[active], f[active] = z, acc
         active = active[changed & z.any(axis=1)]
 
@@ -671,16 +685,18 @@ def lockstep_sequential_decomposition(
     rows = np.flatnonzero(zhat.any(axis=1))
     if rows.size == 0:
         return
-    words, inverse = gf2.unique_words(cache.lockstep.views(zhat[rows]))
-    found = np.array([word != 0 and _scan(cache, word, table) is not None
-                      for word in words.tolist()])
-    hits = found[inverse]
+    words = cache.lockstep.views(zhat[rows])
+    pos, distinct, inverse = gf2.nonzero_words(words)
+    found = np.array([_scan(cache, word, table) is not None for word in distinct.tolist()],
+                     dtype=bool)
+    hits = np.zeros(words.shape, dtype=bool)
+    hits.reshape(-1)[pos] = found[inverse]
     moving = hits.any(axis=1)
     rows, hits = rows[moving], hits[moving]
     if rows.size == 0:
         return
     first = hits.argmax(axis=1)
-    queued = (words != 0)[inverse[moving]] & (np.arange(hits.shape[1]) >= first[:, None])
+    queued = (words[moving] != 0) & (np.arange(hits.shape[1]) >= first[:, None])
     code, n = cache.code, cache.code.n
     zs, fs = [], []
     for z, f0, q in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows]), queued):

@@ -9,32 +9,7 @@ from qtanner import gf2
 from qtanner.errors import DimensionMismatchError
 from qtanner.gf2 import BitMatrix, BitVector
 
-from oracles import np_mat_vec_gf2, span
-
-
-def np_rank_gf2(rows, cols):
-    """Independent elimination oracle on a numpy uint8 array."""
-    if not rows:
-        return 0
-    m = np.zeros((len(rows), cols), dtype=np.uint8)
-    for i, r in enumerate(rows):
-        for j in range(cols):
-            m[i, j] = (r >> j) & 1
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if m[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        for r in range(len(rows)):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+from oracles import np_mat_vec_gf2, np_rank_gf2, span
 
 
 def random_matrix(rng, rows, cols):
@@ -120,7 +95,7 @@ class TestRank:
         for _ in range(30):
             rows = [int(rng.integers(0, 1 << 10)) for _ in range(10)]
             m = BitMatrix(10, 10, rows)
-            assert gf2.rank(m) == np_rank_gf2(rows, 10)
+            assert gf2.rank(m) == np_rank_gf2(BitMatrix(len(rows), 10, rows))
 
     def test_invariant_under_permutation_and_transpose(self):
         rng = np.random.default_rng(3)
@@ -316,16 +291,20 @@ class TestBitRows:
                 assert int(got[t, j]) == want
         assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, cols]).all()
 
-    @pytest.mark.parametrize("shape, high", [((40, 7), 4), ((3, 5), 1 << 64), ((0, 3), 2)])
-    def test_unique_words_match_numpy(self, shape, high):
+    @pytest.mark.parametrize("shape, high", [((40, 7), 4), ((3, 5), 1 << 64), ((0, 3), 2),
+                                             ((6, 4), 1)])
+    def test_nonzero_words_match_numpy(self, shape, high):
         rng = np.random.default_rng(len(shape) + shape[0])
         words = rng.integers(0, high, size=shape, dtype=np.uint64)
-        got, inverse = gf2.unique_words(words)
-        want, want_inverse = np.unique(words, return_inverse=True)
+        pos, got, inverse = gf2.nonzero_words(words)
+        flat = words.ravel()
+        assert pos.tolist() == [i for i, w in enumerate(flat.tolist()) if w]
+        want, want_inverse = np.unique(flat[pos], return_inverse=True)
         assert got.tolist() == want.tolist()
-        assert inverse.shape == shape
-        assert inverse.ravel().tolist() == want_inverse.ravel().tolist()
-        assert (got[inverse] == words).all()
+        assert inverse.tolist() == want_inverse.tolist()
+        assert (got[inverse] == flat[pos]).all()
+        if high == 1:  # all zero: nothing to scan
+            assert pos.size == got.size == inverse.size == 0
 
     def test_word_width_bounds(self):
         for width in (0, 65):

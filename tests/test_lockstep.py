@@ -115,6 +115,20 @@ def crafted_syndrome(code, faces, flips):
     return tanner.syndrome_bits_z(code, sum(1 << q for q in faces)) ^ sum(1 << i for i in flips)
 
 
+def syndrome_batches(code):
+    """The sampled syndromes and three edge batches: no rows, all-zero
+    rows (no nonzero word anywhere), and one syndrome the parallel
+    decoder removes codewords from, repeated in every row (so one slot
+    hits in every row of a class step)."""
+    rz = code.h_z.rows
+    sampled = sampled_syndromes(code)
+    busy = next((s for s in sampled if decoder.parallel_decode(
+        code, BitVector(rz, s), 1, return_state=True)[1].steps), 0)
+    if rz:  # z5_code has no H_Z rows, so every syndrome is empty
+        assert busy
+    return {"sampled": sampled, "empty": [], "zero": [0] * 16, "repeated": [busy] * 16}
+
+
 class TestLockstepDecoders:
     """One lockstep decode of many syndromes equals the scalar decoder
     on each, for every iteration count and both schedules."""
@@ -123,13 +137,20 @@ class TestLockstepDecoders:
     def syndromes(self, ref_code):
         return sampled_syndromes(ref_code)
 
+    # z8_z_side swaps the raw V01 and V10 classes (flip_roles); z5_code
+    # has r₁ = 0
+    @pytest.fixture(scope="class", params=["ref_code", "unique_code", "z8_z_side", "z5_code"])
+    def batches(self, request):
+        code = request.getfixturevalue(request.param)
+        return code, syndrome_batches(code)
+
+    @pytest.mark.parametrize("batch", ["sampled", "empty", "zero", "repeated"])
     @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_parallel(self, ref_code, syndromes, k):
-        got = DecoderConfig("parallel", k=k).decode_lockstep(
-            ref_code, gf2.to_bit_rows(syndromes, ref_code.h_z.rows)
-        )
-        want = [decoder.parallel_decode(ref_code, BitVector(ref_code.h_z.rows, s), k).bits
-                for s in syndromes]
+    def test_parallel(self, batches, k, batch):
+        code, syndromes = batches[0], batches[1][batch]
+        rz = code.h_z.rows
+        got = DecoderConfig("parallel", k=k).decode_lockstep(code, gf2.to_bit_rows(syndromes, rz))
+        want = [decoder.parallel_decode(code, BitVector(rz, s), k).bits for s in syndromes]
         assert gf2.from_bit_rows(got) == want
 
     # z5_code has no local checks (every Ẑ is 0); the 25-bit views of
@@ -204,13 +225,15 @@ class TestLockstepDecoders:
         zhat, drained = self.drained_sequential(unique_code, [syndrome], eps, monkeypatch)
         assert drained == [z0]
 
-    def test_initial_mismatch(self, ref_code, syndromes):
-        cache = decoder.get_cache(ref_code)
+    @pytest.mark.parametrize("batch", ["sampled", "empty", "zero", "repeated"])
+    def test_initial_mismatch(self, batches, batch):
+        code, syndromes = batches[0], batches[1][batch]
+        rz = code.h_z.rows
         zhat, eps01 = decoder.lockstep_initial_mismatch(
-            cache, gf2.to_bit_rows(syndromes, ref_code.h_z.rows)
+            decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz)
         )
-        states = [decoder.initial_mismatch(ref_code, BitVector(ref_code.h_z.rows, s))
-                  for s in syndromes]
+        assert zhat.shape == eps01.shape == (len(syndromes), code.n)
+        states = [decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes]
         assert gf2.from_bit_rows(zhat) == [st.zhat for st in states]
         assert gf2.from_bit_rows(eps01) == [st.eps01_sum for st in states]
 
