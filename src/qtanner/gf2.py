@@ -120,9 +120,8 @@ def nonzero_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     word at each position, so ``distinct[inverse] == words.flat[pos]``.
 
     Most lockstep words are 0, so only the nonzero ones are sorted, by
-    one argsort.  Its order among equal words does not matter, so it is
-    numpy's default sort, about twice as fast on these words as the
-    stable one."""
+    one argsort; its order among equal words does not matter, so it
+    need not be stable."""
     flat = words.ravel()
     pos = np.flatnonzero(flat)
     values = flat[pos]
