@@ -262,16 +262,24 @@ class TestSweep:
 
 
 # seed-1 multiround CSV digests and stderr summaries on the shipped
-# configs and on a Z8 config with adversarial data and vertex-bounded
-# syndrome noise (its p and q columns read 2.0): a refactor of the
-# multi-round path must keep them byte for byte.  The full-size Z8 run
-# (200 trials) is the benchmark's z8-multiround digest.
+# configs and on two Z8 configs with persistent adversarial data noise,
+# one with vertex-bounded and one with adversarial syndrome noise (their
+# p and q columns read 2.0): a refactor of the multi-round path must
+# keep them byte for byte.  The full-size Z8 run (200 trials) is the
+# benchmark's z8-multiround digest.
 Z8_ADVERSARIAL_MULTIROUND = dict(
     rounds=30,
     decoders=[{"kind": "parallel", "k": 4}],
     noise={"data": {"kind": "adversarial", "w": 2, "persistence": 0.5},
            "syndrome": {"kind": "vertex_bounded", "t": 2}},
 )
+Z8_MULTIROUND_CONFIGS = {
+    "z8_adversarial": Z8_ADVERSARIAL_MULTIROUND,
+    "z8_adversarial_syndrome": dict(
+        Z8_ADVERSARIAL_MULTIROUND,
+        noise={"data": {"kind": "adversarial", "w": 2, "persistence": 0.5},
+               "syndrome": {"kind": "adversarial", "s": 2}}),
+}
 MULTIROUND_PINS = [
     ("configs/z8_rep3.json", 200,
      "b74cb22ef47e53fe67c658f7c289d0cabf2f9efaeaf2e06bd78b9a3a074980f6",
@@ -289,6 +297,10 @@ MULTIROUND_PINS = [
      "83d8515e67f8c1c6f6cd57fface424631b9f832c009288bab648c0cd7a5d2ac0",
      "40 trials x 30 rounds; residual slope 0.596657 [0.543761, 0.649554]; "
      "final corrected 8/40"),
+    ("z8_adversarial_syndrome", 40,
+     "5a0fb07717d9085fd8f85dd7aebea871436b8d9342039a15ce3cd3a1276b403b",
+     "40 trials x 30 rounds; residual slope 0.447414 [0.404233, 0.490595]; "
+     "final corrected 15/40"),
 ]
 
 
@@ -352,8 +364,8 @@ class TestMultiround:
     @pytest.mark.parametrize("config, trials, digest, summary", MULTIROUND_PINS)
     def test_csv_and_summary_pinned(self, tmp_path, capsys, workers, config, trials, digest,
                                     summary):
-        if config == "z8_adversarial":
-            path = write_config(tmp_path, **Z8_ADVERSARIAL_MULTIROUND)
+        if config in Z8_MULTIROUND_CONFIGS:
+            path = write_config(tmp_path, **Z8_MULTIROUND_CONFIGS[config])
         else:
             path = str(ROOT / config)
         out = tmp_path / "m.csv"
