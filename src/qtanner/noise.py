@@ -4,8 +4,9 @@ Every trial runner takes (master seed, stream ids), and each trial
 draws from its own counter-based RNG stream, keyed by (master seed,
 stream id) and recorded as its CSV seed column, so results are
 reproducible bit for bit no matter how trials are scheduled.  Only
-``_round_errors`` turns stream ids into generators: the shared
-``rekeyed_rng`` for one round, one ``make_rng`` per trial for more.
+``_round_errors`` turns stream ids into generators: it re-keys the one
+shared ``rekeyed_rng`` to each trial in turn and draws all of that
+trial's rounds up front, as packed bit rows, under every noise model.
 Wall-clock timing is only recorded when explicitly requested, because
 timing breaks byte-identical output.
 
@@ -17,10 +18,11 @@ shared by every decoder, and the record columns are arrays;
 ``run_sweep`` (one block of one grid point) and ``estimate_threshold``
 run on it, and ``run_single_shot_trial`` stays as the one-trial
 reference.  A multi-round run takes its trials as one batch and
-advances them in lockstep, one round at a time: each trial still draws
-from its own stream in the order a lone trial would, and the batch is
-decoded as numpy rows by ``DecoderConfig.decode_lockstep``.  In both, a
-trial's results do not depend on the block or batch it ran in.  A block
+advances them in lockstep, one round at a time: each trial's rounds are
+drawn up front from its own stream, in the order a lone trial would
+draw them, and the batch is decoded as numpy rows by
+``DecoderConfig.decode_lockstep``.  In both, a trial's results do not
+depend on the block or batch it ran in.  A block
 returns one ``TrialRecord`` per (trial, decoder); a batch returns one
 ``RoundBatch``, its per-round weights as one (trials, rounds, 4) array
 and its readouts as lists, and formats its own CSV lines from them.
@@ -362,71 +364,13 @@ class DecoderConfig:
         return cls(kind, k=whole(obj.get("k", cls.k), "decoder k"))
 
 
-def _sample_bits_bernoulli(n: int, prob: float, rng) -> int:
-    if prob <= 0.0 or n == 0:
-        return 0
-    hits = np.nonzero(rng.random(n) < prob)[0]
-    bits = 0
-    for i in hits:
-        bits |= 1 << int(i)
-    return bits
-
-
-def _sample_bits_exact_weight(n: int, w: int, rng, keep_from: Optional[int] = None,
-                              persistence: float = 0.0) -> int:
-    if w > n:
-        raise ValueError(f"adversarial weight {w} exceeds {n} positions")
-    if w == 0:
-        return 0
-    kept: list[int] = []
-    if keep_from and persistence > 0.0:
-        prev = []
-        b = keep_from
-        while b:
-            lsb = b & -b
-            prev.append(lsb.bit_length() - 1)
-            b ^= lsb
-        n_keep = min(int(dec.as_fraction(persistence) * w), len(prev), w)
-        if n_keep:
-            kept = [int(x) for x in rng.choice(len(prev), size=n_keep, replace=False)]
-            kept = [prev[i] for i in kept]
-    kept_set = set(kept)
-    remaining = [i for i in range(n) if i not in kept_set]
-    fresh = rng.choice(len(remaining), size=w - len(kept), replace=False)
-    bits = 0
-    for i in kept:
-        bits |= 1 << i
-    for i in fresh:
-        bits |= 1 << remaining[int(i)]
-    return bits
-
-
-def sample_errors(
-    code: QuantumTannerCode, model: NoiseModel, rng, prev_data: int = 0
-) -> tuple[BitVector, BitVector]:
-    """Draw (data error e, syndrome error D) from the model; exact-weight
-    contracts hold by construction."""
-    if model.data_kind == "bernoulli":
-        e = _sample_bits_bernoulli(code.n, model.p, rng)
-    else:  # adversarial
-        e = _sample_bits_exact_weight(
-            code.n, model.w, rng, keep_from=prev_data, persistence=model.persistence
-        )
-
-    rz = code.h_z.rows
-    if model.syn_kind == "bernoulli":
-        d = _sample_bits_bernoulli(rz, model.q, rng)
-    elif model.syn_kind == "adversarial":
-        d = _sample_bits_exact_weight(rz, model.s, rng)
-    else:  # vertex_bounded
-        d = 0
-        if rz and code.r1 and model.t:
-            n_v = len(code.v1_vertices)
-            hit = rng.choice(n_v, size=min(model.t, n_v), replace=False)
-            for pos in sorted(int(x) for x in hit):
-                pattern = int(rng.integers(1, 1 << code.r1))
-                d |= pattern << (pos * code.r1)
-    return BitVector(code.n, e), BitVector(rz, d)
+def sample_errors(code: QuantumTannerCode, model: NoiseModel, rng
+                  ) -> tuple[BitVector, BitVector]:
+    """One trial's (data error e, syndrome error D) drawn from ``rng``:
+    the one-round view of ``_filled_rounds``, for ``decode-one``."""
+    e, d = _filled_rounds(code, model, [rng], 1)
+    return (BitVector(code.n, int.from_bytes(e.tobytes(), "little")),
+            BitVector(code.h_z.rows, int.from_bytes(d.tobytes(), "little")))
 
 
 def vertex_support_size(code: QuantumTannerCode, d: BitVector) -> int:
@@ -535,13 +479,13 @@ def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Every round's (e, D) of every trial under Bernoulli data and
     syndrome noise, as packed little-endian bit rows (trials, rounds,
-    bytes): trial after trial, the numbers ``sample_errors`` would draw
-    round after round, data before syndrome, with a rate of 0 drawing
-    nothing."""
+    bytes): trial after trial, the numbers ``_filled_rounds`` would draw,
+    in whole blocks of uniforms rather than one row at a time."""
     n, rz = code.n, code.h_z.rows
     width_e = n if model.p > 0.0 and n else 0
     width_d = rz if model.q > 0.0 and rz else 0
-    e, d = [], []
+    e = [np.zeros((0, (n + 7) // 8), dtype=np.uint8)]
+    d = [np.zeros((0, (rz + 7) // 8), dtype=np.uint8)]
     for u in _uniform_rows(rngs, rounds, width_e + width_d):
         e.append(np.zeros((len(u), (n + 7) // 8), dtype=np.uint8))
         d.append(np.zeros((len(u), (rz + 7) // 8), dtype=np.uint8))
@@ -554,34 +498,80 @@ def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel,
             np.concatenate(d).reshape(trials, rounds, (rz + 7) // 8))
 
 
+def _fill_exact_weight(row: np.ndarray, w: int, rng,
+                       prev: np.ndarray = np.zeros(0, dtype=np.intp), keep: int = 0) -> None:
+    """Set ``w`` bits of the zero ``row``: first min(keep, |prev|) of the
+    sorted positions ``prev`` drawn by ``rng.choice``, then the rest drawn
+    among the other positions, where fresh index i names the i-th free
+    position (found by ``np.searchsorted`` over the sorted kept ones)."""
+    if not w:
+        return
+    n_keep = min(keep, len(prev))
+    kept = np.sort(prev[rng.choice(len(prev), size=n_keep, replace=False)]) if n_keep else prev[:0]
+    fresh = rng.choice(len(row) - n_keep, size=w - n_keep, replace=False)
+    row[kept] = 1
+    row[fresh + np.searchsorted(kept - np.arange(n_keep), fresh, side="right")] = 1
+
+
+def _filled_rounds(code: QuantumTannerCode, model: NoiseModel,
+                   rngs: Iterable[np.random.Generator], rounds: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's (e, D) of every trial under any noise model, as
+    packed little-endian bit rows (trials, rounds, bytes): trial after
+    trial, round after round, data before syndrome.  A Bernoulli side
+    draws one uniform per bit (none at rate 0); an adversarial side draws
+    its w or s bits by ``_fill_exact_weight``, persistent data noise
+    keeping ⌊persistence·w⌋ faces of the trial's previous round; a
+    vertex-bounded side draws min(t, |V1|) vertices, then one nonzero
+    check pattern per vertex in vertex order (one ``rng.integers`` call
+    for all of them draws what one call per vertex would)."""
+    n, rz, r1 = code.n, code.h_z.rows, code.r1
+    for kind, weight, width in ((model.data_kind, model.w, n), (model.syn_kind, model.s, rz)):
+        if kind == "adversarial" and weight > width:
+            raise ValueError(f"adversarial weight {weight} exceeds {width} positions")
+    keep = int(dec.as_fraction(model.persistence) * model.w)
+    n_hit = min(model.t, len(code.v1_vertices)) if rz and r1 else 0
+    block = np.arange(r1)
+    e_rows = [np.zeros((0, rounds, (n + 7) // 8), dtype=np.uint8)]
+    d_rows = [np.zeros((0, rounds, (rz + 7) // 8), dtype=np.uint8)]
+    for rng in rngs:
+        e = np.zeros((rounds + 1, n), dtype=np.uint8)  # e[0]: no error before round 1
+        d = np.zeros((rounds, rz), dtype=np.uint8)
+        for i in range(rounds):
+            if model.data_kind != "bernoulli":
+                _fill_exact_weight(e[i + 1], model.w, rng, np.flatnonzero(e[i]), keep)
+            elif model.p > 0.0 and n:
+                e[i + 1] = rng.random(n) < model.p
+            if model.syn_kind == "adversarial":
+                _fill_exact_weight(d[i], model.s, rng)
+            elif model.syn_kind == "bernoulli" and model.q > 0.0 and rz:
+                d[i] = rng.random(rz) < model.q
+            elif model.syn_kind == "vertex_bounded" and n_hit:
+                hit = np.sort(rng.choice(len(code.v1_vertices), size=n_hit, replace=False))
+                patterns = rng.integers(1, 1 << r1, size=n_hit)
+                d[i].reshape(-1, r1)[hit] = patterns[:, None] >> block & 1
+        e_rows.append(np.packbits(e[None, 1:], axis=2, bitorder="little"))
+        d_rows.append(np.packbits(d[None], axis=2, bitorder="little"))
+    return np.concatenate(e_rows), np.concatenate(d_rows)
+
+
 def _round_errors(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
                   streams: Sequence[int], rounds: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(e, D) of every trial as (trials, n) and (trials, H_Z rows) bit
     rows, round after round; trial i draws from stream ``streams[i]`` of
-    ``master_seed`` what ``sample_errors`` would.  This is where stream
-    ids become generators: a one-round call re-keys ``rekeyed_rng`` as it
-    reaches each trial, whose draws end before the next is keyed; a call
-    with more rounds holds one ``make_rng`` per trial.  Bernoulli noise
-    is drawn for all rounds up front, one trial after another; the other
-    models call ``sample_errors`` once per round."""
-    if rounds == 1:
-        rngs = (rekeyed_rng(master_seed, s) for s in streams)
-    else:
-        rngs = [make_rng(master_seed, s) for s in streams]
-    n, rz = code.n, code.h_z.rows
-    if model.data_kind == "bernoulli" and model.syn_kind == "bernoulli":
-        e_packed, d_packed = _bernoulli_rounds(code, model, rngs, rounds)
-        for i in range(rounds):
-            yield (np.unpackbits(e_packed[:, i], axis=1, count=n, bitorder="little"),
-                   np.unpackbits(d_packed[:, i], axis=1, count=rz, bitorder="little"))
-        return
-    prev_data = itertools.repeat(0)
-    for _ in range(rounds):
-        pairs = [sample_errors(code, model, rng, prev_data=prev)
-                 for rng, prev in zip(rngs, prev_data)]
-        prev_data = [e.bits for e, _ in pairs]
-        yield gf2.to_bit_rows(prev_data, n), gf2.to_bit_rows([d.bits for _, d in pairs], rz)
+    ``master_seed``.  This is where stream ids become generators: every
+    trial's rounds are drawn up front, trial after trial, on the one
+    ``rekeyed_rng``, re-keyed as each trial is reached (its draws end
+    before the next is keyed), into packed (trials, rounds, bytes) rows:
+    by ``_bernoulli_rounds`` under Bernoulli data and syndrome noise, by
+    ``_filled_rounds`` under any other model."""
+    bernoulli = model.data_kind == model.syn_kind == "bernoulli"
+    e, d = (_bernoulli_rounds if bernoulli else _filled_rounds)(
+        code, model, (rekeyed_rng(master_seed, s) for s in streams), rounds)
+    for i in range(rounds):
+        yield (np.unpackbits(e[:, i], axis=1, count=code.n, bitorder="little"),
+               np.unpackbits(d[:, i], axis=1, count=code.h_z.rows, bitorder="little"))
 
 
 def run_multiround(
@@ -604,10 +594,11 @@ def run_multiround(
     and the residual weight, and per trial the readout's residual weight
     and class.
 
-    Each round is one array step over all trials: the errors come from
-    ``_round_errors``, the syndromes are one product with H_Zᵀ, and
-    ``DecoderConfig.decode_lockstep`` decodes them all.  The readout is
-    scalar, once per trial.
+    Every trial's rounds are drawn up front by ``_round_errors``, trial
+    after trial on the one re-keyed generator.  Each round is then one
+    array step over all trials: the syndromes are one product with H_Zᵀ,
+    and ``DecoderConfig.decode_lockstep`` decodes them all.  The readout
+    is scalar, once per trial.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -615,9 +606,7 @@ def run_multiround(
     trials, n, rz = len(seeds), code.n, code.h_z.rows
     residual = np.zeros((trials, n), dtype=np.uint8)
     stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
-    # an empty batch draws nothing (the Bernoulli sampler needs a trial)
-    drawn = _round_errors(code, model, master_seed, seeds, rounds) if trials else ()
-    for i, (e, d) in enumerate(drawn):
+    for i, (e, d) in enumerate(_round_errors(code, model, master_seed, seeds, rounds)):
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
         residual ^= e ^ cfg.decode_lockstep(code, syn)
         stats[:, i, 0] = e.sum(axis=1)

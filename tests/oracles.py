@@ -4,7 +4,9 @@ Everything here re-derives results from first principles with code paths
 disjoint from the library: numpy-based elimination, dense integer
 products for syndromes and commutation, ambient-space enumeration for
 product expansion, direct column-assignment search for minimal
-decompositions, and weight-ordered enumeration for coset leaders.
+decompositions, weight-ordered enumeration for coset leaders, and a
+Python-int noise sampler that the library's bit-row sampler must match
+draw for draw.
 """
 
 import itertools
@@ -110,6 +112,58 @@ def local_syndrome(code, sigma, v1_pos):
     v1_pos-th V1 vertex: its r1 bits."""
     bits = sigma if isinstance(sigma, int) else sigma.bits
     return (bits >> (v1_pos * code.r1)) & ((1 << code.r1) - 1)
+
+
+def _bernoulli_bits(n, prob, rng):
+    """A packed int whose bit i is set when the i-th of n uniforms is below
+    ``prob`` (no uniforms drawn at rate 0 or length 0)."""
+    if prob <= 0.0 or n == 0:
+        return 0
+    return sum(1 << int(i) for i in np.nonzero(rng.random(n) < prob)[0])
+
+
+def _exact_weight_bits(n, w, rng, keep_from=0, persistence=0.0):
+    """A packed int of exact weight w over n positions: ⌊persistence·w⌋
+    bits of ``keep_from`` kept (persistence read as its decimal literal),
+    the rest drawn from an explicit list of the other positions."""
+    if w > n:
+        raise ValueError(f"adversarial weight {w} exceeds {n} positions")
+    if w == 0:
+        return 0
+    kept = []
+    if keep_from and persistence > 0.0:
+        prev = [i for i in range(keep_from.bit_length()) if (keep_from >> i) & 1]
+        n_keep = min(int(Fraction(repr(persistence)) * w), len(prev), w)
+        if n_keep:
+            kept = [prev[int(i)] for i in rng.choice(len(prev), size=n_keep, replace=False)]
+    remaining = [i for i in range(n) if i not in set(kept)]
+    fresh = [remaining[int(i)] for i in rng.choice(len(remaining), size=w - len(kept),
+                                                   replace=False)]
+    return sum(1 << i for i in kept + fresh)
+
+
+def int_sample_errors(code, model, rng, prev_data=0):
+    """(e, D) as ``BitVector``s, drawn one side and one bit set at a time
+    with Python ints: the draw-for-draw reference of the library's
+    sampler.  ``prev_data`` is the trial's previous data error, which
+    persistent adversarial noise keeps faces of."""
+    if model.data_kind == "bernoulli":
+        e = _bernoulli_bits(code.n, model.p, rng)
+    else:
+        e = _exact_weight_bits(code.n, model.w, rng, prev_data, model.persistence)
+    rz = code.h_z.rows
+    if model.syn_kind == "bernoulli":
+        d = _bernoulli_bits(rz, model.q, rng)
+    elif model.syn_kind == "adversarial":
+        d = _exact_weight_bits(rz, model.s, rng)
+    else:  # vertex_bounded
+        d = 0
+        if rz and code.r1 and model.t:
+            n_v = len(code.v1_vertices)
+            hit = rng.choice(n_v, size=min(model.t, n_v), replace=False)
+            for pos in sorted(int(x) for x in hit):
+                d |= int(rng.integers(1, 1 << code.r1)) << (pos * code.r1)
+    return gf2.BitVector(code.n, e), gf2.BitVector(rz, d)
 
 
 def multiround_rows(batch):

@@ -116,6 +116,23 @@ class TestDecodeOne:
         assert rec["d_weight"] == 1
         assert rec["residual_weight"] <= 9  # delta^2
 
+    @pytest.mark.parametrize("noise_obj", [
+        {"data": {"kind": "bernoulli", "p": 0.05}, "syndrome": {"kind": "bernoulli", "q": 0.05}},
+        {"data": {"kind": "adversarial", "w": 3, "persistence": 0.5},
+         "syndrome": {"kind": "vertex_bounded", "t": 2}},
+    ], ids=["bernoulli", "adversarial"])
+    def test_drawn_sample_is_stream_0_of_the_seed(self, tmp_path, capsys, noise_obj):
+        # without --error, the printed record is the first decoder's
+        # single-shot trial on stream 0 of the config's seed
+        cfg = write_config(tmp_path, noise=noise_obj,
+                           decoders=[{"kind": "parallel", "k": 2}, {"kind": "sequential"}])
+        assert cli.main(["decode-one", "-c", cfg]) == 0
+        exp = cli.load_config(cfg)
+        code, iid = cli.build_instance(exp.raw)
+        [rec] = noise.run_single_shot_trial(code, exp.noise, exp.decoders[:1], exp.seed, 0, iid)
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(rec._asdict()))
+        assert rec.e_weight + rec.d_weight > 0 and rec.param == "k=2"
+
     def test_step_log_written(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -2,13 +2,13 @@
 
 ``noise.run_multiround`` runs a batch of trials one round at a time as
 numpy arrays.  Its reference here is the per-trial loop it replaced:
-``sample_errors`` -> ``syndrome_bits_z`` -> ``DecoderConfig.decode``,
-the residual fed forward, then one ideal sequential readout.  Every
-column, round by round and the final readout's residual weight and
-class, must match trial by trial.  ``noise.run_sweep`` decodes a block
-of single-shot trials in lockstep; its records must equal the scalar
-``sample_errors`` -> ``decode_trial`` path on each trial's own
-``make_rng`` stream.
+the int sampler ``oracles.int_sample_errors`` -> ``syndrome_bits_z`` ->
+``DecoderConfig.decode``, the residual fed forward, then one ideal
+sequential readout.  Every column, round by round and the final
+readout's residual weight and class, must match trial by trial.
+``noise.run_sweep`` decodes a block of single-shot trials in lockstep;
+its records must equal the scalar ``oracles.int_sample_errors`` ->
+``decode_trial`` path on each trial's own ``make_rng`` stream.
 """
 
 from dataclasses import replace
@@ -21,6 +21,8 @@ from qtanner import cayley, codes, decoder, gf2, noise, tanner
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
+from oracles import int_sample_errors
+
 
 def scalar_multiround(code, model, cfg, rounds, rng):
     """One trial of the multi-round protocol, decoded one round at a
@@ -30,7 +32,7 @@ def scalar_multiround(code, model, cfg, rounds, rng):
     residual = prev = 0
     stats = []
     for _ in range(rounds):
-        e, d = noise.sample_errors(code, model, rng, prev_data=prev)
+        e, d = int_sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
         syn = BitVector(rz, tanner.syndrome_bits_z(code, residual ^ e.bits) ^ d.bits)
         residual ^= e.bits ^ cfg.decode(code, syn).bits
@@ -93,8 +95,9 @@ def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, reques
     assert moved > 0  # the noise is not vacuous
 
 
-def test_empty_batch(unique_code):
-    batch = noise.run_multiround(unique_code, BERNOULLI, DecoderConfig("parallel", k=1), 3, 1, [])
+@pytest.mark.parametrize("model", [BERNOULLI, ADVERSARIAL], ids=["bernoulli", "adversarial"])
+def test_empty_batch(unique_code, model):
+    batch = noise.run_multiround(unique_code, model, DecoderConfig("parallel", k=1), 3, 1, [])
     assert batch.stats.shape == (0, 3, 4)
     assert batch.seeds == batch.final_weights == batch.final_classes == []
     assert list(batch.csv_chunks()) == []
@@ -105,7 +108,7 @@ def sampled_syndromes(code, trials=120):
     rng = make_rng(77, 0)
     rows = []
     for t in range(trials):
-        e, d = noise.sample_errors(code, NoiseModel(p=0.01 * (t % 4), q=0.01), rng)
+        e, d = int_sample_errors(code, NoiseModel(p=0.01 * (t % 4), q=0.01), rng)
         rows.append(tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
     return rows
 
@@ -264,7 +267,8 @@ class TestLockstepDecoders:
 # Sweep blocks: ``run_sweep`` draws every trial of a block on its own
 # stream, decodes the block in lockstep with one shared initial mismatch
 # and computes the columns as arrays.  Its reference is the per-trial
-# scalar path: ``sample_errors`` on ``make_rng``, then ``decode_trial``.
+# scalar path: ``oracles.int_sample_errors`` on ``make_rng``, then
+# ``decode_trial``.
 
 SWEEP_DECODERS = [DecoderConfig("sequential"), DecoderConfig("sequential", eps=Fraction(1, 3)),
                   DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=8)]
@@ -282,7 +286,7 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
     records = []
     for t in trial_ids:
         stream = noise.sweep_stream_id(point_idx, t)
-        e, d = noise.sample_errors(code, model, make_rng(seed, stream))
+        e, d = int_sample_errors(code, model, make_rng(seed, stream))
         records += [rec for rec, _ in noise.decode_trial(code, model, SWEEP_DECODERS, e, d,
                                                          seed=stream)]
     return records

@@ -3,17 +3,18 @@
 import csv
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qtanner import decoder, noise
+from qtanner import decoder, gf2, noise
 from qtanner.errors import whole
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
-from oracles import multiround_rows
+from oracles import int_sample_errors, multiround_rows
 
 
 class TestRng:
@@ -63,6 +64,13 @@ class DrawLog:
         return self.rng.choice(a, size=size, replace=replace)
 
 
+def two_rounds(code, model, rng, monkeypatch):
+    """The data error rows of one trial's first two rounds, drawn by
+    ``_round_errors`` from ``rng`` in place of the re-keyed generator."""
+    monkeypatch.setattr(noise, "rekeyed_rng", lambda master_seed, stream: rng)
+    return [e[0] for e, _ in noise._round_errors(code, model, 0, [0], 2)]
+
+
 class TestSampleErrors:
     def test_bernoulli_zero(self, ref_code):
         model = NoiseModel()
@@ -87,18 +95,17 @@ class TestSampleErrors:
             assert noise.vertex_support_size(ref_code, d) <= 2
             assert d.weight() >= 1
 
-    def test_persistence_carries_support(self, ref_code):
+    def test_persistence_carries_support(self, ref_code, monkeypatch):
         model = NoiseModel(data_kind="adversarial", w=8, persistence=0.5)
-        rng = make_rng(5, 0)
-        e1, _ = noise.sample_errors(ref_code, model, rng)
-        e2, _ = noise.sample_errors(ref_code, model, rng, prev_data=e1.bits)
-        carried = (e1.bits & e2.bits).bit_count()
+        e1, e2 = two_rounds(ref_code, model, make_rng(5, 0), monkeypatch)
+        carried = int((e1 & e2).sum())
         assert carried >= 4  # floor(0.5 * 8) kept by construction
-        assert e2.weight() == 8
+        assert e2.sum() == 8
 
     @pytest.mark.parametrize("w, persistence, kept", [(1, 0.5, 0), (4, 0.5, 2), (100, 0.29, 29)],
                              ids=["1-0", "4-2", "100-29"])
-    def test_persistence_keeps_floor_of_its_share(self, ref_code, w, persistence, kept):
+    def test_persistence_keeps_floor_of_its_share(self, ref_code, w, persistence, kept,
+                                                  monkeypatch):
         # floor(persistence * w) old faces are kept, so persistence < 1/w
         # keeps none, and persistence is read as its decimal literal:
         # 0.29 * 100 is 28.999999999999996 as a double, yet 29 faces are
@@ -107,11 +114,10 @@ class TestSampleErrors:
         model = NoiseModel(data_kind="adversarial", w=w, persistence=persistence)
         for t in range(20):
             rng = DrawLog(make_rng(8, t))
-            e1, _ = noise.sample_errors(ref_code, model, rng)
-            e2, _ = noise.sample_errors(ref_code, model, rng, prev_data=e1.bits)
+            e1, e2 = two_rounds(ref_code, model, rng, monkeypatch)
             assert rng.sizes[-1] == w - kept
-            assert e2.weight() == w
-            assert (e1.bits & e2.bits).bit_count() >= kept
+            assert e2.sum() == w
+            assert (e1 & e2).sum() >= kept
 
     def test_bernoulli_rate(self, ref_code):
         model = NoiseModel(p=0.05)
@@ -121,6 +127,78 @@ class TestSampleErrors:
             total += e.weight()
         mean = total / 200
         assert 0.03 * ref_code.n < mean < 0.07 * ref_code.n
+
+
+# Data and syndrome noise of every kind, for the draw-for-draw check of
+# ``_round_errors`` against the int sampler; the adversarial weights are
+# cut to what the code has (z5_code has no H_Z rows).
+DATA_NOISE = {
+    "bernoulli": dict(p=0.05),
+    **{f"persistence-{x}": dict(data_kind="adversarial", persistence=x)
+       for x in (0.0, 0.29, 0.5, 1.0)},
+}
+SYNDROME_NOISE = {
+    "bernoulli": dict(q=0.05),
+    "adversarial": dict(syn_kind="adversarial"),
+    "vertex_bounded": dict(syn_kind="vertex_bounded", t=2),
+}
+
+
+def assert_draws_like_int_sampler(code, model, rounds, monkeypatch, streams=(0, 7, 1 << 40)):
+    """``_round_errors`` gives, round by round, the (e, D) rows the int
+    sampler draws on each trial's stream, and leaves each trial's
+    generator where the int sampler leaves it."""
+    seed = 31
+    want, left = [], []
+    for stream in streams:
+        rng, prev, rows = make_rng(seed, stream), 0, []
+        for _ in range(rounds):
+            e, d = int_sample_errors(code, model, rng, prev_data=prev)
+            prev = e.bits
+            rows.append((e.bits, d.bits))
+        want.append(rows)
+        left.append(rng.random(2).tolist())
+    got = list(noise._round_errors(code, model, seed, list(streams), rounds))
+    assert len(got) == rounds
+    for i, (e, d) in enumerate(got):
+        assert e.shape == (len(streams), code.n) and d.shape == (len(streams), code.h_z.rows)
+        assert list(zip(gf2.from_bit_rows(e), gf2.from_bit_rows(d))) == [w[i] for w in want]
+    made = []
+    monkeypatch.setattr(noise, "rekeyed_rng",
+                        lambda master_seed, stream: made.append(make_rng(master_seed, stream))
+                        or made[-1])
+    list(noise._round_errors(code, model, seed, list(streams), rounds))
+    assert [rng.random(2).tolist() for rng in made] == left
+
+
+class TestRoundErrors:
+    @pytest.mark.parametrize("rounds", [1, 6])
+    @pytest.mark.parametrize("syn", list(SYNDROME_NOISE))
+    @pytest.mark.parametrize("data", list(DATA_NOISE))
+    @pytest.mark.parametrize("fixture", ["ref_code", "unique_code", "z5_code"])
+    def test_draws_like_int_sampler(self, fixture, data, syn, rounds, request, monkeypatch):
+        code = request.getfixturevalue(fixture)
+        model = NoiseModel(**DATA_NOISE[data], **SYNDROME_NOISE[syn])
+        if model.data_kind == "adversarial":
+            model = replace(model, w=min(100, code.n // 2))  # ref_code: 0.29 keeps 29
+        if model.syn_kind == "adversarial":
+            model = replace(model, s=min(3, code.h_z.rows))
+        assert_draws_like_int_sampler(code, model, rounds, monkeypatch)
+
+    @pytest.mark.parametrize("w, persistence", [("n", 1.0), (0, 0.5)], ids=["w=n", "w=0"])
+    def test_weight_extremes(self, unique_code, w, persistence, monkeypatch):
+        w = unique_code.n if w == "n" else w
+        model = NoiseModel(data_kind="adversarial", w=w, persistence=persistence,
+                           syn_kind="adversarial", s=unique_code.h_z.rows)
+        assert_draws_like_int_sampler(unique_code, model, 5, monkeypatch)
+
+    def test_weight_over_n_rejected(self, unique_code):
+        for model in (NoiseModel(data_kind="adversarial", w=unique_code.n + 1),
+                      NoiseModel(syn_kind="adversarial", s=unique_code.h_z.rows + 1)):
+            with pytest.raises(ValueError, match="exceeds"):
+                int_sample_errors(unique_code, model, make_rng(1, 0))
+            with pytest.raises(ValueError, match="exceeds"):
+                next(noise._round_errors(unique_code, model, 1, [0], 3))
 
 
 class TestVertexSupport:

@@ -31,6 +31,22 @@ def traced_names(monkeypatch):
     return tracer.SPAN_NAMES + (tracer.TRACE_ID_SOURCE,)
 
 
+def test_oracles_import_only_gf2_and_errors_from_the_package():
+    # the oracles check the library, so they must not call the code they
+    # check: bit containers and error types are all they take from it
+    path = Path(__file__).resolve().parent / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "qtanner":
+            imported |= {f"qtanner.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    package = {name for name in imported if name.split(".")[0] == "qtanner"}
+    assert package <= {"qtanner.gf2", "qtanner.errors"}
+
+
 def test_package_has_no_assert_statements():
     # invariants must raise QTannerError subclasses: python -O strips asserts
     root = Path(qtanner.__file__).parent
