@@ -37,22 +37,25 @@ so no table over all 2^r syndromes is built and r needs no budget.
 The lockstep decoders decode many syndromes at once, one numpy row per
 trial, as multi-round runs and sweep blocks do: the initial mismatch,
 then one decomposition in place.  Every lockstep step packs views (or
-local syndromes) into one word per (row, vertex), scans only the
-distinct nonzero words (``gf2.nonzero_words``) and writes back only
-what they find, bit by bit at (row, face).  The initial mismatch
+local syndromes) into one word per (row, vertex) and reads the result
+of every word from a ``gf2.WordCache``, a direct-mapped numpy cache in
+front of the dict memo (of a θ table, or of the coset leaders): one
+hash and two ``take``s per array, and only missed words go to the
+memo, which stays the one source of truth.  The initial mismatch
 (``lockstep_initial_mismatch``, which a sweep block computes once and
-shares by all its decoders) lifts the leaders of the local syndromes
-one class at a time, V01 then V10.  A parallel class step scans
-through the same θ = 1/2 memo and XORs only the removed codewords and
-their share of f̂ back (splitting a codeword only where f̂ takes one
-of its parts); same-class views are disjoint, so this is the scalar
-sweep.  The sequential schedule checks ε and looks up its θ table once
-per call, packs every view of every row into one word and scans the
-distinct nonzero words once: a row where no queued vertex finds a
-codeword is a fixed point and is left alone, and the scalar FIFO
-drains only the other rows, from their first vertex that finds one (Ẑ
-cannot change before it).  Each row decodes to exactly what the scalar
-decoder gives its syndrome.
+shares by all its decoders) lifts the leaders densely, one column
+permutation per class, V01 then V10.  A parallel class step reads the
+θ = 1/2 scans as a (rows, slots) array and XORs only the removed
+codewords and their share of f̂ back, bit by bit at (row, face)
+(splitting a codeword only where f̂ takes one of its parts);
+same-class views are disjoint, so this is the scalar sweep.  The
+sequential schedule checks ε and looks up its θ table once per call,
+packs every view of every row into one word and reads every word's
+scan once: a row where no queued vertex finds a codeword is a fixed
+point and is left alone, and the scalar FIFO drains only the other
+rows, from their first vertex that finds one (Ẑ cannot change before
+it).  Each row decodes to exactly what the scalar decoder gives its
+syndrome.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -203,7 +206,10 @@ class LockstepTables:
     class partition the faces, so a class step never writes a face of a
     row twice.  ``syndrome_words`` reads the r₁-bit local syndrome of
     every V1 vertex out of (trials, H_Z rows) rows, ``order`` V01 words
-    then ``order`` V10 words (sweep classes 1 and 2), and ``views``
+    then ``order`` V10 words (sweep classes 1 and 2), ``leaders`` is the
+    ``gf2.WordCache`` of ``coset_leader`` over such words, and
+    ``lift_columns`` gives each face the column of its bit in the V01
+    leaders and in the V10 leaders, unpacked side by side.  ``views``
     (built on first use, by the sequential schedule only) reads every
     vertex's local pattern, in vertex order, as one Δ²-bit word.
     """
@@ -211,7 +217,7 @@ class LockstepTables:
     def __init__(self, cache: "LocalCodewordCache"):
         code = cache.code
         n, d2 = code.n, cache.n
-        order = self.order = len(cache.sweep_order) // 4
+        order = len(cache.sweep_order) // 4
         self.faces, self.packers = [], []
         for start in range(0, len(cache.sweep_order), order):
             faces = [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]]
@@ -221,8 +227,10 @@ class LockstepTables:
                 )
             self.faces.append(np.array(faces, dtype=np.intp))
             self.packers.append(gf2.WordPacker(faces, d2, n))
+        self.lift_columns = (np.argsort(self.faces[1]), n + np.argsort(self.faces[2]))
         rz, r1 = code.h_z.rows, code.r1
         self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
+        self.leaders = gf2.WordCache(partial(coset_leader, cache), 0, np.uint64) if r1 else None
         self._cache = cache
 
     @cached_property
@@ -237,14 +245,16 @@ class ScanTable:
     ``thresholds[i]`` is ceil(θ·|x_i|) for cached codeword i, and ``memo``
     maps each local pattern searched so far to its result (codeword
     index or None).  Patterns have Δ² bits, so the memo holds at most
-    2^Δ² entries.
+    2^Δ² entries.  ``words`` is the lockstep decoders' ``gf2.WordCache``
+    in front of the memo (see ``_scan_words``), built on first use.
     """
 
-    __slots__ = ("thresholds", "memo")
+    __slots__ = ("thresholds", "memo", "words")
 
     def __init__(self, thresholds: np.ndarray):
         self.thresholds = thresholds
         self.memo: dict[int, Optional[int]] = {}
+        self.words: Optional[gf2.WordCache] = None
 
 
 def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
@@ -381,6 +391,17 @@ def _scan(cache: LocalCodewordCache, zloc: int, table: ScanTable) -> Optional[in
     if idx is _MISS:
         idx = table.memo[zloc] = _scan_uncached(cache, zloc, table.thresholds)
     return idx
+
+
+def _scan_words(cache: LocalCodewordCache, table: ScanTable, words: np.ndarray) -> np.ndarray:
+    """``_scan`` of every word of a uint64 array, -1 for None, through the
+    table's word cache (built here on first use)."""
+    if table.words is None:
+        def scan(word: int) -> int:
+            idx = _scan(cache, word, table)
+            return -1 if idx is None else idx
+        table.words = gf2.WordCache(scan, -1)
+    return table.words(words)
 
 
 def _scan_uncached(
@@ -585,27 +606,23 @@ def lockstep_initial_mismatch(
     """(Ẑ, ε₀₁) bit rows for a (trials, H_Z rows) array of noisy
     syndromes: ``initial_mismatch`` row by row.
 
-    The local syndromes are read as one word per V1 vertex, and the
-    leader of each distinct nonzero word comes from ``coset_leader``.
-    The leaders are lifted one class at a time: the V01 lift is ε₀₁, and
-    Ẑ is ε₀₁ with the V10 lift XORed in.  A face has one vertex of each
-    class, so the two lifts overlap, and one fancy-index XOR over both
-    would apply a shared face once instead of twice.
+    The local syndromes are read as one word per V1 vertex, and their
+    leaders come from ``coset_leader`` through the word cache
+    ``leaders`` (word 0 has leader 0).  The leaders are lifted densely,
+    one ``gf2.unpack_words`` for both classes and one column permutation
+    per class (a gather through ``lift_columns``): the V01 lift is ε₀₁,
+    and Ẑ is ε₀₁ with the V10 lift XORed in (a face has one vertex of
+    each class, so the two lifts overlap).
     """
     tables = cache.lockstep
-    trials, n, d2, order = len(syndromes), cache.code.n, cache.n, tables.order
-    eps01 = np.zeros((trials, n), dtype=np.uint8)
-    if tables.syndrome_words is None:  # r₁ = 0: no local checks
-        return eps01.copy(), eps01
-    pos, words, inverse = gf2.nonzero_words(tables.syndrome_words(syndromes))
-    leaders = np.array([coset_leader(cache, s) for s in words.tolist()], dtype=np.uint64)
-    leaders = leaders[inverse]
-    row, slot = np.divmod(pos, 2 * order)
-    v01, v10 = slot < order, slot >= order
-    eps01[_word_bits(row[v01], slot[v01], leaders[v01], tables.faces[1], d2)] = 1
-    zhat = eps01.copy()
-    zhat[_word_bits(row[v10], slot[v10] - order, leaders[v10], tables.faces[2], d2)] ^= 1
-    return zhat, eps01
+    trials, n = len(syndromes), cache.code.n
+    if tables.leaders is None:  # r₁ = 0: no local checks
+        return np.zeros((trials, n), dtype=np.uint8), np.zeros((trials, n), dtype=np.uint8)
+    leaders = tables.leaders(tables.syndrome_words(syndromes))
+    lifts = gf2.unpack_words(leaders, cache.n).reshape(trials, 2 * n)
+    v01, v10 = tables.lift_columns
+    eps01 = lifts[:, v01]
+    return eps01 ^ lifts[:, v10], eps01
 
 
 # which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
@@ -620,19 +637,19 @@ def lockstep_parallel_decomposition(
     place, XORing each removed codeword's share of f̂ into ``f``.
 
     A class step packs each view of the class into one Δ²-bit word per
-    row, scans only the distinct nonzero words (through the θ = 1/2
-    memo) and XORs back only the removed codewords, at the (row, face)
-    of each of their bits.  Only the V00 and V11 steps need (c, r)
-    splits, for the r and c parts of f̂; they split their new codewords
-    in one pass.  A row leaves the active set after a sweep that clears
-    its Ẑ or removes nothing: the next sweep would be a fixed point,
-    which is where the scalar loop stops too.
+    row, reads the scan of every word from the θ = 1/2 word cache as one
+    (rows, slots) array and XORs back only the removed codewords, at the
+    (row, face) of each of their bits.  Only the V00 and V11 steps need
+    (c, r) splits, for the r and c parts of f̂; they split their new
+    codewords in one pass.  A row leaves the active set after a sweep
+    that clears its Ẑ or removes nothing: the next sweep would be a
+    fixed point, which is where the scalar loop stops too.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table = cache.scan_table(Fraction(1, 2))
     tables = cache.lockstep
-    d2, order = cache.n, tables.order
+    d2 = cache.n
     active = np.flatnonzero(zhat.any(axis=1))
     for _ in range(k):
         if active.size == 0:
@@ -640,24 +657,18 @@ def lockstep_parallel_decomposition(
         z, acc = zhat[active], f[active]
         changed = np.zeros(active.size, dtype=bool)
         for packer, faces, (c_share, r_share) in zip(tables.packers, tables.faces, _F_SHARE):
-            pos, words, inverse = gf2.nonzero_words(packer(z))
-            found = [_scan(cache, word, table) for word in words.tolist()]
-            at = [i for i, idx in enumerate(found) if idx is not None]
-            if not at:
+            found = _scan_words(cache, table, packer(z))
+            row, slot = np.nonzero(found >= 0)
+            if row.size == 0:
                 continue
-            removed_idx = [found[i] for i in at]
-            removed = np.zeros(len(words), dtype=np.uint64)
-            removed[at] = cache.masks[removed_idx]
-            hit = np.flatnonzero(removed[inverse])
-            inverse = inverse[hit]
-            row, slot = np.divmod(pos[hit], order)
+            removed = found[row, slot]
             changed[row] = True
-            bits = _word_bits(row, slot, removed[inverse], faces, d2)
+            bits = _word_bits(row, slot, cache.masks[removed], faces, d2)
             z[bits] ^= 1
             if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
-                shares = np.zeros(len(words), dtype=np.uint64)
-                shares[at] = [cr[0] if c_share else cr[1] for cr in cache.split_many(removed_idx)]
-                acc[_word_bits(row, slot, shares[inverse], faces, d2)] ^= 1
+                part = 0 if c_share else 1
+                shares = [cr[part] for cr in cache.split_many(removed.tolist())]
+                acc[_word_bits(row, slot, np.array(shares, dtype=np.uint64), faces, d2)] ^= 1
             elif c_share:  # V01 keeps c + r, the whole codeword
                 acc[bits] ^= 1
         zhat[active], f[active] = z, acc
@@ -672,25 +683,22 @@ def lockstep_sequential_decomposition(
     place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
 
     ε is checked and the θ = 1 - ε table looked up once per call.  Every
-    vertex's view of every row is packed into one Δ²-bit word, and each
-    distinct nonzero word is scanned once: the nonzero words of a row are
-    its FIFO's initial queue, in vertex order, and a found codeword is a
-    hit.  Ẑ cannot change before the first hit, so every queued vertex
-    before it pops as a no-op: a row without a hit is a fixed point and
-    is left as it is, and a row with one is drained by the scalar FIFO
-    (``_drain``) from its first hit on, the vertices before it popped
-    (not marked queued, so a later step can queue them again).
+    vertex's view of every row is packed into one Δ²-bit word, and the
+    scan of every word is read from the table's word cache: the nonzero
+    words of a row are its FIFO's initial queue, in vertex order, and a
+    found codeword is a hit.  Ẑ cannot change before the first hit, so
+    every queued vertex before it pops as a no-op: a row without a hit
+    is a fixed point and is left as it is, and a row with one is drained
+    by the scalar FIFO (``_drain``) from its first hit on, the vertices
+    before it popped (not marked queued, so a later step can queue them
+    again).
     """
     table = cache.scan_table(1 - checked_eps(eps))
     rows = np.flatnonzero(zhat.any(axis=1))
     if rows.size == 0:
         return
     words = cache.lockstep.views(zhat[rows])
-    pos, distinct, inverse = gf2.nonzero_words(words)
-    found = np.array([_scan(cache, word, table) is not None for word in distinct.tolist()],
-                     dtype=bool)
-    hits = np.zeros(words.shape, dtype=bool)
-    hits.reshape(-1)[pos] = found[inverse]
+    hits = _scan_words(cache, table, words) >= 0
     moving = hits.any(axis=1)
     rows, hits = rows[moving], hits[moving]
     if rows.size == 0:

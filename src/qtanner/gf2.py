@@ -11,14 +11,14 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
 bits as one ``uint64`` each; ``span_words`` and ``lex_keys`` are the
-span and ``lex_key`` of such words, and ``nonzero_words`` finds the
-nonzero words of an array with their distinct values, which is all a
-lockstep step needs to scan.
+span and ``lex_key`` of such words, and a ``WordCache`` looks a
+memoized function of such words up for a whole array at once, which is
+how a lockstep step reads its scans and coset leaders.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -113,26 +113,51 @@ class WordPacker:
         return out
 
 
-def nonzero_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pos, distinct, inverse) of the nonzero entries of ``words``:
-    ``pos`` their flat positions (ascending), ``distinct`` their distinct
-    values (ascending) and ``inverse`` the index into ``distinct`` of the
-    word at each position, so ``distinct[inverse] == words.flat[pos]``.
+class WordCache:
+    """A direct-mapped cache of ``f``, a memoized function from words of
+    at most 64 bits to integers, for looking up whole arrays of words.
 
-    Most lockstep words are 0, so only the nonzero ones are sorted, by
-    one argsort; its order among equal words does not matter, so it
-    need not be stable."""
-    flat = words.ravel()
-    pos = np.flatnonzero(flat)
-    values = flat[pos]
-    perm = np.argsort(values)
-    ordered = values[perm]
-    first = np.empty(ordered.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(ordered.shape, dtype=np.intp)
-    inverse[perm] = np.cumsum(first) - 1
-    return pos, ordered[first], inverse
+    The cache is a key array and a value array of ``SLOTS`` entries (a
+    power of two); word w lives in the slot given by the top bits of
+    w·M mod 2^64, M the first multiplier of splitmix64.  (Not the golden
+    ratio's ⌊2^64/φ⌋: it puts words that differ by a Fibonacci number in
+    one slot, and the two views the reference instance looks up most,
+    0x1010 and 0x8001, differ by F₂₃ = 28657.)  Keys start at 0 and values
+    at ``zero_value`` = f(0), so every slot holds a true entry from the
+    start and no sentinel key is needed.  A lookup is one hash, two
+    ``take``s and one compare; only the missed words go through
+    ``np.unique`` to ``f``, once per distinct word, and are stored,
+    replacing whatever shared their slot.  ``f`` keeps its own memo,
+    which stays the one source of truth.
+    """
+
+    SLOTS = 1 << 12
+    _MULTIPLIER = np.uint64(0xBF58476D1CE4E5B9)
+
+    def __init__(self, f: Callable[[int], int], zero_value: int, dtype=np.int64):
+        self._f = f
+        self._shift = np.uint64(65 - self.SLOTS.bit_length())
+        self.keys = np.zeros(self.SLOTS, dtype=np.uint64)
+        self.values = np.full(self.SLOTS, zero_value, dtype=dtype)
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        """``f`` of every uint64 word, as an array of ``words``' shape."""
+        slot = self._slots(words)
+        values = self.values.take(slot)
+        miss = self.keys.take(slot) != words
+        if miss.any():
+            missed = words[miss]
+            distinct, inverse = np.unique(missed, return_inverse=True)
+            found = np.array([self._f(w) for w in distinct.tolist()], dtype=self.values.dtype)
+            values[miss] = found[inverse]
+            # one word per slot, so the keys and values written agree
+            at, first = np.unique(self._slots(distinct), return_index=True)
+            self.keys[at], self.values[at] = distinct[first], found[first]
+        return values
+
+    def _slots(self, words: np.ndarray) -> np.ndarray:
+        # below SLOTS after the shift, so the int64 view (numpy's index type) is exact
+        return ((words * self._MULTIPLIER) >> self._shift).view(np.int64)
 
 
 def unpack_words(words: np.ndarray, m: int) -> np.ndarray:

@@ -335,10 +335,10 @@ class DecoderConfig:
             return dec.sequential_decode(code, syn, self.eps, return_state)
         return dec.parallel_decode(code, syn, self.k, return_state)
 
-    def decode_lockstep(self, code: QuantumTannerCode, syndromes: np.ndarray) -> np.ndarray:
-        """f̂ bit rows for a (trials, H_Z rows) array of syndromes, row by
-        row equal to ``decode``."""
-        cache = dec.get_cache(code)
+    def decode_lockstep(self, cache: dec.LocalCodewordCache, syndromes: np.ndarray
+                        ) -> np.ndarray:
+        """f̂ bit rows for a (trials, H_Z rows) array of syndromes of the
+        cache's code, row by row equal to ``decode``."""
         zhat, f = dec.lockstep_initial_mismatch(cache, syndromes)
         self.decompose_lockstep(cache, zhat, f)
         return f
@@ -448,9 +448,13 @@ def decode_trial(
 _DRAW_CHUNK = 1 << 13
 
 
-def _vertex_support_rows(code: QuantumTannerCode, d: np.ndarray) -> np.ndarray:
-    """``vertex_support_size`` of every row of (trials, H_Z rows) bits."""
-    return d.reshape(len(d), len(code.v1_vertices), code.r1).any(axis=2).sum(axis=1)
+def _vertex_support_rows(cache: dec.LocalCodewordCache, d: np.ndarray) -> np.ndarray:
+    """``vertex_support_size`` of every row of (trials, H_Z rows) bits of
+    the cache's code: the nonzero local syndrome words of each row."""
+    words = cache.lockstep.syndrome_words
+    if words is None:  # r₁ = 0: no local checks
+        return np.zeros(len(d), dtype=np.int64)
+    return np.count_nonzero(words(d), axis=1)
 
 
 def _uniform_rows(rngs: Iterable[np.random.Generator], rounds: int, width: int
@@ -607,11 +611,12 @@ def run_multiround(
     residual = np.zeros((trials, n), dtype=np.uint8)
     stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
     for i, (e, d) in enumerate(_round_errors(code, model, master_seed, seeds, rounds)):
+        cache = dec.get_cache(code)
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
-        residual ^= e ^ cfg.decode_lockstep(code, syn)
+        residual ^= e ^ cfg.decode_lockstep(cache, syn)
         stats[:, i, 0] = e.sum(axis=1)
         stats[:, i, 1] = d.sum(axis=1)
-        stats[:, i, 2] = _vertex_support_rows(code, d)
+        stats[:, i, 2] = _vertex_support_rows(cache, d)
         stats[:, i, 3] = residual.sum(axis=1)
     weights, classes = [], []
     for res in gf2.from_bit_rows(residual):
@@ -706,7 +711,7 @@ def run_trial_block(
                                     tanner.greedy_reduced_weights(code, residual).tolist(),
                                     classes)))
         sample = zip(part, e.sum(axis=1).tolist(), d.sum(axis=1).tolist(),
-                     _vertex_support_rows(code, d).tolist())
+                     _vertex_support_rows(cache, d).tolist())
         for i, (stream, e_w, d_w, d_v) in enumerate(sample):
             records += [TrialRecord(instance_id, kind, param, p, q, e_w, d_w, d_v, *cols[i],
                                     stream, 0.0)

@@ -125,7 +125,7 @@ class TestLocalCodewordCache:
         rng = make_rng(23, 0)
         syndromes = [noiseless_syndrome(code, random_error(code, 12, rng)) for _ in range(6)]
         rows = gf2.to_bit_rows([s.bits for s in syndromes], code.h_z.rows)
-        DecoderConfig("parallel", k=4).decode_lockstep(code, rows)
+        DecoderConfig("parallel", k=4).decode_lockstep(cache, rows)
         split_in_lockstep = set(cache.splits)
         applied = set()
         for s in syndromes:

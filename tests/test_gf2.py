@@ -291,20 +291,42 @@ class TestBitRows:
                 assert int(got[t, j]) == want
         assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, cols]).all()
 
-    @pytest.mark.parametrize("shape, high", [((40, 7), 4), ((3, 5), 1 << 64), ((0, 3), 2),
-                                             ((6, 4), 1)])
-    def test_nonzero_words_match_numpy(self, shape, high):
-        rng = np.random.default_rng(len(shape) + shape[0])
-        words = rng.integers(0, high, size=shape, dtype=np.uint64)
-        pos, got, inverse = gf2.nonzero_words(words)
-        flat = words.ravel()
-        assert pos.tolist() == [i for i, w in enumerate(flat.tolist()) if w]
-        want, want_inverse = np.unique(flat[pos], return_inverse=True)
-        assert got.tolist() == want.tolist()
-        assert inverse.tolist() == want_inverse.tolist()
-        assert (got[inverse] == flat[pos]).all()
-        if high == 1:  # all zero: nothing to scan
-            assert pos.size == got.size == inverse.size == 0
+    @pytest.mark.parametrize("slots", [None, 2, 1])
+    def test_word_cache_matches_dict_memo(self, slots, monkeypatch):
+        if slots:  # every word shares its slot with others
+            monkeypatch.setattr(gf2.WordCache, "SLOTS", slots)
+        mask = 0xF0F0_0000_0000_0F0F
+        memo, asked = {}, []
+
+        def leader(word):  # a memoized function, as coset leaders are
+            asked.append(word)
+            return memo.setdefault(word, word ^ mask)
+
+        def index(word):  # -1 for "no codeword", as scans are
+            return -1 if word % 3 == 0 else word % 1009
+
+        leaders = gf2.WordCache(leader, 0 ^ mask, np.uint64)
+        indices = gf2.WordCache(index, -1)
+        rng = np.random.default_rng(11)
+        inputs = [rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64),
+                  rng.integers(0, 5, size=(40, 7), dtype=np.uint64),  # repeats, and word 0
+                  np.zeros((6, 4), dtype=np.uint64),
+                  np.zeros((0, 3), dtype=np.uint64),
+                  np.array([(1 << 64) - 1, 1 << 63, 0, 1], dtype=np.uint64)]
+        for words in inputs + inputs:
+            flat = words.ravel().tolist()
+            before = len(asked)
+            got = leaders(words)
+            assert got.dtype == np.uint64 and got.shape == words.shape
+            assert got.ravel().tolist() == [w ^ mask for w in flat]
+            new = asked[before:]  # each distinct missed word asks the memo once
+            assert len(new) == len(set(new)) and set(new) <= set(flat)
+            if not slots:  # nothing is evicted: word 0 and words seen before hit
+                assert 0 not in new and not set(new) & set(asked[:before])
+            got = indices(words)
+            assert got.dtype == np.int64 and got.shape == words.shape
+            assert got.ravel().tolist() == [index(w) for w in flat]
+        assert set(memo) | {0} == {w for words in inputs for w in words.ravel().tolist()}
 
     def test_word_width_bounds(self):
         for width in (0, 65):

@@ -157,7 +157,8 @@ class TestLockstepDecoders:
     def test_parallel(self, batches, k, batch):
         code, syndromes = batches[0], batches[1][batch]
         rz = code.h_z.rows
-        got = DecoderConfig("parallel", k=k).decode_lockstep(code, gf2.to_bit_rows(syndromes, rz))
+        got = DecoderConfig("parallel", k=k).decode_lockstep(decoder.get_cache(code),
+                                                             gf2.to_bit_rows(syndromes, rz))
         want = [decoder.parallel_decode(code, BitVector(rz, s), k).bits for s in syndromes]
         assert gf2.from_bit_rows(got) == want
 
@@ -167,7 +168,7 @@ class TestLockstepDecoders:
         code, syndromes = batches[0], batches[1][batch]
         rz = code.h_z.rows
         got = DecoderConfig("sequential", eps=eps).decode_lockstep(
-            code, gf2.to_bit_rows(syndromes, rz)
+            decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz)
         )
         scalar = [decoder.sequential_decode(code, BitVector(rz, s), eps, return_state=True)
                   for s in syndromes]
@@ -240,6 +241,37 @@ class TestLockstepDecoders:
         states = [decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes]
         assert gf2.from_bit_rows(zhat) == [st.zhat for st in states]
         assert gf2.from_bit_rows(eps01) == [st.eps01_sum for st in states]
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_word_cache_collisions(self, batches, slots, monkeypatch):
+        """Every lockstep step with word caches of one or two slots, where
+        distinct words keep evicting each other, against the scalar
+        decoders."""
+        code, syndromes = batches
+        monkeypatch.setattr(gf2.WordCache, "SLOTS", slots)
+        monkeypatch.setattr(code, "_decoder_cache", None)  # a fresh cache, built with them
+        cache, rz = decoder.get_cache(code), code.h_z.rows
+        for batch in BATCHES:
+            rows = gf2.to_bit_rows(syndromes[batch], rz)
+            zhat, eps01 = decoder.lockstep_initial_mismatch(cache, rows)
+            states = [decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes[batch]]
+            assert gf2.from_bit_rows(zhat) == [st.zhat for st in states]
+            assert gf2.from_bit_rows(eps01) == [st.eps01_sum for st in states]
+            for cfg in (DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=2),
+                        DecoderConfig("parallel", k=8), DecoderConfig("sequential"),
+                        DecoderConfig("sequential", eps=Fraction(1, 3))):
+                got = gf2.from_bit_rows(cfg.decode_lockstep(cache, rows))
+                assert got == [cfg.decode(code, BitVector(rz, s)).bits for s in syndromes[batch]]
+        word_caches = [cache.lockstep.leaders] + [t.words for t in cache._scan_tables.values()]
+        assert {c.keys.size for c in word_caches if c is not None} == ({slots} if rz else set())
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_vertex_support_rows(self, batches, batch):
+        code, syndromes = batches[0], batches[1][batch]
+        rz = code.h_z.rows
+        got = noise._vertex_support_rows(decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz))
+        assert got.tolist() == [noise.vertex_support_size(code, BitVector(rz, s))
+                                for s in syndromes]
 
     def test_syndrome_rows(self, ref_code):
         rng = np.random.default_rng(3)
