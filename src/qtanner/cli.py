@@ -359,16 +359,15 @@ def _init_worker(exp: Experiment) -> None:
     _WORKER.update(exp=exp, code=code, iid=iid)
 
 
-def _sweep_task(task: tuple[int, int, int]) -> list[noise.TrialRecord]:
-    """Trials [lo, hi) of grid point ``pi``, each decoded by every decoder."""
-    pi, lo, hi = task
+def _sweep_task(task: tuple[int, int]) -> list[noise.TrialBlock]:
+    """Trials [lo, hi) of every grid point, each decoded by every
+    decoder: one block per point."""
     exp = _WORKER["exp"]
     return noise.run_sweep(
         _WORKER["code"],
-        exp.models[pi],
+        exp.models,
         exp.decoders,
-        pi,
-        range(lo, hi),
+        range(*task),
         exp.seed,
         instance_id=_WORKER["iid"],
         record_timing=exp.record_timing,
@@ -411,22 +410,17 @@ def _run_pool(exp: Experiment, tasks, task_fn, workers: int) -> list:
 
 def cmd_sweep(args) -> int:
     exp = load_config(args.config, args.seed, args.trials, noise.SWEEP_TRIAL_LIMIT)
-    tasks = [
-        (pi, lo, hi)
-        for pi in range(len(exp.models))
-        for lo, hi in _trial_chunks(exp.trials, args.workers)
-    ]
-    results = _run_pool(exp, tasks, _sweep_task, args.workers)
-    records = [rec for group in results for rec in group]
+    chunks = _run_pool(exp, _trial_chunks(exp.trials, args.workers), _sweep_task, args.workers)
+    # point-major, as the CSV rows run: each point's chunks in trial order
+    blocks = [chunk[pi] for pi in range(len(exp.models)) for chunk in chunks]
     out = args.output or exp.output or "sweep.csv"
     if args.per_trial:
-        fields, rows = noise.TRIAL_CSV_FIELDS, records
+        fields, text = noise.TRIAL_CSV_FIELDS, (t for block in blocks for t in block.csv_chunks())
     else:
-        fields, rows = noise.POINT_CSV_FIELDS, noise.aggregate_records(records)
-    noise.write_csv(out, fields, noise.csv_chunks(rows), _csv_header(exp))
-    print(
-        f"wrote {out}: {len(records)} trial records, {len(exp.models)} points", file=sys.stderr
-    )
+        fields, text = noise.POINT_CSV_FIELDS, [noise.csv_text(noise.aggregate_points(blocks))]
+    noise.write_csv(out, fields, text, _csv_header(exp))
+    records = sum(block.classes.size for block in blocks)
+    print(f"wrote {out}: {records} trial records, {len(exp.models)} points", file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,23 +13,27 @@ timing breaks byte-identical output.
 A single-shot trial draws its (e, D) once and decodes that sample with
 every decoder of the experiment, so decoder comparisons are paired.
 ``run_trial_block`` runs many such trials in lockstep, one numpy row
-per trial: the initial mismatch is computed once for the block and
-shared by every decoder, and the record columns are arrays;
-``run_sweep`` (one block of one grid point) and ``estimate_threshold``
-run on it, and ``run_single_shot_trial`` stays as the one-trial
-reference.  A multi-round run takes its trials as one batch and
-advances them in lockstep, one round at a time: each trial's rounds are
-drawn up front from its own stream, in the order a lone trial would
-draw them, and the batch is decoded as numpy rows by
-``DecoderConfig.decode_lockstep``.  In both, a trial's results do not
-depend on the block or batch it ran in.  A block
-returns one ``TrialRecord`` per (trial, decoder); a batch returns one
-``RoundBatch``, its per-round weights as one (trials, rounds, 4) array
-and its readouts as lists, and formats its own CSV lines from them.
-Every CSV line goes through ``csv_text``, and ``write_csv`` writes the
-text.  Configs are checked when parsed: rates and persistence lie in
-[0, 1], weights are non-negative whole numbers, and each noise object
-has only its kind's keys.
+per trial, over groups of trials with their own noise models (a
+sweep's grid points): the rows of all groups are stacked, the initial
+mismatch is computed once per slice of rows and shared by every
+decoder, and the sample and residual columns are arrays.  It returns
+one ``TrialBlock`` of columns per group, which formats its own CSV
+lines; ``run_sweep`` (all grid points of a trial range as one block)
+and ``estimate_threshold`` run on it, and ``run_single_shot_trial``
+stays as the one-trial reference, one ``TrialRecord`` per decoder.  A
+multi-round run takes its trials as one batch and advances them in
+lockstep, one round at a time: each trial's rounds are drawn up front
+from its own stream, in the order a lone trial would draw them, and
+the batch is decoded as numpy rows by ``DecoderConfig.decode_lockstep``;
+it returns one ``RoundBatch``, its per-round weights as one (trials,
+rounds, 4) array and its readouts as lists, which formats its own CSV
+lines.  In both, a trial's results do not depend on the block or batch
+it ran in.  Every CSV line is the text ``csv_text`` gives (the line
+templates put only numbers and class names after a head that went
+through it), and ``write_csv`` writes the text.  Configs are checked
+when parsed: rates and persistence lie in [0, 1], weights are
+non-negative whole numbers, and each noise object has only its kind's
+keys.
 """
 
 from __future__ import annotations
@@ -75,6 +79,44 @@ class TrialRecord(NamedTuple):
 
 
 TRIAL_CSV_FIELDS = list(TrialRecord._fields)
+TRIAL_STATS = ("e_weight", "d_weight", "d_vertex_support", "residual_weight",
+               "residual_reduced_proxy")
+
+# Trials formatted per chunk by ``TrialBlock.csv_chunks``: bounds the text
+# held at once.
+_CSV_CHUNK_TRIALS = 1 << 6
+
+
+class TrialBlock(NamedTuple):
+    """One grid point's single-shot trials of a sweep chunk, as columns.
+    Its CSV rows (fields TRIAL_CSV_FIELDS) are, per trial, one row per
+    decoder in config order, each ``TrialRecord`` of that (trial,
+    decoder)."""
+
+    heads: list[tuple]  # (instance_id, decoder, param, p, q) per decoder
+    seeds: list[int]  # one stream id per trial
+    stats: np.ndarray  # (trials, decoders, 5) ints, the TRIAL_STATS of every pair
+    classes: np.ndarray  # (trials, decoders) failure class names
+    ms: list[float]  # per decoder, the same on every trial
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The block's CSV lines, ``_CSV_CHUNK_TRIALS`` trials a chunk.
+        Each head goes through ``csv_text`` once (a % in it escaped for
+        the template) and a trial's lines are one ``%`` template; the
+        class names need no quoting and ``ms`` is written by repr, as
+        ``csv_text`` writes it."""
+        heads = [csv_text([head])[:-1].replace("%", "%%") for head in self.heads]
+        template = "".join(f"{head},%d,%d,%d,%d,%d,%s,%d,{ms!r}\n"
+                           for head, ms in zip(heads, self.ms))
+        trials, decoders, width = self.stats.shape
+        seeds = np.array(self.seeds, dtype=object)
+        for lo in range(0, trials, _CSV_CHUNK_TRIALS):
+            hi = min(lo + _CSV_CHUNK_TRIALS, trials)
+            values = np.empty((hi - lo, decoders, width + 2), dtype=object)
+            values[..., :width] = self.stats[lo:hi]
+            values[..., width] = self.classes[lo:hi]
+            values[..., width + 1] = seeds[lo:hi, None]
+            yield template * (hi - lo) % tuple(values.ravel().tolist())
 
 
 class PointRow(NamedTuple):
@@ -639,87 +681,109 @@ def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
 
 def run_sweep(
     code: QuantumTannerCode,
-    model: NoiseModel,
+    models: Sequence[NoiseModel],
     cfgs: Sequence[DecoderConfig],
-    point_idx: int,
     trial_ids: Iterable[int],
     master_seed: int,
     instance_id: str = "",
     record_timing: bool = False,
-) -> list[TrialRecord]:
-    """The (trial, decoder) records of trials ``trial_ids`` at sweep grid
-    point ``point_idx``, whose noise is ``model``.  Each trial draws once
-    from its own stream ``sweep_stream_id(point_idx, trial)``, recorded
-    as its seed, and every config decodes that sample, so decoder
-    comparisons are paired on the seed column."""
-    streams = [sweep_stream_id(point_idx, ti) for ti in trial_ids]
-    return run_trial_block(code, model, cfgs, master_seed, streams, instance_id, record_timing)
+) -> list[TrialBlock]:
+    """Trials ``trial_ids`` at every sweep grid point, one ``TrialBlock``
+    per point in point order: point i's noise is ``models[i]``.  Each
+    trial draws once from its own stream ``sweep_stream_id(i, trial)``,
+    recorded as its seed, and every config decodes that sample, so
+    decoder comparisons are paired on the seed column.
+
+    All points run as one ``run_trial_block``.  With ``record_timing``
+    each point runs as its own block, so a decoder's ``ms`` is its decode
+    time over that one point's trials, divided by their number."""
+    trial_ids = list(trial_ids)
+    groups = [(model, [sweep_stream_id(pi, t) for t in trial_ids])
+              for pi, model in enumerate(models)]
+    parts = [[group] for group in groups] if record_timing else [groups]
+    return [block for part in parts
+            for block in run_trial_block(code, part, cfgs, master_seed, instance_id,
+                                         record_timing)]
 
 
-# Trials per array step of ``run_trial_block``: bounds the memory of a
-# block of any size; the records do not depend on it.
-_SLICE_TRIALS = 1 << 10
+# Rows per array step of ``run_trial_block``: bounds the memory of a
+# block of any size; the columns do not depend on it.  The reference
+# sweep's 800 rows run as two slices: as one slice they ran ~3% faster
+# but raised its peak RSS by ~1.3 MB, against ~0.5 MB at this size.
+_SLICE_TRIALS = 1 << 9
+
+
+def _slice_errors(code: QuantumTannerCode, groups: Sequence[tuple[NoiseModel, list[int]]],
+                  starts: Sequence[int], lo: int, hi: int, master_seed: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The one-round (e, D) bit rows of rows [lo, hi) of a block whose
+    group g holds rows [starts[g], starts[g + 1]): each group's share
+    drawn by ``_round_errors`` under its own model."""
+    parts = [next(_round_errors(code, model, master_seed,
+                                streams[max(lo, a) - a:min(hi, b) - a], 1))
+             for (model, streams), a, b in zip(groups, starts, starts[1:])
+             if max(lo, a) < min(hi, b)]
+    return np.concatenate([e for e, _ in parts]), np.concatenate([d for _, d in parts])
 
 
 def run_trial_block(
     code: QuantumTannerCode,
-    model: NoiseModel,
+    groups: Sequence[tuple[NoiseModel, Sequence[int]]],
     cfgs: Sequence[DecoderConfig],
     master_seed: int,
-    streams: Sequence[int],
     instance_id: str = "",
     record_timing: bool = False,
-) -> list[TrialRecord]:
-    """Single-shot trials decoded in lockstep: trial i draws (e, D) once
-    from stream ``streams[i]`` of ``master_seed``, recorded as its seed,
-    and every config decodes that sample.  The records come trial by
-    trial, in ``cfgs`` order within a trial, and equal
+) -> list[TrialBlock]:
+    """Single-shot trials decoded in lockstep, one ``TrialBlock`` per
+    (noise model, streams) group: trial i of a group draws (e, D) once
+    from stream ``streams[i]`` of ``master_seed`` under the group's
+    model, recorded as its seed, and every config decodes that sample.
+    Every (trial, decoder) of the columns equals
     ``run_single_shot_trial(..., master_seed, stream)`` field for field
     (except ``ms``).
 
-    The block runs in slices of at most ``_SLICE_TRIALS`` trials.  A
-    slice is one array step: the one-round draws of ``_round_errors`` on
-    the slice's streams, one syndrome product, one
+    The groups' rows are stacked and run in slices of at most
+    ``_SLICE_TRIALS`` rows, which may straddle groups.  A slice is one
+    array step: each group's share of one-round draws by
+    ``_round_errors``, one syndrome product, one
     ``lockstep_initial_mismatch`` that every config shares, each config's
-    ``decompose_lockstep``, and the sample and residual columns as
-    arrays; only ``classify_residual`` runs per row.  With
-    ``record_timing``, ``ms`` is a config's decode time over the whole
-    block (the shared initial mismatch included) divided by its trials.
+    ``decompose_lockstep``, and the TRIAL_STATS columns as arrays; only
+    ``classify_residual`` runs per row.  With ``record_timing``, ``ms``
+    is a config's decode time over the whole block (the shared initial
+    mismatch included) divided by its trials.
     """
-    streams = list(streams)
+    groups = [(model, list(streams)) for model, streams in groups]
+    starts = list(itertools.accumulate((len(streams) for _, streams in groups), initial=0))
+    total = starts[-1]
     cache = dec.get_cache(code)
-    p, q = model.pq_labels()
-    labels = [(cfg.kind, cfg.param) for cfg in cfgs]
-    records: list[TrialRecord] = []
+    stats = np.zeros((total, len(cfgs), len(TRIAL_STATS)), dtype=np.int64)
+    classes = np.empty((total, len(cfgs)), dtype=object)
     spent = [0.0] * len(cfgs)
-    for lo in range(0, len(streams), _SLICE_TRIALS):
-        part = streams[lo:lo + _SLICE_TRIALS]
-        e, d = next(_round_errors(code, model, master_seed, part, 1))
+    for lo in range(0, total, _SLICE_TRIALS):
+        hi = min(lo + _SLICE_TRIALS, total)
+        e, d = _slice_errors(code, groups, starts, lo, hi, master_seed)
         t0 = time.perf_counter()
         zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
         shared = time.perf_counter() - t0
-        columns = []
+        rows = stats[lo:hi]
+        rows[:, :, 0] = e.sum(axis=1)[:, None]
+        rows[:, :, 1] = d.sum(axis=1)[:, None]
+        rows[:, :, 2] = _vertex_support_rows(cache, d)[:, None]
         for j, cfg in enumerate(cfgs):
             t0 = time.perf_counter()
-            f = eps01.copy()
-            cfg.decompose_lockstep(cache, zhat.copy(), f)
+            last = j == len(cfgs) - 1  # the last config takes (Ẑ, ε₀₁) itself
+            residual = eps01 if last else eps01.copy()
+            cfg.decompose_lockstep(cache, zhat if last else zhat.copy(), residual)
             spent[j] += shared + time.perf_counter() - t0
-            residual = e ^ f
-            classes = [tanner.classify_residual(code, BitVector(code.n, bits))
-                       for bits in gf2.from_bit_rows(residual)]
-            columns.append(list(zip(residual.sum(axis=1).tolist(),
-                                    tanner.greedy_reduced_weights(code, residual).tolist(),
-                                    classes)))
-        sample = zip(part, e.sum(axis=1).tolist(), d.sum(axis=1).tolist(),
-                     _vertex_support_rows(cache, d).tolist())
-        for i, (stream, e_w, d_w, d_v) in enumerate(sample):
-            records += [TrialRecord(instance_id, kind, param, p, q, e_w, d_w, d_v, *cols[i],
-                                    stream, 0.0)
-                        for (kind, param), cols in zip(labels, columns)]
-    if record_timing and streams:
-        ms = [s * 1000.0 / len(streams) for s in spent]
-        records = [rec._replace(ms=ms[i % len(cfgs)]) for i, rec in enumerate(records)]
-    return records
+            residual ^= e
+            rows[:, j, 3] = residual.sum(axis=1)
+            rows[:, j, 4] = tanner.greedy_reduced_weights(code, residual)
+            classes[lo:hi, j] = [tanner.classify_residual(code, BitVector(code.n, bits))
+                                 for bits in gf2.from_bit_rows(residual)]
+    ms = [s * 1000.0 / total if record_timing and total else 0.0 for s in spent]
+    return [TrialBlock([(instance_id, cfg.kind, cfg.param, *model.pq_labels()) for cfg in cfgs],
+                       streams, stats[a:b], classes[a:b], ms)
+            for (model, streams), a, b in zip(groups, starts, starts[1:])]
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -732,21 +796,28 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959964) -> tuple[fl
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def aggregate_records(records: Iterable[TrialRecord]) -> list[PointRow]:
-    """Per (instance, point, decoder) summary with Wilson 95% interval on
-    the logical-failure frequency."""
-    groups: dict[tuple, list[TrialRecord]] = {}
-    for r in records:
-        groups.setdefault((r.instance_id, r.p, r.q, r.decoder, r.param), []).append(r)
+def aggregate_points(blocks: Iterable[TrialBlock]) -> list[PointRow]:
+    """Per (instance, p, q, decoder) summary with Wilson 95% interval on
+    the logical-failure frequency, read from the blocks' columns; blocks
+    with equal heads (one point's chunks, or points with equal p and q
+    columns) add up.  Rows are sorted by the text of their key."""
+    sums: dict[tuple, tuple] = {}  # key: (trials, failures, residual weight, ms) summed
+    for block in blocks:
+        trials = len(block.seeds)
+        if not trials:
+            continue
+        fails = np.count_nonzero(block.classes == tanner.LOGICAL, axis=0).tolist()
+        residual = block.stats[:, :, 3].sum(axis=0).tolist()
+        for (iid, dec_name, param, p, q), f, r, ms in zip(block.heads, fails, residual,
+                                                          block.ms):
+            n0, f0, r0, ms0 = sums.get(key := (iid, p, q, dec_name, param), (0, 0, 0, 0.0))
+            sums[key] = (n0 + trials, f0 + f, r0 + r, ms0 + ms * trials)
     rows = []
-    for (iid, p, q, dec_name, param), rs in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        n = len(rs)
-        fails = sum(1 for r in rs if r.failure_class == tanner.LOGICAL)
+    for (iid, p, q, dec_name, param), (n, fails, residual, ms) in sorted(
+            sums.items(), key=lambda kv: str(kv[0])):
         lo, hi = wilson_interval(fails, n)
-        rows.append(PointRow(
-            iid, dec_name, param, p, q, n, fails, fails / n, lo, hi,
-            sum(r.residual_weight for r in rs) / n, sum(r.ms for r in rs) / n,
-        ))
+        rows.append(PointRow(iid, dec_name, param, p, q, n, fails, fails / n, lo, hi,
+                             residual / n, ms / n))
     return rows
 
 
@@ -787,9 +858,9 @@ def estimate_threshold(
     for it in range(iters):
         mid = (lo + hi) / 2
         model = NoiseModel(data_kind="bernoulli", p=mid, syn_kind="bernoulli", q=mid)
-        records = run_trial_block(code, model, [cfg], master_seed,
-                                  [(it << 24) | ti for ti in range(trials)])
-        fails = sum(rec.failure_class != tanner.CORRECTED for rec in records)
+        [block] = run_trial_block(code, [(model, [(it << 24) | ti for ti in range(trials)])],
+                                  [cfg], master_seed)
+        fails = np.count_nonzero(block.classes[:, 0] != tanner.CORRECTED)
         if fails / trials < 0.5:
             lo = mid
         else:
@@ -806,23 +877,12 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-# Rows formatted per chunk by ``csv_chunks``: bounds the text held at
-# once (1,024-row chunks raised the reference sweep's peak RSS by ~0.2 MB).
-_CSV_CHUNK_ROWS = 1 << 6
-
-
-def csv_chunks(rows: Iterable[Sequence]) -> Iterator[str]:
-    """``csv_text`` of ``rows``, ``_CSV_CHUNK_ROWS`` rows at a time."""
-    it = iter(rows)
-    while chunk := list(itertools.islice(it, _CSV_CHUNK_ROWS)):
-        yield csv_text(chunk)
-
-
 def write_csv(path, fieldnames: Sequence[str], chunks: Iterable[str],
               header_comments: Sequence[str] = ()) -> None:
     """A CSV file: optional '#' comment header lines, the ``fieldnames``
     line, then the text ``chunks`` (formatted CSV lines, as
-    ``csv_chunks`` and ``RoundBatch.csv_chunks`` give) as they come."""
+    ``TrialBlock.csv_chunks`` and ``RoundBatch.csv_chunks`` give) as they
+    come."""
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")

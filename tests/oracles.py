@@ -4,9 +4,10 @@ Everything here re-derives results from first principles with code paths
 disjoint from the library: numpy-based elimination, dense integer
 products for syndromes and commutation, ambient-space enumeration for
 product expansion, direct column-assignment search for minimal
-decompositions, weight-ordered enumeration for coset leaders, and a
+decompositions, weight-ordered enumeration for coset leaders, a
 Python-int noise sampler that the library's bit-row sampler must match
-draw for draw.
+draw for draw, and the record-by-record sweep aggregate that the
+library's column sums must match.
 """
 
 import itertools
@@ -176,6 +177,42 @@ def multiround_rows(batch):
             rows.append((*batch.head, seed, i, *stats, "", seed))
         rows.append((*batch.head, seed, "final", 0, 0, 0, batch.final_weights[t],
                      batch.final_classes[t], seed))
+    return rows
+
+
+def trial_block_rows(block):
+    """The per-trial CSV rows a sweep block stands for, one tuple of
+    TRIAL_CSV_FIELDS values per (trial, decoder), trial by trial, built
+    field by field from the block's columns."""
+    return [(*head, *block.stats[t, j].tolist(), block.classes[t, j], seed, block.ms[j])
+            for t, seed in enumerate(block.seeds) for j, head in enumerate(block.heads)]
+
+
+def _wilson(failures, trials, z=1.959964):
+    if trials == 0:
+        return 0.0, 1.0
+    phat = failures / trials
+    denom = 1 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = z * ((phat * (1 - phat) + z * z / (4 * trials)) / trials) ** 0.5 / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def aggregate_rows(records):
+    """The aggregate CSV rows (POINT_CSV_FIELDS tuples) of per-trial
+    records, summed record by record: one row per (instance, p, q,
+    decoder, param), sorted by the text of that key, with the Wilson 95%
+    interval of the logical-failure frequency."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.instance_id, r.p, r.q, r.decoder, r.param), []).append(r)
+    rows = []
+    for (iid, p, q, dec_name, param), rs in sorted(groups.items(), key=lambda kv: str(kv[0])):
+        n = len(rs)
+        fails = sum(1 for r in rs if r.failure_class == "logical")
+        lo, hi = _wilson(fails, n)
+        rows.append((iid, dec_name, param, p, q, n, fails, fails / n, lo, hi,
+                     sum(r.residual_weight for r in rs) / n, sum(r.ms for r in rs) / n))
     return rows
 
 

@@ -264,6 +264,13 @@ class TestSweep:
         assert all(float(r[ms]) > 0 for r in timed)
         assert all(float(r[ms]) == 0 for r in untimed)
         assert [r[:ms] + r[ms + 1:] for r in timed] == [r[:ms] + r[ms + 1:] for r in untimed]
+        # each point is its own timed block: one ms per (point, decoder),
+        # which can differ between the points
+        by_point = {}
+        for r in timed:
+            by_point.setdefault((r[1], r[3]), set()).add(r[ms])
+        assert len(by_point) == 2 * 2 and all(len(v) == 1 for v in by_point.values())
+        assert len({by_point["sequential", p].pop() for p in ("0.01", "0.03")}) == 2
 
     def test_grid_points(self, tmp_path):
         cfg = write_config(
@@ -424,6 +431,42 @@ def test_sweep_csv_and_summary_pinned(tmp_path, capsys, workers, config, digest,
                      "--workers", str(workers)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
+
+
+# seed-1 aggregate `sweep` CSV digests (no --per-trial) of the two
+# configs above, computed before the aggregate rows were summed from
+# columns instead of records
+SWEEP_AGGREGATE_PINS = [
+    ("reference", "87cf151fdcc5e4501d92b64c5d8038c5de637d9b77d160a3c934617febe17532",
+     "1600 trial records, 4 points"),
+    ("z8_adversarial", "b02d740a3b25a1fb111d5c1d07c90f05b2369ac7f370fc74c96fee63ec857da8",
+     "540 trial records, 3 points"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("config, digest, summary", SWEEP_AGGREGATE_PINS)
+def test_sweep_aggregate_csv_pinned(tmp_path, capsys, workers, config, digest, summary):
+    if config == "reference":
+        path = str(ROOT / "configs" / "reference.json")
+    else:
+        path = write_config(tmp_path, **Z8_ADVERSARIAL_SWEEP)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "-c", path, "-o", str(out), "--seed", "1",
+                     "--workers", str(workers)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
+
+
+@pytest.mark.parametrize("flags, fields", [([], noise.POINT_CSV_FIELDS),
+                                           (["--per-trial"], noise.TRIAL_CSV_FIELDS)])
+def test_sweep_without_trials_writes_only_the_header(tmp_path, capsys, flags, fields):
+    out = tmp_path / "e.csv"
+    assert cli.main(["sweep", "-c", str(ROOT / "configs" / "reference.json"), *flags,
+                     "-o", str(out), "--trials", "0", "--workers", "2"]) == 0
+    lines = out.read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [",".join(fields)]
+    assert capsys.readouterr().err == f"wrote {out}: 0 trial records, 4 points\n"
 
 
 def test_trial_chunks_are_contiguous_and_balanced():

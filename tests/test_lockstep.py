@@ -6,9 +6,10 @@ the int sampler ``oracles.int_sample_errors`` -> ``syndrome_bits_z`` ->
 ``DecoderConfig.decode``, the residual fed forward, then one ideal
 sequential readout.  Every column, round by round and the final
 readout's residual weight and class, must match trial by trial.
-``noise.run_sweep`` decodes a block of single-shot trials in lockstep;
-its records must equal the scalar ``oracles.int_sample_errors`` ->
-``decode_trial`` path on each trial's own ``make_rng`` stream.
+``noise.run_sweep`` decodes the single-shot trials of every grid point
+as one lockstep block; each (trial, decoder) row of its columns must
+equal the scalar ``oracles.int_sample_errors`` -> ``decode_trial`` path
+on the trial's own ``make_rng`` stream.
 """
 
 from dataclasses import replace
@@ -21,7 +22,7 @@ from qtanner import cayley, codes, decoder, gf2, noise, tanner
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
-from oracles import int_sample_errors
+from oracles import int_sample_errors, trial_block_rows
 
 
 def scalar_multiround(code, model, cfg, rounds, rng):
@@ -297,8 +298,9 @@ class TestLockstepDecoders:
 
 
 # Sweep blocks: ``run_sweep`` draws every trial of a block on its own
-# stream, decodes the block in lockstep with one shared initial mismatch
-# and computes the columns as arrays.  Its reference is the per-trial
+# stream under its point's noise, decodes the rows of all points in
+# lockstep with one shared initial mismatch per slice and computes the
+# columns as arrays.  Its reference is the per-trial
 # scalar path: ``oracles.int_sample_errors`` on ``make_rng``, then
 # ``decode_trial``.
 
@@ -328,38 +330,47 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
 @pytest.mark.parametrize("fixture", ["ref_code", "unique_code", "rep5_code", "z8_z_side",
                                      "z5_code"])
 def test_sweep_blocks_equal_scalar_trials(fixture, kind, request, monkeypatch):
+    # one block holds a point of every noise kind, ``kind`` first
     code = request.getfixturevalue(fixture)
-    model = replace(SWEEP_NOISE[kind], s=min(SWEEP_NOISE[kind].s, code.h_z.rows))  # z5: no H_Z
-    seed, point_idx, trials = 40 + len(kind), 3, 11
-    want = scalar_sweep(code, model, point_idx, range(trials), seed)
+    kinds = list(SWEEP_NOISE)
+    kinds = kinds[kinds.index(kind):] + kinds[:kinds.index(kind)]
+    models = [replace(SWEEP_NOISE[k], s=min(SWEEP_NOISE[k].s, code.h_z.rows))  # z5: no H_Z
+              for k in kinds]
+    seed, trials = 40 + len(kind), 11
+    want = [scalar_sweep(code, model, pi, range(trials), seed)
+            for pi, model in enumerate(models)]
 
-    def sweep(blocks):
-        return [rec for block in blocks
-                for rec in noise.run_sweep(code, model, SWEEP_DECODERS, point_idx, block, seed)]
+    def sweep(chunks):
+        """Each point's records over the chunks, in trial order."""
+        blocks = [noise.run_sweep(code, models, SWEEP_DECODERS, chunk, seed) for chunk in chunks]
+        return [[rec for chunk in blocks for rec in trial_block_rows(chunk[pi])]
+                for pi in range(len(models))]
 
     assert sweep([range(trials)]) == want
     assert sweep([range(0, 1), range(1, 5), range(5, trials)]) == want
     assert sweep([[t] for t in range(trials)]) == want
-    monkeypatch.setattr(noise, "_SLICE_TRIALS", 3)  # blocks of 11 and 7 span several slices
+    monkeypatch.setattr(noise, "_SLICE_TRIALS", 3)  # slices straddle the point boundaries
     assert sweep([range(0, 4), range(4, trials)]) == want
     assert sweep([range(trials)]) == want
-    if kind != "zero":  # the noise is not vacuous
-        assert any(r.e_weight or r.d_weight for r in want)
-    assert {r.decoder + r.param for r in want} == {c.kind + c.param for c in SWEEP_DECODERS}
+    if kind != "zero":  # the noise of the leading point is not vacuous
+        assert any(r.e_weight or r.d_weight for r in want[0])
+    for records in want:
+        assert {r.decoder + r.param for r in records} == {c.kind + c.param
+                                                          for c in SWEEP_DECODERS}
 
 
 def test_sweep_block_timing_fills_only_ms(unique_code):
-    model = SWEEP_NOISE["bernoulli"]
-    plain = noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, range(6), 3)
-    timed = noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, range(6), 3,
+    models = [SWEEP_NOISE["bernoulli"], SWEEP_NOISE["adversarial"]]
+    plain = noise.run_sweep(unique_code, models, SWEEP_DECODERS, range(6), 3)
+    timed = noise.run_sweep(unique_code, models, SWEEP_DECODERS, range(6), 3,
                             record_timing=True)
-    assert [r._replace(ms=0.0) for r in timed] == plain
-    assert all(r.ms > 0 for r in timed)
-    # one block: each decoder's block time over its trials, the same on every trial
-    for i in range(len(SWEEP_DECODERS)):
-        assert len({r.ms for r in timed[i::len(SWEEP_DECODERS)]}) == 1
-    assert noise.run_sweep(unique_code, model, SWEEP_DECODERS, 0, [], 3,
-                           record_timing=True) == []
+    for a, b in zip(plain, timed, strict=True):
+        assert (a.heads, a.seeds, a.stats.tolist(), a.classes.tolist()) == \
+            (b.heads, b.seeds, b.stats.tolist(), b.classes.tolist())
+        assert a.ms == [0.0] * len(SWEEP_DECODERS)
+        assert all(ms > 0 for ms in b.ms)
+    empty = noise.run_sweep(unique_code, models, SWEEP_DECODERS, [], 3, record_timing=True)
+    assert [(b.stats.shape, b.ms) for b in empty] == [((0, 4, 5), [0.0] * 4)] * 2
 
 
 def test_greedy_reduced_weights_equal_scalar(ref_code, unique_code, z5_code):

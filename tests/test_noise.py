@@ -14,7 +14,7 @@ from qtanner.errors import whole
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
-from oracles import int_sample_errors, multiround_rows
+from oracles import aggregate_rows, int_sample_errors, multiround_rows, trial_block_rows
 
 
 class TestRng:
@@ -356,18 +356,19 @@ class TestMultiround:
 
 
 def sweep_points(code, models, cfgs, trials, master_seed):
-    """Every (grid point, trial, decoder) record, point by point."""
-    return [rec for pi, model in enumerate(models)
-            for rec in noise.run_sweep(code, model, cfgs, pi, range(trials), master_seed)]
+    """Every (grid point, trial, decoder) record of one sweep block,
+    point by point."""
+    return [noise.TrialRecord(*row)
+            for block in noise.run_sweep(code, models, cfgs, range(trials), master_seed)
+            for row in trial_block_rows(block)]
 
 
 class TestSweep:
     def test_zero_point_failure_free(self, ref_code):
-        records = sweep_points(
-            ref_code, [NoiseModel()], [DecoderConfig("sequential")], 10, master_seed=3
-        )
-        assert len(records) == 10
-        rows = noise.aggregate_records(records)
+        blocks = noise.run_sweep(ref_code, [NoiseModel()], [DecoderConfig("sequential")],
+                                 range(10), 3)
+        assert [b.stats.shape for b in blocks] == [(10, 1, 5)]
+        rows = noise.aggregate_points(blocks)
         assert len(rows) == 1
         assert rows[0].failures == 0 and rows[0].failure_freq == 0.0
 
@@ -386,15 +387,11 @@ class TestSweep:
         records = sweep_points(
             unique_code, models, [DecoderConfig("sequential")], 60, master_seed=5
         )
-        rows = noise.aggregate_records(records)
-        rows.sort(key=lambda r: r.p)
-        not_corrected = []
         by_p = {}
         for r in records:
             by_p.setdefault(r.p, []).append(r)
-        for p in sorted(by_p):
-            frac = sum(1 for r in by_p[p] if r.failure_class != "corrected") / len(by_p[p])
-            not_corrected.append(frac)
+        not_corrected = [sum(1 for r in by_p[p] if r.failure_class != "corrected") / len(by_p[p])
+                         for p in sorted(by_p)]
         assert not_corrected == sorted(not_corrected)
 
     def test_reproducible_records(self, ref_code):
@@ -402,6 +399,57 @@ class TestSweep:
         a = sweep_points(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
         b = sweep_points(ref_code, cfgs=[DecoderConfig("sequential")], **kw)
         assert a == b
+
+    def test_aggregate_equals_record_oracle(self, unique_code):
+        # the column sums equal the record-by-record oracle: the blocks
+        # of one point's chunks add up, and so do points 0 and 2, whose
+        # p and q columns are equal; an empty chunk adds no row
+        models = [NoiseModel(p=0.1, q=0.02), NoiseModel(p=0.05), NoiseModel(p=0.1, q=0.02)]
+        cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=1)]
+        blocks = [block for chunk in (range(0, 7), range(7, 7), range(7, 30))
+                  for block in noise.run_sweep(unique_code, models, cfgs, chunk, 11,
+                                               instance_id="x,%y")]
+        records = [noise.TrialRecord(*row) for block in blocks for row in trial_block_rows(block)]
+        rows = noise.aggregate_points(blocks)
+        assert rows == aggregate_rows(records)
+        assert [(r.p, r.q, r.trials) for r in rows[::2]] == [(0.05, 0.0, 30), (0.1, 0.02, 60)]
+        assert sum(r.failures for r in rows) > 0  # failures are counted
+        assert noise.aggregate_points(noise.run_sweep(unique_code, models, cfgs, [], 11)) == []
+
+
+def records_text(blocks):
+    return "".join(text for block in blocks for text in block.csv_chunks())
+
+
+class TestTrialBlockCsv:
+    """A block's CSV lines are the lines ``csv_text`` writes for the
+    block's (trial, decoder) records."""
+
+    CFGS = [DecoderConfig("sequential", eps=Fraction(1, 3)), DecoderConfig("parallel", k=2)]
+
+    @pytest.mark.parametrize("instance_id", ['a,"b', "x%dy,%s"])
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_lines_equal_csv_text_of_the_records(self, unique_code, instance_id, timing):
+        # the head needs quoting or holds a % the template must not read,
+        # p = 1e-05 and q = 0.30000000000000004 are written by repr, and
+        # timed ms are nonzero floats
+        models = [NoiseModel(p=1e-05, q=0.1 + 0.2), NoiseModel(p=0.02, q=0.01)]
+        blocks = noise.run_sweep(unique_code, models, self.CFGS, range(5), 6,
+                                 instance_id=instance_id, record_timing=timing)
+        for block in blocks:
+            records = [noise.TrialRecord(*row) for row in trial_block_rows(block)]
+            assert "".join(block.csv_chunks()) == noise.csv_text(records)
+            assert all((rec.ms > 0) == timing for rec in records)
+        assert noise.csv_text([[instance_id]])[:-1] + ",sequential," in records_text(blocks)
+        assert ",1e-05,0.30000000000000004," in records_text(blocks[:1])
+
+    def test_csv_chunks_split_trials_without_changing_text(self, unique_code, monkeypatch):
+        [block] = noise.run_sweep(unique_code, [NoiseModel(p=0.02)], self.CFGS, range(5), 6)
+        text = noise.csv_text(noise.TrialRecord(*row) for row in trial_block_rows(block))
+        monkeypatch.setattr(noise, "_CSV_CHUNK_TRIALS", 2)
+        chunks = list(block.csv_chunks())
+        assert [c.count("\n") for c in chunks] == [4, 4, 2]
+        assert "".join(chunks) == text
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -510,15 +558,7 @@ class TestSerialization:
     def test_csv_writer_stable_bytes(self, tmp_path):
         rows = [(1, "x"), (2, "y")]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        noise.write_csv(p1, ["a", "b"], noise.csv_chunks(rows), ["h=1"])
-        noise.write_csv(p2, ["a", "b"], noise.csv_chunks(rows), ["h=1"])
+        noise.write_csv(p1, ["a", "b"], [noise.csv_text(rows)], ["h=1"])
+        noise.write_csv(p2, ["a", "b"], [noise.csv_text(rows)], ["h=1"])
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text() == "# h=1\na,b\n1,x\n2,y\n"
-
-    def test_csv_chunks_split_rows_without_changing_text(self, monkeypatch):
-        rows = [(i, "a,b", 0.1 * i) for i in range(5)]
-        monkeypatch.setattr(noise, "_CSV_CHUNK_ROWS", 2)
-        chunks = list(noise.csv_chunks(rows))
-        assert [c.count("\n") for c in chunks] == [2, 2, 1]
-        assert "".join(chunks) == noise.csv_text(rows)
-        assert chunks[0] == '0,"a,b",0.0\n1,"a,b",0.1\n'
