@@ -51,6 +51,42 @@ class TestBuildGroup:
             cayley.build_group("table", table=t)
 
 
+def _cyclic_with(m, a, b, value):
+    """The table of Z_m with entry (a, b) replaced by ``value``: still a
+    two-sided identity 0 and inverses, but not associative."""
+    table = [[(i + j) % m for j in range(m)] for i in range(m)]
+    table[a][b] = value
+    return table
+
+
+# the first axiom a table breaks, as reported: entries in row-major
+# order, the first element without an inverse, the first failing triple
+# in (a, b, c) loop order up to order 64, and the first failing sampled
+# triple of the seed-0 generator above it
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "multiplication table is not square"),
+    ([[0, 1, 2]], "multiplication table is not square"),
+    ([[0, 1], [1, 0, 0]], "multiplication table is not square"),
+    ([[0, 1], [1, 2]], "table entry 2 out of range"),
+    ([[0, 5], [-3, 0]], "table entry 5 out of range"),
+    ([[0, -1], [1, 0]], "table entry -1 out of range"),
+    ([], "no identity element"),
+    ([[1, 1], [1, 1]], "no identity element"),
+    ([[0, 1], [1, 1]], "element 1 has no inverse"),
+    ([[0, 1, 2], [1, 2, 2], [2, 1, 1]], "element 1 has no inverse"),
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "associativity fails on triple (1, 1, 2)"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "associativity fails on triple (1, 1, 2)"),
+    (_cyclic_with(64, 63, 63, 5), "associativity fails on triple (1, 62, 63)"),
+    (_cyclic_with(65, 2, 3, 7), "associativity fails on triple (2, 3, 46)"),
+    (_cyclic_with(66, 40, 50, 3), "associativity fails on triple (16, 40, 50)"),
+], ids=lambda x: None if isinstance(x, list) else x.split(" (")[0])
+def test_table_axiom_messages(table, message):
+    with pytest.raises(GroupAxiomError) as info:
+        cayley.build_group("table", table=table)
+    assert str(info.value) == message
+
+
 class TestValidateGeneratingSet:
     def test_z5_symmetric_pair(self):
         g = cayley.build_group("cyclic", 5)

@@ -654,6 +654,33 @@ def test_shipped_configs_parse(path):
     assert exp.record_timing is False and exp.output == raw["output"]
 
 
+def instance_digest(path):
+    """sha256 of what set-up builds for the config at ``path``: the rows
+    of H_X and H_Z, the cache's codewords and weights in scan order, and
+    every local view, view mask and face's corners."""
+    code, _ = cli.build_instance(cli.load_config(str(path)).raw)
+    cache = decoder.get_cache(code)
+    digest = hashlib.sha256()
+    for name, rows in (
+        ("h_x", code.h_x.data), ("h_z", code.h_z.data), ("masks", cache.masks.tolist()),
+        ("weights", cache.weights.tolist()), ("views", cache.views),
+        ("view_masks", cache.view_masks), ("face_vertices", cache.face_vertices),
+    ):
+        for row in rows:
+            line = " ".join(map(str, map(int, row))) if hasattr(row, "__len__") else int(row)
+            digest.update(f"{name} {line}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("reference.json", "bea94e44feaa40526c3215737362d60ec68fdbca5f7034cb96b61cdc3416e9bc"),
+    ("z8_rep3.json", "ea811aac8ca615012c50199f61cf5501f1fdc31e82e172eeb5d0e9a3aa02e7bb"),
+])
+def test_built_instance_pinned(name, digest):
+    # any reordering of checks, codewords, views or corners changes it
+    assert instance_digest(ROOT / "configs" / name) == digest
+
+
 def test_missing_config_takes_the_defaults():
     exp = cli.load_config(None)
     assert exp.raw == {}
