@@ -4,12 +4,15 @@ left-right Cayley complex.
 Vertices come in four classes 00/01/10/11 (class-major ids); qubits sit
 on square faces indexed by triples (g, a, b).  The local view of a vertex
 is the Δ x Δ array of incident faces with rows indexed by A and columns
-by B.
+by B.  Every per-instance table (the group axioms, every local view,
+every face's corners) is computed from the group table as numpy index
+arithmetic, once per group or complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +21,7 @@ from .errors import BudgetError, GeneratingSetError, GroupAxiomError, whole
 
 MAX_EIGENSOLVE_ORDER = 4096
 ASSOC_EXHAUSTIVE_ORDER = 64
+ASSOC_SAMPLE_CHUNK = 2_000
 
 V00, V01, V10, V11 = 0, 1, 2, 3
 
@@ -32,45 +36,62 @@ class FiniteGroup:
     id: int
     name: str = "table"
 
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """``mul`` as an (order, order) intp array, for fancy indexing."""
+        return np.array(self.mul, dtype=np.intp).reshape(self.order, self.order)
 
-def _validate_table(mul: list[list[int]], rng: Optional[np.random.Generator] = None) -> FiniteGroup:
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """``inv`` as an intp array."""
+        return np.array(self.inv, dtype=np.intp)
+
+
+def _validate_table(
+    mul: Sequence[Sequence[int]], rng: Optional[np.random.Generator] = None
+) -> FiniteGroup:
+    """The group of a square table (nested lists or an array), checked
+    axiom by axiom on a numpy copy; the first violation raises, named as
+    a row-major scan of the table would first meet it."""
     n = len(mul)
     if any(len(row) != n for row in mul):
         raise GroupAxiomError("multiplication table is not square")
-    for row in mul:
-        for x in row:
-            if not 0 <= x < n:
-                raise GroupAxiomError(f"table entry {x} out of range")
+    t = np.array(mul).reshape(n, n)
+    if n and t.dtype.kind not in "biu":  # JSON floats, or ints beyond int64
+        t = np.array([[whole(x, "table entry") for x in row] for row in mul], dtype=object)
+    out = (t < 0) | (t >= n)
+    if out.any():
+        raise GroupAxiomError(f"table entry {t.flat[np.argmax(out)]} out of range")
+    t = t.astype(np.intp)
     # identity: a two-sided unit
-    identity = None
-    for e in range(n):
-        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
-            identity = e
-            break
-    if identity is None:
+    elems = np.arange(n)
+    unit = (t == elems).all(axis=1) & (t.T == elems).all(axis=1)
+    if not unit.any():
         raise GroupAxiomError("no identity element")
-    inv = [-1] * n
-    for g in range(n):
-        for h in range(n):
-            if mul[g][h] == identity and mul[h][g] == identity:
-                inv[g] = h
-                break
-        if inv[g] == -1:
-            raise GroupAxiomError(f"element {g} has no inverse")
-    # associativity: exhaustive up to order 64, sampled beyond
+    identity = int(np.argmax(unit))
+    # inverse of g: the first h with gh = hg = identity
+    both = (t == identity) & (t.T == identity)
+    has_inv = both.any(axis=1)
+    if not has_inv.all():
+        raise GroupAxiomError(f"element {int(np.argmin(has_inv))} has no inverse")
+    inv = both.argmax(axis=1)
+    # associativity: exhaustive up to order 64, as one compare of all
+    # triples ([a, b, c] of t[t] is (ab)c, of t[:, t] a(bc)), sampled beyond
     if n <= ASSOC_EXHAUSTIVE_ORDER:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
+        fails = np.argwhere(t[t] != t[:, t])
     else:
+        # the same 200,000 draws of one triple each, checked a chunk at a time
         rng = rng or np.random.default_rng(0)
-        triples = (
-            tuple(int(x) for x in rng.integers(0, n, size=3)) for _ in range(200_000)
-        )
-    for a, b, c in triples:
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise GroupAxiomError(f"associativity fails on triple ({a}, {b}, {c})")
-    return FiniteGroup(n, mul, inv, identity)
+        for _ in range(0, 200_000, ASSOC_SAMPLE_CHUNK):
+            drawn = np.array([rng.integers(0, n, size=3) for _ in range(ASSOC_SAMPLE_CHUNK)])
+            a, b, c = drawn.T
+            fails = drawn[t[t[a, b], c] != t[a, t[b, c]]]
+            if len(fails):
+                break
+    if len(fails):
+        a, b, c = map(int, fails[0])
+        raise GroupAxiomError(f"associativity fails on triple ({a}, {b}, {c})")
+    return FiniteGroup(n, t.tolist(), inv.tolist(), identity)
 
 
 def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) -> FiniteGroup:
@@ -78,22 +99,18 @@ def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) 
     if kind == "cyclic":
         if m < 1:
             raise GroupAxiomError("cyclic group needs m >= 1")
-        mul = [[(i + j) % m for j in range(m)] for i in range(m)]
-        g = _validate_table(mul)
+        elems = np.arange(m)
+        g = _validate_table((elems[:, None] + elems) % m)
         g.name = f"cyclic({m})"
         return g
     if kind == "dihedral":
         if m < 1:
             raise GroupAxiomError("dihedral group needs m >= 1")
-        # element (i, j) = r^i s^j encoded as i + m*j
-        def prod(x: int, y: int) -> int:
-            i1, j1 = x % m, x // m
-            i2, j2 = y % m, y // m
-            i = (i1 + (i2 if j1 == 0 else -i2)) % m
-            return i + m * ((j1 + j2) % 2)
-
-        mul = [[prod(x, y) for y in range(2 * m)] for x in range(2 * m)]
-        g = _validate_table(mul)
+        # element (i, j) = r^i s^j encoded as i + m*j:
+        # r^i1 s^j1 · r^i2 s^j2 = r^(i1 ± i2) s^(j1 + j2), minus when j1 = 1
+        j1, i1 = np.divmod(np.arange(2 * m)[:, None], m)
+        j2, i2 = np.divmod(np.arange(2 * m), m)
+        g = _validate_table((i1 + np.where(j1, -i2, i2)) % m + m * (j1 ^ j2))
         g.name = f"dihedral({m})"
         return g
     if kind == "table":
@@ -193,38 +210,48 @@ class LeftRightCayleyComplex:
         rest = q // self.delta
         return rest // self.delta, rest % self.delta, bi
 
+    @cached_property
+    def corner_table(self) -> np.ndarray:
+        """(|Q|, 4) intp array: row q holds the corners of face q = (g, a, b)
+        in classes 00, 01, 10, 11, the vertices of g, ag, gb and agb."""
+        order, mul = self.group.order, self.group.mul_table
+        g = np.arange(order)[:, None, None]
+        a = np.array(self.gens_a.elements)[:, None]
+        b = np.array(self.gens_b.elements)
+        ag = mul[a, g]
+        corners = (g, ag + order, mul[g, b] + 2 * order, mul[ag, b] + 3 * order)
+        return np.stack(np.broadcast_arrays(*corners), axis=-1).reshape(-1, 4)
+
+    @cached_property
+    def view_table(self) -> np.ndarray:
+        """(|V|, Δ²) intp array: row v is the local view of vertex v.
+
+        The defining group element of the face at entry (a, b) of the
+        view of h is h for class 00, a⁻¹h for 01, hb⁻¹ for 10 and
+        a⁻¹hb⁻¹ for 11.
+        """
+        order, d = self.group.order, self.delta
+        mul, inv = self.group.mul_table, self.group.inv_table
+        h = np.arange(order)[:, None, None]
+        ah = mul[inv[list(self.gens_a.elements)][:, None], h]
+        b_inv = inv[list(self.gens_b.elements)]
+        # entry (ai, bi) of the view holds face (g, ai, bi)
+        entries = np.arange(d * d).reshape(d, d)
+        elems = (h, ah, mul[h, b_inv], mul[ah, b_inv])
+        return np.concatenate([g * (d * d) + entries for g in elems]).reshape(-1, d * d)
+
     def face_vertices(self, q: int) -> tuple[int, int, int, int]:
         """The four corners (classes 00, 01, 10, 11) of face (g, a, b)."""
-        g, ai, bi = self.face_triple(q)
-        a = self.gens_a.elements[ai]
-        b = self.gens_b.elements[bi]
-        mul = self.group.mul
-        return (
-            self.vertex(g, V00),
-            self.vertex(mul[a][g], V01),
-            self.vertex(mul[g][b], V10),
-            self.vertex(mul[mul[a][g]][b], V11),
-        )
+        if not 0 <= q < self.num_faces:
+            raise IndexError(f"face {q} out of range")
+        return tuple(self.corner_table[q].tolist())
 
     def local_view(self, v: int) -> list[int]:
         """Faces incident to v as a flat Δ x Δ array, entry (ai, bi) at
-        position ai*Δ + bi.
-
-        The defining group element of the face at entry (a, b) is
-        g for class 00, a⁻¹h for 01, hb⁻¹ for 10, a⁻¹hb⁻¹ for 11.
-        """
+        position ai*Δ + bi (row v of ``view_table``)."""
         if not 0 <= v < self.num_vertices:
             raise IndexError(f"vertex {v} out of range")
-        cls = self.vertex_class(v)
-        h = self.vertex_group_elem(v)
-        mul, inv = self.group.mul, self.group.inv
-        out = []
-        for ai, a in enumerate(self.gens_a.elements):
-            ha = h if cls in (V00, V10) else mul[inv[a]][h]
-            for bi, b in enumerate(self.gens_b.elements):
-                g = ha if cls in (V00, V01) else mul[ha][inv[b]]
-                out.append(self.face_index(g, ai, bi))
-        return out
+        return self.view_table[v].tolist()
 
     def adjacency(self, which: str) -> np.ndarray:
         """0/1 adjacency of Cay(A,G) (left action) or Cay(G,B) (right)."""

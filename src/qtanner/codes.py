@@ -190,9 +190,8 @@ class DualTensorCode:
         checks = gf2.kronecker(BitMatrix.identity(na), self.code_b.pchk)
         checks = np.array(checks.data, dtype=np.uint64)
         syndromes = _syndromes(words, checks)
-        # stable sort by lex key, then by syndrome: lex order within a syndrome
-        order = np.argsort(gf2.lex_keys(words, self.n), kind="stable")
-        order = order[np.argsort(syndromes[order], kind="stable")]
+        # by syndrome, lex order within a syndrome
+        order = np.lexsort((gf2.lex_keys(words, self.n), syndromes))
         cols = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
         return _ColumnSpace(
             words=words[order],

@@ -112,24 +112,23 @@ class LocalCodewordCache:
         self.code = code
         n = self.n = dt.n
         masks = dt.codewords()
-        weights = np.bitwise_count(masks).astype(np.int64)
-        # stable sort by lex key, then by weight: weight descending, lex within it
-        order = np.argsort(gf2.lex_keys(masks, n), kind="stable")
-        order = order[np.argsort(-weights[order], kind="stable")]
+        weights = np.bitwise_count(masks)
+        # weight descending, lex key ascending within a weight (n - weight
+        # stays 8-bit, a key numpy's stable sort radix-sorts)
+        order = np.lexsort((gf2.lex_keys(masks, n), n - weights))
         self.masks = masks[order]
-        self.weights = weights[order]
+        self.weights = weights[order].astype(np.int64)
         self.neg_weights = -self.weights
         self.splits: dict[int, tuple[int, int]] = {}
         self.max_weight = int(self.weights[0]) if len(order) else 0
         # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
         # XOR of the entries at the set bits of s
-        r = dt.pchk.rows
-        self.right_inverse = []
-        for i in range(r):
-            y = gf2.solve_any(dt.pchk, BitVector(r, 1 << i))
-            if y is None:
-                raise LocalCacheError(f"local check {i} depends on the other local checks")
-            self.right_inverse.append(y.bits)
+        self.right_inverse = gf2.right_inverse(dt.pchk)
+        if self.right_inverse is None:
+            # name the first check whose unit syndrome has no solution
+            r = dt.pchk.rows
+            i = next(i for i in range(r) if gf2.solve_any(dt.pchk, BitVector(r, 1 << i)) is None)
+            raise LocalCacheError(f"local check {i} depends on the other local checks")
         self.leaders: dict[int, int] = {}
         self._build_views(code)
         self._scan_tables: dict[Fraction, ScanTable] = {}
@@ -153,14 +152,15 @@ class LocalCodewordCache:
     def _build_views(self, code: QuantumTannerCode) -> None:
         cx = code.complex
         self.views = [code.local_view(v) for v in range(cx.num_vertices)]
-        self.view_masks = [
-            sum(1 << q for q in view) for view in self.views
-        ]
+        incidence = np.zeros((cx.num_vertices, cx.num_faces), dtype=np.uint8)
+        incidence[np.arange(cx.num_vertices)[:, None], self.views] = 1
+        self.view_masks = gf2.from_bit_rows(incidence)
         # face bit -> local position bit, for the sparse gather of Ẑ
-        self.gather = [
-            {1 << q: 1 << p for p, q in enumerate(view)} for view in self.views
-        ]
-        self.face_vertices = [cx.face_vertices(q) for q in range(cx.num_faces)]
+        # (local bit p is face_bits[p]; zip stops at the view's Δ²)
+        face_bits = [1 << q for q in range(cx.num_faces)]
+        self.gather = [dict(zip(map(face_bits.__getitem__, view), face_bits))
+                       for view in self.views]
+        self.face_vertices = list(map(tuple, cx.corner_table.tolist()))
         # parallel sweep order: classes V00, V01, V10, V11, each in group order
         order = cx.group.order
         v0, v1 = code.v0_vertices, code.v1_vertices

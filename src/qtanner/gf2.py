@@ -56,16 +56,22 @@ def lex_key(bits: int, length: int) -> int:
     return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
 
 
-_BYTE_REVERSED = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+# (shift, mask) of the six swaps that reverse a 64-bit word: adjacent
+# bits, then pairs, nibbles, bytes, 16-bit and 32-bit halves
+_REVERSE_SWAPS = [
+    (np.uint64(1 << k), np.uint64(sum(1 << i for i in range(64) if not i >> k & 1)))
+    for k in range(6)
+]
 
 
 def lex_keys(words: np.ndarray, length: int) -> np.ndarray:
     """``lex_key`` of every uint64 word, for 1 ≤ length ≤ 64: each word's
-    bits reversed (bytes in reverse order, each byte bit-reversed), then
-    shifted down to ``length`` bits."""
-    as_bytes = np.ascontiguousarray(words, dtype="<u8")[..., None].view(np.uint8)
-    reversed_words = np.ascontiguousarray(_BYTE_REVERSED[as_bytes[..., ::-1]]).view("<u8")
-    return reversed_words[..., 0] >> np.uint64(64 - length)
+    bits reversed by shift-and-mask swaps, then shifted down to
+    ``length`` bits."""
+    x = np.asarray(words, dtype=np.uint64)
+    for shift, mask in _REVERSE_SWAPS:
+        x = (x >> shift) & mask | (x & mask) << shift
+    return x >> np.uint64(64 - length)
 
 
 def to_bit_rows(values: Sequence[int], n: int) -> np.ndarray:
@@ -378,6 +384,29 @@ def solve_any(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
         if (r >> aug_col) & 1:
             x |= 1 << p
     return BitVector(m.cols, x)
+
+
+def right_inverse(m: BitMatrix) -> Optional[list[int]]:
+    """Rows y_i with My_i = e_i (bit i alone) for every row i of M, from
+    one elimination of [M | I]; None if the rows of M are dependent.
+
+    Each augmented row keeps the form tM | t.  Independent rows leave
+    one row per pivot p of M's RREF, and M's pivot columns are those of
+    an identity, so y_i takes bit p for each bit i of that row's t: it
+    is what ``solve_any`` gives e_i.  Dependent rows leave a row 0 | t,
+    whose pivot lies past M.
+    """
+    cols = m.cols
+    rows, pivots = _rref([row | 1 << (cols + i) for i, row in enumerate(m.data)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    out = [0] * m.rows
+    for r, p in zip(rows, pivots):
+        t = r >> cols
+        while t:
+            out[(t & -t).bit_length() - 1] |= 1 << p
+            t &= t - 1
+    return out
 
 
 def rowspace_contains(m: BitMatrix, v: BitVector) -> bool:

@@ -229,9 +229,13 @@ def stream_key(master_seed: int, stream: int) -> np.ndarray:
     pairs never share a key.
     """
     check_seed(master_seed)
+    check_stream(stream)
+    return np.array([stream, master_seed], dtype=np.uint64)
+
+
+def check_stream(stream: int) -> None:
     if not 0 <= stream < STREAM_LIMIT:
         raise ValueError(f"stream id {stream} outside [0, 2^64)")
-    return np.array([stream, master_seed], dtype=np.uint64)
 
 
 def make_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -240,7 +244,13 @@ def make_rng(master_seed: int, stream: int) -> np.random.Generator:
 
 
 _REKEYED = np.random.Generator(np.random.Philox(0))
-_NO_WORDS = np.zeros(4, dtype=np.uint64)
+# the state every re-key sets (the setter copies it): counter 0 and empty
+# buffers, under the key [stream, seed] that ``rekeyed_rng`` writes in
+_REKEY_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+}
 
 
 def rekeyed_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -248,11 +258,10 @@ def rekeyed_rng(master_seed: int, stream: int) -> np.random.Generator:
     stream id): counter 0, empty buffers, so it draws what
     ``make_rng(master_seed, stream)`` would, without building a Philox.
     The next call re-keys it, so finish drawing from it first."""
-    _REKEYED.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _NO_WORDS, "key": stream_key(master_seed, stream)},
-        "buffer": _NO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    check_seed(master_seed)
+    check_stream(stream)
+    _REKEY_STATE["state"]["key"][:] = stream, master_seed
+    _REKEYED.bit_generator.state = _REKEY_STATE
     return _REKEYED
 
 
@@ -611,7 +620,12 @@ def _round_errors(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
     ``rekeyed_rng``, re-keyed as each trial is reached (its draws end
     before the next is keyed), into packed (trials, rounds, bytes) rows:
     by ``_bernoulli_rounds`` under Bernoulli data and syndrome noise, by
-    ``_filled_rounds`` under any other model."""
+    ``_filled_rounds`` under any other model.  The seed and the least
+    and greatest stream id are checked before the first draw."""
+    check_seed(master_seed)
+    if len(streams):
+        check_stream(min(streams))
+        check_stream(max(streams))
     bernoulli = model.data_kind == model.syn_kind == "bernoulli"
     e, d = (_bernoulli_rounds if bernoulli else _filled_rounds)(
         code, model, (rekeyed_rng(master_seed, s) for s in streams), rounds)

@@ -65,19 +65,32 @@ class QuantumTannerCode:
         self.r0 = self.x_check_basis.rows
         self.r1 = self.z_check_basis.rows
 
-        self._views = {v: complex.local_view(v) for v in range(complex.num_vertices)}
-        self.h_x = self._embed(self.v0_vertices, self.x_check_basis)
-        self.h_z = self._embed(self.v1_vertices, self.z_check_basis)
+        views = [complex.local_view(v) for v in range(complex.num_vertices)]
+        self._views = dict(enumerate(views))
+        view_table = np.array(views, dtype=np.intp)
+        self.h_x, h_x_rows = self._embed(view_table[self.v0_vertices], self.x_check_basis)
+        self.h_z, h_z_rows = self._embed(view_table[self.v1_vertices], self.z_check_basis)
+        # Hᵀ as (n, rows) float32 arrays: batched syndromes are one BLAS
+        # product with them (sums of at most n ones are exact in float32)
+        self.h_x_t_dense = np.ascontiguousarray(h_x_rows.T, dtype=np.float32)
+        self.h_z_t_dense = np.ascontiguousarray(h_z_rows.T, dtype=np.float32)
 
         # H_Z x for every row x of H_X: the rows of H_X · H_Zᵀ
-        if syndrome_rows_z(self, self.h_x_t_dense.T).any():
+        if syndrome_rows_z(self, h_x_rows).any():
             raise CommutationError("H_X · H_Z^T != 0; local-view orientation is broken")
 
         self._decoder_cache = None  # built on first use by decoder.get_cache
 
-    def _embed(self, vertices: list[int], basis: BitMatrix) -> BitMatrix:
-        rows = [gf2.scatter(x, self._views[v]) for v in vertices for x in basis.data]
-        return BitMatrix(len(rows), self.n, rows)
+    def _embed(self, views: np.ndarray, basis: BitMatrix) -> tuple[BitMatrix, np.ndarray]:
+        """Every row of ``basis`` placed on each of the local ``views``
+        (view-major), as a BitMatrix and as (rows, n) 0/1 rows: one
+        scatter of the basis bits into their faces."""
+        local = gf2.to_bit_rows(basis.data, self.delta**2)
+        rows = np.zeros((len(views), basis.rows, self.n), dtype=np.uint8)
+        rows[np.arange(len(views))[:, None, None], np.arange(basis.rows)[:, None],
+             views[:, None, :]] = local
+        rows = rows.reshape(-1, self.n)
+        return BitMatrix(len(rows), self.n, gf2.from_bit_rows(rows)), rows
 
     def effective_class(self, v: int) -> int:
         cls = self.complex.vertex_class(v)
@@ -130,18 +143,6 @@ class QuantumTannerCode:
     def z_col_syndromes(self) -> list[int]:
         """Column q of H_Z as a packed int; syndrome(e) = XOR over supp(e)."""
         return gf2.from_bit_rows(self.h_z_t_dense.astype(np.uint8))
-
-    @cached_property
-    def h_z_t_dense(self) -> np.ndarray:
-        """H_Zᵀ as an (n, H_Z rows) float32 array, built on first use;
-        batched syndromes are one BLAS product with it (sums of at most n
-        ones are exact in float32)."""
-        return np.ascontiguousarray(gf2.to_bit_rows(self.h_z.data, self.n).T, dtype=np.float32)
-
-    @cached_property
-    def h_x_t_dense(self) -> np.ndarray:
-        """H_Xᵀ as an (n, H_X rows) float32 array, like ``h_z_t_dense``."""
-        return np.ascontiguousarray(gf2.to_bit_rows(self.h_x.data, self.n).T, dtype=np.float32)
 
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.

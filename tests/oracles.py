@@ -1,7 +1,8 @@
 """Independent test oracles.
 
 Everything here re-derives results from first principles with code paths
-disjoint from the library: numpy-based elimination, dense integer
+disjoint from the library: the paper's local-view and face-corner
+formulas read off the group table, numpy-based elimination, dense integer
 products for syndromes and commutation, ambient-space enumeration for
 product expansion, direct column-assignment search for minimal
 decompositions, weight-ordered enumeration for coset leaders, a
@@ -91,6 +92,34 @@ def span(basis):
     for i in range(1, 1 << len(basis)):
         x ^= basis[(i & -i).bit_length() - 1]
         yield x
+
+
+def local_view(mul, inv, a_gens, b_gens, cls, h):
+    """Faces of the view of vertex h of class cls (0b00, 0b01, 0b10,
+    0b11), entry (a, b) at position a·Δ + b: face (g, a, b), index
+    (g·Δ + a)·Δ + b, whose defining element g is h, a⁻¹h, hb⁻¹ or
+    a⁻¹hb⁻¹ by class, straight from the group table."""
+    d = len(a_gens)
+    view = []
+    for ai, a in enumerate(a_gens):
+        for bi, b in enumerate(b_gens):
+            g = {
+                0b00: h,
+                0b01: mul[inv[a]][h],
+                0b10: mul[h][inv[b]],
+                0b11: mul[mul[inv[a]][h]][inv[b]],
+            }[cls]
+            view.append((g * d + ai) * d + bi)
+    return view
+
+
+def face_corners(mul, a_gens, b_gens, q):
+    """Vertex ids (class·|G| + element) of the corners of face q = (g, a,
+    b): g in class 00, ag in 01, gb in 10 and agb in 11."""
+    d, order = len(a_gens), len(mul)
+    g, ab = divmod(q, d * d)
+    a, b = a_gens[ab // d], b_gens[ab % d]
+    return [g, order + mul[a][g], 2 * order + mul[g][b], 3 * order + mul[mul[a][g]][b]]
 
 
 def codeword_bits(code):

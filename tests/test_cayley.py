@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from qtanner import cayley
 from qtanner.cayley import V00, V01, V10, V11
 from qtanner.errors import BudgetError, GeneratingSetError, GroupAxiomError
@@ -186,6 +189,50 @@ class TestLocalView:
     def test_invalid_vertex(self):
         with pytest.raises(IndexError):
             build_z13().local_view(10_000)
+
+
+@st.composite
+def complexes(draw):
+    """A complex on cyclic(m ≤ 16), dihedral(m ≤ 8), or an explicit table
+    (one of those with its elements relabelled, so the identity need not
+    be 0), with random symmetric generating sets in random order."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "table"]))
+    source = kind if kind != "table" else draw(st.sampled_from(["cyclic", "dihedral"]))
+    m = draw(st.integers(2, 16 if source == "cyclic" else 8))
+    group = cayley.build_group(source, m)
+    # r, r⁻¹ (and s) generate either group
+    base = [1, m - 1] + ([m] if source == "dihedral" else [])
+    if kind == "table":
+        label = draw(st.permutations(range(group.order)))
+        table = [[0] * group.order for _ in range(group.order)]
+        for x in range(group.order):
+            for y in range(group.order):
+                table[label[x]][label[y]] = label[group.mul[x][y]]
+        group = cayley.build_group("table", table=table)
+        base = [label[x] for x in base]
+
+    def symmetric_set():
+        elems = set(base) | draw(st.sets(st.integers(0, group.order - 1), max_size=3))
+        return draw(st.permutations(sorted(elems | {group.inv[x] for x in elems})))
+
+    a_gens, b_gens = symmetric_set(), symmetric_set()
+    if len(b_gens) != len(a_gens):
+        b_gens = draw(st.permutations(a_gens))
+    return cayley.build_complex(group, a_gens, b_gens)
+
+
+@given(cx=complexes())
+def test_tables_match_the_paper_formulas(cx):
+    mul, inv, order = cx.group.mul, cx.group.inv, cx.group.order
+    a_gens, b_gens = list(cx.gens_a.elements), list(cx.gens_b.elements)
+    assert cx.view_table.shape == (cx.num_vertices, cx.delta**2)
+    for v in range(cx.num_vertices):
+        want = oracles.local_view(mul, inv, a_gens, b_gens, v // order, v % order)
+        assert cx.view_table[v].tolist() == cx.local_view(v) == want
+    assert cx.corner_table.shape == (cx.num_faces, 4)
+    for q in range(cx.num_faces):
+        want = oracles.face_corners(mul, a_gens, b_gens, q)
+        assert cx.corner_table[q].tolist() == list(cx.face_vertices(q)) == want
 
 
 class TestSecondEigenvalue:

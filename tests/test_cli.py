@@ -633,6 +633,22 @@ def test_build_instance_reads_integral_floats_as_counts():
     assert code.n == 72
 
 
+def test_build_instance_reads_table_entries_as_whole_numbers():
+    # a JSON table may spell its entries as floats: integral ones are read
+    # as elements, a fractional one is refused, never truncated
+    def build(mul):
+        return cli.build_instance({"instance": dict(Z8_INSTANCE, group={"kind": "table",
+                                                                       "mul": mul})})[0]
+
+    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    as_floats = [[float(x) for x in row] for row in table]
+    code, ref = build(as_floats), build(table)
+    assert code.h_x == ref.h_x and code.h_z == ref.h_z
+    as_floats[2][3] = 5.5
+    with pytest.raises(ValueError, match="table entry = 5.5 is not a whole number"):
+        build(as_floats)
+
+
 SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.json")) + sorted(
     ROOT.glob("benchmarks/configs/*.json")
 )

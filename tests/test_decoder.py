@@ -195,6 +195,47 @@ def rep5_oracle(rep5_code):
     return coset_leader_table(dt.pchk.data, dt.n)
 
 
+class TestRightInverse:
+    """``right_inverse``, from one elimination of [H_A ⊗ H_B | I], on the
+    reference, Z8/rep_3, Z₁₂/rep_5 and Z₁₄/rep_7 instances."""
+
+    @staticmethod
+    def instance(name, request):
+        if name == "z14_rep7":
+            return rep_code(14, [1, 13, 2, 12, 3, 11, 7])
+        return request.getfixturevalue(name)
+
+    @pytest.mark.parametrize("name", ["ref_code", "unique_code", "rep5_code", "z14_rep7"])
+    def test_rows_have_unit_syndromes_and_leaders_match_oracle(self, name, request):
+        code = self.instance(name, request)
+        dt = code.x_correction_code()
+        cache = get_cache(code)
+        r = dt.pchk.rows
+        assert [local_syndrome_of(dt, y) for y in cache.right_inverse] == [1 << i for i in range(r)]
+        # every error of weight <= 2 and 100 random ones of weight 3
+        rng = np.random.default_rng(5)
+        errors = [sum(1 << p for p in ps) for w in range(3)
+                  for ps in itertools.combinations(range(dt.n), w)]
+        errors += [sum(1 << int(p) for p in rng.choice(dt.n, 3, replace=False))
+                   for _ in range(100)]
+        syndromes = sorted({local_syndrome_of(dt, e) for e in errors})
+        if r <= 4:
+            syndromes = list(range(1 << r))
+        oracle = coset_leader_table(dt.pchk.data, dt.n, syndromes)
+        assert [coset_leader(cache, s) for s in syndromes] == [oracle[s] for s in syndromes]
+
+    def test_dependent_local_check_is_named(self, unique_code, monkeypatch):
+        # H_A ⊗ H_B with check 3 the sum of checks 1 and 2: the same
+        # kernel, so the same codewords, but syndrome 1 << 1 is out of reach
+        dt = unique_code.x_correction_code()
+        rows = dt.pchk.data
+        pchk = gf2.BitMatrix(len(rows) + 1, dt.n, rows[:3] + [rows[1] ^ rows[2]] + rows[3:])
+        monkeypatch.setattr(unique_code, "x_correction_code",
+                            lambda: dataclasses.replace(dt, pchk=pchk))
+        with pytest.raises(LocalCacheError, match="local check 1 depends on the other"):
+            decoder.LocalCodewordCache(unique_code)
+
+
 class TestLocalMinCorrection:
     """Coset leaders of local syndromes (``decoder.coset_leader``), lifted
     to global faces as ``initial_mismatch`` does."""

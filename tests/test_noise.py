@@ -200,6 +200,21 @@ class TestRoundErrors:
             with pytest.raises(ValueError, match="exceeds"):
                 next(noise._round_errors(unique_code, model, 1, [0], 3))
 
+    @pytest.mark.parametrize("seed, bad, message", [
+        (1, -1, "stream id -1"), (1, 1 << 64, "stream id 18446744073709551616"),
+        (-1, 3, "seed -1"), (1 << 64, 3, "seed 18446744073709551616"),
+    ])
+    @pytest.mark.parametrize("data", ["bernoulli", "persistence-0.5"])
+    def test_keys_checked_before_any_draw(self, unique_code, data, seed, bad, message,
+                                          monkeypatch):
+        # the bad key sits among valid ones, after trials that could draw
+        keyed = []
+        monkeypatch.setattr(noise, "rekeyed_rng", lambda *key: keyed.append(key))
+        model = NoiseModel(**DATA_NOISE[data], q=0.05)
+        with pytest.raises(ValueError, match=message):
+            next(noise._round_errors(unique_code, model, seed, [0, 5, bad, 7], 2))
+        assert keyed == []
+
 
 class TestVertexSupport:
     def test_zero(self, ref_code):
