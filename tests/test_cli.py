@@ -697,6 +697,21 @@ def test_built_instance_pinned(name, digest):
     assert instance_digest(ROOT / "configs" / name) == digest
 
 
+@pytest.mark.parametrize("command, name, digest", [
+    ("build", "reference.json", "3105bbdb74fa4ee99d751c91428acf7c72800e620136a44805aed2253d670a34"),
+    ("inspect", "reference.json",
+     "552d696ec3d9cb7a968f5e685ba599eda0d26761da6414a37f10051a7007ece8"),
+    ("build", "z8_rep3.json", "2b1d31703b8a48cdf773f236ee99cf5f874ce765f9118544a21a5f437e2e2ee4"),
+    ("inspect", "z8_rep3.json",
+     "0762c5a1ba2edb792a821db5da6b63e47152e2fd01e2e17a86f092ee10b9c9c2"),
+])
+def test_summary_stdout_pinned(capsys, command, name, digest):
+    # the local checks set H_Z, k and kappa, and the kernel row order of
+    # H_Z sets the randomized distance bound that inspect prints
+    assert cli.main([command, "-c", str(ROOT / "configs" / name)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_missing_config_takes_the_defaults():
     exp = cli.load_config(None)
     assert exp.raw == {}
