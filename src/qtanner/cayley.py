@@ -53,8 +53,12 @@ def _validate_table(
     """The group of a square table (nested lists or an array), checked
     axiom by axiom on a numpy copy; the first violation raises, named as
     a row-major scan of the table would first meet it."""
-    n = len(mul)
-    if any(len(row) != n for row in mul):
+    try:
+        n = len(mul)
+        square = all(len(row) == n for row in mul)
+    except TypeError:  # not a list of rows
+        square = False
+    if not square:
         raise GroupAxiomError("multiplication table is not square")
     t = np.array(mul).reshape(n, n)
     if n and t.dtype.kind not in "biu":  # JSON floats, or ints beyond int64

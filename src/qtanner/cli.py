@@ -74,10 +74,18 @@ LOCAL_CODE_KEYS = {
 SIDES = ("X", "Z")
 
 
+def _row_lengths(rows, kind: type) -> Optional[set[int]]:
+    """The lengths of ``rows``; None unless it is a list of ``kind`` values."""
+    if isinstance(rows, list) and all(isinstance(r, kind) for r in rows):
+        return {len(r) for r in rows}
+    return None
+
+
 def _check_instance(inst) -> None:
     """Reject an instance spec with an unknown key or kind at any level,
-    a count or group element that is not a whole number, or a side other
-    than X or Z."""
+    a count or group element that is not a whole number, a group table
+    that is not a square list of rows, generator rows that are not bit
+    strings of one length, or a side other than X or Z."""
     noise.check_keys(inst, INSTANCE_KEYS, "instance")
     for key in ("a_gens", "b_gens"):
         gens = inst.get(key)
@@ -88,6 +96,11 @@ def _check_instance(inst) -> None:
     group = inst.get("group")
     if noise.check_kind(group, GROUP_KEYS, "instance.group") != "table":
         whole(group.get("m"), "instance.group.m")
+    else:
+        mul = group.get("mul")
+        lengths = _row_lengths(mul, list)
+        if lengths is None or lengths - {len(mul)}:
+            raise ValueError(f"instance.group.mul is not a square table, got {mul!r}")
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
     if not isinstance(lc, str):
         kind = noise.check_kind(lc, LOCAL_CODE_KEYS, "instance.local_codes", default="named")
@@ -98,6 +111,11 @@ def _check_instance(inst) -> None:
                 where = f"instance.local_codes.{which}"
                 noise.check_keys(lc.get(which), ("n", "gen"), where)
                 whole(lc[which].get("n"), f"{where}.n")
+                gen = lc[which].get("gen")
+                lengths = _row_lengths(gen, str)
+                if lengths is None or len(lengths) > 1:
+                    raise ValueError(
+                        f"{where}.gen must be a list of bit strings of one length, got {gen!r}")
         if "seed" in lc:
             whole(lc["seed"], "instance.local_codes.seed")
     side = inst.get("side", REFERENCE_INSTANCE["side"])

@@ -2,6 +2,10 @@
 exhaustive oracles the decoder relies on (minimal column/row
 decompositions, product-expansion constant).
 
+Each matrix is eliminated once, as a ``gf2.Echelon``: a code is read
+off its generator's, and a dual tensor code keeps that of H_A ⊗ H_B for
+its codewords and the decoder's right inverse.
+
 The minimal (c, r) splits of C_A ⊞ C_B are enumerated in one place,
 ``DualTensorCode.split``, which reads the candidates of each codeword
 it is given from C_A ⊗ F_2^B, prepared once per code; the decoder's
@@ -48,8 +52,13 @@ class LinearCode:
 
     @classmethod
     def from_generator(cls, g: BitMatrix) -> "LinearCode":
-        g = gf2.row_reduce_independent(g)
-        return cls(g.cols, g, gf2.kernel_basis(g))
+        return cls.from_echelon(gf2.Echelon(g))
+
+    @classmethod
+    def from_echelon(cls, ech: gf2.Echelon) -> "LinearCode":
+        """The span of a generator: its RREF rows and kernel."""
+        n = ech.shape[1]
+        return cls(n, BitMatrix(ech.rank, n, ech.rows), ech.kernel())
 
     @property
     def dim(self) -> int:
@@ -62,6 +71,8 @@ class LinearCode:
     def from_json(cls, obj: dict) -> "LinearCode":
         n = whole(obj["n"], "code length n")
         rows = obj["gen"]
+        if not isinstance(rows, list):
+            raise ValueError(f"generator gen must be a list of bit strings, got {rows!r}")
         if not rows:
             return zero_code(n)
         g = BitMatrix.from_strings(rows)
@@ -102,9 +113,9 @@ def sample_random_code(n: int, k: int, rng) -> LinearCode:
         return zero_code(n)
     while True:
         bits = rng.integers(0, 2, size=(k, n))
-        g = BitMatrix.from_rows(bits.tolist(), cols=n)
-        if gf2.rank(g) == k:
-            return LinearCode.from_generator(g)
+        ech = gf2.Echelon(BitMatrix.from_rows(bits.tolist(), cols=n))
+        if ech.rank == k:
+            return LinearCode.from_echelon(ech)
 
 
 class _ColumnSpace(NamedTuple):
@@ -168,11 +179,17 @@ class DualTensorCode:
         if self.n > 64:
             raise BudgetError(f"local grid of {self.n} > 64 bits exceeds the word width")
 
+    @functools.cached_property
+    def echelon(self) -> gf2.Echelon:
+        """The one elimination of H_A ⊗ H_B: its kernel is the code, and
+        the decoder reads a right inverse from it."""
+        return gf2.Echelon(self.pchk)
+
     def codewords(self) -> np.ndarray:
         """The 2^dim − 1 nonzero codewords as uint64, in the span order
         of the kernel basis of H_A ⊗ H_B."""
         self._check_budget()
-        basis = gf2.kernel_basis(self.pchk).data
+        basis = self.echelon.kernel().data
         if len(basis) != self.dim:
             raise LocalCacheError(
                 f"kernel of the local checks holds 2^{len(basis)} - 1 nonzero codewords, "

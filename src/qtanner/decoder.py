@@ -100,11 +100,12 @@ class LocalCodewordCache:
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
     ``split``; set-up computes none), a right inverse of the local
-    checks H_A ⊗ H_B with the memo of coset leaders found so far
-    (``leaders``: syndrome to leader, at most 2^r entries), the
-    per-vertex view/incidence tables the decomposition loops consume,
-    the parallel sweep order, and one ``ScanTable`` per threshold policy
-    θ, built on first use.
+    checks H_A ⊗ H_B, read off the same ``dt.echelon`` as the codewords
+    (a dependent check is named in a ``LocalCacheError``), with the memo
+    of coset leaders found so far (``leaders``: syndrome to leader, at
+    most 2^r entries), the per-vertex view/incidence tables the
+    decomposition loops consume, the parallel sweep order, and one
+    ``ScanTable`` per threshold policy θ, built on first use.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -123,12 +124,10 @@ class LocalCodewordCache:
         self.max_weight = int(self.weights[0]) if len(order) else 0
         # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
         # XOR of the entries at the set bits of s
-        self.right_inverse = gf2.right_inverse(dt.pchk)
+        self.right_inverse = dt.echelon.right_inverse()
         if self.right_inverse is None:
-            # name the first check whose unit syndrome has no solution
-            r = dt.pchk.rows
-            i = next(i for i in range(r) if gf2.solve_any(dt.pchk, BitVector(r, 1 << i)) is None)
-            raise LocalCacheError(f"local check {i} depends on the other local checks")
+            raise LocalCacheError(f"local check {dt.echelon.first_dependent_row()} "
+                                  "depends on the other local checks")
         self.leaders: dict[int, int] = {}
         self._build_views(code)
         self._scan_tables: dict[Fraction, ScanTable] = {}

@@ -4,7 +4,9 @@ A vector of length n is stored as one int whose bit i is coordinate i,
 so XOR/AND give word-parallel row operations and ``int.bit_count`` gives
 the Hamming weight.  Elimination always pivots on the leftmost nonzero
 column (lowest bit index) and swaps rows to the lowest free index, so
-every routine here is deterministic.
+every routine here is deterministic; ``Echelon``, one elimination of
+[M | I], is the only one, and rank, kernel, solutions and dependent rows
+are all read from it.
 
 Batches of vectors, as the lockstep decoder handles them, are numpy
 ``uint8`` arrays with one 0/1 entry per coordinate and one row per
@@ -266,11 +268,16 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        vecs = [BitVector.from_string(s) for s in rows]
-        if not vecs:
+        """Rows given as '0101...' strings, all of one length."""
+        rows = list(rows)
+        if not rows:
             raise ValueError("cannot infer column count of an empty matrix")
-        n = vecs[0].n
-        return cls(len(vecs), n, [v.bits for v in vecs])
+        if not all(isinstance(s, str) for s in rows):
+            raise ValueError(f"matrix rows must be bit strings, got {rows!r}")
+        if len({len(s) for s in rows}) > 1:
+            raise ValueError(f"matrix rows have unequal lengths: {rows!r}")
+        vecs = [BitVector.from_string(s) for s in rows]
+        return cls(len(vecs), vecs[0].n, [v.bits for v in vecs])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -291,49 +298,51 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _rref(rows: list[int], limit: int) -> tuple[list[int], list[int]]:
+    """In-place reduced row echelon form over the columns below
+    ``limit``; returns (rows, pivot column list).  Column c pivots on the
+    first unpivoted row with bit c: no such row has a lower bit left."""
     pivots: list[int] = []
-    pivot_row = 0
-    m = len(rows)
-    while pivot_row < m:
-        best_col = None
-        best_idx = None
-        for idx in range(pivot_row, m):
-            r = rows[idx]
-            if r == 0:
-                continue
-            col = (r & -r).bit_length() - 1
-            if best_col is None or col < best_col or (col == best_col and idx < best_idx):
-                best_col, best_idx = col, idx
-        if best_col is None:
-            break
-        rows[pivot_row], rows[best_idx] = rows[best_idx], rows[pivot_row]
+    for col in range(limit):
+        mask, pivot_row = 1 << col, len(pivots)
+        idx = next((i for i in range(pivot_row, len(rows)) if rows[i] & mask), None)
+        if idx is None:
+            continue
+        rows[pivot_row], rows[idx] = rows[idx], rows[pivot_row]
         piv = rows[pivot_row]
-        mask = 1 << best_col
-        for idx in range(m):
-            if idx != pivot_row and rows[idx] & mask:
-                rows[idx] ^= piv
-        pivots.append(best_col)
-        pivot_row += 1
+        for i, r in enumerate(rows):
+            if r & mask and i != pivot_row:
+                rows[i] = r ^ piv
+        pivots.append(col)
     return rows, pivots
 
 
 class Echelon:
-    """Reduced row echelon form of a matrix: the nonzero RREF rows and
-    their pivot columns, built once and reused for rank and membership.
+    """One elimination of [M | I]: M's reduced row echelon form, and for
+    each resulting row the set t of rows of M it sums (bit i of t is row
+    i).  Rank, membership, the kernel, solutions, a right inverse and
+    the first dependent row are all read from it.
+
+    The t bits lie past M's columns, so the elimination stops after M's
+    pivots, found as an elimination of M alone finds them.  Row p of
+    ``rows`` has pivot ``pivots[p]`` and sums the rows ``combos[p]``; the
+    rows left read 0 | t, and their t (``relations``) span {t : tM = 0}.
 
     Every RREF row has its pivot as its lowest set bit and is the only
     row with that bit set, so each nonzero rowspace element has a pivot
     as its lowest set bit; ``contains`` relies on this to stop early.
     """
 
-    __slots__ = ("rows", "pivots", "_row_of_pivot")
+    __slots__ = ("shape", "rows", "pivots", "combos", "relations", "_row_of_pivot")
 
     def __init__(self, m: BitMatrix):
-        rows, pivots = _rref(list(m.data))
-        self.rows = rows[: len(pivots)]
+        self.shape = m.rows, m.cols
+        rows, pivots = _rref([row | 1 << (m.cols + i) for i, row in enumerate(m.data)], m.cols)
+        mask = (1 << m.cols) - 1
+        self.rows = [r & mask for r in rows[: len(pivots)]]
         self.pivots = pivots
+        self.combos = [r >> m.cols for r in rows[: len(pivots)]]
+        self.relations = [r >> m.cols for r in rows[len(pivots):]]
         self._row_of_pivot = dict(zip(pivots, self.rows))
 
     @property
@@ -350,63 +359,45 @@ class Echelon:
             bits ^= row
         return True
 
+    def kernel(self) -> BitMatrix:
+        """Basis of {x : Mx = 0}, one row per free column in column
+        order, cols - rank rows."""
+        cols = self.shape[1]
+        pivot_set = set(self.pivots)
+        basis = [sum((1 << p for r, p in zip(self.rows, self.pivots) if r >> f & 1), 1 << f)
+                 for f in range(cols) if f not in pivot_set]
+        return BitMatrix(len(basis), cols, basis)
 
-def rank(m: BitMatrix) -> int:
-    return Echelon(m).rank
+    def solve(self, b: BitVector) -> Optional[BitVector]:
+        """The x with Mx = b that is 0 off the pivot columns, or None if
+        some relation t has t·b odd (the system is inconsistent)."""
+        if b.n != self.shape[0]:
+            raise DimensionMismatchError(self.shape[0], b.n)
+        if any((t & b.bits).bit_count() & 1 for t in self.relations):
+            return None
+        x = sum(1 << p for t, p in zip(self.combos, self.pivots) if (t & b.bits).bit_count() & 1)
+        return BitVector(self.shape[1], x)
 
+    def right_inverse(self) -> Optional[list[int]]:
+        """Rows y_i with My_i = e_i (bit i alone) for every row i of M,
+        y_i what ``solve`` gives e_i; None if the rows of M are dependent."""
+        if self.relations:
+            return None
+        out = [0] * self.shape[0]
+        for t, p in zip(self.combos, self.pivots):
+            while t:
+                out[(t & -t).bit_length() - 1] |= 1 << p
+                t &= t - 1
+        return out
 
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {x : Mx = 0}, one row per free column, cols - rank rows."""
-    ech = Echelon(m)
-    pivot_set = set(ech.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for r, p in zip(ech.rows, ech.pivots):
-            if (r >> f) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return BitMatrix(len(basis), m.cols, basis)
-
-
-def solve_any(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some x with Mx = b, or None if the system is inconsistent."""
-    if b.n != m.rows:
-        raise DimensionMismatchError(m.rows, b.n)
-    aug_col = m.cols
-    rows = [r | (((b.bits >> i) & 1) << aug_col) for i, r in enumerate(m.data)]
-    rows, pivots = _rref(rows)
-    x = 0
-    for r, p in zip(rows, pivots):
-        if p == aug_col:
-            return None  # a row reduced to 0 = 1
-        if (r >> aug_col) & 1:
-            x |= 1 << p
-    return BitVector(m.cols, x)
-
-
-def right_inverse(m: BitMatrix) -> Optional[list[int]]:
-    """Rows y_i with My_i = e_i (bit i alone) for every row i of M, from
-    one elimination of [M | I]; None if the rows of M are dependent.
-
-    Each augmented row keeps the form tM | t.  Independent rows leave
-    one row per pivot p of M's RREF, and M's pivot columns are those of
-    an identity, so y_i takes bit p for each bit i of that row's t: it
-    is what ``solve_any`` gives e_i.  Dependent rows leave a row 0 | t,
-    whose pivot lies past M.
-    """
-    cols = m.cols
-    rows, pivots = _rref([row | 1 << (cols + i) for i, row in enumerate(m.data)])
-    if pivots and pivots[-1] >= cols:
-        return None
-    out = [0] * m.rows
-    for r, p in zip(rows, pivots):
-        t = r >> cols
-        while t:
-            out[(t & -t).bit_length() - 1] |= 1 << p
-            t &= t - 1
-    return out
+    def first_dependent_row(self) -> Optional[int]:
+        """The first row i of M in the span of the other rows, None if the
+        rows are independent: e_i is out of reach exactly when some
+        relation has bit i."""
+        union = 0
+        for t in self.relations:
+            union |= t
+        return (union & -union).bit_length() - 1 if union else None
 
 
 def rowspace_contains(m: BitMatrix, v: BitVector) -> bool:
@@ -414,12 +405,6 @@ def rowspace_contains(m: BitMatrix, v: BitVector) -> bool:
     if v.n != m.cols:
         raise DimensionMismatchError(m.cols, v.n)
     return Echelon(m).contains(v.bits)
-
-
-def row_reduce_independent(m: BitMatrix) -> BitMatrix:
-    """Drop dependent rows; keeps the RREF rows (deterministic basis)."""
-    ech = Echelon(m)
-    return BitMatrix(ech.rank, m.cols, ech.rows)
 
 
 def kronecker(ma: BitMatrix, mb: BitMatrix) -> BitMatrix:

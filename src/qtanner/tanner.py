@@ -106,7 +106,8 @@ class QuantumTannerCode:
 
     @cached_property
     def echelon_z(self) -> gf2.Echelon:
-        """RREF of H_Z, built on first use."""
+        """RREF of H_Z, built on first use; its kernel seeds the
+        randomized logical search."""
         return gf2.Echelon(self.h_z)
 
     @property
@@ -259,7 +260,7 @@ def random_logical_search(
     ker H_Z outside rowspace(H_X) found among random kernel combinations
     (greedily stabilizer-reduced).  Returns (weight, vector) or (inf, None).
     """
-    kb = gf2.kernel_basis(code.h_z)
+    kb = code.echelon_z.kernel()
     if kb.rows == 0:
         return math.inf, None
     best_w: int | float = math.inf

@@ -83,7 +83,10 @@ def _cyclic_with(m, a, b, value):
     (_cyclic_with(64, 63, 63, 5), "associativity fails on triple (1, 62, 63)"),
     (_cyclic_with(65, 2, 3, 7), "associativity fails on triple (2, 3, 46)"),
     (_cyclic_with(66, 40, 50, 3), "associativity fails on triple (16, 40, 50)"),
-], ids=lambda x: None if isinstance(x, list) else x.split(" (")[0])
+    # not a list of rows at all
+    (5, "multiplication table is not square"),
+    ([1, 2], "multiplication table is not square"),
+], ids=lambda x: x.split(" (")[0] if isinstance(x, str) else None)
 def test_table_axiom_messages(table, message):
     with pytest.raises(GroupAxiomError) as info:
         cayley.build_group("table", table=table)

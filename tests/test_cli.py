@@ -526,6 +526,17 @@ BAD_CONFIGS = [
                                                  "a": {"n": 3.9, "gen": ["111"]},
                                                  "b": {"n": 3, "gen": ["111"]}})},
      "local_codes.a.n = 3.9"),
+    # generator rows are bit strings of one length, a group table a square list of rows
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "explicit", "a": {"n": 3, "gen": [111]},
+                                                 "b": {"n": 3, "gen": ["111"]}})},
+     "instance.local_codes.a.gen must be a list of bit strings"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "explicit", "a": {"n": 3, "gen": ["111"]},
+                                                 "b": {"n": 3, "gen": ["111", "1"]}})},
+     "instance.local_codes.b.gen must be a list of bit strings of one length"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "table", "mul": 5})},
+     "instance.group.mul is not a square table"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "table", "mul": [1, 2]})},
+     "instance.group.mul is not a square table"),
     # inspect's parameters are checked by every command
     ({"eps": "3/2"}, "eps must be in (0, 1)"),
     ({"delta": "1/0"}, "delta = '1/0' is not a number"),

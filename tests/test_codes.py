@@ -34,7 +34,7 @@ def tensor_code(ca, cb):
     C_B; position (a, b) of the grid is bit a*n_B + b (A-major), the
     Kronecker convention of the package."""
     gen = gf2.kronecker(ca.gen, cb.gen)
-    return LinearCode(ca.n * cb.n, gen, gf2.kernel_basis(gen))
+    return LinearCode(ca.n * cb.n, gen, gf2.Echelon(gen).kernel())
 
 
 class TestConstruction:
@@ -66,8 +66,8 @@ class TestConstruction:
             c = codes.sample_random_code(6, 3, rng)
             prod = np_commutator_gf2(c.gen, c.pchk)
             assert not prod.any()
-            assert gf2.rank(c.gen) == c.gen.rows
-            assert gf2.rank(c.pchk) == c.pchk.rows
+            assert gf2.Echelon(c.gen).rank == c.gen.rows
+            assert gf2.Echelon(c.pchk).rank == c.pchk.rows
             assert c.gen.rows + c.pchk.rows == c.n
 
     def test_dependent_input_rows_reduced(self):
@@ -89,6 +89,15 @@ class TestConstruction:
                 LinearCode.from_json({"n": n, "gen": ["111"]})
         with pytest.raises(ValueError, match="is not a whole number"):
             LinearCode.from_json({"n": 3.9, "gen": []})
+
+    @pytest.mark.parametrize("gen, message", [
+        ("111", "gen must be a list"),
+        ([111], "rows must be bit strings"),
+        (["111", "1"], "unequal lengths"),
+    ])
+    def test_json_generator_rows_are_bit_strings_of_one_length(self, gen, message):
+        with pytest.raises(ValueError, match=message):
+            LinearCode.from_json({"n": 3, "gen": gen})
 
 
 class TestDual:
@@ -138,7 +147,7 @@ class TestDualTensorCode:
     def test_rep3_par3_dimension(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
         assert dt.dim == 7
-        assert gf2.rank(dt.pchk) == 2
+        assert gf2.Echelon(dt.pchk).rank == 2
 
     def test_full_space_partner(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.full_space(3))

@@ -224,15 +224,24 @@ class TestRightInverse:
         oracle = coset_leader_table(dt.pchk.data, dt.n, syndromes)
         assert [coset_leader(cache, s) for s in syndromes] == [oracle[s] for s in syndromes]
 
-    def test_dependent_local_check_is_named(self, unique_code, monkeypatch):
-        # H_A ⊗ H_B with check 3 the sum of checks 1 and 2: the same
-        # kernel, so the same codewords, but syndrome 1 << 1 is out of reach
+    @pytest.mark.parametrize("plant, named", [
+        # check 3 the sum of checks 1 and 2
+        (lambda rows: rows[:3] + [rows[1] ^ rows[2]] + rows[3:], 1),
+        # check 3 the sum of checks 0 and 2
+        (lambda rows: rows[:3] + [rows[0] ^ rows[2]] + rows[3:], 0),
+        # two independent relations, {2, 3, 4} and {3, 5}
+        (lambda rows: rows + [rows[2] ^ rows[3], rows[3]], 2),
+    ])
+    def test_dependent_local_check_is_named(self, unique_code, monkeypatch, plant, named):
+        # H_A ⊗ H_B (4 checks) with planted dependent checks: the same
+        # kernel, so the same codewords, but syndrome 1 << named is out
+        # of reach, and no lower unit syndrome is
         dt = unique_code.x_correction_code()
-        rows = dt.pchk.data
-        pchk = gf2.BitMatrix(len(rows) + 1, dt.n, rows[:3] + [rows[1] ^ rows[2]] + rows[3:])
+        rows = plant(dt.pchk.data)
+        pchk = gf2.BitMatrix(len(rows), dt.n, rows)
         monkeypatch.setattr(unique_code, "x_correction_code",
                             lambda: dataclasses.replace(dt, pchk=pchk))
-        with pytest.raises(LocalCacheError, match="local check 1 depends on the other"):
+        with pytest.raises(LocalCacheError, match=f"local check {named} depends on the other"):
             decoder.LocalCodewordCache(unique_code)
 
 

@@ -87,15 +87,15 @@ class TestMatVecMul:
 
 class TestRank:
     def test_identity_and_zero(self):
-        assert gf2.rank(BitMatrix.identity(4)) == 4
-        assert gf2.rank(BitMatrix(3, 5)) == 0
+        assert gf2.Echelon(BitMatrix.identity(4)).rank == 4
+        assert gf2.Echelon(BitMatrix(3, 5)).rank == 0
 
     def test_matches_independent_elimination(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             rows = [int(rng.integers(0, 1 << 10)) for _ in range(10)]
             m = BitMatrix(10, 10, rows)
-            assert gf2.rank(m) == np_rank_gf2(BitMatrix(len(rows), 10, rows))
+            assert gf2.Echelon(m).rank == np_rank_gf2(BitMatrix(len(rows), 10, rows))
 
     def test_invariant_under_permutation_and_transpose(self):
         rng = np.random.default_rng(3)
@@ -103,15 +103,16 @@ class TestRank:
             m = random_matrix(rng, 6, 8)
             perm = list(rng.permutation(6))
             mp = BitMatrix(6, 8, [m.data[i] for i in perm])
-            assert gf2.rank(m) == gf2.rank(mp) == gf2.rank(transpose(m))
+            ranks = [gf2.Echelon(a).rank for a in (m, mp, transpose(m))]
+            assert ranks[0] == ranks[1] == ranks[2]
 
 
 class TestKernelBasis:
     def test_identity_has_empty_kernel(self):
-        assert gf2.kernel_basis(BitMatrix.identity(3)).rows == 0
+        assert gf2.Echelon(BitMatrix.identity(3)).kernel().rows == 0
 
     def test_parity_code_kernel(self):
-        kb = gf2.kernel_basis(BitMatrix.from_strings(["111"]))
+        kb = gf2.Echelon(BitMatrix.from_strings(["111"])).kernel()
         assert kb.rows == 2
         assert all(kb.data[i].bit_count() % 2 == 0 for i in range(2))
 
@@ -120,7 +121,7 @@ class TestKernelBasis:
         ha = BitMatrix.from_strings(["110", "101"])
         hb = BitMatrix.from_strings(["111"])
         h = gf2.kronecker(ha, hb)
-        kb = gf2.kernel_basis(h)
+        kb = gf2.Echelon(h).kernel()
         assert kb.rows == 7
         count = sum(
             1
@@ -133,24 +134,24 @@ class TestKernelBasis:
         rng = np.random.default_rng(5)
         for _ in range(25):
             m = random_matrix(rng, 4, 7)
-            kb = gf2.kernel_basis(m)
-            assert kb.rows == 7 - gf2.rank(m)
-            assert gf2.rank(kb) == kb.rows
+            kb = gf2.Echelon(m).kernel()
+            assert kb.rows == 7 - gf2.Echelon(m).rank
+            assert gf2.Echelon(kb).rank == kb.rows
             for i in range(kb.rows):
                 assert np_mat_vec_gf2(m, kb.data[i]) == 0
 
 
 class TestSolveAny:
     def test_identity(self):
-        x = gf2.solve_any(BitMatrix.identity(3), BitVector.from_string("011"))
+        x = gf2.Echelon(BitMatrix.identity(3)).solve(BitVector.from_string("011"))
         assert x.to01() == "011"
 
     def test_inconsistent_returns_none(self):
-        assert gf2.solve_any(BitMatrix(2, 3), BitVector.from_string("10")) is None
+        assert gf2.Echelon(BitMatrix(2, 3)).solve(BitVector.from_string("10")) is None
 
     def test_odd_weight_solution(self):
         m = BitMatrix.from_strings(["111"])
-        x = gf2.solve_any(m, BitVector.from_string("1"))
+        x = gf2.Echelon(m).solve(BitVector.from_string("1"))
         assert x is not None and x.weight() % 2 == 1
         assert np_mat_vec_gf2(m, x) == 1
 
@@ -159,7 +160,7 @@ class TestSolveAny:
         for _ in range(50):
             m = random_matrix(rng, 5, 6)
             b = BitVector(5, int(rng.integers(0, 32)))
-            x = gf2.solve_any(m, b)
+            x = gf2.Echelon(m).solve(b)
             if x is not None:
                 assert np_mat_vec_gf2(m, x) == b.bits
 
@@ -168,10 +169,60 @@ class TestSolveAny:
         for _ in range(50):
             m = random_matrix(rng, 4, 5)
             b = BitVector(4, int(rng.integers(0, 16)))
-            x = gf2.solve_any(m, b)
+            x = gf2.Echelon(m).solve(b)
             # b solvable iff b is in the column space = rowspace of transpose
             solvable = gf2.rowspace_contains(transpose(m), b)
             assert (x is not None) == solvable
+
+
+    def test_dimension_error_names_lengths(self):
+        with pytest.raises(DimensionMismatchError, match="expected 3, got 2"):
+            gf2.Echelon(BitMatrix.identity(3)).solve(BitVector.from_string("10"))
+
+
+def with_column(m, b):
+    """[M | b]: b (bit i for row i) appended as column ``m.cols``."""
+    return BitMatrix(m.rows, m.cols + 1,
+                     [r | ((b >> i) & 1) << m.cols for i, r in enumerate(m.data)])
+
+
+class TestDependentRows:
+    """The readers that the relations {t : tM = 0} decide, on matrices
+    with planted dependent rows, against the rank and syndrome oracles."""
+
+    @staticmethod
+    def planted(rng):
+        # independent-looking rows, then sums of random subsets of them
+        # (the empty sum, a zero row, included) inserted at random places
+        cols = int(rng.integers(1, 9))
+        data = [int(rng.integers(0, 1 << cols)) for _ in range(int(rng.integers(1, 5)))]
+        for _ in range(int(rng.integers(0, 3))):
+            picks = rng.integers(0, 2, size=len(data))
+            row = 0
+            for pick, r in zip(picks, data):
+                row ^= r if pick else 0
+            data.insert(int(rng.integers(0, len(data) + 1)), row)
+        return BitMatrix(len(data), cols, data)
+
+    def test_readers_match_oracles(self):
+        rng = np.random.default_rng(29)
+        for _ in range(80):
+            m = self.planted(rng)
+            ech = gf2.Echelon(m)
+            rank = np_rank_gf2(m)
+            assert ech.rank == rank
+            reachable = [np_rank_gf2(with_column(m, b)) == rank for b in range(1 << m.rows)]
+            inv = ech.right_inverse()
+            assert (inv is None) == (rank < m.rows)
+            if inv is not None:
+                assert [np_mat_vec_gf2(m, y) for y in inv] == [1 << i for i in range(m.rows)]
+            unreachable = [i for i in range(m.rows) if not reachable[1 << i]]
+            assert ech.first_dependent_row() == (unreachable[0] if unreachable else None)
+            for b in range(1 << m.rows):
+                x = ech.solve(BitVector(m.rows, b))
+                assert (x is None) == (not reachable[b])
+                if x is not None:
+                    assert np_mat_vec_gf2(m, x) == b
 
 
 class TestRowspaceContains:
@@ -196,7 +247,7 @@ class TestRowspaceContains:
             m = random_matrix(rng, 4, 6)
             v = BitVector(6, int(rng.integers(0, 64)))
             aug = BitMatrix(5, 6, m.data + [v.bits])
-            assert gf2.rowspace_contains(m, v) == (gf2.rank(aug) == gf2.rank(m))
+            assert gf2.rowspace_contains(m, v) == (gf2.Echelon(aug).rank == gf2.Echelon(m).rank)
 
 
 class TestKronecker:

@@ -16,7 +16,7 @@ UNREFERENCED_ALLOWED = {
         "the (c, r) split of one codeword, which criterion 3 checks against the oracle",
     "noise.estimate_threshold": "criterion 7 runs its context rates at a quarter of it",
     "decoder.find_reducing_codeword":
-        "the decoder's one-vertex search as a call, the reference of the lockstep drain",
+        "the decoder's one-vertex search as a call, which the search tests call directly",
 }
 
 
@@ -57,6 +57,21 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_echelon_eliminates():
+    # one elimination per matrix: rank, kernel, solutions and dependent
+    # rows are read from an Echelon, never from an elimination of their own
+    root = Path(qtanner.__file__).parent
+    callers = [
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(root.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "_rref"
+        or isinstance(node, ast.Attribute) and node.attr == "_rref"
+    ]
+    assert callers == ["gf2.Echelon"]
 
 
 def test_traced_span_names_resolve_to_package_functions(traced_names):
