@@ -595,14 +595,16 @@ def test_z_side_instance_runs_end_to_end(tmp_path, capsys):
     assert all(r[cls] == "corrected" for r in data)
 
 
+RANDOM_Z13_INSTANCE = {
+    "group": {"kind": "cyclic", "m": 13},
+    "a_gens": [1, 12, 5, 8],
+    "b_gens": [1, 12, 5, 8],
+    "local_codes": {"kind": "random", "dim_a": 1, "dim_b": 3, "seed": 5},
+}
+
+
 def test_random_local_codes_config(tmp_path, capsys):
-    inst = {
-        "group": {"kind": "cyclic", "m": 13},
-        "a_gens": [1, 12, 5, 8],
-        "b_gens": [1, 12, 5, 8],
-        "local_codes": {"kind": "random", "dim_a": 1, "dim_b": 3, "seed": 5},
-    }
-    cfg = write_config(tmp_path, instance=inst)
+    cfg = write_config(tmp_path, instance=RANDOM_Z13_INSTANCE)
     assert cli.main(["build", "-c", cfg, "--skip-kappa"]) == 0
     out = capsys.readouterr().out
     assert "n = 208" in out
@@ -681,11 +683,11 @@ def test_shipped_configs_parse(path):
     assert exp.record_timing is False and exp.output == raw["output"]
 
 
-def instance_digest(path):
-    """sha256 of what set-up builds for the config at ``path``: the rows
-    of H_X and H_Z, the cache's codewords and weights in scan order, and
+def instance_digest(raw):
+    """sha256 of what set-up builds for the config ``raw``: the rows of
+    H_X and H_Z, the cache's codewords and weights in scan order, and
     every local view, view mask and face's corners."""
-    code, _ = cli.build_instance(cli.load_config(str(path)).raw)
+    code, _ = cli.build_instance(raw)
     cache = decoder.get_cache(code)
     digest = hashlib.sha256()
     for name, rows in (
@@ -702,10 +704,16 @@ def instance_digest(path):
 @pytest.mark.parametrize("name, digest", [
     ("reference.json", "bea94e44feaa40526c3215737362d60ec68fdbca5f7034cb96b61cdc3416e9bc"),
     ("z8_rep3.json", "ea811aac8ca615012c50199f61cf5501f1fdc31e82e172eeb5d0e9a3aa02e7bb"),
+    ("random_z13", "2cb3bf6905c07ac9bd926d4a9f6d72c46fa0a7490b12065d5a0d1d73d0af9748"),
 ])
 def test_built_instance_pinned(name, digest):
-    # any reordering of checks, codewords, views or corners changes it
-    assert instance_digest(ROOT / "configs" / name) == digest
+    # any reordering of checks, codewords, views or corners changes it, and
+    # so does any change to the rng draws or the matrix of a random local code
+    if name == "random_z13":
+        raw = {"instance": RANDOM_Z13_INSTANCE}
+    else:
+        raw = cli.load_config(str(ROOT / "configs" / name)).raw
+    assert instance_digest(raw) == digest
 
 
 @pytest.mark.parametrize("command, name, digest", [
