@@ -83,9 +83,10 @@ def _row_lengths(rows, kind: type) -> Optional[set[int]]:
 
 def _check_instance(inst) -> None:
     """Reject an instance spec with an unknown key or kind at any level,
-    a count or group element that is not a whole number, a group table
-    that is not a square list of rows, generator rows that are not bit
-    strings of one length, or a side other than X or Z."""
+    a count, group element or group table entry that is not a whole
+    number, a group table that is not a square list of rows, generator
+    rows that are not strings of 0s and 1s of one length, or a side
+    other than X or Z."""
     noise.check_keys(inst, INSTANCE_KEYS, "instance")
     for key in ("a_gens", "b_gens"):
         gens = inst.get(key)
@@ -101,6 +102,9 @@ def _check_instance(inst) -> None:
         lengths = _row_lengths(mul, list)
         if lengths is None or lengths - {len(mul)}:
             raise ValueError(f"instance.group.mul is not a square table, got {mul!r}")
+        for row in mul:
+            for entry in row:
+                whole(entry, "instance.group.mul entry")
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
     if not isinstance(lc, str):
         kind = noise.check_kind(lc, LOCAL_CODE_KEYS, "instance.local_codes", default="named")
@@ -116,6 +120,11 @@ def _check_instance(inst) -> None:
                 if lengths is None or len(lengths) > 1:
                     raise ValueError(
                         f"{where}.gen must be a list of bit strings of one length, got {gen!r}")
+                for row in gen:
+                    try:
+                        BitVector.from_string(row)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}.gen: {exc}") from None
         if "seed" in lc:
             whole(lc["seed"], "instance.local_codes.seed")
     side = inst.get("side", REFERENCE_INSTANCE["side"])

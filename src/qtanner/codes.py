@@ -113,7 +113,7 @@ def sample_random_code(n: int, k: int, rng) -> LinearCode:
         return zero_code(n)
     while True:
         bits = rng.integers(0, 2, size=(k, n))
-        ech = gf2.Echelon(BitMatrix.from_rows(bits.tolist(), cols=n))
+        ech = gf2.Echelon(BitMatrix(k, n, gf2.from_bit_rows(bits)))
         if ech.rank == k:
             return LinearCode.from_echelon(ech)
 

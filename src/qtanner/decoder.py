@@ -25,7 +25,12 @@ keeps one table per θ that memoizes the search result for every local
 Δ²-bit mismatch pattern seen so far, and only a pattern seen for the
 first time runs the numpy popcount scan.
 Local patterns are gathered from the set bits of Ẑ inside a view,
-through a per-vertex bit table.
+through a per-vertex bit table.  Every per-vertex table (the view
+lists, masks and gathers, each class's faces in sweep order, the
+lockstep packers) is read from the complex's ``view_table``, and one
+check at cache build makes sure the views of each class partition the
+faces, which is what lets the parallel schedule update a whole class
+at once.
 
 The coset leader of a local syndrome s is found in the same cached
 codewords: y₀ = s times a right inverse of H_A ⊗ H_B is one member of
@@ -48,7 +53,7 @@ permutation per class, V01 then V10.  A parallel class step reads the
 θ = 1/2 scans as a (rows, slots) array and XORs only the removed
 codewords and their share of f̂ back, bit by bit at (row, face)
 (splitting a codeword only where f̂ takes one of its parts);
-same-class views are disjoint, so this is the scalar sweep.  The
+same-class views partition the faces, so this is the scalar sweep.  The
 sequential schedule checks ε and looks up its θ table once per call,
 packs every view of every row into one word and reads every word's
 scan once: a row where no queued vertex finds a codeword is a fixed
@@ -104,7 +109,9 @@ class LocalCodewordCache:
     (a dependent check is named in a ``LocalCacheError``), with the memo
     of coset leaders found so far (``leaders``: syndrome to leader, at
     most 2^r entries), the per-vertex view/incidence tables the
-    decomposition loops consume, the parallel sweep order, and one
+    decomposition loops consume (all read from ``view_table``), the
+    parallel sweep order with each sweep class's faces
+    (``class_faces``, checked to partition the faces), and one
     ``ScanTable`` per threshold policy θ, built on first use.
     """
 
@@ -150,9 +157,10 @@ class LocalCodewordCache:
 
     def _build_views(self, code: QuantumTannerCode) -> None:
         cx = code.complex
-        self.views = [code.local_view(v) for v in range(cx.num_vertices)]
+        view_table = cx.view_table
+        self.views = view_table.tolist()
         incidence = np.zeros((cx.num_vertices, cx.num_faces), dtype=np.uint8)
-        incidence[np.arange(cx.num_vertices)[:, None], self.views] = 1
+        incidence[np.arange(cx.num_vertices)[:, None], view_table] = 1
         self.view_masks = gf2.from_bit_rows(incidence)
         # face bit -> local position bit, for the sparse gather of Ẑ
         # (local bit p is face_bits[p]; zip stops at the view's Δ²)
@@ -164,21 +172,22 @@ class LocalCodewordCache:
         order = cx.group.order
         v0, v1 = code.v0_vertices, code.v1_vertices
         self.sweep_order = v0[:order] + v1[:order] + v1[order:] + v0[order:]
-        # per-class disjointness of views makes parallel sweeps well defined
-        for start in range(0, len(self.sweep_order), order):
-            acc = 0
-            for v in self.sweep_order[start:start + order]:
-                m = self.view_masks[v]
-                if acc & m:
-                    raise LocalCacheError(
-                        f"view of vertex {v} overlaps another view of class {start // order}"
-                    )
-                acc |= m
+        # class_faces[c, j·Δ² + p] is bit p of the j-th view of sweep class
+        # c.  Its order·Δ² = n entries must be n distinct faces: the views
+        # of one class partition the faces, so a parallel class step is
+        # well defined.  The first repeat in sweep order names its vertex.
+        self.class_faces = view_table[self.sweep_order].reshape(4, -1)
+        for cls, faces in enumerate(self.class_faces):
+            repeat = np.ones(faces.size, dtype=bool)
+            repeat[np.unique(faces, return_index=True)[1]] = False
+            if repeat.any():
+                v = self.sweep_order[cls * order + int(repeat.argmax()) // view_table.shape[1]]
+                raise LocalCacheError(f"view of vertex {v} overlaps another view of class {cls}")
 
     @cached_property
     def lockstep(self) -> "LockstepTables":
-        """The lockstep decoders' tables, built on first use (not with the
-        cache, so single-shot runs never pay for them)."""
+        """The lockstep decoders' tables, built on first use: ``get_cache``
+        (the set-up a run times) and ``decode-one`` never build them."""
         return LockstepTables(self)
 
     def scan_table(self, theta: Fraction) -> "ScanTable":
@@ -197,16 +206,16 @@ class LocalCodewordCache:
 class LockstepTables:
     """Per-code tables of the lockstep decoders.
 
-    For each sweep class c (V00, V01, V10, V11): ``faces[c]``, the faces
-    of the class's views in sweep order, so bit p of the word of the
-    class's j-th vertex is face ``faces[c][j·Δ² + p]``, and the
-    ``gf2.WordPacker`` built from it, which reads every view of the class
-    out of (trials, n) face rows as one Δ²-bit word.  The views of one
-    class partition the faces, so a class step never writes a face of a
-    row twice.  ``syndrome_words`` reads the r₁-bit local syndrome of
-    every V1 vertex out of (trials, H_Z rows) rows, ``order`` V01 words
-    then ``order`` V10 words (sweep classes 1 and 2), ``leaders`` is the
-    ``gf2.WordCache`` of ``coset_leader`` over such words, and
+    ``packers[c]`` is the ``gf2.WordPacker`` of the cache's
+    ``class_faces[c]``, which reads every view of sweep class c (V00,
+    V01, V10, V11) out of (trials, n) face rows as one Δ²-bit word: bit
+    p of the word of the class's j-th vertex is face
+    ``class_faces[c, j·Δ² + p]``.  The views of one class partition the
+    faces (checked at cache build), so a class step never writes a face
+    of a row twice.  ``syndrome_words`` reads the r₁-bit local syndrome
+    of every V1 vertex out of (trials, H_Z rows) rows, ``order`` V01
+    words then ``order`` V10 words (sweep classes 1 and 2), ``leaders``
+    is the ``gf2.WordCache`` of ``coset_leader`` over such words, and
     ``lift_columns`` gives each face the column of its bit in the V01
     leaders and in the V10 leaders, unpacked side by side.  ``views``
     (built on first use, by the sequential schedule only) reads every
@@ -215,18 +224,9 @@ class LockstepTables:
 
     def __init__(self, cache: "LocalCodewordCache"):
         code = cache.code
-        n, d2 = code.n, cache.n
-        order = len(cache.sweep_order) // 4
-        self.faces, self.packers = [], []
-        for start in range(0, len(cache.sweep_order), order):
-            faces = [q for v in cache.sweep_order[start:start + order] for q in cache.views[v]]
-            if sorted(faces) != list(range(n)):
-                raise LocalCacheError(
-                    f"views of class {start // order} do not partition the {n} faces"
-                )
-            self.faces.append(np.array(faces, dtype=np.intp))
-            self.packers.append(gf2.WordPacker(faces, d2, n))
-        self.lift_columns = (np.argsort(self.faces[1]), n + np.argsort(self.faces[2]))
+        n, faces = code.n, cache.class_faces
+        self.packers = [gf2.WordPacker(row, cache.n, n) for row in faces]
+        self.lift_columns = (np.argsort(faces[1]), n + np.argsort(faces[2]))
         rz, r1 = code.h_z.rows, code.r1
         self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
         self.leaders = gf2.WordCache(partial(coset_leader, cache), 0, np.uint64) if r1 else None
@@ -235,7 +235,8 @@ class LockstepTables:
     @cached_property
     def views(self) -> gf2.WordPacker:
         cache = self._cache
-        return gf2.WordPacker([q for view in cache.views for q in view], cache.n, cache.code.n)
+        code = cache.code
+        return gf2.WordPacker(code.complex.view_table.ravel(), cache.n, code.n)
 
 
 class ScanTable:
@@ -655,7 +656,7 @@ def lockstep_parallel_decomposition(
             break
         z, acc = zhat[active], f[active]
         changed = np.zeros(active.size, dtype=bool)
-        for packer, faces, (c_share, r_share) in zip(tables.packers, tables.faces, _F_SHARE):
+        for packer, faces, (c_share, r_share) in zip(tables.packers, cache.class_faces, _F_SHARE):
             found = _scan_words(cache, table, packer(z))
             row, slot = np.nonzero(found >= 0)
             if row.size == 0:

@@ -247,26 +247,6 @@ class BitMatrix:
         self.data = data
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "BitMatrix":
-        packed = []
-        width = cols
-        for row in rows:
-            bits = 0
-            length = 0
-            for i, x in enumerate(row):
-                if x & 1:
-                    bits |= 1 << i
-                length = i + 1
-            if width is None:
-                width = length
-            elif length > width:
-                raise ValueError("ragged row longer than declared column count")
-            packed.append(bits)
-        if width is None:
-            raise ValueError("cannot infer column count of an empty matrix")
-        return cls(len(packed), width, packed)
-
-    @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
         """Rows given as '0101...' strings, all of one length."""
         rows = list(rows)

@@ -65,9 +65,7 @@ class QuantumTannerCode:
         self.r0 = self.x_check_basis.rows
         self.r1 = self.z_check_basis.rows
 
-        views = [complex.local_view(v) for v in range(complex.num_vertices)]
-        self._views = dict(enumerate(views))
-        view_table = np.array(views, dtype=np.intp)
+        view_table = complex.view_table
         self.h_x, h_x_rows = self._embed(view_table[self.v0_vertices], self.x_check_basis)
         self.h_z, h_z_rows = self._embed(view_table[self.v1_vertices], self.z_check_basis)
         # Hᵀ as (n, rows) float32 arrays: batched syndromes are one BLAS
@@ -95,9 +93,6 @@ class QuantumTannerCode:
     def effective_class(self, v: int) -> int:
         cls = self.complex.vertex_class(v)
         return cls ^ 1 if self.flip_roles else cls
-
-    def local_view(self, v: int) -> list[int]:
-        return self._views[v]
 
     @cached_property
     def echelon_x(self) -> gf2.Echelon:

@@ -537,6 +537,11 @@ BAD_CONFIGS = [
      "instance.group.mul is not a square table"),
     ({"instance": dict(Z8_INSTANCE, group={"kind": "table", "mul": [1, 2]})},
      "instance.group.mul is not a square table"),
+    ({"instance": dict(Z8_INSTANCE, local_codes={"kind": "explicit", "a": {"n": 3, "gen": ["111"]},
+                                                 "b": {"n": 3, "gen": ["121"]}})},
+     "instance.local_codes.b.gen: invalid bit character '2'"),
+    ({"instance": dict(Z8_INSTANCE, group={"kind": "table", "mul": [[0, 1], [1, "a"]]})},
+     "instance.group.mul entry = 'a' is not a whole number"),
     # inspect's parameters are checked by every command
     ({"eps": "3/2"}, "eps must be in (0, 1)"),
     ({"delta": "1/0"}, "delta = '1/0' is not a number"),

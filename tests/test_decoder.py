@@ -1,6 +1,7 @@
 """Mismatch-decomposition decoders: local corrections, candidate search,
 sequential and parallel decomposition, and the full decode pipelines."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -162,17 +163,33 @@ class TestLocalCodewordCache:
         with pytest.raises(LocalCacheError, match="nonzero codewords"):
             decoder.LocalCodewordCache(ref_code)
 
-    def test_overlapping_same_class_views_raise(self, ref_code):
-        # every vertex given the view of vertex 0
+    @staticmethod
+    def build_views_from(code, view_table):
+        """``_build_views`` of ``code`` with its complex's view table
+        replaced by ``view_table``."""
+        cx = copy.copy(code.complex)
+        cx.view_table = view_table
         stub = types.SimpleNamespace(
-            complex=ref_code.complex,
-            local_view=lambda v: ref_code.local_view(0),
-            v0_vertices=ref_code.v0_vertices,
-            v1_vertices=ref_code.v1_vertices,
+            complex=cx, v0_vertices=code.v0_vertices, v1_vertices=code.v1_vertices
         )
         cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
+        cache._build_views(stub)
+
+    def test_overlapping_same_class_views_raise(self, ref_code):
+        # every vertex given the view of vertex 0
+        cx = ref_code.complex
+        table = np.repeat(cx.view_table[:1], cx.num_vertices, axis=0)
         with pytest.raises(LocalCacheError, match="overlaps"):
-            cache._build_views(stub)
+            self.build_views_from(ref_code, table)
+
+    def test_face_repeated_within_one_view_raises(self, ref_code):
+        # vertex 0 (the first of sweep class V00) lists its first face
+        # twice: no two views of the class meet, but one face is missing
+        table = ref_code.complex.view_table.copy()
+        table[0, 1] = table[0, 0]
+        with pytest.raises(LocalCacheError,
+                           match="view of vertex 0 overlaps another view of class 0"):
+            self.build_views_from(ref_code, table)
 
 
 def rep_code(m, gens):
@@ -251,7 +268,7 @@ class TestLocalMinCorrection:
 
     def test_zero_syndrome(self, ref_code):
         v = ref_code.v1_vertices[0]
-        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), ref_code.local_view(v)) == 0
+        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), ref_code.complex.local_view(v)) == 0
 
     def test_weight1_unique_when_columns_distinct(self, unique_code):
         # local checks have distinct columns: each single-face error is

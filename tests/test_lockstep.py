@@ -74,6 +74,8 @@ CASES = [
     ("rep5_code", DecoderConfig("sequential"), ADVERSARIAL, 10, 20),
     ("z5_code", DecoderConfig("parallel", k=2), NoiseModel(p=0.05), 20, 20),
     ("z5_code", DecoderConfig("sequential"), NoiseModel(data_kind="adversarial", w=2), 20, 20),
+    # role-flipped: the vertex-order views packer differs from the sweep order
+    ("z8_z_side", DecoderConfig("sequential"), BERNOULLI, 20, 50),
 ]
 
 

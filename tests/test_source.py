@@ -74,6 +74,22 @@ def test_only_echelon_eliminates():
     assert callers == ["gf2.Echelon"]
 
 
+def test_only_cayley_builds_views():
+    # one view table: every other module reads views from view_table,
+    # never through a local_view of its own or cayley's
+    root = Path(qtanner.__file__).parent
+    users = [
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(root.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.FunctionDef) and node.name == "local_view"
+        or isinstance(node, ast.Name) and node.id == "local_view"
+        or isinstance(node, ast.Attribute) and node.attr == "local_view"
+    ]
+    assert users == ["cayley.LeftRightCayleyComplex"]
+
+
 def test_traced_span_names_resolve_to_package_functions(traced_names):
     # the benchmark's traced run wraps these by module attribute; a rename
     # must fail here, not only in that run

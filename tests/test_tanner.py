@@ -43,11 +43,9 @@ class TestBuild:
         # transposing the V00 views places C_B ⊗ C_A there instead of
         # C_A ⊗ C_B, which no longer commutes with the V1 checks
         cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
-        view, d = cx.local_view, cx.delta
-        cx.local_view = lambda v: (
-            [view(v)[b * d + a] for a in range(d) for b in range(d)]
-            if cx.vertex_class(v) == cayley.V00 else view(v)
-        )
+        table, order, d = cx.view_table.copy(), cx.group.order, cx.delta
+        table[:order] = table[:order].reshape(order, d, d).transpose(0, 2, 1).reshape(order, -1)
+        cx.view_table = table  # class-major ids: V00 is the first |G| rows
         code = object.__new__(tanner.QuantumTannerCode)
         with pytest.raises(CommutationError, match="local-view orientation is broken"):
             code.__init__(cx, codes.repetition_code(3), codes.parity_code(3))
