@@ -102,9 +102,10 @@ def _check_instance(inst) -> None:
         lengths = _row_lengths(mul, list)
         if lengths is None or lengths - {len(mul)}:
             raise ValueError(f"instance.group.mul is not a square table, got {mul!r}")
-        for row in mul:
-            for entry in row:
-                whole(entry, "instance.group.mul entry")
+        if np.array(mul).dtype.kind not in "biu":  # only then can an entry fail
+            for row in mul:
+                for entry in row:
+                    whole(entry, "instance.group.mul entry")
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
     if not isinstance(lc, str):
         kind = noise.check_kind(lc, LOCAL_CODE_KEYS, "instance.local_codes", default="named")
