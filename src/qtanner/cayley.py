@@ -203,17 +203,6 @@ class LeftRightCayleyComplex:
     def vertex_class(self, v: int) -> int:
         return v // self.group.order
 
-    def vertex_group_elem(self, v: int) -> int:
-        return v % self.group.order
-
-    def face_index(self, g: int, ai: int, bi: int) -> int:
-        return (g * self.delta + ai) * self.delta + bi
-
-    def face_triple(self, q: int) -> tuple[int, int, int]:
-        bi = q % self.delta
-        rest = q // self.delta
-        return rest // self.delta, rest % self.delta, bi
-
     @cached_property
     def corner_table(self) -> np.ndarray:
         """(|Q|, 4) intp array: row q holds the corners of face q = (g, a, b)
@@ -243,19 +232,6 @@ class LeftRightCayleyComplex:
         entries = np.arange(d * d).reshape(d, d)
         elems = (h, ah, mul[h, b_inv], mul[ah, b_inv])
         return np.concatenate([g * (d * d) + entries for g in elems]).reshape(-1, d * d)
-
-    def face_vertices(self, q: int) -> tuple[int, int, int, int]:
-        """The four corners (classes 00, 01, 10, 11) of face (g, a, b)."""
-        if not 0 <= q < self.num_faces:
-            raise IndexError(f"face {q} out of range")
-        return tuple(self.corner_table[q].tolist())
-
-    def local_view(self, v: int) -> list[int]:
-        """Faces incident to v as a flat Δ x Δ array, entry (ai, bi) at
-        position ai*Δ + bi (row v of ``view_table``)."""
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex {v} out of range")
-        return self.view_table[v].tolist()
 
     def adjacency(self, which: str) -> np.ndarray:
         """0/1 adjacency of Cay(A,G) (left action) or Cay(G,B) (right)."""

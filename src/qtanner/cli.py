@@ -424,10 +424,14 @@ def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_pool(exp: Experiment, tasks, task_fn, workers: int) -> list:
+def _run_pool(exp: Experiment, tasks: list, task_fn, workers: int) -> list:
+    """``task_fn`` of every task, in order: in this process for one task
+    or one worker, else in a pool of at most one process per task (each
+    process builds the instance once, so an idle one is pure cost)."""
     # initialising here first also reports build errors before any worker
     # process starts
     _init_worker(exp)
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [task_fn(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(

@@ -21,32 +21,33 @@ minimal (c, r) split of a codeword is computed by
 ``codes.DualTensorCode.split`` only when the decoder needs it, and
 memoized per codeword.  A threshold policy θ asks for a reduction of at
 least ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache
-keeps one table per θ that memoizes the search result for every local
-Δ²-bit mismatch pattern seen so far, and only a pattern seen for the
-first time runs the numpy popcount scan.
+keeps one ``gf2.WordCache`` per θ whose memo holds the search result
+for every local Δ²-bit mismatch pattern seen so far, and only a pattern
+seen for the first time runs the numpy popcount scan.
 Local patterns are gathered from the set bits of Ẑ inside a view,
 through a per-vertex bit table.  Every per-vertex table (the view
 lists, masks and gathers, each class's faces in sweep order, the
-lockstep packers) is read from the complex's ``view_table``, and one
-check at cache build makes sure the views of each class partition the
-faces, which is what lets the parallel schedule update a whole class
-at once.
+lockstep packers, built on first use) is read from the complex's
+``view_table``, and one check at cache build makes sure the views of
+each class partition the faces, which is what lets the parallel
+schedule update a whole class at once.
 
 The coset leader of a local syndrome s is found in the same cached
 codewords: y₀ = s times a right inverse of H_A ⊗ H_B is one member of
 the coset, and one popcount over y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the
 lightest; ties go to the largest ``gf2.lex_key`` (the first vector in
 ``itertools.combinations`` order).  Leaders are memoized per syndrome,
-so no table over all 2^r syndromes is built and r needs no budget.
+in the ``gf2.WordCache`` ``leaders``, so no table over all 2^r syndromes
+is built and r needs no budget.
 
 The lockstep decoders decode many syndromes at once, one numpy row per
 trial, as multi-round runs and sweep blocks do: the initial mismatch,
 then one decomposition in place.  Every lockstep step packs views (or
 local syndromes) into one word per (row, vertex) and reads the result
-of every word from a ``gf2.WordCache``, a direct-mapped numpy cache in
-front of the dict memo (of a θ table, or of the coset leaders): one
-hash and two ``take``s per array, and only missed words go to the
-memo, which stays the one source of truth.  The initial mismatch
+of every word from the same ``gf2.WordCache`` the scalar decoders read
+one word at a time (a θ table, or the coset leaders): one hash and two
+``take``s per array in its direct-mapped slots, and only missed words
+go to its memo, the one memo of that lookup.  The initial mismatch
 (``lockstep_initial_mismatch``, which a sweep block computes once and
 shares by all its decoders) lifts the leaders densely, one column
 permutation per class, V01 then V10.  A parallel class step reads the
@@ -79,8 +80,6 @@ from .errors import DimensionMismatchError, LocalCacheError
 from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
-_MISS = object()
-
 
 def as_fraction(x) -> Fraction:
     """Exact parameter parsing; floats are read as their decimal literal."""
@@ -106,13 +105,27 @@ class LocalCodewordCache:
     memo ``splits`` of the minimal (c, r) splits computed so far (see
     ``split``; set-up computes none), a right inverse of the local
     checks H_A ⊗ H_B, read off the same ``dt.echelon`` as the codewords
-    (a dependent check is named in a ``LocalCacheError``), with the memo
-    of coset leaders found so far (``leaders``: syndrome to leader, at
-    most 2^r entries), the per-vertex view/incidence tables the
-    decomposition loops consume (all read from ``view_table``), the
-    parallel sweep order with each sweep class's faces
-    (``class_faces``, checked to partition the faces), and one
-    ``ScanTable`` per threshold policy θ, built on first use.
+    (a dependent check is named in a ``LocalCacheError``), the
+    per-vertex view/incidence tables the decomposition loops consume
+    (all read from ``view_table``), and the parallel sweep order with
+    each sweep class's faces (``class_faces``, checked to partition the
+    faces).
+
+    Built on first use, so ``get_cache`` (the set-up a run times) and
+    ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
+    leaders (``leaders``: syndrome to leader, at most 2^r entries), one
+    ``gf2.WordCache`` of candidate searches per threshold policy θ
+    (``scan_table``), and the lockstep decoders' ``gf2.WordPacker``s.
+    ``packers[c]`` reads every view of sweep class c (V00, V01, V10,
+    V11) out of (trials, n) face rows as one Δ²-bit word: bit p of the
+    word of the class's j-th vertex is face ``class_faces[c, j·Δ² + p]``.
+    ``syndrome_words`` reads the r₁-bit local syndrome of every V1
+    vertex out of (trials, H_Z rows) rows, ``order`` V01 words then
+    ``order`` V10 words (sweep classes 1 and 2), and ``lift_columns``
+    gives each face the column of its bit in the V01 leaders and in the
+    V10 leaders, unpacked side by side.  ``view_words`` (used by the
+    sequential schedule only) reads every vertex's local pattern, in
+    vertex order, as one Δ²-bit word.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -135,9 +148,8 @@ class LocalCodewordCache:
         if self.right_inverse is None:
             raise LocalCacheError(f"local check {dt.echelon.first_dependent_row()} "
                                   "depends on the other local checks")
-        self.leaders: dict[int, int] = {}
         self._build_views(code)
-        self._scan_tables: dict[Fraction, ScanTable] = {}
+        self._scan_tables: dict[Fraction, gf2.WordCache] = {}
 
     def split(self, idx: int) -> tuple[int, int]:
         """The minimal (c, r) split of cached codeword idx, computed on
@@ -185,76 +197,42 @@ class LocalCodewordCache:
                 raise LocalCacheError(f"view of vertex {v} overlaps another view of class {cls}")
 
     @cached_property
-    def lockstep(self) -> "LockstepTables":
-        """The lockstep decoders' tables, built on first use: ``get_cache``
-        (the set-up a run times) and ``decode-one`` never build them."""
-        return LockstepTables(self)
+    def leaders(self) -> gf2.WordCache:
+        return gf2.WordCache(partial(_coset_leader_uncached, self), np.uint64)
 
-    def scan_table(self, theta: Fraction) -> "ScanTable":
-        """The memoized candidate search for threshold policy θ."""
+    @cached_property
+    def packers(self) -> list[gf2.WordPacker]:
+        return [gf2.WordPacker(faces, self.n, self.code.n) for faces in self.class_faces]
+
+    @cached_property
+    def lift_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        n, faces = self.code.n, self.class_faces
+        return np.argsort(faces[1]), n + np.argsort(faces[2])
+
+    @cached_property
+    def syndrome_words(self) -> Optional[gf2.WordPacker]:
+        rz, r1 = self.code.h_z.rows, self.code.r1
+        return gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
+
+    @cached_property
+    def view_words(self) -> gf2.WordPacker:
+        code = self.code
+        return gf2.WordPacker(code.complex.view_table.ravel(), self.n, code.n)
+
+    def scan_table(self, theta: Fraction) -> gf2.WordCache:
+        """The memoized candidate search for threshold policy θ: the
+        ``gf2.WordCache`` of ``_scan_uncached`` with thresholds
+        ceil(θ·|x_i|) for cached codeword i.  Patterns have Δ² bits, so
+        its memo holds at most 2^Δ² entries."""
         theta = as_fraction(theta)
         table = self._scan_tables.get(theta)
         if table is None:
             ceil_by_weight = np.array(
                 [math.ceil(theta * w) for w in range(self.max_weight + 1)], dtype=np.int64
             )
-            table = ScanTable(ceil_by_weight[self.weights])
+            table = gf2.WordCache(partial(_scan_uncached, self, ceil_by_weight[self.weights]))
             self._scan_tables[theta] = table
         return table
-
-
-class LockstepTables:
-    """Per-code tables of the lockstep decoders.
-
-    ``packers[c]`` is the ``gf2.WordPacker`` of the cache's
-    ``class_faces[c]``, which reads every view of sweep class c (V00,
-    V01, V10, V11) out of (trials, n) face rows as one Δ²-bit word: bit
-    p of the word of the class's j-th vertex is face
-    ``class_faces[c, j·Δ² + p]``.  The views of one class partition the
-    faces (checked at cache build), so a class step never writes a face
-    of a row twice.  ``syndrome_words`` reads the r₁-bit local syndrome
-    of every V1 vertex out of (trials, H_Z rows) rows, ``order`` V01
-    words then ``order`` V10 words (sweep classes 1 and 2), ``leaders``
-    is the ``gf2.WordCache`` of ``coset_leader`` over such words, and
-    ``lift_columns`` gives each face the column of its bit in the V01
-    leaders and in the V10 leaders, unpacked side by side.  ``views``
-    (built on first use, by the sequential schedule only) reads every
-    vertex's local pattern, in vertex order, as one Δ²-bit word.
-    """
-
-    def __init__(self, cache: "LocalCodewordCache"):
-        code = cache.code
-        n, faces = code.n, cache.class_faces
-        self.packers = [gf2.WordPacker(row, cache.n, n) for row in faces]
-        self.lift_columns = (np.argsort(faces[1]), n + np.argsort(faces[2]))
-        rz, r1 = code.h_z.rows, code.r1
-        self.syndrome_words = gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
-        self.leaders = gf2.WordCache(partial(coset_leader, cache), 0, np.uint64) if r1 else None
-        self._cache = cache
-
-    @cached_property
-    def views(self) -> gf2.WordPacker:
-        cache = self._cache
-        code = cache.code
-        return gf2.WordPacker(code.complex.view_table.ravel(), cache.n, code.n)
-
-
-class ScanTable:
-    """Candidate search for one threshold policy θ on one cache.
-
-    ``thresholds[i]`` is ceil(θ·|x_i|) for cached codeword i, and ``memo``
-    maps each local pattern searched so far to its result (codeword
-    index or None).  Patterns have Δ² bits, so the memo holds at most
-    2^Δ² entries.  ``words`` is the lockstep decoders' ``gf2.WordCache``
-    in front of the memo (see ``_scan_words``), built on first use.
-    """
-
-    __slots__ = ("thresholds", "memo", "words")
-
-    def __init__(self, thresholds: np.ndarray):
-        self.thresholds = thresholds
-        self.memo: dict[int, Optional[int]] = {}
-        self.words: Optional[gf2.WordCache] = None
 
 
 def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
@@ -331,17 +309,18 @@ class MismatchState:
 
 def coset_leader(cache: LocalCodewordCache, s: int) -> int:
     """Minimum-weight local pattern with syndrome s under H_A ⊗ H_B:
-    ``_coset_leader_uncached`` through ``cache.leaders``."""
-    leader = cache.leaders.get(s)
-    if leader is None:
-        leader = cache.leaders[s] = _coset_leader_uncached(cache, s)
-    return leader
+    ``_coset_leader_uncached`` through the memo of ``cache.leaders``."""
+    return cache.leaders.get(s)
 
 
 def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
     """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ = s times the
     right inverse; among equal weights the largest ``gf2.lex_key``,
-    which is the first vector in ``itertools.combinations`` order."""
+    which is the first vector in ``itertools.combinations`` order.
+    Syndrome 0 has leader 0 (the word cache asks it at build), with no
+    scan."""
+    if s == 0:
+        return 0
     y0 = 0
     for i, row in enumerate(cache.right_inverse):
         if (s >> i) & 1:
@@ -385,62 +364,40 @@ def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> Mism
     return MismatchState.seeded(cache, zhat, eps01)
 
 
-def _scan(cache: LocalCodewordCache, zloc: int, table: ScanTable) -> Optional[int]:
-    """``_scan_uncached`` through the memo of ``table``."""
-    idx = table.memo.get(zloc, _MISS)
-    if idx is _MISS:
-        idx = table.memo[zloc] = _scan_uncached(cache, zloc, table.thresholds)
-    return idx
-
-
-def _scan_words(cache: LocalCodewordCache, table: ScanTable, words: np.ndarray) -> np.ndarray:
-    """``_scan`` of every word of a uint64 array, -1 for None, through the
-    table's word cache (built here on first use)."""
-    if table.words is None:
-        def scan(word: int) -> int:
-            idx = _scan(cache, word, table)
-            return -1 if idx is None else idx
-        table.words = gf2.WordCache(scan, -1)
-    return table.words(words)
-
-
-def _scan_uncached(
-    cache: LocalCodewordCache, zloc: int, thresholds: np.ndarray
-) -> Optional[int]:
-    """Index of the first cached codeword meeting the reduction threshold.
+def _scan_uncached(cache: LocalCodewordCache, thresholds: np.ndarray, zloc: int) -> int:
+    """Index of the first cached codeword meeting the reduction threshold,
+    -1 if none does.
 
     The list is sorted by weight descending, so the first hit is a
     maximal-weight satisfying codeword (lexicographic tie-break); only
     weights ≤ 2|zloc| can qualify, which bounds the scanned slice.
     """
     if zloc == 0:
-        return None
+        return -1
     start = int(np.searchsorted(cache.neg_weights, -2 * zloc.bit_count()))
     if start >= len(cache.weights):
-        return None
+        return -1
     masks = cache.masks[start:]
     hits = np.bitwise_count(masks & np.uint64(zloc)).astype(np.int64)
     cond = 2 * hits - cache.weights[start:] >= thresholds[start:]
     if not cond.any():
-        return None
+        return -1
     return start + int(np.argmax(cond))
 
 
-def _search(
-    cache: LocalCodewordCache, table: ScanTable, zhat: int, v: int
-) -> Optional[int]:
-    """Index of the codeword to remove from Ẑ at vertex v, or None: Ẑ
+def _search(cache: LocalCodewordCache, table: gf2.WordCache, zhat: int, v: int) -> int:
+    """Index of the codeword to remove from Ẑ at vertex v, or -1: Ẑ
     masked to the view of v, gathered to a local pattern, then scanned."""
     local = zhat & cache.view_masks[v]
     if local == 0:
-        return None
-    return _scan(cache, _gather(local, cache.gather[v]), table)
+        return -1
+    return table.get(_gather(local, cache.gather[v]))
 
 
-def _step(state: MismatchState, cache: LocalCodewordCache, table: ScanTable, v: int) -> int:
+def _step(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache, v: int) -> int:
     """One decomposition step at vertex v: the changed faces, 0 if none."""
     idx = _search(cache, table, state.zhat, v)
-    if idx is None:
+    if idx < 0:
         return 0
     return _apply(state, cache, v, idx)
 
@@ -455,7 +412,7 @@ def find_reducing_codeword(
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     idx = _search(cache, cache.scan_table(theta), zhat_bits, v)
-    if idx is None:
+    if idx < 0:
         return None
     return (int(cache.masks[idx]),) + cache.split(idx)
 
@@ -505,7 +462,7 @@ def sequential_mismatch_decomposition(
     return state.accumulators()
 
 
-def _drain(state: MismatchState, cache: LocalCodewordCache, table: ScanTable) -> None:
+def _drain(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache) -> None:
     """The sequential FIFO: step at the next queued vertex and queue the
     vertices of every face a step changed, until Ẑ or the queue is empty."""
     work = state.worklist
@@ -607,20 +564,19 @@ def lockstep_initial_mismatch(
     syndromes: ``initial_mismatch`` row by row.
 
     The local syndromes are read as one word per V1 vertex, and their
-    leaders come from ``coset_leader`` through the word cache
-    ``leaders`` (word 0 has leader 0).  The leaders are lifted densely,
-    one ``gf2.unpack_words`` for both classes and one column permutation
-    per class (a gather through ``lift_columns``): the V01 lift is ε₀₁,
-    and Ẑ is ε₀₁ with the V10 lift XORed in (a face has one vertex of
-    each class, so the two lifts overlap).
+    leaders come from the word cache ``leaders`` (word 0 has leader 0).
+    The leaders are lifted densely, one ``gf2.unpack_words`` for both
+    classes and one column permutation per class (a gather through
+    ``lift_columns``): the V01 lift is ε₀₁, and Ẑ is ε₀₁ with the V10
+    lift XORed in (a face has one vertex of each class, so the two lifts
+    overlap).
     """
-    tables = cache.lockstep
     trials, n = len(syndromes), cache.code.n
-    if tables.leaders is None:  # r₁ = 0: no local checks
+    if cache.syndrome_words is None:  # r₁ = 0: no local checks
         return np.zeros((trials, n), dtype=np.uint8), np.zeros((trials, n), dtype=np.uint8)
-    leaders = tables.leaders(tables.syndrome_words(syndromes))
+    leaders = cache.leaders(cache.syndrome_words(syndromes))
     lifts = gf2.unpack_words(leaders, cache.n).reshape(trials, 2 * n)
-    v01, v10 = tables.lift_columns
+    v01, v10 = cache.lift_columns
     eps01 = lifts[:, v01]
     return eps01 ^ lifts[:, v10], eps01
 
@@ -648,7 +604,6 @@ def lockstep_parallel_decomposition(
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table = cache.scan_table(Fraction(1, 2))
-    tables = cache.lockstep
     d2 = cache.n
     active = np.flatnonzero(zhat.any(axis=1))
     for _ in range(k):
@@ -656,8 +611,8 @@ def lockstep_parallel_decomposition(
             break
         z, acc = zhat[active], f[active]
         changed = np.zeros(active.size, dtype=bool)
-        for packer, faces, (c_share, r_share) in zip(tables.packers, cache.class_faces, _F_SHARE):
-            found = _scan_words(cache, table, packer(z))
+        for packer, faces, (c_share, r_share) in zip(cache.packers, cache.class_faces, _F_SHARE):
+            found = table(packer(z))
             row, slot = np.nonzero(found >= 0)
             if row.size == 0:
                 continue
@@ -697,8 +652,8 @@ def lockstep_sequential_decomposition(
     rows = np.flatnonzero(zhat.any(axis=1))
     if rows.size == 0:
         return
-    words = cache.lockstep.views(zhat[rows])
-    hits = _scan_words(cache, table, words) >= 0
+    words = cache.view_words(zhat[rows])
+    hits = table(words) >= 0
     moving = hits.any(axis=1)
     rows, hits = rows[moving], hits[moving]
     if rows.size == 0:

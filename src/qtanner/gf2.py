@@ -13,9 +13,10 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
 bits as one ``uint64`` each; ``span_words`` and ``lex_keys`` are the
-span and ``lex_key`` of such words, and a ``WordCache`` looks a
-memoized function of such words up for a whole array at once, which is
-how a lockstep step reads its scans and coset leaders.
+span and ``lex_key`` of such words.  A ``WordCache`` is the one memo of
+a function of such words: ``get`` reads one word, as the scalar decoders
+read their scans and coset leaders, and a call reads a whole array at
+once, as a lockstep step does.
 """
 
 from __future__ import annotations
@@ -122,31 +123,40 @@ class WordPacker:
 
 
 class WordCache:
-    """A direct-mapped cache of ``f``, a memoized function from words of
-    at most 64 bits to integers, for looking up whole arrays of words.
+    """The memo of ``f``, a function from words of at most 64 bits to
+    integers, for looking up one word or whole arrays of words.
 
-    The cache is a key array and a value array of ``SLOTS`` entries (a
-    power of two); word w lives in the slot given by the top bits of
-    w·M mod 2^64, M the first multiplier of splitmix64.  (Not the golden
-    ratio's ⌊2^64/φ⌋: it puts words that differ by a Fibonacci number in
-    one slot, and the two views the reference instance looks up most,
-    0x1010 and 0x8001, differ by F₂₃ = 28657.)  Keys start at 0 and values
-    at ``zero_value`` = f(0), so every slot holds a true entry from the
-    start and no sentinel key is needed.  A lookup is one hash, two
-    ``take``s and one compare; only the missed words go through
-    ``np.unique`` to ``f``, once per distinct word, and are stored,
-    replacing whatever shared their slot.  ``f`` keeps its own memo,
-    which stays the one source of truth.
+    ``memo`` maps every word asked so far to its value, and ``get`` reads
+    one word through it.  In front of it, for arrays, is a direct-mapped
+    cache: a key array and a value array of ``SLOTS`` entries (a power of
+    two); word w lives in the slot given by the top bits of w·M mod 2^64,
+    M the first multiplier of splitmix64.  (Not the golden ratio's
+    ⌊2^64/φ⌋: it puts words that differ by a Fibonacci number in one
+    slot, and the two views the reference instance looks up most, 0x1010
+    and 0x8001, differ by F₂₃ = 28657.)  Keys start at 0 and values at
+    ``get(0)``, so every slot holds a true entry from the start and no
+    sentinel key is needed.  An array lookup is one hash, two ``take``s
+    and one compare; only the missed words go through ``np.unique`` to
+    ``get``, once per distinct word, and are stored, replacing whatever
+    shared their slot.  So ``memo`` is the one source of truth.
     """
 
     SLOTS = 1 << 12
     _MULTIPLIER = np.uint64(0xBF58476D1CE4E5B9)
 
-    def __init__(self, f: Callable[[int], int], zero_value: int, dtype=np.int64):
-        self._f = f
+    def __init__(self, f: Callable[[int], int], dtype=np.int64):
+        self.f = f
+        self.memo: dict[int, int] = {}
         self._shift = np.uint64(65 - self.SLOTS.bit_length())
         self.keys = np.zeros(self.SLOTS, dtype=np.uint64)
-        self.values = np.full(self.SLOTS, zero_value, dtype=dtype)
+        self.values = np.full(self.SLOTS, self.get(0), dtype=dtype)
+
+    def get(self, word: int) -> int:
+        """``f(word)``, computed on first use and kept in ``memo``."""
+        value = self.memo.get(word)
+        if value is None:
+            value = self.memo[word] = self.f(word)
+        return value
 
     def __call__(self, words: np.ndarray) -> np.ndarray:
         """``f`` of every uint64 word, as an array of ``words``' shape."""
@@ -156,7 +166,7 @@ class WordCache:
         if miss.any():
             missed = words[miss]
             distinct, inverse = np.unique(missed, return_inverse=True)
-            found = np.array([self._f(w) for w in distinct.tolist()], dtype=self.values.dtype)
+            found = np.array([self.get(w) for w in distinct.tolist()], dtype=self.values.dtype)
             values[miss] = found[inverse]
             # one word per slot, so the keys and values written agree
             at, first = np.unique(self._slots(distinct), return_index=True)

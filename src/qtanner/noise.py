@@ -502,7 +502,7 @@ _DRAW_CHUNK = 1 << 13
 def _vertex_support_rows(cache: dec.LocalCodewordCache, d: np.ndarray) -> np.ndarray:
     """``vertex_support_size`` of every row of (trials, H_Z rows) bits of
     the cache's code: the nonzero local syndrome words of each row."""
-    words = cache.lockstep.syndrome_words
+    words = cache.syndrome_words
     if words is None:  # r₁ = 0: no local checks
         return np.zeros(len(d), dtype=np.int64)
     return np.count_nonzero(words(d), axis=1)

@@ -77,7 +77,8 @@ def _local_radius(code):
 def _views_within(code, e_bits, t):
     """Whether every V1 view of e has weight at most t."""
     return all(
-        sum((e_bits >> q) & 1 for q in code.complex.local_view(v)) <= t for v in code.v1_vertices
+        sum((e_bits >> q) & 1 for q in code.complex.view_table[v].tolist()) <= t
+        for v in code.v1_vertices
     )
 
 

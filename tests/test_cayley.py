@@ -143,14 +143,19 @@ class TestComplexCounts:
         cx = build_z13()
         order = cx.group.order
         for q in range(cx.num_faces):
-            classes = sorted(v // order for v in cx.face_vertices(q))
+            classes = sorted(v // order for v in cx.corner_table[q].tolist())
             assert classes == [V00, V01, V10, V11]
 
     def test_face_index_bijection(self):
+        # face (g, a, b) is q = (g·Δ + a)·Δ + b, entry (a, b) of the view
+        # of vertex (g, 00): every face once, in index order
         cx = build_z13()
-        for q in range(cx.num_faces):
-            g, ai, bi = cx.face_triple(q)
-            assert cx.face_index(g, ai, bi) == q
+        d = cx.delta
+        faces = [(g * d + ai) * d + bi
+                 for g in range(cx.group.order) for ai in range(d) for bi in range(d)]
+        assert faces == list(range(cx.num_faces))
+        v00 = [cx.vertex(g, V00) for g in range(cx.group.order)]
+        assert cx.view_table[v00].ravel().tolist() == faces
 
 
 class TestLocalView:
@@ -158,7 +163,7 @@ class TestLocalView:
         cx = build_z13()
         hits = [0] * cx.num_faces
         for v in range(cx.num_vertices):
-            view = cx.local_view(v)
+            view = cx.view_table[v].tolist()
             assert len(set(view)) == cx.delta**2  # all entries distinct
             for q in view:
                 hits[q] += 1
@@ -167,8 +172,8 @@ class TestLocalView:
     def test_view_matches_face_incidence(self):
         cx = build_z13()
         for v in range(cx.num_vertices):
-            for q in cx.local_view(v):
-                assert v in cx.face_vertices(q)
+            for q in cx.view_table[v].tolist():
+                assert v in cx.corner_table[q].tolist()
 
     def test_same_class_views_disjoint(self):
         cx = build_z13()
@@ -176,7 +181,7 @@ class TestLocalView:
         for cls in (V00, V01, V10, V11):
             seen = set()
             for g in range(order):
-                view = set(cx.local_view(cx.vertex(g, cls)))
+                view = set(cx.view_table[cx.vertex(g, cls)].tolist())
                 assert not (seen & view)
                 seen |= view
 
@@ -186,12 +191,8 @@ class TestLocalView:
         # entry (a=1, b=4) of vertex (0, 00) is face (0, 1, 4)
         ai = cx.gens_a.elements.index(1)
         bi = cx.gens_b.elements.index(4)
-        view = cx.local_view(cx.vertex(0, V00))
-        assert view[ai * 2 + bi] == cx.face_index(0, ai, bi)
-
-    def test_invalid_vertex(self):
-        with pytest.raises(IndexError):
-            build_z13().local_view(10_000)
+        view = cx.view_table[cx.vertex(0, V00)].tolist()
+        assert view[ai * 2 + bi] == (0 * cx.delta + ai) * cx.delta + bi
 
 
 @st.composite
@@ -231,11 +232,11 @@ def test_tables_match_the_paper_formulas(cx):
     assert cx.view_table.shape == (cx.num_vertices, cx.delta**2)
     for v in range(cx.num_vertices):
         want = oracles.local_view(mul, inv, a_gens, b_gens, v // order, v % order)
-        assert cx.view_table[v].tolist() == cx.local_view(v) == want
+        assert cx.view_table[v].tolist() == want
     assert cx.corner_table.shape == (cx.num_faces, 4)
     for q in range(cx.num_faces):
         want = oracles.face_corners(mul, a_gens, b_gens, q)
-        assert cx.corner_table[q].tolist() == list(cx.face_vertices(q)) == want
+        assert cx.corner_table[q].tolist() == want
 
 
 class TestSecondEigenvalue:

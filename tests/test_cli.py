@@ -399,6 +399,38 @@ class TestMultiround:
         assert capsys.readouterr().err == f"wrote {out}: {summary}\n"
 
 
+@pytest.mark.parametrize("command", ["multiround", "sweep"])
+@pytest.mark.parametrize("trials, workers, pools", [(1, 3, []), (2, 8, [2]), (7, 2, [2]),
+                                                    (0, 4, []), (5, 1, [])])
+def test_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch, command, trials, workers,
+                                              pools):
+    # each pool process builds the instance: no more of them than chunks,
+    # and none for one chunk (trials 0 still make one, empty, chunk)
+    opened = []
+
+    class RecordingPool:
+        """Runs the tasks in this process, recording the pool size asked for."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            opened.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, rounds=2, trials=trials)
+    assert cli.main([command, "-c", cfg, "-o", str(tmp_path / "p.csv"),
+                     "--workers", str(workers)]) == 0
+    assert opened == pools
+
+
 # seed-1 `sweep --per-trial` CSV digests and stderr summaries: the
 # reference config at full size (the benchmark's ref-sweep digest) and a
 # Z8 config with adversarial and vertex-bounded noise; sweeping trial

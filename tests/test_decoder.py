@@ -268,7 +268,11 @@ class TestLocalMinCorrection:
 
     def test_zero_syndrome(self, ref_code):
         v = ref_code.v1_vertices[0]
-        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), ref_code.complex.local_view(v)) == 0
+        view = ref_code.complex.view_table[v].tolist()
+        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), view) == 0
+        # at once, reading no cache: every leader word cache asks it at build,
+        # and a scan of the reference's 8,191 codewords would cost memory
+        assert decoder._coset_leader_uncached(None, 0) == 0
 
     def test_weight1_unique_when_columns_distinct(self, unique_code):
         # local checks have distinct columns: each single-face error is
@@ -308,7 +312,7 @@ class TestLocalMinCorrection:
         assert len(oracle) == 1 << dt.pchk.rows
         for s, y in oracle.items():
             assert coset_leader(cache, s) == y
-            assert cache.leaders[s] == y
+            assert cache.leaders.memo[s] == y
 
     @given(s=st.integers(0, (1 << 16) - 1))
     def test_rep5_syndromes_match_enumeration_oracle(self, rep5_code, rep5_oracle, s):
@@ -502,11 +506,12 @@ class TestSequentialDecode:
             assert f.bits == 1 << q
 
     def test_separated_aligned_faces_on_reference(self, ref_code):
-        # faces (g, a, b0) with distinct well-separated g decode exactly
-        cx = ref_code.complex
+        # faces (g, a, b0) with distinct well-separated g decode exactly;
+        # face (g, a, b) is (g·Δ + a)·Δ + b
+        d = ref_code.complex.delta
         e = 0
         for g in (0, 3, 6):
-            e |= 1 << cx.face_index(g, 0, 0)
+            e |= 1 << (g * d + 0) * d + 0
         f = sequential_decode(ref_code, noiseless_syndrome(ref_code, e))
         assert decode_class(ref_code, e, f) == "corrected"
 
@@ -663,11 +668,11 @@ class TestMemoizedSearch:
             [-((-theta.numerator * int(w)) // theta.denominator) for w in cache.weights],
             dtype=np.int64,
         )
-        want = decoder._scan_uncached(cache, zloc, thresholds)
+        want = decoder._scan_uncached(cache, thresholds, zloc)
         table = cache.scan_table(theta)
-        assert decoder._scan(cache, zloc, table) == want
+        assert table.get(zloc) == want
         assert table.memo[zloc] == want
-        assert decoder._scan(cache, zloc, table) == want
+        assert table.get(zloc) == want
 
     @given(data=st.data())
     def test_sparse_gather_matches_extract(self, any_code, data):

@@ -347,17 +347,20 @@ class TestBitRows:
         if slots:  # every word shares its slot with others
             monkeypatch.setattr(gf2.WordCache, "SLOTS", slots)
         mask = 0xF0F0_0000_0000_0F0F
-        memo, asked = {}, []
+        asked, read = [], []  # words f computed, words read through the memo
 
-        def leader(word):  # a memoized function, as coset leaders are
+        def leader(word):  # as coset leaders are
             asked.append(word)
-            return memo.setdefault(word, word ^ mask)
+            return word ^ mask
 
         def index(word):  # -1 for "no codeword", as scans are
             return -1 if word % 3 == 0 else word % 1009
 
-        leaders = gf2.WordCache(leader, 0 ^ mask, np.uint64)
-        indices = gf2.WordCache(index, -1)
+        leaders = gf2.WordCache(leader, np.uint64)
+        assert asked == [0] and leaders.memo == {0: mask}  # the slots start at get(0)
+        get = leaders.get
+        leaders.get = lambda word: read.append(word) or get(word)
+        indices = gf2.WordCache(index)
         rng = np.random.default_rng(11)
         inputs = [rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64),
                   rng.integers(0, 5, size=(40, 7), dtype=np.uint64),  # repeats, and word 0
@@ -366,18 +369,22 @@ class TestBitRows:
                   np.array([(1 << 64) - 1, 1 << 63, 0, 1], dtype=np.uint64)]
         for words in inputs + inputs:
             flat = words.ravel().tolist()
-            before = len(asked)
+            before = len(read)
             got = leaders(words)
             assert got.dtype == np.uint64 and got.shape == words.shape
             assert got.ravel().tolist() == [w ^ mask for w in flat]
-            new = asked[before:]  # each distinct missed word asks the memo once
+            new = read[before:]  # each distinct missed word reads the memo once
             assert len(new) == len(set(new)) and set(new) <= set(flat)
             if not slots:  # nothing is evicted: word 0 and words seen before hit
-                assert 0 not in new and not set(new) & set(asked[:before])
+                assert 0 not in new and not set(new) & set(read[:before])
             got = indices(words)
             assert got.dtype == np.int64 and got.shape == words.shape
             assert got.ravel().tolist() == [index(w) for w in flat]
-        assert set(memo) | {0} == {w for words in inputs for w in words.ravel().tolist()}
+        # evicted or not, f ran once per distinct word: the memo answered the rest
+        assert len(asked) == len(set(asked))
+        assert set(asked) == {w for words in inputs for w in words.ravel().tolist()} | {0}
+        assert leaders.memo == {w: w ^ mask for w in asked}
+        assert [get(w) for w in asked] == [w ^ mask for w in asked] and len(asked) == len(leaders.memo)
 
     def test_word_width_bounds(self):
         for width in (0, 65):

@@ -265,8 +265,39 @@ class TestLockstepDecoders:
                         DecoderConfig("sequential", eps=Fraction(1, 3))):
                 got = gf2.from_bit_rows(cfg.decode_lockstep(cache, rows))
                 assert got == [cfg.decode(code, BitVector(rz, s)).bits for s in syndromes[batch]]
-        word_caches = [cache.lockstep.leaders] + [t.words for t in cache._scan_tables.values()]
-        assert {c.keys.size for c in word_caches if c is not None} == ({slots} if rz else set())
+        word_caches = list(cache._scan_tables.values())
+        if "leaders" in vars(cache):  # a cached_property: only there once built
+            word_caches.append(cache.leaders)
+        assert word_caches and {c.keys.size for c in word_caches} == {slots}
+
+    @pytest.mark.parametrize("fixture", ["ref_code", "unique_code"])
+    def test_scalar_and_array_lookups_share_one_memo(self, fixture, request, monkeypatch):
+        """Lockstep decodes, then scalar decodes of the same syndromes, on a
+        fresh cache: every coset leader and every scan at each θ is
+        computed once across both paths, kept in its word cache's memo,
+        and the scalar decodes find all of them there."""
+        code = request.getfixturevalue(fixture)
+        leaders, scans = [], []
+        leader, scan = decoder._coset_leader_uncached, decoder._scan_uncached
+        monkeypatch.setattr(decoder, "_coset_leader_uncached",
+                            lambda cache, s: leaders.append(s) or leader(cache, s))
+        monkeypatch.setattr(decoder, "_scan_uncached", lambda cache, thresholds, zloc: (
+            scans.append((id(thresholds), zloc)) or scan(cache, thresholds, zloc)))
+        monkeypatch.setattr(code, "_decoder_cache", None)  # a fresh cache, built with them
+        cache, rz = decoder.get_cache(code), code.h_z.rows
+        syndromes = sampled_syndromes(code)
+        cfgs = [DecoderConfig("parallel", k=8), DecoderConfig("sequential")]
+        rows = gf2.to_bit_rows(syndromes, rz)
+        lockstep = [gf2.from_bit_rows(cfg.decode_lockstep(cache, rows)) for cfg in cfgs]
+        asked = len(leaders), len(scans)
+        assert asked[0] > 1 and asked[1] > 2  # more than the word 0 of each cache
+        scalar = [[cfg.decode(code, BitVector(rz, s)).bits for s in syndromes] for cfg in cfgs]
+        assert lockstep == scalar
+        assert (len(leaders), len(scans)) == asked
+        assert len(leaders) == len(set(leaders)) and len(scans) == len(set(scans))
+        assert set(leaders) == set(cache.leaders.memo)
+        tables = {id(table.f.args[1]): table for table in cache._scan_tables.values()}
+        assert set(scans) == {(key, w) for key, table in tables.items() for w in table.memo}
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_vertex_support_rows(self, batches, batch):

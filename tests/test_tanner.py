@@ -128,7 +128,7 @@ class TestSyndrome:
             for pos in range(len(ref_code.v1_vertices))
             if local_syndrome(ref_code, s, pos)
         }
-        face_vs = set(ref_code.complex.face_vertices(q))
+        face_vs = set(ref_code.complex.corner_table[q].tolist())
         v1_positions = {
             pos for pos, v in enumerate(ref_code.v1_vertices) if v in face_vs
         }
@@ -320,7 +320,8 @@ def test_hz_rows_match_independent_assembly(tiny_code):
     """Rebuild H_Z from scratch using only the face-triple algebra.
 
     For vertex (h, 01) the face (g, a, b) is incident iff ag = h, sitting
-    at grid position (a, b); for (h, 10) iff gb = h.  No local_view calls.
+    at grid position (a, b); for (h, 10) iff gb = h.  Face (g, a, b) is
+    q = (g·Δ + a)·Δ + b, and vertex (h, c) is c·|G| + h.  No view table.
     """
     code = tiny_code
     cx = code.complex
@@ -329,11 +330,11 @@ def test_hz_rows_match_independent_assembly(tiny_code):
     rows = []
     for v in code.v1_vertices:
         cls = cx.vertex_class(v)
-        h = cx.vertex_group_elem(v)
+        h = v % cx.group.order
         for z in code.z_check_basis.data:
             bits = 0
             for q in range(code.n):
-                g, ai, bi = cx.face_triple(q)
+                (g, ai), bi = divmod(q // delta, delta), q % delta
                 a = cx.gens_a.elements[ai]
                 b = cx.gens_b.elements[bi]
                 if cls == 1:  # V01
