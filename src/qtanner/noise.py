@@ -16,16 +16,19 @@ every decoder of the experiment, so decoder comparisons are paired.
 per trial, over groups of trials with their own noise models (a
 sweep's grid points): the rows of all groups are stacked, the initial
 mismatch is computed once per slice of rows and shared by every
-decoder, and the sample and residual columns are arrays.  It returns
-one ``TrialBlock`` of columns per group, which formats its own CSV
-lines; ``run_sweep`` (all grid points of a trial range as one block)
+decoder, the sample and residual columns are arrays, and the residuals
+are classified as rows by ``tanner.classify_rows``.  It returns one
+``TrialBlock`` of columns per group, which formats its own CSV lines;
+``run_sweep`` (all grid points of a trial range as one block)
 and ``estimate_threshold`` run on it, and ``run_single_shot_trial``
 stays as the one-trial reference, one ``TrialRecord`` per decoder.  A
 multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial's rounds are drawn up front
 from its own stream, in the order a lone trial would draw them, and
-the batch is decoded as numpy rows by ``DecoderConfig.decode_lockstep``;
-it returns one ``RoundBatch``, its per-round weights as one (trials,
+the batch is decoded as numpy rows by ``DecoderConfig.decode_lockstep``.
+The readout decodes each trial alone, from syndromes taken as one
+product, and classifies the final residuals as rows.  A run returns
+one ``RoundBatch``, its per-round weights as one (trials,
 rounds, 4) array and its readouts as lists, which formats its own CSV
 lines.  In both, a trial's results do not depend on the block or batch
 it ran in.  Every CSV line is the text ``csv_text`` gives (the line
@@ -657,8 +660,10 @@ def run_multiround(
     Every trial's rounds are drawn up front by ``_round_errors``, trial
     after trial on the one re-keyed generator.  Each round is then one
     array step over all trials: the syndromes are one product with H_Zᵀ,
-    and ``DecoderConfig.decode_lockstep`` decodes them all.  The readout
-    is scalar, once per trial.
+    and ``DecoderConfig.decode_lockstep`` decodes them all.  The
+    readout's ideal syndromes are one product as well; its noiseless
+    decode is scalar, one ``sequential_decode`` per trial, and
+    ``tanner.classify_rows`` classifies the final residuals as rows.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -674,14 +679,12 @@ def run_multiround(
         stats[:, i, 1] = d.sum(axis=1)
         stats[:, i, 2] = _vertex_support_rows(cache, d)
         stats[:, i, 3] = residual.sum(axis=1)
-    weights, classes = [], []
-    for res in gf2.from_bit_rows(residual):
-        ideal = BitVector(rz, tanner.syndrome_bits_z(code, res))
-        final = BitVector(n, res ^ dec.sequential_decode(code, ideal, Fraction(1, 2)).bits)
-        weights.append(final.weight())
-        classes.append(tanner.classify_residual(code, final))
+    fixes = [dec.sequential_decode(code, BitVector(rz, s), Fraction(1, 2)).bits
+             for s in gf2.from_bit_rows(tanner.syndrome_rows_z(code, residual))]
+    residual ^= gf2.to_bit_rows(fixes, n)
     return RoundBatch((instance_id, cfg.kind, cfg.param, *model.pq_labels()), seeds, stats,
-                      weights, classes)
+                      residual.sum(axis=1).tolist(),
+                      tanner.classify_rows(code, residual).tolist())
 
 
 def sweep_stream_id(point_idx: int, trial_idx: int) -> int:
@@ -761,10 +764,11 @@ def run_trial_block(
     array step: each group's share of one-round draws by
     ``_round_errors``, one syndrome product, one
     ``lockstep_initial_mismatch`` that every config shares, each config's
-    ``decompose_lockstep``, and the TRIAL_STATS columns as arrays; only
-    ``classify_residual`` runs per row.  With ``record_timing``, ``ms``
-    is a config's decode time over the whole block (the shared initial
-    mismatch included) divided by its trials.
+    ``decompose_lockstep``, and the TRIAL_STATS columns and failure
+    classes (``tanner.classify_rows``) as arrays; nothing runs per row.
+    With ``record_timing``, ``ms`` is a config's decode time over the
+    whole block (the shared initial mismatch included) divided by its
+    trials.
     """
     groups = [(model, list(streams)) for model, streams in groups]
     starts = list(itertools.accumulate((len(streams) for _, streams in groups), initial=0))
@@ -792,8 +796,7 @@ def run_trial_block(
             residual ^= e
             rows[:, j, 3] = residual.sum(axis=1)
             rows[:, j, 4] = tanner.greedy_reduced_weights(code, residual)
-            classes[lo:hi, j] = [tanner.classify_residual(code, BitVector(code.n, bits))
-                                 for bits in gf2.from_bit_rows(residual)]
+            classes[lo:hi, j] = tanner.classify_rows(code, residual)
     ms = [s * 1000.0 / total if record_timing and total else 0.0 for s in spent]
     return [TrialBlock([(instance_id, cfg.kind, cfg.param, *model.pq_labels()) for cfg in cfgs],
                        streams, stats[a:b], classes[a:b], ms)

@@ -100,6 +100,15 @@ class QuantumTannerCode:
         return gf2.Echelon(self.h_x)
 
     @cached_property
+    def echelon_x_dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pivot columns, RREF rows as a (rank, n) float32 array) of
+        ``echelon_x``, built on first use: a 0/1 row r is a stabilizer
+        iff r + r[pivots] · rows = 0 over GF(2)."""
+        ech = self.echelon_x
+        return (np.array(ech.pivots, dtype=np.intp),
+                gf2.to_bit_rows(ech.rows, self.n).astype(np.float32))
+
+    @cached_property
     def echelon_z(self) -> gf2.Echelon:
         """RREF of H_Z, built on first use; its kernel seeds the
         randomized logical search."""
@@ -178,7 +187,13 @@ def syndrome_bits_z(code: QuantumTannerCode, e_bits: int) -> int:
 
 def syndrome_rows_z(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
     """H_Z e for every row e of a (trials, n) 0/1 array, as 0/1 rows."""
-    counts = rows.astype(np.float32) @ code.h_z_t_dense
+    return _gf2_product(rows, code.h_z_t_dense)
+
+
+def _gf2_product(rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """rows · dense over GF(2), as 0/1 rows: one float32 product of 0/1
+    arrays, whose sums of at most n ones are exact in float32."""
+    counts = rows.astype(np.float32) @ dense
     return (counts.astype(np.uint32) & 1).astype(np.uint8)
 
 
@@ -236,16 +251,40 @@ def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndar
     return weights
 
 
+def classify_rows(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
+    """The failure class of every row r of a (trials, n) 0/1 residual
+    array, as an object array of class names: corrected if r is a
+    stabilizer, detected if H_Z r ≠ 0, logical otherwise.
+
+    Zero rows are corrected.  The other rows take one syndrome product,
+    and a nonzero syndrome is detected: a stabilizer has none (H_X·H_Zᵀ
+    = 0 is checked at construction), so testing it first gives the same
+    class.  Only the nonzero rows with zero syndrome are reduced by the
+    RREF of H_X, one product of their pivot columns with its rows, and
+    those left nonzero are logical; ``echelon_x`` and its dense arrays
+    are built when the first such row appears.
+    """
+    if rows.ndim != 2 or rows.shape[1] != code.n:
+        raise DimensionMismatchError(code.n, rows.shape[-1])
+    classes = np.full(len(rows), CORRECTED, dtype=object)
+    live = np.flatnonzero(rows.any(axis=1))
+    detected = syndrome_rows_z(code, rows[live]).any(axis=1)
+    classes[live[detected]] = DETECTED
+    quiet = live[~detected]
+    if quiet.size:
+        pivots, echelon = code.echelon_x_dense
+        quiet_rows = rows[quiet]
+        left = quiet_rows ^ _gf2_product(quiet_rows[:, pivots], echelon)
+        classes[quiet[left.any(axis=1)]] = LOGICAL
+    return classes
+
+
 def classify_residual(code: QuantumTannerCode, residual: BitVector) -> str:
-    """corrected if residual is a stabilizer, detected if its syndrome is
-    nonzero, logical otherwise."""
+    """``classify_rows`` of the one residual, for ``decode-one`` and
+    other one-trial callers."""
     if residual.n != code.n:
         raise DimensionMismatchError(code.n, residual.n)
-    if code.echelon_x.contains(residual.bits):
-        return CORRECTED
-    if syndrome_bits_z(code, residual.bits):
-        return DETECTED
-    return LOGICAL
+    return classify_rows(code, gf2.to_bit_rows([residual.bits], code.n))[0]
 
 
 def random_logical_search(

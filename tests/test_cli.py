@@ -501,6 +501,25 @@ def test_sweep_without_trials_writes_only_the_header(tmp_path, capsys, flags, fi
     assert capsys.readouterr().err == f"wrote {out}: 0 trial records, 4 points\n"
 
 
+def test_multiround_without_trials_writes_only_the_header(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert cli.main(["multiround", "-c", str(ROOT / "configs" / "reference.json"),
+                     "-o", str(out), "--trials", "0", "--workers", "2"]) == 0
+    lines = out.read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [
+        ",".join(noise.MULTIROUND_CSV_FIELDS)]
+    assert capsys.readouterr().err == (f"wrote {out}: 0 trials x 50 rounds; residual slope "
+                                       "0 [0, 0]; final corrected 0/0\n")
+
+
+def test_reference_sweep_never_eliminates_h_x(tmp_path):
+    # every seed-1 reference residual is zero or has a syndrome, so
+    # classifying them needs no echelon form of H_X
+    assert cli.main(["sweep", "-c", str(ROOT / "configs" / "reference.json"), "--per-trial",
+                     "-o", str(tmp_path / "s.csv"), "--seed", "1", "--workers", "1"]) == 0
+    assert "echelon_x" not in cli._WORKER["code"].__dict__
+
+
 def test_trial_chunks_are_contiguous_and_balanced():
     assert cli._trial_chunks(7, 2) == [(0, 3), (3, 7)]
     assert cli._trial_chunks(2, 4) == [(0, 1), (1, 2)]

@@ -77,6 +77,23 @@ def test_only_echelon_eliminates():
     assert callers == ["gf2.Echelon"]
 
 
+def test_only_decode_trial_classifies_one_residual():
+    # the trial paths classify residual rows with classify_rows: the
+    # one-row classify_residual is named outside tanner only by the
+    # decode-one path
+    root = Path(qtanner.__file__).parent
+    callers = [
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(root.glob("*.py"))
+        if path.stem != "tanner"
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "classify_residual"
+        or isinstance(node, ast.Attribute) and node.attr == "classify_residual"
+    ]
+    assert callers == ["noise.decode_trial"]
+
+
 def test_only_cayley_builds_views():
     # one view table: every module reads views from cayley's view_table,
     # and none defines or calls a local_view

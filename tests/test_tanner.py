@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -201,7 +202,7 @@ class TestClassifyResidual:
         assert tanner.classify_residual(ref_code, v) == "logical"
 
 
-@pytest.fixture(scope="session", params=["ref_code", "unique_code"])
+@pytest.fixture(scope="session", params=["ref_code", "unique_code", "rep3_par3_code"])
 def code_with_logical(request):
     """A code, rank(H_X) by the numpy oracle, and a logical operator."""
     code = request.getfixturevalue(request.param)
@@ -210,28 +211,70 @@ def code_with_logical(request):
     return code, np_rank_gf2(code.h_x), logical.bits
 
 
-@given(data=st.data())
-def test_classify_matches_numpy_rank_oracle(code_with_logical, data):
-    code, rank_hx, logical = code_with_logical
+def _residuals(code, logical):
+    """Residuals of every class: uniform vectors, sparse vectors,
+    stabilizers and stabilizers plus a logical."""
     n, rows = code.n, code.h_x.data
     stabilizer = st.sets(st.integers(0, len(rows) - 1)).map(
         lambda picks: _xor_rows(rows, picks)
     )
-    bits = data.draw(
-        st.one_of(
-            st.integers(0, (1 << n) - 1),
-            st.sets(st.integers(0, n - 1), max_size=8).map(lambda s: sum(1 << q for q in s)),
-            stabilizer,
-            stabilizer.map(lambda s: s ^ logical),
-        )
+    return st.one_of(
+        st.integers(0, (1 << n) - 1),
+        st.sets(st.integers(0, n - 1), max_size=8).map(lambda s: sum(1 << q for q in s)),
+        stabilizer,
+        stabilizer.map(lambda s: s ^ logical),
     )
-    v = BitVector(n, bits)
-    cls = tanner.classify_residual(code, v)
-    augmented = gf2.BitMatrix(len(rows) + 1, n, rows + [bits])
-    assert (cls == tanner.CORRECTED) == (np_rank_gf2(augmented) == rank_hx)
-    if cls != tanner.CORRECTED:
-        detected = np_mat_vec_gf2(code.h_z, bits) != 0
-        assert cls == (tanner.DETECTED if detected else tanner.LOGICAL)
+
+
+def _oracle_class(code, rank_hx, bits):
+    """The class of a residual by the numpy rank and syndrome oracles."""
+    rows = code.h_x.data
+    augmented = gf2.BitMatrix(len(rows) + 1, code.n, rows + [bits])
+    if np_rank_gf2(augmented) == rank_hx:
+        return tanner.CORRECTED
+    return tanner.DETECTED if np_mat_vec_gf2(code.h_z, bits) else tanner.LOGICAL
+
+
+@given(data=st.data())
+def test_classify_matches_numpy_rank_oracle(code_with_logical, data):
+    code, rank_hx, logical = code_with_logical
+    bits = data.draw(_residuals(code, logical))
+    cls = tanner.classify_residual(code, BitVector(code.n, bits))
+    assert cls == _oracle_class(code, rank_hx, bits)
+
+
+@given(data=st.data())
+def test_classify_rows_matches_numpy_rank_oracle(code_with_logical, data):
+    # a batch mixes zero rows with every kind of residual; each row gets
+    # the class the oracles give it alone
+    code, rank_hx, logical = code_with_logical
+    batch = data.draw(st.lists(st.one_of(st.just(0), _residuals(code, logical)), max_size=6))
+    classes = tanner.classify_rows(code, gf2.to_bit_rows(batch, code.n))
+    assert classes.tolist() == [_oracle_class(code, rank_hx, bits) for bits in batch]
+
+
+class TestClassifyRows:
+    def test_empty_batch(self, unique_code):
+        classes = tanner.classify_rows(unique_code, np.zeros((0, unique_code.n), np.uint8))
+        assert classes.shape == (0,)
+
+    def test_width_check(self, unique_code):
+        for width in (unique_code.n - 1, unique_code.n + 1):
+            with pytest.raises(DimensionMismatchError):
+                tanner.classify_rows(unique_code, np.zeros((2, width), np.uint8))
+
+    def test_echelon_built_only_for_a_quiet_nonzero_row(self):
+        # zero rows and rows with a syndrome need no elimination of H_X;
+        # a nonzero stabilizer does
+        cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
+        code = tanner.QuantumTannerCode(cx, codes.repetition_code(3), codes.repetition_code(3))
+        rows = np.zeros((3, code.n), np.uint8)
+        rows[1, 5] = rows[2, [0, 40]] = 1
+        assert tanner.classify_rows(code, rows).tolist() == ["corrected", "detected", "detected"]
+        assert "echelon_x" not in code.__dict__
+        rows[0] = gf2.to_bit_rows(code.h_x.data[:1], code.n)
+        assert tanner.classify_rows(code, rows).tolist() == ["corrected", "detected", "detected"]
+        assert "echelon_x" in code.__dict__
 
 
 def _xor_rows(rows, picks):
