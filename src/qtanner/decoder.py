@@ -14,6 +14,13 @@ of its weight; the parallel one sweeps the four (effective) vertex
 classes V00, V01, V10, V11, each in group order, with the fixed 1/2
 threshold, choosing a maximal-weight codeword per vertex.
 
+Both stop at a provable fixed point.  A codeword x passes at v only if
+2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and |x ∩ Ẑ_v| ≤ |Ẑ|, so no vertex finds
+one while |Ẑ| is below h_min(θ), the least ceil((|x| + ceil(θ|x|)) / 2)
+over the cached codewords (n + 1 if there are none).  The cache keeps
+h_min next to each θ table (``hit_floor``): the FIFO stops popping, a
+sweep is not started and a lockstep row is not scanned below it.
+
 Candidate search is exhaustive over the cached nonzero codewords of
 C_A ⊞ C_B, the span of the kernel basis of H_A ⊗ H_B sorted by weight
 descending (lexicographic within a weight class) in numpy.  The
@@ -56,12 +63,12 @@ codewords and their share of f̂ back, bit by bit at (row, face)
 (splitting a codeword only where f̂ takes one of its parts);
 same-class views partition the faces, so this is the scalar sweep.  The
 sequential schedule checks ε and looks up its θ table once per call,
-packs every view of every row into one word and reads every word's
-scan once: a row where no queued vertex finds a codeword is a fixed
-point and is left alone, and the scalar FIFO drains only the other
-rows, from their first vertex that finds one (Ẑ cannot change before
-it).  Each row decodes to exactly what the scalar decoder gives its
-syndrome.
+packs every view of every row at or above h_min into one word and reads
+every word's scan once: a row where no queued vertex finds a codeword
+is a fixed point and is left alone, and the scalar FIFO drains only the
+other rows, from their first vertex that finds one (Ẑ cannot change
+before it).  Each row decodes to exactly what the scalar decoder gives
+its syndrome.
 """
 
 from __future__ import annotations
@@ -150,6 +157,7 @@ class LocalCodewordCache:
                                   "depends on the other local checks")
         self._build_views(code)
         self._scan_tables: dict[Fraction, gf2.WordCache] = {}
+        self._hit_floors: dict[Fraction, int] = {}
 
     def split(self, idx: int) -> tuple[int, int]:
         """The minimal (c, r) split of cached codeword idx, computed on
@@ -223,16 +231,32 @@ class LocalCodewordCache:
         """The memoized candidate search for threshold policy θ: the
         ``gf2.WordCache`` of ``_scan_uncached`` with thresholds
         ceil(θ·|x_i|) for cached codeword i.  Patterns have Δ² bits, so
-        its memo holds at most 2^Δ² entries."""
+        its memo holds at most 2^Δ² entries.  Built with it, from the
+        same thresholds, is θ's ``hit_floor``."""
         theta = as_fraction(theta)
         table = self._scan_tables.get(theta)
         if table is None:
             ceil_by_weight = np.array(
                 [math.ceil(theta * w) for w in range(self.max_weight + 1)], dtype=np.int64
             )
-            table = gf2.WordCache(partial(_scan_uncached, self, ceil_by_weight[self.weights]))
+            thresholds = ceil_by_weight[self.weights]
+            table = gf2.WordCache(partial(_scan_uncached, self, thresholds))
             self._scan_tables[theta] = table
+            # with no codeword nothing hits, at any |Ẑ| ≤ n
+            self._hit_floors[theta] = int(((self.weights + thresholds + 1) // 2).min(
+                initial=self.code.n + 1))
         return table
+
+    def hit_floor(self, theta: Fraction) -> int:
+        """h_min(θ), the least |Ẑ| at which some vertex can find a
+        codeword at threshold θ: the least ceil((|x| + ceil(θ|x|)) / 2)
+        over the cached codewords x, or n + 1 if there are none.  x
+        passes at v only if 2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and
+        |x ∩ Ẑ_v| ≤ |Ẑ|, so every Ẑ lighter than h_min(θ) is a fixed
+        point of both schedules."""
+        theta = as_fraction(theta)
+        self.scan_table(theta)
+        return self._hit_floors[theta]
 
 
 def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
@@ -456,17 +480,21 @@ def sequential_mismatch_decomposition(
 ) -> tuple[BitVector, BitVector, BitVector, BitVector]:
     """Greedy decomposition: FIFO over vertices whose views intersect Ẑ,
     removing any local codeword that clears ≥ ceil((1-ε)|x|) weight."""
-    eps = checked_eps(eps)
+    theta = 1 - checked_eps(eps)
     cache = get_cache(state.code)
-    _drain(state, cache, cache.scan_table(1 - eps))
+    _drain(state, cache, cache.scan_table(theta), cache.hit_floor(theta))
     return state.accumulators()
 
 
-def _drain(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache) -> None:
+def _drain(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache,
+           floor: int) -> None:
     """The sequential FIFO: step at the next queued vertex and queue the
-    vertices of every face a step changed, until Ẑ or the queue is empty."""
+    vertices of every face a step changed, until the queue is empty or
+    |Ẑ| falls below ``floor``, the table's ``hit_floor``.  No vertex
+    finds a codeword in a Ẑ that light, so every pop left would be a
+    no-op: the vertices still queued stay in the worklist."""
     work = state.worklist
-    while state.zhat and work:
+    while work and state.zhat.bit_count() >= floor:
         v = work.popleft()
         state.in_queue[v] = 0
         changed = _step(state, cache, table, v)
@@ -491,14 +519,16 @@ def parallel_mismatch_decomposition(
     Views of same-class vertices are disjoint, so in-class updates
     commute and the sweep equals evaluation against the class-entry
     snapshot; vertices are visited in group-element order for
-    scheduling-independent output.
+    scheduling-independent output.  Sweeping stops once |Ẑ| is below
+    the θ = 1/2 ``hit_floor`` (a fixed point) or a sweep removes nothing.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     cache = get_cache(state.code)
     table = cache.scan_table(Fraction(1, 2))
+    floor = cache.hit_floor(Fraction(1, 2))
     for _ in range(k):
-        if state.zhat == 0:
+        if state.zhat.bit_count() < floor:
             break
         changed_any = False
         for v in cache.sweep_order:
@@ -597,15 +627,18 @@ def lockstep_parallel_decomposition(
     (rows, slots) array and XORs back only the removed codewords, at the
     (row, face) of each of their bits.  Only the V00 and V11 steps need
     (c, r) splits, for the r and c parts of f̂; they split their new
-    codewords in one pass.  A row leaves the active set after a sweep
-    that clears its Ẑ or removes nothing: the next sweep would be a
-    fixed point, which is where the scalar loop stops too.
+    codewords in one pass.  A row is active only while |Ẑ| is at least
+    the θ = 1/2 ``hit_floor`` (no vertex finds a codeword in a lighter
+    Ẑ, as |x ∩ Ẑ_v| ≤ |Ẑ|), and leaves the active set after a sweep that
+    removes nothing: the next sweep would be a fixed point, which is
+    where the scalar loop stops too.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table = cache.scan_table(Fraction(1, 2))
+    floor = cache.hit_floor(Fraction(1, 2))
     d2 = cache.n
-    active = np.flatnonzero(zhat.any(axis=1))
+    active = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     for _ in range(k):
         if active.size == 0:
             break
@@ -627,7 +660,7 @@ def lockstep_parallel_decomposition(
             elif c_share:  # V01 keeps c + r, the whole codeword
                 acc[bits] ^= 1
         zhat[active], f[active] = z, acc
-        active = active[changed & z.any(axis=1)]
+        active = active[changed & (gf2.row_weights(z) >= floor)]
 
 
 def lockstep_sequential_decomposition(
@@ -637,19 +670,23 @@ def lockstep_sequential_decomposition(
     """``sequential_mismatch_decomposition`` on every row of ``zhat`` in
     place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
 
-    ε is checked and the θ = 1 - ε table looked up once per call.  Every
-    vertex's view of every row is packed into one Δ²-bit word, and the
-    scan of every word is read from the table's word cache: the nonzero
-    words of a row are its FIFO's initial queue, in vertex order, and a
-    found codeword is a hit.  Ẑ cannot change before the first hit, so
-    every queued vertex before it pops as a no-op: a row without a hit
-    is a fixed point and is left as it is, and a row with one is drained
-    by the scalar FIFO (``_drain``) from its first hit on, the vertices
-    before it popped (not marked queued, so a later step can queue them
-    again).
+    ε is checked and the θ = 1 - ε table and ``hit_floor`` looked up
+    once per call.  A row with |Ẑ| below the floor is a fixed point (no
+    vertex finds a codeword, as |x ∩ Ẑ_v| ≤ |Ẑ|) and is left as it is.
+    Every vertex's view of every other row is packed into one Δ²-bit
+    word, and the scan of every word is read from the table's word
+    cache: the nonzero words of a row are its FIFO's initial queue, in
+    vertex order, and a found codeword is a hit.  Ẑ cannot change before
+    the first hit, so every queued vertex before it pops as a no-op: a
+    row without a hit is a fixed point too, and a row with one is
+    drained by the scalar FIFO (``_drain``) from its first hit on, the
+    vertices before it popped (not marked queued, so a later step can
+    queue them again).  The drained rows' Ẑ and f̂ go to ints and back
+    as one stacked array each way.
     """
-    table = cache.scan_table(1 - checked_eps(eps))
-    rows = np.flatnonzero(zhat.any(axis=1))
+    theta = 1 - checked_eps(eps)
+    table, floor = cache.scan_table(theta), cache.hit_floor(theta)
+    rows = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     if rows.size == 0:
         return
     words = cache.view_words(zhat[rows])
@@ -660,12 +697,13 @@ def lockstep_sequential_decomposition(
         return
     first = hits.argmax(axis=1)
     queued = (words[moving] != 0) & (np.arange(hits.shape[1]) >= first[:, None])
-    code, n = cache.code, cache.code.n
-    zs, fs = [], []
-    for z, f0, q in zip(gf2.from_bit_rows(zhat[rows]), gf2.from_bit_rows(f[rows]), queued):
-        state = MismatchState(code, z, z, f0, worklist=deque(np.flatnonzero(q).tolist()),
+    code, m = cache.code, rows.size
+    ints = gf2.from_bit_rows(np.concatenate([zhat[rows], f[rows]]))
+    for i, q in enumerate(queued):
+        state = MismatchState(code, ints[i], ints[i], ints[m + i],
+                              worklist=deque(np.flatnonzero(q).tolist()),
                               in_queue=bytearray(q.tobytes()))
-        _drain(state, cache, table)
-        zs.append(state.zhat)
-        fs.append(_finish(state).bits)
-    zhat[rows], f[rows] = gf2.to_bit_rows(zs, n), gf2.to_bit_rows(fs, n)
+        _drain(state, cache, table, floor)
+        ints[i], ints[m + i] = state.zhat, _finish(state).bits
+    out = gf2.to_bit_rows(ints, code.n)
+    zhat[rows], f[rows] = out[:m], out[m:]

@@ -11,9 +11,10 @@ are all read from it.
 Batches of vectors, as the lockstep decoder handles them, are numpy
 ``uint8`` arrays with one 0/1 entry per coordinate and one row per
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
-forms, and ``WordPacker``/``unpack_words`` hold patterns of at most 64
-bits as one ``uint64`` each; ``span_words`` and ``lex_keys`` are the
-span and ``lex_key`` of such words.  A ``WordCache`` is the one memo of
+forms, ``row_weights`` counts each row's weight, and
+``WordPacker``/``unpack_words`` hold patterns of at most 64 bits as one
+``uint64`` each; ``span_words`` and ``lex_keys`` are the span and
+``lex_key`` of such words.  A ``WordCache`` is the one memo of
 a function of such words: ``get`` reads one word, as the scalar decoders
 read their scans and coset leaders, and a call reads a whole array at
 once, as a lockstep step does.
@@ -83,6 +84,12 @@ def to_bit_rows(values: Sequence[int], n: int) -> np.ndarray:
     buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def row_weights(rows: np.ndarray) -> np.ndarray:
+    """The weight of every row of a 0/1 array, summed in the least
+    unsigned dtype that holds the row length, so no sum can wrap."""
+    return rows.sum(axis=1, dtype=np.min_scalar_type(rows.shape[1]))
 
 
 def from_bit_rows(rows: np.ndarray) -> list[int]:

@@ -31,9 +31,10 @@ product, and classifies the final residuals as rows.  A run returns
 one ``RoundBatch``, its per-round weights as one (trials,
 rounds, 4) array and its readouts as lists, which formats its own CSV
 lines.  In both, a trial's results do not depend on the block or batch
-it ran in.  Every CSV line is the text ``csv_text`` gives (the line
-templates put only numbers and class names after a head that went
-through it), and ``write_csv`` writes the text.  Configs are checked
+it ran in.  Every CSV line is the text ``csv_text`` gives (the sweep's
+line templates and the multi-round digits table put only numbers and
+class names after a head that went through it), and ``write_csv``
+writes the text.  Configs are checked
 when parsed: rates and persistence lie in [0, 1], weights are
 non-negative whole numbers, and each noise object has only its kind's
 keys.
@@ -160,18 +161,25 @@ class RoundBatch(NamedTuple):
 
     def csv_chunks(self) -> Iterator[str]:
         """The batch's CSV lines, one chunk per trial.  The head goes
-        through ``csv_text`` once (a % in it escaped for the template);
-        the round lines are one ``%d`` template per trial, and the final
-        row is ``csv_text`` again."""
-        head = csv_text([self.head])[:-1].replace("%", "%%")
-        trials, rounds, _ = self.stats.shape
-        index = np.broadcast_to(np.arange(1, rounds + 1)[:, None], (trials, rounds, 1))
-        lines = np.concatenate([index, self.stats], axis=2)
-        for seed, values, weight, cls in zip(self.seeds, lines, self.final_weights,
+        through ``csv_text`` once, and every integer of the round lines
+        (round index and ROUND_STATS) is formatted once, as ",i" in a
+        digits table up to the largest of them.  A trial's round lines
+        are one ``"".join`` of table entries and line ends, the end of
+        one line carrying the start of the next; the final row is
+        ``csv_text`` again."""
+        head = csv_text([self.head])[:-1]
+        trials, rounds, width = self.stats.shape
+        top = max(rounds, int(self.stats.max(initial=0)))
+        digits = np.array([f",{i}" for i in range(top + 1)], dtype=object)
+        cells = np.empty((rounds, width + 2), dtype=object)
+        cells[:, 0] = digits[1:rounds + 1]
+        for seed, values, weight, cls in zip(self.seeds, self.stats, self.final_weights,
                                              self.final_classes):
-            yield (f"{head},{seed},%d,%d,%d,%d,%d,,{seed}\n" * rounds
-                   % tuple(values.ravel().tolist())
-                   + csv_text([(*self.head, seed, "final", 0, 0, 0, weight, cls, seed)]))
+            cells[:, 1:-1] = digits[values]
+            cells[:, -1] = f",,{seed}\n{head},{seed}"
+            cells[-1, -1] = f",,{seed}\n" + csv_text(
+                [(*self.head, seed, "final", 0, 0, 0, weight, cls, seed)])
+            yield f"{head},{seed}" + "".join(cells.ravel().tolist())
 
 
 DATA_KEYS = {"bernoulli": ("kind", "p"), "adversarial": ("kind", "w", "persistence")}
@@ -533,27 +541,33 @@ def _uniform_rows(rngs: Iterable[np.random.Generator], rounds: int, width: int
 
 
 def _bernoulli_rounds(code: QuantumTannerCode, model: NoiseModel,
-                      rngs: Iterable[np.random.Generator], rounds: int
+                      rngs: Iterable[np.random.Generator], trials: int, rounds: int
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's (e, D) of every trial under Bernoulli data and
-    syndrome noise, as packed little-endian bit rows (trials, rounds,
-    bytes): trial after trial, the numbers ``_filled_rounds`` would draw,
-    in whole blocks of uniforms rather than one row at a time."""
+    """Every round's (e, D) of the ``trials`` trials of ``rngs`` under
+    Bernoulli data and syndrome noise, as packed little-endian bit rows
+    (trials, rounds, bytes): trial after trial, the numbers
+    ``_filled_rounds`` would draw, in whole blocks of uniforms rather
+    than one row at a time.  Each block is compared once with a row of
+    per-column rates (p for the data columns, q for the syndrome ones),
+    and its two sides are packed straight into one array per side."""
     n, rz = code.n, code.h_z.rows
     width_e = n if model.p > 0.0 and n else 0
     width_d = rz if model.q > 0.0 and rz else 0
-    e = [np.zeros((0, (n + 7) // 8), dtype=np.uint8)]
-    d = [np.zeros((0, (rz + 7) // 8), dtype=np.uint8)]
+    rates = np.repeat([model.p, model.q], [width_e, width_d])
+    e = np.zeros((trials, rounds, (n + 7) // 8), dtype=np.uint8)
+    d = np.zeros((trials, rounds, (rz + 7) // 8), dtype=np.uint8)
+    # row views, sized in full: with no trials a -1 could be any width
+    e_rows = e.reshape(trials * rounds, e.shape[2])
+    d_rows = d.reshape(trials * rounds, d.shape[2])
+    lo = 0
     for u in _uniform_rows(rngs, rounds, width_e + width_d):
-        e.append(np.zeros((len(u), (n + 7) // 8), dtype=np.uint8))
-        d.append(np.zeros((len(u), (rz + 7) // 8), dtype=np.uint8))
-        e[-1][:, :(width_e + 7) // 8] = np.packbits(u[:, :width_e] < model.p, axis=1,
-                                                    bitorder="little")
-        d[-1][:, :(width_d + 7) // 8] = np.packbits(u[:, width_e:] < model.q, axis=1,
-                                                    bitorder="little")
-    trials = sum(map(len, e)) // rounds
-    return (np.concatenate(e).reshape(trials, rounds, (n + 7) // 8),
-            np.concatenate(d).reshape(trials, rounds, (rz + 7) // 8))
+        bits, hi = u < rates, lo + len(u)
+        e_rows[lo:hi, :(width_e + 7) // 8] = np.packbits(bits[:, :width_e], axis=1,
+                                                        bitorder="little")
+        d_rows[lo:hi, :(width_d + 7) // 8] = np.packbits(bits[:, width_e:], axis=1,
+                                                        bitorder="little")
+        lo = hi
+    return e, d
 
 
 def _fill_exact_weight(row: np.ndarray, w: int, rng,
@@ -630,8 +644,9 @@ def _round_errors(code: QuantumTannerCode, model: NoiseModel, master_seed: int,
         check_stream(min(streams))
         check_stream(max(streams))
     bernoulli = model.data_kind == model.syn_kind == "bernoulli"
-    e, d = (_bernoulli_rounds if bernoulli else _filled_rounds)(
-        code, model, (rekeyed_rng(master_seed, s) for s in streams), rounds)
+    rngs = (rekeyed_rng(master_seed, s) for s in streams)
+    e, d = (_bernoulli_rounds(code, model, rngs, len(streams), rounds) if bernoulli
+            else _filled_rounds(code, model, rngs, rounds))
     for i in range(rounds):
         yield (np.unpackbits(e[:, i], axis=1, count=code.n, bitorder="little"),
                np.unpackbits(d[:, i], axis=1, count=code.h_z.rows, bitorder="little"))
@@ -675,15 +690,15 @@ def run_multiround(
         cache = dec.get_cache(code)
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
         residual ^= e ^ cfg.decode_lockstep(cache, syn)
-        stats[:, i, 0] = e.sum(axis=1)
-        stats[:, i, 1] = d.sum(axis=1)
+        stats[:, i, 0] = gf2.row_weights(e)
+        stats[:, i, 1] = gf2.row_weights(d)
         stats[:, i, 2] = _vertex_support_rows(cache, d)
-        stats[:, i, 3] = residual.sum(axis=1)
+        stats[:, i, 3] = gf2.row_weights(residual)
     fixes = [dec.sequential_decode(code, BitVector(rz, s), Fraction(1, 2)).bits
              for s in gf2.from_bit_rows(tanner.syndrome_rows_z(code, residual))]
     residual ^= gf2.to_bit_rows(fixes, n)
     return RoundBatch((instance_id, cfg.kind, cfg.param, *model.pq_labels()), seeds, stats,
-                      residual.sum(axis=1).tolist(),
+                      gf2.row_weights(residual).tolist(),
                       tanner.classify_rows(code, residual).tolist())
 
 
@@ -784,8 +799,8 @@ def run_trial_block(
         zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
         shared = time.perf_counter() - t0
         rows = stats[lo:hi]
-        rows[:, :, 0] = e.sum(axis=1)[:, None]
-        rows[:, :, 1] = d.sum(axis=1)[:, None]
+        rows[:, :, 0] = gf2.row_weights(e)[:, None]
+        rows[:, :, 1] = gf2.row_weights(d)[:, None]
         rows[:, :, 2] = _vertex_support_rows(cache, d)[:, None]
         for j, cfg in enumerate(cfgs):
             t0 = time.perf_counter()
@@ -794,7 +809,7 @@ def run_trial_block(
             cfg.decompose_lockstep(cache, zhat if last else zhat.copy(), residual)
             spent[j] += shared + time.perf_counter() - t0
             residual ^= e
-            rows[:, j, 3] = residual.sum(axis=1)
+            rows[:, j, 3] = gf2.row_weights(residual)
             rows[:, j, 4] = tanner.greedy_reduced_weights(code, residual)
             classes[lo:hi, j] = tanner.classify_rows(code, residual)
     ms = [s * 1000.0 / total if record_timing and total else 0.0 for s in spent]

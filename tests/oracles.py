@@ -22,12 +22,12 @@ from qtanner.errors import DimensionMismatchError
 
 
 def _dense(mat):
-    """A packed-row matrix as a dense (rows, cols) uint8 array."""
-    m = np.zeros((mat.rows, mat.cols), dtype=np.uint8)
-    for i, row in enumerate(mat.data):
-        for j in range(mat.cols):
-            m[i, j] = (row >> j) & 1
-    return m
+    """A packed-row matrix as a dense (rows, cols) uint8 array: each row's
+    little-endian bytes, unpacked."""
+    nbytes = (mat.cols + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in mat.data),
+                           dtype=np.uint8).reshape(mat.rows, nbytes)
+    return np.unpackbits(packed, axis=1, count=mat.cols, bitorder="little")
 
 
 def _rank_dense(m):

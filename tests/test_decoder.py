@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import math
 import types
 from fractions import Fraction
 
@@ -704,3 +705,57 @@ class TestMemoizedSearch:
         ]
         for run in runs:
             assert run(any_code) == run(fresh_copy(any_code))
+
+
+def passing_weight(w, theta):
+    """The least |Ẑ| in which a codeword of weight w can clear ceil(θw):
+    ceil((w + ceil(θw)) / 2), by exact rationals."""
+    return math.ceil(Fraction(w + math.ceil(theta * w), 2))
+
+
+class TestHitFloor:
+    """h_min(θ), the ``hit_floor``: no vertex finds a codeword at
+    threshold θ in any Ẑ lighter than it, and some Ẑ of its weight has a
+    hit."""
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("fixture", ["ref_code", "unique_code", "rep5_code", "z5_code"])
+    def test_floor_is_the_least_passing_weight(self, fixture, theta, request):
+        code = request.getfixturevalue(fixture)
+        cache = get_cache(code)
+        floor = cache.hit_floor(theta)
+        weights = [int(x).bit_count() for x in cache.masks]
+        assert floor == min(passing_weight(w, theta) for w in weights)
+        views, vertices = cache.views, range(code.complex.num_vertices)
+        rng = np.random.default_rng([7, THETAS.index(theta)])
+        for w in range(floor):  # random supports, and supports inside one view
+            for _ in range(6):
+                view = views[int(rng.integers(len(views)))]
+                for faces in (rng.choice(code.n, size=w, replace=False),
+                              rng.choice(view, size=min(w, len(view)), replace=False)):
+                    zhat = sum(1 << int(q) for q in faces)
+                    assert all(find_reducing_codeword(code, zhat, v, theta) is None
+                               for v in vertices)
+        # the first floor bits of a codeword attaining the minimum, at v
+        x = int(cache.masks[[passing_weight(w, theta) for w in weights].index(floor)])
+        v = int(rng.integers(len(views)))
+        support = [p for p in range(cache.n) if x >> p & 1][:floor]
+        zhat = sum(1 << views[v][p] for p in support)
+        assert zhat.bit_count() == floor
+        assert find_reducing_codeword(code, zhat, v, theta) is not None
+
+    def test_no_codeword_no_hit(self):
+        """Zero local codes leave C_A ⊞ C_B empty: the floor is n + 1, and
+        both schedules keep the initial mismatch, scalar and lockstep."""
+        cx = cayley.build_complex(cayley.build_group("cyclic", 3), [1, 2], [1, 2])
+        code = tanner.QuantumTannerCode(cx, codes.zero_code(2), codes.zero_code(2))
+        cache, rz = get_cache(code), code.h_z.rows
+        assert len(cache.masks) == 0
+        assert {cache.hit_floor(theta) for theta in THETAS} == {code.n + 1}
+        syndromes = [0, 5, (1 << rz) - 1, 1 << (rz - 1)]
+        for cfg in (DecoderConfig("sequential"), DecoderConfig("parallel", k=3)):
+            got = gf2.from_bit_rows(cfg.decode_lockstep(cache, gf2.to_bit_rows(syndromes, rz)))
+            for s, f in zip(syndromes, got):
+                want, state = cfg.decode(code, BitVector(rz, s), return_state=True)
+                assert (f, state.steps) == (want.bits, [])
+                assert want.bits == initial_mismatch(code, BitVector(rz, s)).eps01_sum

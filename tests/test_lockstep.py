@@ -187,9 +187,9 @@ class TestLockstepDecoders:
         drained = []
         drain = decoder._drain
 
-        def counted(state, cache, table):
+        def counted(state, *args):
             drained.append(state.initial_zhat)
-            drain(state, cache, table)
+            drain(state, *args)
 
         monkeypatch.setattr(decoder, "_drain", counted)
         rz = code.h_z.rows
@@ -232,6 +232,25 @@ class TestLockstepDecoders:
         assert self.first_hit(unique_code, z0, Fraction(1, 2))[1] != hit  # θ matters here
         zhat, drained = self.drained_sequential(unique_code, [syndrome], eps, monkeypatch)
         assert drained == [z0]
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
+    def test_fifo_stop_equals_unbounded_fifo(self, batches, eps, unique_code):
+        """``sequential_decode``, whose FIFO stops below the hit floor,
+        ends with the Ẑ, f̂ and steps of the FIFO run to its end, on the
+        sampled batch and the crafted syndromes above."""
+        code, syndromes = batches[0], list(batches[1]["sampled"])
+        if code is unique_code:
+            syndromes += [crafted_syndrome(code, [1], [61]), crafted_syndrome(code, [3, 22], [28]),
+                          crafted_syndrome(code, [6, 11, 17, 42, 54, 55], [])]
+        stopped = 0
+        for s in syndromes:
+            f, state = decoder.sequential_decode(code, BitVector(code.h_z.rows, s), eps,
+                                                 return_state=True)
+            want_f, want = unbounded_sequential(code, s, eps)
+            assert (f, state.zhat, state.steps) == (want_f, want.zhat, want.steps)
+            stopped += bool(state.worklist)
+        if code.h_z.rows:  # the stop rule left queued vertices unpopped
+            assert stopped
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_initial_mismatch(self, batches, batch):
@@ -357,6 +376,27 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
         records += [rec for rec, _ in noise.decode_trial(code, model, SWEEP_DECODERS, e, d,
                                                          seed=stream)]
     return records
+
+
+def unbounded_sequential(code, syndrome, eps):
+    """``sequential_decode`` of a syndrome int with the FIFO run to its
+    end: pop until Ẑ is 0 or the queue is empty, with no stop at the hit
+    floor.  The reference for that stop rule, which the scalar and
+    lockstep paths share in ``decoder._drain``; returns (f̂, state)."""
+    state = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome))
+    cache = decoder.get_cache(code)
+    table = cache.scan_table(1 - eps)
+    work = state.worklist
+    while state.zhat and work:
+        v = work.popleft()
+        state.in_queue[v] = 0
+        changed = decoder._step(state, cache, table, v)
+        requeue = {u for q in range(code.n) if changed >> q & 1 for u in cache.face_vertices[q]}
+        for u in sorted(requeue):
+            if not state.in_queue[u]:
+                work.append(u)
+                state.in_queue[u] = 1
+    return decoder._finish(state), state
 
 
 @pytest.mark.parametrize("kind", list(SWEEP_NOISE))

@@ -215,6 +215,26 @@ class TestRoundErrors:
             next(noise._round_errors(unique_code, model, seed, [0, 5, bad, 7], 2))
         assert keyed == []
 
+    @pytest.mark.parametrize("model", [NoiseModel(p=0.3, q=0.3), NoiseModel(q=0.3),
+                                       NoiseModel(p=0.3), NoiseModel()],
+                             ids=["p,q", "p=0", "q=0", "p=q=0"])
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("fixture", ["ref_code", "z5_code"])
+    def test_bernoulli_shapes_and_zero_sides(self, fixture, trials, model, request):
+        # ref_code: n = 208 and 78 H_Z rows, a partial last byte; z5_code:
+        # no H_Z rows.  A side at rate 0 is all zero, the other is not.
+        code, rounds = request.getfixturevalue(fixture), 4
+        n, rz = code.n, code.h_z.rows
+        rngs = (make_rng(2, s) for s in range(trials))
+        e, d = noise._bernoulli_rounds(code, model, rngs, trials, rounds)
+        assert e.shape == (trials, rounds, (n + 7) // 8)
+        assert d.shape == (trials, rounds, (rz + 7) // 8)
+        got = list(noise._round_errors(code, model, 2, range(trials), rounds))
+        assert len(got) == rounds
+        assert {(e.shape, d.shape) for e, d in got} == {((trials, n), (trials, rz))}
+        for rate, side in ((model.p, [e for e, _ in got]), (model.q, [d for _, d in got])):
+            assert np.any(side) == bool(rate and trials and side[0].shape[1])
+
 
 class TestVertexSupport:
     def test_zero(self, ref_code):
@@ -355,19 +375,26 @@ class TestMultiround:
 
     @pytest.mark.parametrize("instance_id", ['a,"b', "x%dy"])
     def test_csv_equals_csv_writer_of_the_rows(self, unique_code, tmp_path, instance_id):
-        # the head needs quoting (or holds a % the round template must
-        # not read), and p = 1e-05 is written by repr
-        batch = noise.run_multiround(
+        # the head needs quoting (or holds a % a line template would
+        # read), and p = 1e-05 is written by repr.  The hand-built batch
+        # has weights past its round count, of up to three digits, so the
+        # digits table must reach max(stats, rounds), not the rounds.
+        run = noise.run_multiround(
             unique_code, NoiseModel(p=1e-05, q=0.02), DecoderConfig("parallel", k=2), 4,
             16, [5, 7, 9], instance_id=instance_id,
         )
-        want = io.StringIO()
-        csv.writer(want, lineterminator="\n").writerows(
-            [noise.MULTIROUND_CSV_FIELDS, *multiround_rows(batch)])
-        path = tmp_path / "m.csv"
-        noise.write_csv(path, noise.MULTIROUND_CSV_FIELDS, batch.csv_chunks(), ["h=1"])
-        assert path.read_text() == "# h=1\n" + want.getvalue()
-        assert len(path.read_text().splitlines()) == 2 + 3 * 5
+        stats = np.array([[[0, 3, 2, 1], [9, 10, 11, 120], [208, 99, 100, 7]],
+                          [[1, 0, 0, 0], [0, 0, 0, 0], [4, 5, 6, 999]]])
+        built = noise.RoundBatch((instance_id, "sequential", "eps=1/2", 0.5, 1e-05),
+                                 [3, 1 << 40], stats, [17, 0], ["logical", "corrected"])
+        for batch, lines in ((run, 2 + 3 * 5), (built, 2 + 2 * 4)):
+            want = io.StringIO()
+            csv.writer(want, lineterminator="\n").writerows(
+                [noise.MULTIROUND_CSV_FIELDS, *multiround_rows(batch)])
+            path = tmp_path / "m.csv"
+            noise.write_csv(path, noise.MULTIROUND_CSV_FIELDS, batch.csv_chunks(), ["h=1"])
+            assert path.read_text() == "# h=1\n" + want.getvalue()
+            assert len(path.read_text().splitlines()) == lines
 
 
 def sweep_points(code, models, cfgs, trials, master_seed):
