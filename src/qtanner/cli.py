@@ -227,7 +227,7 @@ _NAMED_CODES = {
 }
 
 
-def _local_code(spec, delta: int, rng_seed: int, which: str) -> codes.LinearCode:
+def _local_code(spec, delta: int, which: str) -> codes.LinearCode:
     if isinstance(spec, str):
         spec = {"kind": "named", which: spec}
     kind = spec.get("kind", "named")
@@ -238,7 +238,7 @@ def _local_code(spec, delta: int, rng_seed: int, which: str) -> codes.LinearCode
         return _NAMED_CODES[name](delta)
     if kind == "random":
         dim = whole(spec[f"dim_{which}"], f"instance.local_codes.dim_{which}")
-        seed = whole(spec.get("seed", rng_seed), "instance.local_codes.seed")
+        seed = whole(spec["seed"], "instance.local_codes.seed")
         rng = noise.make_rng(seed, 0 if which == "a" else 1)
         return codes.sample_random_code(delta, dim, rng)
     return codes.LinearCode.from_json(spec[which])
@@ -246,7 +246,9 @@ def _local_code(spec, delta: int, rng_seed: int, which: str) -> codes.LinearCode
 
 def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
     """The code of a config's instance (checked by ``load_config``) and
-    its id, the head of the instance spec's hash."""
+    its id, the head of the instance spec's hash.  Random local codes
+    without a seed of their own are drawn from the master seed, which is
+    then written into the hashed spec: two codes never share an id."""
     inst = cfg.get("instance", CONFIG_DEFAULTS["instance"])
     gspec = inst["group"]
     group = cayley.build_group(
@@ -254,9 +256,11 @@ def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
     )
     cx = cayley.build_complex(group, inst["a_gens"], inst["b_gens"])
     lc = inst.get("local_codes", REFERENCE_INSTANCE["local_codes"])
-    seed = cfg.get("seed", CONFIG_DEFAULTS["seed"])
-    ca = _local_code(lc, cx.delta, seed, "a")
-    cb = _local_code(lc, cx.delta, seed, "b")
+    if isinstance(lc, dict) and lc.get("kind") == "random" and "seed" not in lc:
+        lc = dict(lc, seed=whole(cfg.get("seed", CONFIG_DEFAULTS["seed"]), "seed"))
+        inst = dict(inst, local_codes=lc)
+    ca = _local_code(lc, cx.delta, "a")
+    cb = _local_code(lc, cx.delta, "b")
     code = tanner.QuantumTannerCode(cx, ca, cb)
     if inst.get("side", REFERENCE_INSTANCE["side"]) == "Z":
         code = code.z_side()

@@ -18,8 +18,9 @@ Both stop at a provable fixed point.  A codeword x passes at v only if
 2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and |x ∩ Ẑ_v| ≤ |Ẑ|, so no vertex finds
 one while |Ẑ| is below h_min(θ), the least ceil((|x| + ceil(θ|x|)) / 2)
 over the cached codewords (n + 1 if there are none).  The cache keeps
-h_min next to each θ table (``hit_floor``): the FIFO stops popping, a
-sweep is not started and a lockstep row is not scanned below it.
+h_min next to each θ table (``scan_table`` returns both): the FIFO
+stops popping, a sweep is not started and a lockstep row is not scanned
+below it.
 
 Candidate search is exhaustive over the cached nonzero codewords of
 C_A ⊞ C_B, the span of the kernel basis of H_A ⊗ H_B sorted by weight
@@ -42,10 +43,10 @@ schedule update a whole class at once.
 The coset leader of a local syndrome s is found in the same cached
 codewords: y₀ = s times a right inverse of H_A ⊗ H_B is one member of
 the coset, and one popcount over y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the
-lightest; ties go to the largest ``gf2.lex_key`` (the first vector in
-``itertools.combinations`` order).  Leaders are memoized per syndrome,
-in the ``gf2.WordCache`` ``leaders``, so no table over all 2^r syndromes
-is built and r needs no budget.
+lightest; ties go to the largest ``gf2.lex_keys`` key (the first
+vector in ``itertools.combinations`` order).  Leaders are memoized per
+syndrome, in the ``gf2.WordCache`` ``leaders``, so no table over all
+2^r syndromes is built and r needs no budget.
 
 The lockstep decoders decode many syndromes at once, one numpy row per
 trial, as multi-round runs and sweep blocks do: the initial mismatch,
@@ -156,8 +157,7 @@ class LocalCodewordCache:
             raise LocalCacheError(f"local check {dt.echelon.first_dependent_row()} "
                                   "depends on the other local checks")
         self._build_views(code)
-        self._scan_tables: dict[Fraction, gf2.WordCache] = {}
-        self._hit_floors: dict[Fraction, int] = {}
+        self._scan_tables: dict[Fraction, tuple[gf2.WordCache, int]] = {}
 
     def split(self, idx: int) -> tuple[int, int]:
         """The minimal (c, r) split of cached codeword idx, computed on
@@ -227,36 +227,30 @@ class LocalCodewordCache:
         code = self.code
         return gf2.WordPacker(code.complex.view_table.ravel(), self.n, code.n)
 
-    def scan_table(self, theta: Fraction) -> gf2.WordCache:
-        """The memoized candidate search for threshold policy θ: the
-        ``gf2.WordCache`` of ``_scan_uncached`` with thresholds
-        ceil(θ·|x_i|) for cached codeword i.  Patterns have Δ² bits, so
-        its memo holds at most 2^Δ² entries.  Built with it, from the
-        same thresholds, is θ's ``hit_floor``."""
+    def scan_table(self, theta: Fraction) -> tuple[gf2.WordCache, int]:
+        """(table, floor) for threshold policy θ, built on first use.
+
+        The table is the memoized candidate search: the ``gf2.WordCache``
+        of ``_scan_uncached`` with thresholds ceil(θ·|x_i|) for cached
+        codeword i.  Patterns have Δ² bits, so its memo holds at most
+        2^Δ² entries.  The floor is h_min(θ), the least |Ẑ| at which
+        some vertex can find a codeword at θ: the least
+        ceil((|x| + ceil(θ|x|)) / 2) over the cached codewords x, or
+        n + 1 if there are none.  x passes at v only if
+        2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and |x ∩ Ẑ_v| ≤ |Ẑ|, so every Ẑ
+        lighter than h_min(θ) is a fixed point of both schedules."""
         theta = as_fraction(theta)
-        table = self._scan_tables.get(theta)
-        if table is None:
+        entry = self._scan_tables.get(theta)
+        if entry is None:
             ceil_by_weight = np.array(
                 [math.ceil(theta * w) for w in range(self.max_weight + 1)], dtype=np.int64
             )
             thresholds = ceil_by_weight[self.weights]
             table = gf2.WordCache(partial(_scan_uncached, self, thresholds))
-            self._scan_tables[theta] = table
             # with no codeword nothing hits, at any |Ẑ| ≤ n
-            self._hit_floors[theta] = int(((self.weights + thresholds + 1) // 2).min(
-                initial=self.code.n + 1))
-        return table
-
-    def hit_floor(self, theta: Fraction) -> int:
-        """h_min(θ), the least |Ẑ| at which some vertex can find a
-        codeword at threshold θ: the least ceil((|x| + ceil(θ|x|)) / 2)
-        over the cached codewords x, or n + 1 if there are none.  x
-        passes at v only if 2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and
-        |x ∩ Ẑ_v| ≤ |Ẑ|, so every Ẑ lighter than h_min(θ) is a fixed
-        point of both schedules."""
-        theta = as_fraction(theta)
-        self.scan_table(theta)
-        return self._hit_floors[theta]
+            floor = int(((self.weights + thresholds + 1) // 2).min(initial=self.code.n + 1))
+            entry = self._scan_tables[theta] = table, floor
+        return entry
 
 
 def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
@@ -339,10 +333,10 @@ def coset_leader(cache: LocalCodewordCache, s: int) -> int:
 
 def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
     """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ = s times the
-    right inverse; among equal weights the largest ``gf2.lex_key``,
-    which is the first vector in ``itertools.combinations`` order.
-    Syndrome 0 has leader 0 (the word cache asks it at build), with no
-    scan."""
+    right inverse; among equal weights the one of largest
+    ``gf2.lex_keys`` key (keys are distinct), which is the first vector
+    in ``itertools.combinations`` order.  Syndrome 0 has leader 0 (the
+    word cache asks it at build), with no scan."""
     if s == 0:
         return 0
     y0 = 0
@@ -351,8 +345,8 @@ def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
             y0 ^= row
     coset = np.append(cache.masks, np.uint64(0)) ^ np.uint64(y0)
     weights = np.bitwise_count(coset)
-    ties = coset[weights == weights.min()].tolist()
-    return max(ties, key=lambda y: gf2.lex_key(y, cache.n))
+    ties = coset[weights == weights.min()]
+    return int(ties[np.argmax(gf2.lex_keys(ties, cache.n))])
 
 
 def _gather(bits_in_view: int, gather: dict[int, int]) -> int:
@@ -435,7 +429,7 @@ def find_reducing_codeword(
     theta = as_fraction(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    idx = _search(cache, cache.scan_table(theta), zhat_bits, v)
+    idx = _search(cache, cache.scan_table(theta)[0], zhat_bits, v)
     if idx < 0:
         return None
     return (int(cache.masks[idx]),) + cache.split(idx)
@@ -482,7 +476,7 @@ def sequential_mismatch_decomposition(
     removing any local codeword that clears ≥ ceil((1-ε)|x|) weight."""
     theta = 1 - checked_eps(eps)
     cache = get_cache(state.code)
-    _drain(state, cache, cache.scan_table(theta), cache.hit_floor(theta))
+    _drain(state, cache, *cache.scan_table(theta))
     return state.accumulators()
 
 
@@ -490,7 +484,7 @@ def _drain(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache
            floor: int) -> None:
     """The sequential FIFO: step at the next queued vertex and queue the
     vertices of every face a step changed, until the queue is empty or
-    |Ẑ| falls below ``floor``, the table's ``hit_floor``.  No vertex
+    |Ẑ| falls below ``floor``, the table's h_min(θ).  No vertex
     finds a codeword in a Ẑ that light, so every pop left would be a
     no-op: the vertices still queued stay in the worklist."""
     work = state.worklist
@@ -520,13 +514,13 @@ def parallel_mismatch_decomposition(
     commute and the sweep equals evaluation against the class-entry
     snapshot; vertices are visited in group-element order for
     scheduling-independent output.  Sweeping stops once |Ẑ| is below
-    the θ = 1/2 ``hit_floor`` (a fixed point) or a sweep removes nothing.
+    the θ = 1/2 floor of ``scan_table`` (a fixed point) or a sweep
+    removes nothing.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     cache = get_cache(state.code)
-    table = cache.scan_table(Fraction(1, 2))
-    floor = cache.hit_floor(Fraction(1, 2))
+    table, floor = cache.scan_table(Fraction(1, 2))
     for _ in range(k):
         if state.zhat.bit_count() < floor:
             break
@@ -628,15 +622,14 @@ def lockstep_parallel_decomposition(
     (row, face) of each of their bits.  Only the V00 and V11 steps need
     (c, r) splits, for the r and c parts of f̂; they split their new
     codewords in one pass.  A row is active only while |Ẑ| is at least
-    the θ = 1/2 ``hit_floor`` (no vertex finds a codeword in a lighter
-    Ẑ, as |x ∩ Ẑ_v| ≤ |Ẑ|), and leaves the active set after a sweep that
-    removes nothing: the next sweep would be a fixed point, which is
-    where the scalar loop stops too.
+    the θ = 1/2 floor of ``scan_table`` (no vertex finds a codeword in a
+    lighter Ẑ, as |x ∩ Ẑ_v| ≤ |Ẑ|), and leaves the active set after a
+    sweep that removes nothing: the next sweep would be a fixed point,
+    which is where the scalar loop stops too.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
-    table = cache.scan_table(Fraction(1, 2))
-    floor = cache.hit_floor(Fraction(1, 2))
+    table, floor = cache.scan_table(Fraction(1, 2))
     d2 = cache.n
     active = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     for _ in range(k):
@@ -670,8 +663,8 @@ def lockstep_sequential_decomposition(
     """``sequential_mismatch_decomposition`` on every row of ``zhat`` in
     place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
 
-    ε is checked and the θ = 1 - ε table and ``hit_floor`` looked up
-    once per call.  A row with |Ẑ| below the floor is a fixed point (no
+    ε is checked and the θ = 1 - ε table and floor looked up once per
+    call.  A row with |Ẑ| below the floor is a fixed point (no
     vertex finds a codeword, as |x ∩ Ẑ_v| ≤ |Ẑ|) and is left as it is.
     Every vertex's view of every other row is packed into one Δ²-bit
     word, and the scan of every word is read from the table's word
@@ -685,7 +678,7 @@ def lockstep_sequential_decomposition(
     as one stacked array each way.
     """
     theta = 1 - checked_eps(eps)
-    table, floor = cache.scan_table(theta), cache.hit_floor(theta)
+    table, floor = cache.scan_table(theta)
     rows = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     if rows.size == 0:
         return

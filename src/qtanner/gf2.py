@@ -13,11 +13,11 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, ``row_weights`` counts each row's weight, and
 ``WordPacker``/``unpack_words`` hold patterns of at most 64 bits as one
-``uint64`` each; ``span_words`` and ``lex_keys`` are the span and
-``lex_key`` of such words.  A ``WordCache`` is the one memo of
-a function of such words: ``get`` reads one word, as the scalar decoders
-read their scans and coset leaders, and a call reads a whole array at
-once, as a lockstep step does.
+``uint64`` each; ``span_words`` and ``lex_keys`` are the span and the
+lexicographic order keys of such words.  A ``WordCache`` is the one
+memo of a function of such words: ``get`` reads one word, as the scalar
+decoders read their scans and coset leaders, and a call reads a whole
+array at once, as a lockstep step does.
 """
 
 from __future__ import annotations
@@ -50,32 +50,20 @@ def scatter(bits: int, positions: list[int]) -> int:
     return out
 
 
-def lex_key(bits: int, length: int) -> int:
-    """Order key for 'lexicographically smallest on bit index'.
-
-    Compares bit 0 first, then bit 1, ...; a clear bit sorts before a set
-    bit.  Implemented by reversing the bit string so ordinary integer
-    comparison applies.
-    """
-    return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
-
-
-# (shift, mask) of the six swaps that reverse a 64-bit word: adjacent
-# bits, then pairs, nibbles, bytes, 16-bit and 32-bit halves
-_REVERSE_SWAPS = [
-    (np.uint64(1 << k), np.uint64(sum(1 << i for i in range(64) if not i >> k & 1)))
-    for k in range(6)
-]
+# each byte value with its 8 bits reversed
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def lex_keys(words: np.ndarray, length: int) -> np.ndarray:
-    """``lex_key`` of every uint64 word, for 1 ≤ length ≤ 64: each word's
-    bits reversed by shift-and-mask swaps, then shifted down to
-    ``length`` bits."""
-    x = np.asarray(words, dtype=np.uint64)
-    for shift, mask in _REVERSE_SWAPS:
-        x = (x >> shift) & mask | (x & mask) << shift
-    return x >> np.uint64(64 - length)
+    """The order key for 'lexicographically smallest on bit index' of
+    every uint64 word of ``length`` bits, 1 ≤ length ≤ 64: keys compare
+    bit 0 first, then bit 1, ..., a clear bit before a set one.  Each
+    word's bits are reversed (every byte through a 256-entry table, then
+    the byte order), then shifted down to ``length`` bits, so integer
+    order is that order."""
+    x = np.ascontiguousarray(words, dtype=np.uint64)
+    reversed_words = _REVERSED_BYTES.take(x.view(np.uint8)).view(np.uint64).byteswap()
+    return reversed_words >> np.uint64(64 - length)
 
 
 def to_bit_rows(values: Sequence[int], n: int) -> np.ndarray:

@@ -436,16 +436,10 @@ def sample_errors(code: QuantumTannerCode, model: NoiseModel, rng
 
 
 def vertex_support_size(code: QuantumTannerCode, d: BitVector) -> int:
-    """Number of V1 vertices whose check block of D is nonzero."""
-    if code.r1 == 0:
-        return 0
-    block = (1 << code.r1) - 1
-    bits = d.bits
-    count = 0
-    for pos in range(len(code.v1_vertices)):
-        if (bits >> (pos * code.r1)) & block:
-            count += 1
-    return count
+    """Number of V1 vertices whose check block of D is nonzero: the
+    one-row view of ``_vertex_support_rows``."""
+    rows = gf2.to_bit_rows([d.bits], code.h_z.rows)
+    return int(_vertex_support_rows(dec.get_cache(code), rows)[0])
 
 
 def run_single_shot_trial(
@@ -511,8 +505,9 @@ _DRAW_CHUNK = 1 << 13
 
 
 def _vertex_support_rows(cache: dec.LocalCodewordCache, d: np.ndarray) -> np.ndarray:
-    """``vertex_support_size`` of every row of (trials, H_Z rows) bits of
-    the cache's code: the nonzero local syndrome words of each row."""
+    """|D|_V of every row D of (trials, H_Z rows) bits of the cache's
+    code, the number of V1 vertices whose check block of D is nonzero:
+    the nonzero local syndrome words of each row."""
     words = cache.syndrome_words
     if words is None:  # r₁ = 0: no local checks
         return np.zeros(len(d), dtype=np.int64)

@@ -6,6 +6,13 @@ V0 vertices; Z-type checks place C_A^⊥ ⊗ C_B^⊥ on V1 vertices.  The
 ``flip_roles`` switch relabels vertex classes (i, j) -> (i, 1-j), which
 together with dualized local codes yields the Z-error decoding code with
 H_X and H_Z exactly exchanged.
+
+Every per-error quantity has one implementation, on (trials, n) 0/1
+rows: the H_Z syndrome (``syndrome_rows_z``), the greedy
+stabilizer-reduced rows and weights (``greedy_reduce_rows``) and the
+failure class (``classify_rows``).  ``syndrome_bits_z``,
+``reduced_weight`` and ``classify_residual`` are their one-row views,
+and the randomized logical search runs on rows too.
 """
 
 from __future__ import annotations
@@ -144,11 +151,6 @@ class QuantumTannerCode:
         """Local corrections for X decoding: C_1^⊥ = C_A ⊞ C_B."""
         return codes_mod.dual_tensor_code(self.local_a, self.local_b)
 
-    @cached_property
-    def z_col_syndromes(self) -> list[int]:
-        """Column q of H_Z as a packed int; syndrome(e) = XOR over supp(e)."""
-        return gf2.from_bit_rows(self.h_z_t_dense.astype(np.uint8))
-
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.
 
@@ -176,13 +178,9 @@ def code_dimension(code: QuantumTannerCode) -> tuple[int, int]:
 
 
 def syndrome_bits_z(code: QuantumTannerCode, e_bits: int) -> int:
-    cols = code.z_col_syndromes
-    s = 0
-    while e_bits:
-        lsb = e_bits & -e_bits
-        s ^= cols[lsb.bit_length() - 1]
-        e_bits ^= lsb
-    return s
+    """H_Z e of one packed error, as a packed int: the one-row view of
+    ``syndrome_rows_z``."""
+    return gf2.from_bit_rows(syndrome_rows_z(code, gf2.to_bit_rows([e_bits], code.n)))[0]
 
 
 def syndrome_rows_z(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
@@ -198,46 +196,36 @@ def _gf2_product(rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
 
 
 def reduced_weight(code: QuantumTannerCode, e: BitVector) -> int:
-    """A greedy upper bound on min over stabilizers s of |e + s|: it
-    repeatedly applies the single H_X row with the largest weight drop."""
+    """A greedy upper bound on min over stabilizers s of |e + s|: the
+    one-row view of ``greedy_reduced_weights``."""
     if e.n != code.n:
         raise DimensionMismatchError(code.n, e.n)
-    return _greedy_reduce(code, e.bits).bit_count()
-
-
-def _greedy_reduce(code: QuantumTannerCode, bits: int) -> int:
-    w = bits.bit_count()
-    improved = True
-    while improved and w:
-        improved = False
-        best_drop = 0
-        best_row = None
-        for row in code.h_x.data:
-            drop = w - (bits ^ row).bit_count()
-            if drop > best_drop:
-                best_drop = drop
-                best_row = row
-        if best_row is not None:
-            bits ^= best_row
-            w -= best_drop
-            improved = True
-    return bits
+    return int(greedy_reduced_weights(code, gf2.to_bit_rows([e.bits], code.n))[0])
 
 
 def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
-    """``reduced_weight(code, e)`` of every row e of a (trials,
-    n) 0/1 array: ``_greedy_reduce`` in lockstep.
+    """The greedy reduced weight of every row of a (trials, n) 0/1
+    array: the weights of ``greedy_reduce_rows``."""
+    return greedy_reduce_rows(code, rows)[1]
+
+
+def greedy_reduce_rows(code: QuantumTannerCode, rows: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced rows, their weights) of a (trials, n) 0/1 array, each
+    row reduced greedily by the rows of H_X: a row repeatedly adds the
+    first generator of largest positive weight drop, until none drops.
 
     A pass takes one product of the rows still reducing with H_Xᵀ; the
-    drop of generator h on e is |e| − |e + h| = 2|e ∧ h| − |h|, and each
-    row applies its first generator of largest positive drop, as the
-    scalar loop does.  A row leaves once no drop is positive.
+    drop of generator h on e is |e| − |e + h| = 2|e ∧ h| − |h|.  A row
+    leaves once no drop is positive.  Every added generator is a
+    stabilizer, so each reduced row has the class and syndrome of its
+    input.
     """
     rows = rows.copy()
     weights = rows.sum(axis=1, dtype=np.int64)
     h_x_t = code.h_x_t_dense
     if h_x_t.shape[1] == 0:
-        return weights
+        return rows, weights
     h_x, h_weights = h_x_t.T.astype(np.uint8), h_x_t.sum(axis=0).astype(np.int64)
     active = np.flatnonzero(weights)
     while active.size:
@@ -248,7 +236,7 @@ def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndar
         active, best = active[keep], best[keep]
         rows[active] ^= h_x[best]
         weights[active] -= gain[keep]
-    return weights
+    return rows, weights
 
 
 def classify_rows(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
@@ -293,26 +281,25 @@ def random_logical_search(
     """Randomized upper bound on the X-distance: lowest-weight element of
     ker H_Z outside rowspace(H_X) found among random kernel combinations
     (greedily stabilizer-reduced).  Returns (weight, vector) or (inf, None).
+
+    Each try draws its combination as one ``rng.integers`` call; then
+    all of them are one product with the kernel basis, reduced in one
+    call and classified as rows.  A reduced combination stays in ker
+    H_Z, so it is logical exactly when it is nonzero and not a
+    stabilizer; the first lightest logical row wins.
     """
     kb = code.echelon_z.kernel()
     if kb.rows == 0:
         return math.inf, None
-    best_w: int | float = math.inf
-    best = None
-    for _ in range(tries):
-        picks = rng.integers(0, 2, size=kb.rows)
-        bits = 0
-        for i in range(kb.rows):
-            if picks[i]:
-                bits ^= kb.data[i]
-        if bits == 0:
-            continue
-        bits = _greedy_reduce(code, bits)
-        if bits and not code.echelon_x.contains(bits):
-            if bits.bit_count() < best_w:
-                best_w = bits.bit_count()
-                best = BitVector(code.n, bits)
-    return best_w, best
+    picks = np.array([rng.integers(0, 2, size=kb.rows) for _ in range(tries)],
+                     dtype=np.uint8).reshape(tries, kb.rows)
+    kernel = gf2.to_bit_rows(kb.data, code.n).astype(np.float32)
+    reduced, weights = greedy_reduce_rows(code, _gf2_product(picks, kernel))
+    logical = np.flatnonzero(classify_rows(code, reduced) == LOGICAL)
+    if logical.size == 0:
+        return math.inf, None
+    best = logical[weights[logical].argmin()]
+    return int(weights[best]), BitVector(code.n, gf2.from_bit_rows(reduced[best:best + 1])[0])
 
 
 def check_weight_histogram(code: QuantumTannerCode) -> dict[str, dict[int, int]]:

@@ -6,7 +6,8 @@ formulas read off the group table, numpy-based elimination, dense integer
 products for syndromes and commutation, ambient-space enumeration for
 product expansion, direct column-assignment search for minimal
 decompositions, weight-ordered enumeration for coset leaders, a
-Python-int noise sampler that the library's bit-row sampler must match
+row-by-row greedy stabilizer reduction, block-by-block vertex supports,
+string-reversed lex keys, a Python-int noise sampler that the library's bit-row sampler must match
 draw for draw, and the record-by-record sweep aggregate that the
 library's column sums must match.
 """
@@ -59,14 +60,15 @@ def np_mat_vec_gf2(mat, v):
     ``BitVector`` or a packed int): the syndrome oracle. A ``BitVector``
     of the wrong length is refused rather than truncated."""
     if isinstance(v, int):
-        bits = v
+        bits = v & ((1 << mat.cols) - 1)
     elif v.n != mat.cols:
         raise DimensionMismatchError(mat.cols, v.n)
     else:
         bits = v.bits
-    col = np.array([(bits >> j) & 1 for j in range(mat.cols)], dtype=np.int64)
-    out = (_dense(mat).astype(np.int64) @ col) % 2
-    return sum(int(b) << i for i, b in enumerate(out))
+    col = np.unpackbits(np.frombuffer(bits.to_bytes((mat.cols + 7) // 8, "little"), np.uint8),
+                        count=mat.cols, bitorder="little")
+    out = (_dense(mat).astype(np.int64) @ col.astype(np.int64)) % 2
+    return int.from_bytes(np.packbits(out.astype(np.uint8), bitorder="little").tobytes(), "little")
 
 
 def np_rank_gf2(mat):
@@ -142,6 +144,37 @@ def local_syndrome(code, sigma, v1_pos):
     v1_pos-th V1 vertex: its r1 bits."""
     bits = sigma if isinstance(sigma, int) else sigma.bits
     return (bits >> (v1_pos * code.r1)) & ((1 << code.r1) - 1)
+
+
+def vertex_support(code, d):
+    """|D|_V: the number of V1 vertices whose block of the syndrome error
+    D (``BitVector`` or int) is nonzero, block by block."""
+    return sum(1 for pos in range(len(code.v1_vertices)) if local_syndrome(code, d, pos))
+
+
+def greedy_reduce(rows, bits):
+    """``bits`` reduced greedily by the packed ``rows`` (the rows of H_X):
+    XOR in the first row of largest positive weight drop, one row at a
+    time, until no row drops the weight."""
+    w = bits.bit_count()
+    while w:
+        best_drop, best_row = 0, None
+        for row in rows:
+            drop = w - (bits ^ row).bit_count()
+            if drop > best_drop:
+                best_drop, best_row = drop, row
+        if best_row is None:
+            break
+        bits ^= best_row
+        w -= best_drop
+    return bits
+
+
+def lex_key(bits, length):
+    """The key of 'lexicographically smallest on bit index' (bit 0
+    compared first, a clear bit before a set one): the ``length``-bit
+    string of ``bits`` reversed, read as a binary number."""
+    return int(format(bits & ((1 << length) - 1), f"0{length}b")[::-1], 2)
 
 
 def _bernoulli_bits(n, prob, rng):
@@ -329,7 +362,7 @@ def exhaustive_min_cr(dt, x):
             continue
         ncols = sum(1 for u in assignment if u)
         nrows = sum(1 for a in range(na) if (r >> (a * nb)) & ((1 << nb) - 1))
-        key = (ncols + nrows, gf2.lex_key(c, dt.n))
+        key = (ncols + nrows, lex_key(c, dt.n))
         if best is None or key < best[0]:
             best = (key, c, r)
     return best

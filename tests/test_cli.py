@@ -666,6 +666,24 @@ def test_random_local_codes_config(tmp_path, capsys):
     assert "n = 208" in out
 
 
+def test_master_seed_of_random_local_codes_is_in_the_instance_id():
+    # a random local code without a seed of its own is drawn from the
+    # master seed: two master seeds build two codes, which get two ids,
+    # each the id of its seed written into the local codes
+    inst = dict(RANDOM_Z13_INSTANCE, local_codes={"kind": "random", "dim_a": 1, "dim_b": 3})
+    built = [cli.build_instance({"instance": inst, "seed": seed}) for seed in (1, 2)]
+    assert [code.k for code, _ in built] == [58, 82]
+    assert [iid for _, iid in built] == [
+        cli.config_hash(dict(inst, local_codes=dict(inst["local_codes"], seed=seed)))[:12]
+        for seed in (1, 2)
+    ]
+    assert built[0][1] != built[1][1]
+    # an explicit local seed keeps the id of its spec, whatever the master seed
+    ids = {cli.build_instance({"instance": RANDOM_Z13_INSTANCE, "seed": seed})[1]
+           for seed in (1, 2)}
+    assert ids == {cli.config_hash(RANDOM_Z13_INSTANCE)[:12]} == {"3e9865ecbb6f"}
+
+
 def test_explicit_local_codes_config(tmp_path, capsys):
     inst = dict(
         Z8_INSTANCE,

@@ -670,7 +670,7 @@ class TestMemoizedSearch:
             dtype=np.int64,
         )
         want = decoder._scan_uncached(cache, thresholds, zloc)
-        table = cache.scan_table(theta)
+        table, _ = cache.scan_table(theta)
         assert table.get(zloc) == want
         assert table.memo[zloc] == want
         assert table.get(zloc) == want
@@ -714,7 +714,7 @@ def passing_weight(w, theta):
 
 
 class TestHitFloor:
-    """h_min(θ), the ``hit_floor``: no vertex finds a codeword at
+    """h_min(θ), the floor of ``scan_table``: no vertex finds a codeword at
     threshold θ in any Ẑ lighter than it, and some Ẑ of its weight has a
     hit."""
 
@@ -723,7 +723,7 @@ class TestHitFloor:
     def test_floor_is_the_least_passing_weight(self, fixture, theta, request):
         code = request.getfixturevalue(fixture)
         cache = get_cache(code)
-        floor = cache.hit_floor(theta)
+        _, floor = cache.scan_table(theta)
         weights = [int(x).bit_count() for x in cache.masks]
         assert floor == min(passing_weight(w, theta) for w in weights)
         views, vertices = cache.views, range(code.complex.num_vertices)
@@ -751,7 +751,7 @@ class TestHitFloor:
         code = tanner.QuantumTannerCode(cx, codes.zero_code(2), codes.zero_code(2))
         cache, rz = get_cache(code), code.h_z.rows
         assert len(cache.masks) == 0
-        assert {cache.hit_floor(theta) for theta in THETAS} == {code.n + 1}
+        assert {cache.scan_table(theta)[1] for theta in THETAS} == {code.n + 1}
         syndromes = [0, 5, (1 << rz) - 1, 1 << (rz - 1)]
         for cfg in (DecoderConfig("sequential"), DecoderConfig("parallel", k=3)):
             got = gf2.from_bit_rows(cfg.decode_lockstep(cache, gf2.to_bit_rows(syndromes, rz)))

@@ -1,15 +1,16 @@
 """Lockstep multi-round runs and sweep blocks against the scalar path.
 
 ``noise.run_multiround`` runs a batch of trials one round at a time as
-numpy arrays.  Its reference here is the per-trial loop it replaced:
-the int sampler ``oracles.int_sample_errors`` -> ``syndrome_bits_z`` ->
-``DecoderConfig.decode``, the residual fed forward, then one ideal
-sequential readout.  Every column, round by round and the final
-readout's residual weight and class, must match trial by trial.
+numpy arrays.  Its reference here is a per-trial loop: the int sampler
+``oracles.int_sample_errors`` -> the syndrome oracle
+``oracles.np_mat_vec_gf2`` -> the scalar ``DecoderConfig.decode``, the
+residual fed forward, then one ideal sequential readout, with |D|_V
+from ``oracles.vertex_support``.  Every column, round by round and the
+final readout's residual weight and class, must match trial by trial.
 ``noise.run_sweep`` decodes the single-shot trials of every grid point
 as one lockstep block; each (trial, decoder) row of its columns must
-equal the scalar ``oracles.int_sample_errors`` -> ``decode_trial`` path
-on the trial's own ``make_rng`` stream.
+equal the record built the same way from the trial's own ``make_rng``
+stream, with the reduced weight from ``oracles.greedy_reduce``.
 """
 
 from dataclasses import replace
@@ -20,9 +21,10 @@ import pytest
 
 from qtanner import cayley, codes, decoder, gf2, noise, tanner
 from qtanner.gf2 import BitVector
-from qtanner.noise import DecoderConfig, NoiseModel, make_rng
+from qtanner.noise import DecoderConfig, NoiseModel, TrialRecord, make_rng
 
-from oracles import int_sample_errors, trial_block_rows
+from oracles import (greedy_reduce, int_sample_errors, np_mat_vec_gf2, trial_block_rows,
+                     vertex_support)
 
 
 def scalar_multiround(code, model, cfg, rounds, rng):
@@ -35,11 +37,10 @@ def scalar_multiround(code, model, cfg, rounds, rng):
     for _ in range(rounds):
         e, d = int_sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
-        syn = BitVector(rz, tanner.syndrome_bits_z(code, residual ^ e.bits) ^ d.bits)
+        syn = BitVector(rz, np_mat_vec_gf2(code.h_z, residual ^ e.bits) ^ d.bits)
         residual ^= e.bits ^ cfg.decode(code, syn).bits
-        stats.append([e.weight(), d.weight(), noise.vertex_support_size(code, d),
-                      residual.bit_count()])
-    ideal = BitVector(rz, tanner.syndrome_bits_z(code, residual))
+        stats.append([e.weight(), d.weight(), vertex_support(code, d), residual.bit_count()])
+    ideal = BitVector(rz, np_mat_vec_gf2(code.h_z, residual))
     f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
     final = BitVector(code.n, residual ^ f_final.bits)
     return stats, final.weight(), tanner.classify_residual(code, final)
@@ -112,13 +113,13 @@ def sampled_syndromes(code, trials=120):
     rows = []
     for t in range(trials):
         e, d = int_sample_errors(code, NoiseModel(p=0.01 * (t % 4), q=0.01), rng)
-        rows.append(tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
+        rows.append(np_mat_vec_gf2(code.h_z, e.bits) ^ d.bits)
     return rows
 
 
 def crafted_syndrome(code, faces, flips):
     """The syndrome of the error on ``faces`` with the bits ``flips`` flipped."""
-    return tanner.syndrome_bits_z(code, sum(1 << q for q in faces)) ^ sum(1 << i for i in flips)
+    return np_mat_vec_gf2(code.h_z, sum(1 << q for q in faces)) ^ sum(1 << i for i in flips)
 
 
 BATCHES = ["sampled", "empty", "zero", "repeated"]
@@ -284,7 +285,7 @@ class TestLockstepDecoders:
                         DecoderConfig("sequential", eps=Fraction(1, 3))):
                 got = gf2.from_bit_rows(cfg.decode_lockstep(cache, rows))
                 assert got == [cfg.decode(code, BitVector(rz, s)).bits for s in syndromes[batch]]
-        word_caches = list(cache._scan_tables.values())
+        word_caches = [table for table, _ in cache._scan_tables.values()]
         if "leaders" in vars(cache):  # a cached_property: only there once built
             word_caches.append(cache.leaders)
         assert word_caches and {c.keys.size for c in word_caches} == {slots}
@@ -315,7 +316,7 @@ class TestLockstepDecoders:
         assert (len(leaders), len(scans)) == asked
         assert len(leaders) == len(set(leaders)) and len(scans) == len(set(scans))
         assert set(leaders) == set(cache.leaders.memo)
-        tables = {id(table.f.args[1]): table for table in cache._scan_tables.values()}
+        tables = {id(table.f.args[1]): table for table, _ in cache._scan_tables.values()}
         assert set(scans) == {(key, w) for key, table in tables.items() for w in table.memo}
 
     @pytest.mark.parametrize("batch", BATCHES)
@@ -323,14 +324,13 @@ class TestLockstepDecoders:
         code, syndromes = batches[0], batches[1][batch]
         rz = code.h_z.rows
         got = noise._vertex_support_rows(decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz))
-        assert got.tolist() == [noise.vertex_support_size(code, BitVector(rz, s))
-                                for s in syndromes]
+        assert got.tolist() == [vertex_support(code, s) for s in syndromes]
 
     def test_syndrome_rows(self, ref_code):
         rng = np.random.default_rng(3)
         rows = (rng.random((50, ref_code.n)) < 0.1).astype(np.uint8)
         got = gf2.from_bit_rows(tanner.syndrome_rows_z(ref_code, rows))
-        assert got == [tanner.syndrome_bits_z(ref_code, e) for e in gf2.from_bit_rows(rows)]
+        assert got == [np_mat_vec_gf2(ref_code.h_z, e) for e in gf2.from_bit_rows(rows)]
 
     def test_iteration_count_validated(self, ref_code, syndromes):
         cache = decoder.get_cache(ref_code)
@@ -352,9 +352,10 @@ class TestLockstepDecoders:
 # Sweep blocks: ``run_sweep`` draws every trial of a block on its own
 # stream under its point's noise, decodes the rows of all points in
 # lockstep with one shared initial mismatch per slice and computes the
-# columns as arrays.  Its reference is the per-trial
-# scalar path: ``oracles.int_sample_errors`` on ``make_rng``, then
-# ``decode_trial``.
+# columns as arrays.  Its reference is the per-trial scalar path:
+# ``oracles.int_sample_errors`` on ``make_rng``, the oracle syndrome,
+# each decoder's ``DecoderConfig.decode``, and the columns from the
+# oracles.
 
 SWEEP_DECODERS = [DecoderConfig("sequential"), DecoderConfig("sequential", eps=Fraction(1, 3)),
                   DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=8)]
@@ -369,12 +370,20 @@ SWEEP_NOISE = {
 
 
 def scalar_sweep(code, model, point_idx, trial_ids, seed):
+    """The records of trials ``trial_ids`` of point ``point_idx``, one
+    per (trial, decoder), each trial decoded on its own stream."""
+    p, q = model.pq_labels()
     records = []
     for t in trial_ids:
         stream = noise.sweep_stream_id(point_idx, t)
         e, d = int_sample_errors(code, model, make_rng(seed, stream))
-        records += [rec for rec, _ in noise.decode_trial(code, model, SWEEP_DECODERS, e, d,
-                                                         seed=stream)]
+        syn = BitVector(code.h_z.rows, np_mat_vec_gf2(code.h_z, e.bits) ^ d.bits)
+        for cfg in SWEEP_DECODERS:
+            residual = BitVector(code.n, e.bits ^ cfg.decode(code, syn).bits)
+            records.append(TrialRecord(
+                "", cfg.kind, cfg.param, p, q, e.weight(), d.weight(), vertex_support(code, d),
+                residual.weight(), greedy_reduce(code.h_x.data, residual.bits).bit_count(),
+                tanner.classify_residual(code, residual), stream, 0.0))
     return records
 
 
@@ -385,7 +394,7 @@ def unbounded_sequential(code, syndrome, eps):
     lockstep paths share in ``decoder._drain``; returns (f̂, state)."""
     state = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome))
     cache = decoder.get_cache(code)
-    table = cache.scan_table(1 - eps)
+    table, _ = cache.scan_table(1 - eps)
     work = state.worklist
     while state.zhat and work:
         v = work.popleft()
@@ -451,7 +460,7 @@ def test_greedy_reduced_weights_equal_scalar(ref_code, unique_code, z5_code):
     for code in (ref_code, unique_code, z5_code):
         rows = (rng.random((60, code.n)) < rng.random((60, 1)) * 0.3).astype(np.uint8)
         got = tanner.greedy_reduced_weights(code, rows)
-        assert got.tolist() == [tanner.reduced_weight(code, BitVector(code.n, bits))
+        assert got.tolist() == [greedy_reduce(code.h_x.data, bits).bit_count()
                                 for bits in gf2.from_bit_rows(rows)]
 
 

@@ -594,7 +594,7 @@ class TestSerialization:
         assert cfg.eps == Fraction(3, 10)
         assert cfg.param == "eps=3/10"
         cache = decoder.get_cache(ref_code)
-        _, thresholds = cache.scan_table(1 - cfg.eps).f.args
+        _, thresholds = cache.scan_table(1 - cfg.eps)[0].f.args
         assert set(thresholds[cache.weights == 10].tolist()) == {7}
 
     def test_csv_writer_stable_bytes(self, tmp_path):

@@ -77,21 +77,23 @@ def test_only_echelon_eliminates():
     assert callers == ["gf2.Echelon"]
 
 
-def test_only_decode_trial_classifies_one_residual():
-    # the trial paths classify residual rows with classify_rows: the
-    # one-row classify_residual is named outside tanner only by the
-    # decode-one path
+@pytest.mark.parametrize("name", ["classify_residual", "syndrome_bits_z", "reduced_weight",
+                                  "vertex_support_size"])
+def test_only_decode_trial_names_one_row_view(name):
+    # every trial path computes syndromes, |D|_V, reduced weights and
+    # classes on rows: each one-row view is named, outside its own
+    # definition, only by decode_trial, the decode-one path
     root = Path(qtanner.__file__).parent
-    callers = [
+    users = [
         f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
         for path in sorted(root.glob("*.py"))
-        if path.stem != "tanner"
         for stmt in ast.parse(path.read_text(), str(path)).body
+        if getattr(stmt, "name", None) != name
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id == "classify_residual"
-        or isinstance(node, ast.Attribute) and node.attr == "classify_residual"
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
     ]
-    assert callers == ["noise.decode_trial"]
+    assert users == ["noise.decode_trial"]
 
 
 def test_only_cayley_builds_views():
