@@ -14,10 +14,8 @@ from .codes import (
     LinearCode,
     dual_tensor_code,
     full_space,
-    min_cr_decomposition,
     min_distance_bruteforce,
     parity_code,
-    product_expansion_kappa,
     repetition_code,
     sample_random_code,
     zero_code,

@@ -28,23 +28,22 @@ V00, V01, V10, V11 = 0, 1, 2, 3
 
 @dataclass
 class FiniteGroup:
-    """Multiplication-table group; elements are indices 0..order-1."""
+    """Multiplication-table group; elements are indices 0..order-1.
+
+    ``mul`` is the (order, order) intp table (``mul[g, h]`` = gh) and
+    ``inv`` the intp array of inverses, so per-instance tables are
+    fancy-indexed straight from them."""
 
     order: int
-    mul: list[list[int]]
-    inv: list[int]
+    mul: np.ndarray
+    inv: np.ndarray
     id: int
     name: str = "table"
 
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        """``mul`` as an (order, order) intp array, for fancy indexing."""
-        return np.array(self.mul, dtype=np.intp).reshape(self.order, self.order)
-
-    @cached_property
-    def inv_table(self) -> np.ndarray:
-        """``inv`` as an intp array."""
-        return np.array(self.inv, dtype=np.intp)
+    def __eq__(self, other) -> bool:
+        # the table fixes order, inverses and identity; arrays compare by value
+        return (isinstance(other, FiniteGroup) and self.name == other.name
+                and np.array_equal(self.mul, other.mul))
 
 
 def _validate_table(
@@ -95,7 +94,7 @@ def _validate_table(
     if len(fails):
         a, b, c = map(int, fails[0])
         raise GroupAxiomError(f"associativity fails on triple ({a}, {b}, {c})")
-    return FiniteGroup(n, t.tolist(), inv.tolist(), identity)
+    return FiniteGroup(n, t, inv, identity)
 
 
 def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) -> FiniteGroup:
@@ -149,14 +148,16 @@ def validate_generating_set(group: FiniteGroup, elements: Sequence[int]) -> Gene
             raise GeneratingSetError(
                 f"set is not symmetric: inverse of {e} (= {group.inv[e]}) is missing"
             )
-    # BFS closure from the identity
+    # BFS closure from the identity, on the table as nested lists: a walk
+    # of single lookups, which Python ints serve fastest
+    mul = group.mul.tolist()
     reached = {group.id}
     frontier = [group.id]
     while frontier:
         nxt = []
         for g in frontier:
             for s in elems:
-                h = group.mul[g][s]
+                h = mul[g][s]
                 if h not in reached:
                     reached.add(h)
                     nxt.append(h)
@@ -207,7 +208,7 @@ class LeftRightCayleyComplex:
     def corner_table(self) -> np.ndarray:
         """(|Q|, 4) intp array: row q holds the corners of face q = (g, a, b)
         in classes 00, 01, 10, 11, the vertices of g, ag, gb and agb."""
-        order, mul = self.group.order, self.group.mul_table
+        order, mul = self.group.order, self.group.mul
         g = np.arange(order)[:, None, None]
         a = np.array(self.gens_a.elements)[:, None]
         b = np.array(self.gens_b.elements)
@@ -224,7 +225,7 @@ class LeftRightCayleyComplex:
         a⁻¹hb⁻¹ for 11.
         """
         order, d = self.group.order, self.delta
-        mul, inv = self.group.mul_table, self.group.inv_table
+        mul, inv = self.group.mul, self.group.inv
         h = np.arange(order)[:, None, None]
         ah = mul[inv[list(self.gens_a.elements)][:, None], h]
         b_inv = inv[list(self.gens_b.elements)]
@@ -235,16 +236,13 @@ class LeftRightCayleyComplex:
 
     def adjacency(self, which: str) -> np.ndarray:
         """0/1 adjacency of Cay(A,G) (left action) or Cay(G,B) (right)."""
-        n = self.group.order
+        n, mul = self.group.order, self.group.mul
         adj = np.zeros((n, n), dtype=np.float64)
+        rows = np.arange(n)[:, None]
         if which == "A":
-            for g in range(n):
-                for a in self.gens_a.elements:
-                    adj[g, self.group.mul[a][g]] = 1.0
+            adj[rows, mul[list(self.gens_a.elements)].T] = 1.0  # g -> ag
         elif which == "B":
-            for g in range(n):
-                for b in self.gens_b.elements:
-                    adj[g, self.group.mul[g][b]] = 1.0
+            adj[rows, mul[:, list(self.gens_b.elements)]] = 1.0  # g -> gb
         else:
             raise ValueError(f"which must be 'A' or 'B', got {which!r}")
         return adj

@@ -316,8 +316,8 @@ def cmd_inspect(args) -> int:
 def cmd_expansion(args) -> int:
     exp = load_config(args.config)
     code, iid = build_instance(exp.raw)
-    k1 = codes.product_expansion_kappa(code.local_a, code.local_b)
-    k2 = codes.product_expansion_kappa(code.local_a.dual(), code.local_b.dual())
+    k1 = code.x_correction_code.kappa
+    k2 = code.z_correction_code.kappa
     print(f"instance {iid}")
     print(f"  kappa(C_A boxplus C_B)           = {k1} ({float(k1):.6f})")
     print(f"  kappa(C_A^perp boxplus C_B^perp) = {k2} ({float(k2):.6f})")

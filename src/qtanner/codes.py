@@ -4,15 +4,17 @@ decompositions, product-expansion constant).
 
 Each matrix is eliminated once, as a ``gf2.Echelon``: a code is read
 off its generator's, and a dual tensor code keeps that of H_A ⊗ H_B for
-its codewords and the decoder's right inverse.
+its codewords and the decoder's right inverse.  A quantum Tanner code
+holds its two local dual tensor codes, one per error type, so every
+local result of a side is read from one ``DualTensorCode``.
 
 The minimal (c, r) splits of C_A ⊞ C_B are enumerated in one place,
 ``DualTensorCode.split``, which reads the candidates of each codeword
 it is given from C_A ⊗ F_2^B, prepared once per code; the decoder's
 local codeword cache splits a codeword the first time it needs it, and
-``min_cr_decomposition`` and ``product_expansion_kappa`` call the same
-routine.  All exhaustive routines are gated by explicit budgets and
-raise ``BudgetError`` beyond them rather than degrading silently.
+``DualTensorCode.kappa`` splits every codeword once.  All exhaustive
+routines are gated by explicit budgets and raise ``BudgetError`` beyond
+them rather than degrading silently.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import gf2
 from .errors import BudgetError, LocalCacheError, NotInCodeError, whole
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 # Enumeration budgets (bits of state each oracle may walk).
 MAX_DISTANCE_DIM = 22
@@ -153,7 +155,9 @@ def _nonzero_parts(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
 class DualTensorCode:
     """C_A ⊞ C_B: sums of column codewords and row codewords.
 
-    pchk = H_A ⊗ H_B; dim = |A|·|B| − dim(C_A^⊥)·dim(C_B^⊥).
+    pchk = H_A ⊗ H_B; dim = |A|·|B| − dim(C_A^⊥)·dim(C_B^⊥).  The
+    elimination, the column space and κ are each computed on first use
+    and kept.
     """
 
     code_a: LinearCode
@@ -182,7 +186,7 @@ class DualTensorCode:
     @functools.cached_property
     def echelon(self) -> gf2.Echelon:
         """The one elimination of H_A ⊗ H_B: its kernel is the code, and
-        the decoder reads a right inverse from it."""
+        the decoder's right inverse is its ``solve`` of each unit syndrome."""
         return gf2.Echelon(self.pchk)
 
     def codewords(self) -> np.ndarray:
@@ -196,6 +200,25 @@ class DualTensorCode:
                 f"expected 2^{self.dim} - 1 for a dimension-{self.dim} local code"
             )
         return gf2.span_words(basis)[1:]
+
+    @functools.cached_property
+    def kappa(self) -> Fraction:
+        """Largest κ with κ(||c||/|A| + ||r||/|B|) ≤ |x|/(|A||B|) for all
+        nonzero x in the code, minimizing the left side over splits.
+
+        Exact rational result from one ``split`` of every nonzero codeword,
+        whose costs are the per-codeword optimum with the common denominator
+        |A||B| cleared.  Weights are at most |A||B| ≤ 64 and costs at most
+        twice that, so distinct ratios differ by far more than float rounding
+        and the float argmin picks an exact minimizer.
+        """
+        xs = self.codewords()
+        if not len(xs):
+            raise ValueError("kappa undefined for the zero dual tensor code")
+        cost, _, _ = self.split(xs)
+        weights = np.bitwise_count(xs).astype(np.int64)
+        i = int(np.argmin(weights / cost))
+        return Fraction(int(weights[i]), int(cost[i]))
 
     @functools.cached_property
     def _column_space(self) -> _ColumnSpace:
@@ -285,37 +308,3 @@ def min_distance_bruteforce(code: LinearCode) -> int | float:
         if w < best:
             best = w
     return best
-
-
-def min_cr_decomposition(x: BitVector | int, dt: DualTensorCode) -> tuple[BitVector, BitVector]:
-    """Split a dual-tensor codeword x into its cheapest c + r.
-
-    c has every column in C_A, r every row in C_B.  The cost is the
-    normalised ||c||/|A| + ||r||/|B| of product expansion (nonzero columns
-    of c, nonzero rows of r); on the square grids of Tanner codes it ranks
-    splits exactly as ||c|| + ||r|| does.  Ties break toward the
-    lexicographically smallest c (bit-index order).  One ``dt.split``.
-    """
-    bits = x.bits if isinstance(x, BitVector) else x
-    _, c, r = dt.split(np.array([bits], dtype=np.uint64))
-    return BitVector(dt.n, int(c[0])), BitVector(dt.n, int(r[0]))
-
-
-def product_expansion_kappa(ca: LinearCode, cb: LinearCode) -> Fraction:
-    """Largest κ with κ(||c||/|A| + ||r||/|B|) ≤ |x|/(|A||B|) for all
-    nonzero x in C_A ⊞ C_B, minimizing the left side over decompositions.
-
-    Exact rational result from one ``split`` of every nonzero codeword,
-    whose costs are the per-codeword optimum with the common denominator
-    |A||B| cleared.  Weights are at most |A||B| ≤ 64 and costs at most
-    twice that, so distinct ratios differ by far more than float rounding
-    and the float argmin picks an exact minimizer.
-    """
-    dt = dual_tensor_code(ca, cb)
-    xs = dt.codewords()
-    if not len(xs):
-        raise ValueError("kappa undefined for the zero dual tensor code")
-    cost, _, _ = dt.split(xs)
-    weights = np.bitwise_count(xs).astype(np.int64)
-    i = int(np.argmin(weights / cost))
-    return Fraction(int(weights[i]), int(cost[i]))

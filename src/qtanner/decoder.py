@@ -107,17 +107,18 @@ def checked_eps(eps) -> Fraction:
 
 
 class LocalCodewordCache:
-    """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B.
+    """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B, the
+    code's ``x_correction_code`` (``dt``).
 
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
     ``split``; set-up computes none), a right inverse of the local
-    checks H_A ⊗ H_B, read off the same ``dt.echelon`` as the codewords
-    (a dependent check is named in a ``LocalCacheError``), the
-    per-vertex view/incidence tables the decomposition loops consume
-    (all read from ``view_table``), and the parallel sweep order with
-    each sweep class's faces (``class_faces``, checked to partition the
-    faces).
+    checks H_A ⊗ H_B, ``dt.echelon.solve`` of each unit syndrome, from
+    the same elimination as the codewords (a dependent check is named
+    in a ``LocalCacheError``), the per-vertex view/incidence tables the
+    decomposition loops consume (all read from ``view_table``), and the
+    parallel sweep order with each sweep class's faces
+    (``class_faces``, checked to partition the faces).
 
     Built on first use, so ``get_cache`` (the set-up a run times) and
     ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
@@ -137,7 +138,7 @@ class LocalCodewordCache:
     """
 
     def __init__(self, code: QuantumTannerCode):
-        dt = self.dt = code.x_correction_code()
+        dt = self.dt = code.x_correction_code
         self.code = code
         n = self.n = dt.n
         masks = dt.codewords()
@@ -151,11 +152,15 @@ class LocalCodewordCache:
         self.splits: dict[int, tuple[int, int]] = {}
         self.max_weight = int(self.weights[0]) if len(order) else 0
         # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
-        # XOR of the entries at the set bits of s
-        self.right_inverse = dt.echelon.right_inverse()
-        if self.right_inverse is None:
-            raise LocalCacheError(f"local check {dt.echelon.first_dependent_row()} "
-                                  "depends on the other local checks")
+        # XOR of the entries at the set bits of s; the first unit syndrome
+        # out of reach names a dependent check
+        r = dt.pchk.rows
+        self.right_inverse = []
+        for i in range(r):
+            y = dt.echelon.solve(BitVector(r, 1 << i))
+            if y is None:
+                raise LocalCacheError(f"local check {i} depends on the other local checks")
+            self.right_inverse.append(y.bits)
         self._build_views(code)
         self._scan_tables: dict[Fraction, tuple[gf2.WordCache, int]] = {}
 

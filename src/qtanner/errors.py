@@ -42,9 +42,10 @@ class NotInCodeError(QTannerError):
 
 
 class LocalCacheError(QTannerError):
-    """A local table contradicts the code it was built from: the (c, r)
-    sums of the decomposition table miss codewords, or same-class local
-    views of the decoder cache overlap."""
+    """A local table contradicts the code it was built from: the kernel
+    of the local checks has the wrong size (``DualTensorCode.codewords``),
+    a local check depends on the others, or same-class local views
+    overlap (both found as the decoder cache is built)."""
 
 
 def whole(value, name: str) -> int:

@@ -5,8 +5,8 @@ so XOR/AND give word-parallel row operations and ``int.bit_count`` gives
 the Hamming weight.  Elimination always pivots on the leftmost nonzero
 column (lowest bit index) and swaps rows to the lowest free index, so
 every routine here is deterministic; ``Echelon``, one elimination of
-[M | I], is the only one, and rank, kernel, solutions and dependent rows
-are all read from it.
+[M | I], is the only one, and rank, membership, the kernel and
+solutions are all read from it.
 
 Batches of vectors, as the lockstep decoder handles them, are numpy
 ``uint8`` arrays with one 0/1 entry per coordinate and one row per
@@ -305,8 +305,9 @@ def _rref(rows: list[int], limit: int) -> tuple[list[int], list[int]]:
 class Echelon:
     """One elimination of [M | I]: M's reduced row echelon form, and for
     each resulting row the set t of rows of M it sums (bit i of t is row
-    i).  Rank, membership, the kernel, solutions, a right inverse and
-    the first dependent row are all read from it.
+    i).  Rank, membership, the kernel and solutions are all read from
+    it.  ``solve`` of the unit vector e_i is a right-inverse row, or None
+    exactly when some relation has bit i (row i depends on the others).
 
     The t bits lie past M's columns, so the elimination stops after M's
     pivots, found as an elimination of M alone finds them.  Row p of
@@ -362,27 +363,6 @@ class Echelon:
             return None
         x = sum(1 << p for t, p in zip(self.combos, self.pivots) if (t & b.bits).bit_count() & 1)
         return BitVector(self.shape[1], x)
-
-    def right_inverse(self) -> Optional[list[int]]:
-        """Rows y_i with My_i = e_i (bit i alone) for every row i of M,
-        y_i what ``solve`` gives e_i; None if the rows of M are dependent."""
-        if self.relations:
-            return None
-        out = [0] * self.shape[0]
-        for t, p in zip(self.combos, self.pivots):
-            while t:
-                out[(t & -t).bit_length() - 1] |= 1 << p
-                t &= t - 1
-        return out
-
-    def first_dependent_row(self) -> Optional[int]:
-        """The first row i of M in the span of the other rows, None if the
-        rows are independent: e_i is out of reach exactly when some
-        relation has bit i."""
-        union = 0
-        for t in self.relations:
-            union |= t
-        return (union & -union).bit_length() - 1 if union else None
 
 
 def rowspace_contains(m: BitMatrix, v: BitVector) -> bool:

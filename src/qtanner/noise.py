@@ -681,8 +681,8 @@ def run_multiround(
     trials, n, rz = len(seeds), code.n, code.h_z.rows
     residual = np.zeros((trials, n), dtype=np.uint8)
     stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
+    cache = dec.get_cache(code)
     for i, (e, d) in enumerate(_round_errors(code, model, master_seed, seeds, rounds)):
-        cache = dec.get_cache(code)
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
         residual ^= e ^ cfg.decode_lockstep(cache, syn)
         stats[:, i, 0] = gf2.row_weights(e)

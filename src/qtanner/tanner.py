@@ -5,7 +5,10 @@ X-type checks place a product basis of C_A ⊗ C_B on the local views of
 V0 vertices; Z-type checks place C_A^⊥ ⊗ C_B^⊥ on V1 vertices.  The
 ``flip_roles`` switch relabels vertex classes (i, j) -> (i, 1-j), which
 together with dualized local codes yields the Z-error decoding code with
-H_X and H_Z exactly exchanged.
+H_X and H_Z exactly exchanged.  A code builds its two local dual
+tensor codes once, ``x_correction_code`` = C_A ⊞ C_B (checks
+C_A^⊥ ⊗ C_B^⊥) and ``z_correction_code`` = C_A^⊥ ⊞ C_B^⊥ (checks
+C_A ⊗ C_B); the check bases, κ and the decoder cache are read from them.
 
 Every per-error quantity has one implementation, on (trials, n) 0/1
 rows: the H_Z syndrome (``syndrome_rows_z``), the greedy
@@ -28,7 +31,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import gf2
 from .cayley import LeftRightCayleyComplex, V00, V01, V10, V11
-from .codes import DualTensorCode, LinearCode
+from .codes import LinearCode
 from .errors import CommutationError, DimensionMismatchError
 from .gf2 import BitMatrix, BitVector
 
@@ -67,8 +70,13 @@ class QuantumTannerCode:
             complex.vertex(g, raw_of_eff[V01]) for g in range(order)
         ] + [complex.vertex(g, raw_of_eff[V10]) for g in range(order)]
 
-        self.x_check_basis = gf2.kronecker(local_a.gen, local_b.gen)
-        self.z_check_basis = gf2.kronecker(local_a.pchk, local_b.pchk)
+        # the local code of each error type, built once: X errors are
+        # corrected in C_A ⊞ C_B, whose checks H_A ⊗ H_B are the Z check
+        # basis, Z errors in C_A^⊥ ⊞ C_B^⊥, whose checks G_A ⊗ G_B are the X one
+        self.x_correction_code = codes_mod.dual_tensor_code(local_a, local_b)
+        self.z_correction_code = codes_mod.dual_tensor_code(local_a.dual(), local_b.dual())
+        self.x_check_basis = self.z_correction_code.pchk
+        self.z_check_basis = self.x_correction_code.pchk
         self.r0 = self.x_check_basis.rows
         self.r1 = self.z_check_basis.rows
 
@@ -137,19 +145,12 @@ class QuantumTannerCode:
     def rho(self) -> Fraction:
         return Fraction(self.local_a.dim, self.delta)
 
-    @cached_property
+    @property
     def kappa(self) -> Fraction:
-        """min of the product-expansion constants of C_A ⊞ C_B and
-        C_A^⊥ ⊞ C_B^⊥ (both sides are used, one per error type).  Each
-        side is one ``DualTensorCode.split`` of all its codewords,
-        computed on first read; only the minimum is cached."""
-        k1 = codes_mod.product_expansion_kappa(self.local_a, self.local_b)
-        k2 = codes_mod.product_expansion_kappa(self.local_a.dual(), self.local_b.dual())
-        return min(k1, k2)
-
-    def x_correction_code(self) -> DualTensorCode:
-        """Local corrections for X decoding: C_1^⊥ = C_A ⊞ C_B."""
-        return codes_mod.dual_tensor_code(self.local_a, self.local_b)
+        """min of the product-expansion constants of the two local codes
+        (both sides are used, one per error type), each computed on first
+        read and kept by its ``DualTensorCode``."""
+        return min(self.x_correction_code.kappa, self.z_correction_code.kappa)
 
     def z_side(self) -> "QuantumTannerCode":
         """The code used to decode Z errors: dual local codes, V0/V1 swapped.

@@ -156,25 +156,25 @@ def test_criterion_3_oracle_equivalences(ref_code):
 
     # coset leaders of the decoder cache vs exhaustive 2^(delta^2) scan
     # (delta = 4), on every syndrome
-    dt = ref_code.x_correction_code()
+    dt = ref_code.x_correction_code
     cache = decoder.get_cache(ref_code)
     scan = coset_leader_weights_by_scan(dt.pchk.data, dt.n, dt.pchk.rows)
     for s in range(1 << dt.pchk.rows):
         if decoder.coset_leader(cache, s).bit_count() != scan[s]:
             mismatches += 1
 
-    # min_cr_decomposition vs |C_A|^delta column-assignment enumeration
+    # dt.split vs |C_A|^delta column-assignment enumeration
     rng = make_rng(103, 0)
     words = decoder.get_cache(ref_code).masks
     for i in rng.choice(len(words), size=40, replace=False):
         x = int(words[int(i)])
-        c, r = codes.min_cr_decomposition(BitVector(16, x), dt)
+        _, c, r = dt.split(np.array([x], dtype=np.uint64))
         key, c0, r0 = exhaustive_min_cr(dt, x)
-        if (c.bits, r.bits) != (c0, r0):
+        if (int(c[0]), int(r[0])) != (c0, r0):
             mismatches += 1
 
     # product-expansion kappa vs the independent enumerator on rep_3 + par_3
-    k_lib = codes.product_expansion_kappa(codes.repetition_code(3), codes.parity_code(3))
+    k_lib = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3)).kappa
     k_ind = independent_kappa(codes.repetition_code(3), codes.parity_code(3))
     if k_lib != k_ind or k_lib != Fraction(1, 3):
         mismatches += 1

@@ -34,7 +34,13 @@ class TestBuildGroup:
     def test_table_round_trip(self):
         src = cayley.build_group("dihedral", 4)
         g = cayley.build_group("table", table=src.mul)
-        assert g.order == 8 and g.inv == src.inv
+        assert g.order == 8 and np.array_equal(g.inv, src.inv)
+
+    def test_groups_compare_by_table(self):
+        assert cayley.build_group("cyclic", 5) == cayley.build_group("cyclic", 5)
+        assert cayley.build_group("cyclic", 5) != cayley.build_group("cyclic", 6)
+        src = cayley.build_group("dihedral", 3)
+        assert cayley.build_group("table", table=src.mul) != src  # names differ
 
     def test_axiom_violation_names_triple(self):
         bad = [[0, 1], [1, 1]]  # 1*1 = 1 breaks inverses/associativity

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qtanner import codes, decoder, gf2
 from qtanner.codes import LinearCode
 from qtanner.errors import BudgetError, NotInCodeError
-from qtanner.gf2 import BitMatrix, BitVector
+from qtanner.gf2 import BitMatrix
 
 from oracles import (
     codeword_bits,
@@ -27,6 +27,17 @@ from oracles import (
     np_mat_vec_gf2,
     same_subspace,
 )
+
+
+def kappa_of(ca, cb):
+    """κ of C_A ⊞ C_B, as a Tanner code reads each of its sides."""
+    return codes.dual_tensor_code(ca, cb).kappa
+
+
+def split_one(dt, x):
+    """(c, r) of ``dt.split`` of the one codeword x, as ints."""
+    _, c, r = dt.split(np.array([x], dtype=np.uint64))
+    return int(c[0]), int(r[0])
 
 
 def tensor_code(ca, cb):
@@ -215,30 +226,30 @@ class TestProductExpansionKappa:
     def test_single_codeword_full_support(self):
         # rep_1 boxplus rep_1 has the single codeword "1": the one
         # decomposition c = 1, r = 0 costs 1, so kappa = (1/1) / 1 = 1
-        k = codes.product_expansion_kappa(codes.repetition_code(1), codes.repetition_code(1))
+        k = kappa_of(codes.repetition_code(1), codes.repetition_code(1))
         assert k == Fraction(1)
 
     def test_rep2_boxplus_rep2_cross_pattern(self):
         # frozen from the independent enumerator: the anti-diagonal
         # {(0,1),(1,0)} needs one column plus one row, cost 1, weight 2/4
-        k = codes.product_expansion_kappa(codes.repetition_code(2), codes.repetition_code(2))
+        k = kappa_of(codes.repetition_code(2), codes.repetition_code(2))
         assert k == Fraction(1, 2)
         assert k == independent_kappa(codes.repetition_code(2), codes.repetition_code(2))
 
     def test_full_space_degenerate_decomposition(self):
-        k = codes.product_expansion_kappa(codes.full_space(2), codes.zero_code(2))
+        k = kappa_of(codes.full_space(2), codes.zero_code(2))
         # every x decomposes as c = x, r = 0; kappa set by column counts
         assert k == independent_kappa(codes.full_space(2), codes.zero_code(2))
 
     def test_rep3_par3_value_and_independent_enumerator(self):
-        k = codes.product_expansion_kappa(codes.repetition_code(3), codes.parity_code(3))
+        k = kappa_of(codes.repetition_code(3), codes.parity_code(3))
         assert k == Fraction(1, 3)  # frozen from the independent enumerator
         assert k == independent_kappa(codes.repetition_code(3), codes.parity_code(3))
 
     def test_rep2_par3_rectangular_grid(self):
         # |A| = 2, |B| = 3: the normalised cost weighs columns and rows
         # differently, so the value checks the |B|, |A| cost scaling
-        k = codes.product_expansion_kappa(codes.repetition_code(2), codes.parity_code(3))
+        k = kappa_of(codes.repetition_code(2), codes.parity_code(3))
         assert k == Fraction(2, 5)
         assert k == independent_kappa(codes.repetition_code(2), codes.parity_code(3))
 
@@ -247,15 +258,20 @@ class TestProductExpansionKappa:
         for _ in range(5):
             ca = codes.sample_random_code(3, 1, rng)
             cb = codes.sample_random_code(3, 2, rng)
-            assert codes.product_expansion_kappa(ca, cb) > 0
+            assert kappa_of(ca, cb) > 0
+
+    def test_zero_code_has_no_kappa(self):
+        # zero ⊞ zero holds no nonzero codeword to take a ratio of
+        with pytest.raises(ValueError, match="zero dual tensor code"):
+            kappa_of(codes.zero_code(2), codes.zero_code(2))
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
-            codes.product_expansion_kappa(codes.full_space(5), codes.full_space(5))
+            kappa_of(codes.full_space(5), codes.full_space(5))
         # dimension 16 is within MAX_TABLE_DIM, but every one of the 2^16 - 1
         # codewords has 2^16 candidates: 2^32 pairs, over MAX_SPLIT_PAIRS
         with pytest.raises(BudgetError, match="pairs"):
-            codes.product_expansion_kappa(codes.full_space(4), codes.full_space(4))
+            kappa_of(codes.full_space(4), codes.full_space(4))
 
     @pytest.mark.parametrize(
         "delta, b_code, kappa",
@@ -267,20 +283,22 @@ class TestProductExpansionKappa:
     )
     def test_pinned_values(self, delta, b_code, kappa):
         # recorded from the table-walk implementation the split replaced
-        assert codes.product_expansion_kappa(codes.repetition_code(delta), b_code(delta)) == kappa
+        assert kappa_of(codes.repetition_code(delta), b_code(delta)) == kappa
 
 
 class TestMinCrDecomposition:
+    """``DualTensorCode.split`` of one codeword at a time."""
+
     def test_zero(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
-        c, r = codes.min_cr_decomposition(BitVector(9, 0), dt)
-        assert c.bits == 0 and r.bits == 0
+        c, r = split_one(dt, 0)
+        assert c == 0 and r == 0
 
     def test_single_row_codeword(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
         x = 0b011  # row 0 = 110 pattern, a parity codeword
-        c, r = codes.min_cr_decomposition(BitVector(9, x), dt)
-        assert c.bits == 0 and r.bits == x
+        c, r = split_one(dt, x)
+        assert c == 0 and r == x
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(18)
@@ -288,29 +306,29 @@ class TestMinCrDecomposition:
         words = dt.codewords().tolist()
         for x in rng.choice(len(words), size=20, replace=False):
             x = words[int(x)]
-            c, r = codes.min_cr_decomposition(BitVector(9, x), dt)
+            c, r = split_one(dt, x)
             key, c0, r0 = exhaustive_min_cr(dt, x)
-            assert (c.bits, r.bits) == (c0, r0)
-            assert c.bits ^ r.bits == x
+            assert (c, r) == (c0, r0)
+            assert c ^ r == x
 
     def test_rejects_non_codeword(self):
         dt = codes.dual_tensor_code(codes.repetition_code(3), codes.parity_code(3))
         bad = 1  # single bit: column not in rep_3, row not in par_3
         assert np_mat_vec_gf2(dt.pchk, bad)
         with pytest.raises(NotInCodeError):
-            codes.min_cr_decomposition(BitVector(9, bad), dt)
+            split_one(dt, bad)
         # and with the roles of rep_3 and par_3 exchanged
         dt_t = codes.dual_tensor_code(codes.parity_code(3), codes.repetition_code(3))
         assert np_mat_vec_gf2(dt_t.pchk, bad)
         with pytest.raises(NotInCodeError):
-            codes.min_cr_decomposition(BitVector(9, bad), dt_t)
+            split_one(dt_t, bad)
 
     def test_budget_refusal(self):
         # rep_5 ⊞ par_5 has dimension 21 > MAX_TABLE_DIM
         dt = codes.dual_tensor_code(codes.repetition_code(5), codes.parity_code(5))
         assert dt.dim > codes.MAX_TABLE_DIM
         with pytest.raises(BudgetError):
-            codes.min_cr_decomposition(BitVector(25, 0), dt)
+            split_one(dt, 0)
         with pytest.raises(BudgetError):
             dt.codewords()
 
@@ -351,9 +369,8 @@ class TestSplit:
                 (n_split, _), c0, r0 = exhaustive_min_cr(dt, x)
                 assert (c, r) == (c0, r0)
                 assert cost == n_split * na
-                assert codes.min_cr_decomposition(x, dt) == (
-                    BitVector(dt.n, c0), BitVector(dt.n, r0))
-        assert codes.product_expansion_kappa(ca, cb) == independent_kappa(ca, cb)
+                assert split_one(dt, x) == (c0, r0)
+        assert dt.kappa == independent_kappa(ca, cb)
 
     def test_passes_split_large_inputs(self, monkeypatch):
         # a pass holds at most SPLIT_PASS candidates; several passes give
@@ -373,7 +390,7 @@ class TestCosetLeaderTable:
         assert decoder.coset_leader(decoder.get_cache(rep3_par3_code), 0) == 0
 
     def test_weight_minimality_by_full_scan(self, rep3_par3_code):
-        dt = rep3_par3_code.x_correction_code()
+        dt = rep3_par3_code.x_correction_code
         cache = decoder.get_cache(rep3_par3_code)
         table = {s: decoder.coset_leader(cache, s) for s in range(1 << dt.pchk.rows)}
         assert len(table) == 4
@@ -396,7 +413,7 @@ class TestCosetLeaderTable:
         # rep_3 boxplus rep_3 has distance 3, so every unit vector is the
         # unique minimum-weight element of its coset and the lookup returns
         # it exactly
-        dt = unique_code.x_correction_code()
+        dt = unique_code.x_correction_code
         assert local_dual_tensor_distance(dt.code_a.pchk, dt.code_b.pchk) == 3
         cache = decoder.get_cache(unique_code)
         for p in range(9):

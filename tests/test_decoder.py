@@ -61,7 +61,7 @@ def decode_class(code, e_bits, f):
 class TestLocalCodewordCache:
     def test_masks_are_codewords_sorted_by_weight(self, ref_code):
         cache = get_cache(ref_code)
-        dt = ref_code.x_correction_code()
+        dt = ref_code.x_correction_code
         assert len(cache.masks) == (1 << dt.dim) - 1
         weights = list(cache.weights)
         assert weights == sorted(weights, reverse=True)
@@ -69,10 +69,10 @@ class TestLocalCodewordCache:
             assert not np_mat_vec_gf2(dt.pchk, int(m))
 
     def test_cached_split_matches_min_cr_oracle(self, ref_code):
-        # the independent column-assignment search, not min_cr_decomposition,
-        # which calls the same split routine as the cache
+        # the independent column-assignment search, not dt.split, the
+        # routine the cache calls
         cache = decoder.LocalCodewordCache(ref_code)
-        dt = ref_code.x_correction_code()
+        dt = ref_code.x_correction_code
         rng = make_rng(21, 0)
         for i in rng.choice(len(cache.masks), size=25, replace=False):
             i = int(i)
@@ -158,9 +158,9 @@ class TestLocalCodewordCache:
 
     def test_missing_codewords_raise(self, ref_code, monkeypatch):
         # a claimed dimension the kernel of the local checks cannot reach
-        dt = ref_code.x_correction_code()
+        dt = ref_code.x_correction_code
         too_big = dataclasses.replace(dt, dim=dt.dim + 1)
-        monkeypatch.setattr(ref_code, "x_correction_code", lambda: too_big)
+        monkeypatch.setattr(ref_code, "x_correction_code", too_big)
         with pytest.raises(LocalCacheError, match="nonzero codewords"):
             decoder.LocalCodewordCache(ref_code)
 
@@ -209,7 +209,7 @@ def local_syndrome_of(dt, y):
 
 @pytest.fixture(scope="module")
 def rep5_oracle(rep5_code):
-    dt = rep5_code.x_correction_code()
+    dt = rep5_code.x_correction_code
     return coset_leader_table(dt.pchk.data, dt.n)
 
 
@@ -226,7 +226,7 @@ class TestRightInverse:
     @pytest.mark.parametrize("name", ["ref_code", "unique_code", "rep5_code", "z14_rep7"])
     def test_rows_have_unit_syndromes_and_leaders_match_oracle(self, name, request):
         code = self.instance(name, request)
-        dt = code.x_correction_code()
+        dt = code.x_correction_code
         cache = get_cache(code)
         r = dt.pchk.rows
         assert [local_syndrome_of(dt, y) for y in cache.right_inverse] == [1 << i for i in range(r)]
@@ -254,11 +254,11 @@ class TestRightInverse:
         # H_A ⊗ H_B (4 checks) with planted dependent checks: the same
         # kernel, so the same codewords, but syndrome 1 << named is out
         # of reach, and no lower unit syndrome is
-        dt = unique_code.x_correction_code()
+        dt = unique_code.x_correction_code
         rows = plant(dt.pchk.data)
         pchk = gf2.BitMatrix(len(rows), dt.n, rows)
-        monkeypatch.setattr(unique_code, "x_correction_code",
-                            lambda: dataclasses.replace(dt, pchk=pchk))
+        # a fresh dt, so a fresh echelon of the planted checks
+        monkeypatch.setattr(unique_code, "x_correction_code", dataclasses.replace(dt, pchk=pchk))
         with pytest.raises(LocalCacheError, match=f"local check {named} depends on the other"):
             decoder.LocalCodewordCache(unique_code)
 
@@ -307,7 +307,7 @@ class TestLocalMinCorrection:
         # rep_3/par_3, rep_3/rep_3 and rep_4/par_4: equal leaders, so equal
         # tie-breaks, on every syndrome
         code = request.getfixturevalue(fixture)
-        dt = code.x_correction_code()
+        dt = code.x_correction_code
         cache = get_cache(code)
         oracle = coset_leader_table(dt.pchk.data, dt.n)
         assert len(oracle) == 1 << dt.pchk.rows
@@ -322,7 +322,7 @@ class TestLocalMinCorrection:
     def test_rep6_errors_within_radius_are_their_own_leaders(self):
         # r = 25 local checks: 2^25 syndromes, found one at a time
         code = rep_code(7, [1, 6, 2, 5, 3, 4])
-        dt = code.x_correction_code()
+        dt = code.x_correction_code
         cache = get_cache(code)
         assert dt.pchk.rows == 25
         d = int(cache.weights.min())
@@ -410,7 +410,7 @@ class TestFindReducingCodeword:
                 w = int(cache.weights[i])
                 red = 2 * (x & zloc).bit_count() - w
                 if red >= -((-theta.numerator * w) // theta.denominator):
-                    best = (x, *exhaustive_min_cr(ref_code.x_correction_code(), x)[1:])
+                    best = (x, *exhaustive_min_cr(ref_code.x_correction_code, x)[1:])
                     break
             assert got == best
 

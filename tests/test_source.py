@@ -12,14 +12,9 @@ import qtanner
 
 # module-level definitions nothing in the package calls, each kept for a reason
 UNREFERENCED_ALLOWED = {
-    "codes.min_cr_decomposition":
-        "the (c, r) split of one codeword, which criterion 3 checks against the oracle",
     "noise.estimate_threshold": "criterion 7 runs its context rates at a quarter of it",
     "decoder.find_reducing_codeword":
         "the decoder's one-vertex search as a call, which the search tests call directly",
-    "gf2.Echelon.solve":
-        "solves Mx = b for any b (right_inverse is its unit-vector case); the reader tests "
-        "check it against the rank oracle for every b",
 }
 
 
@@ -75,6 +70,21 @@ def test_only_echelon_eliminates():
         or isinstance(node, ast.Attribute) and node.attr == "_rref"
     ]
     assert callers == ["gf2.Echelon"]
+
+
+def test_only_codes_forms_kronecker_products():
+    # one object per local code: a Tanner code reads its check bases off
+    # its two DualTensorCodes, so only codes builds H_A ⊗ H_B and the
+    # column space, and no module forms a second copy
+    root = Path(qtanner.__file__).parent
+    callers = {
+        path.stem
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "kronecker"
+        or isinstance(node, ast.Attribute) and node.attr == "kronecker"
+    }
+    assert callers == {"codes"}
 
 
 @pytest.mark.parametrize("name", ["classify_residual", "syndrome_bits_z", "reduced_weight",

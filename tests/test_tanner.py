@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtanner import cayley, codes, gf2, tanner
+from qtanner import cayley, codes, decoder, gf2, tanner
 from qtanner.errors import CommutationError, DimensionMismatchError
 from qtanner.gf2 import BitVector
 from qtanner.noise import make_rng
@@ -345,6 +345,20 @@ class TestTheoryReport:
         assert first == second
         # rep_3 ⊞ par_3 and par_3 ⊞ rep_3 both have dimension 7
         assert splits == [(7, 127), (7, 127)]
+
+
+    def test_one_local_code_object_per_side(self):
+        # the cache, the check bases and κ all read the code's two
+        # DualTensorCodes: one elimination of each side's local checks
+        cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
+        code = tanner.QuantumTannerCode(cx, codes.repetition_code(3), codes.parity_code(3))
+        cache = decoder.get_cache(code)
+        assert cache.dt is code.x_correction_code
+        assert code.z_check_basis is code.x_correction_code.pchk
+        assert code.x_check_basis is code.z_correction_code.pchk
+        echelon = code.x_correction_code.echelon
+        assert code.kappa == Fraction(1, 3)
+        assert code.x_correction_code.echelon is echelon
 
 
 def test_dihedral_instance_builds():
