@@ -317,6 +317,11 @@ MULTIROUND_PINS = [
      "ac01bd14c8fc4d44c9ace689c23d6db3831f2237edf4edd732ed3371d514ff0f",
      "4 trials x 50 rounds; residual slope 0.742017 [0.672747, 0.811286]; "
      "final corrected 0/4"),
+    # the benchmark's own job and pin: its readout moves some trials
+    ("benchmarks/configs/ref_multiround.json", 200,
+     "14be484147da19465fb7c6e35ba346c7c23d16a3f6c7d0eac87362e3dfd6809e",
+     "200 trials x 50 rounds; residual slope 0.65826 [0.649331, 0.667189]; "
+     "final corrected 0/200"),
     ("z8_adversarial", 40,
      "83d8515e67f8c1c6f6cd57fface424631b9f832c009288bab648c0cd7a5d2ac0",
      "40 trials x 30 rounds; residual slope 0.596657 [0.543761, 0.649554]; "
