@@ -261,10 +261,10 @@ def build_instance(cfg: dict) -> tuple[tanner.QuantumTannerCode, str]:
         inst = dict(inst, local_codes=lc)
     ca = _local_code(lc, cx.delta, "a")
     cb = _local_code(lc, cx.delta, "b")
-    code = tanner.QuantumTannerCode(cx, ca, cb)
-    if inst.get("side", REFERENCE_INSTANCE["side"]) == "Z":
-        code = code.z_side()
-    return code, config_hash(inst)[:12]
+    flip = inst.get("side", REFERENCE_INSTANCE["side"]) == "Z"
+    if flip:  # the code that decodes Z errors: dual local codes, V0/V1 swapped
+        ca, cb = ca.dual(), cb.dual()
+    return tanner.QuantumTannerCode(cx, ca, cb, flip_roles=flip), config_hash(inst)[:12]
 
 
 def _print_summary(code: tanner.QuantumTannerCode, iid: str, with_kappa: bool) -> None:

@@ -26,18 +26,17 @@ multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial's rounds are drawn up front
 from its own stream, in the order a lone trial would draw them, and
 the batch is decoded as numpy rows by ``DecoderConfig.decode_lockstep``.
-The readout decodes each trial alone, from syndromes taken as one
-product, and classifies the final residuals as rows.  A run returns
-one ``RoundBatch``, its per-round weights as one (trials,
-rounds, 4) array and its readouts as lists, which formats its own CSV
-lines.  In both, a trial's results do not depend on the block or batch
-it ran in.  Every CSV line is the text ``csv_text`` gives (the sweep's
-line templates and the multi-round digits table put only numbers and
-class names after a head that went through it), and ``write_csv``
-writes the text.  Configs are checked
-when parsed: rates and persistence lie in [0, 1], weights are
-non-negative whole numbers, and each noise object has only its kind's
-keys.
+The readout decodes the ideal syndromes of all trials the same way,
+with the sequential decoder, and classifies the final residuals as
+rows.  A run returns one ``RoundBatch``, its per-round weights as one
+(trials, rounds, 4) array and its readouts as lists, which formats its
+own CSV lines.  In both, a trial's results do not depend on the block
+or batch it ran in.  Every CSV line is the text ``csv_text`` gives
+(the sweep's line templates and the multi-round digits table put only
+numbers and class names after a head that went through it), and
+``write_csv`` writes the text.  Configs are checked when parsed: rates
+and persistence lie in [0, 1], weights are non-negative whole numbers,
+and each noise object has only its kind's keys.
 """
 
 from __future__ import annotations
@@ -671,16 +670,15 @@ def run_multiround(
     after trial on the one re-keyed generator.  Each round is then one
     array step over all trials: the syndromes are one product with H_Zᵀ,
     and ``DecoderConfig.decode_lockstep`` decodes them all.  The
-    readout's ideal syndromes are one product as well; its noiseless
-    decode is scalar, one ``sequential_decode`` per trial, and
+    readout is one such step too: its ideal syndromes are one product,
+    the sequential decoder (ε = 1/2) decodes them all in lockstep, and
     ``tanner.classify_rows`` classifies the final residuals as rows.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     seeds = list(streams)
-    trials, n, rz = len(seeds), code.n, code.h_z.rows
-    residual = np.zeros((trials, n), dtype=np.uint8)
-    stats = np.zeros((trials, rounds, len(ROUND_STATS)), dtype=np.int64)
+    residual = np.zeros((len(seeds), code.n), dtype=np.uint8)
+    stats = np.zeros((len(seeds), rounds, len(ROUND_STATS)), dtype=np.int64)
     cache = dec.get_cache(code)
     for i, (e, d) in enumerate(_round_errors(code, model, master_seed, seeds, rounds)):
         syn = tanner.syndrome_rows_z(code, residual ^ e) ^ d
@@ -689,9 +687,8 @@ def run_multiround(
         stats[:, i, 1] = gf2.row_weights(d)
         stats[:, i, 2] = _vertex_support_rows(cache, d)
         stats[:, i, 3] = gf2.row_weights(residual)
-    fixes = [dec.sequential_decode(code, BitVector(rz, s), Fraction(1, 2)).bits
-             for s in gf2.from_bit_rows(tanner.syndrome_rows_z(code, residual))]
-    residual ^= gf2.to_bit_rows(fixes, n)
+    residual ^= DecoderConfig("sequential").decode_lockstep(
+        cache, tanner.syndrome_rows_z(code, residual))
     return RoundBatch((instance_id, cfg.kind, cfg.param, *model.pq_labels()), seeds, stats,
                       gf2.row_weights(residual).tolist(),
                       tanner.classify_rows(code, residual).tolist())

@@ -152,18 +152,6 @@ class QuantumTannerCode:
         read and kept by its ``DualTensorCode``."""
         return min(self.x_correction_code.kappa, self.z_correction_code.kappa)
 
-    def z_side(self) -> "QuantumTannerCode":
-        """The code used to decode Z errors: dual local codes, V0/V1 swapped.
-
-        Exact exchange: z.h_x == self.h_z and z.h_z == self.h_x row for row.
-        """
-        return QuantumTannerCode(
-            self.complex,
-            self.local_a.dual(),
-            self.local_b.dual(),
-            flip_roles=not self.flip_roles,
-        )
-
     def __repr__(self) -> str:
         return f"QuantumTannerCode(n={self.n}, delta={self.delta}, flip={self.flip_roles})"
 

@@ -15,6 +15,17 @@ def ref_code():
 
 
 @pytest.fixture(scope="session")
+def z_side():
+    """The code that decodes the Z errors of a code, as a function of the
+    code: dual local codes, V0/V1 swapped (what a "side": "Z" config
+    builds).  Exact exchange: z.h_x == code.h_z and z.h_z == code.h_x."""
+    def build(code):
+        return tanner.QuantumTannerCode(code.complex, code.local_a.dual(), code.local_b.dual(),
+                                        flip_roles=not code.flip_roles)
+    return build
+
+
+@pytest.fixture(scope="session")
 def tiny_code():
     """Z3, delta 2, rep_2 locals: small enough for exact reduced weights."""
     g = cayley.build_group("cyclic", 3)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qtanner import cli, decoder, noise
+from qtanner import cli, decoder, noise, tanner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -654,6 +654,22 @@ def test_z_side_instance_runs_end_to_end(tmp_path, capsys):
     header, data = rows[0], rows[1:]
     cls = header.index("failure_class")
     assert all(r[cls] == "corrected" for r in data)
+
+
+def test_z_side_instance_is_built_once(monkeypatch, z_side):
+    # a "side": "Z" config builds the Z-side code alone, not its X side first
+    inst = dict(Z8_INSTANCE, local_codes={"kind": "named", "a": "rep", "b": "par"})
+    built, init = [], tanner.QuantumTannerCode.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("flip_roles", False))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tanner.QuantumTannerCode, "__init__", counted)
+    code, _ = cli.build_instance({"instance": dict(inst, side="Z")})
+    assert built == [True]
+    want = z_side(cli.build_instance({"instance": inst})[0])
+    assert (code.h_x, code.h_z, code.k) == (want.h_x, want.h_z, want.k)
 
 
 RANDOM_Z13_INSTANCE = {

@@ -94,14 +94,15 @@ class TestLocalCodewordCache:
     }
 
     @pytest.mark.parametrize("pair", sorted(PINNED_SPLITS))
-    def test_masks_weights_and_splits_pinned(self, pair, ref_code, unique_code, rep5_code):
+    def test_masks_weights_and_splits_pinned(self, pair, ref_code, unique_code, rep5_code,
+                                            z_side):
         codes_by_pair = {
             "rep4_par4": lambda: ref_code,
             "rep3_rep3": lambda: unique_code,
             "rep5_rep5": lambda: rep5_code,
             "rep6_rep6": lambda: rep_code(12, [1, 11, 2, 10, 3, 9]),
             "rep7_rep7": lambda: rep_code(14, [1, 13, 2, 12, 3, 11, 7]),
-            "par4_rep4": ref_code.z_side,
+            "par4_rep4": lambda: z_side(ref_code),
         }
         cache = decoder.LocalCodewordCache(codes_by_pair[pair]())
         _, c, r = cache.dt.split(cache.masks)
@@ -612,13 +613,13 @@ class TestZSideDecoding:
     # par_3 locals put the favorable (unique-leader) side on the Z checks,
     # so Z errors decode exactly through the swapped code
     @pytest.fixture(scope="class")
-    def z_code(self):
+    def z_code(self, z_side):
         import qtanner.cayley as cayley
 
         g = cayley.build_group("cyclic", 8)
         cx = cayley.build_complex(g, [1, 7, 4], [1, 7, 4])
         code = tanner.QuantumTannerCode(cx, codes.parity_code(3), codes.parity_code(3))
-        z_code = code.z_side()
+        z_code = z_side(code)
         assert z_code.h_z == code.h_x and z_code.h_x == code.h_z
         return z_code
 

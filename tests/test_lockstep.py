@@ -47,10 +47,10 @@ def scalar_multiround(code, model, cfg, rounds, rng):
 
 
 @pytest.fixture(scope="module")
-def z8_z_side():
+def z8_z_side(z_side):
     """The Z side of Z8 with par_3 locals (rep_3 on the decoded side)."""
     cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
-    return tanner.QuantumTannerCode(cx, codes.parity_code(3), codes.parity_code(3)).z_side()
+    return z_side(tanner.QuantumTannerCode(cx, codes.parity_code(3), codes.parity_code(3)))
 
 
 BERNOULLI = NoiseModel(p=0.01, q=0.01)
@@ -89,14 +89,19 @@ def test_lockstep_equals_scalar_loop(fixture, cfg, model, trials, rounds, reques
     assert batch.head == ("x", cfg.kind, cfg.param, *model.pq_labels())
     assert batch.stats.shape == (trials, rounds, 4)
     assert batch.seeds == list(range(100, 100 + trials))
-    moved = 0
+    moved = read_out = 0
     for t in range(trials):
         stats, weight, cls = scalar_multiround(code, model, cfg, rounds, make_rng(seed, 100 + t))
         got = batch.stats[t].tolist()
         assert (got, batch.final_weights[t], batch.final_classes[t]) == (stats, weight, cls), \
             f"trial {t}"
         moved += any(e_w or d_w for e_w, d_w, _, _ in got)
+        read_out += batch.final_weights[t] != batch.stats[t, -1, 3]
     assert moved > 0  # the noise is not vacuous
+    if model.q or model.syn_kind != "bernoulli":
+        # syndrome noise leaves the readout work: some readout changes its
+        # trial's residual, so the comparison covers codewords it applies
+        assert read_out > 0
 
 
 @pytest.mark.parametrize("model", [BERNOULLI, ADVERSARIAL], ids=["bernoulli", "adversarial"])

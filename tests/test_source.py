@@ -106,6 +106,24 @@ def test_only_decode_trial_names_one_row_view(name):
     assert users == ["noise.decode_trial"]
 
 
+@pytest.mark.parametrize("name", ["sequential_decode", "parallel_decode"])
+def test_only_decode_one_names_a_scalar_decoder(name):
+    # every trial path decodes rows in lockstep: outside decoder, a
+    # scalar decoder is named only by DecoderConfig, whose decode is the
+    # decode-one path (the package's re-exports are imports, not names)
+    root = Path(qtanner.__file__).parent
+    users = {
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(root.glob("*.py"))
+        if path.stem != "decoder"
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+    }
+    assert users == {"noise.DecoderConfig"}
+
+
 def test_only_cayley_builds_views():
     # one view table: every module reads views from cayley's view_table,
     # and none defines or calls a local_view

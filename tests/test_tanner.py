@@ -58,18 +58,18 @@ class TestBuild:
 
 
 class TestZSide:
-    def test_exact_matrix_exchange(self, ref_code):
-        z = ref_code.z_side()
+    def test_exact_matrix_exchange(self, ref_code, z_side):
+        z = z_side(ref_code)
         assert z.h_x == ref_code.h_z
         assert z.h_z == ref_code.h_x
         assert z.k == ref_code.k
 
-    def test_double_swap_restores(self, ref_code):
-        zz = ref_code.z_side().z_side()
+    def test_double_swap_restores(self, ref_code, z_side):
+        zz = z_side(z_side(ref_code))
         assert zz.h_x == ref_code.h_x and zz.h_z == ref_code.h_z
 
-    def test_effective_classes_flip_j(self, ref_code):
-        z = ref_code.z_side()
+    def test_effective_classes_flip_j(self, ref_code, z_side):
+        z = z_side(ref_code)
         order = ref_code.complex.group.order
         for v in range(4 * order):
             raw = ref_code.complex.vertex_class(v)
@@ -361,7 +361,7 @@ class TestTheoryReport:
         assert code.x_correction_code.echelon is echelon
 
 
-def test_dihedral_instance_builds():
+def test_dihedral_instance_builds(z_side):
     g = cayley.build_group("dihedral", 6)
     cx = cayley.build_complex(g, [1, 5, 6, 7], [1, 5, 6, 7])
     code = tanner.QuantumTannerCode(cx, codes.repetition_code(4), codes.parity_code(4))
@@ -369,7 +369,7 @@ def test_dihedral_instance_builds():
     prod = np_commutator_gf2(code.h_x, code.h_z)
     assert not prod.any()
     # the exact matrix exchange must survive non-abelian groups too
-    z = code.z_side()
+    z = z_side(code)
     assert z.h_x == code.h_z and z.h_z == code.h_x
 
 
