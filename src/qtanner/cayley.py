@@ -21,7 +21,6 @@ from .errors import BudgetError, GeneratingSetError, GroupAxiomError, whole
 
 MAX_EIGENSOLVE_ORDER = 4096
 ASSOC_EXHAUSTIVE_ORDER = 64
-ASSOC_SAMPLE_CHUNK = 2_000
 
 V00, V01, V10, V11 = 0, 1, 2, 3
 
@@ -46,9 +45,7 @@ class FiniteGroup:
                 and np.array_equal(self.mul, other.mul))
 
 
-def _validate_table(
-    mul: Sequence[Sequence[int]], rng: Optional[np.random.Generator] = None
-) -> FiniteGroup:
+def _validate_table(mul: Sequence[Sequence[int]]) -> FiniteGroup:
     """The group of a square table (nested lists or an array), checked
     axiom by axiom on a numpy copy; the first violation raises, named as
     a row-major scan of the table would first meet it."""
@@ -79,18 +76,15 @@ def _validate_table(
         raise GroupAxiomError(f"element {int(np.argmin(has_inv))} has no inverse")
     inv = both.argmax(axis=1)
     # associativity: exhaustive up to order 64, as one compare of all
-    # triples ([a, b, c] of t[t] is (ab)c, of t[:, t] a(bc)), sampled beyond
+    # triples ([a, b, c] of t[t] is (ab)c, of t[:, t] a(bc)), sampled beyond:
+    # 200,000 triples in one draw, the same numbers as one draw per triple,
+    # so the first failure in draw order is the one a loop would meet
     if n <= ASSOC_EXHAUSTIVE_ORDER:
         fails = np.argwhere(t[t] != t[:, t])
     else:
-        # the same 200,000 draws of one triple each, checked a chunk at a time
-        rng = rng or np.random.default_rng(0)
-        for _ in range(0, 200_000, ASSOC_SAMPLE_CHUNK):
-            drawn = np.array([rng.integers(0, n, size=3) for _ in range(ASSOC_SAMPLE_CHUNK)])
-            a, b, c = drawn.T
-            fails = drawn[t[t[a, b], c] != t[a, t[b, c]]]
-            if len(fails):
-                break
+        drawn = np.random.default_rng(0).integers(0, n, size=(200_000, 3))
+        a, b, c = drawn.T
+        fails = drawn[t[t[a, b], c] != t[a, t[b, c]]]
     if len(fails):
         a, b, c = map(int, fails[0])
         raise GroupAxiomError(f"associativity fails on triple ({a}, {b}, {c})")
@@ -222,7 +216,10 @@ class LeftRightCayleyComplex:
 
         The defining group element of the face at entry (a, b) of the
         view of h is h for class 00, a⁻¹h for 01, hb⁻¹ for 10 and
-        a⁻¹hb⁻¹ for 11.
+        a⁻¹hb⁻¹ for 11.  Row v is ``elem·Δ² + arange(Δ²)``, so face q
+        sits at local bit q mod Δ² of every view that holds it (the
+        decoder's gather relies on this) and q // Δ² is the defining
+        element.
         """
         order, d = self.group.order, self.delta
         mul, inv = self.group.mul, self.group.inv

@@ -422,7 +422,10 @@ def _multiround_task(task: tuple[int, int]) -> noise.RoundBatch:
 
 def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     """[0, trials) cut into min(workers, trials) contiguous chunks whose
-    sizes differ by at most one (one empty chunk for no trials)."""
+    sizes differ by at most one (one empty chunk for no trials); a
+    worker count below 1 is a ValueError, raised before any trial runs."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     parts = max(1, min(workers, trials))
     bounds = [trials * i // parts for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))

@@ -32,21 +32,24 @@ least ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache
 keeps one ``gf2.WordCache`` per θ whose memo holds the search result
 for every local Δ²-bit mismatch pattern seen so far, and only a pattern
 seen for the first time runs the numpy popcount scan.
-Local patterns are gathered from the set bits of Ẑ inside a view,
-through a per-vertex bit table.  Every per-vertex table (the view
-lists, masks and gathers, each class's faces in sweep order, the
-lockstep packers, built on first use) is read from the complex's
+Local patterns are gathered from the set bits of Ẑ inside a view by
+the face layout alone: face q sits at local bit q mod Δ² of every
+view that holds it (see ``cayley.LeftRightCayleyComplex.view_table``),
+so the gather needs no per-vertex table.  Every per-vertex table (the
+view lists and masks, each class's faces in sweep order, the lockstep
+packers, built on first use) is read from the complex's
 ``view_table``, and one check at cache build makes sure the views of
 each class partition the faces, which is what lets the parallel
 schedule update a whole class at once.
 
 The coset leader of a local syndrome s is found in the same cached
-codewords: y₀ = s times a right inverse of H_A ⊗ H_B is one member of
-the coset, and one popcount over y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the
-lightest; ties go to the largest ``gf2.lex_keys`` key (the first
-vector in ``itertools.combinations`` order).  Leaders are memoized per
-syndrome, in the ``gf2.WordCache`` ``leaders``, so no table over all
-2^r syndromes is built and r needs no budget.
+codewords: y₀ = ``dt.echelon.solve(s)``, the particular solution of
+the local echelon, is one member of the coset, and one popcount over
+y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the lightest; ties go to the largest
+``gf2.lex_keys`` key (the first vector in ``itertools.combinations``
+order).  Leaders are memoized per syndrome, in the ``gf2.WordCache``
+``leaders``, so no table over all 2^r syndromes is built and r needs
+no budget.
 
 The lockstep decoders decode many syndromes at once, one numpy row per
 trial, as multi-round runs and sweep blocks do: the initial mismatch,
@@ -74,7 +77,6 @@ its syndrome.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,13 +114,13 @@ class LocalCodewordCache:
 
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
-    ``split``; set-up computes none), a right inverse of the local
-    checks H_A ⊗ H_B, ``dt.echelon.solve`` of each unit syndrome, from
-    the same elimination as the codewords (a dependent check is named
-    in a ``LocalCacheError``), the per-vertex view/incidence tables the
-    decomposition loops consume (all read from ``view_table``), and the
-    parallel sweep order with each sweep class's faces
-    (``class_faces``, checked to partition the faces).
+    ``split``; set-up computes none), the per-vertex view/incidence
+    tables the decomposition loops consume (all read from
+    ``view_table``), and the parallel sweep order with each sweep
+    class's faces (``class_faces``, checked to partition the faces).
+    Set-up checks that the local checks H_A ⊗ H_B are independent (the
+    lowest dependent one is named in a ``LocalCacheError``), so
+    ``dt.echelon.solve`` reaches every local syndrome.
 
     Built on first use, so ``get_cache`` (the set-up a run times) and
     ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
@@ -150,17 +152,14 @@ class LocalCodewordCache:
         self.weights = weights[order].astype(np.int64)
         self.neg_weights = -self.weights
         self.splits: dict[int, tuple[int, int]] = {}
-        self.max_weight = int(self.weights[0]) if len(order) else 0
-        # right_inverse[i] has syndrome 1 << i, so y₀ for syndrome s is the
-        # XOR of the entries at the set bits of s; the first unit syndrome
-        # out of reach names a dependent check
-        r = dt.pchk.rows
-        self.right_inverse = []
-        for i in range(r):
-            y = dt.echelon.solve(BitVector(r, 1 << i))
-            if y is None:
-                raise LocalCacheError(f"local check {i} depends on the other local checks")
-            self.right_inverse.append(y.bits)
+        # the first unit syndrome solve cannot reach is the lowest bit any
+        # relation among the checks touches
+        dependent = 0
+        for rel in dt.echelon.relations:
+            dependent |= rel
+        if dependent:
+            i = (dependent & -dependent).bit_length() - 1
+            raise LocalCacheError(f"local check {i} depends on the other local checks")
         self._build_views(code)
         self._scan_tables: dict[Fraction, tuple[gf2.WordCache, int]] = {}
 
@@ -187,11 +186,6 @@ class LocalCodewordCache:
         incidence = np.zeros((cx.num_vertices, cx.num_faces), dtype=np.uint8)
         incidence[np.arange(cx.num_vertices)[:, None], view_table] = 1
         self.view_masks = gf2.from_bit_rows(incidence)
-        # face bit -> local position bit, for the sparse gather of Ẑ
-        # (local bit p is face_bits[p]; zip stops at the view's Δ²)
-        face_bits = [1 << q for q in range(cx.num_faces)]
-        self.gather = [dict(zip(map(face_bits.__getitem__, view), face_bits))
-                       for view in self.views]
         self.face_vertices = list(map(tuple, cx.corner_table.tolist()))
         # parallel sweep order: classes V00, V01, V10, V11, each in group order
         order = cx.group.order
@@ -237,8 +231,8 @@ class LocalCodewordCache:
 
         The table is the memoized candidate search: the ``gf2.WordCache``
         of ``_scan_uncached`` with thresholds ceil(θ·|x_i|) for cached
-        codeword i.  Patterns have Δ² bits, so its memo holds at most
-        2^Δ² entries.  The floor is h_min(θ), the least |Ẑ| at which
+        codeword i, in integer arithmetic.  Patterns have Δ² bits, so
+        its memo holds at most 2^Δ² entries.  The floor is h_min(θ), the least |Ẑ| at which
         some vertex can find a codeword at θ: the least
         ceil((|x| + ceil(θ|x|)) / 2) over the cached codewords x, or
         n + 1 if there are none.  x passes at v only if
@@ -247,10 +241,7 @@ class LocalCodewordCache:
         theta = as_fraction(theta)
         entry = self._scan_tables.get(theta)
         if entry is None:
-            ceil_by_weight = np.array(
-                [math.ceil(theta * w) for w in range(self.max_weight + 1)], dtype=np.int64
-            )
-            thresholds = ceil_by_weight[self.weights]
+            thresholds = -((-theta.numerator * self.weights) // theta.denominator)
             table = gf2.WordCache(partial(_scan_uncached, self, thresholds))
             # with no codeword nothing hits, at any |Ẑ| ≤ n
             floor = int(((self.weights + thresholds + 1) // 2).min(initial=self.code.n + 1))
@@ -337,30 +328,30 @@ def coset_leader(cache: LocalCodewordCache, s: int) -> int:
 
 
 def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
-    """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ = s times the
-    right inverse; among equal weights the one of largest
-    ``gf2.lex_keys`` key (keys are distinct), which is the first vector
-    in ``itertools.combinations`` order.  Syndrome 0 has leader 0 (the
+    """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ the particular
+    solution ``dt.echelon.solve`` gives for s (any solution spans the
+    same coset, so the leader does not depend on which); among equal
+    weights the one of largest ``gf2.lex_keys`` key (keys are
+    distinct), which is the first vector in ``itertools.combinations``
+    order.  Syndrome 0 has leader 0 (the
     word cache asks it at build), with no scan."""
     if s == 0:
         return 0
-    y0 = 0
-    for i, row in enumerate(cache.right_inverse):
-        if (s >> i) & 1:
-            y0 ^= row
+    y0 = cache.dt.echelon.solve(BitVector(cache.dt.pchk.rows, s)).bits
     coset = np.append(cache.masks, np.uint64(0)) ^ np.uint64(y0)
     weights = np.bitwise_count(coset)
     ties = coset[weights == weights.min()]
     return int(ties[np.argmax(gf2.lex_keys(ties, cache.n))])
 
 
-def _gather(bits_in_view: int, gather: dict[int, int]) -> int:
-    """Local pattern of global bits already masked to one view; the
-    loop runs once per set bit, not once per view bit."""
+def _gather(bits_in_view: int, d2: int) -> int:
+    """Local pattern of global bits already masked to one view: face q
+    is local bit q mod Δ² (``d2``) of every view holding it.  The loop
+    runs once per set bit, not once per view bit."""
     out = 0
     while bits_in_view:
         lsb = bits_in_view & -bits_in_view
-        out |= gather[lsb]
+        out |= 1 << (lsb.bit_length() - 1) % d2
         bits_in_view ^= lsb
     return out
 
@@ -414,7 +405,7 @@ def _search(cache: LocalCodewordCache, table: gf2.WordCache, zhat: int, v: int) 
     local = zhat & cache.view_masks[v]
     if local == 0:
         return -1
-    return table.get(_gather(local, cache.gather[v]))
+    return table.get(_gather(local, cache.n))
 
 
 def _step(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache, v: int) -> int:

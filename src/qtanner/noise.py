@@ -389,12 +389,12 @@ class DecoderConfig:
     def param(self) -> str:
         return f"eps={self.eps}" if self.kind == "sequential" else f"k={self.k}"
 
-    def decode(self, code: QuantumTannerCode, syn: BitVector, return_state: bool = False):
-        """f̂ for the syndrome, with the decoder's ``MismatchState`` as
-        (f̂, state) if ``return_state``."""
+    def decode(self, code: QuantumTannerCode, syn: BitVector
+               ) -> tuple[BitVector, dec.MismatchState]:
+        """(f̂, the decoder's final ``MismatchState``) for the syndrome."""
         if self.kind == "sequential":
-            return dec.sequential_decode(code, syn, self.eps, return_state)
-        return dec.parallel_decode(code, syn, self.k, return_state)
+            return dec.sequential_decode(code, syn, self.eps, return_state=True)
+        return dec.parallel_decode(code, syn, self.k, return_state=True)
 
     def decode_lockstep(self, cache: dec.LocalCodewordCache, syndromes: np.ndarray
                         ) -> np.ndarray:
@@ -481,7 +481,7 @@ def decode_trial(
     pairs = []
     for cfg in cfgs:
         t0 = time.perf_counter() if record_timing else 0.0
-        f, state = cfg.decode(code, syn, return_state=True)
+        f, state = cfg.decode(code, syn)
         ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
         residual = BitVector(code.n, e.bits ^ f.bits)
         record = TrialRecord(
@@ -802,7 +802,7 @@ def run_trial_block(
             spent[j] += shared + time.perf_counter() - t0
             residual ^= e
             rows[:, j, 3] = gf2.row_weights(residual)
-            rows[:, j, 4] = tanner.greedy_reduced_weights(code, residual)
+            rows[:, j, 4] = tanner.greedy_reduce_rows(code, residual)[1]
             classes[lo:hi, j] = tanner.classify_rows(code, residual)
     ms = [s * 1000.0 / total if record_timing and total else 0.0 for s in spent]
     return [TrialBlock([(instance_id, cfg.kind, cfg.param, *model.pq_labels()) for cfg in cfgs],

@@ -186,16 +186,10 @@ def _gf2_product(rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
 
 def reduced_weight(code: QuantumTannerCode, e: BitVector) -> int:
     """A greedy upper bound on min over stabilizers s of |e + s|: the
-    one-row view of ``greedy_reduced_weights``."""
+    one-row view of the weights of ``greedy_reduce_rows``."""
     if e.n != code.n:
         raise DimensionMismatchError(code.n, e.n)
-    return int(greedy_reduced_weights(code, gf2.to_bit_rows([e.bits], code.n))[0])
-
-
-def greedy_reduced_weights(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
-    """The greedy reduced weight of every row of a (trials, n) 0/1
-    array: the weights of ``greedy_reduce_rows``."""
-    return greedy_reduce_rows(code, rows)[1]
+    return int(greedy_reduce_rows(code, gf2.to_bit_rows([e.bits], code.n))[1][0])
 
 
 def greedy_reduce_rows(code: QuantumTannerCode, rows: np.ndarray
@@ -271,17 +265,17 @@ def random_logical_search(
     ker H_Z outside rowspace(H_X) found among random kernel combinations
     (greedily stabilizer-reduced).  Returns (weight, vector) or (inf, None).
 
-    Each try draws its combination as one ``rng.integers`` call; then
-    all of them are one product with the kernel basis, reduced in one
-    call and classified as rows.  A reduced combination stays in ker
+    All tries draw their combinations in one ``rng.integers`` call (the
+    same numbers as one call per try); then they are one product with
+    the kernel basis, reduced in one call and classified as rows.  A reduced combination stays in ker
     H_Z, so it is logical exactly when it is nonzero and not a
     stabilizer; the first lightest logical row wins.
     """
     kb = code.echelon_z.kernel()
     if kb.rows == 0:
         return math.inf, None
-    picks = np.array([rng.integers(0, 2, size=kb.rows) for _ in range(tries)],
-                     dtype=np.uint8).reshape(tries, kb.rows)
+    # the default dtype: dtype=np.uint8 would draw different numbers
+    picks = rng.integers(0, 2, size=(tries, kb.rows)).astype(np.uint8)
     kernel = gf2.to_bit_rows(kb.data, code.n).astype(np.float32)
     reduced, weights = greedy_reduce_rows(code, _gf2_product(picks, kernel))
     logical = np.flatnonzero(classify_rows(code, reduced) == LOGICAL)

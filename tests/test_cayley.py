@@ -245,6 +245,22 @@ def test_tables_match_the_paper_formulas(cx):
         assert cx.corner_table[q].tolist() == want
 
 
+@given(cx=complexes())
+def test_view_table_face_layout(cx):
+    # face q = g·Δ² + p sits at local bit p = q mod Δ² of every view that
+    # holds it, and its g is the view's defining element
+    d2, order, mul, inv = cx.delta**2, cx.group.order, cx.group.mul, cx.group.inv
+    assert (cx.view_table % d2 == np.arange(d2)).all()
+    for v in range(cx.num_vertices):
+        cls, h = divmod(v, order)
+        want = []
+        for a in cx.gens_a.elements:
+            for b in cx.gens_b.elements:
+                g = mul[inv[a], h] if cls in (V01, V11) else h  # a⁻¹h
+                want.append(mul[g, inv[b]] if cls in (V10, V11) else g)  # ·b⁻¹
+        assert (cx.view_table[v] // d2).tolist() == want
+
+
 class TestSecondEigenvalue:
     def test_complete_graph_spectrum(self):
         # Z_5 with every non-identity generator is K_5: lambda2 = -1

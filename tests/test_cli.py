@@ -630,6 +630,18 @@ def test_invalid_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "multiround"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_1_exit_2_before_any_trial(tmp_path, monkeypatch, capsys, command,
+                                                 workers):
+    monkeypatch.setattr(cli, "_run_pool", _no_pool)
+    cfg = write_config(tmp_path, rounds=2)
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "-c", cfg, "-o", str(out), "--workers", workers]) == 2
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_hash_is_canonical(tmp_path):
     a = cli.config_hash({"b": 1, "a": [2, 3]})
     b = cli.config_hash({"a": [2, 3], "b": 1})

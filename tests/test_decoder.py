@@ -214,8 +214,9 @@ def rep5_oracle(rep5_code):
     return coset_leader_table(dt.pchk.data, dt.n)
 
 
-class TestRightInverse:
-    """``right_inverse``, from one elimination of [H_A ⊗ H_B | I], on the
+class TestEchelonSolve:
+    """``dt.echelon.solve`` of each unit syndrome, from one elimination
+    of [H_A ⊗ H_B | I], and the coset leaders solved from it, on the
     reference, Z8/rep_3, Z₁₂/rep_5 and Z₁₄/rep_7 instances."""
 
     @staticmethod
@@ -225,12 +226,13 @@ class TestRightInverse:
         return request.getfixturevalue(name)
 
     @pytest.mark.parametrize("name", ["ref_code", "unique_code", "rep5_code", "z14_rep7"])
-    def test_rows_have_unit_syndromes_and_leaders_match_oracle(self, name, request):
+    def test_unit_solves_have_unit_syndromes_and_leaders_match_oracle(self, name, request):
         code = self.instance(name, request)
         dt = code.x_correction_code
         cache = get_cache(code)
         r = dt.pchk.rows
-        assert [local_syndrome_of(dt, y) for y in cache.right_inverse] == [1 << i for i in range(r)]
+        solves = [dt.echelon.solve(BitVector(r, 1 << i)).bits for i in range(r)]
+        assert [local_syndrome_of(dt, y) for y in solves] == [1 << i for i in range(r)]
         # every error of weight <= 2 and 100 random ones of weight 3
         rng = np.random.default_rng(5)
         errors = [sum(1 << p for p in ps) for w in range(3)
@@ -689,7 +691,7 @@ class TestMemoizedSearch:
             )
         )
         v = data.draw(st.integers(0, any_code.complex.num_vertices - 1))
-        got = decoder._gather(zhat & cache.view_masks[v], cache.gather[v])
+        got = decoder._gather(zhat & cache.view_masks[v], cache.n)
         assert got == extract(zhat, cache.views[v])
 
     @settings(max_examples=6)
@@ -757,6 +759,6 @@ class TestHitFloor:
         for cfg in (DecoderConfig("sequential"), DecoderConfig("parallel", k=3)):
             got = gf2.from_bit_rows(cfg.decode_lockstep(cache, gf2.to_bit_rows(syndromes, rz)))
             for s, f in zip(syndromes, got):
-                want, state = cfg.decode(code, BitVector(rz, s), return_state=True)
+                want, state = cfg.decode(code, BitVector(rz, s))
                 assert (f, state.steps) == (want.bits, [])
                 assert want.bits == initial_mismatch(code, BitVector(rz, s)).eps01_sum

@@ -38,7 +38,7 @@ def scalar_multiround(code, model, cfg, rounds, rng):
         e, d = int_sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
         syn = BitVector(rz, np_mat_vec_gf2(code.h_z, residual ^ e.bits) ^ d.bits)
-        residual ^= e.bits ^ cfg.decode(code, syn).bits
+        residual ^= e.bits ^ cfg.decode(code, syn)[0].bits
         stats.append([e.weight(), d.weight(), vertex_support(code, d), residual.bit_count()])
     ideal = BitVector(rz, np_mat_vec_gf2(code.h_z, residual))
     f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
@@ -289,7 +289,7 @@ class TestLockstepDecoders:
                         DecoderConfig("parallel", k=8), DecoderConfig("sequential"),
                         DecoderConfig("sequential", eps=Fraction(1, 3))):
                 got = gf2.from_bit_rows(cfg.decode_lockstep(cache, rows))
-                assert got == [cfg.decode(code, BitVector(rz, s)).bits for s in syndromes[batch]]
+                assert got == [cfg.decode(code, BitVector(rz, s))[0].bits for s in syndromes[batch]]
         word_caches = [table for table, _ in cache._scan_tables.values()]
         if "leaders" in vars(cache):  # a cached_property: only there once built
             word_caches.append(cache.leaders)
@@ -316,7 +316,7 @@ class TestLockstepDecoders:
         lockstep = [gf2.from_bit_rows(cfg.decode_lockstep(cache, rows)) for cfg in cfgs]
         asked = len(leaders), len(scans)
         assert asked[0] > 1 and asked[1] > 2  # more than the word 0 of each cache
-        scalar = [[cfg.decode(code, BitVector(rz, s)).bits for s in syndromes] for cfg in cfgs]
+        scalar = [[cfg.decode(code, BitVector(rz, s))[0].bits for s in syndromes] for cfg in cfgs]
         assert lockstep == scalar
         assert (len(leaders), len(scans)) == asked
         assert len(leaders) == len(set(leaders)) and len(scans) == len(set(scans))
@@ -384,7 +384,7 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
         e, d = int_sample_errors(code, model, make_rng(seed, stream))
         syn = BitVector(code.h_z.rows, np_mat_vec_gf2(code.h_z, e.bits) ^ d.bits)
         for cfg in SWEEP_DECODERS:
-            residual = BitVector(code.n, e.bits ^ cfg.decode(code, syn).bits)
+            residual = BitVector(code.n, e.bits ^ cfg.decode(code, syn)[0].bits)
             records.append(TrialRecord(
                 "", cfg.kind, cfg.param, p, q, e.weight(), d.weight(), vertex_support(code, d),
                 residual.weight(), greedy_reduce(code.h_x.data, residual.bits).bit_count(),
@@ -464,7 +464,7 @@ def test_greedy_reduced_weights_equal_scalar(ref_code, unique_code, z5_code):
     rng = np.random.default_rng(5)
     for code in (ref_code, unique_code, z5_code):
         rows = (rng.random((60, code.n)) < rng.random((60, 1)) * 0.3).astype(np.uint8)
-        got = tanner.greedy_reduced_weights(code, rows)
+        got = tanner.greedy_reduce_rows(code, rows)[1]
         assert got.tolist() == [greedy_reduce(code.h_x.data, bits).bit_count()
                                 for bits in gf2.from_bit_rows(rows)]
 
