@@ -190,13 +190,13 @@ class DualTensorCode:
         return gf2.Echelon(self.pchk)
 
     def codewords(self) -> np.ndarray:
-        """The 2^dim − 1 nonzero codewords as uint64, in the span order
-        of the kernel basis of H_A ⊗ H_B."""
+        """The 2^dim − 1 nonzero codewords as uint64, the span of the
+        kernel of H_A ⊗ H_B in ascending ``gf2.lex_keys`` order."""
         self._check_budget()
-        basis = self.echelon.kernel().data
-        if len(basis) != self.dim:
+        basis = self.echelon.kernel()
+        if basis.rows != self.dim:
             raise LocalCacheError(
-                f"kernel of the local checks holds 2^{len(basis)} - 1 nonzero codewords, "
+                f"kernel of the local checks holds 2^{basis.rows} - 1 nonzero codewords, "
                 f"expected 2^{self.dim} - 1 for a dimension-{self.dim} local code"
             )
         return gf2.span_words(basis)[1:]
@@ -226,12 +226,13 @@ class DualTensorCode:
         dim C_A·|B| is at most ``dim``, so ``MAX_TABLE_DIM`` bounds it."""
         self._check_budget()
         na, nb = self.na, self.nb
-        words = gf2.span_words(gf2.kronecker(self.code_a.gen, BitMatrix.identity(nb)).data)
+        words = gf2.span_words(gf2.kronecker(self.code_a.gen, BitMatrix.identity(nb)))
         checks = gf2.kronecker(BitMatrix.identity(na), self.code_b.pchk)
         checks = np.array(checks.data, dtype=np.uint64)
         syndromes = _syndromes(words, checks)
-        # by syndrome, lex order within a syndrome
-        order = np.lexsort((gf2.lex_keys(words, self.n), syndromes))
+        # the span is in lex order, so a stable sort by syndrome keeps lex
+        # order within a syndrome
+        order = np.argsort(syndromes, kind="stable")
         cols = [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
         return _ColumnSpace(
             words=words[order],

@@ -23,8 +23,9 @@ stops popping, a sweep is not started and a lockstep row is not scanned
 below it.
 
 Candidate search is exhaustive over the cached nonzero codewords of
-C_A ⊞ C_B, the span of the kernel basis of H_A ⊗ H_B sorted by weight
-descending (lexicographic within a weight class) in numpy.  The
+C_A ⊞ C_B, the span of the kernel of H_A ⊗ H_B, which comes in
+lexicographic order, sorted by weight descending with one stable radix
+pass (so lexicographic within a weight class).  The
 minimal (c, r) split of a codeword is computed by
 ``codes.DualTensorCode.split`` only when the decoder needs it, and
 memoized per codeword.  A threshold policy θ asks for a reduction of at
@@ -145,9 +146,10 @@ class LocalCodewordCache:
         n = self.n = dt.n
         masks = dt.codewords()
         weights = np.bitwise_count(masks)
-        # weight descending, lex key ascending within a weight (n - weight
-        # stays 8-bit, a key numpy's stable sort radix-sorts)
-        order = np.lexsort((gf2.lex_keys(masks, n), n - weights))
+        # the codewords come in lex order, so one stable pass by n - weight
+        # (8-bit, a key numpy's stable sort radix-sorts) gives weight
+        # descending, lex order within a weight
+        order = np.argsort((n - weights).astype(np.uint8), kind="stable")
         self.masks = masks[order]
         self.weights = weights[order].astype(np.int64)
         self.neg_weights = -self.weights
@@ -186,7 +188,7 @@ class LocalCodewordCache:
         incidence = np.zeros((cx.num_vertices, cx.num_faces), dtype=np.uint8)
         incidence[np.arange(cx.num_vertices)[:, None], view_table] = 1
         self.view_masks = gf2.from_bit_rows(incidence)
-        self.face_vertices = list(map(tuple, cx.corner_table.tolist()))
+        self.face_vertices = cx.corner_table.tolist()
         # parallel sweep order: classes V00, V01, V10, V11, each in group order
         order = cx.group.order
         v0, v1 = code.v0_vertices, code.v1_vertices
@@ -194,14 +196,22 @@ class LocalCodewordCache:
         # class_faces[c, j·Δ² + p] is bit p of the j-th view of sweep class
         # c.  Its order·Δ² = n entries must be n distinct faces: the views
         # of one class partition the faces, so a parallel class step is
-        # well defined.  The first repeat in sweep order names its vertex.
-        self.class_faces = view_table[self.sweep_order].reshape(4, -1)
-        for cls, faces in enumerate(self.class_faces):
-            repeat = np.ones(faces.size, dtype=bool)
-            repeat[np.unique(faces, return_index=True)[1]] = False
-            if repeat.any():
-                v = self.sweep_order[cls * order + int(repeat.argmax()) // view_table.shape[1]]
-                raise LocalCacheError(f"view of vertex {v} overlaps another view of class {cls}")
+        # well defined.  One count of (class, face) pairs checks all four
+        # classes; only when it fails does a per-class scan name the
+        # vertex of the first repeat in sweep order.
+        faces = self.class_faces = view_table[self.sweep_order].reshape(4, -1)
+        num_faces = cx.num_faces
+        counts = np.bincount((faces + num_faces * np.arange(4)[:, None]).ravel(),
+                             minlength=4 * num_faces)
+        if not (counts == 1).all():
+            for cls, row in enumerate(faces):
+                repeat = np.ones(row.size, dtype=bool)
+                repeat[np.unique(row, return_index=True)[1]] = False
+                if repeat.any():
+                    v = self.sweep_order[cls * order + int(repeat.argmax()) // view_table.shape[1]]
+                    raise LocalCacheError(
+                        f"view of vertex {v} overlaps another view of class {cls}")
+            raise LocalCacheError("the views of a sweep class hold a face outside the complex")
 
     @cached_property
     def leaders(self) -> gf2.WordCache:

@@ -13,11 +13,12 @@ Batches of vectors, as the lockstep decoder handles them, are numpy
 vector; ``to_bit_rows`` and ``from_bit_rows`` convert between the two
 forms, ``row_weights`` counts each row's weight, and
 ``WordPacker``/``unpack_words`` hold patterns of at most 64 bits as one
-``uint64`` each; ``span_words`` and ``lex_keys`` are the span and the
-lexicographic order keys of such words.  A ``WordCache`` is the one
-memo of a function of such words: ``get`` reads one word, as the scalar
-decoders read their scans and coset leaders, and a call reads a whole
-array at once, as a lockstep step does.
+``uint64`` each; ``span_words`` and ``lex_keys`` are the span, already
+in lexicographic order, and the order keys of such words.  A
+``WordCache`` is the one memo of a function of such words: ``get``
+reads one word, as the scalar decoders read their scans and coset
+leaders, and a call reads a whole array at once, as a lockstep step
+does.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 
-def span_words(basis: Sequence[int]) -> np.ndarray:
-    """All 2^len(basis) XOR combinations of independent rows of at most
-    64 bits, as uint64: element i combines the rows at the set bits of i
-    (element 0 is 0)."""
+def span_words(m: BitMatrix) -> np.ndarray:
+    """The 2^rank words of the row space of ``m`` (at most 64 columns)
+    as uint64, in ascending ``lex_keys`` order, so 0 first.
+
+    They are spanned from the rows of one ``Echelon`` of ``m``, highest
+    pivot first: element i combines the rows at the set bits of i, and
+    its top bit picks the row of lowest pivot.  Each row has its pivot
+    as its lowest set bit and is the only row with that bit set.  So
+    where two indices differ, the highest differing bit names the lowest
+    pivot p whose coefficients differ; the two words agree below bit p,
+    and only the larger index has bit p.  Index order is key order."""
     out = np.zeros(1, dtype=np.uint64)
-    for row in basis:
+    for row in reversed(Echelon(m).rows):
         out = np.concatenate([out, out ^ np.uint64(row)])
     return out
 

@@ -19,9 +19,9 @@ mismatch is computed once per slice of rows and shared by every
 decoder, the sample and residual columns are arrays, and the residuals
 are classified as rows by ``tanner.classify_rows``.  It returns one
 ``TrialBlock`` of columns per group, which formats its own CSV lines;
-``run_sweep`` (all grid points of a trial range as one block)
-and ``estimate_threshold`` run on it, and ``run_single_shot_trial``
-stays as the one-trial reference, one ``TrialRecord`` per decoder.  A
+``run_sweep`` (all grid points of a trial range as one block) runs on
+it, and ``run_single_shot_trial`` stays as the one-trial reference, one
+``TrialRecord`` per decoder.  A
 multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial's rounds are drawn up front
 from its own stream, in the order a lone trial would draw them, and
@@ -860,36 +860,6 @@ def ols_slope_ci(xs: Sequence[float], ys: Sequence[float], z: float = 1.959964
     rss = float(((y - intercept - slope * x) ** 2).sum())
     se = (rss / (n - 2) / sxx) ** 0.5
     return slope, slope - z * se, slope + z * se
-
-
-def estimate_threshold(
-    code: QuantumTannerCode,
-    cfg: DecoderConfig,
-    trials: int = 100,
-    master_seed: int = 0,
-    lo: float = 0.0,
-    hi: float = 0.5,
-    iters: int = 8,
-) -> float:
-    """Bisect the bernoulli p = q level where the not-corrected frequency
-    crosses 1/2; a coarse, reproducible operating-point estimate.
-
-    Iteration ``it``, trial ``ti`` draws stream (it << 24) | ti, so
-    ``trials`` must lie in [1, 2^24).
-    """
-    if not 1 <= trials < 1 << 24:
-        raise ValueError(f"threshold trials must be in [1, 2^24), got {trials}")
-    for it in range(iters):
-        mid = (lo + hi) / 2
-        model = NoiseModel(data_kind="bernoulli", p=mid, syn_kind="bernoulli", q=mid)
-        [block] = run_trial_block(code, [(model, [(it << 24) | ti for ti in range(trials)])],
-                                  [cfg], master_seed)
-        fails = np.count_nonzero(block.classes[:, 0] != tanner.CORRECTED)
-        if fails / trials < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:

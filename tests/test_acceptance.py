@@ -37,6 +37,7 @@ from oracles import (
     np_commutator_gf2,
     np_rank_gf2,
 )
+from threshold import estimate_threshold
 
 A13 = [1, 12, 5, 8]
 D6_GENS = [1, 5, 6, 7]
@@ -390,9 +391,7 @@ def test_criterion_7_multiround_boundedness(unique_code, ref_code):
 
     context = []
     for name, code in (("reference", ref_code), ("Z8/rep3", unique_code)):
-        thr = noise.estimate_threshold(
-            code, DecoderConfig("sequential"), trials=100, master_seed=7
-        )
+        thr = estimate_threshold(code, DecoderConfig("sequential"), trials=100, master_seed=7)
         p = thr / 4
         noisy = NoiseModel(data_kind="bernoulli", p=p, syn_kind="bernoulli", q=p)
         c_slope, c_lo, c_hi, _, c_corr = _multiround_summary(code, noisy, cfg)

@@ -188,6 +188,49 @@ class TestDualTensorCode:
         assert sorted([0] + dt.codewords().tolist()) == sorted(codeword_bits(alt))
 
 
+def random_dual_tensor_code(na, ka, nb, kb, seed):
+    rng = np.random.default_rng(seed)
+    return codes.dual_tensor_code(codes.sample_random_code(na, ka, rng),
+                                  codes.sample_random_code(nb, kb, rng))
+
+
+class TestLexOrder:
+    """The codewords and the column space are spanned in lex order, so
+    the decoder's scan order and the split's tie-break need no lexsort."""
+
+    LOCAL_CODES = {
+        "reference": lambda fx: fx("ref_code").x_correction_code,
+        "z8_rep3": lambda fx: fx("unique_code").x_correction_code,
+        "side_z": lambda fx: fx("z_side")(fx("ref_code")).x_correction_code,
+        # the Z14/rep_7 instance's local code: 8,191 words
+        "rep7_rep7": lambda fx: codes.dual_tensor_code(codes.repetition_code(7),
+                                                       codes.repetition_code(7)),
+        # dimension 15 on n = 64: words use the top bit of uint64
+        "rep8_rep8": lambda fx: codes.dual_tensor_code(codes.repetition_code(8),
+                                                       codes.repetition_code(8)),
+        "random_4x5": lambda fx: random_dual_tensor_code(4, 2, 5, 3, 1),
+        "random_6x6": lambda fx: random_dual_tensor_code(6, 1, 6, 2, 2),
+        "random_3x7": lambda fx: random_dual_tensor_code(3, 1, 7, 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_CODES))
+    def test_codewords_in_ascending_lex_key_order(self, name, request):
+        dt = self.LOCAL_CODES[name](request.getfixturevalue)
+        xs = dt.codewords()
+        keys = gf2.lex_keys(xs, dt.n)
+        assert len(xs) == (1 << dt.dim) - 1 and xs.all()
+        assert (keys[1:] > keys[:-1]).all()
+        assert not any(np_mat_vec_gf2(dt.pchk, x) for x in xs[:: max(1, len(xs) // 64)].tolist())
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_CODES))
+    def test_column_space_by_syndrome_then_lex_key(self, name, request):
+        dt = self.LOCAL_CODES[name](request.getfixturevalue)
+        space = dt._column_space
+        syn, keys = space.syndromes, gf2.lex_keys(space.words, dt.n)
+        assert len(space.words) == 1 << (dt.code_a.dim * dt.nb)
+        assert ((syn[1:] > syn[:-1]) | (syn[1:] == syn[:-1]) & (keys[1:] > keys[:-1])).all()
+
+
 class TestMinDistance:
     def test_known_codes(self):
         assert codes.min_distance_bruteforce(codes.repetition_code(5)) == 5

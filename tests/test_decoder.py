@@ -68,6 +68,27 @@ class TestLocalCodewordCache:
         for m in cache.masks[:50]:
             assert not np_mat_vec_gf2(dt.pchk, int(m))
 
+    # κ of the code's X side, and of the code where both sides are in budget
+    @pytest.mark.parametrize("name, x_kappa, kappa", [
+        ("ref_code", Fraction(1, 4), Fraction(1, 4)),
+        ("unique_code", Fraction(5, 9), Fraction(1, 3)),
+        ("rep3_par3_code", Fraction(1, 3), Fraction(1, 3)),
+        ("rep5_code", Fraction(13, 25), None),
+    ])
+    def test_masks_in_the_lexsort_order(self, name, x_kappa, kappa, request):
+        # the order the cache once built with one lexsort of every
+        # codeword: weight descending, lex key ascending within a weight
+        code = request.getfixturevalue(name)
+        cache = get_cache(code)
+        masks = cache.dt.codewords()
+        w = np.bitwise_count(masks).astype(np.int64)
+        want = masks[np.lexsort((gf2.lex_keys(masks, cache.n), cache.n - w))]
+        assert np.array_equal(cache.masks, want)
+        assert np.array_equal(cache.weights, np.bitwise_count(want).astype(np.int64))
+        assert cache.dt.kappa == x_kappa
+        if kappa is not None:
+            assert code.kappa == kappa
+
     def test_cached_split_matches_min_cr_oracle(self, ref_code):
         # the independent column-assignment search, not dt.split, the
         # routine the cache calls
@@ -183,6 +204,15 @@ class TestLocalCodewordCache:
         table = np.repeat(cx.view_table[:1], cx.num_vertices, axis=0)
         with pytest.raises(LocalCacheError, match="overlaps"):
             self.build_views_from(ref_code, table)
+
+    def test_face_outside_the_complex_raises(self, ref_code):
+        # the first V01 vertex lists face f as f - num_faces: no class
+        # repeats a face, but its count lands on class V00's face f
+        code = ref_code
+        table = code.complex.view_table.copy()
+        table[code.v1_vertices[0], 0] -= code.complex.num_faces
+        with pytest.raises(LocalCacheError, match="outside the complex"):
+            self.build_views_from(code, table)
 
     def test_face_repeated_within_one_view_raises(self, ref_code):
         # vertex 0 (the first of sweep class V00) lists its first face

@@ -302,11 +302,22 @@ def test_lex_keys_match_lex_key(length, data):
 
 def test_span_words_matches_span():
     basis = [0b1001, 0b0110, 0b1100]
-    words = gf2.span_words(basis).tolist()
+    words = gf2.span_words(BitMatrix(3, 4, basis)).tolist()
     assert words[0] == 0 and len(words) == 8
     assert sorted(words) == sorted(span(basis))
-    # element i combines the rows at the set bits of i
-    assert words[0b101] == basis[0] ^ basis[2]
+    # in lex order: bit 0 compares first, a clear bit before a set one
+    assert words == sorted(words, key=lambda w: lex_key(w, 4))
+
+
+@given(cols=st.integers(1, 64), data=st.data())
+def test_span_words_in_ascending_lex_key_order(cols, data):
+    # dependent rows included: the span has 2^rank words, each once
+    rows = data.draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=8))
+    words = gf2.span_words(BitMatrix(len(rows), cols, rows))
+    keys = gf2.lex_keys(words, cols)
+    assert len(words) == 1 << gf2.Echelon(BitMatrix(len(rows), cols, rows)).rank
+    assert words[0] == 0 and (keys[1:] > keys[:-1]).all()
+    assert set(words.tolist()) == set(span(rows))
 
 
 class TestBitRows:

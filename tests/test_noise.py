@@ -15,6 +15,7 @@ from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
 from oracles import aggregate_rows, int_sample_errors, multiround_rows, trial_block_rows
+from threshold import estimate_threshold
 
 
 class TestRng:
@@ -535,8 +536,8 @@ class TestStatistics:
 class TestThresholdEstimate:
     def test_bisection_bounds_and_determinism(self, unique_code):
         cfg = DecoderConfig("sequential")
-        a = noise.estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=5)
-        b = noise.estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=5)
+        a = estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=5)
+        b = estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=5)
         assert a == b
         assert 0.0 < a < 0.5
 
@@ -544,8 +545,7 @@ class TestThresholdEstimate:
     @pytest.mark.parametrize("iters, value", [(5, 0.0234375), (12, 0.02020263671875)])
     def test_pinned_values(self, unique_code, cfg, iters, value):
         # the per-trial scalar loop gave these before trials ran in blocks
-        assert noise.estimate_threshold(unique_code, cfg, trials=40, master_seed=7,
-                                        iters=iters) == value
+        assert estimate_threshold(unique_code, cfg, trials=40, master_seed=7, iters=iters) == value
 
 
     def test_trials_at_or_above_stream_packing_limit_rejected(self, unique_code):
@@ -554,7 +554,7 @@ class TestThresholdEstimate:
         cfg = DecoderConfig("parallel", k=2)
         for trials in (1 << 24, 0):
             with pytest.raises(ValueError, match="threshold trials"):
-                noise.estimate_threshold(unique_code, cfg, trials=trials, iters=0)
+                estimate_threshold(unique_code, cfg, trials=trials, iters=0)
 
 
 class TestSerialization:

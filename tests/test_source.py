@@ -12,7 +12,6 @@ import qtanner
 
 # module-level definitions nothing in the package calls, each kept for a reason
 UNREFERENCED_ALLOWED = {
-    "noise.estimate_threshold": "criterion 7 runs its context rates at a quarter of it",
     "decoder.find_reducing_codeword":
         "the decoder's one-vertex search as a call, which the search tests call directly",
 }
@@ -85,6 +84,23 @@ def test_only_codes_forms_kronecker_products():
         or isinstance(node, ast.Attribute) and node.attr == "kronecker"
     }
     assert callers == {"codes"}
+
+
+def test_one_span_enumerator_and_no_lexsort():
+    # one order of local codewords: codes spans them already in lex
+    # order, so no module but codes names span_words, and no module
+    # lexsorts a span again
+    root = Path(qtanner.__file__).parent
+    paths = sorted(root.glob("*.py"))
+    callers = {
+        path.stem
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "span_words"
+        or isinstance(node, ast.Attribute) and node.attr == "span_words"
+    }
+    assert callers == {"codes"}
+    assert [path.stem for path in paths if "lexsort" in path.read_text()] == []
 
 
 @pytest.mark.parametrize("name", ["classify_residual", "syndrome_bits_z", "reduced_weight",
