@@ -62,18 +62,26 @@ one word at a time (a θ table, or the coset leaders): one hash and two
 go to its memo, the one memo of that lookup.  The initial mismatch
 (``lockstep_initial_mismatch``, which a sweep block computes once and
 shares by all its decoders) lifts the leaders densely, one column
-permutation per class, V01 then V10.  A parallel class step reads the
-θ = 1/2 scans as a (rows, slots) array and XORs only the removed
-codewords and their share of f̂ back, bit by bit at (row, face)
-(splitting a codeword only where f̂ takes one of its parts);
-same-class views partition the faces, so this is the scalar sweep.  The
-sequential schedule checks ε and looks up its θ table once per call,
-packs every view of every row at or above h_min into one word and reads
-every word's scan once: a row where no queued vertex finds a codeword
-is a fixed point and is left alone, and the scalar FIFO drains only the
-other rows, from their first vertex that finds one (Ẑ cannot change
-before it).  Each row decodes to exactly what the scalar decoder gives
-its syndrome.
+permutation per class, V01 then V10.
+
+Both lockstep schedules run one first-hit test (``_first_hits``): every
+view of every row at or above h_min is packed into one word and the
+scan of every word read from the θ table at once.  Ẑ cannot change
+before a row's first hit under either schedule, so a row where no
+vertex finds a codeword is a fixed point and is left alone.  The
+parallel schedule runs the test at the start of every sweep, and only
+rows with a hit go on to the four class steps: such a row always
+changes, and a row without one would sweep without change, which is
+where the scalar loop stops.  A class step reads the θ = 1/2 scans as a
+(rows, slots) array (the V00 step, which runs before Ẑ changes, reads
+them from the test) and XORs only the removed codewords and their share
+of f̂ back, bit by bit at (row, face) (splitting a codeword only where
+f̂ takes one of its parts); same-class views partition the faces, so
+this is the scalar sweep.  The sequential schedule checks ε and looks
+up its θ table once per call, runs the test once, and the scalar FIFO
+drains only the rows with a hit, from their first vertex that finds
+one.  Each row decodes to exactly what the scalar decoder gives its
+syndrome.
 """
 
 from __future__ import annotations
@@ -135,9 +143,10 @@ class LocalCodewordCache:
     vertex out of (trials, H_Z rows) rows, ``order`` V01 words then
     ``order`` V10 words (sweep classes 1 and 2), and ``lift_columns``
     gives each face the column of its bit in the V01 leaders and in the
-    V10 leaders, unpacked side by side.  ``view_words`` (used by the
-    sequential schedule only) reads every vertex's local pattern, in
-    vertex order, as one Δ²-bit word.
+    V10 leaders, unpacked side by side.  ``view_words`` (read only by the
+    first-hit test of both lockstep schedules) reads every vertex's
+    local pattern, in vertex order, as one Δ²-bit word: its columns
+    ``sweep_order[c·|G|:(c+1)·|G|]`` are the words of ``packers[c]``.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -184,8 +193,16 @@ class LocalCodewordCache:
     def _build_views(self, code: QuantumTannerCode) -> None:
         cx = code.complex
         view_table = cx.view_table
+        num_faces = cx.num_faces
+        # checked first: the incidence scatter below would wrap a negative
+        # face id and fail on one past the faces with a bare IndexError
+        outside = (view_table < 0) | (view_table >= num_faces)
+        if outside.any():
+            v, p = np.argwhere(outside)[0]
+            raise LocalCacheError(
+                f"view of vertex {v} holds face {view_table[v, p]}, outside the complex")
         self.views = view_table.tolist()
-        incidence = np.zeros((cx.num_vertices, cx.num_faces), dtype=np.uint8)
+        incidence = np.zeros((cx.num_vertices, num_faces), dtype=np.uint8)
         incidence[np.arange(cx.num_vertices)[:, None], view_table] = 1
         self.view_masks = gf2.from_bit_rows(incidence)
         self.face_vertices = cx.corner_table.tolist()
@@ -200,7 +217,6 @@ class LocalCodewordCache:
         # classes; only when it fails does a per-class scan name the
         # vertex of the first repeat in sweep order.
         faces = self.class_faces = view_table[self.sweep_order].reshape(4, -1)
-        num_faces = cx.num_faces
         counts = np.bincount((faces + num_faces * np.arange(4)[:, None]).ravel(),
                              minlength=4 * num_faces)
         if not (counts == 1).all():
@@ -211,7 +227,7 @@ class LocalCodewordCache:
                     v = self.sweep_order[cls * order + int(repeat.argmax()) // view_table.shape[1]]
                     raise LocalCacheError(
                         f"view of vertex {v} overlaps another view of class {cls}")
-            raise LocalCacheError("the views of a sweep class hold a face outside the complex")
+            raise LocalCacheError("the views of a sweep class do not cover the faces")
 
     @cached_property
     def leaders(self) -> gf2.WordCache:
@@ -611,6 +627,18 @@ def lockstep_initial_mismatch(
     return eps01 ^ lifts[:, v10], eps01
 
 
+def _first_hits(
+    cache: LocalCodewordCache, table: gf2.WordCache, zhat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(words, scans) of (rows, n) Ẑ rows: every vertex's view packed into
+    one Δ²-bit word, in vertex order, and the scan of each word in
+    ``table`` (a codeword index, -1 for none).  Ẑ cannot change before a
+    row's first hit under either schedule, so a row without one is a
+    fixed point."""
+    words = cache.view_words(zhat)
+    return words, table(words)
+
+
 # which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
 # sweep class V00, V01, V10, V11 (see ``_apply``): (c part?, r part?)
 _F_SHARE = ((False, True), (True, True), (False, False), (True, False))
@@ -622,34 +650,45 @@ def lockstep_parallel_decomposition(
     """``parallel_mismatch_decomposition`` on every row of ``zhat`` in
     place, XORing each removed codeword's share of f̂ into ``f``.
 
-    A class step packs each view of the class into one Δ²-bit word per
-    row, reads the scan of every word from the θ = 1/2 word cache as one
-    (rows, slots) array and XORs back only the removed codewords, at the
-    (row, face) of each of their bits.  Only the V00 and V11 steps need
-    (c, r) splits, for the r and c parts of f̂; they split their new
-    codewords in one pass.  A row is active only while |Ẑ| is at least
-    the θ = 1/2 floor of ``scan_table`` (no vertex finds a codeword in a
-    lighter Ẑ, as |x ∩ Ẑ_v| ≤ |Ẑ|), and leaves the active set after a
-    sweep that removes nothing: the next sweep would be a fixed point,
-    which is where the scalar loop stops too.
+    A row is active only while |Ẑ| is at least the θ = 1/2 floor of
+    ``scan_table`` (no vertex finds a codeword in a lighter Ẑ, as
+    |x ∩ Ẑ_v| ≤ |Ẑ|).  Each sweep starts with the first-hit test
+    (``_first_hits``) on the active rows, and a row where no vertex finds
+    a codeword leaves the active set: it would sweep without change,
+    which is where the scalar loop stops too.  Every other row changes in
+    this sweep (Ẑ is untouched until the first class that holds a hit
+    runs), so after the class steps the active rows are those still at
+    or above the floor.  A class step packs each view of the class into
+    one Δ²-bit word per row, reads the scan of every word from the
+    θ = 1/2 word cache as one (rows, slots) array and XORs back only the
+    removed codewords, at the (row, face) of each of their bits; the V00
+    step runs first, on the Ẑ the test scanned, so it reads its scans
+    from the test's columns of the V00 vertices.  Only the V00 and V11
+    steps need (c, r) splits, for the r and c parts of f̂; they split
+    their new codewords in one pass.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table, floor = cache.scan_table(Fraction(1, 2))
     d2 = cache.n
+    v00 = cache.sweep_order[:len(cache.sweep_order) // 4]
     active = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     for _ in range(k):
+        if active.size:
+            scans = _first_hits(cache, table, zhat[active])[1]
+            moving = (scans >= 0).any(axis=1)
+            active, scans = active[moving], scans[moving]
         if active.size == 0:
             break
         z, acc = zhat[active], f[active]
-        changed = np.zeros(active.size, dtype=bool)
-        for packer, faces, (c_share, r_share) in zip(cache.packers, cache.class_faces, _F_SHARE):
-            found = table(packer(z))
+        for cls, (packer, faces, (c_share, r_share)) in enumerate(
+                zip(cache.packers, cache.class_faces, _F_SHARE)):
+            # Ẑ is untouched before the V00 step, which reads the test's scans
+            found = scans[:, v00] if cls == 0 else table(packer(z))
             row, slot = np.nonzero(found >= 0)
             if row.size == 0:
                 continue
             removed = found[row, slot]
-            changed[row] = True
             bits = _word_bits(row, slot, cache.masks[removed], faces, d2)
             z[bits] ^= 1
             if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
@@ -659,7 +698,7 @@ def lockstep_parallel_decomposition(
             elif c_share:  # V01 keeps c + r, the whole codeword
                 acc[bits] ^= 1
         zhat[active], f[active] = z, acc
-        active = active[changed & (gf2.row_weights(z) >= floor)]
+        active = active[gf2.row_weights(z) >= floor]
 
 
 def lockstep_sequential_decomposition(
@@ -672,10 +711,9 @@ def lockstep_sequential_decomposition(
     ε is checked and the θ = 1 - ε table and floor looked up once per
     call.  A row with |Ẑ| below the floor is a fixed point (no
     vertex finds a codeword, as |x ∩ Ẑ_v| ≤ |Ẑ|) and is left as it is.
-    Every vertex's view of every other row is packed into one Δ²-bit
-    word, and the scan of every word is read from the table's word
-    cache: the nonzero words of a row are its FIFO's initial queue, in
-    vertex order, and a found codeword is a hit.  Ẑ cannot change before
+    The other rows go through the first-hit test (``_first_hits``):
+    the nonzero words of a row are its FIFO's initial queue, in vertex
+    order, and a found codeword is a hit.  Ẑ cannot change before
     the first hit, so every queued vertex before it pops as a no-op: a
     row without a hit is a fixed point too, and a row with one is
     drained by the scalar FIFO (``_drain``) from its first hit on, the
@@ -688,8 +726,8 @@ def lockstep_sequential_decomposition(
     rows = np.flatnonzero(gf2.row_weights(zhat) >= floor)
     if rows.size == 0:
         return
-    words = cache.view_words(zhat[rows])
-    hits = table(words) >= 0
+    words, scans = _first_hits(cache, table, zhat[rows])
+    hits = scans >= 0
     moving = hits.any(axis=1)
     rows, hits = rows[moving], hits[moving]
     if rows.size == 0:

@@ -206,13 +206,24 @@ class TestLocalCodewordCache:
             self.build_views_from(ref_code, table)
 
     def test_face_outside_the_complex_raises(self, ref_code):
-        # the first V01 vertex lists face f as f - num_faces: no class
-        # repeats a face, but its count lands on class V00's face f
+        # the first V01 vertex lists face f as f - num_faces (which the
+        # incidence scatter would wrap to f) or as f + num_faces (past the
+        # faces): no class repeats a face, and the range check names both
         code = ref_code
-        table = code.complex.view_table.copy()
-        table[code.v1_vertices[0], 0] -= code.complex.num_faces
-        with pytest.raises(LocalCacheError, match="outside the complex"):
-            self.build_views_from(code, table)
+        v, faces = code.v1_vertices[0], code.complex.num_faces
+        for shift in (-faces, faces):
+            table = code.complex.view_table.copy()
+            table[v, 0] += shift
+            with pytest.raises(LocalCacheError, match=(
+                    rf"view of vertex {v} holds face {table[v, 0]}, outside the complex")):
+                self.build_views_from(code, table)
+
+    def test_views_that_miss_a_face_raise(self, ref_code):
+        # every view loses its last face: no class repeats a face, but no
+        # class covers all of them
+        table = ref_code.complex.view_table[:, :-1]
+        with pytest.raises(LocalCacheError, match="do not cover the faces"):
+            self.build_views_from(ref_code, table)
 
     def test_face_repeated_within_one_view_raises(self, ref_code):
         # vertex 0 (the first of sweep class V00) lists its first face

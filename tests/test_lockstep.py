@@ -239,6 +239,78 @@ class TestLockstepDecoders:
         zhat, drained = self.drained_sequential(unique_code, [syndrome], eps, monkeypatch)
         assert drained == [z0]
 
+    @staticmethod
+    def parallel_lockstep(code, syndromes, k, monkeypatch):
+        """(Ẑ rows, row count of every class packer call) of one lockstep
+        parallel decode; checks f̂ against ``parallel_decode`` row by row."""
+        cache, rz = decoder.get_cache(code), code.h_z.rows
+        packed = []
+        monkeypatch.setattr(cache, "packers", [
+            lambda z, packer=packer: packed.append(len(z)) or packer(z)
+            for packer in cache.packers])
+        zhat, f = decoder.lockstep_initial_mismatch(cache, gf2.to_bit_rows(syndromes, rz))
+        decoder.lockstep_parallel_decomposition(cache, zhat, f, k)
+        monkeypatch.undo()
+        want = [decoder.parallel_decode(code, BitVector(rz, s), k).bits for s in syndromes]
+        assert gf2.from_bit_rows(f) == want
+        return gf2.from_bit_rows(zhat), packed
+
+    @staticmethod
+    def hit_classes(code, zhat):
+        """The sweep class of every vertex that finds a codeword in Ẑ at
+        θ = 1/2, in sweep order."""
+        order = decoder.get_cache(code).sweep_order
+        return [i * 4 // len(order) for i, v in enumerate(order)
+                if decoder.find_reducing_codeword(code, zhat, v, Fraction(1, 2)) is not None]
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_parallel_row_without_hit_skips_the_class_steps(self, unique_code, k, monkeypatch):
+        code = unique_code
+        syndrome = crafted_syndrome(code, [5, 33], [])
+        z0 = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
+        floor = decoder.get_cache(code).scan_table(Fraction(1, 2))[1]
+        # at or above the floor, so only the first-hit test can leave it out
+        assert z0.bit_count() >= floor and self.hit_classes(code, z0) == []
+        zhat, packed = self.parallel_lockstep(code, [syndrome], k, monkeypatch)
+        assert zhat == [z0] and packed == []
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_parallel_row_with_hits_only_in_v11(self, unique_code, k, monkeypatch):
+        code = unique_code
+        syndrome = crafted_syndrome(code, [0, 26, 51], [])
+        z0 = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
+        # the V00 step finds nothing in the test's scans, V01 and V10 nothing in theirs
+        assert set(self.hit_classes(code, z0)) == {3}
+        zhat, packed = self.parallel_lockstep(code, [syndrome], k, monkeypatch)
+        assert zhat != [z0] and packed[:3] == [1, 1, 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_parallel_row_without_hit_in_sweep_2(self, unique_code, k, monkeypatch):
+        code, rz = unique_code, unique_code.h_z.rows
+        syndrome = crafted_syndrome(code, [14, 61], [41])
+        _, swept = decoder.parallel_decode(code, BitVector(rz, syndrome), 1, return_state=True)
+        floor = decoder.get_cache(code).scan_table(Fraction(1, 2))[1]
+        # sweep 1 removes codewords and leaves Ẑ at or above the floor, with no hit
+        assert swept.steps and swept.zhat.bit_count() >= floor
+        assert self.hit_classes(code, swept.zhat) == []
+        zhat, packed = self.parallel_lockstep(code, [syndrome], k, monkeypatch)
+        # the V01, V10 and V11 steps of sweep 1 (V00 reads the test's scans), no more
+        assert zhat == [swept.zhat] and packed == [1, 1, 1]
+
+    def test_view_words_hold_every_class_packer(self, batches):
+        """The first-hit test's words, one per vertex in vertex order,
+        hold each class packer's words at the columns of the class's
+        vertices in sweep order (so the V00 step can read its scans from
+        the test)."""
+        cache = decoder.get_cache(batches[0])
+        rows = (np.random.default_rng(9).random((40, cache.code.n)) < 0.5).astype(np.uint8)
+        words = cache.view_words(rows)
+        size = len(cache.sweep_order) // 4
+        assert words.shape == (40, 4 * size) and words.any()
+        for c, packer in enumerate(cache.packers):
+            columns = cache.sweep_order[c * size:(c + 1) * size]
+            np.testing.assert_array_equal(words[:, columns], packer(rows))
+
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
     def test_fifo_stop_equals_unbounded_fifo(self, batches, eps, unique_code):
         """``sequential_decode``, whose FIFO stops below the hit floor,

@@ -103,6 +103,27 @@ def test_one_span_enumerator_and_no_lexsort():
     assert [path.stem for path in paths if "lexsort" in path.read_text()] == []
 
 
+def test_one_first_hit_test_for_both_lockstep_schedules():
+    # both lockstep decompositions leave out the rows where no vertex
+    # finds a codeword through decoder._first_hits, and nothing else
+    # packs every view: it is the only reader of view_words
+    root = Path(qtanner.__file__).parent
+
+    def users(name):
+        return [
+            f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            for path in sorted(root.glob("*.py"))
+            for stmt in ast.parse(path.read_text(), str(path)).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+        ]
+
+    assert users("_first_hits") == ["decoder.lockstep_parallel_decomposition",
+                                    "decoder.lockstep_sequential_decomposition"]
+    assert users("view_words") == ["decoder._first_hits"]
+
+
 @pytest.mark.parametrize("name", ["classify_residual", "syndrome_bits_z", "reduced_weight",
                                   "vertex_support_size"])
 def test_only_decode_trial_names_one_row_view(name):
