@@ -22,7 +22,6 @@ from .codes import (
 )
 from .decoder import (
     LocalCodewordCache,
-    MismatchState,
     initial_mismatch,
     parallel_decode,
     parallel_mismatch_decomposition,

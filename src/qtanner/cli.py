@@ -355,7 +355,7 @@ def cmd_decode_one(args) -> int:
         )
     else:
         e, d = noise.sample_errors(code, exp.noise, noise.make_rng(exp.seed, 0))
-    [(rec, state)] = noise.decode_trial(
+    [(rec, steps)] = noise.decode_trial(
         code,
         exp.noise,
         exp.decoders[:1],
@@ -367,9 +367,12 @@ def cmd_decode_one(args) -> int:
     )
     print(json.dumps(rec._asdict(), sort_keys=True))
     if args.step_log:
+        columns = steps.columns()
+        names = ("vertex", "class", "|x|", "before", "after")
         with open(args.step_log, "w") as fh:
-            for step in state.steps:
-                fh.write(json.dumps(step.as_dict(), sort_keys=True) + "\n")
+            for i, values in enumerate(zip(*(columns[name].tolist() for name in names))):
+                fh.write(json.dumps({"step": i, **dict(zip(names, values))}, sort_keys=True)
+                         + "\n")
     return EXIT_OK
 
 

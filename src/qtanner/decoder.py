@@ -1,26 +1,32 @@
 """Single-shot decoding of quantum Tanner codes by mismatch decomposition.
 
 Both decoders share the same pipeline: per-vertex minimum-weight local
-corrections (coset leaders), a global mismatch vector that
-XORs the two candidate corrections of every face, and a greedy
-decomposition of that mismatch into local dual-tensor codewords.  The
-decomposition has one core: ``_search`` picks the codeword to remove at
-one vertex (mask Ẑ to the view, gather the local pattern, scan), and
-``_step`` applies it; ``find_reducing_codeword`` exposes the search.
-The two schedules differ only in which vertex they hand to ``_step``
-next and in θ: the sequential one drains a FIFO worklist of vertices
-whose views meet Ẑ and removes any codeword clearing a (1-ε) fraction
-of its weight; the parallel one sweeps the four (effective) vertex
-classes V00, V01, V10, V11, each in group order, with the fixed 1/2
-threshold, choosing a maximal-weight codeword per vertex.
+corrections (coset leaders), a global mismatch Ẑ that XORs the two
+candidate corrections of every face, and a greedy decomposition of Ẑ
+into local dual-tensor codewords.  The two schedules differ in which
+vertex steps next and in θ: the sequential one drains a FIFO worklist
+of vertices whose views meet Ẑ and removes any codeword clearing a
+(1-ε) fraction of its weight; the parallel one sweeps the four
+(effective) vertex classes V00, V01, V10, V11, each in group order,
+with the fixed 1/2 threshold, choosing a maximal-weight codeword per
+vertex.
+
+There is one implementation, which decodes many syndromes at once, one
+numpy row per trial, as multi-round runs and sweep blocks do: the
+initial mismatch (``lockstep_initial_mismatch``), then one
+decomposition in place (``lockstep_sequential_decomposition``,
+``lockstep_parallel_decomposition``).  ``sequential_decode``,
+``parallel_decode``, ``initial_mismatch`` and the two
+``*_mismatch_decomposition`` functions are its one-row views, for
+``decode-one``.  Each decomposition returns its ``Steps``, the columns
+of the step log.
 
 Both stop at a provable fixed point.  A codeword x passes at v only if
 2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and |x ∩ Ẑ_v| ≤ |Ẑ|, so no vertex finds
 one while |Ẑ| is below h_min(θ), the least ceil((|x| + ceil(θ|x|)) / 2)
 over the cached codewords (n + 1 if there are none).  The cache keeps
-h_min next to each θ table (``scan_table`` returns both): the FIFO
-stops popping, a sweep is not started and a lockstep row is not scanned
-below it.
+h_min next to each θ table (``scan_table`` returns both): a row lighter
+than it is not scanned, and a row that falls below it leaves.
 
 Candidate search is exhaustive over the cached nonzero codewords of
 C_A ⊞ C_B, the span of the kernel of H_A ⊗ H_B, which comes in
@@ -32,16 +38,13 @@ memoized per codeword.  A threshold policy θ asks for a reduction of at
 least ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache
 keeps one ``gf2.WordCache`` per θ whose memo holds the search result
 for every local Δ²-bit mismatch pattern seen so far, and only a pattern
-seen for the first time runs the numpy popcount scan.
-Local patterns are gathered from the set bits of Ẑ inside a view by
-the face layout alone: face q sits at local bit q mod Δ² of every
-view that holds it (see ``cayley.LeftRightCayleyComplex.view_table``),
-so the gather needs no per-vertex table.  Every per-vertex table (the
-view lists and masks, each class's faces in sweep order, the lockstep
-packers, built on first use) is read from the complex's
-``view_table``, and one check at cache build makes sure the views of
-each class partition the faces, which is what lets the parallel
-schedule update a whole class at once.
+seen for the first time runs the numpy popcount scan.  Face q sits at
+local bit q mod Δ² of every view that holds it (see
+``cayley.LeftRightCayleyComplex.view_table``).  Every per-vertex table
+(each class's faces in sweep order, the packers, built on first use) is
+read from the complex's ``view_table``, and one check at cache build
+makes sure the views of each class partition the faces, which is what
+lets the parallel schedule update a whole class at once.
 
 The coset leader of a local syndrome s is found in the same cached
 codewords: y₀ = ``dt.echelon.solve(s)``, the particular solution of
@@ -52,42 +55,35 @@ order).  Leaders are memoized per syndrome, in the ``gf2.WordCache``
 ``leaders``, so no table over all 2^r syndromes is built and r needs
 no budget.
 
-The lockstep decoders decode many syndromes at once, one numpy row per
-trial, as multi-round runs and sweep blocks do: the initial mismatch,
-then one decomposition in place.  Every lockstep step packs views (or
-local syndromes) into one word per (row, vertex) and reads the result
-of every word from the same ``gf2.WordCache`` the scalar decoders read
-one word at a time (a θ table, or the coset leaders): one hash and two
+Every lockstep step packs views (or local syndromes) into one word per
+(row, vertex) and reads the result of every word from a
+``gf2.WordCache`` (a θ table, or the coset leaders): one hash and two
 ``take``s per array in its direct-mapped slots, and only missed words
-go to its memo, the one memo of that lookup.  The initial mismatch
-(``lockstep_initial_mismatch``, which a sweep block computes once and
-shares by all its decoders) lifts the leaders densely, one column
-permutation per class, V01 then V10.
+go to its memo.  The initial mismatch lifts the leaders densely, one
+column permutation per class, V01 then V10.  A removed codeword and
+its share of f̂ are XORed back bit by bit at (row, face), splitting a
+codeword only where f̂ takes one of its parts.
 
-Both lockstep schedules run one first-hit test (``_first_hits``): every
-view of every row at or above h_min is packed into one word and the
-scan of every word read from the θ table at once.  Ẑ cannot change
-before a row's first hit under either schedule, so a row where no
-vertex finds a codeword is a fixed point and is left alone.  The
-parallel schedule runs the test at the start of every sweep, and only
-rows with a hit go on to the four class steps: such a row always
-changes, and a row without one would sweep without change, which is
-where the scalar loop stops.  A class step reads the θ = 1/2 scans as a
-(rows, slots) array (the V00 step, which runs before Ẑ changes, reads
-them from the test) and XORs only the removed codewords and their share
-of f̂ back, bit by bit at (row, face) (splitting a codeword only where
-f̂ takes one of its parts); same-class views partition the faces, so
-this is the scalar sweep.  The sequential schedule checks ε and looks
-up its θ table once per call, runs the test once, and the scalar FIFO
-drains only the rows with a hit, from their first vertex that finds
-one.  Each row decodes to exactly what the scalar decoder gives its
-syndrome.
+Both schedules run one first-hit test (``_first_hits``): every view of
+every row at or above h_min is packed into one word and the scan of
+every word read from the θ table at once.  Ẑ cannot change before a
+row's first hit under either schedule, so a row where no vertex finds a
+codeword is a fixed point and is left alone.  The parallel schedule
+runs the test at the start of every sweep, and only rows with a hit go
+on to the four class steps: such a row always changes.  A class step
+reads the θ = 1/2 scans as a (rows, slots) array (the V00 step, which
+runs before Ẑ changes, reads them from the test); same-class views
+partition the faces, so the class is stepped at once.  The sequential
+schedule runs the test once per pass: every (row, vertex) holds a queue
+key (its enqueue number) or none, and each row steps at the queued
+vertex of least key that hits, dropping every key up to it (the no-op
+pops, as Ẑ cannot change before a hit); the corners of the faces the
+step changed that are not queued get fresh keys in vertex order.  A
+row leaves when no queued vertex hits or |Ẑ| falls below h_min.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
@@ -123,19 +119,19 @@ class LocalCodewordCache:
 
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
-    ``split``; set-up computes none), the per-vertex view/incidence
-    tables the decomposition loops consume (all read from
-    ``view_table``), and the parallel sweep order with each sweep
-    class's faces (``class_faces``, checked to partition the faces).
-    Set-up checks that the local checks H_A ⊗ H_B are independent (the
-    lowest dependent one is named in a ``LocalCacheError``), so
+    ``split_many``; set-up computes none), and the parallel sweep order
+    with each sweep class's faces (``class_faces``, checked to partition
+    the faces; every face id is checked to lie in the complex).  Set-up
+    checks that the local checks H_A ⊗ H_B are independent (the lowest
+    dependent one is named in a ``LocalCacheError``), so
     ``dt.echelon.solve`` reaches every local syndrome.
 
     Built on first use, so ``get_cache`` (the set-up a run times) and
     ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
     leaders (``leaders``: syndrome to leader, at most 2^r entries), one
     ``gf2.WordCache`` of candidate searches per threshold policy θ
-    (``scan_table``), and the lockstep decoders' ``gf2.WordPacker``s.
+    (``scan_table``), the sweep class of every vertex
+    (``vertex_class``), and the lockstep decoders' ``gf2.WordPacker``s.
     ``packers[c]`` reads every view of sweep class c (V00, V01, V10,
     V11) out of (trials, n) face rows as one Δ²-bit word: bit p of the
     word of the class's j-th vertex is face ``class_faces[c, j·Δ² + p]``.
@@ -174,12 +170,6 @@ class LocalCodewordCache:
         self._build_views(code)
         self._scan_tables: dict[Fraction, tuple[gf2.WordCache, int]] = {}
 
-    def split(self, idx: int) -> tuple[int, int]:
-        """The minimal (c, r) split of cached codeword idx, computed on
-        first use."""
-        cr = self.splits.get(idx)
-        return cr if cr is not None else self.split_many([idx])[0]
-
     def split_many(self, indices: list[int]) -> list[tuple[int, int]]:
         """The minimal (c, r) splits of the cached codewords ``indices``:
         those not split before go through one ``dt.split``, and every
@@ -194,18 +184,13 @@ class LocalCodewordCache:
         cx = code.complex
         view_table = cx.view_table
         num_faces = cx.num_faces
-        # checked first: the incidence scatter below would wrap a negative
-        # face id and fail on one past the faces with a bare IndexError
+        # checked first: the per-class count below would miscount a face
+        # id outside [0, faces) or fail on it with a bare numpy error
         outside = (view_table < 0) | (view_table >= num_faces)
         if outside.any():
             v, p = np.argwhere(outside)[0]
             raise LocalCacheError(
                 f"view of vertex {v} holds face {view_table[v, p]}, outside the complex")
-        self.views = view_table.tolist()
-        incidence = np.zeros((cx.num_vertices, num_faces), dtype=np.uint8)
-        incidence[np.arange(cx.num_vertices)[:, None], view_table] = 1
-        self.view_masks = gf2.from_bit_rows(incidence)
-        self.face_vertices = cx.corner_table.tolist()
         # parallel sweep order: classes V00, V01, V10, V11, each in group order
         order = cx.group.order
         v0, v1 = code.v0_vertices, code.v1_vertices
@@ -232,6 +217,12 @@ class LocalCodewordCache:
     @cached_property
     def leaders(self) -> gf2.WordCache:
         return gf2.WordCache(partial(_coset_leader_uncached, self), np.uint64)
+
+    @cached_property
+    def vertex_class(self) -> np.ndarray:
+        """The effective class of every vertex, which is its sweep class."""
+        code = self.code
+        return np.array([code.effective_class(v) for v in range(code.complex.num_vertices)])
 
     @cached_property
     def packers(self) -> list[gf2.WordPacker]:
@@ -281,78 +272,6 @@ def get_cache(code: QuantumTannerCode) -> LocalCodewordCache:
     return code._decoder_cache
 
 
-@dataclass
-class Step:
-    step: int
-    vertex: int
-    vertex_class: int
-    codeword: int
-    x_weight: int
-    weight_before: int
-    weight_after: int
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "vertex": self.vertex,
-            "class": self.vertex_class,
-            "|x|": self.x_weight,
-            "before": self.weight_before,
-            "after": self.weight_after,
-        }
-
-
-@dataclass
-class MismatchState:
-    """Evolving mismatch Ẑ plus flip accumulators and the vertex worklist."""
-
-    code: QuantumTannerCode
-    zhat: int
-    initial_zhat: int
-    eps01_sum: int
-    acc_c0: int = 0
-    acc_c1: int = 0
-    acc_r0: int = 0
-    acc_r1: int = 0
-    worklist: deque = field(default_factory=deque)
-    in_queue: bytearray = field(default_factory=bytearray)
-    steps: list[Step] = field(default_factory=list)
-
-    @classmethod
-    def seeded(
-        cls, cache: LocalCodewordCache, zhat: int, eps01_sum: int = 0
-    ) -> "MismatchState":
-        """State for mismatch Ẑ with every vertex whose view meets Ẑ
-        queued, in vertex order."""
-        state = cls(
-            code=cache.code,
-            zhat=zhat,
-            initial_zhat=zhat,
-            eps01_sum=eps01_sum,
-            in_queue=bytearray(len(cache.view_masks)),
-        )
-        for v, mask in enumerate(cache.view_masks):
-            if mask & zhat:
-                state.worklist.append(v)
-                state.in_queue[v] = 1
-        return state
-
-    def accumulators(self) -> tuple[BitVector, BitVector, BitVector, BitVector]:
-        n = self.code.n
-        return (
-            BitVector(n, self.acc_c0),
-            BitVector(n, self.acc_c1),
-            BitVector(n, self.acc_r0),
-            BitVector(n, self.acc_r1),
-        )
-
-
-def coset_leader(cache: LocalCodewordCache, s: int) -> int:
-    """Minimum-weight local pattern with syndrome s under H_A ⊗ H_B:
-    ``_coset_leader_uncached`` through the memo of ``cache.leaders``."""
-    return cache.leaders.get(s)
-
-
 def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
     """The lightest vector of y₀ ⊕ ({0} ∪ C_A ⊞ C_B), y₀ the particular
     solution ``dt.echelon.solve`` gives for s (any solution spans the
@@ -368,40 +287,6 @@ def _coset_leader_uncached(cache: LocalCodewordCache, s: int) -> int:
     weights = np.bitwise_count(coset)
     ties = coset[weights == weights.min()]
     return int(ties[np.argmax(gf2.lex_keys(ties, cache.n))])
-
-
-def _gather(bits_in_view: int, d2: int) -> int:
-    """Local pattern of global bits already masked to one view: face q
-    is local bit q mod Δ² (``d2``) of every view holding it.  The loop
-    runs once per set bit, not once per view bit."""
-    out = 0
-    while bits_in_view:
-        lsb = bits_in_view & -bits_in_view
-        out |= 1 << (lsb.bit_length() - 1) % d2
-        bits_in_view ^= lsb
-    return out
-
-
-def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> MismatchState:
-    """Per-vertex minimum corrections and their XOR (the noisy mismatch)."""
-    if noisy_syndrome.n != code.h_z.rows:
-        raise DimensionMismatchError(code.h_z.rows, noisy_syndrome.n, "syndrome length")
-    cache = get_cache(code)
-    zhat = 0
-    eps01 = 0
-    order = code.complex.group.order
-    sig = noisy_syndrome.bits
-    r1 = code.r1
-    block = (1 << r1) - 1
-    for pos, v in enumerate(code.v1_vertices):
-        s = (sig >> (pos * r1)) & block
-        if s == 0:
-            continue
-        lifted = gf2.scatter(coset_leader(cache, s), cache.views[v])
-        zhat ^= lifted
-        if pos < order:  # first block is the effective V01 class
-            eps01 ^= lifted
-    return MismatchState.seeded(cache, zhat, eps01)
 
 
 def _scan_uncached(cache: LocalCodewordCache, thresholds: np.ndarray, zloc: int) -> int:
@@ -425,180 +310,102 @@ def _scan_uncached(cache: LocalCodewordCache, thresholds: np.ndarray, zloc: int)
     return start + int(np.argmax(cond))
 
 
-def _search(cache: LocalCodewordCache, table: gf2.WordCache, zhat: int, v: int) -> int:
-    """Index of the codeword to remove from Ẑ at vertex v, or -1: Ẑ
-    masked to the view of v, gathered to a local pattern, then scanned."""
-    local = zhat & cache.view_masks[v]
-    if local == 0:
-        return -1
-    return table.get(_gather(local, cache.n))
+class Steps:
+    """The steps a lockstep decomposition took, for the step log.
+
+    ``weights`` holds |Ẑ| of every row before the decomposition, and
+    ``chunks`` one tuple of equal-length arrays per sequential pass or
+    parallel class step that removed codewords, in the order taken: the
+    row, the vertex and the codeword index of every step, and the local
+    pattern Ẑ_v its scan read.  ``columns`` derives the rest.
+    """
+
+    def __init__(self, cache: LocalCodewordCache, weights: np.ndarray):
+        self.cache = cache
+        self.weights = weights
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """One entry per step, row by row and each row's steps in the
+        order taken: "row", "vertex", "class" (its effective class),
+        "codeword", "|x|", and |Ẑ| "before" and "after" the step.  A
+        step changes |Ẑ| by |x| - 2|x ∩ Ẑ_v|."""
+        cache = self.cache
+        empty = np.zeros(0, dtype=np.intp)
+        chunks = self.chunks or [(empty, empty, empty, empty.astype(np.uint64))]
+        rows, vertices, codewords, words = (np.concatenate(c) for c in zip(*chunks))
+        order = np.argsort(rows, kind="stable")
+        rows, vertices, codewords = rows[order], vertices[order], codewords[order]
+        x_weight = cache.weights[codewords]
+        hits = np.bitwise_count(cache.masks[codewords] & words[order]).astype(np.int64)
+        change = x_weight - 2 * hits
+        # |Ẑ| after each step: the row's weight plus its changes so far
+        total = np.cumsum(change)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        before_row = np.repeat(total[first] - change[first], np.diff(first, append=rows.size))
+        after = self.weights[rows].astype(np.int64) + total - before_row
+        return {"row": rows, "vertex": vertices, "class": cache.vertex_class[vertices],
+                "codeword": codewords, "|x|": x_weight, "before": after - change,
+                "after": after}
 
 
-def _step(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache, v: int) -> int:
-    """One decomposition step at vertex v: the changed faces, 0 if none."""
-    idx = _search(cache, table, state.zhat, v)
-    if idx < 0:
-        return 0
-    return _apply(state, cache, v, idx)
+# One-row views of the lockstep decoder, for decode-one: a syndrome is
+# one row, and f̂ comes back as a (1, n) bit row with the ``Steps``.
 
 
-def find_reducing_codeword(
-    code: QuantumTannerCode, zhat_bits: int, v: int, theta: Fraction | float
-) -> Optional[tuple[int, int, int]]:
-    """(x, c, r) on Q(v), as local Δ² masks, with |Ẑ|-|Ẑ+x| ≥ ceil(θ|x|),
-    or None.  Scans weight-descending, so the hit has maximal |x|."""
-    cache = get_cache(code)
-    theta = as_fraction(theta)
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    idx = _search(cache, cache.scan_table(theta)[0], zhat_bits, v)
-    if idx < 0:
-        return None
-    return (int(cache.masks[idx]),) + cache.split(idx)
-
-
-def _apply(state: MismatchState, cache: LocalCodewordCache, v: int, idx: int) -> int:
-    """XOR codeword idx into the state at vertex v; returns changed faces."""
-    code = state.code
-    view = cache.views[v]
-    c, r = cache.split(idx)
-    c_g = gf2.scatter(c, view)
-    r_g = gf2.scatter(r, view)
-    changed = c_g ^ r_g
-    eff = code.effective_class(v)
-    i, j = eff >> 1, eff & 1
-    if j == 0:
-        state.acc_c0 ^= c_g
-    else:
-        state.acc_c1 ^= c_g
-    if i == 0:
-        state.acc_r0 ^= r_g
-    else:
-        state.acc_r1 ^= r_g
-    before = state.zhat.bit_count()
-    state.zhat ^= changed
-    state.steps.append(
-        Step(
-            step=len(state.steps),
-            vertex=v,
-            vertex_class=eff,
-            codeword=idx,
-            x_weight=int(cache.weights[idx]),
-            weight_before=before,
-            weight_after=state.zhat.bit_count(),
-        )
-    )
-    return changed
+def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(Ẑ, ε₀₁) of one noisy syndrome as (1, n) bit rows: the one-row
+    view of ``lockstep_initial_mismatch``."""
+    if noisy_syndrome.n != code.h_z.rows:
+        raise DimensionMismatchError(code.h_z.rows, noisy_syndrome.n, "syndrome length")
+    syndromes = gf2.to_bit_rows([noisy_syndrome.bits], code.h_z.rows)
+    return lockstep_initial_mismatch(get_cache(code), syndromes)
 
 
 def sequential_mismatch_decomposition(
-    state: MismatchState, eps: Fraction | float = Fraction(1, 2)
-) -> tuple[BitVector, BitVector, BitVector, BitVector]:
-    """Greedy decomposition: FIFO over vertices whose views intersect Ẑ,
-    removing any local codeword that clears ≥ ceil((1-ε)|x|) weight."""
-    theta = 1 - checked_eps(eps)
-    cache = get_cache(state.code)
-    _drain(state, cache, *cache.scan_table(theta))
-    return state.accumulators()
-
-
-def _drain(state: MismatchState, cache: LocalCodewordCache, table: gf2.WordCache,
-           floor: int) -> None:
-    """The sequential FIFO: step at the next queued vertex and queue the
-    vertices of every face a step changed, until the queue is empty or
-    |Ẑ| falls below ``floor``, the table's h_min(θ).  No vertex
-    finds a codeword in a Ẑ that light, so every pop left would be a
-    no-op: the vertices still queued stay in the worklist."""
-    work = state.worklist
-    while work and state.zhat.bit_count() >= floor:
-        v = work.popleft()
-        state.in_queue[v] = 0
-        changed = _step(state, cache, table, v)
-        if not changed:
-            continue
-        requeue = set()
-        while changed:
-            lsb = changed & -changed
-            requeue.update(cache.face_vertices[lsb.bit_length() - 1])
-            changed ^= lsb
-        for u in sorted(requeue):
-            if not state.in_queue[u]:
-                work.append(u)
-                state.in_queue[u] = 1
+    code: QuantumTannerCode, zhat: np.ndarray, f: np.ndarray,
+    eps: Fraction | float = Fraction(1, 2),
+) -> Steps:
+    """``lockstep_sequential_decomposition`` of the rows ``initial_mismatch``
+    gives, in place."""
+    return lockstep_sequential_decomposition(get_cache(code), zhat, f, eps)
 
 
 def parallel_mismatch_decomposition(
-    state: MismatchState, k: int
-) -> tuple[BitVector, BitVector, BitVector, BitVector]:
-    """k sweeps over the four vertex classes with the fixed 1/2 threshold.
-
-    Views of same-class vertices are disjoint, so in-class updates
-    commute and the sweep equals evaluation against the class-entry
-    snapshot; vertices are visited in group-element order for
-    scheduling-independent output.  Sweeping stops once |Ẑ| is below
-    the θ = 1/2 floor of ``scan_table`` (a fixed point) or a sweep
-    removes nothing.
-    """
-    if k < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k}")
-    cache = get_cache(state.code)
-    table, floor = cache.scan_table(Fraction(1, 2))
-    for _ in range(k):
-        if state.zhat.bit_count() < floor:
-            break
-        changed_any = False
-        for v in cache.sweep_order:
-            if _step(state, cache, table, v):
-                changed_any = True
-        if not changed_any:
-            break
-    return state.accumulators()
-
-
-def _finish(state: MismatchState) -> BitVector:
-    code = state.code
-    return BitVector(code.n, state.eps01_sum ^ state.acc_c1 ^ state.acc_r0)
+    code: QuantumTannerCode, zhat: np.ndarray, f: np.ndarray, k: int
+) -> Steps:
+    """``lockstep_parallel_decomposition`` of the rows ``initial_mismatch``
+    gives, in place."""
+    return lockstep_parallel_decomposition(get_cache(code), zhat, f, k)
 
 
 def sequential_decode(
     code: QuantumTannerCode,
     noisy_syndrome: BitVector,
     eps: Fraction | float = Fraction(1, 2),
-    return_state: bool = False,
-):
+) -> tuple[np.ndarray, Steps]:
     """Full sequential decoder: local corrections, mismatch decomposition,
-    then f̂ = Σ_{V01} ε̃_v + Ĉ₁ + R̂₀."""
-    state = initial_mismatch(code, noisy_syndrome)
-    sequential_mismatch_decomposition(state, eps)
-    f = _finish(state)
-    return (f, state) if return_state else f
+    then f̂ = Σ_{V01} ε̃_v + Ĉ₁ + R̂₀, with its steps."""
+    zhat, f = initial_mismatch(code, noisy_syndrome)
+    return f, sequential_mismatch_decomposition(code, zhat, f, eps)
 
 
 def parallel_decode(
-    code: QuantumTannerCode,
-    noisy_syndrome: BitVector,
-    k: int,
-    return_state: bool = False,
-):
-    """Full parallel decoder with k decomposition sweeps (θ = 1/2)."""
-    state = initial_mismatch(code, noisy_syndrome)
-    parallel_mismatch_decomposition(state, k)
-    f = _finish(state)
-    return (f, state) if return_state else f
-
-
-# Lockstep decoding: one numpy array row per trial.  Each array step does
-# for every row what the scalar core does for one Ẑ, so every row decodes
-# to the same f̂ as ``parallel_decode`` / ``sequential_decode`` of its
-# syndrome; tests/test_lockstep.py checks this against the scalar loop.
+    code: QuantumTannerCode, noisy_syndrome: BitVector, k: int
+) -> tuple[np.ndarray, Steps]:
+    """Full parallel decoder with k decomposition sweeps (θ = 1/2), with
+    its steps."""
+    zhat, f = initial_mismatch(code, noisy_syndrome)
+    return f, parallel_mismatch_decomposition(code, zhat, f, k)
 
 
 def _word_bits(
     row: np.ndarray, slot: np.ndarray, words: np.ndarray, faces: np.ndarray, d2: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, faces) index of every set bit of the Δ²-bit ``words``,
-    word i lying on the view of slot ``slot[i]`` of the class with
-    face table ``faces``, in row ``row[i]``."""
+    word i lying on the view of slot ``slot[i]`` of the face table
+    ``faces`` (a class's faces, or every view's), in row ``row[i]``."""
     hit, bit = np.nonzero(gf2.unpack_words(words, d2))
     return row[hit], faces[slot[hit] * d2 + bit]
 
@@ -607,7 +414,7 @@ def lockstep_initial_mismatch(
     cache: LocalCodewordCache, syndromes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Ẑ, ε₀₁) bit rows for a (trials, H_Z rows) array of noisy
-    syndromes: ``initial_mismatch`` row by row.
+    syndromes: per-vertex minimum corrections and their XOR.
 
     The local syndromes are read as one word per V1 vertex, and their
     leaders come from the word cache ``leaders`` (word 0 has leader 0).
@@ -640,55 +447,67 @@ def _first_hits(
 
 
 # which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
-# sweep class V00, V01, V10, V11 (see ``_apply``): (c part?, r part?)
+# sweep class V00, V01, V10, V11: (c part?, r part?).  f̂ takes Ĉ₁, the c
+# parts removed at V01 and V11, and R̂₀, the r parts removed at V00 and V01
 _F_SHARE = ((False, True), (True, True), (False, False), (True, False))
 
 
 def lockstep_parallel_decomposition(
     cache: LocalCodewordCache, zhat: np.ndarray, f: np.ndarray, k: int
-) -> None:
-    """``parallel_mismatch_decomposition`` on every row of ``zhat`` in
-    place, XORing each removed codeword's share of f̂ into ``f``.
+) -> Steps:
+    """k sweeps over the four vertex classes with the fixed 1/2
+    threshold on every row of ``zhat`` in place, XORing each removed
+    codeword's share of f̂ into ``f``; returns the ``Steps``.
 
-    A row is active only while |Ẑ| is at least the θ = 1/2 floor of
-    ``scan_table`` (no vertex finds a codeword in a lighter Ẑ, as
-    |x ∩ Ẑ_v| ≤ |Ẑ|).  Each sweep starts with the first-hit test
-    (``_first_hits``) on the active rows, and a row where no vertex finds
-    a codeword leaves the active set: it would sweep without change,
-    which is where the scalar loop stops too.  Every other row changes in
-    this sweep (Ẑ is untouched until the first class that holds a hit
-    runs), so after the class steps the active rows are those still at
-    or above the floor.  A class step packs each view of the class into
-    one Δ²-bit word per row, reads the scan of every word from the
-    θ = 1/2 word cache as one (rows, slots) array and XORs back only the
-    removed codewords, at the (row, face) of each of their bits; the V00
-    step runs first, on the Ẑ the test scanned, so it reads its scans
-    from the test's columns of the V00 vertices.  Only the V00 and V11
-    steps need (c, r) splits, for the r and c parts of f̂; they split
-    their new codewords in one pass.
+    Views of same-class vertices are disjoint, so in-class updates
+    commute and a class step equals the class's vertices stepped one by
+    one, in group order.  A row is active only while |Ẑ| is at least the
+    θ = 1/2 floor of ``scan_table`` (no vertex finds a codeword in a
+    lighter Ẑ, as |x ∩ Ẑ_v| ≤ |Ẑ|).  Each sweep starts with the first-hit
+    test (``_first_hits``) on the active rows, and a row where no vertex
+    finds a codeword leaves the active set: it would sweep without
+    change.  Every other row changes in this sweep (Ẑ is untouched until
+    the first class that holds a hit runs), so after the class steps the
+    active rows are those still at or above the floor.  A class step
+    packs each view of the class into one Δ²-bit word per row, reads the
+    scan of every word from the θ = 1/2 word cache as one (rows, slots)
+    array and XORs back only the removed codewords, at the (row, face) of
+    each of their bits; the V00 step runs first, on the Ẑ the test
+    scanned, so it reads its words and scans from the test's columns of
+    the V00 vertices.  Only the V00 and V11 steps need (c, r) splits, for
+    the r and c parts of f̂; they split their new codewords in one pass.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table, floor = cache.scan_table(Fraction(1, 2))
     d2 = cache.n
-    v00 = cache.sweep_order[:len(cache.sweep_order) // 4]
-    active = np.flatnonzero(gf2.row_weights(zhat) >= floor)
+    weights = gf2.row_weights(zhat)
+    steps = Steps(cache, weights)
+    sweep = np.reshape(cache.sweep_order, (4, -1))
+    active = np.flatnonzero(weights >= floor)
     for _ in range(k):
         if active.size:
-            scans = _first_hits(cache, table, zhat[active])[1]
+            words, scans = _first_hits(cache, table, zhat[active])
             moving = (scans >= 0).any(axis=1)
-            active, scans = active[moving], scans[moving]
+            active, words, scans = active[moving], words[moving], scans[moving]
         if active.size == 0:
             break
         z, acc = zhat[active], f[active]
-        for cls, (packer, faces, (c_share, r_share)) in enumerate(
-                zip(cache.packers, cache.class_faces, _F_SHARE)):
+        for cls, (packer, faces, vertices, (c_share, r_share)) in enumerate(
+                zip(cache.packers, cache.class_faces, sweep, _F_SHARE)):
             # Ẑ is untouched before the V00 step, which reads the test's scans
-            found = scans[:, v00] if cls == 0 else table(packer(z))
+            if cls == 0:
+                found = scans[:, vertices]
+            else:
+                packed = packer(z)
+                found = table(packed)
             row, slot = np.nonzero(found >= 0)
             if row.size == 0:
                 continue
             removed = found[row, slot]
+            stepped = vertices[slot]
+            steps.chunks.append((active[row], stepped, removed,
+                                 words[row, stepped] if cls == 0 else packed[row, slot]))
             bits = _word_bits(row, slot, cache.masks[removed], faces, d2)
             z[bits] ^= 1
             if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
@@ -699,48 +518,77 @@ def lockstep_parallel_decomposition(
                 acc[bits] ^= 1
         zhat[active], f[active] = z, acc
         active = active[gf2.row_weights(z) >= floor]
+    return steps
+
+
+# no queue key: a vertex not in a row's FIFO
+_UNQUEUED = np.iinfo(np.int64).max
 
 
 def lockstep_sequential_decomposition(
     cache: LocalCodewordCache, zhat: np.ndarray, f: np.ndarray,
     eps: Fraction | float = Fraction(1, 2),
-) -> None:
-    """``sequential_mismatch_decomposition`` on every row of ``zhat`` in
-    place, XORing the Ĉ₁ + R̂₀ share of f̂ into ``f``.
+) -> Steps:
+    """The sequential FIFO with θ = 1 - ε on every row of ``zhat`` in
+    place, removing any local codeword that clears ≥ ceil((1-ε)|x|) of
+    Ẑ and XORing its Ĉ₁ + R̂₀ share of f̂ into ``f``; returns the ``Steps``.
 
-    ε is checked and the θ = 1 - ε table and floor looked up once per
-    call.  A row with |Ẑ| below the floor is a fixed point (no
-    vertex finds a codeword, as |x ∩ Ẑ_v| ≤ |Ẑ|) and is left as it is.
-    The other rows go through the first-hit test (``_first_hits``):
-    the nonzero words of a row are its FIFO's initial queue, in vertex
-    order, and a found codeword is a hit.  Ẑ cannot change before
-    the first hit, so every queued vertex before it pops as a no-op: a
-    row without a hit is a fixed point too, and a row with one is
-    drained by the scalar FIFO (``_drain``) from its first hit on, the
-    vertices before it popped (not marked queued, so a later step can
-    queue them again).  The drained rows' Ẑ and f̂ go to ints and back
-    as one stacked array each way.
+    ε is checked and the θ table and floor looked up once per call.  A
+    row with |Ẑ| below the floor is a fixed point (no vertex finds a
+    codeword, as |x ∩ Ẑ_v| ≤ |Ẑ|) and is left as it is.  Every other
+    row's FIFO is an array of queue keys, one per vertex: its enqueue
+    number, or none.  It starts with every vertex whose view meets Ẑ, in
+    vertex order.  Each pass runs the first-hit test (``_first_hits``)
+    on the rows left and steps each at its queued vertex of least key
+    that finds a codeword.  The queued vertices before it would pop as
+    no-ops, since Ẑ cannot change before a hit, so every key up to it is
+    dropped.  A row leaves when none of its queued vertices hits, or when
+    the step leaves |Ẑ| below the floor; the rows that stay queue the
+    corners of the faces the step changed that are not queued, with
+    fresh keys in vertex order.
     """
     theta = 1 - checked_eps(eps)
     table, floor = cache.scan_table(theta)
-    rows = np.flatnonzero(gf2.row_weights(zhat) >= floor)
-    if rows.size == 0:
-        return
-    words, scans = _first_hits(cache, table, zhat[rows])
-    hits = scans >= 0
-    moving = hits.any(axis=1)
-    rows, hits = rows[moving], hits[moving]
-    if rows.size == 0:
-        return
-    first = hits.argmax(axis=1)
-    queued = (words[moving] != 0) & (np.arange(hits.shape[1]) >= first[:, None])
-    code, m = cache.code, rows.size
-    ints = gf2.from_bit_rows(np.concatenate([zhat[rows], f[rows]]))
-    for i, q in enumerate(queued):
-        state = MismatchState(code, ints[i], ints[i], ints[m + i],
-                              worklist=deque(np.flatnonzero(q).tolist()),
-                              in_queue=bytearray(q.tobytes()))
-        _drain(state, cache, table, floor)
-        ints[i], ints[m + i] = state.zhat, _finish(state).bits
-    out = gf2.to_bit_rows(ints, code.n)
-    zhat[rows], f[rows] = out[:m], out[m:]
+    weights = gf2.row_weights(zhat)
+    steps = Steps(cache, weights)
+    rows = np.flatnonzero(weights >= floor)
+    cx, d2 = cache.code.complex, cache.n
+    faces, corners, vertices = cx.view_table.ravel(), cx.corner_table, np.arange(cx.num_vertices)
+    keys, fresh = None, 0
+    while rows.size:
+        words, scans = _first_hits(cache, table, zhat[rows])
+        if keys is None:  # the initial queue: every view that meets Ẑ
+            keys = np.where(words != 0, vertices, _UNQUEUED)
+        queued_hits = np.where(scans >= 0, keys, _UNQUEUED)
+        at = np.arange(rows.size)
+        v = queued_hits.argmin(axis=1)
+        key = queued_hits[at, v]
+        go = key < _UNQUEUED
+        if not go.all():
+            at, v, key, rows, keys = at[go], v[go], key[go], rows[go], keys[go]
+            if rows.size == 0:
+                break
+        removed = scans[at, v]
+        steps.chunks.append((rows, v, removed, words[at, v]))
+        x = cache.masks[removed]
+        zhat[_word_bits(rows, v, x, faces, d2)] ^= 1
+        cls = cache.vertex_class[v]
+        shares = np.where(cls == 1, x, np.uint64(0))  # V01 keeps c + r, the whole codeword
+        split = np.flatnonzero(cls % 3 == 0)  # V00 keeps r, V11 keeps c: only these split
+        if split.size:
+            parts = cache.split_many(removed[split].tolist())
+            shares[split] = [part[1] if k == 0 else part[0]
+                             for part, k in zip(parts, cls[split].tolist())]
+        f[_word_bits(rows, v, shares, faces, d2)] ^= 1
+        stay = gf2.row_weights(zhat[rows]) >= floor
+        if not stay.all():
+            v, key, x, rows, keys = v[stay], key[stay], x[stay], rows[stay], keys[stay]
+        if rows.size == 0:
+            break
+        keys[keys <= key[:, None]] = _UNQUEUED  # the step's pop and the no-op pops
+        row, changed = _word_bits(np.arange(rows.size), v, x, faces, d2)
+        corner = np.zeros(keys.shape, dtype=bool)
+        corner[row[:, None], corners[changed]] = True
+        fresh += len(vertices)
+        keys = np.where(corner & (keys == _UNQUEUED), fresh + vertices, keys)
+    return steps

@@ -15,10 +15,9 @@ forms, ``row_weights`` counts each row's weight, and
 ``WordPacker``/``unpack_words`` hold patterns of at most 64 bits as one
 ``uint64`` each; ``span_words`` and ``lex_keys`` are the span, already
 in lexicographic order, and the order keys of such words.  A
-``WordCache`` is the one memo of a function of such words: ``get``
-reads one word, as the scalar decoders read their scans and coset
-leaders, and a call reads a whole array at once, as a lockstep step
-does.
+``WordCache`` is the one memo of a function of such words: a call
+reads a whole array at once, as a lockstep step does, and ``get``
+reads one word, as the call does for each word it misses.
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ def span_words(m: BitMatrix) -> np.ndarray:
     out = np.zeros(1, dtype=np.uint64)
     for row in reversed(Echelon(m).rows):
         out = np.concatenate([out, out ^ np.uint64(row)])
-    return out
-
-
-def scatter(bits: int, positions: list[int]) -> int:
-    """Move bit p of ``bits`` to bit ``positions[p]``; the loop runs once
-    per set bit."""
-    out = 0
-    while bits:
-        lsb = bits & -bits
-        out |= 1 << positions[lsb.bit_length() - 1]
-        bits ^= lsb
     return out
 
 
@@ -117,11 +105,14 @@ class WordPacker:
             self.slices.append((np.uint64(lo), mat))
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """(trials, words) uint64 for a (trials, n) 0/1 array."""
+        """(trials, words) uint64 for a (trials, n) 0/1 array.  The sums
+        go to uint64 through int32, which holds them exactly and converts
+        faster; the first slice, at shift 0, is the start of the words."""
         x = rows.astype(np.float32)
-        out = np.zeros((len(rows), self.slices[0][1].shape[1]), dtype=np.uint64)
-        for shift, mat in self.slices:
-            out |= (x @ mat).astype(np.uint64) << shift
+        (_, first), *rest = self.slices
+        out = (x @ first).astype(np.int32).astype(np.uint64)
+        for shift, mat in rest:
+            out |= (x @ mat).astype(np.int32).astype(np.uint64) << shift
         return out
 
 

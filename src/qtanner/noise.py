@@ -389,12 +389,14 @@ class DecoderConfig:
     def param(self) -> str:
         return f"eps={self.eps}" if self.kind == "sequential" else f"k={self.k}"
 
-    def decode(self, code: QuantumTannerCode, syn: BitVector
-               ) -> tuple[BitVector, dec.MismatchState]:
-        """(f̂, the decoder's final ``MismatchState``) for the syndrome."""
+    def decode(self, code: QuantumTannerCode, syn: BitVector) -> tuple[BitVector, dec.Steps]:
+        """(f̂, the decomposition's ``Steps``) for one syndrome: the
+        one-row view of ``decode_lockstep``."""
         if self.kind == "sequential":
-            return dec.sequential_decode(code, syn, self.eps, return_state=True)
-        return dec.parallel_decode(code, syn, self.k, return_state=True)
+            f, steps = dec.sequential_decode(code, syn, self.eps)
+        else:
+            f, steps = dec.parallel_decode(code, syn, self.k)
+        return BitVector(code.n, gf2.from_bit_rows(f)[0]), steps
 
     def decode_lockstep(self, cache: dec.LocalCodewordCache, syndromes: np.ndarray
                         ) -> np.ndarray:
@@ -469,9 +471,9 @@ def decode_trial(
     instance_id: str = "",
     seed: int = 0,
     record_timing: bool = False,
-) -> list[tuple[TrialRecord, dec.MismatchState]]:
+) -> list[tuple[TrialRecord, dec.Steps]]:
     """Decode and classify data error e under syndrome error d with every
-    config: one (record, final decoder state) pair per config.  The
+    config: one (record, decoder ``Steps``) pair per config.  The
     syndrome and the sample's columns are computed once; ``ms`` times
     only that config's decode."""
     syn = BitVector(code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
@@ -481,7 +483,7 @@ def decode_trial(
     pairs = []
     for cfg in cfgs:
         t0 = time.perf_counter() if record_timing else 0.0
-        f, state = cfg.decode(code, syn)
+        f, steps = cfg.decode(code, syn)
         ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
         residual = BitVector(code.n, e.bits ^ f.bits)
         record = TrialRecord(
@@ -493,7 +495,7 @@ def decode_trial(
             ms=ms,
             **sample,
         )
-        pairs.append((record, state))
+        pairs.append((record, steps))
     return pairs
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtanner import cayley, cli, codes, decoder, noise, tanner
+from qtanner import cayley, cli, codes, decoder, gf2, noise, tanner
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
@@ -37,6 +37,7 @@ from oracles import (
     np_commutator_gf2,
     np_rank_gf2,
 )
+from scalar_decoder import scatter, tables
 from threshold import estimate_threshold
 
 A13 = [1, 12, 5, 8]
@@ -58,6 +59,16 @@ def _random_error(code, weight, rng):
 
 def _noiseless_syndrome(code, e_bits):
     return BitVector(code.h_z.rows, tanner.syndrome_bits_z(code, e_bits))
+
+
+def _sequential(code, syn, eps=Fraction(1, 2)):
+    """f̂ of the package's sequential decoder for one syndrome."""
+    return DecoderConfig("sequential", eps=eps).decode(code, syn)[0]
+
+
+def _parallel(code, syn, k):
+    """f̂ of the package's parallel decoder for one syndrome."""
+    return DecoderConfig("parallel", k=k).decode(code, syn)[0]
 
 
 def _corrected(code, e_bits, f):
@@ -161,7 +172,7 @@ def test_criterion_3_oracle_equivalences(ref_code):
     cache = decoder.get_cache(ref_code)
     scan = coset_leader_weights_by_scan(dt.pchk.data, dt.n, dt.pchk.rows)
     for s in range(1 << dt.pchk.rows):
-        if decoder.coset_leader(cache, s).bit_count() != scan[s]:
+        if cache.leaders.get(s).bit_count() != scan[s]:
             mismatches += 1
 
     # dt.split vs |C_A|^delta column-assignment enumeration
@@ -219,8 +230,7 @@ def test_criterion_4_noiseless_correction(unique_code, ref_code):
         syn = _noiseless_syndrome(code, e)
         k_par = math.ceil(math.log2(code.n))
         return (
-            decoder.sequential_decode(code, syn, Fraction(1, 2)).bits == e
-            and decoder.parallel_decode(code, syn, k_par).bits == e
+            _sequential(code, syn).bits == e and _parallel(code, syn, k_par).bits == e
         )
 
     # every error of weight <= 2 within the radius, then sampled weight 3
@@ -247,7 +257,7 @@ def test_criterion_4_noiseless_correction(unique_code, ref_code):
                 _corrected(
                     code,
                     e := _random_error(code, w, make_rng(1040 + w, t)),
-                    decoder.sequential_decode(code, _noiseless_syndrome(code, e)),
+                    _sequential(code, _noiseless_syndrome(code, e)),
                 )
                 for t in range(200)
             )
@@ -264,9 +274,9 @@ def test_criterion_4_noiseless_correction(unique_code, ref_code):
     for t in range(trials):
         e = _random_error(ref_code, 3, make_rng(105, t))
         syn = _noiseless_syndrome(ref_code, e)
-        if _corrected(ref_code, e, decoder.sequential_decode(ref_code, syn, Fraction(1, 2))):
+        if _corrected(ref_code, e, _sequential(ref_code, syn)):
             seq_set.add(t)
-        if _corrected(ref_code, e, decoder.parallel_decode(ref_code, syn, k_ref)):
+        if _corrected(ref_code, e, _parallel(ref_code, syn, k_ref)):
             par_set.add(t)
     elapsed = time.perf_counter() - t0
 
@@ -292,27 +302,36 @@ def test_criterion_4_noiseless_correction(unique_code, ref_code):
 
 
 def test_criterion_5_mismatch_invariants(ref_code):
+    # |Ẑ₀| ≤ 4|e|, Ẑ₀ minus the removed codewords is the final Ẑ, and
+    # every step clears at least ceil((1 - ε)|x|) ≥ 1 of |Ẑ|, in the
+    # package's sequential decomposition (one-row views)
     t0 = time.perf_counter()
     eps = Fraction(1, 2)
+    cache = decoder.get_cache(ref_code)
+    views = tables(cache).views
     violations = 0
     for t in range(1000):
         rng = make_rng(106, t)
         w = 1 + int(rng.integers(0, 6))
         e = _random_error(ref_code, w, rng)
-        state = decoder.initial_mismatch(ref_code, _noiseless_syndrome(ref_code, e))
-        z0 = state.initial_zhat
+        zhat, f = decoder.initial_mismatch(ref_code, _noiseless_syndrome(ref_code, e))
+        z0 = gf2.from_bit_rows(zhat)[0]
         if z0.bit_count() > 4 * w:
             violations += 1
-        c0, c1, r0, r1 = decoder.sequential_mismatch_decomposition(state, eps)
-        if state.zhat != z0 ^ c0.bits ^ c1.bits ^ r0.bits ^ r1.bits:
+        steps = decoder.sequential_mismatch_decomposition(ref_code, zhat, f, eps).columns()
+        removed = 0
+        for v, idx in zip(steps["vertex"].tolist(), steps["codeword"].tolist()):
+            removed ^= scatter(int(cache.masks[idx]), views[v])
+        if gf2.from_bit_rows(zhat)[0] != z0 ^ removed:
             violations += 1
         prev = z0.bit_count()
-        for step in state.steps:
-            drop = step.weight_before - step.weight_after
-            need = (step.x_weight + 1) // 2  # ceil((1 - 1/2)|x|)
-            if step.weight_before != prev or drop < need or drop < 1:
+        for x_weight, before, after in zip(
+                *(steps[name].tolist() for name in ("|x|", "before", "after"))):
+            drop = before - after
+            need = (x_weight + 1) // 2  # ceil((1 - 1/2)|x|)
+            if before != prev or drop < need or drop < 1:
                 violations += 1
-            prev = step.weight_after
+            prev = after
     elapsed = time.perf_counter() - t0
     ok = violations == 0
     _report(5, ok, f"1000 noiseless trials, {violations} invariant violations; {elapsed:.1f}s")
@@ -427,7 +446,7 @@ def test_criterion_8_parallel_improvement(unique_code, ref_code):
             e = _random_error(code, weight, make_rng(110, t))
             syn = _noiseless_syndrome(code, e)
             for k in ks:
-                f = decoder.parallel_decode(code, syn, k)
+                f = _parallel(code, syn, k)
                 residuals[k].append((e ^ f.bits).bit_count())
         return [statistics.median(residuals[k]) for k in ks], [
             sum(residuals[k]) / trials for k in ks

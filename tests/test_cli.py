@@ -9,6 +9,8 @@ import pytest
 
 from qtanner import cli, decoder, noise, tanner
 
+import scalar_decoder
+
 ROOT = Path(__file__).resolve().parents[1]
 
 Z8_INSTANCE = {
@@ -162,6 +164,32 @@ class TestDecodeOne:
         log = tmp_path / "steps.jsonl"
         assert cli.main(["decode-one", "-c", cfg, "--step-log", str(log)]) == 0
         assert len(calls) == 1
+
+    # a weight-7 Z8/rep_3 error both decoders remove in four steps: two
+    # V00 steps in one class step, and vertex 1 stepped again later
+    PINNED_ERROR = [9, 15, 39, 54, 60, 61, 68]
+    PINNED_STEPS = (
+        '{"after": 7, "before": 9, "class": 0, "step": 0, "vertex": 1, "|x|": 4}\n'
+        '{"after": 5, "before": 7, "class": 0, "step": 1, "vertex": 6, "|x|": 4}\n'
+        '{"after": 3, "before": 5, "class": 2, "step": 2, "vertex": 21, "|x|": 4}\n'
+        '{"after": 0, "before": 3, "class": 0, "step": 3, "vertex": 1, "|x|": 3}\n'
+    )
+
+    @pytest.mark.parametrize("spec, param", [
+        ({"kind": "sequential", "eps": "1/2"}, "eps=1/2"),
+        ({"kind": "parallel", "k": 4}, "k=4"),
+    ])
+    def test_record_and_step_log_pinned(self, tmp_path, capsys, spec, param):
+        cfg = write_config(tmp_path, decoders=[spec])
+        error = "".join("1" if q in self.PINNED_ERROR else "0" for q in range(72))
+        log = tmp_path / "steps.jsonl"
+        assert cli.main(["decode-one", "-c", cfg, "--error", error, "--step-log", str(log)]) == 0
+        assert capsys.readouterr().out == (
+            '{"d_vertex_support": 0, "d_weight": 0, "decoder": "%s", "e_weight": 7, '
+            '"failure_class": "corrected", "instance_id": "079c97a1baa3", "ms": 0.0, '
+            '"p": 0.0, "param": "%s", "q": 0.0, "residual_reduced_proxy": 0, '
+            '"residual_weight": 0, "seed": 0}\n' % (spec["kind"], param))
+        assert log.read_text() == self.PINNED_STEPS
 
 
 class TestSweep:
@@ -796,11 +824,12 @@ def instance_digest(raw):
     every local view, view mask and face's corners."""
     code, _ = cli.build_instance(raw)
     cache = decoder.get_cache(code)
+    views = scalar_decoder.tables(cache)
     digest = hashlib.sha256()
     for name, rows in (
         ("h_x", code.h_x.data), ("h_z", code.h_z.data), ("masks", cache.masks.tolist()),
-        ("weights", cache.weights.tolist()), ("views", cache.views),
-        ("view_masks", cache.view_masks), ("face_vertices", cache.face_vertices),
+        ("weights", cache.weights.tolist()), ("views", views.views),
+        ("view_masks", views.view_masks), ("face_vertices", views.face_vertices),
     ):
         for row in rows:
             line = " ".join(map(str, map(int, row))) if hasattr(row, "__len__") else int(row)

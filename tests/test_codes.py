@@ -427,15 +427,15 @@ class TestSplit:
 
 
 class TestCosetLeaderTable:
-    """The syndrome -> leader map of the decoder cache (``decoder.coset_leader``)."""
+    """The syndrome -> leader map of the decoder cache (``cache.leaders``)."""
 
     def test_zero_syndrome_maps_to_zero(self, rep3_par3_code):
-        assert decoder.coset_leader(decoder.get_cache(rep3_par3_code), 0) == 0
+        assert decoder.get_cache(rep3_par3_code).leaders.get(0) == 0
 
     def test_weight_minimality_by_full_scan(self, rep3_par3_code):
         dt = rep3_par3_code.x_correction_code
         cache = decoder.get_cache(rep3_par3_code)
-        table = {s: decoder.coset_leader(cache, s) for s in range(1 << dt.pchk.rows)}
+        table = {s: cache.leaders.get(s) for s in range(1 << dt.pchk.rows)}
         assert len(table) == 4
         # independent scan over all 2^9 vectors
         best = {}
@@ -463,4 +463,4 @@ class TestCosetLeaderTable:
             s = 0
             for i, row in enumerate(dt.pchk.data):
                 s |= ((row >> p) & 1) << i
-            assert decoder.coset_leader(cache, s) == 1 << p
+            assert cache.leaders.get(s) == 1 << p

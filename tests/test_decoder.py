@@ -1,5 +1,10 @@
 """Mismatch-decomposition decoders: local corrections, candidate search,
-sequential and parallel decomposition, and the full decode pipelines."""
+sequential and parallel decomposition, and the full decode pipelines.
+
+The search, the initial mismatch and the two decompositions are tested
+on the Python-int reference ``scalar_decoder``, which test_lockstep
+checks the package's lockstep decoder against step by step; the full
+decoders run through the package's one-row views."""
 
 import copy
 import dataclasses
@@ -15,22 +20,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtanner import cayley, codes, decoder, gf2, tanner
-from qtanner.decoder import (
-    coset_leader,
-    find_reducing_codeword,
-    get_cache,
-    initial_mismatch,
-    parallel_decode,
-    parallel_mismatch_decomposition,
-    sequential_decode,
-    sequential_mismatch_decomposition,
-)
+from qtanner.decoder import get_cache
 from qtanner.errors import BudgetError, LocalCacheError
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, make_rng
 from qtanner.tanner import syndrome_bits_z
 
+import scalar_decoder
 from oracles import coset_leader_table, exhaustive_min_cr, extract, np_mat_vec_gf2
+from scalar_decoder import (
+    MismatchState,
+    coset_leader,
+    find_reducing_codeword,
+    initial_mismatch,
+    parallel_mismatch_decomposition,
+    scatter,
+    sequential_mismatch_decomposition,
+    tables,
+)
 
 
 class TestAsFraction:
@@ -56,6 +63,18 @@ def noiseless_syndrome(code, e_bits):
 
 def decode_class(code, e_bits, f):
     return tanner.classify_residual(code, BitVector(code.n, e_bits ^ f.bits))
+
+
+def sequential_decode(code, syn, eps=Fraction(1, 2)):
+    """f̂ of the package's sequential decoder (a one-row lockstep decode)."""
+    f, _ = decoder.sequential_decode(code, syn, eps)
+    return BitVector(code.n, gf2.from_bit_rows(f)[0])
+
+
+def parallel_decode(code, syn, k):
+    """f̂ of the package's parallel decoder (a one-row lockstep decode)."""
+    f, _ = decoder.parallel_decode(code, syn, k)
+    return BitVector(code.n, gf2.from_bit_rows(f)[0])
 
 
 class TestLocalCodewordCache:
@@ -99,9 +118,9 @@ class TestLocalCodewordCache:
             i = int(i)
             x = int(cache.masks[i])
             _, c, r = exhaustive_min_cr(dt, x)
-            assert cache.split(i) == (c, r)
+            assert cache.split_many([i]) == [(c, r)]
             assert c ^ r == x
-        assert cache.split(i) is cache.splits[i]
+        assert cache.split_many([i])[0] is cache.splits[i]
 
     # sha256 over (mask, weight, c, r) of every cached codeword in cache
     # order, recorded from the table-walk implementation this replaced
@@ -153,13 +172,13 @@ class TestLocalCodewordCache:
         split_in_lockstep = set(cache.splits)
         applied = set()
         for s in syndromes:
-            _, state = parallel_decode(code, s, 4, return_state=True)
-            applied.update(step.codeword for step in state.steps)
+            _, steps = decoder.parallel_decode(code, s, 4)
+            applied.update(steps.columns()["codeword"].tolist())
         # lockstep splits only what it removes at V00 and V11, where f̂
         # takes a single part of the codeword
         assert split_in_lockstep and split_in_lockstep <= applied
         for s in syndromes:
-            _, state = sequential_decode(code, s, return_state=True)
+            _, state = scalar_decoder.sequential_decode(code, s, return_state=True)
             applied.update(step.codeword for step in state.steps)
         # the scalar steps split every codeword they apply
         assert set(cache.splits) == applied
@@ -206,9 +225,9 @@ class TestLocalCodewordCache:
             self.build_views_from(ref_code, table)
 
     def test_face_outside_the_complex_raises(self, ref_code):
-        # the first V01 vertex lists face f as f - num_faces (which the
-        # incidence scatter would wrap to f) or as f + num_faces (past the
-        # faces): no class repeats a face, and the range check names both
+        # the first V01 vertex lists face f as f - num_faces (which numpy
+        # indexing would wrap to f) or as f + num_faces (past the faces):
+        # no class repeats a face, and the range check names both
         code = ref_code
         v, faces = code.v1_vertices[0], code.complex.num_faces
         for shift in (-faces, faces):
@@ -308,13 +327,13 @@ class TestEchelonSolve:
 
 
 class TestLocalMinCorrection:
-    """Coset leaders of local syndromes (``decoder.coset_leader``), lifted
-    to global faces as ``initial_mismatch`` does."""
+    """Coset leaders of local syndromes (the memo ``cache.leaders``), lifted
+    to global faces as the scalar ``initial_mismatch`` does."""
 
     def test_zero_syndrome(self, ref_code):
         v = ref_code.v1_vertices[0]
         view = ref_code.complex.view_table[v].tolist()
-        assert gf2.scatter(coset_leader(get_cache(ref_code), 0), view) == 0
+        assert scatter(coset_leader(get_cache(ref_code), 0), view) == 0
         # at once, reading no cache: every leader word cache asks it at build,
         # and a scan of the reference's 8,191 codewords would cost memory
         assert decoder._coset_leader_uncached(None, 0) == 0
@@ -324,26 +343,27 @@ class TestLocalMinCorrection:
         # returned exactly
         cache = get_cache(unique_code)
         for v in unique_code.v1_vertices[:4]:
-            view = cache.views[v]
+            view = tables(cache).views[v]
             for p in range(len(view)):
                 s = 0
                 for i, row in enumerate(unique_code.z_check_basis.data):
                     s |= ((row >> p) & 1) << i
-                assert gf2.scatter(coset_leader(cache, s), view) == 1 << view[p]
+                assert scatter(coset_leader(cache, s), view) == 1 << view[p]
 
     def test_matches_exhaustive_local_scan(self, ref_code):
         cache = get_cache(ref_code)
         v = ref_code.v1_vertices[3]
+        view = tables(cache).views[v]
         rows = ref_code.z_check_basis.data
         for s in range(1 << ref_code.r1):
-            got = gf2.scatter(coset_leader(cache, s), cache.views[v])
+            got = scatter(coset_leader(cache, s), view)
             # exhaustive 2^(delta^2) scan for the minimum achievable weight
             best = min(
                 y.bit_count()
                 for y in range(1 << 16)
                 if all(((r & y).bit_count() & 1) == ((s >> i) & 1) for i, r in enumerate(rows))
             )
-            got_local = sum(1 for q in cache.views[v] if (got >> q) & 1)
+            got_local = sum(1 for q in view if (got >> q) & 1)
             assert got_local == got.bit_count() == best
 
     @pytest.mark.parametrize("fixture", ["rep3_par3_code", "unique_code", "ref_code"])
@@ -418,7 +438,7 @@ class TestInitialMismatch:
             assert state.zhat.bit_count() <= 4 * e.bit_count()
             queued = set(state.worklist)
             for v in range(ref_code.complex.num_vertices):
-                intersects = bool(cache.view_masks[v] & state.zhat)
+                intersects = bool(tables(cache).view_masks[v] & state.zhat)
                 assert (v in queued) == intersects
 
 
@@ -432,7 +452,7 @@ class TestFindReducingCodeword:
         cache = get_cache(ref_code)
         v = ref_code.v0_vertices[0]
         x_local = int(cache.masks[0])  # heaviest codeword
-        zhat = gf2.scatter(x_local, cache.views[v])
+        zhat = scatter(x_local, tables(cache).views[v])
         got = find_reducing_codeword(ref_code, zhat, v, Fraction(1, 1))
         assert got is not None
         x, c, r = got
@@ -447,7 +467,7 @@ class TestFindReducingCodeword:
             zhat = random_error(ref_code, 6, rng)
             v = int(rng.integers(0, ref_code.complex.num_vertices))
             got = find_reducing_codeword(ref_code, zhat, v, theta)
-            zloc = extract(zhat, cache.views[v])
+            zloc = extract(zhat, tables(cache).views[v])
             best = None
             for i in range(len(cache.masks)):
                 x = int(cache.masks[i])
@@ -470,8 +490,8 @@ class TestSequentialDecomposition:
         cache = get_cache(ref_code)
         v = 0  # first vertex in FIFO seed order, so it is scanned first
         x_local = int(cache.masks[0])  # heaviest, so the scan picks it first
-        zhat = gf2.scatter(x_local, cache.views[v])
-        state = decoder.MismatchState.seeded(cache, zhat)
+        zhat = scatter(x_local, tables(cache).views[v])
+        state = MismatchState.seeded(cache, zhat)
         sequential_mismatch_decomposition(state, Fraction(1, 2))
         assert state.zhat == 0
         assert len(state.steps) >= 1
@@ -507,8 +527,8 @@ class TestParallelDecomposition:
         cache = get_cache(ref_code)
         v = ref_code.v0_vertices[5]
         x_local = int(cache.masks[0])
-        zhat = gf2.scatter(x_local, cache.views[v])
-        state = decoder.MismatchState.seeded(cache, zhat)
+        zhat = scatter(x_local, tables(cache).views[v])
+        state = MismatchState.seeded(cache, zhat)
         parallel_mismatch_decomposition(state, 1)
         assert state.zhat == 0
 
@@ -683,8 +703,9 @@ class TestZSideDecoding:
         seen = set()
         for _ in range(100):
             e = random_error(z_code, 6, rng)
-            _, state = parallel_decode(z_code, noiseless_syndrome(z_code, e), 1, return_state=True)
-            visits = [(step.vertex_class, step.vertex) for step in state.steps]
+            _, steps = decoder.parallel_decode(z_code, noiseless_syndrome(z_code, e), 1)
+            columns = steps.columns()
+            visits = list(zip(columns["class"].tolist(), columns["vertex"].tolist()))
             assert visits == sorted(set(visits))
             seen.update(cls for cls, _ in visits)
         assert seen == {0, 1, 2, 3}
@@ -732,8 +753,8 @@ class TestMemoizedSearch:
             )
         )
         v = data.draw(st.integers(0, any_code.complex.num_vertices - 1))
-        got = decoder._gather(zhat & cache.view_masks[v], cache.n)
-        assert got == extract(zhat, cache.views[v])
+        got = scalar_decoder._gather(zhat & tables(cache).view_masks[v], cache.n)
+        assert got == extract(zhat, tables(cache).views[v])
 
     @settings(max_examples=6)
     @given(data=st.data())
@@ -770,7 +791,7 @@ class TestHitFloor:
         _, floor = cache.scan_table(theta)
         weights = [int(x).bit_count() for x in cache.masks]
         assert floor == min(passing_weight(w, theta) for w in weights)
-        views, vertices = cache.views, range(code.complex.num_vertices)
+        views, vertices = tables(cache).views, range(code.complex.num_vertices)
         rng = np.random.default_rng([7, THETAS.index(theta)])
         for w in range(floor):  # random supports, and supports inside one view
             for _ in range(6):
@@ -800,6 +821,6 @@ class TestHitFloor:
         for cfg in (DecoderConfig("sequential"), DecoderConfig("parallel", k=3)):
             got = gf2.from_bit_rows(cfg.decode_lockstep(cache, gf2.to_bit_rows(syndromes, rz)))
             for s, f in zip(syndromes, got):
-                want, state = cfg.decode(code, BitVector(rz, s))
-                assert (f, state.steps) == (want.bits, [])
+                want, steps = cfg.decode(code, BitVector(rz, s))
+                assert (f, steps.columns()["row"].tolist()) == (want.bits, [])
                 assert want.bits == initial_mismatch(code, BitVector(rz, s)).eps01_sum

@@ -1,9 +1,12 @@
-"""Lockstep multi-round runs and sweep blocks against the scalar path.
+"""Lockstep decoders, multi-round runs and sweep blocks against the
+scalar path.
 
-``noise.run_multiround`` runs a batch of trials one round at a time as
-numpy arrays.  Its reference here is a per-trial loop: the int sampler
+The lockstep decoders are checked row by row, step by step, against the
+Python-int decoders of ``scalar_decoder``.  ``noise.run_multiround``
+runs a batch of trials one round at a time as numpy arrays.  Its
+reference here is a per-trial loop: the int sampler
 ``oracles.int_sample_errors`` -> the syndrome oracle
-``oracles.np_mat_vec_gf2`` -> the scalar ``DecoderConfig.decode``, the
+``oracles.np_mat_vec_gf2`` -> the scalar decoder of each config, the
 residual fed forward, then one ideal sequential readout, with |D|_V
 from ``oracles.vertex_support``.  Every column, round by round and the
 final readout's residual weight and class, must match trial by trial.
@@ -23,8 +26,10 @@ from qtanner import cayley, codes, decoder, gf2, noise, tanner
 from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, TrialRecord, make_rng
 
+import scalar_decoder
 from oracles import (greedy_reduce, int_sample_errors, np_mat_vec_gf2, trial_block_rows,
                      vertex_support)
+from scalar_decoder import step_columns
 
 
 def scalar_multiround(code, model, cfg, rounds, rng):
@@ -38,10 +43,10 @@ def scalar_multiround(code, model, cfg, rounds, rng):
         e, d = int_sample_errors(code, model, rng, prev_data=prev)
         prev = e.bits
         syn = BitVector(rz, np_mat_vec_gf2(code.h_z, residual ^ e.bits) ^ d.bits)
-        residual ^= e.bits ^ cfg.decode(code, syn)[0].bits
+        residual ^= e.bits ^ scalar_decoder.decode(cfg, code, syn)[0].bits
         stats.append([e.weight(), d.weight(), vertex_support(code, d), residual.bit_count()])
     ideal = BitVector(rz, np_mat_vec_gf2(code.h_z, residual))
-    f_final = decoder.sequential_decode(code, ideal, Fraction(1, 2))
+    f_final = scalar_decoder.sequential_decode(code, ideal, Fraction(1, 2))
     final = BitVector(code.n, residual ^ f_final.bits)
     return stats, final.weight(), tanner.classify_residual(code, final)
 
@@ -137,16 +142,28 @@ def syndrome_batches(code):
     hits in every row of a class step)."""
     rz = code.h_z.rows
     sampled = sampled_syndromes(code)
-    busy = next((s for s in sampled if decoder.parallel_decode(
+    busy = next((s for s in sampled if scalar_decoder.parallel_decode(
         code, BitVector(rz, s), 1, return_state=True)[1].steps), 0)
     if rz:  # z5_code has no H_Z rows, so every syndrome is empty
         assert busy
     return {"sampled": sampled, "empty": [], "zero": [0] * 16, "repeated": [busy] * 16}
 
 
+def row_steps(steps, rows):
+    """Each row's (vertex, class, codeword, |Ẑ| before, |Ẑ| after) steps
+    in the order taken, read from the columns of a lockstep ``Steps``."""
+    columns = steps.columns()
+    out = [[] for _ in range(rows)]
+    names = ("row", "vertex", "class", "codeword", "before", "after")
+    for row, *step in zip(*(columns[name].tolist() for name in names)):
+        out[row].append(tuple(step))
+    return out
+
+
 class TestLockstepDecoders:
     """One lockstep decode of many syndromes equals the scalar decoder
-    on each, for every iteration count and both schedules."""
+    on each, step by step, for every iteration count and both
+    schedules."""
 
     @pytest.fixture(scope="class")
     def syndromes(self, ref_code):
@@ -161,6 +178,24 @@ class TestLockstepDecoders:
         code = request.getfixturevalue(request.param)
         return code, syndrome_batches(code)
 
+    @staticmethod
+    def lockstep(code, syndromes, decompose, *args):
+        """(f̂ rows, Ẑ rows, ``Steps``) of one lockstep decode."""
+        cache = decoder.get_cache(code)
+        zhat, f = decoder.lockstep_initial_mismatch(
+            cache, gf2.to_bit_rows(syndromes, code.h_z.rows))
+        steps = decompose(cache, zhat, f, *args)
+        return gf2.from_bit_rows(f), gf2.from_bit_rows(zhat), steps
+
+    @staticmethod
+    def assert_steps_equal_scalar(got, scalar, rows):
+        """f̂, final Ẑ and every row's steps equal the scalar decoder's
+        (its (f̂, state) of each row in ``scalar``)."""
+        f, zhat, steps = got
+        assert f == [fs.bits for fs, _ in scalar]
+        assert zhat == [state.zhat for _, state in scalar]
+        assert row_steps(steps, rows) == [step_columns(state) for _, state in scalar]
+
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_parallel(self, batches, k, batch):
@@ -168,8 +203,12 @@ class TestLockstepDecoders:
         rz = code.h_z.rows
         got = DecoderConfig("parallel", k=k).decode_lockstep(decoder.get_cache(code),
                                                              gf2.to_bit_rows(syndromes, rz))
-        want = [decoder.parallel_decode(code, BitVector(rz, s), k).bits for s in syndromes]
-        assert gf2.from_bit_rows(got) == want
+        scalar = [scalar_decoder.parallel_decode(code, BitVector(rz, s), k, return_state=True)
+                  for s in syndromes]
+        assert gf2.from_bit_rows(got) == [f.bits for f, _ in scalar]
+        self.assert_steps_equal_scalar(
+            self.lockstep(code, syndromes, decoder.lockstep_parallel_decomposition, k),
+            scalar, len(syndromes))
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
@@ -179,40 +218,42 @@ class TestLockstepDecoders:
         got = DecoderConfig("sequential", eps=eps).decode_lockstep(
             decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz)
         )
-        scalar = [decoder.sequential_decode(code, BitVector(rz, s), eps, return_state=True)
+        scalar = [scalar_decoder.sequential_decode(code, BitVector(rz, s), eps, return_state=True)
                   for s in syndromes]
         assert gf2.from_bit_rows(got) == [f.bits for f, _ in scalar]
+        self.assert_steps_equal_scalar(
+            self.lockstep(code, syndromes, decoder.lockstep_sequential_decomposition, eps),
+            scalar, len(syndromes))
         if rz and batch == "sampled":  # the FIFO removed codewords: the comparison is not vacuous
             assert any(state.steps for _, state in scalar)
 
-    @staticmethod
-    def drained_sequential(code, syndromes, eps, monkeypatch):
-        """(Ẑ rows, initial Ẑ of every row handed to ``_drain``) of one
-        lockstep sequential decode; checks f̂ against the scalar decoder
-        row by row."""
-        drained = []
-        drain = decoder._drain
+    def fifo_sequential(self, code, syndromes, eps, monkeypatch):
+        """(Ẑ rows, the Ẑ rows every pass of the FIFO scanned, ``Steps``) of
+        one lockstep sequential decode; checks f̂, Ẑ and the steps against
+        the scalar decoder row by row."""
+        scanned = []
+        first_hits = decoder._first_hits
 
-        def counted(state, *args):
-            drained.append(state.initial_zhat)
-            drain(state, *args)
+        def counted(cache, table, zhat):
+            scanned.append(gf2.from_bit_rows(zhat))
+            return first_hits(cache, table, zhat)
 
-        monkeypatch.setattr(decoder, "_drain", counted)
-        rz = code.h_z.rows
-        cache = decoder.get_cache(code)
-        zhat, f = decoder.lockstep_initial_mismatch(cache, gf2.to_bit_rows(syndromes, rz))
-        decoder.lockstep_sequential_decomposition(cache, zhat, f, eps)
+        monkeypatch.setattr(decoder, "_first_hits", counted)
+        got = self.lockstep(code, syndromes, decoder.lockstep_sequential_decomposition, eps)
         monkeypatch.undo()
-        want = [decoder.sequential_decode(code, BitVector(rz, s), eps).bits for s in syndromes]
-        assert gf2.from_bit_rows(f) == want
-        return gf2.from_bit_rows(zhat), drained
+        rz = code.h_z.rows
+        self.assert_steps_equal_scalar(got, [
+            scalar_decoder.sequential_decode(code, BitVector(rz, s), eps, return_state=True)
+            for s in syndromes], len(syndromes))
+        return got[1], scanned, got[2]
 
     @staticmethod
     def first_hit(code, zhat, theta):
         """(queued vertices, position of the first that finds a codeword)."""
-        queued = [v for v, m in enumerate(decoder.get_cache(code).view_masks) if m & zhat]
+        masks = scalar_decoder.tables(decoder.get_cache(code)).view_masks
+        queued = [v for v, m in enumerate(masks) if m & zhat]
         hits = [i for i, v in enumerate(queued)
-                if decoder.find_reducing_codeword(code, zhat, v, theta) is not None]
+                if scalar_decoder.find_reducing_codeword(code, zhat, v, theta) is not None]
         return queued, hits[0] if hits else None
 
     def test_row_without_hit_is_not_drained(self, unique_code, monkeypatch):
@@ -220,24 +261,30 @@ class TestLockstepDecoders:
         stuck = crafted_syndrome(unique_code, [1], [61])
         # decodes right only if a vertex popped before its first hit is queued again
         moving = crafted_syndrome(unique_code, [6, 11, 17, 42, 54, 55], [])
-        z0 = [decoder.initial_mismatch(unique_code, BitVector(unique_code.h_z.rows, s)).zhat
+        z0 = [scalar_decoder.initial_mismatch(unique_code, BitVector(unique_code.h_z.rows, s)).zhat
               for s in (stuck, moving)]
         queued, hit = self.first_hit(unique_code, z0[0], 1 - eps)
         assert queued and hit is None  # Ẑ meets views, but no codeword passes θ = 2/3
         assert self.first_hit(unique_code, z0[0], Fraction(1, 2))[1] is not None  # one passes 1/2
-        zhat, drained = self.drained_sequential(unique_code, [stuck, moving], eps, monkeypatch)
+        zhat, scanned, steps = self.fifo_sequential(unique_code, [stuck, moving], eps, monkeypatch)
         assert zhat[0] == z0[0]
-        assert drained == [z0[1]]
+        # the stuck row is never stepped, and only the first pass scans it
+        assert set(steps.columns()["row"].tolist()) == {1}
+        assert scanned[0] == z0 and len(scanned) > 1
+        assert all(len(rows) == 1 for rows in scanned[1:])
 
     def test_late_first_hit_decodes_as_scalar(self, unique_code, monkeypatch):
         eps = Fraction(2, 3)
         syndrome = crafted_syndrome(unique_code, [3, 22], [28])
-        z0 = decoder.initial_mismatch(unique_code, BitVector(unique_code.h_z.rows, syndrome)).zhat
-        _, hit = self.first_hit(unique_code, z0, 1 - eps)
+        z0 = scalar_decoder.initial_mismatch(unique_code,
+                                             BitVector(unique_code.h_z.rows, syndrome)).zhat
+        queued, hit = self.first_hit(unique_code, z0, 1 - eps)
         assert hit is not None and hit > 0  # the first queued vertex finds nothing
         assert self.first_hit(unique_code, z0, Fraction(1, 2))[1] != hit  # θ matters here
-        zhat, drained = self.drained_sequential(unique_code, [syndrome], eps, monkeypatch)
-        assert drained == [z0]
+        _, scanned, steps = self.fifo_sequential(unique_code, [syndrome], eps, monkeypatch)
+        # the row's first step is at its first hit, on the initial Ẑ
+        assert scanned[0] == [z0]
+        assert steps.columns()["vertex"][0] == queued[hit]
 
     @staticmethod
     def parallel_lockstep(code, syndromes, k, monkeypatch):
@@ -251,7 +298,8 @@ class TestLockstepDecoders:
         zhat, f = decoder.lockstep_initial_mismatch(cache, gf2.to_bit_rows(syndromes, rz))
         decoder.lockstep_parallel_decomposition(cache, zhat, f, k)
         monkeypatch.undo()
-        want = [decoder.parallel_decode(code, BitVector(rz, s), k).bits for s in syndromes]
+        want = [scalar_decoder.parallel_decode(code, BitVector(rz, s), k).bits
+                for s in syndromes]
         assert gf2.from_bit_rows(f) == want
         return gf2.from_bit_rows(zhat), packed
 
@@ -261,13 +309,14 @@ class TestLockstepDecoders:
         θ = 1/2, in sweep order."""
         order = decoder.get_cache(code).sweep_order
         return [i * 4 // len(order) for i, v in enumerate(order)
-                if decoder.find_reducing_codeword(code, zhat, v, Fraction(1, 2)) is not None]
+                if scalar_decoder.find_reducing_codeword(code, zhat, v, Fraction(1, 2))
+                is not None]
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_parallel_row_without_hit_skips_the_class_steps(self, unique_code, k, monkeypatch):
         code = unique_code
         syndrome = crafted_syndrome(code, [5, 33], [])
-        z0 = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
+        z0 = scalar_decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
         floor = decoder.get_cache(code).scan_table(Fraction(1, 2))[1]
         # at or above the floor, so only the first-hit test can leave it out
         assert z0.bit_count() >= floor and self.hit_classes(code, z0) == []
@@ -278,7 +327,7 @@ class TestLockstepDecoders:
     def test_parallel_row_with_hits_only_in_v11(self, unique_code, k, monkeypatch):
         code = unique_code
         syndrome = crafted_syndrome(code, [0, 26, 51], [])
-        z0 = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
+        z0 = scalar_decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome)).zhat
         # the V00 step finds nothing in the test's scans, V01 and V10 nothing in theirs
         assert set(self.hit_classes(code, z0)) == {3}
         zhat, packed = self.parallel_lockstep(code, [syndrome], k, monkeypatch)
@@ -288,7 +337,8 @@ class TestLockstepDecoders:
     def test_parallel_row_without_hit_in_sweep_2(self, unique_code, k, monkeypatch):
         code, rz = unique_code, unique_code.h_z.rows
         syndrome = crafted_syndrome(code, [14, 61], [41])
-        _, swept = decoder.parallel_decode(code, BitVector(rz, syndrome), 1, return_state=True)
+        _, swept = scalar_decoder.parallel_decode(code, BitVector(rz, syndrome), 1,
+                                                  return_state=True)
         floor = decoder.get_cache(code).scan_table(Fraction(1, 2))[1]
         # sweep 1 removes codewords and leaves Ẑ at or above the floor, with no hit
         assert swept.steps and swept.zhat.bit_count() >= floor
@@ -313,22 +363,25 @@ class TestLockstepDecoders:
 
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
     def test_fifo_stop_equals_unbounded_fifo(self, batches, eps, unique_code):
-        """``sequential_decode``, whose FIFO stops below the hit floor,
-        ends with the Ẑ, f̂ and steps of the FIFO run to its end, on the
-        sampled batch and the crafted syndromes above."""
+        """The scalar and the lockstep FIFO, which both stop below the hit
+        floor, end with the Ẑ, f̂ and steps of the scalar FIFO run to its
+        end, on the sampled batch and the crafted syndromes above."""
         code, syndromes = batches[0], list(batches[1]["sampled"])
         if code is unique_code:
             syndromes += [crafted_syndrome(code, [1], [61]), crafted_syndrome(code, [3, 22], [28]),
                           crafted_syndrome(code, [6, 11, 17, 42, 54, 55], [])]
         stopped = 0
-        for s in syndromes:
-            f, state = decoder.sequential_decode(code, BitVector(code.h_z.rows, s), eps,
-                                                 return_state=True)
-            want_f, want = unbounded_sequential(code, s, eps)
+        unbounded = [unbounded_sequential(code, s, eps) for s in syndromes]
+        for s, (want_f, want) in zip(syndromes, unbounded):
+            f, state = scalar_decoder.sequential_decode(code, BitVector(code.h_z.rows, s), eps,
+                                                        return_state=True)
             assert (f, state.zhat, state.steps) == (want_f, want.zhat, want.steps)
             stopped += bool(state.worklist)
         if code.h_z.rows:  # the stop rule left queued vertices unpopped
             assert stopped
+        self.assert_steps_equal_scalar(
+            self.lockstep(code, syndromes, decoder.lockstep_sequential_decomposition, eps),
+            unbounded, len(syndromes))
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_initial_mismatch(self, batches, batch):
@@ -338,7 +391,7 @@ class TestLockstepDecoders:
             decoder.get_cache(code), gf2.to_bit_rows(syndromes, rz)
         )
         assert zhat.shape == eps01.shape == (len(syndromes), code.n)
-        states = [decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes]
+        states = [scalar_decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes]
         assert gf2.from_bit_rows(zhat) == [st.zhat for st in states]
         assert gf2.from_bit_rows(eps01) == [st.eps01_sum for st in states]
 
@@ -354,14 +407,16 @@ class TestLockstepDecoders:
         for batch in BATCHES:
             rows = gf2.to_bit_rows(syndromes[batch], rz)
             zhat, eps01 = decoder.lockstep_initial_mismatch(cache, rows)
-            states = [decoder.initial_mismatch(code, BitVector(rz, s)) for s in syndromes[batch]]
+            states = [scalar_decoder.initial_mismatch(code, BitVector(rz, s))
+                      for s in syndromes[batch]]
             assert gf2.from_bit_rows(zhat) == [st.zhat for st in states]
             assert gf2.from_bit_rows(eps01) == [st.eps01_sum for st in states]
             for cfg in (DecoderConfig("parallel", k=1), DecoderConfig("parallel", k=2),
                         DecoderConfig("parallel", k=8), DecoderConfig("sequential"),
                         DecoderConfig("sequential", eps=Fraction(1, 3))):
                 got = gf2.from_bit_rows(cfg.decode_lockstep(cache, rows))
-                assert got == [cfg.decode(code, BitVector(rz, s))[0].bits for s in syndromes[batch]]
+                assert got == [scalar_decoder.decode(cfg, code, BitVector(rz, s))[0].bits
+                               for s in syndromes[batch]]
         word_caches = [table for table, _ in cache._scan_tables.values()]
         if "leaders" in vars(cache):  # a cached_property: only there once built
             word_caches.append(cache.leaders)
@@ -388,7 +443,8 @@ class TestLockstepDecoders:
         lockstep = [gf2.from_bit_rows(cfg.decode_lockstep(cache, rows)) for cfg in cfgs]
         asked = len(leaders), len(scans)
         assert asked[0] > 1 and asked[1] > 2  # more than the word 0 of each cache
-        scalar = [[cfg.decode(code, BitVector(rz, s))[0].bits for s in syndromes] for cfg in cfgs]
+        scalar = [[scalar_decoder.decode(cfg, code, BitVector(rz, s))[0].bits for s in syndromes]
+                  for cfg in cfgs]
         assert lockstep == scalar
         assert (len(leaders), len(scans)) == asked
         assert len(leaders) == len(set(leaders)) and len(scans) == len(set(scans))
@@ -431,7 +487,7 @@ class TestLockstepDecoders:
 # lockstep with one shared initial mismatch per slice and computes the
 # columns as arrays.  Its reference is the per-trial scalar path:
 # ``oracles.int_sample_errors`` on ``make_rng``, the oracle syndrome,
-# each decoder's ``DecoderConfig.decode``, and the columns from the
+# each decoder's scalar decode, and the columns from the
 # oracles.
 
 SWEEP_DECODERS = [DecoderConfig("sequential"), DecoderConfig("sequential", eps=Fraction(1, 3)),
@@ -456,7 +512,7 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
         e, d = int_sample_errors(code, model, make_rng(seed, stream))
         syn = BitVector(code.h_z.rows, np_mat_vec_gf2(code.h_z, e.bits) ^ d.bits)
         for cfg in SWEEP_DECODERS:
-            residual = BitVector(code.n, e.bits ^ cfg.decode(code, syn)[0].bits)
+            residual = BitVector(code.n, e.bits ^ scalar_decoder.decode(cfg, code, syn)[0].bits)
             records.append(TrialRecord(
                 "", cfg.kind, cfg.param, p, q, e.weight(), d.weight(), vertex_support(code, d),
                 residual.weight(), greedy_reduce(code.h_x.data, residual.bits).bit_count(),
@@ -465,24 +521,25 @@ def scalar_sweep(code, model, point_idx, trial_ids, seed):
 
 
 def unbounded_sequential(code, syndrome, eps):
-    """``sequential_decode`` of a syndrome int with the FIFO run to its
-    end: pop until Ẑ is 0 or the queue is empty, with no stop at the hit
-    floor.  The reference for that stop rule, which the scalar and
-    lockstep paths share in ``decoder._drain``; returns (f̂, state)."""
-    state = decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome))
+    """The scalar ``sequential_decode`` of a syndrome int with the FIFO
+    run to its end: pop until Ẑ is 0 or the queue is empty, with no stop
+    at the hit floor.  The reference for that stop rule, which the scalar
+    ``_drain`` and the lockstep FIFO both apply; returns (f̂, state)."""
+    state = scalar_decoder.initial_mismatch(code, BitVector(code.h_z.rows, syndrome))
     cache = decoder.get_cache(code)
     table, _ = cache.scan_table(1 - eps)
+    corners = scalar_decoder.tables(cache).face_vertices
     work = state.worklist
     while state.zhat and work:
         v = work.popleft()
         state.in_queue[v] = 0
-        changed = decoder._step(state, cache, table, v)
-        requeue = {u for q in range(code.n) if changed >> q & 1 for u in cache.face_vertices[q]}
+        changed = scalar_decoder._step(state, cache, table, v)
+        requeue = {u for q in range(code.n) if changed >> q & 1 for u in corners[q]}
         for u in sorted(requeue):
             if not state.in_queue[u]:
                 work.append(u)
                 state.in_queue[u] = 1
-    return decoder._finish(state), state
+    return scalar_decoder._finish(state), state
 
 
 @pytest.mark.parametrize("kind", list(SWEEP_NOISE))
