@@ -11,6 +11,7 @@ arithmetic, once per group or complex.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import BudgetError, GeneratingSetError, GroupAxiomError, whole
 
 MAX_EIGENSOLVE_ORDER = 4096
+MAX_GROUP_ORDER = MAX_EIGENSOLVE_ORDER  # every group build_group accepts can be eigensolved
 ASSOC_EXHAUSTIVE_ORDER = 64
 
 V00, V01, V10, V11 = 0, 1, 2, 3
@@ -91,11 +93,19 @@ def _validate_table(mul: Sequence[Sequence[int]]) -> FiniteGroup:
     return FiniteGroup(n, t, inv, identity)
 
 
+def _check_order(order: int) -> None:
+    """Refuse a group whose order × order table would exceed the budget."""
+    if order > MAX_GROUP_ORDER:
+        raise BudgetError(f"group order {order} > group-order budget {MAX_GROUP_ORDER}")
+
+
 def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) -> FiniteGroup:
-    """Construct cyclic(m), dihedral(m) (order 2m), or validate a table."""
+    """Construct cyclic(m), dihedral(m) (order 2m), or validate a table,
+    refusing an order above ``MAX_GROUP_ORDER`` before any table is built."""
     if kind == "cyclic":
         if m < 1:
             raise GroupAxiomError("cyclic group needs m >= 1")
+        _check_order(m)
         elems = np.arange(m)
         g = _validate_table((elems[:, None] + elems) % m)
         g.name = f"cyclic({m})"
@@ -103,6 +113,7 @@ def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) 
     if kind == "dihedral":
         if m < 1:
             raise GroupAxiomError("dihedral group needs m >= 1")
+        _check_order(2 * m)
         # element (i, j) = r^i s^j encoded as i + m*j:
         # r^i1 s^j1 · r^i2 s^j2 = r^(i1 ± i2) s^(j1 + j2), minus when j1 = 1
         j1, i1 = np.divmod(np.arange(2 * m)[:, None], m)
@@ -113,6 +124,8 @@ def build_group(kind: str, m: int = 0, table: Optional[list[list[int]]] = None) 
     if kind == "table":
         if table is None:
             raise GroupAxiomError("explicit table required for kind='table'")
+        with contextlib.suppress(TypeError):  # not a list of rows: refused as not square
+            _check_order(len(table))
         return _validate_table(table)
     raise GroupAxiomError(f"unknown group kind {kind!r}")
 
@@ -195,9 +208,6 @@ class LeftRightCayleyComplex:
     def vertex(self, g: int, cls: int) -> int:
         return cls * self.group.order + g
 
-    def vertex_class(self, v: int) -> int:
-        return v // self.group.order
-
     @cached_property
     def corner_table(self) -> np.ndarray:
         """(|Q|, 4) intp array: row q holds the corners of face q = (g, a, b)
@@ -218,8 +228,9 @@ class LeftRightCayleyComplex:
         view of h is h for class 00, a⁻¹h for 01, hb⁻¹ for 10 and
         a⁻¹hb⁻¹ for 11.  Row v is ``elem·Δ² + arange(Δ²)``, so face q
         sits at local bit q mod Δ² of every view that holds it (the
-        decoder's gather relies on this) and q // Δ² is the defining
-        element.
+        gather of the test reference ``tests/scalar_decoder.py`` relies
+        on this; the decoder reads bit p of vertex v at ``[v, p]``) and
+        q // Δ² is the defining element.
         """
         order, d = self.group.order, self.delta
         mul, inv = self.group.mul, self.group.inv

@@ -21,65 +21,46 @@ decomposition in place (``lockstep_sequential_decomposition``,
 ``decode-one``.  Each decomposition returns its ``Steps``, the columns
 of the step log.
 
-Both stop at a provable fixed point.  A codeword x passes at v only if
-2|x ∩ Ẑ_v| - |x| ≥ ceil(θ|x|), and |x ∩ Ẑ_v| ≤ |Ẑ|, so no vertex finds
-one while |Ẑ| is below h_min(θ), the least ceil((|x| + ceil(θ|x|)) / 2)
-over the cached codewords (n + 1 if there are none).  The cache keeps
-h_min next to each θ table (``scan_table`` returns both): a row lighter
-than it is not scanned, and a row that falls below it leaves.
+Both stop at a provable fixed point: no vertex finds a codeword while
+|Ẑ| is below h_min(θ), which ``LocalCodewordCache.scan_table`` returns
+with each θ table, so a row lighter than it is not scanned, and a row
+that falls below it leaves.
 
 Candidate search is exhaustive over the cached nonzero codewords of
-C_A ⊞ C_B, the span of the kernel of H_A ⊗ H_B, which comes in
-lexicographic order, sorted by weight descending with one stable radix
-pass (so lexicographic within a weight class).  The
-minimal (c, r) split of a codeword is computed by
+C_A ⊞ C_B, sorted by weight descending and lexicographic within a
+weight; the minimal (c, r) split of a codeword is computed by
 ``codes.DualTensorCode.split`` only when the decoder needs it, and
-memoized per codeword.  A threshold policy θ asks for a reduction of at
-least ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache
-keeps one ``gf2.WordCache`` per θ whose memo holds the search result
-for every local Δ²-bit mismatch pattern seen so far, and only a pattern
-seen for the first time runs the numpy popcount scan.  Face q sits at
-local bit q mod Δ² of every view that holds it (see
-``cayley.LeftRightCayleyComplex.view_table``).  Every per-vertex table
-(each class's faces in sweep order, the packers, built on first use) is
-read from the complex's ``view_table``, and one check at cache build
-makes sure the views of each class partition the faces, which is what
-lets the parallel schedule update a whole class at once.
+memoized.  A threshold policy θ asks for a reduction of at least
+ceil(θ|x|) (sequential: θ = 1-ε, parallel: θ = 1/2); the cache keeps
+one ``gf2.WordCache`` per θ whose memo holds the search result for
+every local Δ²-bit mismatch pattern seen so far.  The coset leader of
+a local syndrome is found in the same codewords
+(``_coset_leader_uncached``) and memoized per syndrome in the
+``gf2.WordCache`` ``leaders``, so no table over all 2^r syndromes is
+built and r needs no budget.
 
-The coset leader of a local syndrome s is found in the same cached
-codewords: y₀ = ``dt.echelon.solve(s)``, the particular solution of
-the local echelon, is one member of the coset, and one popcount over
-y₀ ⊕ ({0} ∪ C_A ⊞ C_B) gives the lightest; ties go to the largest
-``gf2.lex_keys`` key (the first vector in ``itertools.combinations``
-order).  Leaders are memoized per syndrome, in the ``gf2.WordCache``
-``leaders``, so no table over all 2^r syndromes is built and r needs
-no budget.
+Every lockstep step indexes views by vertex id: bit p of the view of
+vertex v is face ``view_table[v, p]`` (see
+``cayley.LeftRightCayleyComplex.view_table``), and each sweep class is
+one block of |G| consecutive ids.  Cache build checks that each class
+is such a block and that its views partition the faces, which is what
+lets the parallel schedule update a whole class at once.  Every view word the
+decoder scans comes from ``_first_hits``: it packs the views of a block
+of ids (every vertex, or one class) into one word per (row, vertex) and
+reads the scans of all words from a θ table at once (one hash and two
+``take``s per array, and only missed words go to the memo).  A removed
+codeword and its share of f̂ are XORed back bit by bit at (row, face),
+splitting a codeword only where f̂ takes one of its parts, as the
+per-class table ``_SHARES`` says.
 
-Every lockstep step packs views (or local syndromes) into one word per
-(row, vertex) and reads the result of every word from a
-``gf2.WordCache`` (a θ table, or the coset leaders): one hash and two
-``take``s per array in its direct-mapped slots, and only missed words
-go to its memo.  The initial mismatch lifts the leaders densely, one
-column permutation per class, V01 then V10.  A removed codeword and
-its share of f̂ are XORed back bit by bit at (row, face), splitting a
-codeword only where f̂ takes one of its parts.
-
-Both schedules run one first-hit test (``_first_hits``): every view of
-every row at or above h_min is packed into one word and the scan of
-every word read from the θ table at once.  Ẑ cannot change before a
-row's first hit under either schedule, so a row where no vertex finds a
-codeword is a fixed point and is left alone.  The parallel schedule
-runs the test at the start of every sweep, and only rows with a hit go
-on to the four class steps: such a row always changes.  A class step
-reads the θ = 1/2 scans as a (rows, slots) array (the V00 step, which
-runs before Ẑ changes, reads them from the test); same-class views
-partition the faces, so the class is stepped at once.  The sequential
-schedule runs the test once per pass: every (row, vertex) holds a queue
-key (its enqueue number) or none, and each row steps at the queued
-vertex of least key that hits, dropping every key up to it (the no-op
-pops, as Ẑ cannot change before a hit); the corners of the faces the
-step changed that are not queued get fresh keys in vertex order.  A
-row leaves when no queued vertex hits or |Ẑ| falls below h_min.
+Over every vertex, ``_first_hits`` is the first-hit test both schedules
+run: Ẑ cannot change before a row's first hit, so a row where no vertex
+finds a codeword is a fixed point and is left alone.  The parallel
+schedule runs it at the start of every sweep, and a class step is
+``_first_hits`` on the class's block (the V00 step, which runs before Ẑ
+changes, reads its block of the test).  The sequential FIFO runs it
+once per pass and steps each row at its queued vertex of least key that
+hits.
 """
 
 from __future__ import annotations
@@ -120,29 +101,29 @@ class LocalCodewordCache:
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
     ``split_many``; set-up computes none), and the parallel sweep order
-    with each sweep class's faces (``class_faces``, checked to partition
-    the faces; every face id is checked to lie in the complex).  Set-up
-    checks that the local checks H_A ⊗ H_B are independent (the lowest
-    dependent one is named in a ``LocalCacheError``), so
-    ``dt.echelon.solve`` reaches every local syndrome.
+    ``sweep_order``: classes V00, V01, V10, V11, each checked to be one
+    block of |G| consecutive vertex ids in group order whose views
+    partition the faces (every face id is checked to lie in the
+    complex).  Set-up checks that the local checks H_A ⊗ H_B are
+    independent (the lowest dependent one is named in a
+    ``LocalCacheError``), so ``dt.echelon.solve`` reaches every local
+    syndrome.
 
     Built on first use, so ``get_cache`` (the set-up a run times) and
     ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
     leaders (``leaders``: syndrome to leader, at most 2^r entries), one
     ``gf2.WordCache`` of candidate searches per threshold policy θ
-    (``scan_table``), the sweep class of every vertex
-    (``vertex_class``), and the lockstep decoders' ``gf2.WordPacker``s.
-    ``packers[c]`` reads every view of sweep class c (V00, V01, V10,
-    V11) out of (trials, n) face rows as one Δ²-bit word: bit p of the
-    word of the class's j-th vertex is face ``class_faces[c, j·Δ² + p]``.
-    ``syndrome_words`` reads the r₁-bit local syndrome of every V1
-    vertex out of (trials, H_Z rows) rows, ``order`` V01 words then
-    ``order`` V10 words (sweep classes 1 and 2), and ``lift_columns``
-    gives each face the column of its bit in the V01 leaders and in the
-    V10 leaders, unpacked side by side.  ``view_words`` (read only by the
-    first-hit test of both lockstep schedules) reads every vertex's
-    local pattern, in vertex order, as one Δ²-bit word: its columns
-    ``sweep_order[c·|G|:(c+1)·|G|]`` are the words of ``packers[c]``.
+    (``scan_table``), the sweep class of every vertex (``vertex_class``,
+    read off ``sweep_order``), and the lockstep decoders' two
+    ``gf2.WordPacker``s.  ``view_words`` (read only by ``_first_hits``)
+    reads every vertex's local pattern out of (trials, n) face rows as
+    one Δ²-bit word, in vertex order: bit p of vertex v's word is face
+    ``view_table[v, p]``, and a slice of vertex ids, such as a sweep
+    class's block, reads just those words.  ``syndrome_words`` reads the
+    r₁-bit local syndrome of every V1 vertex out of (trials, H_Z rows)
+    rows, ``order`` V01 words then ``order`` V10 words (sweep classes 1
+    and 2), and ``lift_columns`` gives each face the column of its bit in
+    the V01 leaders and in the V10 leaders, unpacked side by side.
     """
 
     def __init__(self, code: QuantumTannerCode):
@@ -195,13 +176,17 @@ class LocalCodewordCache:
         order = cx.group.order
         v0, v1 = code.v0_vertices, code.v1_vertices
         self.sweep_order = v0[:order] + v1[:order] + v1[order:] + v0[order:]
-        # class_faces[c, j·Δ² + p] is bit p of the j-th view of sweep class
-        # c.  Its order·Δ² = n entries must be n distinct faces: the views
-        # of one class partition the faces, so a parallel class step is
-        # well defined.  One count of (class, face) pairs checks all four
+        # the parallel class steps read class c as one slice of vertex ids
+        blocks = np.reshape(self.sweep_order, (4, -1))
+        if (np.diff(blocks) != 1).any():
+            raise LocalCacheError("a sweep class is not a run of consecutive vertex ids")
+        # faces[c, j·Δ² + p] is bit p of the j-th view of sweep class c.
+        # Its order·Δ² = n entries must be n distinct faces: the views of
+        # one class partition the faces, so a parallel class step is well
+        # defined.  One count of (class, face) pairs checks all four
         # classes; only when it fails does a per-class scan name the
         # vertex of the first repeat in sweep order.
-        faces = self.class_faces = view_table[self.sweep_order].reshape(4, -1)
+        faces = view_table[blocks].reshape(4, -1)
         counts = np.bincount((faces + num_faces * np.arange(4)[:, None]).ravel(),
                              minlength=4 * num_faces)
         if not (counts == 1).all():
@@ -220,18 +205,15 @@ class LocalCodewordCache:
 
     @cached_property
     def vertex_class(self) -> np.ndarray:
-        """The effective class of every vertex, which is its sweep class."""
-        code = self.code
-        return np.array([code.effective_class(v) for v in range(code.complex.num_vertices)])
-
-    @cached_property
-    def packers(self) -> list[gf2.WordPacker]:
-        return [gf2.WordPacker(faces, self.n, self.code.n) for faces in self.class_faces]
+        """The sweep class of every vertex (its effective class): its
+        position in ``sweep_order`` over |G|."""
+        return np.argsort(self.sweep_order) // self.code.complex.group.order
 
     @cached_property
     def lift_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        n, faces = self.code.n, self.class_faces
-        return np.argsort(faces[1]), n + np.argsort(faces[2])
+        code = self.code
+        faces = code.complex.view_table[code.v1_vertices].reshape(2, -1)
+        return np.argsort(faces[0]), code.n + np.argsort(faces[1])
 
     @cached_property
     def syndrome_words(self) -> Optional[gf2.WordPacker]:
@@ -401,13 +383,13 @@ def parallel_decode(
 
 
 def _word_bits(
-    row: np.ndarray, slot: np.ndarray, words: np.ndarray, faces: np.ndarray, d2: int
+    cache: LocalCodewordCache, row: np.ndarray, vertex: np.ndarray, words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, faces) index of every set bit of the Δ²-bit ``words``,
-    word i lying on the view of slot ``slot[i]`` of the face table
-    ``faces`` (a class's faces, or every view's), in row ``row[i]``."""
-    hit, bit = np.nonzero(gf2.unpack_words(words, d2))
-    return row[hit], faces[slot[hit] * d2 + bit]
+    word i lying on the view of vertex ``vertex[i]`` in row ``row[i]``:
+    bit p is face ``view_table[vertex[i], p]``."""
+    hit, bit = np.nonzero(gf2.unpack_words(words, cache.n))
+    return row[hit], cache.code.complex.view_table[vertex[hit], bit]
 
 
 def lockstep_initial_mismatch(
@@ -435,21 +417,34 @@ def lockstep_initial_mismatch(
 
 
 def _first_hits(
-    cache: LocalCodewordCache, table: gf2.WordCache, zhat: np.ndarray
+    cache: LocalCodewordCache, table: gf2.WordCache, zhat: np.ndarray,
+    block: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(words, scans) of (rows, n) Ẑ rows: every vertex's view packed into
-    one Δ²-bit word, in vertex order, and the scan of each word in
-    ``table`` (a codeword index, -1 for none).  Ẑ cannot change before a
-    row's first hit under either schedule, so a row without one is a
-    fixed point."""
-    words = cache.view_words(zhat)
+    """(words, scans) of (rows, n) Ẑ rows: the view of every vertex of
+    ``block`` (a slice of vertex ids, every vertex by default) packed
+    into one Δ²-bit word, in vertex order, and the scan of each word in
+    ``table`` (a codeword index, -1 for none).  Over every vertex it is
+    the first-hit test: Ẑ cannot change before a row's first hit under
+    either schedule, so a row without one is a fixed point."""
+    words = cache.view_words(zhat, block)
     return words, table(words)
 
 
 # which split parts of a removed codeword land in f̂ = ε₀₁ + Ĉ₁ + R̂₀, per
-# sweep class V00, V01, V10, V11: (c part?, r part?).  f̂ takes Ĉ₁, the c
+# sweep class V00, V01, V10, V11: (c part, r part).  f̂ takes Ĉ₁, the c
 # parts removed at V01 and V11, and R̂₀, the r parts removed at V00 and V01
-_F_SHARE = ((False, True), (True, True), (False, False), (True, False))
+_SHARES = np.array([(False, True), (True, True), (False, False), (True, False)])
+
+
+def _split_shares(
+    cache: LocalCodewordCache, removed: np.ndarray, r_part: list[bool]
+) -> np.ndarray:
+    """f̂'s share of each removed codeword of which f̂ takes one part, at
+    V00 or V11: its r part where ``r_part`` holds, else its c part, from
+    one ``split_many``."""
+    splits = cache.split_many(removed.tolist())
+    return np.array([r if take_r else c for (c, r), take_r in zip(splits, r_part)],
+                    dtype=np.uint64)
 
 
 def lockstep_parallel_decomposition(
@@ -468,22 +463,23 @@ def lockstep_parallel_decomposition(
     finds a codeword leaves the active set: it would sweep without
     change.  Every other row changes in this sweep (Ẑ is untouched until
     the first class that holds a hit runs), so after the class steps the
-    active rows are those still at or above the floor.  A class step
-    packs each view of the class into one Δ²-bit word per row, reads the
-    scan of every word from the θ = 1/2 word cache as one (rows, slots)
-    array and XORs back only the removed codewords, at the (row, face) of
-    each of their bits; the V00 step runs first, on the Ẑ the test
-    scanned, so it reads its words and scans from the test's columns of
-    the V00 vertices.  Only the V00 and V11 steps need (c, r) splits, for
-    the r and c parts of f̂; they split their new codewords in one pass.
+    active rows are those still at or above the floor.  Each class is one
+    block of |G| consecutive vertex ids, and a class step is
+    ``_first_hits`` on its block: one Δ²-bit word per (row, vertex) and
+    its scan from the θ = 1/2 word cache, as one (rows, vertices) array.
+    It XORs back only the removed codewords, at the (row, face) of each
+    of their bits.  The V00 step runs first, on the Ẑ the test scanned,
+    so it reads its block of the test's words and scans.  Only the V00
+    and V11 steps need (c, r) splits, for the r and c parts of f̂; they
+    split their new codewords in one pass.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     table, floor = cache.scan_table(Fraction(1, 2))
-    d2 = cache.n
     weights = gf2.row_weights(zhat)
     steps = Steps(cache, weights)
-    sweep = np.reshape(cache.sweep_order, (4, -1))
+    order = cache.code.complex.group.order
+    blocks = [slice(v, v + order) for v in cache.sweep_order[::order]]
     active = np.flatnonzero(weights >= floor)
     for _ in range(k):
         if active.size:
@@ -493,27 +489,21 @@ def lockstep_parallel_decomposition(
         if active.size == 0:
             break
         z, acc = zhat[active], f[active]
-        for cls, (packer, faces, vertices, (c_share, r_share)) in enumerate(
-                zip(cache.packers, cache.class_faces, sweep, _F_SHARE)):
-            # Ẑ is untouched before the V00 step, which reads the test's scans
-            if cls == 0:
-                found = scans[:, vertices]
-            else:
-                packed = packer(z)
-                found = table(packed)
+        for cls, (block, (c_share, r_share)) in enumerate(zip(blocks, _SHARES.tolist())):
+            # Ẑ is untouched before the V00 step, which reads the test's block
+            packed, found = ((words[:, block], scans[:, block]) if cls == 0
+                             else _first_hits(cache, table, z, block))
             row, slot = np.nonzero(found >= 0)
             if row.size == 0:
                 continue
             removed = found[row, slot]
-            stepped = vertices[slot]
-            steps.chunks.append((active[row], stepped, removed,
-                                 words[row, stepped] if cls == 0 else packed[row, slot]))
-            bits = _word_bits(row, slot, cache.masks[removed], faces, d2)
+            stepped = block.start + slot
+            steps.chunks.append((active[row], stepped, removed, packed[row, slot]))
+            bits = _word_bits(cache, row, stepped, cache.masks[removed])
             z[bits] ^= 1
             if c_share != r_share:  # V11 keeps c, V00 keeps r: only these split
-                part = 0 if c_share else 1
-                shares = [cr[part] for cr in cache.split_many(removed.tolist())]
-                acc[_word_bits(row, slot, np.array(shares, dtype=np.uint64), faces, d2)] ^= 1
+                shares = _split_shares(cache, removed, [r_share] * removed.size)
+                acc[_word_bits(cache, row, stepped, shares)] ^= 1
             elif c_share:  # V01 keeps c + r, the whole codeword
                 acc[bits] ^= 1
         zhat[active], f[active] = z, acc
@@ -552,8 +542,8 @@ def lockstep_sequential_decomposition(
     weights = gf2.row_weights(zhat)
     steps = Steps(cache, weights)
     rows = np.flatnonzero(weights >= floor)
-    cx, d2 = cache.code.complex, cache.n
-    faces, corners, vertices = cx.view_table.ravel(), cx.corner_table, np.arange(cx.num_vertices)
+    cx = cache.code.complex
+    corners, vertices = cx.corner_table, np.arange(cx.num_vertices)
     keys, fresh = None, 0
     while rows.size:
         words, scans = _first_hits(cache, table, zhat[rows])
@@ -571,22 +561,21 @@ def lockstep_sequential_decomposition(
         removed = scans[at, v]
         steps.chunks.append((rows, v, removed, words[at, v]))
         x = cache.masks[removed]
-        zhat[_word_bits(rows, v, x, faces, d2)] ^= 1
-        cls = cache.vertex_class[v]
-        shares = np.where(cls == 1, x, np.uint64(0))  # V01 keeps c + r, the whole codeword
-        split = np.flatnonzero(cls % 3 == 0)  # V00 keeps r, V11 keeps c: only these split
+        zhat[_word_bits(cache, rows, v, x)] ^= 1
+        c_share, r_share = _SHARES[cache.vertex_class[v]].T
+        # V01 keeps c + r, the whole codeword; V00 keeps r, V11 keeps c: only these split
+        shares = np.where(c_share & r_share, x, np.uint64(0))
+        split = np.flatnonzero(c_share != r_share)
         if split.size:
-            parts = cache.split_many(removed[split].tolist())
-            shares[split] = [part[1] if k == 0 else part[0]
-                             for part, k in zip(parts, cls[split].tolist())]
-        f[_word_bits(rows, v, shares, faces, d2)] ^= 1
+            shares[split] = _split_shares(cache, removed[split], r_share[split].tolist())
+        f[_word_bits(cache, rows, v, shares)] ^= 1
         stay = gf2.row_weights(zhat[rows]) >= floor
         if not stay.all():
             v, key, x, rows, keys = v[stay], key[stay], x[stay], rows[stay], keys[stay]
         if rows.size == 0:
             break
         keys[keys <= key[:, None]] = _UNQUEUED  # the step's pop and the no-op pops
-        row, changed = _word_bits(np.arange(rows.size), v, x, faces, d2)
+        row, changed = _word_bits(cache, np.arange(rows.size), v, x)
         corner = np.zeros(keys.shape, dtype=bool)
         corner[row[:, None], corners[changed]] = True
         fresh += len(vertices)

@@ -104,15 +104,17 @@ class WordPacker:
             mat[cols[sel], word[sel]] = np.exp2(bit[sel] - lo)
             self.slices.append((np.uint64(lo), mat))
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """(trials, words) uint64 for a (trials, n) 0/1 array.  The sums
-        go to uint64 through int32, which holds them exactly and converts
-        faster; the first slice, at shift 0, is the start of the words."""
+    def __call__(self, rows: np.ndarray, words: slice = slice(None)) -> np.ndarray:
+        """(trials, words) uint64 for a (trials, n) 0/1 array: the words
+        ``words`` selects, a column slice of every matrix (a view, so
+        nothing is copied).  The sums go to uint64 through int32, which
+        holds them exactly and converts faster; the first slice, at shift
+        0, is the start of the words."""
         x = rows.astype(np.float32)
         (_, first), *rest = self.slices
-        out = (x @ first).astype(np.int32).astype(np.uint64)
+        out = (x @ first[:, words]).astype(np.int32).astype(np.uint64)
         for shift, mat in rest:
-            out |= (x @ mat).astype(np.int32).astype(np.uint64) << shift
+            out |= (x @ mat[:, words]).astype(np.int32).astype(np.uint64) << shift
         return out
 
 

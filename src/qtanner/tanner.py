@@ -105,10 +105,6 @@ class QuantumTannerCode:
         rows = rows.reshape(-1, self.n)
         return BitMatrix(len(rows), self.n, gf2.from_bit_rows(rows)), rows
 
-    def effective_class(self, v: int) -> int:
-        cls = self.complex.vertex_class(v)
-        return cls ^ 1 if self.flip_roles else cls
-
     @cached_property
     def echelon_x(self) -> gf2.Echelon:
         """RREF of H_X, built on first use; stabilizer membership tests."""

@@ -207,7 +207,7 @@ def _apply(state: MismatchState, cache: LocalCodewordCache, v: int, idx: int) ->
     c_g = scatter(c, view)
     r_g = scatter(r, view)
     changed = c_g ^ r_g
-    eff = code.effective_class(v)
+    eff = (v // code.complex.group.order) ^ code.flip_roles  # raw class, j bit flipped
     i, j = eff >> 1, eff & 1
     if j == 0:
         state.acc_c0 ^= c_g

@@ -1,6 +1,7 @@
 """Groups, generating sets, and the left-right Cayley complex geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,25 @@ class TestBuildGroup:
         assert cayley.build_group("cyclic", 5) != cayley.build_group("cyclic", 6)
         src = cayley.build_group("dihedral", 3)
         assert cayley.build_group("table", table=src.mul) != src  # names differ
+
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "table"])
+    def test_order_budget_refused_before_any_table(self, kind):
+        # the least order of each kind over the budget, which is the
+        # eigensolve budget: cyclic and table at budget + 1, dihedral (even
+        # orders only) at budget + 2
+        assert cayley.MAX_GROUP_ORDER == cayley.MAX_EIGENSOLVE_ORDER == 4096
+        over = cayley.MAX_GROUP_ORDER + 1
+        m = over if kind == "cyclic" else (over + 1) // 2
+        order = 2 * m if kind == "dihedral" else over
+        table = [range(over)] * over  # square, and holds no table of ints
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"group order {order} >"):
+                cayley.build_group(kind, m, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # an order² int64 table would take 128 MiB
 
     def test_axiom_violation_names_triple(self):
         bad = [[0, 1], [1, 1]]  # 1*1 = 1 breaks inverses/associativity

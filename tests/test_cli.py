@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qtanner import cli, decoder, noise, tanner
+from qtanner import cayley, cli, decoder, noise, tanner
 
 import scalar_decoder
 
@@ -54,6 +54,19 @@ class TestBuild:
         cfg = write_config(tmp_path, instance=inst)
         assert cli.main(["build", "-c", cfg]) == 2
         assert "size 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_group_order_budget_exits_3(self, tmp_path, monkeypatch, capsys, command):
+        # refused before any group table is built or validated
+        def no_table(*args):
+            raise AssertionError("a group table was validated")
+
+        monkeypatch.setattr(cayley, "_validate_table", no_table)
+        inst = dict(Z8_INSTANCE, group={"kind": "cyclic", "m": cayley.MAX_GROUP_ORDER + 1})
+        cfg = write_config(tmp_path, instance=inst)
+        flags = ["--workers", "1"] if command == "sweep" else []
+        assert cli.main([command, "-c", cfg, *flags]) == 3
+        assert "budget refusal: group order 4097 >" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self):
         assert cli.main(["build", "-c", "/nonexistent.json"]) == 2

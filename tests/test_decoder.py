@@ -244,6 +244,18 @@ class TestLocalCodewordCache:
         with pytest.raises(LocalCacheError, match="do not cover the faces"):
             self.build_views_from(ref_code, table)
 
+    def test_sweep_class_out_of_vertex_order_raises(self, ref_code):
+        # V00 lists its first two vertices swapped: the class still
+        # partitions the faces, but it is no longer one slice of vertex ids
+        cx = ref_code.complex
+        v0 = list(ref_code.v0_vertices)
+        v0[0], v0[1] = v0[1], v0[0]
+        stub = types.SimpleNamespace(
+            complex=cx, v0_vertices=v0, v1_vertices=ref_code.v1_vertices)
+        cache = decoder.LocalCodewordCache.__new__(decoder.LocalCodewordCache)
+        with pytest.raises(LocalCacheError, match="not a run of consecutive vertex ids"):
+            cache._build_views(stub)
+
     def test_face_repeated_within_one_view_raises(self, ref_code):
         # vertex 0 (the first of sweep class V00) lists its first face
         # twice: no two views of the class meet, but one face is missing
@@ -542,12 +554,12 @@ class TestParallelDecomposition:
             seen = {}
             for step in state.steps:
                 seen.setdefault(step.vertex_class, []).append(step.vertex)
-            cache = get_cache(ref_code)
+            order = ref_code.complex.group.order
             for cls, vs in seen.items():
                 # repeated visits to one vertex across sweeps are fine; a
                 # class sweep itself touches disjoint views by construction
                 for v in vs:
-                    assert ref_code.effective_class(v) == cls
+                    assert (v // order) ^ ref_code.flip_roles == cls
 
     def test_per_step_drop_threshold(self, ref_code):
         rng = make_rng(37, 0)

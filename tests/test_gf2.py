@@ -333,21 +333,26 @@ class TestBitRows:
         ]
         assert gf2.from_bit_rows(rows) == values
 
+    # a word slice packs just those words: every word, or the last two
+    @pytest.mark.parametrize("block", [slice(None), slice(1, 3)])
     @pytest.mark.parametrize("width", [1, 9, 16, 24, 25, 33, 48, 49, 64])
-    def test_word_packer_matches_loop(self, width):
+    def test_word_packer_matches_loop(self, width, block):
         rng = np.random.default_rng(width)
         words = 3
         n = words * width + 5
         cols = rng.permutation(n)[: words * width]
         rows = rng.integers(0, 2, size=(4, n)).astype(np.uint8)
         rows[0] = 1  # every partial sum at its largest
-        got = gf2.WordPacker(cols, width, n)(rows)
+        got = gf2.WordPacker(cols, width, n)(rows, block)
         assert got.dtype == np.uint64
+        packed = range(words)[block]
+        assert got.shape == (4, len(packed))
         for t in range(4):
-            for j in range(words):
+            for i, j in enumerate(packed):
                 want = sum(int(rows[t, cols[j * width + p]]) << p for p in range(width))
-                assert int(got[t, j]) == want
-        assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, cols]).all()
+                assert int(got[t, i]) == want
+        block_cols = cols.reshape(words, width)[block].ravel()
+        assert (gf2.unpack_words(got, width).reshape(4, -1) == rows[:, block_cols]).all()
 
     @pytest.mark.parametrize("slots", [None, 2, 1])
     def test_word_cache_matches_dict_memo(self, slots, monkeypatch):

@@ -288,13 +288,19 @@ class TestLockstepDecoders:
 
     @staticmethod
     def parallel_lockstep(code, syndromes, k, monkeypatch):
-        """(Ẑ rows, row count of every class packer call) of one lockstep
-        parallel decode; checks f̂ against ``parallel_decode`` row by row."""
+        """(Ẑ rows, row count of every class step's ``_first_hits`` call,
+        the calls on one block of vertex ids) of one lockstep parallel
+        decode; checks f̂ against ``parallel_decode`` row by row."""
         cache, rz = decoder.get_cache(code), code.h_z.rows
         packed = []
-        monkeypatch.setattr(cache, "packers", [
-            lambda z, packer=packer: packed.append(len(z)) or packer(z)
-            for packer in cache.packers])
+        first_hits = decoder._first_hits
+
+        def counted(cache, table, zhat, block=slice(None)):
+            if block != slice(None):
+                packed.append(len(zhat))
+            return first_hits(cache, table, zhat, block)
+
+        monkeypatch.setattr(decoder, "_first_hits", counted)
         zhat, f = decoder.lockstep_initial_mismatch(cache, gf2.to_bit_rows(syndromes, rz))
         decoder.lockstep_parallel_decomposition(cache, zhat, f, k)
         monkeypatch.undo()
@@ -347,19 +353,23 @@ class TestLockstepDecoders:
         # the V01, V10 and V11 steps of sweep 1 (V00 reads the test's scans), no more
         assert zhat == [swept.zhat] and packed == [1, 1, 1]
 
-    def test_view_words_hold_every_class_packer(self, batches):
-        """The first-hit test's words, one per vertex in vertex order,
-        hold each class packer's words at the columns of the class's
-        vertices in sweep order (so the V00 step can read its scans from
-        the test)."""
+    def test_sweep_classes_are_blocks_of_view_words(self, batches):
+        """Each sweep class is a run of consecutive vertex ids, so a class
+        step reads its words as one slice of ``view_words`` (and the V00
+        step its block of the first-hit test's), and bit p of vertex v's
+        word is face ``view_table[v, p]``."""
         cache = decoder.get_cache(batches[0])
+        view_table = cache.code.complex.view_table
         rows = (np.random.default_rng(9).random((40, cache.code.n)) < 0.5).astype(np.uint8)
         words = cache.view_words(rows)
         size = len(cache.sweep_order) // 4
         assert words.shape == (40, 4 * size) and words.any()
-        for c, packer in enumerate(cache.packers):
-            columns = cache.sweep_order[c * size:(c + 1) * size]
-            np.testing.assert_array_equal(words[:, columns], packer(rows))
+        for run in np.reshape(cache.sweep_order, (4, size)):
+            np.testing.assert_array_equal(run, np.arange(run[0], run[0] + size))
+            block = slice(run[0], run[0] + size)
+            np.testing.assert_array_equal(cache.view_words(rows, block), words[:, block])
+        bits = gf2.unpack_words(words, cache.n)
+        np.testing.assert_array_equal(bits, rows[:, view_table])
 
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
     def test_fifo_stop_equals_unbounded_fifo(self, batches, eps, unique_code):

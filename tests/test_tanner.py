@@ -69,12 +69,13 @@ class TestZSide:
         assert zz.h_x == ref_code.h_x and zz.h_z == ref_code.h_z
 
     def test_effective_classes_flip_j(self, ref_code, z_side):
+        # the decoder cache's sweep class of every vertex is its raw
+        # class (ids are class-major), with the j bit flipped on the Z side
         z = z_side(ref_code)
         order = ref_code.complex.group.order
-        for v in range(4 * order):
-            raw = ref_code.complex.vertex_class(v)
-            assert ref_code.effective_class(v) == raw
-            assert z.effective_class(v) == raw ^ 1
+        raw = np.arange(4 * order) // order
+        np.testing.assert_array_equal(decoder.get_cache(ref_code).vertex_class, raw)
+        np.testing.assert_array_equal(decoder.get_cache(z).vertex_class, raw ^ 1)
 
 
 class TestDimension:
@@ -386,7 +387,7 @@ def test_hz_rows_match_independent_assembly(tiny_code):
     delta = cx.delta
     rows = []
     for v in code.v1_vertices:
-        cls = cx.vertex_class(v)
+        cls = v // cx.group.order
         h = v % cx.group.order
         for z in code.z_check_basis.data:
             bits = 0
