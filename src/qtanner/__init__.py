@@ -36,7 +36,6 @@ from .noise import (
     run_multiround,
     run_single_shot_trial,
     run_sweep,
-    vertex_support_size,
 )
 from .tanner import (
     QuantumTannerCode,

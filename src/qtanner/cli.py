@@ -324,47 +324,34 @@ def cmd_expansion(args) -> int:
     return EXIT_OK
 
 
+def _bit_row(bits: str) -> np.ndarray:
+    """A '0101...' string as a (1, len) 0/1 row: character i is column i."""
+    bad = next((ch for ch in bits if ch not in "01"), None)
+    if bad is not None:
+        raise ValueError(f"invalid bit character {bad!r}")
+    return np.array([[ch == "1" for ch in bits]], dtype=np.uint8)
+
+
 def cmd_decode_one(args) -> int:
     exp = load_config(args.config)
     code, iid = build_instance(exp.raw)
-    explicit = args.error is not None or args.syndrome_error is not None
-    if explicit:
-        # explicit inputs zero out whatever is not given
-        if args.error is not None and len(args.error) != code.n:
-            print(
-                f"error bitstring length {len(args.error)} != n = {code.n}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        if args.syndrome_error is not None and len(args.syndrome_error) != code.h_z.rows:
-            print(
-                f"syndrome bitstring length {len(args.syndrome_error)} != "
-                f"{code.h_z.rows} checks",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        e = (
-            BitVector.from_string(args.error)
-            if args.error is not None
-            else BitVector(code.n, 0)
-        )
-        d = (
-            BitVector.from_string(args.syndrome_error)
-            if args.syndrome_error is not None
-            else BitVector(code.h_z.rows, 0)
-        )
-    else:
-        e, d = noise.sample_errors(code, exp.noise, noise.make_rng(exp.seed, 0))
-    [(rec, steps)] = noise.decode_trial(
-        code,
-        exp.noise,
-        exp.decoders[:1],
-        e,
-        d,
-        instance_id=iid,
-        seed=0,
-        record_timing=exp.record_timing,
-    )
+    if args.error is None and args.syndrome_error is None:
+        e, d = noise.sample_errors(code, exp.noise, exp.seed, 0)
+    else:  # explicit inputs zero out whatever is not given
+        given = (("error", args.error, code.n, f"n = {code.n}"),
+                 ("syndrome", args.syndrome_error, code.h_z.rows, f"{code.h_z.rows} checks"))
+        for name, bits, width, bound in given:
+            if bits is not None and len(bits) != width:
+                print(f"{name} bitstring length {len(bits)} != {bound}", file=sys.stderr)
+                return EXIT_CONFIG
+        e, d = (_bit_row("0" * width if bits is None else bits) for _, bits, width, _ in given)
+    cfgs = exp.decoders[:1]
+    spent = [0.0]
+    stats, classes, [steps] = noise.single_shot_step(code, decoder.get_cache(code), cfgs, e, d,
+                                                     spent)
+    block = noise.TrialBlock([(iid, cfgs[0].kind, cfgs[0].param, *exp.noise.pq_labels())], [0],
+                             stats, classes, [spent[0] * 1000.0 if exp.record_timing else 0.0])
+    [rec] = block.records()
     print(json.dumps(rec._asdict(), sort_keys=True))
     if args.step_log:
         columns = steps.columns()

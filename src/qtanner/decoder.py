@@ -15,11 +15,11 @@ There is one implementation, which decodes many syndromes at once, one
 numpy row per trial, as multi-round runs and sweep blocks do: the
 initial mismatch (``lockstep_initial_mismatch``), then one
 decomposition in place (``lockstep_sequential_decomposition``,
-``lockstep_parallel_decomposition``).  ``sequential_decode``,
+``lockstep_parallel_decomposition``).  Each decomposition returns its
+``Steps``, the columns of the step log.  ``sequential_decode``,
 ``parallel_decode``, ``initial_mismatch`` and the two
-``*_mismatch_decomposition`` functions are its one-row views, for
-``decode-one``.  Each decomposition returns its ``Steps``, the columns
-of the step log.
+``*_mismatch_decomposition`` functions are its one-row views, which no
+package path calls: the benchmark's tracer names them.
 
 Both stop at a provable fixed point: no vertex finds a codeword while
 |Ẑ| is below h_min(θ), which ``LocalCodewordCache.scan_table`` returns
@@ -96,7 +96,9 @@ def checked_eps(eps) -> Fraction:
 
 class LocalCodewordCache:
     """Per-code view of the local correction code C_1^⊥ = C_A ⊞ C_B, the
-    code's ``x_correction_code`` (``dt``).
+    code's ``x_correction_code`` (``dt``).  It keeps the code's
+    ``complex`` but not the code, which holds the cache: a discarded code
+    is freed at once, without a cyclic collection.
 
     Holds every nonzero codeword as a Δ² bit mask with its weight, the
     memo ``splits`` of the minimal (c, r) splits computed so far (see
@@ -109,9 +111,9 @@ class LocalCodewordCache:
     ``LocalCacheError``), so ``dt.echelon.solve`` reaches every local
     syndrome.
 
-    Built on first use, so ``get_cache`` (the set-up a run times) and
-    ``decode-one`` build none of them: the ``gf2.WordCache`` of coset
-    leaders (``leaders``: syndrome to leader, at most 2^r entries), one
+    Built on first use, so ``get_cache`` (the set-up a run times) builds
+    none of them: the ``gf2.WordCache`` of coset leaders (``leaders``:
+    syndrome to leader, at most 2^r entries), one
     ``gf2.WordCache`` of candidate searches per threshold policy θ
     (``scan_table``), the sweep class of every vertex (``vertex_class``,
     read off ``sweep_order``), and the lockstep decoders' two
@@ -128,7 +130,7 @@ class LocalCodewordCache:
 
     def __init__(self, code: QuantumTannerCode):
         dt = self.dt = code.x_correction_code
-        self.code = code
+        self.complex = code.complex
         n = self.n = dt.n
         masks = dt.codewords()
         weights = np.bitwise_count(masks)
@@ -207,23 +209,24 @@ class LocalCodewordCache:
     def vertex_class(self) -> np.ndarray:
         """The sweep class of every vertex (its effective class): its
         position in ``sweep_order`` over |G|."""
-        return np.argsort(self.sweep_order) // self.code.complex.group.order
+        return np.argsort(self.sweep_order) // self.complex.group.order
 
     @cached_property
     def lift_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        code = self.code
-        faces = code.complex.view_table[code.v1_vertices].reshape(2, -1)
-        return np.argsort(faces[0]), code.n + np.argsort(faces[1])
+        order = self.complex.group.order  # the V1 vertices are sweep classes 1 and 2
+        faces = self.complex.view_table[self.sweep_order[order:3 * order]].reshape(2, -1)
+        return np.argsort(faces[0]), self.complex.num_faces + np.argsort(faces[1])
 
     @cached_property
     def syndrome_words(self) -> Optional[gf2.WordPacker]:
-        rz, r1 = self.code.h_z.rows, self.code.r1
+        r1 = self.dt.pchk.rows
+        rz = 2 * self.complex.group.order * r1  # r₁ checks on each of the 2|G| V1 vertices
         return gf2.WordPacker(np.arange(rz), r1, rz) if r1 else None
 
     @cached_property
     def view_words(self) -> gf2.WordPacker:
-        code = self.code
-        return gf2.WordPacker(code.complex.view_table.ravel(), self.n, code.n)
+        cx = self.complex
+        return gf2.WordPacker(cx.view_table.ravel(), self.n, cx.num_faces)
 
     def scan_table(self, theta: Fraction) -> tuple[gf2.WordCache, int]:
         """(table, floor) for threshold policy θ, built on first use.
@@ -243,7 +246,8 @@ class LocalCodewordCache:
             thresholds = -((-theta.numerator * self.weights) // theta.denominator)
             table = gf2.WordCache(partial(_scan_uncached, self, thresholds))
             # with no codeword nothing hits, at any |Ẑ| ≤ n
-            floor = int(((self.weights + thresholds + 1) // 2).min(initial=self.code.n + 1))
+            floor = int(((self.weights + thresholds + 1) // 2).min(
+                initial=self.complex.num_faces + 1))
             entry = self._scan_tables[theta] = table, floor
         return entry
 
@@ -331,8 +335,8 @@ class Steps:
                 "after": after}
 
 
-# One-row views of the lockstep decoder, for decode-one: a syndrome is
-# one row, and f̂ comes back as a (1, n) bit row with the ``Steps``.
+# One-row views of the lockstep decoder, named by the benchmark's tracer: a
+# syndrome is one row, and f̂ comes back as a (1, n) bit row with the ``Steps``.
 
 
 def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector
@@ -389,7 +393,7 @@ def _word_bits(
     word i lying on the view of vertex ``vertex[i]`` in row ``row[i]``:
     bit p is face ``view_table[vertex[i], p]``."""
     hit, bit = np.nonzero(gf2.unpack_words(words, cache.n))
-    return row[hit], cache.code.complex.view_table[vertex[hit], bit]
+    return row[hit], cache.complex.view_table[vertex[hit], bit]
 
 
 def lockstep_initial_mismatch(
@@ -406,7 +410,7 @@ def lockstep_initial_mismatch(
     lift XORed in (a face has one vertex of each class, so the two lifts
     overlap).
     """
-    trials, n = len(syndromes), cache.code.n
+    trials, n = len(syndromes), cache.complex.num_faces
     if cache.syndrome_words is None:  # r₁ = 0: no local checks
         return np.zeros((trials, n), dtype=np.uint8), np.zeros((trials, n), dtype=np.uint8)
     leaders = cache.leaders(cache.syndrome_words(syndromes))
@@ -478,7 +482,7 @@ def lockstep_parallel_decomposition(
     table, floor = cache.scan_table(Fraction(1, 2))
     weights = gf2.row_weights(zhat)
     steps = Steps(cache, weights)
-    order = cache.code.complex.group.order
+    order = cache.complex.group.order
     blocks = [slice(v, v + order) for v in cache.sweep_order[::order]]
     active = np.flatnonzero(weights >= floor)
     for _ in range(k):
@@ -542,7 +546,7 @@ def lockstep_sequential_decomposition(
     weights = gf2.row_weights(zhat)
     steps = Steps(cache, weights)
     rows = np.flatnonzero(weights >= floor)
-    cx = cache.code.complex
+    cx = cache.complex
     corners, vertices = cx.corner_table, np.arange(cx.num_vertices)
     keys, fresh = None, 0
     while rows.size:

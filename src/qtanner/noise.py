@@ -12,16 +12,17 @@ timing breaks byte-identical output.
 
 A single-shot trial draws its (e, D) once and decodes that sample with
 every decoder of the experiment, so decoder comparisons are paired.
-``run_trial_block`` runs many such trials in lockstep, one numpy row
-per trial, over groups of trials with their own noise models (a
-sweep's grid points): the rows of all groups are stacked, the initial
-mismatch is computed once per slice of rows and shared by every
-decoder, the sample and residual columns are arrays, and the residuals
-are classified as rows by ``tanner.classify_rows``.  It returns one
-``TrialBlock`` of columns per group, which formats its own CSV lines;
-``run_sweep`` (all grid points of a trial range as one block) runs on
-it, and ``run_single_shot_trial`` stays as the one-trial reference, one
-``TrialRecord`` per decoder.  A
+Every single-shot computation is one array step, ``single_shot_step``,
+on (e, D) bit rows, one numpy row per trial: one syndrome product, one
+initial mismatch shared by every decoder, each decoder's decomposition,
+and the sample and residual columns and failure classes
+(``tanner.classify_rows``) as arrays.  ``run_trial_block`` runs it on
+slices of the stacked rows of groups of trials with their own noise
+models (a sweep's grid points) and returns one ``TrialBlock`` of
+columns per group, which formats its own CSV lines and lists its
+``TrialRecord``s.  ``run_sweep`` (all grid points of a trial range as
+one block) and ``run_single_shot_trial`` (a block of one trial) run on
+it, and ``decode-one`` runs the step on its one row.  A
 multi-round run takes its trials as one batch and advances them in
 lockstep, one round at a time: each trial's rounds are drawn up front
 from its own stream, in the order a lone trial would draw them, and
@@ -54,7 +55,6 @@ import numpy as np
 from . import decoder as dec
 from . import gf2, tanner
 from .errors import whole
-from .gf2 import BitVector
 from .tanner import QuantumTannerCode
 
 RNG_ALGORITHM = "philox4x64"
@@ -91,10 +91,10 @@ _CSV_CHUNK_TRIALS = 1 << 6
 
 
 class TrialBlock(NamedTuple):
-    """One grid point's single-shot trials of a sweep chunk, as columns.
-    Its CSV rows (fields TRIAL_CSV_FIELDS) are, per trial, one row per
-    decoder in config order, each ``TrialRecord`` of that (trial,
-    decoder)."""
+    """One group's single-shot trials as columns: a sweep point's trials
+    of one chunk, or one trial.  Its CSV rows (fields TRIAL_CSV_FIELDS)
+    are, per trial, one row per decoder in config order, each
+    ``TrialRecord`` of that (trial, decoder)."""
 
     heads: list[tuple]  # (instance_id, decoder, param, p, q) per decoder
     seeds: list[int]  # one stream id per trial
@@ -120,6 +120,14 @@ class TrialBlock(NamedTuple):
             values[..., width] = self.classes[lo:hi]
             values[..., width + 1] = seeds[lo:hi, None]
             yield template * (hi - lo) % tuple(values.ravel().tolist())
+
+    def records(self) -> list[TrialRecord]:
+        """The block's ``TrialRecord``s, one per (trial, decoder) in CSV
+        row order."""
+        return [TrialRecord(*head, *stats, cls, seed, ms)
+                for seed, row, classes in zip(self.seeds, self.stats.tolist(),
+                                              self.classes.tolist())
+                for head, stats, cls, ms in zip(self.heads, row, classes, self.ms)]
 
 
 class PointRow(NamedTuple):
@@ -389,32 +397,23 @@ class DecoderConfig:
     def param(self) -> str:
         return f"eps={self.eps}" if self.kind == "sequential" else f"k={self.k}"
 
-    def decode(self, code: QuantumTannerCode, syn: BitVector) -> tuple[BitVector, dec.Steps]:
-        """(f̂, the decomposition's ``Steps``) for one syndrome: the
-        one-row view of ``decode_lockstep``."""
-        if self.kind == "sequential":
-            f, steps = dec.sequential_decode(code, syn, self.eps)
-        else:
-            f, steps = dec.parallel_decode(code, syn, self.k)
-        return BitVector(code.n, gf2.from_bit_rows(f)[0]), steps
-
     def decode_lockstep(self, cache: dec.LocalCodewordCache, syndromes: np.ndarray
                         ) -> np.ndarray:
         """f̂ bit rows for a (trials, H_Z rows) array of syndromes of the
-        cache's code, row by row equal to ``decode``."""
+        cache's code: the initial mismatch, then this decoder's
+        decomposition."""
         zhat, f = dec.lockstep_initial_mismatch(cache, syndromes)
         self.decompose_lockstep(cache, zhat, f)
         return f
 
     def decompose_lockstep(self, cache: dec.LocalCodewordCache, zhat: np.ndarray,
-                           f: np.ndarray) -> None:
+                           f: np.ndarray) -> dec.Steps:
         """This decoder's mismatch decomposition on every row of ``zhat``
         in place, its share of f̂ XORed into ``f`` (which holds ε₀₁ of the
-        initial mismatch)."""
+        initial mismatch); returns its ``Steps``."""
         if self.kind == "sequential":
-            dec.lockstep_sequential_decomposition(cache, zhat, f, self.eps)
-        else:
-            dec.lockstep_parallel_decomposition(cache, zhat, f, self.k)
+            return dec.lockstep_sequential_decomposition(cache, zhat, f, self.eps)
+        return dec.lockstep_parallel_decomposition(cache, zhat, f, self.k)
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoderConfig":
@@ -427,20 +426,12 @@ class DecoderConfig:
         return cls(kind, k=whole(obj.get("k", cls.k), "decoder k"))
 
 
-def sample_errors(code: QuantumTannerCode, model: NoiseModel, rng
-                  ) -> tuple[BitVector, BitVector]:
-    """One trial's (data error e, syndrome error D) drawn from ``rng``:
-    the one-round view of ``_filled_rounds``, for ``decode-one``."""
-    e, d = _filled_rounds(code, model, [rng], 1)
-    return (BitVector(code.n, int.from_bytes(e.tobytes(), "little")),
-            BitVector(code.h_z.rows, int.from_bytes(d.tobytes(), "little")))
-
-
-def vertex_support_size(code: QuantumTannerCode, d: BitVector) -> int:
-    """Number of V1 vertices whose check block of D is nonzero: the
-    one-row view of ``_vertex_support_rows``."""
-    rows = gf2.to_bit_rows([d.bits], code.h_z.rows)
-    return int(_vertex_support_rows(dec.get_cache(code), rows)[0])
+def sample_errors(code: QuantumTannerCode, model: NoiseModel, master_seed: int, stream: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's (data error e, syndrome error D) as (1, n) and (1, H_Z
+    rows) bit rows, drawn from stream ``stream`` of ``master_seed``: the
+    one-trial view of ``_round_errors``, for ``decode-one``."""
+    return next(_round_errors(code, model, master_seed, [stream], 1))
 
 
 def run_single_shot_trial(
@@ -452,51 +443,13 @@ def run_single_shot_trial(
     instance_id: str = "",
     record_timing: bool = False,
 ) -> list[TrialRecord]:
-    """One single-shot trial: (e, D) drawn once from stream ``stream``
-    by ``_round_errors``, then decoded and classified by every config,
-    one record per config in ``cfgs`` order, each with seed ``stream``."""
-    e, d = (gf2.from_bit_rows(rows)[0]
-            for rows in next(_round_errors(code, model, master_seed, [stream], 1)))
-    return [rec for rec, _ in decode_trial(code, model, cfgs, BitVector(code.n, e),
-                                           BitVector(code.h_z.rows, d), instance_id, stream,
-                                           record_timing)]
-
-
-def decode_trial(
-    code: QuantumTannerCode,
-    model: NoiseModel,
-    cfgs: Sequence[DecoderConfig],
-    e: BitVector,
-    d: BitVector,
-    instance_id: str = "",
-    seed: int = 0,
-    record_timing: bool = False,
-) -> list[tuple[TrialRecord, dec.Steps]]:
-    """Decode and classify data error e under syndrome error d with every
-    config: one (record, decoder ``Steps``) pair per config.  The
-    syndrome and the sample's columns are computed once; ``ms`` times
-    only that config's decode."""
-    syn = BitVector(code.h_z.rows, tanner.syndrome_bits_z(code, e.bits) ^ d.bits)
-    p, q = model.pq_labels()
-    sample = dict(instance_id=instance_id, p=p, q=q, e_weight=e.weight(), d_weight=d.weight(),
-                  d_vertex_support=vertex_support_size(code, d), seed=seed)
-    pairs = []
-    for cfg in cfgs:
-        t0 = time.perf_counter() if record_timing else 0.0
-        f, steps = cfg.decode(code, syn)
-        ms = (time.perf_counter() - t0) * 1000.0 if record_timing else 0.0
-        residual = BitVector(code.n, e.bits ^ f.bits)
-        record = TrialRecord(
-            decoder=cfg.kind,
-            param=cfg.param,
-            residual_weight=residual.weight(),
-            residual_reduced_proxy=tanner.reduced_weight(code, residual),
-            failure_class=tanner.classify_residual(code, residual),
-            ms=ms,
-            **sample,
-        )
-        pairs.append((record, steps))
-    return pairs
+    """One single-shot trial: (e, D) drawn once from stream ``stream``,
+    then decoded and classified by every config, one record per config
+    in ``cfgs`` order, each with seed ``stream``.  It is the block of one
+    trial of ``run_trial_block``."""
+    [block] = run_trial_block(code, [(model, [stream])], cfgs, master_seed, instance_id,
+                              record_timing)
+    return block.records()
 
 
 # Bernoulli draws held at once (64 KiB of float64); a trial's run of
@@ -752,6 +705,50 @@ def _slice_errors(code: QuantumTannerCode, groups: Sequence[tuple[NoiseModel, li
     return np.concatenate([e for e, _ in parts]), np.concatenate([d for _, d in parts])
 
 
+def single_shot_step(
+    code: QuantumTannerCode,
+    cache: dec.LocalCodewordCache,
+    cfgs: Sequence[DecoderConfig],
+    e: np.ndarray,
+    d: np.ndarray,
+    spent: list[float],
+) -> tuple[np.ndarray, np.ndarray, list[dec.Steps]]:
+    """Single-shot trials of (trials, n) data error rows ``e`` under
+    (trials, H_Z rows) syndrome error rows ``d``, decoded by every config
+    in one array step: (the TRIAL_STATS of every (trial, config) as a
+    (trials, configs, 5) int array, the failure classes as a (trials,
+    configs) array, each config's ``Steps``).
+
+    The noisy syndromes are one product, and one
+    ``lockstep_initial_mismatch`` serves every config's
+    ``decompose_lockstep``; the residuals are weighed, greedily reduced
+    (``tanner.greedy_reduce_rows``) and classified
+    (``tanner.classify_rows``) as rows.  Config j's seconds, the shared
+    initial mismatch and its own decomposition, are added to
+    ``spent[j]``.
+    """
+    t0 = time.perf_counter()
+    zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
+    shared = time.perf_counter() - t0
+    stats = np.empty((len(e), len(cfgs), len(TRIAL_STATS)), dtype=np.int64)
+    classes = np.empty((len(e), len(cfgs)), dtype=object)
+    stats[:, :, 0] = gf2.row_weights(e)[:, None]
+    stats[:, :, 1] = gf2.row_weights(d)[:, None]
+    stats[:, :, 2] = _vertex_support_rows(cache, d)[:, None]
+    steps = []
+    for j, cfg in enumerate(cfgs):
+        t0 = time.perf_counter()
+        last = j == len(cfgs) - 1  # the last config takes (Ẑ, ε₀₁) itself
+        residual = eps01 if last else eps01.copy()
+        steps.append(cfg.decompose_lockstep(cache, zhat if last else zhat.copy(), residual))
+        spent[j] += shared + time.perf_counter() - t0
+        residual ^= e
+        stats[:, j, 3] = gf2.row_weights(residual)
+        stats[:, j, 4] = tanner.greedy_reduce_rows(code, residual)[1]
+        classes[:, j] = tanner.classify_rows(code, residual)
+    return stats, classes, steps
+
+
 def run_trial_block(
     code: QuantumTannerCode,
     groups: Sequence[tuple[NoiseModel, Sequence[int]]],
@@ -764,20 +761,14 @@ def run_trial_block(
     (noise model, streams) group: trial i of a group draws (e, D) once
     from stream ``streams[i]`` of ``master_seed`` under the group's
     model, recorded as its seed, and every config decodes that sample.
-    Every (trial, decoder) of the columns equals
-    ``run_single_shot_trial(..., master_seed, stream)`` field for field
-    (except ``ms``).
+    A trial's columns do not depend on the block it ran in.
 
     The groups' rows are stacked and run in slices of at most
     ``_SLICE_TRIALS`` rows, which may straddle groups.  A slice is one
-    array step: each group's share of one-round draws by
-    ``_round_errors``, one syndrome product, one
-    ``lockstep_initial_mismatch`` that every config shares, each config's
-    ``decompose_lockstep``, and the TRIAL_STATS columns and failure
-    classes (``tanner.classify_rows``) as arrays; nothing runs per row.
-    With ``record_timing``, ``ms`` is a config's decode time over the
-    whole block (the shared initial mismatch included) divided by its
-    trials.
+    ``single_shot_step`` on each group's share of one-round draws by
+    ``_round_errors``; nothing runs per row.  With ``record_timing``,
+    ``ms`` is a config's seconds over the whole block (the shared initial
+    mismatch included) divided by its trials.
     """
     groups = [(model, list(streams)) for model, streams in groups]
     starts = list(itertools.accumulate((len(streams) for _, streams in groups), initial=0))
@@ -789,23 +780,7 @@ def run_trial_block(
     for lo in range(0, total, _SLICE_TRIALS):
         hi = min(lo + _SLICE_TRIALS, total)
         e, d = _slice_errors(code, groups, starts, lo, hi, master_seed)
-        t0 = time.perf_counter()
-        zhat, eps01 = dec.lockstep_initial_mismatch(cache, tanner.syndrome_rows_z(code, e) ^ d)
-        shared = time.perf_counter() - t0
-        rows = stats[lo:hi]
-        rows[:, :, 0] = gf2.row_weights(e)[:, None]
-        rows[:, :, 1] = gf2.row_weights(d)[:, None]
-        rows[:, :, 2] = _vertex_support_rows(cache, d)[:, None]
-        for j, cfg in enumerate(cfgs):
-            t0 = time.perf_counter()
-            last = j == len(cfgs) - 1  # the last config takes (Ẑ, ε₀₁) itself
-            residual = eps01 if last else eps01.copy()
-            cfg.decompose_lockstep(cache, zhat if last else zhat.copy(), residual)
-            spent[j] += shared + time.perf_counter() - t0
-            residual ^= e
-            rows[:, j, 3] = gf2.row_weights(residual)
-            rows[:, j, 4] = tanner.greedy_reduce_rows(code, residual)[1]
-            classes[lo:hi, j] = tanner.classify_rows(code, residual)
+        stats[lo:hi], classes[lo:hi], _ = single_shot_step(code, cache, cfgs, e, d, spent)
     ms = [s * 1000.0 / total if record_timing and total else 0.0 for s in spent]
     return [TrialBlock([(instance_id, cfg.kind, cfg.param, *model.pq_labels()) for cfg in cfgs],
                        streams, stats[a:b], classes[a:b], ms)

@@ -15,7 +15,8 @@ rows: the H_Z syndrome (``syndrome_rows_z``), the greedy
 stabilizer-reduced rows and weights (``greedy_reduce_rows``) and the
 failure class (``classify_rows``).  ``syndrome_bits_z``,
 ``reduced_weight`` and ``classify_residual`` are their one-row views,
-and the randomized logical search runs on rows too.
+which no package path calls (the benchmark's tracer names them), and
+the randomized logical search runs on rows too.
 """
 
 from __future__ import annotations
@@ -247,8 +248,7 @@ def classify_rows(code: QuantumTannerCode, rows: np.ndarray) -> np.ndarray:
 
 
 def classify_residual(code: QuantumTannerCode, residual: BitVector) -> str:
-    """``classify_rows`` of the one residual, for ``decode-one`` and
-    other one-trial callers."""
+    """``classify_rows`` of the one residual: its one-row view."""
     if residual.n != code.n:
         raise DimensionMismatchError(code.n, residual.n)
     return classify_rows(code, gf2.to_bit_rows([residual.bits], code.n))[0]

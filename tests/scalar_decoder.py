@@ -50,7 +50,7 @@ def tables(cache: LocalCodewordCache) -> Tables:
     """The ``Tables`` of ``cache``, built once per cache."""
     found = _TABLES.get(cache)
     if found is None:
-        cx = cache.code.complex
+        cx = cache.complex
         views = cx.view_table.tolist()
         found = _TABLES[cache] = Tables(views, [sum(1 << q for q in view) for view in views],
                                         cx.corner_table.tolist())
@@ -109,12 +109,12 @@ class MismatchState:
 
     @classmethod
     def seeded(
-        cls, cache: LocalCodewordCache, zhat: int, eps01_sum: int = 0
+        cls, code: QuantumTannerCode, zhat: int, eps01_sum: int = 0
     ) -> "MismatchState":
-        """State for mismatch Ẑ with every vertex whose view meets Ẑ
-        queued, in vertex order."""
-        masks = tables(cache).view_masks
-        state = cls(code=cache.code, zhat=zhat, initial_zhat=zhat, eps01_sum=eps01_sum,
+        """State for mismatch Ẑ of ``code`` with every vertex whose view
+        meets Ẑ queued, in vertex order."""
+        masks = tables(get_cache(code)).view_masks
+        state = cls(code=code, zhat=zhat, initial_zhat=zhat, eps01_sum=eps01_sum,
                     in_queue=bytearray(len(masks)))
         for v, mask in enumerate(masks):
             if mask & zhat:
@@ -164,7 +164,7 @@ def initial_mismatch(code: QuantumTannerCode, noisy_syndrome: BitVector) -> Mism
         zhat ^= lifted
         if pos < order:  # first block is the effective V01 class
             eps01 ^= lifted
-    return MismatchState.seeded(cache, zhat, eps01)
+    return MismatchState.seeded(code, zhat, eps01)
 
 
 def _search(cache: LocalCodewordCache, table, zhat: int, v: int) -> int:

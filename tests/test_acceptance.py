@@ -63,12 +63,14 @@ def _noiseless_syndrome(code, e_bits):
 
 def _sequential(code, syn, eps=Fraction(1, 2)):
     """f̂ of the package's sequential decoder for one syndrome."""
-    return DecoderConfig("sequential", eps=eps).decode(code, syn)[0]
+    f, _ = decoder.sequential_decode(code, syn, eps)
+    return BitVector(code.n, gf2.from_bit_rows(f)[0])
 
 
 def _parallel(code, syn, k):
     """f̂ of the package's parallel decoder for one syndrome."""
-    return DecoderConfig("parallel", k=k).decode(code, syn)[0]
+    f, _ = decoder.parallel_decode(code, syn, k)
+    return BitVector(code.n, gf2.from_bit_rows(f)[0])
 
 
 def _corrected(code, e_bits, f):

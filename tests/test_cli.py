@@ -10,6 +10,7 @@ import pytest
 from qtanner import cayley, cli, decoder, noise, tanner
 
 import scalar_decoder
+from test_lockstep import scalar_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,7 +139,9 @@ class TestDecodeOne:
     ], ids=["bernoulli", "adversarial"])
     def test_drawn_sample_is_stream_0_of_the_seed(self, tmp_path, capsys, noise_obj):
         # without --error, the printed record is the first decoder's
-        # single-shot trial on stream 0 of the config's seed
+        # single-shot trial on stream 0 of the config's seed, and the
+        # scalar per-trial reference (int sampler, oracle syndrome, scalar
+        # decoder) gives the same record
         cfg = write_config(tmp_path, noise=noise_obj,
                            decoders=[{"kind": "parallel", "k": 2}, {"kind": "sequential"}])
         assert cli.main(["decode-one", "-c", cfg]) == 0
@@ -147,6 +150,8 @@ class TestDecodeOne:
         [rec] = noise.run_single_shot_trial(code, exp.noise, exp.decoders[:1], exp.seed, 0, iid)
         assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(rec._asdict()))
         assert rec.e_weight + rec.d_weight > 0 and rec.param == "k=2"
+        [want] = scalar_sweep(code, exp.noise, 0, [0], exp.seed, exp.decoders[:1])
+        assert rec == want._replace(instance_id=iid)
 
     def test_step_log_written(self, tmp_path):
         cfg = write_config(
@@ -164,13 +169,13 @@ class TestDecodeOne:
     def test_step_log_decodes_once(self, tmp_path, monkeypatch):
         # the printed record and the step log come from one decode
         calls = []
-        real = decoder.initial_mismatch
+        real = decoder.lockstep_initial_mismatch
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(decoder, "initial_mismatch", counting)
+        monkeypatch.setattr(decoder, "lockstep_initial_mismatch", counting)
         cfg = write_config(
             tmp_path, noise={"data": {"kind": "adversarial", "w": 6}, "syndrome": {}}
         )

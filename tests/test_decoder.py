@@ -8,10 +8,12 @@ decoders run through the package's one-row views."""
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtanner import cayley, codes, decoder, gf2, tanner
+from qtanner import cayley, codes, decoder, gf2, noise, tanner
 from qtanner.decoder import get_cache
 from qtanner.errors import BudgetError, LocalCacheError
 from qtanner.gf2 import BitVector
@@ -78,6 +80,27 @@ def parallel_decode(code, syn, k):
 
 
 class TestLocalCodewordCache:
+    def test_discarded_code_is_freed_without_cyclic_collection(self):
+        # the cache keeps the complex, not the code that holds the cache:
+        # a code whose cache has decoded rows is freed as soon as it is
+        # dropped, with the cyclic collector off
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cx = cayley.build_complex(cayley.build_group("cyclic", 8), [1, 7, 4], [1, 7, 4])
+            code = tanner.QuantumTannerCode(cx, codes.repetition_code(3),
+                                            codes.repetition_code(3))
+            cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=2)]
+            [block] = noise.run_sweep(code, [noise.NoiseModel(p=0.05, q=0.02)], cfgs,
+                                      range(8), 1)
+            assert block.stats[:, :, 0].any()  # some rows were decoded
+            ref = weakref.ref(code)
+            del code
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_masks_are_codewords_sorted_by_weight(self, ref_code):
         cache = get_cache(ref_code)
         dt = ref_code.x_correction_code
@@ -503,7 +526,7 @@ class TestSequentialDecomposition:
         v = 0  # first vertex in FIFO seed order, so it is scanned first
         x_local = int(cache.masks[0])  # heaviest, so the scan picks it first
         zhat = scatter(x_local, tables(cache).views[v])
-        state = MismatchState.seeded(cache, zhat)
+        state = MismatchState.seeded(ref_code, zhat)
         sequential_mismatch_decomposition(state, Fraction(1, 2))
         assert state.zhat == 0
         assert len(state.steps) >= 1
@@ -540,7 +563,7 @@ class TestParallelDecomposition:
         v = ref_code.v0_vertices[5]
         x_local = int(cache.masks[0])
         zhat = scatter(x_local, tables(cache).views[v])
-        state = MismatchState.seeded(cache, zhat)
+        state = MismatchState.seeded(ref_code, zhat)
         parallel_mismatch_decomposition(state, 1)
         assert state.zhat == 0
 
@@ -830,9 +853,12 @@ class TestHitFloor:
         assert len(cache.masks) == 0
         assert {cache.scan_table(theta)[1] for theta in THETAS} == {code.n + 1}
         syndromes = [0, 5, (1 << rz) - 1, 1 << (rz - 1)]
-        for cfg in (DecoderConfig("sequential"), DecoderConfig("parallel", k=3)):
+        for cfg, one_row in ((DecoderConfig("sequential"), decoder.sequential_decode),
+                             (DecoderConfig("parallel", k=3),
+                              lambda code, syn: decoder.parallel_decode(code, syn, 3))):
             got = gf2.from_bit_rows(cfg.decode_lockstep(cache, gf2.to_bit_rows(syndromes, rz)))
             for s, f in zip(syndromes, got):
-                want, steps = cfg.decode(code, BitVector(rz, s))
-                assert (f, steps.columns()["row"].tolist()) == (want.bits, [])
-                assert want.bits == initial_mismatch(code, BitVector(rz, s)).eps01_sum
+                want, steps = one_row(code, BitVector(rz, s))
+                [want] = gf2.from_bit_rows(want)
+                assert (f, steps.columns()["row"].tolist()) == (want, [])
+                assert want == initial_mismatch(code, BitVector(rz, s)).eps01_sum

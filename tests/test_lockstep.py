@@ -359,8 +359,8 @@ class TestLockstepDecoders:
         step its block of the first-hit test's), and bit p of vertex v's
         word is face ``view_table[v, p]``."""
         cache = decoder.get_cache(batches[0])
-        view_table = cache.code.complex.view_table
-        rows = (np.random.default_rng(9).random((40, cache.code.n)) < 0.5).astype(np.uint8)
+        view_table, faces = cache.complex.view_table, cache.complex.num_faces
+        rows = (np.random.default_rng(9).random((40, faces)) < 0.5).astype(np.uint8)
         words = cache.view_words(rows)
         size = len(cache.sweep_order) // 4
         assert words.shape == (40, 4 * size) and words.any()
@@ -512,16 +512,17 @@ SWEEP_NOISE = {
 }
 
 
-def scalar_sweep(code, model, point_idx, trial_ids, seed):
+def scalar_sweep(code, model, point_idx, trial_ids, seed, cfgs=SWEEP_DECODERS):
     """The records of trials ``trial_ids`` of point ``point_idx``, one
-    per (trial, decoder), each trial decoded on its own stream."""
+    per (trial, decoder of ``cfgs``), each trial decoded on its own
+    stream."""
     p, q = model.pq_labels()
     records = []
     for t in trial_ids:
         stream = noise.sweep_stream_id(point_idx, t)
         e, d = int_sample_errors(code, model, make_rng(seed, stream))
         syn = BitVector(code.h_z.rows, np_mat_vec_gf2(code.h_z, e.bits) ^ d.bits)
-        for cfg in SWEEP_DECODERS:
+        for cfg in cfgs:
             residual = BitVector(code.n, e.bits ^ scalar_decoder.decode(cfg, code, syn)[0].bits)
             records.append(TrialRecord(
                 "", cfg.kind, cfg.param, p, q, e.weight(), d.weight(), vertex_support(code, d),

@@ -11,7 +11,6 @@ import pytest
 
 from qtanner import decoder, gf2, noise
 from qtanner.errors import whole
-from qtanner.gf2 import BitVector
 from qtanner.noise import DecoderConfig, NoiseModel, make_rng
 
 from oracles import aggregate_rows, int_sample_errors, multiround_rows, trial_block_rows
@@ -72,29 +71,35 @@ def two_rounds(code, model, rng, monkeypatch):
     return [e[0] for e, _ in noise._round_errors(code, model, 0, [0], 2)]
 
 
+def vertex_support(code, d):
+    """|D|_V of one (1, H_Z rows) syndrome error row."""
+    return int(noise._vertex_support_rows(decoder.get_cache(code), d)[0])
+
+
 class TestSampleErrors:
     def test_bernoulli_zero(self, ref_code):
         model = NoiseModel()
-        e, d = noise.sample_errors(ref_code, model, make_rng(1, 0))
-        assert e.bits == 0 and d.bits == 0
+        e, d = noise.sample_errors(ref_code, model, 1, 0)
+        assert e.shape == (1, ref_code.n) and d.shape == (1, ref_code.h_z.rows)
+        assert not e.any() and not d.any()
 
     def test_adversarial_exact_weight(self, ref_code):
         model = NoiseModel(data_kind="adversarial", w=5)
         for t in range(20):
-            e, _ = noise.sample_errors(ref_code, model, make_rng(2, t))
-            assert e.weight() == 5
+            e, _ = noise.sample_errors(ref_code, model, 2, t)
+            assert e.sum() == 5
 
     def test_adversarial_weight_over_n_rejected(self, ref_code):
         model = NoiseModel(data_kind="adversarial", w=ref_code.n + 1)
         with pytest.raises(ValueError):
-            noise.sample_errors(ref_code, model, make_rng(3, 0))
+            noise.sample_errors(ref_code, model, 3, 0)
 
     def test_vertex_bounded_support(self, ref_code):
         model = NoiseModel(syn_kind="vertex_bounded", t=2)
         for t in range(30):
-            _, d = noise.sample_errors(ref_code, model, make_rng(4, t))
-            assert noise.vertex_support_size(ref_code, d) <= 2
-            assert d.weight() >= 1
+            _, d = noise.sample_errors(ref_code, model, 4, t)
+            assert vertex_support(ref_code, d) <= 2
+            assert d.sum() >= 1
 
     def test_persistence_carries_support(self, ref_code, monkeypatch):
         model = NoiseModel(data_kind="adversarial", w=8, persistence=0.5)
@@ -124,8 +129,8 @@ class TestSampleErrors:
         model = NoiseModel(p=0.05)
         total = 0
         for t in range(200):
-            e, _ = noise.sample_errors(ref_code, model, make_rng(6, t))
-            total += e.weight()
+            e, _ = noise.sample_errors(ref_code, model, 6, t)
+            total += int(e.sum())
         mean = total / 200
         assert 0.03 * ref_code.n < mean < 0.07 * ref_code.n
 
@@ -239,18 +244,18 @@ class TestRoundErrors:
 
 class TestVertexSupport:
     def test_zero(self, ref_code):
-        assert noise.vertex_support_size(ref_code, BitVector(ref_code.h_z.rows, 0)) == 0
+        assert vertex_support(ref_code, gf2.to_bit_rows([0], ref_code.h_z.rows)) == 0
 
     def test_single_bit(self, ref_code):
-        assert noise.vertex_support_size(ref_code, BitVector(ref_code.h_z.rows, 1)) == 1
+        assert vertex_support(ref_code, gf2.to_bit_rows([1], ref_code.h_z.rows)) == 1
 
     def test_sandwich_inequality(self, ref_code):
         model = NoiseModel(syn_kind="bernoulli", q=0.1)
         r = ref_code.r1
         for t in range(30):
-            _, d = noise.sample_errors(ref_code, model, make_rng(7, t))
-            v = noise.vertex_support_size(ref_code, d)
-            assert d.weight() / r <= v <= d.weight()
+            _, d = noise.sample_errors(ref_code, model, 7, t)
+            v = vertex_support(ref_code, d)
+            assert d.sum() / r <= v <= d.sum()
 
 
 class TestSingleShotTrial:
@@ -265,12 +270,12 @@ class TestSingleShotTrial:
     def test_record_consistency(self, ref_code):
         model = NoiseModel(p=0.01, q=0.01)
         for t in range(20):
-            e, d = noise.sample_errors(ref_code, model, make_rng(9, t))
+            e, d = noise.sample_errors(ref_code, model, 9, t)
             [rec] = noise.run_single_shot_trial(
                 ref_code, model, [DecoderConfig("parallel", k=3)], 9, t
             )
-            assert rec.e_weight == e.weight()
-            assert rec.d_weight == d.weight()
+            assert rec.e_weight == e.sum()
+            assert rec.d_weight == d.sum()
             assert rec.residual_weight >= 0
             assert rec.residual_reduced_proxy <= rec.residual_weight
             assert rec.failure_class in ("corrected", "detected", "logical")
@@ -288,17 +293,21 @@ class TestSingleShotTrial:
 
     def test_seed_column_is_the_stream_drawn(self, ref_code):
         # a record's seed names the stream its sample came from: the
-        # scalar path on make_rng(107, t) gives the same records
+        # single-shot step on the rows drawn from stream t of seed 107
+        # gives the same records
         model = NoiseModel(p=0.01, q=0.01)
         cfgs = [DecoderConfig("sequential"), DecoderConfig("parallel", k=3)]
+        heads = [("", cfg.kind, cfg.param, *model.pq_labels()) for cfg in cfgs]
         weights = set()
         for t in (0, 1, 2, 3, 1 << 40):
             records = noise.run_single_shot_trial(ref_code, model, cfgs, 107, t)
-            e, d = noise.sample_errors(ref_code, model, make_rng(107, t))
-            assert records == [rec for rec, _ in noise.decode_trial(ref_code, model, cfgs, e, d,
-                                                                    seed=t)]
+            e, d = noise.sample_errors(ref_code, model, 107, t)
+            stats, classes, _ = noise.single_shot_step(ref_code, decoder.get_cache(ref_code),
+                                                       cfgs, e, d, [0.0, 0.0])
+            block = noise.TrialBlock(heads, [t], stats, classes, [0.0, 0.0])
+            assert [tuple(rec) for rec in records] == trial_block_rows(block)
             assert [rec.seed for rec in records] == [t, t]
-            weights.add((e.weight(), d.weight()))
+            weights.add((int(e.sum()), int(d.sum())))
         assert len(weights) > 1  # the streams draw different samples
 
     def test_no_logical_without_noise_support(self, ref_code):

@@ -123,40 +123,26 @@ def test_one_first_hit_test_for_both_lockstep_schedules():
 
 
 @pytest.mark.parametrize("name", ["classify_residual", "syndrome_bits_z", "reduced_weight",
-                                  "vertex_support_size"])
-def test_only_decode_trial_names_one_row_view(name):
-    # every trial path computes syndromes, |D|_V, reduced weights and
-    # classes on rows: each one-row view is named, outside its own
-    # definition, only by decode_trial, the decode-one path
+                                  "sequential_decode", "parallel_decode"])
+def test_no_module_names_a_one_row_view(name):
+    # every single-shot path (sweep blocks, run_single_shot_trial and
+    # decode-one) decodes, weighs and classifies rows through
+    # noise.single_shot_step, and multi-round runs decode rows in
+    # lockstep: outside decoder (whose one-row views call each other) and
+    # outside its own definition, no module names a one-row view (the
+    # package's re-exports are imports, not names)
     root = Path(qtanner.__file__).parent
     users = [
         f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
         for path in sorted(root.glob("*.py"))
+        if path.stem != "decoder"
         for stmt in ast.parse(path.read_text(), str(path)).body
         if getattr(stmt, "name", None) != name
         for node in ast.walk(stmt)
         if isinstance(node, ast.Name) and node.id == name
         or isinstance(node, ast.Attribute) and node.attr == name
     ]
-    assert users == ["noise.decode_trial"]
-
-
-@pytest.mark.parametrize("name", ["sequential_decode", "parallel_decode"])
-def test_only_decode_one_names_a_scalar_decoder(name):
-    # every trial path decodes rows in lockstep: outside decoder, a
-    # scalar decoder is named only by DecoderConfig, whose decode is the
-    # decode-one path (the package's re-exports are imports, not names)
-    root = Path(qtanner.__file__).parent
-    users = {
-        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
-        for path in sorted(root.glob("*.py"))
-        if path.stem != "decoder"
-        for stmt in ast.parse(path.read_text(), str(path)).body
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id == name
-        or isinstance(node, ast.Attribute) and node.attr == name
-    }
-    assert users == {"noise.DecoderConfig"}
+    assert users == []
 
 
 def test_only_cayley_builds_views():
